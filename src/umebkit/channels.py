@@ -115,18 +115,18 @@ def verify_decomposition(
 ) -> DecompositionReport:
     """Two independent checks of the mixture against the direct channel formula.
 
-    (a) Frobenius distance between sum_j w_j vec(U_j) vec(U_j)* and the Choi
-    matrix assembled from the formula, within eps * d^2.  (b) For `trials`
-    seeded random Hermitian inputs (per-trial seed = seed + index), max-entry
-    distance between the mixture output and the formula output, within
-    eps * max|X|.
+    (a) Frobenius distance between sum_j w_j vec(U_j) vec(U_j)* and the
+    closed-form Choi matrix (I + SWAP)/(d+1), within eps * d^2.  (b) For
+    `trials` seeded random Hermitian inputs (per-trial seed = seed + index),
+    max-entry distance between the mixture output and the formula output,
+    within eps * max|X|.
     """
     uf = dec.unitaries
     d = uf.d
     flat = np.asarray([np.asarray(u, dtype=complex).flatten(order="F") for u in uf.unitaries])
     weights = np.asarray(dec.weights)
     choi_mix = (weights[:, None] * flat).T @ flat.conj()
-    choi_direct = choi_of_channel(lambda x: wh_plus_apply(x, d), d)
+    choi_direct = (np.eye(d * d) + swap_matrix(d)) / (d + 1)
     choi_dev = float(np.linalg.norm(choi_mix - choi_direct))
 
     apply_dev_max = 0.0

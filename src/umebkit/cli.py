@@ -102,7 +102,7 @@ def _emit(args, text_lines: list[str], json_obj: dict) -> None:
             print(line)
 
 
-def _build_family(args, tol: Tolerance) -> ProjectionFamily:
+def _build_family(args) -> ProjectionFamily:
     prime = validate_prime(args.p, args.k)
     h = construct((prime.p + 1) // 2)
     return build_residue_family(prime, h)
@@ -120,7 +120,7 @@ def _family_report_lines(family: ProjectionFamily, report) -> list[str]:
 
 def cmd_generate(args) -> int:
     tol = _tolerance(args)
-    family = _build_family(args, tol)
+    family = _build_family(args)
     report = verify_equiangular(family, tol)
     family_obj = family_to_json(family)
     if args.out:
@@ -135,7 +135,7 @@ def cmd_generate(args) -> int:
 
 def cmd_umeb(args) -> int:
     tol = _tolerance(args)
-    family = _build_family(args, tol)
+    family = _build_family(args)
     report = verify_equiangular(family, tol)
     z = compute_phase(family.d, family.r)
     uf = build_unitaries(family, z)
@@ -225,7 +225,7 @@ def cmd_feasibility(args) -> int:
 
 def cmd_wh_check(args) -> int:
     tol = _tolerance(args)
-    family = _build_family(args, tol)
+    family = _build_family(args)
     z = compute_phase(family.d, family.r)
     uf = build_unitaries(family, z)
     dec = umeb_decomposition(uf, tol)

@@ -44,8 +44,11 @@ def frobenius_inner(a: np.ndarray, b: np.ndarray) -> complex:
 
 
 def gram_matrix(mats: list[np.ndarray] | np.ndarray) -> np.ndarray:
-    """Hermitian Gram matrix G_ij = tr(m_i* m_j) of same-shape matrices."""
-    stack = np.asarray([np.asarray(m, dtype=complex) for m in mats])
+    """Hermitian Gram matrix G_ij = tr(m_i* m_j) of same-shape matrices.
+
+    A stacked array is used without a copy; real input gives a real Gram.
+    """
+    stack = np.asarray(mats)
     if stack.ndim < 2:
         raise ShapeMismatch("need at least one matrix")
     flat = stack.reshape(stack.shape[0], -1)

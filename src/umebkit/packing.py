@@ -22,7 +22,7 @@ from .errors import (
     RankOutOfRange,
 )
 from .hadamard import HadamardMatrix
-from .matcore import DEFAULT_TOL, Tolerance, matrix_from_json, matrix_to_json
+from .matcore import DEFAULT_TOL, Tolerance, gram_matrix, matrix_from_json, matrix_to_json
 from .numth import UmebPrime
 
 
@@ -79,10 +79,12 @@ def off_support_scale(p: int) -> float:
 def residue_base_vectors(prime: UmebPrime, h: HadamardMatrix, t: int) -> list[np.ndarray]:
     """The (p-1)/2 unnormalized base vectors of the t-th subspace.
 
-    Vector s (s = 1..(p-1)/2) has a 1 at index q_s and h[s, t] * scale at
-    index k*q_s mod p, using 0-indexed coordinates; rows 1..(p-1)/2 and
-    columns 0..(p-1)/2 of h are consumed.  Each vector has squared norm
-    1 + scale^2 and their supports are pairwise disjoint.
+    Vector s (s = 1..(p-1)/2) has a 1 at index q_s and h[s, t] * h[0, t] * scale
+    at index k*q_s mod p, using 0-indexed coordinates; rows 0..(p-1)/2 and
+    columns 0..(p-1)/2 of h are consumed.  The factor h[0, t] normalizes row 0
+    of h to all +1, which the construction needs and not every Hadamard
+    strategy provides.  Each vector has squared norm 1 + scale^2 and their
+    supports are pairwise disjoint.
     """
     p = prime.p
     half = prime.half
@@ -96,7 +98,7 @@ def residue_base_vectors(prime: UmebPrime, h: HadamardMatrix, t: int) -> list[np
         q = prime.residues[s - 1]
         v = np.zeros(p)
         v[q] = 1.0
-        v[prime.k * q % p] = h.entries[s, t] * c
+        v[prime.k * q % p] = h.entries[s, t] * h.entries[0, t] * c
         vectors.append(v)
     return vectors
 
@@ -153,9 +155,8 @@ def verify_equiangular(
     """Check pairwise traces, idempotency and trace-rank of every member."""
     n = len(family.projections)
     beta = float(family.beta)
-    stack = np.asarray([np.asarray(p, dtype=complex) for p in family.projections])
-    flat = stack.reshape(n, -1)
-    overlaps = (flat.conj() @ flat.T).real
+    stack = np.asarray(family.projections)
+    overlaps = gram_matrix(stack).real
     if n > 1:
         off_mask = ~np.eye(n, dtype=bool)
         max_angle_dev = float(np.max(np.abs(overlaps[off_mask] - beta)))

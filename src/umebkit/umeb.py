@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import Infeasible, RankOutOfRange
-from .matcore import DEFAULT_TOL, Tolerance, cj_vectorize
+from .matcore import DEFAULT_TOL, Tolerance, cj_vectorize, gram_matrix
 from .packing import ProjectionFamily
 
 
@@ -49,7 +49,8 @@ class UnitaryFamily:
 @dataclass(frozen=True)
 class UmebCertificate:
     """Verification record; unextendible_verdict is the conjunction of the
-    three structural facts: symmetric span, antisymmetric complement, odd d."""
+    three structural facts (symmetric span, antisymmetric complement, odd d)
+    with unitarity and CJ orthonormality within eps."""
 
     d: int
     cardinality: int
@@ -108,32 +109,20 @@ def cj_states(uf: UnitaryFamily) -> np.ndarray:
     return np.asarray([cj_vectorize(u) for u in uf.unitaries])
 
 
-def _antisymmetric_basis_flat(d: int) -> np.ndarray:
-    """The d(d-1)/2 matrices (E_ij - E_ji)/sqrt(2), column-stacked as rows."""
-    out = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            a = np.zeros((d, d), dtype=complex)
-            a[i, j] = 1.0 / math.sqrt(2.0)
-            a[j, i] = -1.0 / math.sqrt(2.0)
-            out.append(a.flatten(order="F"))
-    return np.asarray(out)
-
-
 def certify_umeb(uf: UnitaryFamily, tol: Tolerance = DEFAULT_TOL) -> UmebCertificate:
     """Fill every certificate field from scratch; failures are verdicts, not errors."""
     d = uf.d
     n = len(uf.unitaries)
     eye = np.eye(d)
 
-    stack = np.asarray([np.asarray(u, dtype=complex) for u in uf.unitaries])
+    stack = np.asarray(uf.unitaries, dtype=complex)
     max_unitarity_dev = float(
         np.max(np.abs(np.einsum("nji,njk->nik", stack.conj(), stack) - eye))
     )
-    max_symmetry_dev = float(np.max(np.abs(stack - stack.transpose(0, 2, 1))))
+    asym = np.abs(stack - stack.transpose(0, 2, 1))
+    max_symmetry_dev = float(np.max(asym))
 
-    flat = stack.reshape(n, -1)
-    gram = flat.conj() @ flat.T
+    gram = gram_matrix(stack)
     if n > 1:
         off_mask = ~np.eye(n, dtype=bool)
         max_orthogonality_dev = float(np.max(np.abs(gram[off_mask])))
@@ -144,18 +133,22 @@ def certify_umeb(uf: UnitaryFamily, tol: Tolerance = DEFAULT_TOL) -> UmebCertifi
     span_rank = int(np.sum(eigs > tol.rank_eps * eigs[-1])) if eigs[-1] > 0 else 0
     symmetric_span = span_rank == d * (d + 1) // 2 and max_symmetry_dev <= tol.eps
 
-    # project each antisymmetric basis matrix onto span{U_i}: the projection
-    # must vanish, leaving the residual with the full norm 1
-    anti = _antisymmetric_basis_flat(d)
-    overlaps = flat.conj() @ anti.T
-    coeffs = np.linalg.lstsq(gram, overlaps, rcond=None)[0]
-    projected_norms_sq = np.einsum("nm,nm->m", overlaps.conj(), coeffs).real
-    max_projected_norm = float(np.sqrt(max(0.0, np.max(projected_norms_sq))))
-    complement_antisymmetric = max_projected_norm <= tol.eps
+    # for antisymmetric A, tr(U_i* A) = tr(anti(U_i)* A) with anti(U) = (U - U^T)/2,
+    # so a unit A projects onto span{U_i} with squared norm at most
+    # sum_i |anti(U_i)|_F^2 / lam, lam the smallest eigenvalue counted in span_rank
+    lam = float(eigs[-span_rank]) if span_rank else 0.0
+    complement_antisymmetric = float(np.sum(asym**2)) / 4 <= tol.eps**2 * lam
 
     cj_orthonormality_dev = float(np.max(np.abs(gram / d - np.eye(n))))
 
     d_odd = d % 2 == 1
+    unextendible_verdict = (
+        symmetric_span
+        and complement_antisymmetric
+        and d_odd
+        and max_unitarity_dev <= tol.eps
+        and cj_orthonormality_dev <= tol.eps
+    )
     return UmebCertificate(
         d=d,
         cardinality=n,
@@ -165,7 +158,7 @@ def certify_umeb(uf: UnitaryFamily, tol: Tolerance = DEFAULT_TOL) -> UmebCertifi
         symmetric_span=symmetric_span,
         complement_antisymmetric=complement_antisymmetric,
         d_odd=d_odd,
-        unextendible_verdict=symmetric_span and complement_antisymmetric and d_odd,
+        unextendible_verdict=unextendible_verdict,
         cj_orthonormality_dev=cj_orthonormality_dev,
     )
 

@@ -265,6 +265,22 @@ def test_icosahedron_lines():
     assert np.max(np.abs(total - 2 * np.eye(3))) < EPS
 
 
+@pytest.mark.parametrize(
+    "p", [3, 7, 23, 31, 47, pytest.param(71, marks=pytest.mark.slow),
+          pytest.param(79, marks=pytest.mark.slow)]
+)
+def test_residue_family_equiangular_from_shift_zero(p):
+    # P_(t, s) is P_(t, 0) conjugated by the s-fold cyclic shift, so the pairs
+    # with a shift-0 member carry every value of tr(P_i P_j)
+    prime = validate_prime(p)
+    fam = build_residue_family(prime, construct((p + 1) // 2))
+    stack = np.asarray(fam.projections).reshape(len(fam), -1)
+    rows = [i for i, (_, shift) in enumerate(fam.provenance) if shift == 0]
+    traces = stack[rows] @ stack.T
+    traces[np.arange(len(rows)), rows] = float(fam.beta)
+    assert np.max(np.abs(traces - float(fam.beta))) <= EPS
+
+
 def test_gram_matrix_nonsingular_for_generated_families():
     for fam in (p7_family(), icosahedron_lines()):
         flat = np.asarray([p.ravel() for p in fam.projections])

@@ -184,6 +184,40 @@ def test_certify_verdict_monotone_under_removal():
         assert not cert.unextendible_verdict
 
 
+def _p7_with_first(replace):
+    uf = p7_unitaries()
+    first = replace(uf.unitaries[0], uf.source.projections[0])
+    return UnitaryFamily(d=7, z=uf.z, unitaries=(first,) + uf.unitaries[1:], source=None)
+
+
+def test_certify_rejects_member_with_other_phase():
+    # still unitary and symmetric, so the three structural facts hold
+    w = complex(math.cos(0.3), math.sin(0.3))
+    cert = certify_umeb(_p7_with_first(lambda u, p: np.eye(7) - (1 - w) * p))
+    assert cert.symmetric_span and cert.complement_antisymmetric and cert.d_odd
+    assert cert.max_unitarity_dev <= EPS
+    assert cert.max_orthogonality_dev > 1.0
+    assert cert.cj_orthonormality_dev > EPS
+    assert not cert.unextendible_verdict
+
+
+def test_certify_rejects_non_unitary_member():
+    cert = certify_umeb(_p7_with_first(lambda u, p: 2 * u))
+    assert cert.symmetric_span and cert.complement_antisymmetric and cert.d_odd
+    assert abs(cert.max_unitarity_dev - 3.0) < 1e-12
+    assert cert.cj_orthonormality_dev > EPS
+    assert not cert.unextendible_verdict
+
+
+def test_certify_flags_non_symmetric_member():
+    phases = np.diag(np.exp(1j * np.arange(7)))
+    cert = certify_umeb(_p7_with_first(lambda u, p: u @ phases))
+    assert cert.max_unitarity_dev <= EPS
+    assert not cert.symmetric_span
+    assert not cert.complement_antisymmetric
+    assert not cert.unextendible_verdict
+
+
 def test_certify_even_dimension_flagged():
     # d=6, r=3 is feasible but even; the structural argument needs odd d
     rng = np.random.default_rng(5)
