@@ -17,14 +17,11 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
-from fractions import Fraction
-
-import numpy as np
 
 from . import __version__
 from .channels import umeb_decomposition, verify_decomposition
-from .errors import UmebkitError
-from .hadamard import construct, hadamard_from_json, hadamard_to_json
+from .errors import MalformedArtifact, ShapeMismatch, UmebkitError
+from .hadamard import construct, hadamard_to_json
 from .matcore import DEFAULT_EPS, DEFAULT_RANK_EPS, Tolerance, matrix_from_json, matrix_to_json
 from .numth import validate_prime
 from .packing import (
@@ -47,9 +44,9 @@ def input_hash(obj) -> str:
 
 
 def write_json(path: str, obj) -> None:
+    """Write exactly canonical_json(obj): the file's bytes are what input_hash hashes."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(canonical_json(obj))
 
 
 def unitary_family_to_json(uf: UnitaryFamily) -> dict:
@@ -64,14 +61,19 @@ def unitary_family_to_json(uf: UnitaryFamily) -> dict:
 
 
 def unitary_family_from_json(obj: dict) -> UnitaryFamily:
+    """Inverse of unitary_family_to_json; MalformedArtifact or ShapeMismatch on bad input."""
     source = family_from_json(obj["source"]) if "source" in obj else None
-    re, im = obj["z"]
-    return UnitaryFamily(
-        d=int(obj["d"]),
-        z=complex(re, im),
-        unitaries=tuple(matrix_from_json(m) for m in obj["unitaries"]),
-        source=source,
-    )
+    try:
+        d = int(obj["d"])
+        re, im = obj["z"]
+        z = complex(re, im)
+        entries = list(obj["unitaries"])
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise MalformedArtifact(f"malformed unitary family field: {exc}") from None
+    unitaries = tuple(matrix_from_json(m) for m in entries)
+    if not unitaries or any(u.shape != (d, d) for u in unitaries):
+        raise ShapeMismatch(f"unitary family with d={d} needs one or more {d}x{d} matrices")
+    return UnitaryFamily(d=d, z=z, unitaries=unitaries, source=source)
 
 
 def _stamp(obj: dict, no_timestamp: bool) -> dict:
@@ -96,7 +98,7 @@ def _tolerance(args) -> Tolerance:
 
 def _emit(args, text_lines: list[str], json_obj: dict) -> None:
     if args.format == "json":
-        print(json.dumps(json_obj, sort_keys=True))
+        print(canonical_json(json_obj))
     else:
         for line in text_lines:
             print(line)
@@ -140,11 +142,14 @@ def cmd_umeb(args) -> int:
     z = compute_phase(family.d, family.r)
     uf = build_unitaries(family, z)
     cert = certify_umeb(uf, tol)
-    family_obj = family_to_json(family)
+    # the unitaries' JSON lists dwarf the family's (+360 MiB at p=47): build them only to write them
+    uf_obj = unitary_family_to_json(uf) if args.out else None
+    family_obj = uf_obj["source"] if args.out else family_to_json(family)
+    cert_obj = _certificate_json(cert, family_obj, args.no_timestamp)
     if args.out:
-        write_json(args.out, unitary_family_to_json(uf))
+        write_json(args.out, uf_obj)
     if args.cert:
-        write_json(args.cert, _certificate_json(cert, family_obj, args.no_timestamp))
+        write_json(args.cert, cert_obj)
     lines = _family_report_lines(family, report)
     lines += [
         f"phase z = {z.real} + {z.imag}i",
@@ -156,7 +161,7 @@ def cmd_umeb(args) -> int:
     ]
     if family.d == 3:
         lines.append("note: p=3 is the special small case outside the main prime family")
-    _emit(args, lines, _certificate_json(cert, family_obj, args.no_timestamp))
+    _emit(args, lines, cert_obj)
     return 0 if cert.unextendible_verdict and report.passed else 2
 
 
@@ -164,6 +169,8 @@ def cmd_verify(args) -> int:
     tol = _tolerance(args)
     with open(args.infile, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise MalformedArtifact("input file is not a JSON object")
     if "projections" in obj:
         family = family_from_json(obj)
         report = verify_equiangular(family, tol)

@@ -55,3 +55,7 @@ class Infeasible(UmebkitError):
 
 class NotCertified(UmebkitError):
     """Unitary family has not passed the symmetric-span certificate."""
+
+
+class MalformedArtifact(UmebkitError):
+    """JSON artifact field has the wrong type or an impossible value."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSquare, ShapeMismatch
+from .errors import MalformedArtifact, NotSquare, ShapeMismatch
 
 DEFAULT_EPS = 1e-9
 DEFAULT_RANK_EPS = 1e-7
@@ -101,14 +101,26 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {
         "rows": m.shape[0],
         "cols": m.shape[1],
-        "data": [[float(x.real), float(x.imag)] for x in m.ravel(order="C")],
+        "data": np.stack((m.real, m.imag), -1).reshape(-1, 2).tolist(),
     }
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    data = obj["data"]
-    if len(data) != rows * cols:
-        raise ShapeMismatch(f"data length {len(data)} != {rows}*{cols}")
-    flat = np.array([complex(re, im) for re, im in data])
-    return flat.reshape(rows, cols)
+    """Bit-exact inverse of matrix_to_json, signed zeros included.
+
+    ShapeMismatch unless rows and cols are sizes and data is rows*cols pairs
+    of JSON numbers; MalformedArtifact if one of them is NaN or infinite.
+    """
+    try:
+        shape = (int(obj["rows"]), int(obj["cols"]))
+        data = np.array(obj["data"])
+    except (TypeError, ValueError, ArithmeticError) as exc:  # ValueError: ragged data
+        raise ShapeMismatch(f"malformed matrix: {exc}") from None
+    if min(shape) < 0 or data.shape != (shape[0] * shape[1], 2) or data.dtype.kind not in "iuf":
+        raise ShapeMismatch(
+            f"matrix data of shape {data.shape} and dtype {data.dtype} "
+            f"is not {shape[0]}*{shape[1]} [re, im] pairs"
+        )
+    if not np.isfinite(data).all():
+        raise MalformedArtifact("matrix data has a NaN or infinite entry")
+    return data.astype(float).view(complex).reshape(shape)

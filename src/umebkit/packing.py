@@ -18,8 +18,10 @@ import numpy as np
 from .errors import (
     HadamardOrderMismatch,
     IndexOutOfRange,
+    MalformedArtifact,
     NotOrthogonal,
     RankOutOfRange,
+    ShapeMismatch,
 )
 from .hadamard import HadamardMatrix
 from .matcore import DEFAULT_TOL, Tolerance, gram_matrix, matrix_from_json, matrix_to_json
@@ -244,20 +246,30 @@ def family_to_json(family: ProjectionFamily) -> dict:
 
 
 def family_from_json(obj: dict) -> ProjectionFamily:
+    """Inverse of family_to_json; MalformedArtifact or ShapeMismatch on bad input."""
+    try:
+        d, r = int(obj["d"]), int(obj["r"])
+        beta = Fraction(int(obj["beta_num"]), int(obj["beta_den"]))
+        scale = obj.get("C")
+        scale = None if scale is None else float(scale)
+        entries = obj["projections"]
+        provenance = tuple(
+            (int(e["t"]), int(e["shift"])) if e.get("t") is not None else None for e in entries
+        )
+    except (TypeError, ValueError, ArithmeticError, AttributeError) as exc:
+        raise MalformedArtifact(f"malformed family field: {exc}") from None
     projections = []
-    provenance = []
-    for entry in obj["projections"]:
+    for entry in entries:
         m = matrix_from_json(entry["matrix"])
+        if m.shape != (d, d):
+            raise ShapeMismatch(f"projection of shape {m.shape} in a family with d={d}")
         # families are real by contract; keep the real part once that is exact
         projections.append(m.real if np.all(m.imag == 0) else m)
-        t, shift = entry.get("t"), entry.get("shift")
-        provenance.append((int(t), int(shift)) if t is not None else None)
-    scale = obj.get("C")
     return ProjectionFamily(
-        d=int(obj["d"]),
-        r=int(obj["r"]),
+        d=d,
+        r=r,
         projections=tuple(projections),
-        beta=Fraction(int(obj["beta_num"]), int(obj["beta_den"])),
-        provenance=tuple(provenance),
-        scale=None if scale is None else float(scale),
+        beta=beta,
+        provenance=provenance,
+        scale=scale,
     )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -158,3 +159,73 @@ def test_env_tolerance_override(monkeypatch):
     assert run(["generate", "--p", "7"]) == 2
     monkeypatch.delenv("UMEB_TOL")
     assert run(["generate", "--p", "7"]) == 0
+
+
+@pytest.fixture(scope="module")
+def p7_artifacts(tmp_path_factory):
+    """p=7 family (`generate --out`), unitary family (`umeb --out`) and certificate."""
+    d = tmp_path_factory.mktemp("p7")
+    paths = {"family": d / "family.json", "unitary": d / "umeb.json", "cert": d / "cert.json"}
+    assert run(["generate", "--p", "7", "--out", str(paths["family"])]) == 0
+    assert run(["umeb", "--p", "7", "--out", str(paths["unitary"]), "--cert", str(paths["cert"])]) == 0
+    return paths
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_umeb_stdout_is_the_certificate_file(tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    assert run(["umeb", "--p", "7", "--cert", str(cert_path), "--format", "json"]) == 0
+    emitted = json.loads(capsys.readouterr().out)
+    assert "generated_at" in emitted
+    assert emitted == json.loads(cert_path.read_text())
+
+
+def test_verify_input_sha256_is_the_file_digest(p7_artifacts, capsys):
+    capsys.readouterr()
+    assert run(["verify", "--in", str(p7_artifacts["unitary"]), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["input_sha256"] == _sha256(p7_artifacts["unitary"])
+
+
+def test_certificate_input_sha256_is_the_generated_family_digest(p7_artifacts, tmp_path):
+    alone = tmp_path / "cert.json"  # without --out the family is encoded on its own
+    assert run(["umeb", "--p", "7", "--cert", str(alone)]) == 0
+    for cert_path in (p7_artifacts["cert"], alone):
+        assert json.loads(cert_path.read_text())["input_sha256"] == _sha256(p7_artifacts["family"])
+
+
+@pytest.mark.parametrize(
+    "artifact, path, value",
+    [
+        pytest.param("family", ("projections", 0, "matrix", "data", 0, 0), "0.5", id="family-string-entry"),
+        pytest.param("family", ("projections", 0, "matrix", "data", 0), [0.5], id="family-short-pair"),
+        pytest.param("family", ("projections", 0, "matrix", "data", 0), None, id="family-null-entry"),
+        pytest.param("family", ("beta_den",), 0, id="family-beta-den-0"),
+        pytest.param("family", ("d",), "seven", id="family-d-string"),
+        pytest.param("family", ("d",), 5, id="family-d-disagrees"),
+        pytest.param("family", ("projections",), [], id="family-empty"),
+        pytest.param("unitary", ("unitaries", 0, "data", 0, 0), "0.5", id="unitary-string-entry"),
+        pytest.param("unitary", ("unitaries", 0, "data", 0), [0.5], id="unitary-short-pair"),
+        pytest.param("unitary", ("unitaries", 0, "data", 0), None, id="unitary-null-entry"),
+        pytest.param("unitary", ("source", "beta_den"), 0, id="unitary-beta-den-0"),
+        pytest.param("unitary", ("d",), "seven", id="unitary-d-string"),
+        pytest.param("unitary", ("d",), 5, id="unitary-d-disagrees"),
+        pytest.param("unitary", ("unitaries",), [], id="unitary-empty"),
+    ],
+)
+def test_verify_rejects_malformed_artifact(p7_artifacts, tmp_path, capsys, artifact, path, value):
+    obj = json.loads(p7_artifacts[artifact].read_text())
+    *parents, last = path
+    target = obj
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["verify", "--in", str(bad)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("umebkit:")

@@ -184,17 +184,31 @@ def test_gram_matrix_is_hermitian():
 
 def test_matrix_json_round_trip_is_exact():
     rng = np.random.default_rng(17)
-    m = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-    again = matrix_from_json(matrix_to_json(m))
-    assert again.shape == m.shape
-    assert np.array_equal(again, m)
+    signed_zeros = np.array([[complex(-0.0, 1.5), complex(2.0, -0.0)], [complex(-0.0, -0.0), 0j]])
+    for m in (rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5)), signed_zeros):
+        again = matrix_from_json(matrix_to_json(m))
+        assert again.shape == m.shape
+        assert again.tobytes() == m.tobytes()  # bit-exact, sign of zero included
 
 
 def test_matrix_json_rejects_bad_length():
-    obj = matrix_to_json(np.eye(2))
-    obj["data"] = obj["data"][:-1]
-    with pytest.raises(ShapeMismatch):
-        matrix_from_json(obj)
+    def drop_last(data):
+        del data[-1]
+
+    def string_entry(data):
+        data[0][0] = "1.0"
+
+    def short_pair(data):
+        data[0] = [1.0]
+
+    def null_entry(data):
+        data[0] = None
+
+    for mutate in (drop_last, string_entry, short_pair, null_entry):
+        obj = matrix_to_json(np.eye(2))
+        mutate(obj["data"])
+        with pytest.raises(ShapeMismatch):
+            matrix_from_json(obj)
 
 
 def test_tolerance_validation():
