@@ -12,11 +12,14 @@ Exit status: 0 when every verdict passes, 2 when a verdict fails,
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import json
 import os
 import sys
 from datetime import datetime, timezone
+
+import numpy as np
 
 from . import __version__
 from .channels import umeb_decomposition, verify_decomposition
@@ -70,10 +73,28 @@ def unitary_family_from_json(obj: dict) -> UnitaryFamily:
         entries = list(obj["unitaries"])
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise MalformedArtifact(f"malformed unitary family field: {exc}") from None
+    if not cmath.isfinite(z):
+        raise MalformedArtifact(f"phase z = {z} is not finite")
     unitaries = tuple(matrix_from_json(m) for m in entries)
     if not unitaries or any(u.shape != (d, d) for u in unitaries):
         raise ShapeMismatch(f"unitary family with d={d} needs one or more {d}x{d} matrices")
     return UnitaryFamily(d=d, z=z, unitaries=unitaries, source=source)
+
+
+def _check_source(uf: UnitaryFamily, tol: Tolerance) -> None:
+    """MalformedArtifact unless max |U_i - (I - (1-z) P_i)| <= eps over the source family."""
+    source = uf.source
+    if source.d != uf.d or len(source) != len(uf):
+        raise ShapeMismatch(
+            f"source family of {len(source)} {source.d}x{source.d} projections "
+            f"for {len(uf)} {uf.d}x{uf.d} unitaries"
+        )
+    rebuilt = build_unitaries(source, uf.z).unitaries
+    worst = float(np.max([np.max(np.abs(u - v)) for u, v in zip(uf.unitaries, rebuilt)]))
+    if not worst <= tol.eps:
+        raise MalformedArtifact(
+            f"unitaries disagree with I - (1-z)P of the source family by {worst:.3e}"
+        )
 
 
 def _stamp(obj: dict, no_timestamp: bool) -> dict:
@@ -189,6 +210,8 @@ def cmd_verify(args) -> int:
         passed = report.passed
     elif "unitaries" in obj:
         uf = unitary_family_from_json(obj)
+        if uf.source is not None:
+            _check_source(uf, tol)
         cert = certify_umeb(uf, tol)
         report_obj = _certificate_json(cert, obj, args.no_timestamp)
         lines = [

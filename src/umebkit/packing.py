@@ -127,44 +127,62 @@ def projection_from_basis(
 def build_residue_family(prime: UmebPrime, h: HadamardMatrix) -> ProjectionFamily:
     """All p(p+1)/2 projections: bases t = 0..(p-1)/2, each cyclically shifted p ways.
 
-    Projections are ordered lexicographically in (t, shift) so that exports
-    are reproducible.
+    Only the (p+1)/2 base projections come from projection_from_basis.  Moving
+    every basis vector by x maps P to P[i - x, j - x], so the whole Z_p orbit
+    is one gather from the bases; a shift only permutes coordinates, so the
+    orthogonality check on a base covers all its shifts.  The projections are
+    views into that one (p(p+1)/2, p, p) array, ordered lexicographically in
+    (t, shift) so that exports are reproducible.
     """
     p = prime.p
     residue_supports = set(prime.residues) | {prime.k * q % p for q in prime.residues}
     if len(residue_supports) != p - 1:
         raise NotOrthogonal(f"support indices collide for p={p}, k={prime.k}")
-    projections = []
-    provenance = []
-    for t in range((p + 1) // 2):
-        base = residue_base_vectors(prime, h, t)
-        for shift in range(p):
-            projections.append(projection_from_basis(cyclic_shift(base, shift)))
-            provenance.append((t, shift))
+    ts = np.arange((p + 1) // 2)
+    bases = np.asarray([projection_from_basis(residue_base_vectors(prime, h, t)) for t in ts])
+    coords = np.arange(p)
+    idx = (coords[None, :] - coords[:, None]) % p  # idx[x, i] = (i - x) mod p
+    # an index array on every axis makes the gather C-ordered, so the reshape copies nothing
+    orbit = bases[ts[:, None, None, None], idx[:, :, None], idx[:, None, :]].reshape(-1, p, p)
     return ProjectionFamily(
         d=p,
         r=prime.half,
-        projections=tuple(projections),
+        projections=tuple(orbit),
         beta=beta_projections(p, prime.half),
-        provenance=tuple(provenance),
+        provenance=tuple((t, shift) for t in range(len(ts)) for shift in range(p)),
         scale=off_support_scale(p),
     )
+
+
+# members per idempotency chunk: bounds the chunk @ chunk temporary to 12.8 MB at p=79
+_IDEMPOTENCY_CHUNK = 256
 
 
 def verify_equiangular(
     family: ProjectionFamily, tol: Tolerance = DEFAULT_TOL
 ) -> EquiangularReport:
-    """Check pairwise traces, idempotency and trace-rank of every member."""
+    """Check pairwise traces, idempotency and trace-rank of every member.
+
+    The pairwise traces come from one Gram, its diagonal zeroed in place.
+    Idempotency is checked as chunk @ chunk - chunk over fixed-size chunks of
+    members, so no temporary has the size of the whole family; the chunk
+    maxima are combined with np.max, which keeps a NaN.
+    """
     n = len(family.projections)
     beta = float(family.beta)
     stack = np.asarray(family.projections)
-    overlaps = gram_matrix(stack).real
-    if n > 1:
-        off_mask = ~np.eye(n, dtype=bool)
-        max_angle_dev = float(np.max(np.abs(overlaps[off_mask] - beta)))
-    else:
-        max_angle_dev = 0.0
-    max_idem_dev = float(np.max(np.abs(np.einsum("nij,njk->nik", stack, stack) - stack)))
+    angle_devs = gram_matrix(stack).real
+    angle_devs -= beta
+    np.abs(angle_devs, out=angle_devs)
+    angle_devs.flat[:: n + 1] = 0.0
+    max_angle_dev = float(np.max(angle_devs))
+    chunk_devs = []
+    for start in range(0, n, _IDEMPOTENCY_CHUNK):
+        chunk = stack[start : start + _IDEMPOTENCY_CHUNK]
+        dev = chunk @ chunk
+        dev -= chunk
+        chunk_devs.append(np.max(np.abs(dev, out=dev)))
+    max_idem_dev = float(np.max(chunk_devs))
     traces = np.einsum("nii->n", stack)
     max_rank_dev = float(np.max(np.abs(traces - family.r)))
     passed = (

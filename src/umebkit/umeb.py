@@ -116,9 +116,7 @@ def certify_umeb(uf: UnitaryFamily, tol: Tolerance = DEFAULT_TOL) -> UmebCertifi
     eye = np.eye(d)
 
     stack = np.asarray(uf.unitaries, dtype=complex)
-    max_unitarity_dev = float(
-        np.max(np.abs(np.einsum("nji,njk->nik", stack.conj(), stack) - eye))
-    )
+    max_unitarity_dev = float(np.max(np.abs(stack.conj().transpose(0, 2, 1) @ stack - eye)))
     asym = np.abs(stack - stack.transpose(0, 2, 1))
     max_symmetry_dev = float(np.max(asym))
 

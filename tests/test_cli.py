@@ -214,6 +214,8 @@ def test_certificate_input_sha256_is_the_generated_family_digest(p7_artifacts, t
         pytest.param("unitary", ("d",), "seven", id="unitary-d-string"),
         pytest.param("unitary", ("d",), 5, id="unitary-d-disagrees"),
         pytest.param("unitary", ("unitaries",), [], id="unitary-empty"),
+        pytest.param("unitary", ("z", 0), float("nan"), id="unitary-z-nan"),
+        pytest.param("unitary", ("z",), [1.0, 0.0], id="unitary-z-disagrees"),
     ],
 )
 def test_verify_rejects_malformed_artifact(p7_artifacts, tmp_path, capsys, artifact, path, value):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -265,10 +266,7 @@ def test_icosahedron_lines():
     assert np.max(np.abs(total - 2 * np.eye(3))) < EPS
 
 
-@pytest.mark.parametrize(
-    "p", [3, 7, 23, 31, 47, pytest.param(71, marks=pytest.mark.slow),
-          pytest.param(79, marks=pytest.mark.slow)]
-)
+@pytest.mark.parametrize("p", [3, 7, 23, 31, 47, 71, 79])
 def test_residue_family_equiangular_from_shift_zero(p):
     # P_(t, s) is P_(t, 0) conjugated by the s-fold cyclic shift, so the pairs
     # with a shift-0 member carry every value of tr(P_i P_j)
@@ -279,6 +277,44 @@ def test_residue_family_equiangular_from_shift_zero(p):
     traces = stack[rows] @ stack.T
     traces[np.arange(len(rows)), rows] = float(fam.beta)
     assert np.max(np.abs(traces - float(fam.beta))) <= EPS
+
+
+@pytest.mark.parametrize(
+    "p", [3, 7, 23, 31, 47, pytest.param(71, marks=pytest.mark.slow),
+          pytest.param(79, marks=pytest.mark.slow)]
+)
+def test_residue_family_is_the_per_shift_construction(p):
+    # the orbit gather against one projection_from_basis per shifted basis
+    prime = validate_prime(p)
+    h = construct((p + 1) // 2)
+    fam = build_residue_family(prime, h)
+    assert fam.provenance == tuple((t, s) for t in range((p + 1) // 2) for s in range(p))
+    for proj, (t, shift) in zip(fam.projections, fam.provenance):
+        expected = projection_from_basis(cyclic_shift(residue_base_vectors(prime, h, t), shift))
+        # byte equality: bit for bit, signed zeros included
+        assert proj.dtype == expected.dtype and proj.shape == expected.shape
+        assert proj.tobytes() == expected.tobytes()
+
+
+def _with_last_member(fam, last):
+    return replace(fam, projections=fam.projections[:-1] + (last,))
+
+
+def test_verify_equiangular_checks_the_last_chunk():
+    # 276 members at p=23 span more than one idempotency chunk
+    fam = build_residue_family(validate_prime(23), construct(12))
+    assert verify_equiangular(fam).passed
+
+    poisoned = fam.projections[-1].copy()
+    poisoned[0, 1] = np.nan
+    report = verify_equiangular(_with_last_member(fam, poisoned))
+    assert not report.passed
+    assert math.isnan(report.max_angle_dev)
+    assert math.isnan(report.max_idempotency_dev)
+
+    report = verify_equiangular(_with_last_member(fam, fam.projections[-1] * (1 + 1e-6)))
+    assert not report.passed
+    assert report.max_idempotency_dev > EPS
 
 
 def test_gram_matrix_nonsingular_for_generated_families():
