@@ -5,21 +5,39 @@ as a uniform mixture of d(d+1)/2 conjugations.
 Choi convention matches matcore's column-stacking vec: the Choi matrix of
 X -> U X U* is vec(U) vec(U)* (unnormalized), i.e. block (j, k) of the Choi
 matrix is the channel applied to E_jk.
+
+verify_decomposition makes two checks that share no code path.
+(a) The Choi check sums |C_mix - (I + SWAP)/(d+1)|_F^2 over the row blocks
+(w o F[:, rows])^T @ conj(F), F the rows vec(U_j), subtracting the target
+in place at its identity and SWAP entries.  C_mix is Hermitian, so each
+block starts at the diagonal block and the blocks right of it count twice;
+no d^2 x d^2 matrix is formed.  (b) The random-input check applies the
+mixture to the seeded inputs, a batch per call, through apply_decomposition,
+which works on the (d, d) matrices themselves in chunks of members, and
+compares each output with wh_plus_apply.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import NotCertified, NotSquare
+from .errors import NotCertified, NotSquare, OutOfRange, ShapeMismatch
 from .matcore import DEFAULT_TOL, Tolerance
-from .umeb import UnitaryFamily, certify_umeb
+from .umeb import UnitaryFamily, _span
 
 Channel = Callable[[np.ndarray], np.ndarray]
+
+# entries of the U_j x intermediate per apply_decomposition chunk (16 MiB);
+# larger chunks measured slower at d=47
+_APPLY_CHUNK = 1 << 20
+# random inputs per apply_decomposition call in verify_decomposition, so that
+# its memory does not grow with the number of trials
+_TRIAL_BATCH = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,24 +98,54 @@ def uniform_weight(d: int) -> Fraction:
 def umeb_decomposition(
     uf: UnitaryFamily, tol: Tolerance = DEFAULT_TOL
 ) -> MixedUnitaryDecomposition:
-    """Uniform mixture over a family certified to span the symmetric matrices."""
-    cert = certify_umeb(uf, tol)
-    if not cert.symmetric_span:
+    """Uniform mixture over d(d+1)/2 unitaries that span the symmetric matrices.
+
+    Checks only that precondition (member count, symmetry and span rank),
+    not the rest of the certificate.
+    """
+    d = uf.d
+    span = _span(np.asarray(uf.unitaries, dtype=complex), d, tol)
+    if len(uf) != d * (d + 1) // 2 or not span.symmetric_span:
         raise NotCertified(
-            f"family of {len(uf)} unitaries in d={uf.d} does not span the "
-            f"symmetric matrices (rank {cert.span_rank})"
+            f"family of {len(uf)} unitaries in d={d} is not a basis of the "
+            f"symmetric matrices (rank {span.span_rank}, need {d * (d + 1) // 2})"
         )
-    w = float(uniform_weight(uf.d))
+    w = float(uniform_weight(d))
     return MixedUnitaryDecomposition(weights=(w,) * len(uf), unitaries=uf)
 
 
+def _weights(dec: MixedUnitaryDecomposition) -> np.ndarray:
+    w = np.asarray(dec.weights, dtype=float)
+    if w.shape != (len(dec.unitaries),):
+        raise ShapeMismatch(f"{w.size} weights for {len(dec.unitaries)} unitaries")
+    return w
+
+
 def apply_decomposition(dec: MixedUnitaryDecomposition, x: np.ndarray) -> np.ndarray:
-    """sum_j weights[j] U_j x U_j*."""
-    x = np.asarray(x, dtype=complex)
-    out = np.zeros_like(x)
-    for w, u in zip(dec.weights, dec.unitaries.unitaries):
-        out += w * (u @ x @ u.conj().T)
-    return out
+    """sum_j weights[j] U_j x U_j*, for one (d, d) input or a (T, d, d) stack.
+
+    Members go in chunks of m, each two matmuls: the chunk's U_j times all
+    inputs side by side, rearranged so that row (s, i) holds (U_j x_s)[i, :]
+    for every j of the chunk, times the stacked w_j U_j*.  m keeps that
+    intermediate at _APPLY_CHUNK entries or fewer (at least one member).
+    """
+    d = dec.unitaries.d
+    xs = np.asarray(x, dtype=complex)
+    if xs.ndim not in (2, 3) or xs.shape[-2:] != (d, d):
+        raise ShapeMismatch(f"expected a ({d}, {d}) matrix or a stack of them, got {xs.shape}")
+    t = xs.size // (d * d)
+    x_side = xs.reshape(t, d, d).transpose(1, 0, 2).reshape(d, t * d)
+    w = _weights(dec)
+    us = dec.unitaries.unitaries
+    m = max(1, _APPLY_CHUNK // max(1, t * d * d))
+    out = np.zeros((t * d, d), dtype=complex)
+    for j in range(0, len(us), m):
+        u = np.asarray(us[j : j + m], dtype=complex)
+        k = len(u)
+        ux = (u.reshape(k * d, d) @ x_side).reshape(k, d, t, d).transpose(2, 1, 0, 3)
+        wu = (w[j : j + k, None, None] * u.conj().transpose(0, 2, 1)).reshape(k * d, d)
+        out += np.ascontiguousarray(ux).reshape(t * d, k * d) @ wu
+    return out.reshape(xs.shape)
 
 
 def random_hermitian(d: int, seed: int) -> np.ndarray:
@@ -116,27 +164,50 @@ def verify_decomposition(
     """Two independent checks of the mixture against the direct channel formula.
 
     (a) Frobenius distance between sum_j w_j vec(U_j) vec(U_j)* and the
-    closed-form Choi matrix (I + SWAP)/(d+1), within eps * d^2.  (b) For
+    closed-form Choi matrix (I + SWAP)/(d+1), within eps * d^2; accumulated
+    over blocks of d rows, so no d^2 x d^2 matrix is formed.  (b) For
     `trials` seeded random Hermitian inputs (per-trial seed = seed + index),
     max-entry distance between the mixture output and the formula output,
-    within eps * max|X|.
+    within eps * max|X|.  Check (b) applies the mixture to a batch of inputs
+    per apply_decomposition call and never forms vec(U) or a Choi matrix,
+    so it does not share check (a)'s convention.
     """
+    if trials < 0:
+        raise OutOfRange(f"trials must be >= 0, got {trials}")
+    if seed < 0:
+        raise OutOfRange(f"seed must be >= 0, got {seed}")
+    w = _weights(dec)
     uf = dec.unitaries
     d = uf.d
-    flat = np.asarray([np.asarray(u, dtype=complex).flatten(order="F") for u in uf.unitaries])
-    weights = np.asarray(dec.weights)
-    choi_mix = (weights[:, None] * flat).T @ flat.conj()
-    choi_direct = (np.eye(d * d) + swap_matrix(d)) / (d + 1)
-    choi_dev = float(np.linalg.norm(choi_mix - choi_direct))
+    n = len(uf)
+
+    # conj(vec(U_j)) as rows; vec stacks columns, so column b*d + a holds U[a, b]
+    fbar = np.empty((n, d, d), dtype=complex)
+    np.conjugate(np.asarray(uf.unitaries, dtype=complex).transpose(0, 2, 1), out=fbar)
+    fbar = fbar.reshape(n, d * d)
+    a = np.arange(d)
+    sq = 0.0
+    for b in range(d):
+        # rows b*d + a, columns b*d onward, of the mixture's Choi matrix minus
+        # (I + SWAP)/(d+1): the difference is Hermitian (real weights), so the
+        # blocks right of the diagonal block stand for their mirror images too
+        block = (w[:, None] * fbar[:, b * d : (b + 1) * d].conj()).T @ fbar[:, b * d :]
+        block[a, a] -= 1 / (d + 1)
+        block[a[b:], (a[b:] - b) * d + b] -= 1 / (d + 1)
+        diag, right = block[:, :d], block[:, d:]
+        sq += float(np.vdot(diag, diag).real) + 2 * float(np.vdot(right, right).real)
+    choi_dev = math.sqrt(sq)
 
     apply_dev_max = 0.0
     apply_ok = True
-    for t in range(trials):
-        x = random_hermitian(d, seed + t)
-        dev = float(np.max(np.abs(apply_decomposition(dec, x) - wh_plus_apply(x, d))))
-        apply_dev_max = max(apply_dev_max, dev)
-        if dev > tol.eps * float(np.max(np.abs(x))):
-            apply_ok = False
+    for first in range(0, trials, _TRIAL_BATCH):
+        xs = [random_hermitian(d, seed + t) for t in range(first, min(trials, first + _TRIAL_BATCH))]
+        mixed = apply_decomposition(dec, np.asarray(xs))
+        for x, y in zip(xs, mixed):
+            dev = float(np.max(np.abs(y - wh_plus_apply(x, d))))
+            apply_dev_max = max(apply_dev_max, dev)
+            if dev > tol.eps * float(np.max(np.abs(x))):
+                apply_ok = False
 
     verdict = choi_dev <= tol.eps * d * d and apply_ok
     return DecompositionReport(

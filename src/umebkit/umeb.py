@@ -109,39 +109,65 @@ def cj_states(uf: UnitaryFamily) -> np.ndarray:
     return np.asarray([cj_vectorize(u) for u in uf.unitaries])
 
 
+@dataclass(frozen=True, eq=False)
+class _Span:
+    """Gram matrix, symmetry and span rank of a stacked (n, d, d) family."""
+
+    gram: np.ndarray
+    off_gram: np.ndarray  # |G_ij| with the diagonal zeroed
+    asym: np.ndarray  # |U_i - U_i^T| entrywise
+    span_rank: int
+    lam: float  # lower bound on the smallest eigenvalue counted in span_rank
+    symmetric_span: bool
+
+
+def _span(stack: np.ndarray, d: int, tol: Tolerance) -> _Span:
+    """Span rank by Gershgorin discs, by eigvalsh when the discs prove no full rank.
+
+    Every eigenvalue of the Hermitian Gram lies in some disc
+    [G_ii - R_i, G_ii + R_i], R_i = sum_{j != i} |G_ij|.  If the lowest
+    point of the discs exceeds rank_eps times the highest, which bounds the
+    largest eigenvalue, all n eigenvalues are counted and that lowest point
+    bounds the smallest of them from below.
+    """
+    n = len(stack)
+    asym = np.abs(stack - stack.transpose(0, 2, 1))
+    gram = gram_matrix(stack)
+    off_gram = np.abs(gram)
+    off_gram.flat[:: n + 1] = 0.0
+    radii = off_gram.sum(axis=1)
+    diag = gram.diagonal().real
+    lower = float(np.min(diag - radii))
+    if lower > tol.rank_eps * float(np.max(diag + radii)):
+        span_rank, lam = n, lower
+    else:
+        eigs = np.linalg.eigvalsh(gram)
+        span_rank = int(np.sum(eigs > tol.rank_eps * eigs[-1])) if eigs[-1] > 0 else 0
+        lam = float(eigs[-span_rank]) if span_rank else 0.0
+    symmetric_span = span_rank == d * (d + 1) // 2 and float(np.max(asym)) <= tol.eps
+    return _Span(gram, off_gram, asym, span_rank, lam, symmetric_span)
+
+
 def certify_umeb(uf: UnitaryFamily, tol: Tolerance = DEFAULT_TOL) -> UmebCertificate:
     """Fill every certificate field from scratch; failures are verdicts, not errors."""
     d = uf.d
     n = len(uf.unitaries)
-    eye = np.eye(d)
 
     stack = np.asarray(uf.unitaries, dtype=complex)
-    max_unitarity_dev = float(np.max(np.abs(stack.conj().transpose(0, 2, 1) @ stack - eye)))
-    asym = np.abs(stack - stack.transpose(0, 2, 1))
-    max_symmetry_dev = float(np.max(asym))
-
-    gram = gram_matrix(stack)
-    if n > 1:
-        off_mask = ~np.eye(n, dtype=bool)
-        max_orthogonality_dev = float(np.max(np.abs(gram[off_mask])))
-    else:
-        max_orthogonality_dev = 0.0
-
-    eigs = np.linalg.eigvalsh(gram)
-    span_rank = int(np.sum(eigs > tol.rank_eps * eigs[-1])) if eigs[-1] > 0 else 0
-    symmetric_span = span_rank == d * (d + 1) // 2 and max_symmetry_dev <= tol.eps
+    max_unitarity_dev = float(np.max(np.abs(stack.conj().transpose(0, 2, 1) @ stack - np.eye(d))))
+    span = _span(stack, d, tol)
+    max_orthogonality_dev = float(np.max(span.off_gram))
 
     # for antisymmetric A, tr(U_i* A) = tr(anti(U_i)* A) with anti(U) = (U - U^T)/2,
     # so a unit A projects onto span{U_i} with squared norm at most
-    # sum_i |anti(U_i)|_F^2 / lam, lam the smallest eigenvalue counted in span_rank
-    lam = float(eigs[-span_rank]) if span_rank else 0.0
-    complement_antisymmetric = float(np.sum(asym**2)) / 4 <= tol.eps**2 * lam
+    # sum_i |anti(U_i)|_F^2 / lam, lam bounding the eigenvalues counted in span_rank
+    complement_antisymmetric = float(np.sum(span.asym**2)) / 4 <= tol.eps**2 * span.lam
 
-    cj_orthonormality_dev = float(np.max(np.abs(gram / d - np.eye(n))))
+    cj_orthonormality_dev = float(np.max(np.abs(span.gram / d - np.eye(n))))
 
     d_odd = d % 2 == 1
     unextendible_verdict = (
-        symmetric_span
+        span.symmetric_span
         and complement_antisymmetric
         and d_odd
         and max_unitarity_dev <= tol.eps
@@ -152,8 +178,8 @@ def certify_umeb(uf: UnitaryFamily, tol: Tolerance = DEFAULT_TOL) -> UmebCertifi
         cardinality=n,
         max_unitarity_dev=max_unitarity_dev,
         max_orthogonality_dev=max_orthogonality_dev,
-        span_rank=span_rank,
-        symmetric_span=symmetric_span,
+        span_rank=span.span_rank,
+        symmetric_span=span.symmetric_span,
         complement_antisymmetric=complement_antisymmetric,
         d_odd=d_odd,
         unextendible_verdict=unextendible_verdict,

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from umebkit import channels
 from umebkit.channels import (
     MixedUnitaryDecomposition,
     apply_decomposition,
@@ -16,7 +17,7 @@ from umebkit.channels import (
     verify_decomposition,
     wh_plus_apply,
 )
-from umebkit.errors import NotCertified, NotSquare
+from umebkit.errors import NotCertified, NotSquare, OutOfRange, ShapeMismatch
 from umebkit.hadamard import construct
 from umebkit.matcore import cj_vectorize
 from umebkit.numth import validate_prime
@@ -29,6 +30,12 @@ EPS = 1e-9
 def p7_unitaries():
     fam = build_residue_family(validate_prime(7), construct(4))
     return build_unitaries(fam, compute_phase(7, 3))
+
+
+@pytest.fixture(scope="module")
+def p23_decomposition():
+    fam = build_residue_family(validate_prime(23), construct(12))
+    return umeb_decomposition(build_unitaries(fam, compute_phase(23, 11)))
 
 
 def kron_assembled_choi(apply, d):
@@ -135,6 +142,10 @@ def test_umeb_decomposition_rejects_uncertified():
     truncated = UnitaryFamily(d=7, z=uf.z, unitaries=uf.unitaries[:27], source=None)
     with pytest.raises(NotCertified):
         umeb_decomposition(truncated)
+    # spans the symmetric matrices, but 29 weights 1/28 do not sum to 1
+    duplicated = UnitaryFamily(d=7, z=uf.z, unitaries=uf.unitaries + uf.unitaries[:1], source=None)
+    with pytest.raises(NotCertified):
+        umeb_decomposition(duplicated)
 
 
 def test_verify_decomposition_p7():
@@ -183,3 +194,70 @@ def test_random_hermitian_reproducible():
     b = random_hermitian(5, seed=1)
     assert np.array_equal(a, b)
     assert np.max(np.abs(a - a.conj().T)) < EPS
+
+
+def test_verify_decomposition_rejects_bad_arguments():
+    dec = umeb_decomposition(p7_unitaries())
+    with pytest.raises(OutOfRange):
+        verify_decomposition(dec, trials=-3)
+    with pytest.raises(OutOfRange):
+        verify_decomposition(dec, seed=-1)
+    for weights in (dec.weights[:-1], dec.weights + dec.weights[:1], dec.weights[:1]):
+        short = MixedUnitaryDecomposition(weights=weights, unitaries=dec.unitaries)
+        with pytest.raises(ShapeMismatch):
+            verify_decomposition(short)
+        with pytest.raises(ShapeMismatch):
+            apply_decomposition(short, np.eye(7))
+    with pytest.raises(ShapeMismatch):
+        apply_decomposition(dec, np.eye(6))
+    rep = verify_decomposition(dec, trials=0)
+    assert rep.verdict and (rep.trials, rep.apply_dev_max) == (0, 0.0)
+
+
+def test_apply_decomposition_stack_is_the_per_input_sum(p23_decomposition):
+    dec = p23_decomposition
+    xs = np.array([random_hermitian(23, seed=900 + t) for t in range(20)])
+    xs[3] = xs[3] @ xs[5]  # one input that is not Hermitian
+    m = channels._APPLY_CHUNK // (len(xs) * 23 * 23)  # members per chunk
+    assert m < len(dec.weights) and len(dec.weights) % m  # ends in a partial chunk
+    out = apply_decomposition(dec, xs)
+    assert out.shape == xs.shape
+    for x, y in zip(xs, out):
+        loop = sum(w * (u @ x @ u.conj().T) for w, u in zip(dec.weights, dec.unitaries.unitaries))
+        assert np.max(np.abs(y - loop)) < 1e-13
+    assert np.max(np.abs(apply_decomposition(dec, xs[7]) - out[7])) < 1e-13
+
+
+def test_verify_decomposition_fails_on_the_last_weight(p23_decomposition):
+    dec = p23_decomposition
+    assert verify_decomposition(dec).verdict
+    w = np.array(dec.weights)
+    w[-1] *= 1.5
+    rep = verify_decomposition(MixedUnitaryDecomposition(weights=tuple(w), unitaries=dec.unitaries))
+    assert not rep.verdict
+    assert rep.choi_dev > EPS * 23 * 23
+    assert rep.apply_dev_max > 1e-4
+    # the whole 529 x 529 Choi matrix, as sum_j w_j vec(U_j) vec(U_j)*
+    flat = np.array([u.flatten(order="F") for u in dec.unitaries.unitaries])
+    choi = (w[:, None] * flat).T @ flat.conj()
+    target = (np.eye(23 * 23) + swap_matrix(23)) / 24
+    assert rep.choi_dev == pytest.approx(np.linalg.norm(choi - target), rel=1e-9)
+
+
+def test_verify_decomposition_checks_the_last_batch_of_trials():
+    uf = build_unitaries(icosahedron_lines(), compute_phase(3, 1))
+    w = np.full(6, 1 / 6)
+    w[0] += 0.05
+    bad = MixedUnitaryDecomposition(weights=tuple(w / w.sum()), unitaries=uf)
+
+    def dev(seed):
+        x = random_hermitian(3, seed)
+        loop = sum(wj * (u @ x @ u.conj().T) for wj, u in zip(bad.weights, uf.unitaries))
+        return np.max(np.abs(loop - wh_plus_apply(x, 3)))
+
+    devs = [dev(s) for s in range(400)]
+    batch = channels._TRIAL_BATCH
+    # a seed whose last input, alone in the second batch, deviates most
+    seed = next(s for s in range(400 - batch) if devs[s + batch] > max(devs[s : s + batch]))
+    rep = verify_decomposition(bad, trials=batch + 1, seed=seed)
+    assert rep.apply_dev_max == pytest.approx(devs[seed + batch], rel=1e-9)

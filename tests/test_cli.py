@@ -95,6 +95,24 @@ def test_wh_check(capsys):
     assert obj["apply_dev_max"] <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wh-check", "--p", "7", "--seed", "-1"],
+        ["wh-check", "--p", "7", "--trials", "-3"],
+        ["demo-icosahedron", "--seed", "-5"],
+        ["demo-icosahedron", "--trials", "-1"],
+    ],
+    ids=["wh-seed", "wh-trials", "demo-seed", "demo-trials"],
+)
+def test_negative_seed_or_trials_is_rejected(argv, capsys):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("umebkit:")
+
+
 def test_hadamard_command(tmp_path):
     out = tmp_path / "h12.json"
     assert run(["hadamard", "--order", "12", "--out", str(out)]) == 0

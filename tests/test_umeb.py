@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from umebkit.errors import Infeasible, RankOutOfRange
 from umebkit.hadamard import construct
+from umebkit.matcore import Tolerance, gram_matrix, numerical_rank
 from umebkit.numth import validate_prime
 from umebkit.packing import build_residue_family, dual_family, icosahedron_lines
 from umebkit.umeb import (
@@ -231,6 +233,67 @@ def test_certify_even_dimension_flagged():
     cert = certify_umeb(build_unitaries(fam, compute_phase(6, 3)))
     assert not cert.d_odd
     assert not cert.unextendible_verdict
+
+
+def _residue_unitaries(p):
+    fam = build_residue_family(validate_prime(p), construct((p + 1) // 2))
+    return build_unitaries(fam, compute_phase(p, (p - 1) // 2))
+
+
+def _p7_members(edit):
+    uf = p7_unitaries()
+    return UnitaryFamily(d=7, z=uf.z, unitaries=edit(uf.unitaries), source=None)
+
+
+# name -> (family, whether the Gershgorin discs prove the rank, verdict)
+RANK_CASES = {
+    "icosahedron": (lambda: build_unitaries(icosahedron_lines(), compute_phase(3, 1)), True, True),
+    "p3": (lambda: _residue_unitaries(3), True, True),
+    "p7": (lambda: _residue_unitaries(7), True, True),
+    "p23": (lambda: _residue_unitaries(23), True, True),
+    "p31": (lambda: _residue_unitaries(31), True, True),
+    # discs around 8.75 and 7, both of radius 3.5: full rank, proved by the discs
+    "p7-u0+0.5u1": (lambda: _p7_members(lambda us: (us[0] + 0.5 * us[1],) + us[1:]), True, False),
+    # disc of row 1 is 7 +- 14: full rank, but only the spectrum shows it
+    "p7-u0+2u1": (lambda: _p7_members(lambda us: (us[0] + 2 * us[1],) + us[1:]), False, False),
+    "p7-duplicate": (lambda: _p7_members(lambda us: us + us[:1]), False, False),
+    "p7-nonsymmetric": (
+        lambda: _p7_members(lambda us: (us[0] @ np.diag(np.exp(1j * np.arange(7))),) + us[1:]),
+        False,
+        False,
+    ),
+}
+
+
+def spectral_fields(uf, tol=Tolerance()):
+    """The certificate fields that rest on the rank proof, computed the way
+    certify_umeb did before the disc bound: from every Gram eigenvalue."""
+    stack = np.asarray(uf.unitaries)
+    anti = np.abs(stack - stack.transpose(0, 2, 1))
+    eigs = np.linalg.eigvalsh(gram_matrix(stack))
+    rank = numerical_rank(uf.unitaries, tol)
+    lam = eigs[-rank] if rank else 0.0
+    return {
+        "span_rank": rank,
+        "symmetric_span": rank == uf.d * (uf.d + 1) // 2 and np.max(anti) <= tol.eps,
+        "complement_antisymmetric": np.sum(anti**2) / 4 <= tol.eps**2 * lam,
+    }
+
+
+@pytest.mark.parametrize("name", RANK_CASES)
+def test_span_rank_proof_matches_the_spectrum(name, monkeypatch):
+    build, by_discs, verdict = RANK_CASES[name]
+    uf = build()
+    expected = spectral_fields(uf)
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    cert = certify_umeb(uf)
+    monkeypatch.undo()
+    assert calls == ([] if by_discs else [(len(uf), len(uf))])
+    assert cert.span_rank == numerical_rank(uf.unitaries)
+    assert cert == replace(cert, **expected)
+    assert cert.unextendible_verdict == verdict
 
 
 def test_cj_states_p7():
