@@ -6,15 +6,22 @@ Choi convention matches matcore's column-stacking vec: the Choi matrix of
 X -> U X U* is vec(U) vec(U)* (unnormalized), i.e. block (j, k) of the Choi
 matrix is the channel applied to E_jk.
 
-verify_decomposition makes two checks that share no code path.
-(a) The Choi check sums |C_mix - (I + SWAP)/(d+1)|_F^2 over the row blocks
-(w o F[:, rows])^T @ conj(F), F the rows vec(U_j), subtracting the target
-in place at its identity and SWAP entries.  C_mix is Hermitian, so each
-block starts at the diagonal block and the blocks right of it count twice;
-no d^2 x d^2 matrix is formed.  (b) The random-input check applies the
-mixture to the seeded inputs, a batch per call, through apply_decomposition,
-which works on the (d, d) matrices themselves in chunks of members, and
-compares each output with wh_plus_apply.
+verify_decomposition makes two checks.
+(a) The Choi check measures |C_mix - (I + SWAP)/(d+1)|_F.  When every
+member is exactly symmetric, there are n = d(d+1)/2 of them and no weight is
+negative, it reads that distance off the family's trace Gram G, which the
+certificate also uses: |W^(1/2) G W^(1/2) - (2/(d+1)) I_n|_F, an exact
+identity (the vec(U_j) lie in the n-dimensional symmetric subspace, where
+the target is (2/(d+1)) times the identity, and F W F* and W^(1/2) F* F W^(1/2)
+have the same spectrum).  Otherwise it sums the squared distance over the
+row blocks (w o F[:, rows])^T @ conj(F), F the rows vec(U_j), subtracting
+the target in place at its identity and SWAP entries; C_mix is Hermitian,
+so each block starts at the diagonal block and the blocks right of it count
+twice, and no d^2 x d^2 matrix is formed.  (b) The random-input check
+applies the mixture to the seeded inputs, a batch per call, through
+apply_decomposition, which works on the (d, d) matrices themselves in
+chunks of members, and compares each output with wh_plus_apply.  It reads
+neither the Gram nor vec(U), so it stays independent of (a).
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import numpy as np
 
 from .errors import NotCertified, NotSquare, OutOfRange, ShapeMismatch
 from .matcore import DEFAULT_TOL, Tolerance
-from .umeb import UnitaryFamily, _span
+from .umeb import UnitaryFamily, _row_blocks, _span
 
 Channel = Callable[[np.ndarray], np.ndarray]
 
@@ -104,7 +111,7 @@ def umeb_decomposition(
     not the rest of the certificate.
     """
     d = uf.d
-    span = _span(np.asarray(uf.unitaries, dtype=complex), d, tol)
+    span = _span(uf, tol)
     if len(uf) != d * (d + 1) // 2 or not span.symmetric_span:
         raise NotCertified(
             f"family of {len(uf)} unitaries in d={d} is not a basis of the "
@@ -140,7 +147,7 @@ def apply_decomposition(dec: MixedUnitaryDecomposition, x: np.ndarray) -> np.nda
     m = max(1, _APPLY_CHUNK // max(1, t * d * d))
     out = np.zeros((t * d, d), dtype=complex)
     for j in range(0, len(us), m):
-        u = np.asarray(us[j : j + m], dtype=complex)
+        u = us[j : j + m]
         k = len(u)
         ux = (u.reshape(k * d, d) @ x_side).reshape(k, d, t, d).transpose(2, 1, 0, 3)
         wu = (w[j : j + k, None, None] * u.conj().transpose(0, 2, 1)).reshape(k * d, d)
@@ -155,35 +162,25 @@ def random_hermitian(d: int, seed: int) -> np.ndarray:
     return (g + g.conj().T) / 2
 
 
-def verify_decomposition(
-    dec: MixedUnitaryDecomposition,
-    trials: int = 20,
-    seed: int = 42,
-    tol: Tolerance = DEFAULT_TOL,
-) -> DecompositionReport:
-    """Two independent checks of the mixture against the direct channel formula.
+def _choi_dev_from_gram(w: np.ndarray, uf: UnitaryFamily) -> float:
+    """|W^(1/2) G W^(1/2) - (2/(d+1)) I_n|_F, equal to the Choi distance when the
+    n = d(d+1)/2 members are exactly symmetric and the weights are >= 0."""
+    s = np.sqrt(w)
+    sq = 0.0
+    for rows, on_diag in _row_blocks(len(uf)):
+        dev = s[rows, None] * uf.gram[rows] * s
+        dev[on_diag] -= 2 / (uf.d + 1)
+        sq += float(np.vdot(dev, dev).real)
+    return math.sqrt(sq)
 
-    (a) Frobenius distance between sum_j w_j vec(U_j) vec(U_j)* and the
-    closed-form Choi matrix (I + SWAP)/(d+1), within eps * d^2; accumulated
-    over blocks of d rows, so no d^2 x d^2 matrix is formed.  (b) For
-    `trials` seeded random Hermitian inputs (per-trial seed = seed + index),
-    max-entry distance between the mixture output and the formula output,
-    within eps * max|X|.  Check (b) applies the mixture to a batch of inputs
-    per apply_decomposition call and never forms vec(U) or a Choi matrix,
-    so it does not share check (a)'s convention.
-    """
-    if trials < 0:
-        raise OutOfRange(f"trials must be >= 0, got {trials}")
-    if seed < 0:
-        raise OutOfRange(f"seed must be >= 0, got {seed}")
-    w = _weights(dec)
-    uf = dec.unitaries
+
+def _choi_dev_by_blocks(w: np.ndarray, uf: UnitaryFamily) -> float:
+    """|sum_j w_j vec(U_j) vec(U_j)* - (I + SWAP)/(d+1)|_F over blocks of d rows."""
     d = uf.d
     n = len(uf)
-
     # conj(vec(U_j)) as rows; vec stacks columns, so column b*d + a holds U[a, b]
     fbar = np.empty((n, d, d), dtype=complex)
-    np.conjugate(np.asarray(uf.unitaries, dtype=complex).transpose(0, 2, 1), out=fbar)
+    np.conjugate(uf.unitaries.transpose(0, 2, 1), out=fbar)
     fbar = fbar.reshape(n, d * d)
     a = np.arange(d)
     sq = 0.0
@@ -196,7 +193,39 @@ def verify_decomposition(
         block[a[b:], (a[b:] - b) * d + b] -= 1 / (d + 1)
         diag, right = block[:, :d], block[:, d:]
         sq += float(np.vdot(diag, diag).real) + 2 * float(np.vdot(right, right).real)
-    choi_dev = math.sqrt(sq)
+    return math.sqrt(sq)
+
+
+def verify_decomposition(
+    dec: MixedUnitaryDecomposition,
+    trials: int = 20,
+    seed: int = 42,
+    tol: Tolerance = DEFAULT_TOL,
+) -> DecompositionReport:
+    """Two checks of the mixture against the direct channel formula.
+
+    (a) Frobenius distance between sum_j w_j vec(U_j) vec(U_j)* and the
+    closed-form Choi matrix (I + SWAP)/(d+1), within eps * d^2.  For
+    d(d+1)/2 exactly symmetric members with weights >= 0 it comes from the
+    family's trace Gram, the one the certificate reads; otherwise it is
+    accumulated over blocks of d rows, so no d^2 x d^2 matrix is formed.
+    (b) For `trials` seeded random Hermitian inputs (per-trial seed =
+    seed + index), max-entry distance between the mixture output and the
+    formula output, within eps * max|X|.  Check (b) applies the mixture to a
+    batch of inputs per apply_decomposition call and reads neither the Gram
+    nor vec(U), so it does not share check (a)'s data or convention.
+    """
+    if trials < 0:
+        raise OutOfRange(f"trials must be >= 0, got {trials}")
+    if seed < 0:
+        raise OutOfRange(f"seed must be >= 0, got {seed}")
+    w = _weights(dec)
+    uf = dec.unitaries
+    d = uf.d
+    if uf.asymmetry[0] == 0.0 and len(uf) == d * (d + 1) // 2 and np.all(w >= 0):
+        choi_dev = _choi_dev_from_gram(w, uf)
+    else:
+        choi_dev = _choi_dev_by_blocks(w, uf)
 
     apply_dev_max = 0.0
     apply_ok = True

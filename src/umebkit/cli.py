@@ -23,9 +23,9 @@ import numpy as np
 
 from . import __version__
 from .channels import umeb_decomposition, verify_decomposition
-from .errors import MalformedArtifact, ShapeMismatch, UmebkitError
+from .errors import MalformedArtifact, OutOfRange, ShapeMismatch, UmebkitError
 from .hadamard import construct, hadamard_to_json
-from .matcore import DEFAULT_EPS, DEFAULT_RANK_EPS, Tolerance, matrix_from_json, matrix_to_json
+from .matcore import DEFAULT_EPS, DEFAULT_RANK_EPS, Tolerance, matrix_to_json, stack_from_json
 from .numth import validate_prime
 from .packing import (
     ProjectionFamily,
@@ -75,9 +75,8 @@ def unitary_family_from_json(obj: dict) -> UnitaryFamily:
         raise MalformedArtifact(f"malformed unitary family field: {exc}") from None
     if not cmath.isfinite(z):
         raise MalformedArtifact(f"phase z = {z} is not finite")
-    unitaries = tuple(matrix_from_json(m) for m in entries)
-    if not unitaries or any(u.shape != (d, d) for u in unitaries):
-        raise ShapeMismatch(f"unitary family with d={d} needs one or more {d}x{d} matrices")
+    unitaries = stack_from_json(entries, d)
+    unitaries.flags.writeable = False
     return UnitaryFamily(d=d, z=z, unitaries=unitaries, source=source)
 
 
@@ -89,8 +88,7 @@ def _check_source(uf: UnitaryFamily, tol: Tolerance) -> None:
             f"source family of {len(source)} {source.d}x{source.d} projections "
             f"for {len(uf)} {uf.d}x{uf.d} unitaries"
         )
-    rebuilt = build_unitaries(source, uf.z).unitaries
-    worst = float(np.max([np.max(np.abs(u - v)) for u, v in zip(uf.unitaries, rebuilt)]))
+    worst = float(np.max(np.abs(uf.unitaries - build_unitaries(source, uf.z).unitaries)))
     if not worst <= tol.eps:
         raise MalformedArtifact(
             f"unitaries disagree with I - (1-z)P of the source family by {worst:.3e}"
@@ -113,7 +111,11 @@ def _certificate_json(cert, source_obj, no_timestamp: bool) -> dict:
 def _tolerance(args) -> Tolerance:
     eps = args.eps
     if eps is None:
-        eps = float(os.environ.get("UMEB_TOL", DEFAULT_EPS))
+        env = os.environ.get("UMEB_TOL")
+        try:
+            eps = DEFAULT_EPS if env is None else float(env)
+        except ValueError:
+            raise OutOfRange(f"UMEB_TOL={env!r} is not a number") from None
     return Tolerance(eps=eps, rank_eps=args.rank_eps)
 
 

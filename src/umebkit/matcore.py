@@ -13,10 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedArtifact, NotSquare, ShapeMismatch
+from .errors import MalformedArtifact, NotSquare, OutOfRange, ShapeMismatch
 
 DEFAULT_EPS = 1e-9
 DEFAULT_RANK_EPS = 1e-7
+# members per row block of a complex gram_matrix: as fast as one product at
+# p=47 and p=79, and the conjugated block stays at 18-51 MB instead of the
+# whole stack
+_GRAM_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -27,8 +31,10 @@ class Tolerance:
     rank_eps: float = DEFAULT_RANK_EPS
 
     def __post_init__(self):
-        if self.eps <= 0 or self.rank_eps <= 0:
-            raise ValueError("tolerances must be positive")
+        for name in ("eps", "rank_eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise OutOfRange(f"tolerance {name} must be finite and > 0, got {value}")
 
 
 DEFAULT_TOL = Tolerance()
@@ -47,12 +53,45 @@ def gram_matrix(mats: list[np.ndarray] | np.ndarray) -> np.ndarray:
     """Hermitian Gram matrix G_ij = tr(m_i* m_j) of same-shape matrices.
 
     A stacked array is used without a copy; real input gives a real Gram.
+    Real input is one product of the stack with its own transpose, which
+    numpy computes as a symmetric rank-k update at half the cost.  Complex
+    input needs conjugated members, so its rows are computed _GRAM_ROWS
+    members at a time and only that many conjugated members exist at once.
     """
     stack = np.asarray(mats)
     if stack.ndim < 2:
         raise ShapeMismatch("need at least one matrix")
-    flat = stack.reshape(stack.shape[0], -1)
-    return flat.conj() @ flat.T
+    n = stack.shape[0]
+    flat = stack.reshape(n, -1)
+    if not np.iscomplexobj(flat):
+        return flat @ flat.T
+    gram = np.empty((n, n), dtype=flat.dtype)
+    for start in range(0, n, _GRAM_ROWS):
+        rows = slice(start, start + _GRAM_ROWS)
+        np.matmul(flat[rows].conj(), flat.T, out=gram[rows])
+    return gram
+
+
+def read_only_stack(members, d: int, dtype=None) -> np.ndarray:
+    """members as one read-only (n, d, d) array that no caller can write through.
+
+    An array that is read-only down to the memory it views, and already of
+    dtype, is kept: its builder has handed it over.  Anything else (a
+    sequence, a writable array, a read-only view of a writable one) is
+    copied first.  ShapeMismatch unless the members are d x d matrices.
+    """
+    base = members
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    handed_over = base is None and isinstance(members, np.ndarray)
+    if handed_over and (dtype is None or members.dtype == dtype):
+        stack = members
+    else:
+        stack = np.array(members, dtype=dtype)
+        stack.flags.writeable = False
+    if stack.ndim != 3 or stack.shape[1:] != (d, d):
+        raise ShapeMismatch(f"members of shape {stack.shape} in a family with d={d}")
+    return stack
 
 
 def numerical_rank(mats: list[np.ndarray] | np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -124,3 +163,23 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     if not np.isfinite(data).all():
         raise MalformedArtifact("matrix data has a NaN or infinite entry")
     return data.astype(float).view(complex).reshape(shape)
+
+
+def stack_from_json(entries: list, d: int) -> np.ndarray:
+    """Decode matrix_to_json objects into one preallocated (n, d, d) complex stack.
+
+    ShapeMismatch unless there is at least one entry and every entry is d x d;
+    the first entry is decoded before the stack is allocated, so its size
+    comes from the data and not from d alone.
+    """
+    first = matrix_from_json(entries[0]) if entries else None
+    if first is None or first.shape != (d, d):
+        raise ShapeMismatch(f"need one or more {d}x{d} matrices")
+    stack = np.empty((len(entries), d, d), dtype=complex)
+    stack[0] = first
+    for i in range(1, len(entries)):
+        m = matrix_from_json(entries[i])
+        if m.shape != (d, d):
+            raise ShapeMismatch(f"matrix {i} has shape {m.shape}, need {d}x{d}")
+        stack[i] = m
+    return stack

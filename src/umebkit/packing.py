@@ -21,10 +21,16 @@ from .errors import (
     MalformedArtifact,
     NotOrthogonal,
     RankOutOfRange,
-    ShapeMismatch,
 )
 from .hadamard import HadamardMatrix
-from .matcore import DEFAULT_TOL, Tolerance, gram_matrix, matrix_from_json, matrix_to_json
+from .matcore import (
+    DEFAULT_TOL,
+    Tolerance,
+    gram_matrix,
+    matrix_to_json,
+    read_only_stack,
+    stack_from_json,
+)
 from .numth import UmebPrime
 
 
@@ -32,6 +38,8 @@ from .numth import UmebPrime
 class ProjectionFamily:
     """Same-rank real symmetric projections with a common target angle.
 
+    projections is one read-only (n, d, d) array that the family owns: a
+    sequence or a writable array given to the constructor is copied into it.
     beta is the exact rational target of tr(P_i P_j) for i != j.  provenance
     holds one (t, shift) pair per projection for residue/Hadamard-built
     families and None otherwise; scale is the off-support coefficient
@@ -40,10 +48,13 @@ class ProjectionFamily:
 
     d: int
     r: int
-    projections: tuple[np.ndarray, ...]
+    projections: np.ndarray
     beta: Fraction
     provenance: tuple[tuple[int, int] | None, ...]
     scale: float | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "projections", read_only_stack(self.projections, self.d))
 
     def __len__(self) -> int:
         return len(self.projections)
@@ -130,9 +141,9 @@ def build_residue_family(prime: UmebPrime, h: HadamardMatrix) -> ProjectionFamil
     Only the (p+1)/2 base projections come from projection_from_basis.  Moving
     every basis vector by x maps P to P[i - x, j - x], so the whole Z_p orbit
     is one gather from the bases; a shift only permutes coordinates, so the
-    orthogonality check on a base covers all its shifts.  The projections are
-    views into that one (p(p+1)/2, p, p) array, ordered lexicographically in
-    (t, shift) so that exports are reproducible.
+    orthogonality check on a base covers all its shifts.  That one
+    (p(p+1)/2, p, p) array is handed to the family as its stack, ordered
+    lexicographically in (t, shift) so that exports are reproducible.
     """
     p = prime.p
     residue_supports = set(prime.residues) | {prime.k * q % p for q in prime.residues}
@@ -143,11 +154,12 @@ def build_residue_family(prime: UmebPrime, h: HadamardMatrix) -> ProjectionFamil
     coords = np.arange(p)
     idx = (coords[None, :] - coords[:, None]) % p  # idx[x, i] = (i - x) mod p
     # an index array on every axis makes the gather C-ordered, so the reshape copies nothing
-    orbit = bases[ts[:, None, None, None], idx[:, :, None], idx[:, None, :]].reshape(-1, p, p)
+    orbit = bases[ts[:, None, None, None], idx[:, :, None], idx[:, None, :]]
+    orbit.flags.writeable = False
     return ProjectionFamily(
         d=p,
         r=prime.half,
-        projections=tuple(orbit),
+        projections=orbit.reshape(-1, p, p),
         beta=beta_projections(p, prime.half),
         provenance=tuple((t, shift) for t in range(len(ts)) for shift in range(p)),
         scale=off_support_scale(p),
@@ -168,9 +180,9 @@ def verify_equiangular(
     members, so no temporary has the size of the whole family; the chunk
     maxima are combined with np.max, which keeps a NaN.
     """
-    n = len(family.projections)
+    stack = family.projections
+    n = len(stack)
     beta = float(family.beta)
-    stack = np.asarray(family.projections)
     angle_devs = gram_matrix(stack).real
     angle_devs -= beta
     np.abs(angle_devs, out=angle_devs)
@@ -203,11 +215,12 @@ def verify_equiangular(
 def dual_family(family: ProjectionFamily) -> ProjectionFamily:
     """Complementary projections I - P_i; rank d - r, angle beta + d - 2r."""
     d = family.d
-    eye = np.eye(d)
+    dual = np.eye(d) - family.projections
+    dual.flags.writeable = False
     return ProjectionFamily(
         d=d,
         r=d - family.r,
-        projections=tuple(eye - p for p in family.projections),
+        projections=dual,
         beta=family.beta + (d - 2 * family.r),
         provenance=family.provenance,
         scale=family.scale,
@@ -221,22 +234,19 @@ def icosahedron_lines() -> ProjectionFamily:
     pairwise trace 1/5, matching beta_projections(3, 1).
     """
     phi = (1.0 + math.sqrt(5.0)) / 2.0
-    raw = [
+    raw = np.array([
         (0.0, 1.0, phi),
         (0.0, -1.0, phi),
         (1.0, phi, 0.0),
         (-1.0, phi, 0.0),
         (phi, 0.0, 1.0),
         (phi, 0.0, -1.0),
-    ]
-    projections = []
-    for coords in raw:
-        v = np.array(coords) / math.sqrt(1.0 + phi * phi)
-        projections.append(np.outer(v, v))
+    ])
+    v = raw / math.sqrt(1.0 + phi * phi)
     return ProjectionFamily(
         d=3,
         r=1,
-        projections=tuple(projections),
+        projections=v[:, :, None] * v[:, None, :],
         beta=Fraction(1, 5),
         provenance=(None,) * 6,
         scale=None,
@@ -276,17 +286,15 @@ def family_from_json(obj: dict) -> ProjectionFamily:
         )
     except (TypeError, ValueError, ArithmeticError, AttributeError) as exc:
         raise MalformedArtifact(f"malformed family field: {exc}") from None
-    projections = []
-    for entry in entries:
-        m = matrix_from_json(entry["matrix"])
-        if m.shape != (d, d):
-            raise ShapeMismatch(f"projection of shape {m.shape} in a family with d={d}")
+    stack = stack_from_json([e["matrix"] for e in entries], d)
+    if not stack.imag.any():
         # families are real by contract; keep the real part once that is exact
-        projections.append(m.real if np.all(m.imag == 0) else m)
+        stack = np.ascontiguousarray(stack.real)
+    stack.flags.writeable = False
     return ProjectionFamily(
         d=d,
         r=r,
-        projections=tuple(projections),
+        projections=stack,
         beta=beta,
         provenance=provenance,
         scale=scale,

@@ -14,11 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .errors import Infeasible, RankOutOfRange
-from .matcore import DEFAULT_TOL, Tolerance, cj_vectorize, gram_matrix
+from .matcore import DEFAULT_TOL, Tolerance, gram_matrix, read_only_stack
 from .packing import ProjectionFamily
 
 
@@ -33,17 +34,61 @@ class FeasibilityReport:
     allowed_d_for_r: frozenset[int]
 
 
+# members per chunk of the unitarity and symmetry passes: bounds each
+# temporary to 256 complex (d, d) matrices (25.6 MB at d=79)
+_MEMBER_CHUNK = 256
+# Gram entries per row block of the O(n^2) passes over the Gram (16 MiB complex)
+_GRAM_BLOCK = 1 << 20
+
+
+def _row_blocks(n: int):
+    """Row blocks of an n x n matrix with at most _GRAM_BLOCK entries each, as
+    (rows, on_diag): the row slice and the index of its diagonal entries in the block."""
+    step = max(1, _GRAM_BLOCK // n)
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        yield slice(start, stop), (np.arange(stop - start), np.arange(start, stop))
+
+
 @dataclass(frozen=True, eq=False)
 class UnitaryFamily:
-    """Unitaries I - (1-z)P_i sharing one unit-modulus phase z."""
+    """Unitaries I - (1-z)P_i sharing one unit-modulus phase z.
+
+    unitaries is one read-only complex (n, d, d) array that the family owns:
+    a sequence or a writable array given to the constructor is copied into
+    it.  Because no caller can write to it through the family, the trace Gram
+    and the symmetry deviations are computed once, on first use, and kept on
+    the object.
+    """
 
     d: int
     z: complex
-    unitaries: tuple[np.ndarray, ...]
+    unitaries: np.ndarray
     source: ProjectionFamily | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "unitaries", read_only_stack(self.unitaries, self.d, complex))
 
     def __len__(self) -> int:
         return len(self.unitaries)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """G_ij = tr(U_i* U_j), read-only."""
+        gram = gram_matrix(self.unitaries)
+        gram.flags.writeable = False
+        return gram
+
+    @cached_property
+    def asymmetry(self) -> tuple[float, float]:
+        """(max |U - U^T|, sum |U - U^T|^2) entrywise over all members, in member chunks."""
+        worst, sq = [], 0.0
+        for start in range(0, len(self), _MEMBER_CHUNK):
+            chunk = self.unitaries[start : start + _MEMBER_CHUNK]
+            dev = np.abs(chunk - chunk.transpose(0, 2, 1))
+            worst.append(np.max(dev))
+            sq += float(np.vdot(dev, dev))
+        return float(np.max(worst)), sq
 
 
 @dataclass(frozen=True)
@@ -98,30 +143,35 @@ def compute_phase(d: int, r: int) -> complex:
 
 
 def build_unitaries(family: ProjectionFamily, z: complex) -> UnitaryFamily:
-    """U_i = I - (1-z) P_i; eigenvalue z on range(P_i), 1 on its kernel."""
-    eye = np.eye(family.d, dtype=complex)
-    unitaries = tuple(eye - (1.0 - z) * np.asarray(p, dtype=complex) for p in family.projections)
+    """U_i = I - (1-z) P_i; eigenvalue z on range(P_i), 1 on its kernel.
+
+    One broadcast into one complex (n, d, d) array, handed to the family.
+    """
+    unitaries = family.projections.astype(complex)
+    unitaries *= 1.0 - z
+    np.subtract(np.eye(family.d), unitaries, out=unitaries)
+    unitaries.flags.writeable = False
     return UnitaryFamily(d=family.d, z=z, unitaries=unitaries, source=family)
 
 
 def cj_states(uf: UnitaryFamily) -> np.ndarray:
     """Row-stacked normalized vectorizations, one d^2 state per unitary."""
-    return np.asarray([cj_vectorize(u) for u in uf.unitaries])
+    n, d = len(uf), uf.d
+    # vec stacks columns, so row i is U_i transposed, read in C order
+    return uf.unitaries.transpose(0, 2, 1).reshape(n, d * d) / math.sqrt(d)
 
 
 @dataclass(frozen=True, eq=False)
 class _Span:
-    """Gram matrix, symmetry and span rank of a stacked (n, d, d) family."""
+    """The tolerance-dependent span facts of a family, read off its Gram."""
 
-    gram: np.ndarray
-    off_gram: np.ndarray  # |G_ij| with the diagonal zeroed
-    asym: np.ndarray  # |U_i - U_i^T| entrywise
+    max_off_gram: float  # max_{i != j} |G_ij|
     span_rank: int
     lam: float  # lower bound on the smallest eigenvalue counted in span_rank
     symmetric_span: bool
 
 
-def _span(stack: np.ndarray, d: int, tol: Tolerance) -> _Span:
+def _span(uf: UnitaryFamily, tol: Tolerance) -> _Span:
     """Span rank by Gershgorin discs, by eigvalsh when the discs prove no full rank.
 
     Every eigenvalue of the Hermitian Gram lies in some disc
@@ -130,12 +180,15 @@ def _span(stack: np.ndarray, d: int, tol: Tolerance) -> _Span:
     largest eigenvalue, all n eigenvalues are counted and that lowest point
     bounds the smallest of them from below.
     """
-    n = len(stack)
-    asym = np.abs(stack - stack.transpose(0, 2, 1))
-    gram = gram_matrix(stack)
-    off_gram = np.abs(gram)
-    off_gram.flat[:: n + 1] = 0.0
-    radii = off_gram.sum(axis=1)
+    n, d = len(uf), uf.d
+    gram = uf.gram
+    radii = np.empty(n)
+    max_off = []
+    for rows, on_diag in _row_blocks(n):
+        off = np.abs(gram[rows])
+        off[on_diag] = 0.0
+        radii[rows] = off.sum(axis=1)
+        max_off.append(np.max(off))
     diag = gram.diagonal().real
     lower = float(np.min(diag - radii))
     if lower > tol.rank_eps * float(np.max(diag + radii)):
@@ -144,26 +197,38 @@ def _span(stack: np.ndarray, d: int, tol: Tolerance) -> _Span:
         eigs = np.linalg.eigvalsh(gram)
         span_rank = int(np.sum(eigs > tol.rank_eps * eigs[-1])) if eigs[-1] > 0 else 0
         lam = float(eigs[-span_rank]) if span_rank else 0.0
-    symmetric_span = span_rank == d * (d + 1) // 2 and float(np.max(asym)) <= tol.eps
-    return _Span(gram, off_gram, asym, span_rank, lam, symmetric_span)
+    symmetric_span = span_rank == d * (d + 1) // 2 and uf.asymmetry[0] <= tol.eps
+    return _Span(float(np.max(max_off)), span_rank, lam, symmetric_span)
 
 
 def certify_umeb(uf: UnitaryFamily, tol: Tolerance = DEFAULT_TOL) -> UmebCertificate:
     """Fill every certificate field from scratch; failures are verdicts, not errors."""
     d = uf.d
-    n = len(uf.unitaries)
+    n = len(uf)
 
-    stack = np.asarray(uf.unitaries, dtype=complex)
-    max_unitarity_dev = float(np.max(np.abs(stack.conj().transpose(0, 2, 1) @ stack - np.eye(d))))
-    span = _span(stack, d, tol)
-    max_orthogonality_dev = float(np.max(span.off_gram))
+    eye = np.eye(d)
+    unitarity_devs = []
+    for start in range(0, n, _MEMBER_CHUNK):
+        chunk = uf.unitaries[start : start + _MEMBER_CHUNK]
+        dev = chunk.conj().transpose(0, 2, 1) @ chunk
+        dev -= eye
+        unitarity_devs.append(np.max(np.abs(dev)))
+    max_unitarity_dev = float(np.max(unitarity_devs))
+    span = _span(uf, tol)
+    max_orthogonality_dev = span.max_off_gram
 
     # for antisymmetric A, tr(U_i* A) = tr(anti(U_i)* A) with anti(U) = (U - U^T)/2,
     # so a unit A projects onto span{U_i} with squared norm at most
     # sum_i |anti(U_i)|_F^2 / lam, lam bounding the eigenvalues counted in span_rank
-    complement_antisymmetric = float(np.sum(span.asym**2)) / 4 <= tol.eps**2 * span.lam
+    # eps * eps, not eps**2: a float power raises OverflowError where a product gives inf
+    complement_antisymmetric = uf.asymmetry[1] / 4 <= tol.eps * tol.eps * span.lam
 
-    cj_orthonormality_dev = float(np.max(np.abs(span.gram / d - np.eye(n))))
+    cj_devs = []
+    for rows, on_diag in _row_blocks(n):
+        dev = uf.gram[rows] / d
+        dev[on_diag] -= 1.0
+        cj_devs.append(np.max(np.abs(dev)))
+    cj_orthonormality_dev = float(np.max(cj_devs))
 
     d_odd = d % 2 == 1
     unextendible_verdict = (

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from umebkit import channels
+from umebkit import channels, umeb
 from umebkit.channels import (
     MixedUnitaryDecomposition,
     apply_decomposition,
@@ -22,7 +22,7 @@ from umebkit.hadamard import construct
 from umebkit.matcore import cj_vectorize
 from umebkit.numth import validate_prime
 from umebkit.packing import build_residue_family, icosahedron_lines
-from umebkit.umeb import UnitaryFamily, build_unitaries, compute_phase
+from umebkit.umeb import UnitaryFamily, build_unitaries, certify_umeb, compute_phase
 
 EPS = 1e-9
 
@@ -143,7 +143,8 @@ def test_umeb_decomposition_rejects_uncertified():
     with pytest.raises(NotCertified):
         umeb_decomposition(truncated)
     # spans the symmetric matrices, but 29 weights 1/28 do not sum to 1
-    duplicated = UnitaryFamily(d=7, z=uf.z, unitaries=uf.unitaries + uf.unitaries[:1], source=None)
+    members = np.concatenate((uf.unitaries, uf.unitaries[:1]))
+    duplicated = UnitaryFamily(d=7, z=uf.z, unitaries=members, source=None)
     with pytest.raises(NotCertified):
         umeb_decomposition(duplicated)
 
@@ -261,3 +262,107 @@ def test_verify_decomposition_checks_the_last_batch_of_trials():
     seed = next(s for s in range(400 - batch) if devs[s + batch] > max(devs[s : s + batch]))
     rep = verify_decomposition(bad, trials=batch + 1, seed=seed)
     assert rep.apply_dev_max == pytest.approx(devs[seed + batch], rel=1e-9)
+
+
+def _unitaries(p):
+    if p == 3:
+        return build_unitaries(icosahedron_lines(), compute_phase(3, 1))
+    fam = build_residue_family(validate_prime(p), construct((p + 1) // 2))
+    return build_unitaries(fam, compute_phase(p, (p - 1) // 2))
+
+
+def full_choi_dev(dec):
+    """|sum_j w_j vec(U_j) vec(U_j)* - (I + SWAP)/(d+1)|_F from the whole d^2 x d^2 matrix."""
+    uf = dec.unitaries
+    d = uf.d
+    flat = np.array([u.flatten(order="F") for u in uf.unitaries])
+    choi = (np.array(dec.weights)[:, None] * flat).T @ flat.conj()
+    return np.linalg.norm(choi - (np.eye(d * d) + swap_matrix(d)) / (d + 1))
+
+
+def spy_choi_paths(monkeypatch):
+    """Record which Choi path verify_decomposition takes."""
+    ran = []
+    for name in ("_choi_dev_from_gram", "_choi_dev_by_blocks"):
+        path = getattr(channels, name)
+        monkeypatch.setattr(channels, name, lambda *a, path=path, name=name: ran.append(name) or path(*a))
+    return ran
+
+
+# "icosahedron" is d=3 from the six icosahedron lines; "p3" is the residue family
+CHOI_FAMILIES = {
+    "icosahedron": lambda: _unitaries(3),
+    "p3": lambda: build_unitaries(
+        build_residue_family(validate_prime(3), construct(2)), compute_phase(3, 1)
+    ),
+    "p7": lambda: _unitaries(7),
+    "p23": lambda: _unitaries(23),
+    "p31": lambda: _unitaries(31),
+    "p47": lambda: _unitaries(47),
+}
+
+
+@pytest.mark.parametrize("weights", ["uniform", "perturbed"])
+@pytest.mark.parametrize(
+    "name", [pytest.param(n, marks=pytest.mark.slow) if n == "p47" else n for n in CHOI_FAMILIES]
+)
+def test_choi_check_from_the_gram_is_the_block_sum(name, weights, monkeypatch):
+    dec = umeb_decomposition(CHOI_FAMILIES[name]())
+    w = np.array(dec.weights)
+    if weights == "perturbed":  # still >= 0, so the Gram path applies
+        w[-1] *= 1.5
+        w[3] *= 0.2
+        dec = MixedUnitaryDecomposition(weights=tuple(w), unitaries=dec.unitaries)
+    ran = spy_choi_paths(monkeypatch)
+    rep = verify_decomposition(dec, trials=0)
+    monkeypatch.undo()
+    assert ran == ["_choi_dev_from_gram"]
+    blocks = channels._choi_dev_by_blocks(w, dec.unitaries)
+    assert rep.choi_dev == pytest.approx(blocks, rel=1e-12, abs=1e-14)
+    if dec.unitaries.d <= 23:
+        assert rep.choi_dev == pytest.approx(full_choi_dev(dec), rel=1e-12, abs=1e-14)
+    assert rep.verdict == (weights == "uniform")
+
+
+def _nonsymmetric_member():
+    members = np.array(_unitaries(7).unitaries)
+    members[0, 0, 1] += 1e-13
+    uf = UnitaryFamily(d=7, z=compute_phase(7, 3), unitaries=members)
+    return umeb_decomposition(uf)  # within eps of symmetric, so still accepted
+
+
+def _negative_weight():
+    dec = umeb_decomposition(_unitaries(7))
+    w = np.array(dec.weights)
+    w[2] = -w[2]
+    return MixedUnitaryDecomposition(weights=tuple(w), unitaries=dec.unitaries)
+
+
+def _member_count():
+    uf = _unitaries(7)
+    part = UnitaryFamily(d=7, z=uf.z, unitaries=uf.unitaries[:27])
+    return MixedUnitaryDecomposition(weights=(1 / 27,) * 27, unitaries=part)
+
+
+@pytest.mark.parametrize("build", [_nonsymmetric_member, _negative_weight, _member_count])
+def test_choi_check_falls_back_to_the_blocks(build, monkeypatch):
+    dec = build()
+    ran = spy_choi_paths(monkeypatch)
+    rep = verify_decomposition(dec, trials=0)
+    assert ran == ["_choi_dev_by_blocks"]
+    assert rep.choi_dev == pytest.approx(full_choi_dev(dec), rel=1e-9, abs=1e-14)
+    assert rep.verdict == (build is _nonsymmetric_member)
+
+
+def test_gram_passes_cover_the_last_row_block(p23_decomposition, monkeypatch):
+    # blocks of 100 Gram rows: 100 + 100 + 76 for the 276 members at p=23
+    monkeypatch.setattr(umeb, "_GRAM_BLOCK", 100 * 276)
+    uf = p23_decomposition.unitaries
+    w = np.array(p23_decomposition.weights)
+    w[-1] *= 1.5
+    dec = MixedUnitaryDecomposition(weights=tuple(w), unitaries=uf)
+    assert verify_decomposition(dec, trials=0).choi_dev == pytest.approx(full_choi_dev(dec), rel=1e-12)
+    # a longer last member shows only on the last diagonal entry of G/d - I
+    longer = np.concatenate((uf.unitaries[:-1], [uf.unitaries[-1] * (1 + 1e-6)]))
+    cert = certify_umeb(UnitaryFamily(d=23, z=uf.z, unitaries=longer))
+    assert cert.cj_orthonormality_dev == pytest.approx(2e-6, rel=1e-5)

@@ -249,3 +249,43 @@ def test_verify_rejects_malformed_artifact(p7_artifacts, tmp_path, capsys, artif
     assert run(["verify", "--in", str(bad)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("umebkit:")
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("umebkit:"), err
+    return err[0]
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        pytest.param(["umeb", "--p", "7", "--eps", "-1"], None, id="eps-negative"),
+        pytest.param(["umeb", "--p", "7", "--rank-eps", "0"], None, id="rank-eps-zero"),
+        pytest.param(["umeb", "--p", "7"], "abc", id="env-not-a-number"),
+        pytest.param(["wh-check", "--p", "7", "--eps", "nan"], None, id="eps-nan"),
+    ],
+)
+def test_bad_tolerance_is_rejected(argv, env, monkeypatch, capsys):
+    if env is not None:
+        monkeypatch.setenv("UMEB_TOL", env)
+    assert run(argv) == 1
+    assert "tol" in _one_error_line(capsys).lower()
+
+
+def test_huge_finite_tolerance_ends_in_a_verdict(capsys):
+    # eps**2 overflowed to an OverflowError traceback
+    assert run(["umeb", "--p", "7", "--eps", "1e300"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_infinite_tolerance_cannot_pass_a_bad_artifact(p7_artifacts, tmp_path, capsys):
+    obj = json.loads(p7_artifacts["unitary"].read_text())
+    obj["unitaries"][0]["data"][0][0] = 5.0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["verify", "--in", str(bad), "--eps", "inf"]) == 1
+    assert "tol" in _one_error_line(capsys).lower()
+    assert run(["verify", "--in", str(bad)]) == 1  # the finite default rejects it too
+    assert "disagree" in _one_error_line(capsys)

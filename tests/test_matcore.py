@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from umebkit.errors import NotSquare, ShapeMismatch
+from umebkit import matcore
+from umebkit.errors import NotSquare, OutOfRange, ShapeMismatch
 from umebkit.hadamard import construct
 from umebkit.matcore import (
     Tolerance,
@@ -14,6 +15,7 @@ from umebkit.matcore import (
     matrix_from_json,
     matrix_to_json,
     numerical_rank,
+    read_only_stack,
     sym_antisym_split,
 )
 from umebkit.numth import validate_prime
@@ -182,6 +184,38 @@ def test_gram_matrix_is_hermitian():
     assert np.max(np.abs(g - g.conj().T)) < EPS
 
 
+def test_gram_matrix_row_blocks_match_one_product(monkeypatch):
+    rng = np.random.default_rng(29)
+    complex_stack = rng.standard_normal((10, 4, 4)) + 1j * rng.standard_normal((10, 4, 4))
+    real_stack = rng.standard_normal((10, 4, 4))
+    monkeypatch.setattr(matcore, "_GRAM_ROWS", 3)  # blocks of 3, 3, 3 and 1 rows
+    for stack in (complex_stack, real_stack):
+        flat = stack.reshape(10, 16)
+        g = gram_matrix(stack)
+        assert g.dtype == stack.dtype
+        assert np.max(np.abs(g - flat.conj() @ flat.T)) < 1e-12
+
+
+def test_read_only_stack_copies_unless_handed_over():
+    handed = np.eye(3)[None].repeat(4, axis=0)
+    handed.flags.writeable = False
+    assert read_only_stack(handed, 3) is handed
+    tail = handed[1:]  # a view of read-only memory is kept too
+    assert read_only_stack(tail, 3) is tail
+    writable = np.eye(3)[None].repeat(4, axis=0)
+    view = writable.view()
+    view.flags.writeable = False  # read-only, but writable through `writable`
+    for given in (writable, view, list(writable), handed.astype(np.float32)):
+        stack = read_only_stack(given, 3, float)
+        assert not np.shares_memory(stack, writable) and not np.shares_memory(stack, handed)
+        assert not stack.flags.writeable and stack.dtype == float
+        assert np.array_equal(stack, handed)
+    assert read_only_stack(handed, 3, complex).dtype == complex
+    for wrong in (handed, handed[0], []):
+        with pytest.raises(ShapeMismatch):
+            read_only_stack(wrong, 4)
+
+
 def test_matrix_json_round_trip_is_exact():
     rng = np.random.default_rng(17)
     signed_zeros = np.array([[complex(-0.0, 1.5), complex(2.0, -0.0)], [complex(-0.0, -0.0), 0j]])
@@ -216,3 +250,10 @@ def test_tolerance_validation():
         Tolerance(eps=0.0)
     with pytest.raises(ValueError):
         Tolerance(rank_eps=-1.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1.0, 0.0])
+def test_tolerance_must_be_finite_and_positive(value):
+    for field in ("eps", "rank_eps"):
+        with pytest.raises(OutOfRange, match=field):
+            Tolerance(**{field: value})

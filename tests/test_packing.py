@@ -213,7 +213,7 @@ def test_verify_equiangular_flags_duplicate():
     dup = ProjectionFamily(
         d=7,
         r=3,
-        projections=fam.projections + fam.projections[:1],
+        projections=np.concatenate((fam.projections, fam.projections[:1])),
         beta=fam.beta,
         provenance=fam.provenance + fam.provenance[:1],
         scale=fam.scale,
@@ -297,7 +297,7 @@ def test_residue_family_is_the_per_shift_construction(p):
 
 
 def _with_last_member(fam, last):
-    return replace(fam, projections=fam.projections[:-1] + (last,))
+    return replace(fam, projections=np.concatenate((fam.projections[:-1], [last])))
 
 
 def test_verify_equiangular_checks_the_last_chunk():

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -5,11 +6,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from umebkit.errors import Infeasible, RankOutOfRange
+from umebkit import umeb
+from umebkit.cli import unitary_family_from_json, unitary_family_to_json
+from umebkit.errors import Infeasible, RankOutOfRange, ShapeMismatch
 from umebkit.hadamard import construct
 from umebkit.matcore import Tolerance, gram_matrix, numerical_rank
 from umebkit.numth import validate_prime
-from umebkit.packing import build_residue_family, dual_family, icosahedron_lines
+from umebkit.packing import (
+    ProjectionFamily,
+    build_residue_family,
+    dual_family,
+    icosahedron_lines,
+    verify_equiangular,
+)
 from umebkit.umeb import (
     UnitaryFamily,
     build_unitaries,
@@ -180,7 +189,7 @@ def test_certify_truncated_family_fails():
 def test_certify_verdict_monotone_under_removal():
     uf = p7_unitaries()
     for drop in range(28):
-        rest = uf.unitaries[:drop] + uf.unitaries[drop + 1 :]
+        rest = np.delete(uf.unitaries, drop, axis=0)
         cert = certify_umeb(UnitaryFamily(d=7, z=uf.z, unitaries=rest, source=None))
         assert not cert.symmetric_span
         assert not cert.unextendible_verdict
@@ -189,7 +198,7 @@ def test_certify_verdict_monotone_under_removal():
 def _p7_with_first(replace):
     uf = p7_unitaries()
     first = replace(uf.unitaries[0], uf.source.projections[0])
-    return UnitaryFamily(d=7, z=uf.z, unitaries=(first,) + uf.unitaries[1:], source=None)
+    return UnitaryFamily(d=7, z=uf.z, unitaries=np.concatenate(([first], uf.unitaries[1:])), source=None)
 
 
 def test_certify_rejects_member_with_other_phase():
@@ -225,8 +234,6 @@ def test_certify_even_dimension_flagged():
     rng = np.random.default_rng(5)
     basis = np.linalg.qr(rng.standard_normal((6, 3)))[0]
     proj = basis @ basis.T
-    from umebkit.packing import ProjectionFamily
-
     fam = ProjectionFamily(
         d=6, r=3, projections=(proj,), beta=Fraction(1), provenance=(None,), scale=None
     )
@@ -253,12 +260,14 @@ RANK_CASES = {
     "p23": (lambda: _residue_unitaries(23), True, True),
     "p31": (lambda: _residue_unitaries(31), True, True),
     # discs around 8.75 and 7, both of radius 3.5: full rank, proved by the discs
-    "p7-u0+0.5u1": (lambda: _p7_members(lambda us: (us[0] + 0.5 * us[1],) + us[1:]), True, False),
+    "p7-u0+0.5u1": (lambda: _p7_members(lambda us: np.concatenate(([us[0] + 0.5 * us[1]], us[1:]))), True, False),
     # disc of row 1 is 7 +- 14: full rank, but only the spectrum shows it
-    "p7-u0+2u1": (lambda: _p7_members(lambda us: (us[0] + 2 * us[1],) + us[1:]), False, False),
-    "p7-duplicate": (lambda: _p7_members(lambda us: us + us[:1]), False, False),
+    "p7-u0+2u1": (lambda: _p7_members(lambda us: np.concatenate(([us[0] + 2 * us[1]], us[1:]))), False, False),
+    "p7-duplicate": (lambda: _p7_members(lambda us: np.concatenate((us, us[:1]))), False, False),
     "p7-nonsymmetric": (
-        lambda: _p7_members(lambda us: (us[0] @ np.diag(np.exp(1j * np.arange(7))),) + us[1:]),
+        lambda: _p7_members(
+            lambda us: np.concatenate(([us[0] @ np.diag(np.exp(1j * np.arange(7)))], us[1:]))
+        ),
         False,
         False,
     ),
@@ -294,6 +303,96 @@ def test_span_rank_proof_matches_the_spectrum(name, monkeypatch):
     assert cert.span_rank == numerical_rank(uf.unitaries)
     assert cert == replace(cert, **expected)
     assert cert.unextendible_verdict == verdict
+
+
+# every way a family is built or loaded; each must hold read-only stacks
+STACKED_FAMILIES = {
+    "residue": lambda: p7_unitaries(),
+    "dual": lambda: build_unitaries(dual_family(p7_unitaries().source), compute_phase(7, 3)),
+    "icosahedron": lambda: build_unitaries(icosahedron_lines(), compute_phase(3, 1)),
+    "json": lambda: unitary_family_from_json(
+        json.loads(json.dumps(unitary_family_to_json(p7_unitaries())))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", STACKED_FAMILIES)
+def test_member_stacks_are_read_only(name):
+    uf = STACKED_FAMILIES[name]()
+    fam = uf.source
+    assert uf.unitaries.shape == (len(uf), uf.d, uf.d) and uf.unitaries.dtype == complex
+    # real by contract, also after a JSON round trip
+    assert fam.projections.shape == (len(fam), fam.d, fam.d) and fam.projections.dtype == float
+    with pytest.raises(ValueError):
+        uf.unitaries[0, 0, 0] = 1
+    with pytest.raises(ValueError):
+        fam.projections[0, 0, 0] = 1
+    with pytest.raises(ValueError):
+        uf.gram[0, 0] = 1
+    assert certify_umeb(uf).unextendible_verdict
+
+
+def _callers_arrays(stack):
+    """(members, mutate) pairs: a writable stack, a read-only view of writable
+    memory and a list of writable matrices, each with a write into it."""
+    writable = np.array(stack)
+    view = np.array(stack).view()
+    view.flags.writeable = False
+    listed = [m.copy() for m in stack]
+    return [
+        (writable, lambda: writable.__setitem__((0, 0, 1), 5.0)),
+        (view, lambda: view.base.__setitem__((0, 0, 1), 5.0)),
+        (listed, lambda: listed[0].__setitem__((0, 1), 5.0)),
+    ]
+
+
+def test_families_keep_their_own_copy_of_the_callers_arrays():
+    uf = p7_unitaries()
+    expected = certify_umeb(uf)
+    for members, mutate in _callers_arrays(uf.unitaries):
+        mine = UnitaryFamily(d=7, z=uf.z, unitaries=members)
+        assert certify_umeb(mine) == expected
+        mutate()
+        assert np.array_equal(mine.unitaries, uf.unitaries)
+        assert certify_umeb(mine) == expected
+    fam = uf.source
+    expected = verify_equiangular(fam)
+    for members, mutate in _callers_arrays(fam.projections):
+        mine = replace(fam, projections=members)
+        mutate()
+        assert np.array_equal(mine.projections, fam.projections)
+        assert verify_equiangular(mine) == expected
+
+
+def test_gram_is_cached_and_is_the_gram_of_the_stack():
+    uf = _residue_unitaries(23)
+    assert uf.gram is uf.gram
+    assert np.array_equal(uf.gram, gram_matrix(uf.unitaries))
+    assert uf.asymmetry == (0.0, 0.0)  # built families are exactly symmetric
+
+
+def test_families_reject_members_of_the_wrong_shape():
+    uf = p7_unitaries()
+    for members in (uf.unitaries[:, :6, :6], uf.unitaries[0], []):
+        with pytest.raises(ShapeMismatch):
+            UnitaryFamily(d=7, z=uf.z, unitaries=members)
+    with pytest.raises(ShapeMismatch):
+        replace(uf.source, projections=uf.source.projections[:, :, :6])
+
+
+def test_certify_checks_the_last_member_chunk():
+    # 276 members at p=23 span two unitarity and symmetry chunks
+    uf = _residue_unitaries(23)
+    assert len(uf) > umeb._MEMBER_CHUNK and certify_umeb(uf).unextendible_verdict
+    last = uf.unitaries[-1]
+    scaled = UnitaryFamily(d=23, z=uf.z, unitaries=np.concatenate((uf.unitaries[:-1], [2 * last])))
+    assert abs(certify_umeb(scaled).max_unitarity_dev - 3.0) < 1e-12
+    skewed = np.array(uf.unitaries)
+    skewed[-1, 0, 1] += 1e-6
+    skewed = UnitaryFamily(d=23, z=uf.z, unitaries=skewed)
+    assert skewed.asymmetry[0] == pytest.approx(1e-6, rel=1e-6)
+    assert skewed.asymmetry[1] == pytest.approx(2e-12, rel=1e-5)
+    assert not certify_umeb(skewed).symmetric_span
 
 
 def test_cj_states_p7():
