@@ -14,14 +14,15 @@ certificate also uses: |W^(1/2) G W^(1/2) - (2/(d+1)) I_n|_F, an exact
 identity (the vec(U_j) lie in the n-dimensional symmetric subspace, where
 the target is (2/(d+1)) times the identity, and F W F* and W^(1/2) F* F W^(1/2)
 have the same spectrum).  Otherwise it sums the squared distance over the
-row blocks (w o F[:, rows])^T @ conj(F), F the rows vec(U_j), subtracting
+d-row blocks (w o F[:, rows])^T @ conj(F), F the rows vec(U_j), subtracting
 the target in place at its identity and SWAP entries; C_mix is Hermitian,
 so each block starts at the diagonal block and the blocks right of it count
 twice, and no d^2 x d^2 matrix is formed.  (b) The random-input check
 applies the mixture to the seeded inputs, a batch per call, through
 apply_decomposition, which works on the (d, d) matrices themselves in
-chunks of members, and compares each output with wh_plus_apply.  It reads
-neither the Gram nor vec(U), so it stays independent of (a).
+blocks of members, and compares each output with wh_plus_apply.  It reads
+neither the Gram nor vec(U), so it stays independent of (a).  Every pass
+but the d-row blocks sizes its blocks from matcore's one byte budget.
 """
 
 from __future__ import annotations
@@ -34,17 +35,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NotCertified, NotSquare, OutOfRange, ShapeMismatch
-from .matcore import DEFAULT_TOL, Tolerance
-from .umeb import UnitaryFamily, _row_blocks, _span
+from .matcore import DEFAULT_TOL, Tolerance, _blocks
+from .umeb import UnitaryFamily, _span
 
 Channel = Callable[[np.ndarray], np.ndarray]
-
-# entries of the U_j x intermediate per apply_decomposition chunk (16 MiB);
-# larger chunks measured slower at d=47
-_APPLY_CHUNK = 1 << 20
-# random inputs per apply_decomposition call in verify_decomposition, so that
-# its memory does not grow with the number of trials
-_TRIAL_BATCH = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,10 +125,11 @@ def _weights(dec: MixedUnitaryDecomposition) -> np.ndarray:
 def apply_decomposition(dec: MixedUnitaryDecomposition, x: np.ndarray) -> np.ndarray:
     """sum_j weights[j] U_j x U_j*, for one (d, d) input or a (T, d, d) stack.
 
-    Members go in chunks of m, each two matmuls: the chunk's U_j times all
-    inputs side by side, rearranged so that row (s, i) holds (U_j x_s)[i, :]
-    for every j of the chunk, times the stacked w_j U_j*.  m keeps that
-    intermediate at _APPLY_CHUNK entries or fewer (at least one member).
+    Members go in blocks, each two matmuls: the block's U_j times all inputs
+    side by side, rearranged so that row (s, i) holds (U_j x_s)[i, :] for
+    every j of the block, times the stacked w_j U_j*.  One member's share of
+    that intermediate is the size of the inputs, so matcore's block budget
+    bounds the intermediate (at least one member per block).
     """
     d = dec.unitaries.d
     xs = np.asarray(x, dtype=complex)
@@ -144,13 +139,12 @@ def apply_decomposition(dec: MixedUnitaryDecomposition, x: np.ndarray) -> np.nda
     x_side = xs.reshape(t, d, d).transpose(1, 0, 2).reshape(d, t * d)
     w = _weights(dec)
     us = dec.unitaries.unitaries
-    m = max(1, _APPLY_CHUNK // max(1, t * d * d))
     out = np.zeros((t * d, d), dtype=complex)
-    for j in range(0, len(us), m):
-        u = us[j : j + m]
+    for members in _blocks(len(us), x_side.nbytes):
+        u = us[members]
         k = len(u)
         ux = (u.reshape(k * d, d) @ x_side).reshape(k, d, t, d).transpose(2, 1, 0, 3)
-        wu = (w[j : j + k, None, None] * u.conj().transpose(0, 2, 1)).reshape(k * d, d)
+        wu = (w[members, None, None] * u.conj().transpose(0, 2, 1)).reshape(k * d, d)
         out += np.ascontiguousarray(ux).reshape(t * d, k * d) @ wu
     return out.reshape(xs.shape)
 
@@ -167,9 +161,10 @@ def _choi_dev_from_gram(w: np.ndarray, uf: UnitaryFamily) -> float:
     n = d(d+1)/2 members are exactly symmetric and the weights are >= 0."""
     s = np.sqrt(w)
     sq = 0.0
-    for rows, on_diag in _row_blocks(len(uf)):
+    for rows in _blocks(len(uf), len(uf) * uf.gram.itemsize):
         dev = s[rows, None] * uf.gram[rows] * s
-        dev[on_diag] -= 2 / (uf.d + 1)
+        block = dev[:, rows]
+        np.fill_diagonal(block, block.diagonal() - 2 / (uf.d + 1))
         sq += float(np.vdot(dev, dev).real)
     return math.sqrt(sq)
 
@@ -229,8 +224,8 @@ def verify_decomposition(
 
     apply_dev_max = 0.0
     apply_ok = True
-    for first in range(0, trials, _TRIAL_BATCH):
-        xs = [random_hermitian(d, seed + t) for t in range(first, min(trials, first + _TRIAL_BATCH))]
+    for batch in _blocks(trials, 16 * d * d):  # one complex (d, d) input per trial
+        xs = [random_hermitian(d, seed + t) for t in range(batch.start, batch.stop)]
         mixed = apply_decomposition(dec, np.asarray(xs))
         for x, y in zip(xs, mixed):
             dev = float(np.max(np.abs(y - wh_plus_apply(x, d))))

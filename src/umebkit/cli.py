@@ -325,8 +325,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(sub) -> None:
-    sub.add_argument("--eps", type=float, default=None, help="entrywise tolerance (default 1e-9 or $UMEB_TOL)")
-    sub.add_argument("--rank-eps", type=float, default=DEFAULT_RANK_EPS, help="relative rank threshold")
+    sub.add_argument("--eps", type=float, default=None, help="entrywise tolerance in (0, 1), default 1e-9 or $UMEB_TOL")
+    sub.add_argument("--rank-eps", type=float, default=DEFAULT_RANK_EPS, help="relative rank threshold in (0, 1)")
     sub.add_argument("--format", choices=("json", "text"), default="text")
     sub.add_argument("--no-timestamp", action="store_true", help="omit generated_at from reports")
 

@@ -17,15 +17,19 @@ from .errors import MalformedArtifact, NotSquare, OutOfRange, ShapeMismatch
 
 DEFAULT_EPS = 1e-9
 DEFAULT_RANK_EPS = 1e-7
-# members per row block of a complex gram_matrix: as fast as one product at
-# p=47 and p=79, and the conjugated block stays at 18-51 MB instead of the
-# whole stack
-_GRAM_ROWS = 512
+# bytes per block of every chunked pass in the package: one budget, so the
+# temporaries of a pass stay near 8 MiB however large the family grows
+_BLOCK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numerical thresholds: eps for entrywise checks, rank_eps for spectra."""
+    """Numerical thresholds: eps for entrywise checks, rank_eps for spectra.
+
+    Both lie strictly between 0 and 1.  An eps of 1 or more passes a deviation
+    as large as a unitary's entries, and a relative rank threshold of 1 or
+    more counts no eigenvalue, so either would make every check vacuous.
+    """
 
     eps: float = DEFAULT_EPS
     rank_eps: float = DEFAULT_RANK_EPS
@@ -33,11 +37,18 @@ class Tolerance:
     def __post_init__(self):
         for name in ("eps", "rank_eps"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise OutOfRange(f"tolerance {name} must be finite and > 0, got {value}")
+            if not 0 < value < 1:
+                raise OutOfRange(f"tolerance {name} must be > 0 and < 1, got {value}")
 
 
 DEFAULT_TOL = Tolerance()
+
+
+def _blocks(n: int, item_bytes: int):
+    """Slices of range(n) with at most _BLOCK_BYTES // item_bytes items each, and at least one."""
+    step = max(1, _BLOCK_BYTES // max(1, item_bytes))
+    for start in range(0, n, step):
+        yield slice(start, min(n, start + step))
 
 
 def frobenius_inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -55,8 +66,9 @@ def gram_matrix(mats: list[np.ndarray] | np.ndarray) -> np.ndarray:
     A stacked array is used without a copy; real input gives a real Gram.
     Real input is one product of the stack with its own transpose, which
     numpy computes as a symmetric rank-k update at half the cost.  Complex
-    input needs conjugated members, so its rows are computed _GRAM_ROWS
-    members at a time and only that many conjugated members exist at once.
+    input needs conjugated members, so its rows are computed in blocks of
+    _BLOCK_BYTES of Gram rows, and only that block's members exist conjugated
+    at once.
     """
     stack = np.asarray(mats)
     if stack.ndim < 2:
@@ -66,8 +78,7 @@ def gram_matrix(mats: list[np.ndarray] | np.ndarray) -> np.ndarray:
     if not np.iscomplexobj(flat):
         return flat @ flat.T
     gram = np.empty((n, n), dtype=flat.dtype)
-    for start in range(0, n, _GRAM_ROWS):
-        rows = slice(start, start + _GRAM_ROWS)
+    for rows in _blocks(n, n * gram.itemsize):
         np.matmul(flat[rows].conj(), flat.T, out=gram[rows])
     return gram
 

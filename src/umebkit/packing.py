@@ -26,6 +26,7 @@ from .hadamard import HadamardMatrix
 from .matcore import (
     DEFAULT_TOL,
     Tolerance,
+    _blocks,
     gram_matrix,
     matrix_to_json,
     read_only_stack,
@@ -166,19 +167,15 @@ def build_residue_family(prime: UmebPrime, h: HadamardMatrix) -> ProjectionFamil
     )
 
 
-# members per idempotency chunk: bounds the chunk @ chunk temporary to 12.8 MB at p=79
-_IDEMPOTENCY_CHUNK = 256
-
-
 def verify_equiangular(
     family: ProjectionFamily, tol: Tolerance = DEFAULT_TOL
 ) -> EquiangularReport:
     """Check pairwise traces, idempotency and trace-rank of every member.
 
     The pairwise traces come from one Gram, its diagonal zeroed in place.
-    Idempotency is checked as chunk @ chunk - chunk over fixed-size chunks of
-    members, so no temporary has the size of the whole family; the chunk
-    maxima are combined with np.max, which keeps a NaN.
+    Idempotency is checked as chunk @ chunk - chunk over blocks of members
+    sized by matcore's byte budget, so no temporary has the size of the whole
+    family; the block maxima are combined with np.max, which keeps a NaN.
     """
     stack = family.projections
     n = len(stack)
@@ -189,8 +186,8 @@ def verify_equiangular(
     angle_devs.flat[:: n + 1] = 0.0
     max_angle_dev = float(np.max(angle_devs))
     chunk_devs = []
-    for start in range(0, n, _IDEMPOTENCY_CHUNK):
-        chunk = stack[start : start + _IDEMPOTENCY_CHUNK]
+    for members in _blocks(n, family.d * family.d * stack.itemsize):
+        chunk = stack[members]
         dev = chunk @ chunk
         dev -= chunk
         chunk_devs.append(np.max(np.abs(dev, out=dev)))

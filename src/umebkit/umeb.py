@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import Infeasible, RankOutOfRange
-from .matcore import DEFAULT_TOL, Tolerance, gram_matrix, read_only_stack
+from .matcore import DEFAULT_TOL, Tolerance, _blocks, gram_matrix, read_only_stack
 from .packing import ProjectionFamily
 
 
@@ -32,22 +32,6 @@ class FeasibilityReport:
     re_z: Fraction
     feasible: bool
     allowed_d_for_r: frozenset[int]
-
-
-# members per chunk of the unitarity and symmetry passes: bounds each
-# temporary to 256 complex (d, d) matrices (25.6 MB at d=79)
-_MEMBER_CHUNK = 256
-# Gram entries per row block of the O(n^2) passes over the Gram (16 MiB complex)
-_GRAM_BLOCK = 1 << 20
-
-
-def _row_blocks(n: int):
-    """Row blocks of an n x n matrix with at most _GRAM_BLOCK entries each, as
-    (rows, on_diag): the row slice and the index of its diagonal entries in the block."""
-    step = max(1, _GRAM_BLOCK // n)
-    for start in range(0, n, step):
-        stop = min(n, start + step)
-        yield slice(start, stop), (np.arange(stop - start), np.arange(start, stop))
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,10 +65,10 @@ class UnitaryFamily:
 
     @cached_property
     def asymmetry(self) -> tuple[float, float]:
-        """(max |U - U^T|, sum |U - U^T|^2) entrywise over all members, in member chunks."""
+        """(max |U - U^T|, sum |U - U^T|^2) entrywise over all members, in member blocks."""
         worst, sq = [], 0.0
-        for start in range(0, len(self), _MEMBER_CHUNK):
-            chunk = self.unitaries[start : start + _MEMBER_CHUNK]
+        for members in _blocks(len(self), self.d * self.d * self.unitaries.itemsize):
+            chunk = self.unitaries[members]
             dev = np.abs(chunk - chunk.transpose(0, 2, 1))
             worst.append(np.max(dev))
             sq += float(np.vdot(dev, dev))
@@ -184,9 +168,9 @@ def _span(uf: UnitaryFamily, tol: Tolerance) -> _Span:
     gram = uf.gram
     radii = np.empty(n)
     max_off = []
-    for rows, on_diag in _row_blocks(n):
+    for rows in _blocks(n, n * gram.itemsize):
         off = np.abs(gram[rows])
-        off[on_diag] = 0.0
+        np.fill_diagonal(off[:, rows], 0.0)
         radii[rows] = off.sum(axis=1)
         max_off.append(np.max(off))
     diag = gram.diagonal().real
@@ -208,8 +192,8 @@ def certify_umeb(uf: UnitaryFamily, tol: Tolerance = DEFAULT_TOL) -> UmebCertifi
 
     eye = np.eye(d)
     unitarity_devs = []
-    for start in range(0, n, _MEMBER_CHUNK):
-        chunk = uf.unitaries[start : start + _MEMBER_CHUNK]
+    for members in _blocks(n, d * d * uf.unitaries.itemsize):
+        chunk = uf.unitaries[members]
         dev = chunk.conj().transpose(0, 2, 1) @ chunk
         dev -= eye
         unitarity_devs.append(np.max(np.abs(dev)))
@@ -220,15 +204,11 @@ def certify_umeb(uf: UnitaryFamily, tol: Tolerance = DEFAULT_TOL) -> UmebCertifi
     # for antisymmetric A, tr(U_i* A) = tr(anti(U_i)* A) with anti(U) = (U - U^T)/2,
     # so a unit A projects onto span{U_i} with squared norm at most
     # sum_i |anti(U_i)|_F^2 / lam, lam bounding the eigenvalues counted in span_rank
-    # eps * eps, not eps**2: a float power raises OverflowError where a product gives inf
     complement_antisymmetric = uf.asymmetry[1] / 4 <= tol.eps * tol.eps * span.lam
 
-    cj_devs = []
-    for rows, on_diag in _row_blocks(n):
-        dev = uf.gram[rows] / d
-        dev[on_diag] -= 1.0
-        cj_devs.append(np.max(np.abs(dev)))
-    cj_orthonormality_dev = float(np.max(cj_devs))
+    # max |G/d - I| off the diagonal is the span pass's max |G_ij| over d
+    diag_dev = np.max(np.abs(uf.gram.diagonal() / d - 1.0))
+    cj_orthonormality_dev = float(np.maximum(span.max_off_gram / d, diag_dev))
 
     d_odd = d % 2 == 1
     unextendible_verdict = (

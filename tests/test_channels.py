@@ -1,10 +1,11 @@
 import math
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from umebkit import channels, umeb
+from umebkit import channels, matcore
 from umebkit.channels import (
     MixedUnitaryDecomposition,
     apply_decomposition,
@@ -21,7 +22,7 @@ from umebkit.errors import NotCertified, NotSquare, OutOfRange, ShapeMismatch
 from umebkit.hadamard import construct
 from umebkit.matcore import cj_vectorize
 from umebkit.numth import validate_prime
-from umebkit.packing import build_residue_family, icosahedron_lines
+from umebkit.packing import build_residue_family, icosahedron_lines, verify_equiangular
 from umebkit.umeb import UnitaryFamily, build_unitaries, certify_umeb, compute_phase
 
 EPS = 1e-9
@@ -219,8 +220,8 @@ def test_apply_decomposition_stack_is_the_per_input_sum(p23_decomposition):
     dec = p23_decomposition
     xs = np.array([random_hermitian(23, seed=900 + t) for t in range(20)])
     xs[3] = xs[3] @ xs[5]  # one input that is not Hermitian
-    m = channels._APPLY_CHUNK // (len(xs) * 23 * 23)  # members per chunk
-    assert m < len(dec.weights) and len(dec.weights) % m  # ends in a partial chunk
+    m = matcore._BLOCK_BYTES // xs.nbytes  # members per block
+    assert m < len(dec.weights) and len(dec.weights) % m  # ends in a partial block
     out = apply_decomposition(dec, xs)
     assert out.shape == xs.shape
     for x, y in zip(xs, out):
@@ -245,7 +246,8 @@ def test_verify_decomposition_fails_on_the_last_weight(p23_decomposition):
     assert rep.choi_dev == pytest.approx(np.linalg.norm(choi - target), rel=1e-9)
 
 
-def test_verify_decomposition_checks_the_last_batch_of_trials():
+def test_verify_decomposition_checks_the_last_batch_of_trials(monkeypatch):
+    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 64 * 16 * 3 * 3)  # 64 complex 3 x 3 inputs
     uf = build_unitaries(icosahedron_lines(), compute_phase(3, 1))
     w = np.full(6, 1 / 6)
     w[0] += 0.05
@@ -257,7 +259,7 @@ def test_verify_decomposition_checks_the_last_batch_of_trials():
         return np.max(np.abs(loop - wh_plus_apply(x, 3)))
 
     devs = [dev(s) for s in range(400)]
-    batch = channels._TRIAL_BATCH
+    batch = matcore._BLOCK_BYTES // (16 * 3 * 3)
     # a seed whose last input, alone in the second batch, deviates most
     seed = next(s for s in range(400 - batch) if devs[s + batch] > max(devs[s : s + batch]))
     rep = verify_decomposition(bad, trials=batch + 1, seed=seed)
@@ -355,8 +357,8 @@ def test_choi_check_falls_back_to_the_blocks(build, monkeypatch):
 
 
 def test_gram_passes_cover_the_last_row_block(p23_decomposition, monkeypatch):
-    # blocks of 100 Gram rows: 100 + 100 + 76 for the 276 members at p=23
-    monkeypatch.setattr(umeb, "_GRAM_BLOCK", 100 * 276)
+    # blocks of 100 complex Gram rows: 100 + 100 + 76 for the 276 members at p=23
+    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 100 * 276 * 16)
     uf = p23_decomposition.unitaries
     w = np.array(p23_decomposition.weights)
     w[-1] *= 1.5
@@ -366,3 +368,30 @@ def test_gram_passes_cover_the_last_row_block(p23_decomposition, monkeypatch):
     longer = np.concatenate((uf.unitaries[:-1], [uf.unitaries[-1] * (1 + 1e-6)]))
     cert = certify_umeb(UnitaryFamily(d=23, z=uf.z, unitaries=longer))
     assert cert.cj_orthonormality_dev == pytest.approx(2e-6, rel=1e-5)
+    # the last two members mixed show only off the diagonal of the last row block
+    mixed = np.array(uf.unitaries)
+    mixed[-1] += 1e-3 * mixed[-2]
+    cert = certify_umeb(UnitaryFamily(d=23, z=uf.z, unitaries=mixed))
+    assert cert.max_orthogonality_dev == pytest.approx(1e-3 * 23, rel=1e-9)
+    assert cert.cj_orthonormality_dev == pytest.approx(1e-3, rel=1e-9)
+
+
+def _all_reports(p):
+    uf = _unitaries(p)
+    reports = verify_equiangular(uf.source), certify_umeb(uf), verify_decomposition(umeb_decomposition(uf))
+    return [asdict(report) for report in reports]
+
+
+@pytest.mark.parametrize("p", [3, 7, 23])  # 3: the icosahedron
+def test_reports_do_not_depend_on_the_block_budget(p, monkeypatch):
+    default = _all_reports(p)
+    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 1)  # one item per block in every pass
+    # a raw trace of d x d matrices rounds at d times the scale of the other deviations
+    scale = {"max_orthogonality_dev": p}
+    for by_default, by_item in zip(default, _all_reports(p), strict=True):
+        assert by_default.keys() == by_item.keys()
+        for field, value in by_default.items():
+            if isinstance(value, float):
+                assert abs(by_item[field] - value) <= 1e-15 * scale.get(field, 1), field
+            else:
+                assert by_item[field] == value, field

@@ -264,6 +264,11 @@ def _one_error_line(capsys):
         pytest.param(["umeb", "--p", "7", "--rank-eps", "0"], None, id="rank-eps-zero"),
         pytest.param(["umeb", "--p", "7"], "abc", id="env-not-a-number"),
         pytest.param(["wh-check", "--p", "7", "--eps", "nan"], None, id="eps-nan"),
+        # a tolerance of 1 or more would make every check vacuous
+        pytest.param(["umeb", "--p", "7", "--eps", "1e300"], None, id="eps-huge"),
+        pytest.param(["umeb", "--p", "7", "--eps", "1"], None, id="eps-one"),
+        pytest.param(["wh-check", "--p", "7", "--rank-eps", "1"], None, id="rank-eps-one"),
+        pytest.param(["umeb", "--p", "7"], "1e300", id="env-huge"),
     ],
 )
 def test_bad_tolerance_is_rejected(argv, env, monkeypatch, capsys):
@@ -273,19 +278,14 @@ def test_bad_tolerance_is_rejected(argv, env, monkeypatch, capsys):
     assert "tol" in _one_error_line(capsys).lower()
 
 
-def test_huge_finite_tolerance_ends_in_a_verdict(capsys):
-    # eps**2 overflowed to an OverflowError traceback
-    assert run(["umeb", "--p", "7", "--eps", "1e300"]) == 0
-    assert capsys.readouterr().err == ""
-
-
 def test_infinite_tolerance_cannot_pass_a_bad_artifact(p7_artifacts, tmp_path, capsys):
     obj = json.loads(p7_artifacts["unitary"].read_text())
     obj["unitaries"][0]["data"][0][0] = 5.0
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
     capsys.readouterr()
-    assert run(["verify", "--in", str(bad), "--eps", "inf"]) == 1
-    assert "tol" in _one_error_line(capsys).lower()
+    for eps in ("inf", "1e300"):
+        assert run(["verify", "--in", str(bad), "--eps", eps]) == 1
+        assert "tol" in _one_error_line(capsys).lower()
     assert run(["verify", "--in", str(bad)]) == 1  # the finite default rejects it too
     assert "disagree" in _one_error_line(capsys)

@@ -188,7 +188,8 @@ def test_gram_matrix_row_blocks_match_one_product(monkeypatch):
     rng = np.random.default_rng(29)
     complex_stack = rng.standard_normal((10, 4, 4)) + 1j * rng.standard_normal((10, 4, 4))
     real_stack = rng.standard_normal((10, 4, 4))
-    monkeypatch.setattr(matcore, "_GRAM_ROWS", 3)  # blocks of 3, 3, 3 and 1 rows
+    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 3 * 10 * 16)  # three complex Gram rows
+    assert [rows.stop - rows.start for rows in matcore._blocks(10, 10 * 16)] == [3, 3, 3, 1]
     for stack in (complex_stack, real_stack):
         flat = stack.reshape(10, 16)
         g = gram_matrix(stack)
@@ -252,8 +253,24 @@ def test_tolerance_validation():
         Tolerance(rank_eps=-1.0)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1.0, 0.0])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1.0, 0.0, 1.0, 1e300])
 def test_tolerance_must_be_finite_and_positive(value):
     for field in ("eps", "rank_eps"):
         with pytest.raises(OutOfRange, match=field):
             Tolerance(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "n, per_block, sizes",
+    [
+        (0, 4, []),
+        (3, 4, [3]),  # fewer items than one block holds
+        (12, 4, [4, 4, 4]),  # an exact multiple
+        (10, 4, [4, 4, 2]),  # a partial last block
+        (3, 0.5, [1, 1, 1]),  # an item larger than the whole budget
+    ],
+)
+def test_blocks_split_range_by_the_byte_budget(n, per_block, sizes):
+    blocks = list(matcore._blocks(n, int(matcore._BLOCK_BYTES / per_block)))
+    assert [rows.stop - rows.start for rows in blocks] == sizes
+    assert [i for rows in blocks for i in range(n)[rows]] == list(range(n))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from umebkit import matcore
 from umebkit.errors import (
     HadamardOrderMismatch,
     IndexOutOfRange,
@@ -300,10 +301,12 @@ def _with_last_member(fam, last):
     return replace(fam, projections=np.concatenate((fam.projections[:-1], [last])))
 
 
-def test_verify_equiangular_checks_the_last_chunk():
-    # 276 members at p=23 span more than one idempotency chunk
+def test_verify_equiangular_checks_the_last_chunk(monkeypatch):
+    # blocks of 100 real 23 x 23 members: 100 + 100 + 76 idempotency blocks
+    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 100 * 23 * 23 * 8)
     fam = build_residue_family(validate_prime(23), construct(12))
-    assert verify_equiangular(fam).passed
+    per_block = matcore._BLOCK_BYTES // (23 * 23 * fam.projections.itemsize)
+    assert per_block < len(fam) and len(fam) % per_block and verify_equiangular(fam).passed
 
     poisoned = fam.projections[-1].copy()
     poisoned[0, 1] = np.nan

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from umebkit import umeb
+from umebkit import matcore
 from umebkit.cli import unitary_family_from_json, unitary_family_to_json
 from umebkit.errors import Infeasible, RankOutOfRange, ShapeMismatch
 from umebkit.hadamard import construct
@@ -380,10 +380,12 @@ def test_families_reject_members_of_the_wrong_shape():
         replace(uf.source, projections=uf.source.projections[:, :, :6])
 
 
-def test_certify_checks_the_last_member_chunk():
-    # 276 members at p=23 span two unitarity and symmetry chunks
+def test_certify_checks_the_last_member_chunk(monkeypatch):
+    # blocks of 100 complex 23 x 23 members: 100 + 100 + 76 unitarity and symmetry blocks
+    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 100 * 23 * 23 * 16)
     uf = _residue_unitaries(23)
-    assert len(uf) > umeb._MEMBER_CHUNK and certify_umeb(uf).unextendible_verdict
+    per_block = matcore._BLOCK_BYTES // (23 * 23 * uf.unitaries.itemsize)
+    assert per_block < len(uf) and len(uf) % per_block and certify_umeb(uf).unextendible_verdict
     last = uf.unitaries[-1]
     scaled = UnitaryFamily(d=23, z=uf.z, unitaries=np.concatenate((uf.unitaries[:-1], [2 * last])))
     assert abs(certify_umeb(scaled).max_unitarity_dev - 3.0) < 1e-12
@@ -393,6 +395,22 @@ def test_certify_checks_the_last_member_chunk():
     assert skewed.asymmetry[0] == pytest.approx(1e-6, rel=1e-6)
     assert skewed.asymmetry[1] == pytest.approx(2e-12, rel=1e-5)
     assert not certify_umeb(skewed).symmetric_span
+
+
+@pytest.mark.parametrize("off_diagonal", [True, False], ids=["two-members-mixed", "one-member-scaled"])
+def test_cj_orthonormality_dev_is_the_full_max_of_g_over_d_minus_i(off_diagonal):
+    uf = p7_unitaries()
+    members = np.array(uf.unitaries)
+    if off_diagonal:
+        members[1] += 1e-3 * members[0]
+    else:
+        members[0] *= 1 + 1e-3
+    flat = members.reshape(len(uf), -1)
+    dev = np.abs(flat.conj() @ flat.T / 7 - np.eye(len(uf)))
+    off = np.max(dev - np.diag(np.diag(dev)))
+    assert (off > np.max(np.diag(dev))) == off_diagonal
+    cert = certify_umeb(UnitaryFamily(d=7, z=uf.z, unitaries=members))
+    assert cert.cj_orthonormality_dev == pytest.approx(np.max(dev), rel=1e-15)
 
 
 def test_cj_states_p7():
