@@ -9,6 +9,7 @@ unitary is a unit vector in C^(d^2).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,52 +146,57 @@ def is_unitary(u: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float
     return dev <= tol.eps, dev
 
 
-def matrix_to_json(m: np.ndarray) -> dict:
-    """Row-major {"rows", "cols", "data": [[re, im], ...]} encoding."""
-    m = np.asarray(m, dtype=complex)
-    return {
-        "rows": m.shape[0],
-        "cols": m.shape[1],
-        "data": np.stack((m.real, m.imag), -1).reshape(-1, 2).tolist(),
-    }
+def json_int(value, what: str) -> int:
+    """value itself if it is a JSON integer; MalformedArtifact otherwise (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MalformedArtifact(f"{what} must be an integer, got {type(value).__name__}")
+    return value
 
 
-def matrix_from_json(obj: dict) -> np.ndarray:
-    """Bit-exact inverse of matrix_to_json, signed zeros included.
+def json_number(value, what: str) -> float:
+    """value as a float if it is a finite JSON number; MalformedArtifact otherwise (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise MalformedArtifact(f"{what} must be a finite number, got {value!r:.40}")
+    return float(value)
 
-    ShapeMismatch unless rows and cols are sizes and data is rows*cols pairs
-    of JSON numbers; MalformedArtifact if one of them is NaN or infinite.
+
+def stack_to_json(stack: np.ndarray) -> dict:
+    """{"shape": [n, d, d], "re": [...], "im": [...]}: the entries in C order, "im" only for a complex stack."""
+    obj = {"shape": list(stack.shape), "re": stack.real.ravel().tolist()}
+    if np.iscomplexobj(stack):
+        obj["im"] = stack.imag.ravel().tolist()
+    return obj
+
+
+def stack_from_json(obj: dict, d: int) -> np.ndarray:
+    """Bit-exact inverse of stack_to_json for n >= 1 members of size d x d, signed zeros included.
+
+    ShapeMismatch unless shape is [n, d, d] with n, d >= 1 and "re", and "im"
+    if present, are flat lists of n*d*d JSON numbers, which is checked before
+    the stack is allocated; MalformedArtifact if an entry is NaN or infinite.
+    The stack is read-only, complex when "im" is present and float otherwise.
     """
     try:
-        shape = (int(obj["rows"]), int(obj["cols"]))
-        data = np.array(obj["data"])
-    except (TypeError, ValueError, ArithmeticError) as exc:  # ValueError: ragged data
-        raise ShapeMismatch(f"malformed matrix: {exc}") from None
-    if min(shape) < 0 or data.shape != (shape[0] * shape[1], 2) or data.dtype.kind not in "iuf":
+        shape = tuple(json_int(n, "stack shape") for n in obj["shape"])
+        parts = [obj["re"], obj["im"]] if "im" in obj else [obj["re"]]
+    except TypeError as exc:
+        raise MalformedArtifact(f"malformed stack: {exc}") from None
+    if len(shape) != 3 or min(shape) < 1 or shape[1:] != (d, d):
+        raise ShapeMismatch(f"stack of shape {list(shape)} is not one or more {d}x{d} matrices")
+    try:
+        data = np.array(parts)
+    except (ValueError, ArithmeticError) as exc:  # ValueError: ragged entries
+        raise ShapeMismatch(f"malformed stack entries: {exc}") from None
+    if data.shape != (len(parts), math.prod(shape)) or data.dtype.kind not in "iuf":
         raise ShapeMismatch(
-            f"matrix data of shape {data.shape} and dtype {data.dtype} "
-            f"is not {shape[0]}*{shape[1]} [re, im] pairs"
+            f"stack parts of shape {data.shape} and dtype {data.dtype} "
+            f"are not flat lists of {math.prod(shape)} numbers"
         )
     if not np.isfinite(data).all():
-        raise MalformedArtifact("matrix data has a NaN or infinite entry")
-    return data.astype(float).view(complex).reshape(shape)
-
-
-def stack_from_json(entries: list, d: int) -> np.ndarray:
-    """Decode matrix_to_json objects into one preallocated (n, d, d) complex stack.
-
-    ShapeMismatch unless there is at least one entry and every entry is d x d;
-    the first entry is decoded before the stack is allocated, so its size
-    comes from the data and not from d alone.
-    """
-    first = matrix_from_json(entries[0]) if entries else None
-    if first is None or first.shape != (d, d):
-        raise ShapeMismatch(f"need one or more {d}x{d} matrices")
-    stack = np.empty((len(entries), d, d), dtype=complex)
-    stack[0] = first
-    for i in range(1, len(entries)):
-        m = matrix_from_json(entries[i])
-        if m.shape != (d, d):
-            raise ShapeMismatch(f"matrix {i} has shape {m.shape}, need {d}x{d}")
-        stack[i] = m
+        raise MalformedArtifact("stack has a NaN or infinite entry")
+    stack = np.empty(shape, dtype=complex if len(parts) == 2 else float)
+    stack.real[...] = data[0].reshape(shape)
+    if len(parts) == 2:
+        stack.imag[...] = data[1].reshape(shape)
+    stack.flags.writeable = False
     return stack

@@ -21,6 +21,7 @@ from .errors import (
     MalformedArtifact,
     NotOrthogonal,
     RankOutOfRange,
+    ShapeMismatch,
 )
 from .hadamard import HadamardMatrix
 from .matcore import (
@@ -28,9 +29,11 @@ from .matcore import (
     Tolerance,
     _blocks,
     gram_matrix,
-    matrix_to_json,
+    json_int,
+    json_number,
     read_only_stack,
     stack_from_json,
+    stack_to_json,
 )
 from .numth import UmebPrime
 
@@ -56,6 +59,8 @@ class ProjectionFamily:
 
     def __post_init__(self):
         object.__setattr__(self, "projections", read_only_stack(self.projections, self.d))
+        if len(self.provenance) != len(self):
+            raise ShapeMismatch(f"{len(self.provenance)} provenance entries for {len(self)} projections")
 
     def __len__(self) -> int:
         return len(self.projections)
@@ -256,42 +261,38 @@ def identity_coefficient(d: int, r: int, beta: Fraction) -> Fraction:
 
 
 def family_to_json(family: ProjectionFamily) -> dict:
-    entries = []
-    for proj, prov in zip(family.projections, family.provenance):
-        t, shift = prov if prov is not None else (None, None)
-        entries.append({"t": t, "shift": shift, "matrix": matrix_to_json(proj)})
+    """The family's fields, its provenance as [t, shift] or null per member, its projections as one stack."""
     return {
         "d": family.d,
         "r": family.r,
         "beta_num": family.beta.numerator,
         "beta_den": family.beta.denominator,
         "C": family.scale,
-        "projections": entries,
+        "provenance": [None if prov is None else list(prov) for prov in family.provenance],
+        "projections": stack_to_json(family.projections),
     }
+
+
+def _provenance_from_json(prov) -> tuple[int, int] | None:
+    if prov is None:
+        return None
+    t, shift = prov
+    return json_int(t, "provenance t"), json_int(shift, "provenance shift")
 
 
 def family_from_json(obj: dict) -> ProjectionFamily:
     """Inverse of family_to_json; MalformedArtifact or ShapeMismatch on bad input."""
     try:
-        d, r = int(obj["d"]), int(obj["r"])
-        beta = Fraction(int(obj["beta_num"]), int(obj["beta_den"]))
-        scale = obj.get("C")
-        scale = None if scale is None else float(scale)
-        entries = obj["projections"]
-        provenance = tuple(
-            (int(e["t"]), int(e["shift"])) if e.get("t") is not None else None for e in entries
-        )
-    except (TypeError, ValueError, ArithmeticError, AttributeError) as exc:
+        d, r = json_int(obj["d"], "d"), json_int(obj["r"], "r")
+        beta = Fraction(json_int(obj["beta_num"], "beta_num"), json_int(obj["beta_den"], "beta_den"))
+        scale = None if obj["C"] is None else json_number(obj["C"], "C")
+        provenance = tuple(_provenance_from_json(prov) for prov in obj["provenance"])
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise MalformedArtifact(f"malformed family field: {exc}") from None
-    stack = stack_from_json([e["matrix"] for e in entries], d)
-    if not stack.imag.any():
-        # families are real by contract; keep the real part once that is exact
-        stack = np.ascontiguousarray(stack.real)
-    stack.flags.writeable = False
     return ProjectionFamily(
         d=d,
         r=r,
-        projections=stack,
+        projections=stack_from_json(obj["projections"], d),
         beta=beta,
         provenance=provenance,
         scale=scale,

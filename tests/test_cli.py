@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from umebkit.cli import main
+from umebkit.cli import main, unitary_family_from_json, unitary_family_to_json, write_json
 from umebkit.hadamard import hadamard_from_json
-from umebkit.matcore import Tolerance
+from umebkit.matcore import Tolerance, stack_to_json
 from umebkit.packing import family_from_json, verify_equiangular
+from umebkit.umeb import UnitaryFamily
 
 
 def run(argv):
@@ -23,7 +24,9 @@ def test_generate_p7(tmp_path, capsys):
     assert obj["d"] == 7
     assert obj["r"] == 3
     assert (obj["beta_num"], obj["beta_den"]) == (11, 9)
-    assert len(obj["projections"]) == 28
+    assert obj["projections"]["shape"] == [28, 7, 7]
+    assert "im" not in obj["projections"]
+    assert obj["provenance"][:2] == [[0, 0], [0, 1]] and len(obj["provenance"]) == 28
 
 
 def test_generate_round_trip_deviations_identical(tmp_path):
@@ -53,7 +56,8 @@ def test_umeb_p7_writes_certificate(tmp_path):
     assert "generated_at" not in cert
     uf = json.loads(out.read_text())
     assert uf["d"] == 7
-    assert len(uf["unitaries"]) == 28
+    assert "unitaries" not in uf  # rebuilt from the source family
+    assert uf["source"]["projections"]["shape"] == [28, 7, 7]
     assert uf["z"][0] == -31 / 32
 
 
@@ -157,6 +161,20 @@ def test_verify_rejects_invalid_json(tmp_path):
     assert run(["verify", "--in", str(path)]) == 1
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param(b"[" * 100000 + b"]" * 100000, id="deeply-nested"),
+        pytest.param(b'{"d": "\xff"}', id="not-utf8"),
+    ],
+)
+def test_verify_rejects_unreadable_json(tmp_path, capsys, content):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    assert run(["verify", "--in", str(path)]) == 1
+    assert "invalid JSON" in _one_error_line(capsys)
+
+
 def test_verify_rejects_missing_fields(tmp_path):
     path = tmp_path / "partial.json"
     path.write_text(json.dumps({"unitaries": []}))  # no "z", no "d"
@@ -181,11 +199,19 @@ def test_env_tolerance_override(monkeypatch):
 
 @pytest.fixture(scope="module")
 def p7_artifacts(tmp_path_factory):
-    """p=7 family (`generate --out`), unitary family (`umeb --out`) and certificate."""
+    """p=7 family (`generate --out`), unitary family (`umeb --out`), the same
+    unitaries written without their source, and certificate."""
     d = tmp_path_factory.mktemp("p7")
-    paths = {"family": d / "family.json", "unitary": d / "umeb.json", "cert": d / "cert.json"}
+    paths = {
+        "family": d / "family.json",
+        "unitary": d / "umeb.json",
+        "bare": d / "bare.json",
+        "cert": d / "cert.json",
+    }
     assert run(["generate", "--p", "7", "--out", str(paths["family"])]) == 0
     assert run(["umeb", "--p", "7", "--out", str(paths["unitary"]), "--cert", str(paths["cert"])]) == 0
+    uf = unitary_family_from_json(json.loads(paths["unitary"].read_text()))
+    write_json(str(paths["bare"]), unitary_family_to_json(UnitaryFamily(uf.d, uf.z, uf.unitaries)))
     return paths
 
 
@@ -215,40 +241,57 @@ def test_certificate_input_sha256_is_the_generated_family_digest(p7_artifacts, t
         assert json.loads(cert_path.read_text())["input_sha256"] == _sha256(p7_artifacts["family"])
 
 
+DELETE = object()
+IDENTITIES = stack_to_json(np.tile(np.eye(7, dtype=complex), (28, 1, 1)))
+
+
 @pytest.mark.parametrize(
-    "artifact, path, value",
+    "artifact, path, value, code",
     [
-        pytest.param("family", ("projections", 0, "matrix", "data", 0, 0), "0.5", id="family-string-entry"),
-        pytest.param("family", ("projections", 0, "matrix", "data", 0), [0.5], id="family-short-pair"),
-        pytest.param("family", ("projections", 0, "matrix", "data", 0), None, id="family-null-entry"),
-        pytest.param("family", ("beta_den",), 0, id="family-beta-den-0"),
-        pytest.param("family", ("d",), "seven", id="family-d-string"),
-        pytest.param("family", ("d",), 5, id="family-d-disagrees"),
-        pytest.param("family", ("projections",), [], id="family-empty"),
-        pytest.param("unitary", ("unitaries", 0, "data", 0, 0), "0.5", id="unitary-string-entry"),
-        pytest.param("unitary", ("unitaries", 0, "data", 0), [0.5], id="unitary-short-pair"),
-        pytest.param("unitary", ("unitaries", 0, "data", 0), None, id="unitary-null-entry"),
-        pytest.param("unitary", ("source", "beta_den"), 0, id="unitary-beta-den-0"),
-        pytest.param("unitary", ("d",), "seven", id="unitary-d-string"),
-        pytest.param("unitary", ("d",), 5, id="unitary-d-disagrees"),
-        pytest.param("unitary", ("unitaries",), [], id="unitary-empty"),
-        pytest.param("unitary", ("z", 0), float("nan"), id="unitary-z-nan"),
-        pytest.param("unitary", ("z",), [1.0, 0.0], id="unitary-z-disagrees"),
+        pytest.param("family", ("projections", "re", 0), "0.5", 1, id="family-string-entry"),
+        pytest.param("family", ("projections", "re", 0), [0.5], 1, id="family-short-pair"),
+        pytest.param("family", ("projections", "re", 0), None, 1, id="family-null-entry"),
+        pytest.param("family", ("projections", "shape", 0), 27, 1, id="family-shape-disagrees"),
+        pytest.param("family", ("provenance",), [[0, 0]], 1, id="family-provenance-short"),
+        pytest.param("family", ("provenance", 1, 1), 1.0, 1, id="family-shift-float"),
+        pytest.param("family", ("beta_den",), 0, 1, id="family-beta-den-0"),
+        pytest.param("family", ("d",), "seven", 1, id="family-d-string"),
+        pytest.param("family", ("d",), 5, 1, id="family-d-disagrees"),
+        pytest.param("family", ("d",), 7.0, 1, id="family-d-float"),
+        pytest.param("family", ("C",), float("nan"), 1, id="family-scale-nan"),
+        pytest.param("family", ("projections",), {"shape": [0, 7, 7], "re": []}, 1, id="family-empty"),
+        pytest.param("bare", ("unitaries", "re", 0), "0.5", 1, id="unitary-string-entry"),
+        pytest.param("bare", ("unitaries", "im", 0), [0.5], 1, id="unitary-short-pair"),
+        pytest.param("bare", ("unitaries", "re", 0), None, 1, id="unitary-null-entry"),
+        pytest.param("unitary", ("source", "beta_den"), 0, 1, id="unitary-beta-den-0"),
+        pytest.param("unitary", ("d",), "seven", 1, id="unitary-d-string"),
+        pytest.param("unitary", ("d",), 5, 1, id="unitary-d-disagrees"),
+        pytest.param("bare", ("unitaries",), {"shape": [0, 7, 7], "re": [], "im": []}, 1, id="unitary-empty"),
+        pytest.param("unitary", ("z", 0), float("nan"), 1, id="unitary-z-nan"),
+        pytest.param("unitary", ("unitaries",), IDENTITIES, 1, id="unitary-both-keys"),
+        pytest.param("unitary", ("source",), DELETE, 1, id="unitary-neither-key"),
+        # the unitaries are rebuilt with this z, so a wrong phase is a failed verdict
+        pytest.param("unitary", ("z",), [1.0, 0.0], 2, id="unitary-z-disagrees"),
     ],
 )
-def test_verify_rejects_malformed_artifact(p7_artifacts, tmp_path, capsys, artifact, path, value):
+def test_verify_rejects_malformed_artifact(p7_artifacts, tmp_path, capsys, artifact, path, value, code):
     obj = json.loads(p7_artifacts[artifact].read_text())
     *parents, last = path
     target = obj
     for key in parents:
         target = target[key]
-    target[last] = value
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
     capsys.readouterr()
-    assert run(["verify", "--in", str(bad)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("umebkit:")
+    assert run(["verify", "--in", str(bad)]) == code
+    if code == 1:
+        _one_error_line(capsys)
+    else:
+        assert "unextendible: FAIL" in capsys.readouterr().out
 
 
 def _one_error_line(capsys):
@@ -279,13 +322,16 @@ def test_bad_tolerance_is_rejected(argv, env, monkeypatch, capsys):
 
 
 def test_infinite_tolerance_cannot_pass_a_bad_artifact(p7_artifacts, tmp_path, capsys):
-    obj = json.loads(p7_artifacts["unitary"].read_text())
-    obj["unitaries"][0]["data"][0][0] = 5.0
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(obj))
-    capsys.readouterr()
-    for eps in ("inf", "1e300"):
-        assert run(["verify", "--in", str(bad), "--eps", eps]) == 1
-        assert "tol" in _one_error_line(capsys).lower()
-    assert run(["verify", "--in", str(bad)]) == 1  # the finite default rejects it too
-    assert "disagree" in _one_error_line(capsys)
+    sourced = json.loads(p7_artifacts["unitary"].read_text())
+    sourced["source"]["projections"]["re"][0] = 5.0
+    bare = json.loads(p7_artifacts["bare"].read_text())
+    bare["unitaries"]["re"][0] = 5.0
+    for i, obj in enumerate((sourced, bare)):
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(json.dumps(obj))
+        capsys.readouterr()
+        for eps in ("inf", "1e300"):
+            assert run(["verify", "--in", str(bad), "--eps", eps]) == 1
+            assert "tol" in _one_error_line(capsys).lower()
+        assert run(["verify", "--in", str(bad)]) == 2  # the finite default fails it
+        assert "unextendible: FAIL" in capsys.readouterr().out

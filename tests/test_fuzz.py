@@ -1,0 +1,128 @@
+"""Mutation fuzz of the artifact loaders through `umebkit verify`.
+
+Each example takes a p=7 artifact (a family, a unitary family with its
+source, or one without), mutates one place in it and runs `verify --in`.
+Every outcome must be exit 1 with one `umebkit:` line, or a verdict, and
+never a traceback.  A changed number never passes: every nonzero entry
+scaled by 1 +- 1e-6 moves some deviation well past eps at p=7.
+"""
+
+import copy
+import io
+import json
+import math
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from umebkit.cli import main, unitary_family_to_json
+from umebkit.hadamard import construct
+from umebkit.numth import validate_prime
+from umebkit.packing import build_residue_family, family_to_json
+from umebkit.umeb import UnitaryFamily, build_unitaries, compute_phase
+
+FAMILY = build_residue_family(validate_prime(7), construct(4))
+UNITARIES = build_unitaries(FAMILY, compute_phase(7, 3))
+ARTIFACTS = {
+    "family": family_to_json(FAMILY),
+    "unitary": unitary_family_to_json(UNITARIES),
+    "bare": unitary_family_to_json(UnitaryFamily(7, UNITARIES.z, UNITARIES.unitaries)),
+}
+
+
+def _informational(kind, path) -> bool:
+    """No verdict depends on the off-support coefficient C, nor on the phase z
+    of unitaries stored without their source."""
+    return "C" in path or (kind == "bare" and path[0] == "z")
+
+
+def _places(obj, path=()):
+    """(path, value) for every node below the root."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,), value
+        yield from _places(value, path + (key,))
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+PLACES = {kind: list(_places(obj)) for kind, obj in ARTIFACTS.items()}
+TARGETS = {
+    kind: {
+        "delete": [path for path, _ in places],
+        "swap": [path for path, _ in places],
+        "nan": [path for path, _ in places],
+        "shift": [path for path, _ in places if "shape" in path[:-1]],
+        "scale": [path for path, value in places if _is_number(value) and value != 0],
+    }
+    for kind, places in PLACES.items()
+}
+SWAPS = ["x", None, True, [], {}, [0.5], {"shape": [1, 7, 7]}]
+
+
+@st.composite
+def mutations(draw, kind):
+    op = draw(st.sampled_from(sorted(TARGETS[kind])))
+    path = draw(st.sampled_from(TARGETS[kind][op]))
+    obj = copy.deepcopy(ARTIFACTS[kind])
+    *parents, last = path
+    target = obj
+    for key in parents:
+        target = target[key]
+    old = target[last]
+    if op == "delete":
+        del target[last]
+        return obj, False
+    if op == "swap":
+        choices = SWAPS + ([str(old)] if _is_number(old) else [])
+        new = draw(st.sampled_from([c for c in choices if type(c) is not type(old)]))
+    elif op == "nan":
+        new = math.nan
+    elif op == "shift":
+        new = old + draw(st.sampled_from((-1, 1)))
+    else:
+        new = old * (1 + draw(st.floats(1e-6, 0.5)) * draw(st.sampled_from((-1, 1))))
+    target[last] = new
+    # true in place of 1.0 reads as the same number
+    changed = _is_number(old) and new != old and not _informational(kind, path)
+    return obj, changed
+
+
+def _verify(tmp_path, obj):
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(obj))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["verify", "--in", str(path)])
+    return code, out.getvalue(), err.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("kind", sorted(ARTIFACTS))
+def test_unmutated_artifacts_pass(kind, tmp_path):
+    assert _verify(tmp_path, ARTIFACTS[kind])[0] == 0
+
+
+@pytest.mark.parametrize("kind", sorted(ARTIFACTS))
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_mutated_artifacts_end_in_one_line_or_a_verdict(kind, tmp_path, data):
+    obj, changed = data.draw(mutations(kind))
+    code, out, err = _verify(tmp_path, obj)
+    if code == 1:
+        assert len(err) == 1 and err[0].startswith("umebkit:"), err
+    else:
+        assert code in (0, 2) and err == []
+        assert ("unextendible: " in out) != (kind == "family")
+        assert ("equiangular: " in out) == (kind == "family")
+    if changed:
+        assert code != 0, "a changed number passed"

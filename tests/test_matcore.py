@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from umebkit import matcore
-from umebkit.errors import NotSquare, OutOfRange, ShapeMismatch
+from umebkit.errors import MalformedArtifact, NotSquare, OutOfRange, ShapeMismatch
 from umebkit.hadamard import construct
 from umebkit.matcore import (
     Tolerance,
@@ -12,10 +13,10 @@ from umebkit.matcore import (
     frobenius_inner,
     gram_matrix,
     is_unitary,
-    matrix_from_json,
-    matrix_to_json,
     numerical_rank,
     read_only_stack,
+    stack_from_json,
+    stack_to_json,
     sym_antisym_split,
 )
 from umebkit.numth import validate_prime
@@ -217,33 +218,96 @@ def test_read_only_stack_copies_unless_handed_over():
             read_only_stack(wrong, 4)
 
 
-def test_matrix_json_round_trip_is_exact():
+def test_stack_json_round_trip_is_exact():
     rng = np.random.default_rng(17)
     signed_zeros = np.array([[complex(-0.0, 1.5), complex(2.0, -0.0)], [complex(-0.0, -0.0), 0j]])
-    for m in (rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5)), signed_zeros):
-        again = matrix_from_json(matrix_to_json(m))
-        assert again.shape == m.shape
-        assert again.tobytes() == m.tobytes()  # bit-exact, sign of zero included
+    complex_stack = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
+    for stack in (complex_stack, signed_zeros[None], complex_stack.real, signed_zeros.real[None]):
+        obj = json.loads(json.dumps(stack_to_json(stack)))
+        assert ("im" in obj) == np.iscomplexobj(stack)
+        again = stack_from_json(obj, stack.shape[1])
+        assert again.shape == stack.shape and again.dtype == stack.dtype
+        assert again.tobytes() == stack.tobytes()  # bit-exact, sign of zero included
+        assert not again.flags.writeable
 
 
-def test_matrix_json_rejects_bad_length():
-    def drop_last(data):
-        del data[-1]
+def test_stack_json_rejects_bad_length():
+    def drop_last(obj, part):
+        del obj[part][-1]
 
-    def string_entry(data):
-        data[0][0] = "1.0"
+    def string_entry(obj, part):
+        obj[part][0] = "1.0"
 
-    def short_pair(data):
-        data[0] = [1.0]
+    def list_entry(obj, part):
+        obj[part][0] = [1.0]
 
-    def null_entry(data):
-        data[0] = None
+    def null_entry(obj, part):
+        obj[part][0] = None
 
-    for mutate in (drop_last, string_entry, short_pair, null_entry):
-        obj = matrix_to_json(np.eye(2))
-        mutate(obj["data"])
-        with pytest.raises(ShapeMismatch):
-            matrix_from_json(obj)
+    def shape_disagrees(obj, part):
+        obj["shape"][0] += 1
+
+    for mutate in (drop_last, string_entry, list_entry, null_entry, shape_disagrees):
+        for stack in (np.eye(2)[None], np.eye(2)[None] * 1j):
+            for part in ("re", "im") if np.iscomplexobj(stack) else ("re",):
+                obj = stack_to_json(stack)
+                mutate(obj, part)
+                with pytest.raises(ShapeMismatch):
+                    stack_from_json(obj, 2)
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        pytest.param(lambda obj: obj.update(shape=[0, 2, 2], re=[]), ShapeMismatch, id="no-member"),
+        pytest.param(lambda obj: obj.update(shape=[1, 2]), ShapeMismatch, id="two-axes"),
+        pytest.param(lambda obj: obj.update(shape=[1, 2, 2, 1]), ShapeMismatch, id="four-axes"),
+        pytest.param(lambda obj: obj.update(shape=[1, 3, 3]), ShapeMismatch, id="not-d-by-d"),
+        pytest.param(lambda obj: obj.update(re=7), ShapeMismatch, id="re-not-a-list"),
+        pytest.param(lambda obj: obj.update(shape=[1, 2.0, 2]), MalformedArtifact, id="float-size"),
+        pytest.param(lambda obj: obj.update(shape=[True, 2, 2]), MalformedArtifact, id="bool-size"),
+        pytest.param(lambda obj: obj.update(shape=7), MalformedArtifact, id="shape-not-a-list"),
+        pytest.param(lambda obj: obj["re"].__setitem__(1, float("nan")), MalformedArtifact, id="nan"),
+        pytest.param(lambda obj: obj["re"].__setitem__(1, float("-inf")), MalformedArtifact, id="inf"),
+    ],
+)
+def test_stack_json_rejects_bad_shape_or_value(edit, error):
+    obj = stack_to_json(np.eye(2)[None])
+    edit(obj)
+    with pytest.raises(error):
+        stack_from_json(obj, 2)
+
+
+def test_stack_json_compares_lengths_before_allocating(monkeypatch):
+    calls = []
+    monkeypatch.setattr(np, "empty", lambda *a, **k: calls.append(a))
+    obj = {"shape": [10**6, 10**4, 10**4], "re": [0.0]}
+    with pytest.raises(ShapeMismatch):
+        stack_from_json(obj, 10**4)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "convert, value",
+    [
+        (matcore.json_int, True),
+        (matcore.json_int, "7"),
+        (matcore.json_int, 7.0),
+        (matcore.json_int, None),
+        (matcore.json_number, True),
+        (matcore.json_number, "0.5"),
+        (matcore.json_number, [0.5]),
+        (matcore.json_number, float("nan")),
+        (matcore.json_number, float("-inf")),
+        (matcore.json_number, 10**400),
+    ],
+    ids=["int-bool", "int-string", "int-float", "int-null", "number-bool", "number-string",
+         "number-list", "number-nan", "number-inf", "number-huge-int"],
+)
+def test_json_scalars_must_be_numbers_of_their_kind(convert, value):
+    with pytest.raises(MalformedArtifact):
+        convert(value, "field")
+    assert matcore.json_int(7, "d") == 7 and matcore.json_number(-7, "z") == -7.0
 
 
 def test_tolerance_validation():

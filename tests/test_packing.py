@@ -11,6 +11,7 @@ from umebkit.errors import (
     IndexOutOfRange,
     NotOrthogonal,
     RankOutOfRange,
+    ShapeMismatch,
 )
 from umebkit.hadamard import construct
 from umebkit.matcore import numerical_rank
@@ -354,16 +355,24 @@ def test_family_json_round_trip():
     again = family_from_json(family_to_json(fam))
     assert (again.d, again.r, again.beta) == (fam.d, fam.r, fam.beta)
     assert again.provenance == fam.provenance
-    for p, q in zip(fam.projections, again.projections):
-        assert np.array_equal(p, q)
+    assert again.projections.dtype == float
+    assert again.projections.tobytes() == fam.projections.tobytes()
     before = verify_equiangular(fam)
     after = verify_equiangular(again)
     assert before == after
 
 
+def test_family_rejects_provenance_of_another_length():
+    # with 3 entries for 28 members, family_to_json would write 3 projections
+    fam = p7_family()
+    for provenance in (fam.provenance[:3], fam.provenance + (None,)):
+        with pytest.raises(ShapeMismatch, match="provenance"):
+            replace(fam, provenance=provenance)
+
+
 def test_family_json_icosahedron_has_null_provenance():
     obj = family_to_json(icosahedron_lines())
     assert obj["C"] is None
-    assert all(entry["t"] is None and entry["shift"] is None for entry in obj["projections"])
+    assert obj["provenance"] == [None] * 6
     again = family_from_json(obj)
     assert again.provenance == (None,) * 6

@@ -332,6 +332,17 @@ def test_member_stacks_are_read_only(name):
     assert certify_umeb(uf).unextendible_verdict
 
 
+def test_unitary_json_round_trip_is_bit_exact():
+    # with a source the unitaries are rebuilt from it, without one they are read back
+    uf = p7_unitaries()
+    for written in (uf, UnitaryFamily(uf.d, uf.z, uf.unitaries)):
+        obj = json.loads(json.dumps(unitary_family_to_json(written)))
+        assert ("source" in obj) != ("unitaries" in obj)
+        again = unitary_family_from_json(obj)
+        assert again.z == uf.z and (again.source is None) == (written.source is None)
+        assert again.unitaries.tobytes() == uf.unitaries.tobytes()
+
+
 def _callers_arrays(stack):
     """(members, mutate) pairs: a writable stack, a read-only view of writable
     memory and a list of writable matrices, each with a write into it."""
