@@ -19,10 +19,18 @@ the target in place at its identity and SWAP entries; C_mix is Hermitian,
 so each block starts at the diagonal block and the blocks right of it count
 twice, and no d^2 x d^2 matrix is formed.  (b) The random-input check
 applies the mixture to the seeded inputs, a batch per call, through
-apply_decomposition, which works on the (d, d) matrices themselves in
-blocks of members, and compares each output with wh_plus_apply.  It reads
-neither the Gram nor vec(U), so it stays independent of (a).  Every pass
-but the d-row blocks sizes its blocks from matcore's one byte budget.
+apply_decomposition, and compares each output with wh_plus_apply.  When the
+members come in Z_d orbits of shifts with equal weights, as the paper's
+UMEB does (member t*d + x is member t*d shifted by x), the mixture is one
+shift-covariant kernel K with d^3 entries: out[i, i + D] =
+sum_{e,f} K[D, e, f] X[i + e, i + f], indices mod d.  K is built once per
+decomposition, in O(n d^2) for the structure check and O(T d^3) for the
+correlation (T = n/d orbits), and each input then costs one gather and one
+(d x d^2)(d^2 x d) product, O(d^4), against O(n d^3) member by member.  Any
+other mixture is applied member by member, in blocks of members.  Either
+way check (b) reads only the members and the weights, neither the Gram nor
+vec(U), so it stays independent of (a).  Every pass but the d-row blocks
+and the d^3 kernel itself sizes its blocks from matcore's one byte budget.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -41,12 +50,69 @@ from .umeb import UnitaryFamily, _span
 Channel = Callable[[np.ndarray], np.ndarray]
 
 
+def _cyclic(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(coords, plus, minus) with plus[i, e] = (i + e) mod d and minus[i, k] = (k - i) mod d."""
+    coords = np.arange(d)
+    return coords, (coords[:, None] + coords) % d, (coords - coords[:, None]) % d
+
+
 @dataclass(frozen=True, eq=False)
 class MixedUnitaryDecomposition:
-    """Convex mixture sum_j weights[j] U_j X U_j* over a unitary family."""
+    """Convex mixture sum_j weights[j] U_j X U_j* over a unitary family.
+
+    The weights are a tuple and the family's stack is read-only, so the
+    orbit kernel is computed once, on first use, and kept on the object.
+    """
 
     weights: tuple[float, ...]
     unitaries: UnitaryFamily
+
+    @cached_property
+    def _orbit_kernel(self) -> np.ndarray | None:
+        """The read-only orbit kernel, kmat[e*d + f, D] = K[D, e, f]; None without orbit structure.
+
+        Orbit structure: n = T*d members, member t*d + x equal (np.array_equal)
+        to member t*d shifted by x, U_{t,x}[i, j] = U_t[i - x, j - x], and the
+        weights equal within each orbit, w_{t,x} = w_t.  Then, indices mod d
+        and a = i - x, the mixture is out[i, i + D] =
+        sum_{e,f} K[D, e, f] X[i + e, i + f] with
+        K[D, e, f] = sum_t w_t sum_a U_t[a, a + e] conj(U_t[a + D, a + f]).
+        In the diagonals diag[t, a, e] = U_t[a, a + e] that is
+        K[D, e, f] = C[D, e, f - D], C[D, e, g] = sum_t w_t sum_a
+        diag[t, a, e] conj(diag[t, a + D, g]), a cyclic correlation over a: C
+        is the DFT over k of M[k, e, g] = sum_t w_t F[t, k, e] conj(F[t, k, g]),
+        divided by d, with F the DFT of diag over a.  K reads only the members
+        and the weights; the members are compared with their shifted bases in
+        blocks of members.
+        """
+        w = _weights(self)
+        us = self.unitaries.unitaries
+        d = self.unitaries.d
+        if len(us) % d:
+            return None
+        orbit_w = w[::d]
+        if np.any(w.reshape(-1, d) != orbit_w[:, None]):
+            return None
+        us = np.ascontiguousarray(us)  # np.take below reads it in C order; only a foreign stack is copied
+        coords, plus, minus = _cyclic(d)
+        # a member's share of a block: its shifted base and the flat index that gathers it
+        for members in _blocks(len(us), d * d * (us.itemsize + 8)):
+            t, x = np.divmod(np.arange(members.start, members.stop), d)
+            at = minus[x, :, None] * d + minus[x, None, :]  # at[m, i, j]: (i - x, j - x) of member t*d
+            at += (t * d**3)[:, None, None]
+            if not np.array_equal(np.take(us, at), us[members]):
+                return None
+        f = np.fft.fft(us[::d, coords[:, None], plus], axis=1).transpose(1, 0, 2)  # f[k, t, e] = F[t, k, e]
+        fbar = f.conj()
+        f *= orbit_w[:, None]
+        m = f.transpose(0, 2, 1) @ fbar
+        del f, fbar  # m and the arrays below are the size of the kernel: hold at most two
+        c = np.fft.fft(m, axis=0, norm="forward")
+        del m
+        # kmat[e, f, D] = c[D, e, f - D]; a C-ordered index keeps the gather C-ordered, so reshape copies nothing
+        kmat = c[coords, coords[:, None, None], (coords[:, None] - coords) % d].reshape(d * d, d)
+        kmat.flags.writeable = False
+        return kmat
 
 
 @dataclass(frozen=True)
@@ -125,20 +191,55 @@ def _weights(dec: MixedUnitaryDecomposition) -> np.ndarray:
 def apply_decomposition(dec: MixedUnitaryDecomposition, x: np.ndarray) -> np.ndarray:
     """sum_j weights[j] U_j x U_j*, for one (d, d) input or a (T, d, d) stack.
 
+    When the members come in Z_d orbits of shifts with equal weights (see
+    MixedUnitaryDecomposition._orbit_kernel), the mixture is applied through
+    its d^3-entry kernel, built once per decomposition: O(d^4) per input.
+    Any other mixture is applied member by member, O(n d^3) per input.
+    """
+    d = dec.unitaries.d
+    xs = np.asarray(x, dtype=complex)
+    if xs.ndim not in (2, 3) or xs.shape[-2:] != (d, d):
+        raise ShapeMismatch(f"expected a ({d}, {d}) matrix or a stack of them, got {xs.shape}")
+    w = _weights(dec)
+    stack = xs.reshape(-1, d, d)
+    kernel = dec._orbit_kernel
+    if kernel is None:
+        out = _apply_by_members(w, dec.unitaries.unitaries, stack)
+    else:
+        out = _apply_by_kernel(kernel, stack)
+    return out.reshape(xs.shape)
+
+
+def _apply_by_kernel(kmat: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """out[s, i, i + D] = sum_{e,f} K[D, e, f] xs[s, i + e, i + f], indices mod d.
+
+    Inputs go in blocks, each one gather of the d^3 shifted entries per
+    input and one (k*d x d^2)(d^2 x d) gemm; the gather is what matcore's
+    block budget bounds (at least one input per block).
+    """
+    t, d = len(xs), xs.shape[-1]
+    coords, plus, minus = _cyclic(d)
+    gather_at = (plus[:, :, None] * d + plus[:, None, :]).ravel()
+    flat = xs.reshape(t, d * d)
+    out = np.empty_like(xs)
+    for inputs in _blocks(t, d * d * d * xs.itemsize):
+        # the gather is a temporary, so one block's gather is alive at a time
+        diagonals = (np.take(flat[inputs], gather_at, axis=1).reshape(-1, d * d) @ kmat).reshape(-1, d, d)
+        out[inputs] = diagonals[:, coords[:, None], minus]
+    return out
+
+
+def _apply_by_members(w: np.ndarray, us: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """sum_j w_j U_j x U_j* for every input x of the (T, d, d) stack xs.
+
     Members go in blocks, each two matmuls: the block's U_j times all inputs
     side by side, rearranged so that row (s, i) holds (U_j x_s)[i, :] for
     every j of the block, times the stacked w_j U_j*.  One member's share of
     that intermediate is the size of the inputs, so matcore's block budget
     bounds the intermediate (at least one member per block).
     """
-    d = dec.unitaries.d
-    xs = np.asarray(x, dtype=complex)
-    if xs.ndim not in (2, 3) or xs.shape[-2:] != (d, d):
-        raise ShapeMismatch(f"expected a ({d}, {d}) matrix or a stack of them, got {xs.shape}")
-    t = xs.size // (d * d)
-    x_side = xs.reshape(t, d, d).transpose(1, 0, 2).reshape(d, t * d)
-    w = _weights(dec)
-    us = dec.unitaries.unitaries
+    t, d = len(xs), xs.shape[-1]
+    x_side = xs.transpose(1, 0, 2).reshape(d, t * d)
     out = np.zeros((t * d, d), dtype=complex)
     for members in _blocks(len(us), x_side.nbytes):
         u = us[members]
@@ -146,7 +247,7 @@ def apply_decomposition(dec: MixedUnitaryDecomposition, x: np.ndarray) -> np.nda
         ux = (u.reshape(k * d, d) @ x_side).reshape(k, d, t, d).transpose(2, 1, 0, 3)
         wu = (w[members, None, None] * u.conj().transpose(0, 2, 1)).reshape(k * d, d)
         out += np.ascontiguousarray(ux).reshape(t * d, k * d) @ wu
-    return out.reshape(xs.shape)
+    return out.reshape(t, d, d)
 
 
 def random_hermitian(d: int, seed: int) -> np.ndarray:
@@ -207,8 +308,10 @@ def verify_decomposition(
     (b) For `trials` seeded random Hermitian inputs (per-trial seed =
     seed + index), max-entry distance between the mixture output and the
     formula output, within eps * max|X|.  Check (b) applies the mixture to a
-    batch of inputs per apply_decomposition call and reads neither the Gram
-    nor vec(U), so it does not share check (a)'s data or convention.
+    batch of inputs per apply_decomposition call: through the orbit kernel
+    when the members come in Z_d orbits of shifts with equal weights, member
+    by member otherwise.  It reads neither the Gram nor vec(U), so it does
+    not share check (a)'s data or convention.
     """
     if trials < 0:
         raise OutOfRange(f"trials must be >= 0, got {trials}")

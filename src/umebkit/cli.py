@@ -18,11 +18,13 @@ import os
 import sys
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import __version__
 from .channels import umeb_decomposition, verify_decomposition
 from .errors import MalformedArtifact, OutOfRange, ShapeMismatch, UmebkitError
 from .hadamard import construct, hadamard_to_json
-from .matcore import DEFAULT_EPS, DEFAULT_RANK_EPS, Tolerance, json_int, json_number
+from .matcore import DEFAULT_EPS, DEFAULT_RANK_EPS, DEFAULT_TOL, Tolerance, json_int, json_number
 from .matcore import stack_from_json, stack_to_json
 from .numth import validate_prime
 from .packing import (
@@ -60,10 +62,12 @@ def unitary_family_to_json(uf: UnitaryFamily) -> dict:
     return obj
 
 
-def unitary_family_from_json(obj: dict) -> UnitaryFamily:
+def unitary_family_from_json(obj: dict, tol: Tolerance = DEFAULT_TOL) -> UnitaryFamily:
     """Inverse of unitary_family_to_json; MalformedArtifact or ShapeMismatch on bad input.
 
     A source is rebuilt by build_unitaries, as when written, so the unitaries are bit-identical.
+    Without a source, U_i = I - (1 - z)P_i has trace d - r(1 - z) for a rank-r projection P_i,
+    so every (d - tr U_i)/(1 - z) must lie within eps * d of one integer r with 1 <= r < d.
     """
     if ("source" in obj) == ("unitaries" in obj):
         raise MalformedArtifact('a unitary family needs exactly one of "source" and "unitaries"')
@@ -74,7 +78,16 @@ def unitary_family_from_json(obj: dict) -> UnitaryFamily:
         raise MalformedArtifact("phase z must be a pair [re, im]") from None
     z = complex(json_number(re, "z"), json_number(im, "z"))
     if "unitaries" in obj:
-        return UnitaryFamily(d=d, z=z, unitaries=stack_from_json(obj["unitaries"], d))
+        unitaries = stack_from_json(obj["unitaries"], d)
+        with np.errstate(all="ignore"):  # z = 1 or a huge trace fails the check below instead
+            ranks = (d - np.einsum("nii->n", unitaries)) / (1 - z)
+            r = np.rint(ranks[0].real)
+            fits = 1 <= r < d and np.max(np.abs(ranks - r)) <= tol.eps * d
+        if not fits:
+            raise MalformedArtifact(
+                f"phase z = {z} does not fit the unitaries: (d - tr U_i)/(1 - z) is not one rank 1 <= r < {d}"
+            )
+        return UnitaryFamily(d=d, z=z, unitaries=unitaries)
     source = family_from_json(obj["source"])
     if source.d != d:
         raise ShapeMismatch(f"source family of {source.d}x{source.d} projections for d={d}")
@@ -198,7 +211,7 @@ def cmd_verify(args) -> int:
         lines = _family_report_lines(family, report)
         passed = report.passed
     elif "z" in obj:
-        uf = unitary_family_from_json(obj)
+        uf = unitary_family_from_json(obj, tol)
         cert = certify_umeb(uf, tol)
         report_obj = _certificate_json(cert, obj, args.no_timestamp)
         lines = [

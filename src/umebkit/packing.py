@@ -281,7 +281,11 @@ def _provenance_from_json(prov) -> tuple[int, int] | None:
 
 
 def family_from_json(obj: dict) -> ProjectionFamily:
-    """Inverse of family_to_json; MalformedArtifact or ShapeMismatch on bad input."""
+    """Inverse of family_to_json; MalformedArtifact or ShapeMismatch on bad input.
+
+    A family with provenance was built by the residue construction, so its
+    C must be exactly off_support_scale(d), as family_to_json wrote it.
+    """
     try:
         d, r = json_int(obj["d"], "d"), json_int(obj["r"], "r")
         beta = Fraction(json_int(obj["beta_num"], "beta_num"), json_int(obj["beta_den"], "beta_den"))
@@ -289,7 +293,7 @@ def family_from_json(obj: dict) -> ProjectionFamily:
         provenance = tuple(_provenance_from_json(prov) for prov in obj["provenance"])
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise MalformedArtifact(f"malformed family field: {exc}") from None
-    return ProjectionFamily(
+    family = ProjectionFamily(
         d=d,
         r=r,
         projections=stack_from_json(obj["projections"], d),
@@ -297,3 +301,8 @@ def family_from_json(obj: dict) -> ProjectionFamily:
         provenance=provenance,
         scale=scale,
     )
+    if any(prov is not None for prov in provenance) and scale != off_support_scale(d):
+        raise MalformedArtifact(
+            f"C = {scale!r} of a family with provenance is not the coefficient {off_support_scale(d)!r} for d={d}"
+        )
+    return family

@@ -220,13 +220,15 @@ def test_apply_decomposition_stack_is_the_per_input_sum(p23_decomposition):
     dec = p23_decomposition
     xs = np.array([random_hermitian(23, seed=900 + t) for t in range(20)])
     xs[3] = xs[3] @ xs[5]  # one input that is not Hermitian
-    m = matcore._BLOCK_BYTES // xs.nbytes  # members per block
+    m = matcore._BLOCK_BYTES // xs.nbytes  # members per block of the member-by-member path
     assert m < len(dec.weights) and len(dec.weights) % m  # ends in a partial block
-    out = apply_decomposition(dec, xs)
-    assert out.shape == xs.shape
-    for x, y in zip(xs, out):
+    out = apply_decomposition(dec, xs)  # through the orbit kernel
+    by_members = channels._apply_by_members(np.array(dec.weights), dec.unitaries.unitaries, xs)
+    assert out.shape == by_members.shape == xs.shape
+    for x, y, z in zip(xs, out, by_members):
         loop = sum(w * (u @ x @ u.conj().T) for w, u in zip(dec.weights, dec.unitaries.unitaries))
         assert np.max(np.abs(y - loop)) < 1e-13
+        assert np.max(np.abs(z - loop)) < 1e-13
     assert np.max(np.abs(apply_decomposition(dec, xs[7]) - out[7])) < 1e-13
 
 
@@ -282,21 +284,34 @@ def full_choi_dev(dec):
     return np.linalg.norm(choi - (np.eye(d * d) + swap_matrix(d)) / (d + 1))
 
 
-def spy_choi_paths(monkeypatch):
-    """Record which Choi path verify_decomposition takes."""
+def _residue_unitaries(p):
+    fam = build_residue_family(validate_prime(p), construct((p + 1) // 2))
+    return build_unitaries(fam, compute_phase(p, (p - 1) // 2))
+
+
+def spy_paths(monkeypatch, names):
+    """Record which of the named private paths of channels run, in order."""
     ran = []
-    for name in ("_choi_dev_from_gram", "_choi_dev_by_blocks"):
+    for name in names:
         path = getattr(channels, name)
         monkeypatch.setattr(channels, name, lambda *a, path=path, name=name: ran.append(name) or path(*a))
     return ran
 
 
+def spy_choi_paths(monkeypatch):
+    """Record which Choi path verify_decomposition takes."""
+    return spy_paths(monkeypatch, ("_choi_dev_from_gram", "_choi_dev_by_blocks"))
+
+
+def spy_apply_paths(monkeypatch):
+    """Record which path apply_decomposition takes, once per call."""
+    return spy_paths(monkeypatch, ("_apply_by_kernel", "_apply_by_members"))
+
+
 # "icosahedron" is d=3 from the six icosahedron lines; "p3" is the residue family
 CHOI_FAMILIES = {
     "icosahedron": lambda: _unitaries(3),
-    "p3": lambda: build_unitaries(
-        build_residue_family(validate_prime(3), construct(2)), compute_phase(3, 1)
-    ),
+    "p3": lambda: _residue_unitaries(3),
     "p7": lambda: _unitaries(7),
     "p23": lambda: _unitaries(23),
     "p31": lambda: _unitaries(31),
@@ -395,3 +410,85 @@ def test_reports_do_not_depend_on_the_block_budget(p, monkeypatch):
                 assert abs(by_item[field] - value) <= 1e-15 * scale.get(field, 1), field
             else:
                 assert by_item[field] == value, field
+
+
+def _member_by_member(dec):
+    """The same mixture with its orbit kernel switched off: the dense oracle."""
+    oracle = MixedUnitaryDecomposition(weights=dec.weights, unitaries=dec.unitaries)
+    oracle.__dict__["_orbit_kernel"] = None  # what the cached property would have stored
+    return oracle
+
+
+def _inputs(d, seed):
+    xs = np.array([random_hermitian(d, seed + t) for t in range(3)])
+    xs[1] = xs[1] @ xs[2]  # one input that is not Hermitian
+    return xs
+
+
+@pytest.mark.parametrize(
+    "p", [3, 7, 23, 31, 47, pytest.param(71, marks=pytest.mark.slow), pytest.param(79, marks=pytest.mark.slow)]
+)
+def test_orbit_kernel_matches_the_member_sum(p, monkeypatch):
+    uf = _residue_unitaries(p)
+    dec = MixedUnitaryDecomposition(weights=(float(uniform_weight(p)),) * len(uf), unitaries=uf)
+    oracle = _member_by_member(dec)
+    xs = _inputs(p, seed=700)
+    trials = 2 if p > 47 else 6
+    ran = spy_apply_paths(monkeypatch)
+    out, rep = apply_decomposition(dec, xs), verify_decomposition(dec, trials=trials, seed=11)
+    assert ran == ["_apply_by_kernel"] * 2
+    dense, dense_rep = apply_decomposition(oracle, xs), verify_decomposition(oracle, trials=trials, seed=11)
+    assert ran[2:] == ["_apply_by_members"] * 2
+    assert np.max(np.abs(out - dense)) <= 1e-13 * np.max(np.abs(xs))
+    assert rep.verdict and dense_rep.verdict
+    assert rep.choi_dev == dense_rep.choi_dev
+    assert rep.apply_dev_max <= 1e-14 and dense_rep.apply_dev_max <= 1e-13
+
+
+def _perturbed_entry():
+    members = np.array(_residue_unitaries(7).unitaries)
+    members[-1, 2, 4] += 1e-12  # the last member, in the last block of the structure check
+    return MixedUnitaryDecomposition((1 / 28,) * 28, UnitaryFamily(7, compute_phase(7, 3), members))
+
+
+def _swapped_orbits():
+    members = np.array(_residue_unitaries(7).unitaries)
+    members[[3, 10]] = members[[10, 3]]  # shift 3 of orbits 0 and 1: the same mixture
+    return MixedUnitaryDecomposition((1 / 28,) * 28, UnitaryFamily(7, compute_phase(7, 3), members))
+
+
+def _weights_inside_an_orbit():
+    w = np.full(28, 1 / 28)
+    w[8] += 0.01  # orbit 1, shifts 1 and 2
+    w[9] -= 0.01
+    return MixedUnitaryDecomposition(tuple(w), _residue_unitaries(7))
+
+
+def _not_whole_orbits():
+    uf = _residue_unitaries(7)
+    return MixedUnitaryDecomposition((1 / 27,) * 27, UnitaryFamily(7, uf.z, uf.unitaries[:27]))
+
+
+@pytest.mark.parametrize(
+    "build, passes",
+    [
+        (lambda: umeb_decomposition(_unitaries(3)), True),  # the icosahedron
+        (_perturbed_entry, True),
+        (_swapped_orbits, True),
+        (_weights_inside_an_orbit, False),
+        (_not_whole_orbits, False),
+    ],
+    ids=["icosahedron", "perturbed-entry", "swapped-orbits", "weights-inside-an-orbit", "not-whole-orbits"],
+)
+def test_mixture_without_orbit_structure_is_applied_member_by_member(build, passes, monkeypatch):
+    dec = build()
+    d = dec.unitaries.d
+    xs = _inputs(d, seed=800)
+    ran = spy_apply_paths(monkeypatch)
+    out, rep = apply_decomposition(dec, xs), verify_decomposition(dec, trials=6, seed=5)
+    assert ran == ["_apply_by_members"] * 2
+    assert dec._orbit_kernel is None
+    for x, y in zip(xs, out):
+        loop = sum(w * (u @ x @ u.conj().T) for w, u in zip(dec.weights, dec.unitaries.unitaries))
+        assert np.max(np.abs(y - loop)) < 1e-13
+    assert rep.verdict == passes

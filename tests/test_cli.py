@@ -7,7 +7,7 @@ import pytest
 from umebkit.cli import main, unitary_family_from_json, unitary_family_to_json, write_json
 from umebkit.hadamard import hadamard_from_json
 from umebkit.matcore import Tolerance, stack_to_json
-from umebkit.packing import family_from_json, verify_equiangular
+from umebkit.packing import family_from_json, off_support_scale, verify_equiangular
 from umebkit.umeb import UnitaryFamily
 
 
@@ -259,6 +259,9 @@ IDENTITIES = stack_to_json(np.tile(np.eye(7, dtype=complex), (28, 1, 1)))
         pytest.param("family", ("d",), 5, 1, id="family-d-disagrees"),
         pytest.param("family", ("d",), 7.0, 1, id="family-d-float"),
         pytest.param("family", ("C",), float("nan"), 1, id="family-scale-nan"),
+        pytest.param("family", ("C",), off_support_scale(7) * (1 + 1e-6), 1, id="family-scale-off"),
+        pytest.param("family", ("C",), None, 1, id="family-scale-null"),
+        pytest.param("unitary", ("source", "C"), off_support_scale(7) * (1 - 1e-6), 1, id="unitary-scale-off"),
         pytest.param("family", ("projections",), {"shape": [0, 7, 7], "re": []}, 1, id="family-empty"),
         pytest.param("bare", ("unitaries", "re", 0), "0.5", 1, id="unitary-string-entry"),
         pytest.param("bare", ("unitaries", "im", 0), [0.5], 1, id="unitary-short-pair"),
@@ -268,6 +271,10 @@ IDENTITIES = stack_to_json(np.tile(np.eye(7, dtype=complex), (28, 1, 1)))
         pytest.param("unitary", ("d",), 5, 1, id="unitary-d-disagrees"),
         pytest.param("bare", ("unitaries",), {"shape": [0, 7, 7], "re": [], "im": []}, 1, id="unitary-empty"),
         pytest.param("unitary", ("z", 0), float("nan"), 1, id="unitary-z-nan"),
+        # without a source, z must turn every (d - tr U)/(1 - z) into one rank 1 <= r < d
+        pytest.param("bare", ("z", 0), -31 / 64, 1, id="bare-z-halved"),
+        pytest.param("bare", ("z",), [1.0, 0.0], 1, id="bare-z-one"),
+        pytest.param("bare", ("z",), [-1.0, 0.0], 1, id="bare-z-minus-one"),
         pytest.param("unitary", ("unitaries",), IDENTITIES, 1, id="unitary-both-keys"),
         pytest.param("unitary", ("source",), DELETE, 1, id="unitary-neither-key"),
         # the unitaries are rebuilt with this z, so a wrong phase is a failed verdict
@@ -333,5 +340,9 @@ def test_infinite_tolerance_cannot_pass_a_bad_artifact(p7_artifacts, tmp_path, c
         for eps in ("inf", "1e300"):
             assert run(["verify", "--in", str(bad), "--eps", eps]) == 1
             assert "tol" in _one_error_line(capsys).lower()
-        assert run(["verify", "--in", str(bad)]) == 2  # the finite default fails it
-        assert "unextendible: FAIL" in capsys.readouterr().out
+        if obj is sourced:
+            assert run(["verify", "--in", str(bad)]) == 2  # the finite default fails it
+            assert "unextendible: FAIL" in capsys.readouterr().out
+        else:  # the changed diagonal entry moves tr U_0, which z no longer fits
+            assert run(["verify", "--in", str(bad)]) == 1
+            assert "phase z" in _one_error_line(capsys)

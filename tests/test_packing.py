@@ -9,6 +9,7 @@ from umebkit import matcore
 from umebkit.errors import (
     HadamardOrderMismatch,
     IndexOutOfRange,
+    MalformedArtifact,
     NotOrthogonal,
     RankOutOfRange,
     ShapeMismatch,
@@ -368,6 +369,18 @@ def test_family_rejects_provenance_of_another_length():
     for provenance in (fam.provenance[:3], fam.provenance + (None,)):
         with pytest.raises(ShapeMismatch, match="provenance"):
             replace(fam, provenance=provenance)
+
+
+def test_family_json_checks_the_coefficient_of_a_family_with_provenance():
+    for fam in (p7_family(), dual_family(p7_family())):
+        obj = family_to_json(fam)
+        assert family_from_json(obj).scale == off_support_scale(7)
+        for scale in (None, off_support_scale(7) * (1 + 1e-12), off_support_scale(23)):
+            with pytest.raises(MalformedArtifact, match="C = "):
+                family_from_json({**obj, "C": scale})
+    # without provenance C is not the residue coefficient, and any value loads
+    obj = family_to_json(icosahedron_lines())
+    assert family_from_json({**obj, "C": 1.5}).scale == 1.5
 
 
 def test_family_json_icosahedron_has_null_provenance():
