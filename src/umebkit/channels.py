@@ -24,8 +24,8 @@ members come in Z_d orbits of shifts with equal weights, as the paper's
 UMEB does (member t*d + x is member t*d shifted by x), the mixture is one
 shift-covariant kernel K with d^3 entries: out[i, i + D] =
 sum_{e,f} K[D, e, f] X[i + e, i + f], indices mod d.  K is built once per
-decomposition, in O(n d^2) for the structure check and O(T d^3) for the
-correlation (T = n/d orbits), and each input then costs one gather and one
+decomposition, in O(n d^2) for the structure check and O(T d^3 + d^4) for
+the correlation (T = n/d orbits), and each input then costs one gather and one
 (d x d^2)(d^2 x d) product, O(d^4), against O(n d^3) member by member.  Any
 other mixture is applied member by member, in blocks of members.  Either
 way check (b) reads only the members and the weights, neither the Gram nor
@@ -81,9 +81,10 @@ class MixedUnitaryDecomposition:
         K[D, e, f] = C[D, e, f - D], C[D, e, g] = sum_t w_t sum_a
         diag[t, a, e] conj(diag[t, a + D, g]), a cyclic correlation over a: C
         is the DFT over k of M[k, e, g] = sum_t w_t F[t, k, e] conj(F[t, k, g]),
-        divided by d, with F the DFT of diag over a.  K reads only the members
-        and the weights; the members are compared with their shifted bases in
-        blocks of members.
+        divided by d, with F the DFT of diag over a.  Each DFT is one product
+        with the d x d DFT matrix, so K costs O(T d^3 + d^4) in gemms.  K reads
+        only the members and the weights; the members are compared with their
+        shifted bases in blocks of members.
         """
         w = _weights(self)
         us = self.unitaries.unitaries
@@ -98,16 +99,18 @@ class MixedUnitaryDecomposition:
         # a member's share of a block: its shifted base and the flat index that gathers it
         for members in _blocks(len(us), d * d * (us.itemsize + 8)):
             t, x = np.divmod(np.arange(members.start, members.stop), d)
-            at = minus[x, :, None] * d + minus[x, None, :]  # at[m, i, j]: (i - x, j - x) of member t*d
+            at = minus[x, :, None] * d + minus[x, None, :]  # at[m, i, j]: flat index of (i - x, j - x) in member t*d
             at += (t * d**3)[:, None, None]
             if not np.array_equal(np.take(us, at), us[members]):
                 return None
-        f = np.fft.fft(us[::d, coords[:, None], plus], axis=1).transpose(1, 0, 2)  # f[k, t, e] = F[t, k, e]
+        dft = np.exp(-2j * np.pi / d * (coords[:, None] * coords % d))  # dft[k, a], symmetric
+        f = (dft @ us[::d, coords[:, None], plus]).transpose(1, 0, 2)  # f[k, t, e] = F[t, k, e]
         fbar = f.conj()
         f *= orbit_w[:, None]
         m = f.transpose(0, 2, 1) @ fbar
         del f, fbar  # m and the arrays below are the size of the kernel: hold at most two
-        c = np.fft.fft(m, axis=0, norm="forward")
+        c = (dft @ m.reshape(d, d * d)).reshape(d, d, d)
+        c /= d
         del m
         # kmat[e, f, D] = c[D, e, f - D]; a C-ordered index keeps the gather C-ordered, so reshape copies nothing
         kmat = c[coords, coords[:, None, None], (coords[:, None] - coords) % d].reshape(d * d, d)
