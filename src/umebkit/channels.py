@@ -25,12 +25,13 @@ UMEB does (member t*d + x is member t*d shifted by x), the mixture is one
 shift-covariant kernel K with d^3 entries: out[i, i + D] =
 sum_{e,f} K[D, e, f] X[i + e, i + f], indices mod d.  K is built once per
 decomposition, in O(n d^2) for the structure check and O(T d^3 + d^4) for
-the correlation (T = n/d orbits), and each input then costs one gather and one
-(d x d^2)(d^2 x d) product, O(d^4), against O(n d^3) member by member.  Any
-other mixture is applied member by member, in blocks of members.  Either
-way check (b) reads only the members and the weights, neither the Gram nor
-vec(U), so it stays independent of (a).  Every pass but the d-row blocks
-and the d^3 kernel itself sizes its blocks from matcore's one byte budget.
+the correlation (T = n/d orbits), and each input then costs one gather and
+one (d x d^2)(d^2 x d) product, O(d^4), against O(n d^3) member by member.
+Any other mixture is applied member by member, in blocks of members.
+Either way check (b) reads only the members and the weights, neither the
+Gram nor vec(U), so it stays independent of (a).  Every pass but the d-row
+blocks and the d^3 kernel itself sizes its blocks from matcore's one byte
+budget.
 """
 
 from __future__ import annotations
@@ -60,12 +61,15 @@ def _cyclic(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class MixedUnitaryDecomposition:
     """Convex mixture sum_j weights[j] U_j X U_j* over a unitary family.
 
-    The weights are a tuple and the family's stack is read-only, so the
-    orbit kernel is computed once, on first use, and kept on the object.
+    The weights are kept as a tuple and the family's stack is read-only, so
+    the orbit kernel is computed once, on first use, and kept on the object.
     """
 
     weights: tuple[float, ...]
     unitaries: UnitaryFamily
+
+    def __post_init__(self):
+        object.__setattr__(self, "weights", tuple(self.weights))
 
     @cached_property
     def _orbit_kernel(self) -> np.ndarray | None:

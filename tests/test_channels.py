@@ -150,6 +150,18 @@ def test_umeb_decomposition_rejects_uncertified():
         umeb_decomposition(duplicated)
 
 
+def test_decomposition_keeps_its_own_weights():
+    # the orbit kernel is cached from the weights, so a caller's list must not reach them
+    dec = umeb_decomposition(p7_unitaries())
+    weights = list(dec.weights)
+    mine = MixedUnitaryDecomposition(weights=weights, unitaries=dec.unitaries)
+    x = random_hermitian(7, seed=3)
+    before = apply_decomposition(mine, x)
+    weights[0] = 0.5
+    assert mine.weights == dec.weights
+    assert np.array_equal(apply_decomposition(mine, x), before)
+
+
 def test_verify_decomposition_p7():
     rep = verify_decomposition(umeb_decomposition(p7_unitaries()), trials=20, seed=42)
     assert rep.verdict
