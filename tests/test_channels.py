@@ -280,11 +280,15 @@ def test_verify_decomposition_checks_the_last_batch_of_trials(monkeypatch):
     assert rep.apply_dev_max == pytest.approx(devs[seed + batch], rel=1e-9)
 
 
+def _residue_unitaries(p):
+    fam = build_residue_family(validate_prime(p), construct((p + 1) // 2))
+    return build_unitaries(fam, compute_phase(p, (p - 1) // 2))
+
+
 def _unitaries(p):
     if p == 3:
         return build_unitaries(icosahedron_lines(), compute_phase(3, 1))
-    fam = build_residue_family(validate_prime(p), construct((p + 1) // 2))
-    return build_unitaries(fam, compute_phase(p, (p - 1) // 2))
+    return _residue_unitaries(p)
 
 
 def full_choi_dev(dec):
@@ -294,11 +298,6 @@ def full_choi_dev(dec):
     flat = np.array([u.flatten(order="F") for u in uf.unitaries])
     choi = (np.array(dec.weights)[:, None] * flat).T @ flat.conj()
     return np.linalg.norm(choi - (np.eye(d * d) + swap_matrix(d)) / (d + 1))
-
-
-def _residue_unitaries(p):
-    fam = build_residue_family(validate_prime(p), construct((p + 1) // 2))
-    return build_unitaries(fam, compute_phase(p, (p - 1) // 2))
 
 
 def spy_paths(monkeypatch, names):
