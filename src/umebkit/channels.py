@@ -9,11 +9,13 @@ matrix is the channel applied to E_jk.
 verify_decomposition makes two checks.
 (a) The Choi check measures |C_mix - (I + SWAP)/(d+1)|_F.  When every
 member is exactly symmetric, there are n = d(d+1)/2 of them and no weight is
-negative, it reads that distance off the family's trace Gram G, which the
-certificate also uses: |W^(1/2) G W^(1/2) - (2/(d+1)) I_n|_F, an exact
-identity (the vec(U_j) lie in the n-dimensional symmetric subspace, where
-the target is (2/(d+1)) times the identity, and F W F* and W^(1/2) F* F W^(1/2)
-have the same spectrum).  Otherwise it sums the squared distance over the
+negative, it reads that distance off the family's trace Gram G:
+|W^(1/2) G W^(1/2) - (2/(d+1)) I_n|_F, an exact identity (the vec(U_j) lie
+in the n-dimensional symmetric subspace, where the target is (2/(d+1)) times
+the identity, and F W F* and W^(1/2) F* F W^(1/2) have the same spectrum).
+With weights equal within each Z_d orbit it sums the orbit rows the
+certificate also reads, times d; with weights that differ within an orbit it
+sums every row of the whole Gram.  Otherwise it sums the squared distance over the
 d-row blocks (w o F[:, rows])^T @ conj(F), F the rows vec(U_j), subtracting
 the target in place at its identity and SWAP entries; C_mix is Hermitian,
 so each block starts at the diagonal block and the blocks right of it count
@@ -23,9 +25,10 @@ apply_decomposition, and compares each output with wh_plus_apply.  When the
 members come in Z_d orbits of shifts with equal weights, as the paper's
 UMEB does (member t*d + x is member t*d shifted by x), the mixture is one
 shift-covariant kernel K with d^3 entries: out[i, i + D] =
-sum_{e,f} K[D, e, f] X[i + e, i + f], indices mod d.  K is built once per
-decomposition, in O(n d^2) for the structure check and O(T d^3 + d^4) for
-the correlation (T = n/d orbits), and each input then costs one gather and
+sum_{e,f} K[D, e, f] X[i + e, i + f], indices mod d.  The structure is the
+family's cached orbit_size, checked once per family in O(n d^2); K is built
+once per decomposition, in O(T d^3 + d^4) for the correlation (T = n/d
+orbits), and each input then costs one gather and
 one (d x d^2)(d^2 x d) product, O(d^4), against O(n d^3) member by member.
 Any other mixture is applied member by member, in blocks of members.
 Either way check (b) reads only the members and the weights, neither the
@@ -45,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotCertified, NotSquare, OutOfRange, ShapeMismatch
-from .matcore import DEFAULT_TOL, Tolerance, _blocks
+from .matcore import DEFAULT_TOL, Tolerance, _blocks, gram_matrix
 from .umeb import UnitaryFamily, _span
 
 Channel = Callable[[np.ndarray], np.ndarray]
@@ -87,26 +90,18 @@ class MixedUnitaryDecomposition:
         is the DFT over k of M[k, e, g] = sum_t w_t F[t, k, e] conj(F[t, k, g]),
         divided by d, with F the DFT of diag over a.  Each DFT is one product
         with the d x d DFT matrix, so K costs O(T d^3 + d^4) in gemms.  K reads
-        only the members and the weights; the members are compared with their
-        shifted bases in blocks of members.
+        only the members and the weights; the orbit structure of the members
+        is the family's cached orbit_size (matcore.orbit_count).
         """
         w = _weights(self)
         us = self.unitaries.unitaries
         d = self.unitaries.d
-        if len(us) % d:
+        if self.unitaries.orbit_size != d:
             return None
         orbit_w = w[::d]
         if np.any(w.reshape(-1, d) != orbit_w[:, None]):
             return None
-        us = np.ascontiguousarray(us)  # np.take below reads it in C order; only a foreign stack is copied
-        coords, plus, minus = _cyclic(d)
-        # a member's share of a block: its shifted base and the flat index that gathers it
-        for members in _blocks(len(us), d * d * (us.itemsize + 8)):
-            t, x = np.divmod(np.arange(members.start, members.stop), d)
-            at = minus[x, :, None] * d + minus[x, None, :]  # at[m, i, j]: flat index of (i - x, j - x) in member t*d
-            at += (t * d**3)[:, None, None]
-            if not np.array_equal(np.take(us, at), us[members]):
-                return None
+        coords, plus, _ = _cyclic(d)
         dft = np.exp(-2j * np.pi / d * (coords[:, None] * coords % d))  # dft[k, a], symmetric
         f = (dft @ us[::d, coords[:, None], plus]).transpose(1, 0, 2)  # f[k, t, e] = F[t, k, e]
         fbar = f.conj()
@@ -266,15 +261,34 @@ def random_hermitian(d: int, seed: int) -> np.ndarray:
 
 def _choi_dev_from_gram(w: np.ndarray, uf: UnitaryFamily) -> float:
     """|W^(1/2) G W^(1/2) - (2/(d+1)) I_n|_F, equal to the Choi distance when the
-    n = d(d+1)/2 members are exactly symmetric and the weights are >= 0."""
+    n = d(d+1)/2 members are exactly symmetric and the weights are >= 0.
+
+    When the weights are equal within each orbit of uf.orbit_size members,
+    row t*d + x of W^(1/2) G W^(1/2) is row t*d permuted, so the squared
+    distance is orbit_size times its sum over the family's Gram rows;
+    otherwise (orbit_size 1, or weights that differ within an orbit) it is
+    summed over every row of the whole Gram, computed here when the rows
+    are not it.  Each block of rows is scaled in place, in one buffer
+    reused across blocks.
+    """
+    size = uf.orbit_size
+    if np.all(w.reshape(-1, size) == w[::size, None]):
+        gram = uf.gram_rows
+    else:
+        gram, size = gram_matrix(uf.unitaries), 1
     s = np.sqrt(w)
+    m, n = gram.shape
+    own = np.arange(m) * size  # the column of each row's diagonal entry
+    blocks = list(_blocks(m, n * gram.itemsize))
+    buffer = np.empty((blocks[0].stop, n), dtype=gram.dtype)  # the first block is the largest
     sq = 0.0
-    for rows in _blocks(len(uf), len(uf) * uf.gram.itemsize):
-        dev = s[rows, None] * uf.gram[rows] * s
-        block = dev[:, rows]
-        np.fill_diagonal(block, block.diagonal() - 2 / (uf.d + 1))
+    for rows in blocks:
+        dev = buffer[: rows.stop - rows.start]
+        np.multiply(s[own[rows], None], gram[rows], out=dev)
+        dev *= s
+        dev[np.arange(len(dev)), own[rows]] -= 2 / (uf.d + 1)
         sq += float(np.vdot(dev, dev).real)
-    return math.sqrt(sq)
+    return math.sqrt(size * sq)
 
 
 def _choi_dev_by_blocks(w: np.ndarray, uf: UnitaryFamily) -> float:
@@ -310,8 +324,10 @@ def verify_decomposition(
     (a) Frobenius distance between sum_j w_j vec(U_j) vec(U_j)* and the
     closed-form Choi matrix (I + SWAP)/(d+1), within eps * d^2.  For
     d(d+1)/2 exactly symmetric members with weights >= 0 it comes from the
-    family's trace Gram, the one the certificate reads; otherwise it is
-    accumulated over blocks of d rows, so no d^2 x d^2 matrix is formed.
+    family's trace Gram: from the Gram rows the certificate reads, times the
+    orbit size, when the weights are equal within each orbit, and from the
+    whole Gram when they are not; otherwise it is accumulated over blocks of
+    d rows, so no d^2 x d^2 matrix is formed.
     (b) For `trials` seeded random Hermitian inputs (per-trial seed =
     seed + index), max-entry distance between the mixture output and the
     formula output, within eps * max|X|.  Check (b) applies the mixture to a

@@ -61,27 +61,56 @@ def frobenius_inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.vdot(a, b))
 
 
-def gram_matrix(mats: list[np.ndarray] | np.ndarray) -> np.ndarray:
-    """Hermitian Gram matrix G_ij = tr(m_i* m_j) of same-shape matrices.
+def gram_matrix(mats: list[np.ndarray] | np.ndarray, step: int = 1) -> np.ndarray:
+    """Rows 0, step, 2*step, ... of the Hermitian Gram G_ij = tr(m_i* m_j) of same-shape matrices.
 
-    A stacked array is used without a copy; real input gives a real Gram.
-    Real input is one product of the stack with its own transpose, which
-    numpy computes as a symmetric rank-k update at half the cost.  Complex
-    input needs conjugated members, so its rows are computed in blocks of
-    _BLOCK_BYTES of Gram rows, and only that block's members exist conjugated
-    at once.
+    The default step of 1 gives the whole n x n Gram.  A stacked array is
+    used without a copy; real input gives a real Gram.  Real input is one
+    product of the chosen members with the whole stack's transpose, which
+    for the whole Gram numpy computes as a symmetric rank-k update at half
+    the cost.  Complex input needs conjugated members, so its rows are
+    computed in blocks of _BLOCK_BYTES of Gram rows, and only that block's
+    members exist conjugated at once.
     """
     stack = np.asarray(mats)
     if stack.ndim < 2:
         raise ShapeMismatch("need at least one matrix")
     n = stack.shape[0]
     flat = stack.reshape(n, -1)
+    chosen = flat[::step]
     if not np.iscomplexobj(flat):
-        return flat @ flat.T
-    gram = np.empty((n, n), dtype=flat.dtype)
-    for rows in _blocks(n, n * gram.itemsize):
-        np.matmul(flat[rows].conj(), flat.T, out=gram[rows])
+        return chosen @ flat.T
+    gram = np.empty((len(chosen), n), dtype=flat.dtype)
+    for rows in _blocks(len(chosen), n * gram.itemsize):
+        np.matmul(chosen[rows].conj(), flat.T, out=gram[rows])
     return gram
+
+
+def orbit_count(stack: np.ndarray, d: int) -> int | None:
+    """T when the (n, d, d) stack is T whole Z_d orbits of cyclic shifts, None otherwise.
+
+    Orbit structure: n = T*d and member t*d + x equal (np.array_equal) to
+    member t*d shifted by x, m_{t,x}[i, j] = m_t[i - x, j - x], indices mod
+    d.  A shift is a permutation similarity, so the trace Gram of such a
+    stack is block-circulant, G[t*d + x, t'*d + x'] = G[t*d, t'*d + (x' - x) mod d],
+    and its T rows gram_matrix(stack, step=d) fix every entry.  The members
+    are compared with their shifted bases in blocks of members; the check
+    reads the entries alone.
+    """
+    n = len(stack)
+    if n % d:
+        return None
+    stack = np.ascontiguousarray(stack)  # np.take reads it in C order; only a foreign stack is copied
+    coords = np.arange(d)
+    minus = (coords - coords[:, None]) % d  # minus[x, i] = (i - x) mod d
+    # a member's share of a block: its shifted base and the flat index that gathers it
+    for members in _blocks(n, d * d * (stack.itemsize + 8)):
+        t, x = np.divmod(np.arange(members.start, members.stop), d)
+        at = minus[x, :, None] * d + minus[x, None, :]  # at[m, i, j]: flat index of (i - x, j - x) in member t*d
+        at += (t * d**3)[:, None, None]
+        if not np.array_equal(np.take(stack, at), stack[members]):
+            return None
+    return n // d
 
 
 def read_only_stack(members, d: int, dtype=None) -> np.ndarray:

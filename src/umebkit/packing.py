@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .matcore import (
     gram_matrix,
     json_int,
     json_number,
+    orbit_count,
     read_only_stack,
     stack_from_json,
     stack_to_json,
@@ -47,7 +49,9 @@ class ProjectionFamily:
     beta is the exact rational target of tr(P_i P_j) for i != j.  provenance
     holds one (t, shift) pair per projection for residue/Hadamard-built
     families and None otherwise; scale is the off-support coefficient
-    (1 + sqrt(p+2))/sqrt(p+1) when applicable.
+    (1 + sqrt(p+2))/sqrt(p+1) when applicable.  Because no caller can write
+    to the stack through the family, its orbit structure is checked once, on
+    first use, and kept on the object.
     """
 
     d: int
@@ -64,6 +68,11 @@ class ProjectionFamily:
 
     def __len__(self) -> int:
         return len(self.projections)
+
+    @cached_property
+    def orbit_size(self) -> int:
+        """d when the stack is whole Z_d orbits of cyclic shifts (matcore.orbit_count), 1 otherwise."""
+        return 1 if orbit_count(self.projections, self.d) is None else self.d
 
 
 @dataclass(frozen=True)
@@ -177,22 +186,30 @@ def verify_equiangular(
 ) -> EquiangularReport:
     """Check pairwise traces, idempotency and trace-rank of every member.
 
-    The pairwise traces come from one Gram, its diagonal zeroed in place.
-    Idempotency is checked as chunk @ chunk - chunk over blocks of members
-    sized by matcore's byte budget, so no temporary has the size of the whole
-    family; the block maxima are combined with np.max, which keeps a NaN.
+    The pairwise traces come from the Gram rows gram_matrix(stack,
+    step=orbit_size), each row's own entry zeroed in place.  A family of
+    whole Z_d orbits has a block-circulant Gram, so its (n/d) orbit rows hold
+    every entry, and a shifted member squares to the shifted square of its
+    base; any other family (orbit_size 1) reads its whole Gram.  Idempotency
+    is checked on the orbit_size-strided bases as chunk @ chunk - chunk, over
+    blocks of members sized by matcore's byte budget, so no temporary has
+    the size of the whole family; the block maxima are combined with np.max,
+    which keeps a NaN.  The traces are taken over every member.
     """
     stack = family.projections
     n = len(stack)
+    size = family.orbit_size
     beta = float(family.beta)
-    angle_devs = gram_matrix(stack).real
+    angle_devs = gram_matrix(stack, step=size).real
     angle_devs -= beta
     np.abs(angle_devs, out=angle_devs)
-    angle_devs.flat[:: n + 1] = 0.0
+    own = np.arange(len(angle_devs))
+    angle_devs[own, own * size] = 0.0
     max_angle_dev = float(np.max(angle_devs))
+    bases = stack[::size]
     chunk_devs = []
-    for members in _blocks(n, family.d * family.d * stack.itemsize):
-        chunk = stack[members]
+    for members in _blocks(len(bases), family.d * family.d * stack.itemsize):
+        chunk = bases[members]
         dev = chunk @ chunk
         dev -= chunk
         chunk_devs.append(np.max(np.abs(dev, out=dev)))

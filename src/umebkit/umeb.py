@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import Infeasible, RankOutOfRange
-from .matcore import DEFAULT_TOL, Tolerance, _blocks, gram_matrix, read_only_stack
+from .matcore import DEFAULT_TOL, Tolerance, _blocks, gram_matrix, orbit_count, read_only_stack
 from .packing import ProjectionFamily
 
 
@@ -40,9 +40,9 @@ class UnitaryFamily:
 
     unitaries is one read-only complex (n, d, d) array that the family owns:
     a sequence or a writable array given to the constructor is copied into
-    it.  Because no caller can write to it through the family, the trace Gram
-    and the symmetry deviations are computed once, on first use, and kept on
-    the object.
+    it.  Because no caller can write to it through the family, its orbit
+    structure, its trace Gram rows and its symmetry deviations are computed
+    once, on first use, and kept on the object.
     """
 
     d: int
@@ -57,11 +57,21 @@ class UnitaryFamily:
         return len(self.unitaries)
 
     @cached_property
-    def gram(self) -> np.ndarray:
-        """G_ij = tr(U_i* U_j), read-only."""
-        gram = gram_matrix(self.unitaries)
-        gram.flags.writeable = False
-        return gram
+    def orbit_size(self) -> int:
+        """d when the stack is whole Z_d orbits of cyclic shifts (matcore.orbit_count), 1 otherwise."""
+        return 1 if orbit_count(self.unitaries, self.d) is None else self.d
+
+    @cached_property
+    def gram_rows(self) -> np.ndarray:
+        """Rows k * orbit_size of G_ij = tr(U_i* U_j), read-only, shape (n / orbit_size, n).
+
+        For whole orbits these (n/d) rows fix the block-circulant Gram,
+        G[t*d + x, t'*d + x'] = gram_rows[t, t'*d + (x' - x) mod d]; for any
+        other family they are the whole n x n Gram.
+        """
+        rows = gram_matrix(self.unitaries, step=self.orbit_size)
+        rows.flags.writeable = False
+        return rows
 
     @cached_property
     def asymmetry(self) -> tuple[float, float]:
@@ -147,12 +157,13 @@ def cj_states(uf: UnitaryFamily) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Span:
-    """The tolerance-dependent span facts of a family, read off its Gram."""
+    """The tolerance-dependent span facts of a family, read off its Gram rows."""
 
     max_off_gram: float  # max_{i != j} |G_ij|
     span_rank: int
     lam: float  # lower bound on the smallest eigenvalue counted in span_rank
     symmetric_span: bool
+    diag: np.ndarray  # G_ii of the Gram rows' own members, one per row
 
 
 def _span(uf: UnitaryFamily, tol: Tolerance) -> _Span:
@@ -162,31 +173,44 @@ def _span(uf: UnitaryFamily, tol: Tolerance) -> _Span:
     [G_ii - R_i, G_ii + R_i], R_i = sum_{j != i} |G_ij|.  If the lowest
     point of the discs exceeds rank_eps times the highest, which bounds the
     largest eigenvalue, all n eigenvalues are counted and that lowest point
-    bounds the smallest of them from below.
+    bounds the smallest of them from below.  The discs, max |G_ij| off the
+    diagonal and the diagonal come from uf.gram_rows: a row of a member
+    shifted by x is its base's row permuted, so the base rows have every
+    radius, off-diagonal entry and diagonal entry of the family.  The
+    eigvalsh fallback needs the whole Gram and computes it when the rows
+    are not it.
     """
     n, d = len(uf), uf.d
-    gram = uf.gram
-    radii = np.empty(n)
+    gram = uf.gram_rows
+    m = len(gram)
+    own = np.arange(m) * uf.orbit_size  # the column of each row's diagonal entry
+    radii = np.empty(m)
     max_off = []
-    for rows in _blocks(n, n * gram.itemsize):
+    for rows in _blocks(m, n * gram.itemsize):
         off = np.abs(gram[rows])
-        np.fill_diagonal(off[:, rows], 0.0)
+        off[np.arange(len(off)), own[rows]] = 0.0
         radii[rows] = off.sum(axis=1)
         max_off.append(np.max(off))
-    diag = gram.diagonal().real
-    lower = float(np.min(diag - radii))
-    if lower > tol.rank_eps * float(np.max(diag + radii)):
+    diag = gram[np.arange(m), own]
+    lower = float(np.min(diag.real - radii))
+    if lower > tol.rank_eps * float(np.max(diag.real + radii)):
         span_rank, lam = n, lower
     else:
-        eigs = np.linalg.eigvalsh(gram)
+        eigs = np.linalg.eigvalsh(gram if m == n else gram_matrix(uf.unitaries))
         span_rank = int(np.sum(eigs > tol.rank_eps * eigs[-1])) if eigs[-1] > 0 else 0
         lam = float(eigs[-span_rank]) if span_rank else 0.0
     symmetric_span = span_rank == d * (d + 1) // 2 and uf.asymmetry[0] <= tol.eps
-    return _Span(float(np.max(max_off)), span_rank, lam, symmetric_span)
+    return _Span(float(np.max(max_off)), span_rank, lam, symmetric_span, diag)
 
 
 def certify_umeb(uf: UnitaryFamily, tol: Tolerance = DEFAULT_TOL) -> UmebCertificate:
-    """Fill every certificate field from scratch; failures are verdicts, not errors."""
+    """Fill every certificate field; failures are verdicts, not errors.
+
+    Unitarity and symmetry are checked on every member, in member blocks.
+    The orthogonality deviation, the span rank and cj_orthonormality_dev
+    come from the family's Gram rows through _span: the (n/d) orbit rows
+    for a family of whole Z_d orbits, the whole Gram otherwise.
+    """
     d = uf.d
     n = len(uf)
 
@@ -207,7 +231,7 @@ def certify_umeb(uf: UnitaryFamily, tol: Tolerance = DEFAULT_TOL) -> UmebCertifi
     complement_antisymmetric = uf.asymmetry[1] / 4 <= tol.eps * tol.eps * span.lam
 
     # max |G/d - I| off the diagonal is the span pass's max |G_ij| over d
-    diag_dev = np.max(np.abs(uf.gram.diagonal() / d - 1.0))
+    diag_dev = np.max(np.abs(span.diag / d - 1.0))
     cj_orthonormality_dev = float(np.maximum(span.max_off_gram / d, diag_dev))
 
     d_odd = d % 2 == 1

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from umebkit import channels, matcore
+from umebkit import channels, matcore, umeb
 from umebkit.channels import (
     MixedUnitaryDecomposition,
     apply_decomposition,
@@ -350,6 +350,62 @@ def test_choi_check_from_the_gram_is_the_block_sum(name, weights, monkeypatch):
     if dec.unitaries.d <= 23:
         assert rep.choi_dev == pytest.approx(full_choi_dev(dec), rel=1e-12, abs=1e-14)
     assert rep.verdict == (weights == "uniform")
+
+
+def dense(uf):
+    """The same family with its orbit structure switched off: the dense oracle, every Gram row."""
+    oracle = UnitaryFamily(d=uf.d, z=uf.z, unitaries=uf.unitaries, source=uf.source)
+    oracle.__dict__["orbit_size"] = 1  # what the cached property stores without orbit structure
+    return oracle
+
+
+def spy_gram_shapes(monkeypatch):
+    """Record the shape of every Gram, or block of Gram rows, that umeb and channels compute."""
+    shapes = []
+    for module in (umeb, channels):
+        gram_matrix = module.gram_matrix
+
+        def spy(*args, gram_matrix=gram_matrix, **kwargs):
+            gram = gram_matrix(*args, **kwargs)
+            shapes.append(gram.shape)
+            return gram
+
+        monkeypatch.setattr(module, "gram_matrix", spy)
+    return shapes
+
+
+@pytest.mark.parametrize(
+    "p, weights",
+    [(p, w) for p in (3, 7, 23, 31, 47) for w in ("uniform", "per-orbit", "inside-an-orbit")]
+    + [pytest.param(p, "uniform", marks=pytest.mark.slow) for p in (71, 79)],
+)
+def test_choi_check_from_orbit_rows_matches_the_dense_rows(p, weights, monkeypatch):
+    uf = _residue_unitaries(p)
+    n = len(uf)
+    ran = spy_choi_paths(monkeypatch)
+    shapes = spy_gram_shapes(monkeypatch)
+    dec = umeb_decomposition(uf)
+    w = np.array(dec.weights)
+    if weights == "per-orbit":  # every member of orbit 0: still the orbit rows
+        w[:p] *= 1.5
+    if weights == "inside-an-orbit":  # shifts 1 and 2 of orbit 0: the whole Gram
+        w[1] *= 1.5
+        w[2] *= 0.5
+    dec = MixedUnitaryDecomposition(weights=tuple(w), unitaries=uf)
+    rep = verify_decomposition(dec, trials=0)
+    oracle = verify_decomposition(MixedUnitaryDecomposition(dec.weights, dense(uf)), trials=0)
+    monkeypatch.undo()
+    assert ran == ["_choi_dev_from_gram"] * 2
+    assert uf.orbit_size == p
+    # the orbit rows once, for the decomposition and its check; the whole Gram for the oracle
+    expected = [((p + 1) // 2, n)] + [(n, n)] * (weights == "inside-an-orbit") + [(n, n)]
+    assert shapes == expected
+    assert rep.verdict == oracle.verdict == (weights == "uniform")
+    assert abs(rep.choi_dev - oracle.choi_dev) <= 1e-13
+    if weights == "per-orbit":
+        assert rep.choi_dev == pytest.approx(channels._choi_dev_by_blocks(w, uf), rel=1e-12)
+    if weights == "uniform":
+        assert rep.choi_dev <= 1e-15 * p * p
 
 
 def _nonsymmetric_member():

@@ -1,11 +1,11 @@
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from umebkit import matcore
+from umebkit import matcore, packing
 from umebkit.errors import (
     HadamardOrderMismatch,
     IndexOutOfRange,
@@ -320,6 +320,95 @@ def test_verify_equiangular_checks_the_last_chunk(monkeypatch):
     report = verify_equiangular(_with_last_member(fam, fam.projections[-1] * (1 + 1e-6)))
     assert not report.passed
     assert report.max_idempotency_dev > EPS
+
+
+def residue_family(p):
+    return build_residue_family(validate_prime(p), construct((p + 1) // 2))
+
+
+def dense(fam):
+    """The same family with its orbit structure switched off: the dense oracle, every Gram row."""
+    oracle = replace(fam)
+    oracle.__dict__["orbit_size"] = 1  # what the cached property stores without orbit structure
+    return oracle
+
+
+def spy_gram_shapes(monkeypatch, module):
+    """Record the shape of every Gram, or block of Gram rows, that module computes."""
+    shapes = []
+    gram_matrix = module.gram_matrix
+
+    def spy(*args, **kwargs):
+        gram = gram_matrix(*args, **kwargs)
+        shapes.append(gram.shape)
+        return gram
+
+    monkeypatch.setattr(module, "gram_matrix", spy)
+    return shapes
+
+
+def assert_matches_dense(report, oracle):
+    """Every float field within 1e-13 of the oracle's, every other field equal."""
+    for field, value in asdict(oracle).items():
+        if isinstance(value, float):
+            assert abs(getattr(report, field) - value) <= 1e-13, field
+        else:
+            assert getattr(report, field) == value, field
+
+
+ORBIT_FAMILIES = {
+    **{f"p{p}": (lambda p=p: residue_family(p)) for p in (3, 7, 23, 31, 47, 71, 79)},
+    "dual7": lambda: dual_family(p7_family()),
+    "json7": lambda: family_from_json(family_to_json(p7_family())),
+}
+
+
+@pytest.mark.parametrize(
+    "name", [pytest.param(n, marks=pytest.mark.slow) if n in ("p71", "p79") else n for n in ORBIT_FAMILIES]
+)
+def test_equiangular_check_from_orbit_rows_matches_the_dense_check(name, monkeypatch):
+    fam = ORBIT_FAMILIES[name]()
+    p, n = fam.d, len(fam)
+    shapes = spy_gram_shapes(monkeypatch, packing)
+    report = verify_equiangular(fam)
+    oracle = verify_equiangular(dense(fam))
+    assert fam.orbit_size == p
+    assert shapes == [((p + 1) // 2, n), (n, n)]
+    assert report.passed
+    assert_matches_dense(report, oracle)
+
+
+def _perturbed_entry(fam):
+    members = np.array(fam.projections)
+    members[-1, 2, 4] += 1e-12  # the last member, in the last block of the structure check
+    return replace(fam, projections=members)
+
+
+def _swapped_orbits(fam):
+    members = np.array(fam.projections)
+    members[[3, 10]] = members[[10, 3]]  # shift 3 of orbits 0 and 1
+    return replace(fam, projections=members)
+
+
+def _not_whole_orbits(fam):
+    return replace(fam, projections=fam.projections[:27], provenance=fam.provenance[:27])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: icosahedron_lines(), lambda: _perturbed_entry(p7_family()),
+     lambda: _swapped_orbits(p7_family()), lambda: _not_whole_orbits(p7_family())],
+    ids=["icosahedron", "perturbed-entry", "swapped-orbits", "not-whole-orbits"],
+)
+def test_equiangular_check_without_orbit_structure_reads_every_gram_row(build, monkeypatch):
+    fam = build()
+    n = len(fam)
+    shapes = spy_gram_shapes(monkeypatch, packing)
+    report = verify_equiangular(fam)
+    assert fam.orbit_size == 1
+    assert shapes == [(n, n)]
+    assert report.passed  # each is still equiangular within eps
+    assert report == verify_equiangular(dense(fam))
 
 
 def test_gram_matrix_nonsingular_for_generated_families():

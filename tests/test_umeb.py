@@ -1,12 +1,12 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from umebkit import matcore
+from umebkit import matcore, umeb
 from umebkit.cli import unitary_family_from_json, unitary_family_to_json
 from umebkit.errors import Infeasible, RankOutOfRange, ShapeMismatch
 from umebkit.hadamard import construct
@@ -328,7 +328,7 @@ def test_member_stacks_are_read_only(name):
     with pytest.raises(ValueError):
         fam.projections[0, 0, 0] = 1
     with pytest.raises(ValueError):
-        uf.gram[0, 0] = 1
+        uf.gram_rows[0, 0] = 1
     assert certify_umeb(uf).unextendible_verdict
 
 
@@ -377,9 +377,104 @@ def test_families_keep_their_own_copy_of_the_callers_arrays():
 
 def test_gram_is_cached_and_is_the_gram_of_the_stack():
     uf = _residue_unitaries(23)
-    assert uf.gram is uf.gram
-    assert np.array_equal(uf.gram, gram_matrix(uf.unitaries))
+    rows = uf.gram_rows
+    assert rows is uf.gram_rows
+    assert uf.orbit_size == 23 and rows.shape == (12, len(uf))
+    dense = gram_matrix(uf.unitaries)
+    assert np.max(np.abs(rows - dense[::23])) <= 1e-13 * 23
+    # the orbit rows fix every entry: G[t*d + x, t'*d + x'] = rows[t, t'*d + (x' - x) mod d]
+    t, x = np.divmod(np.arange(len(uf)), 23)
+    column = t * 23 + (x - x[:, None]) % 23
+    assert np.max(np.abs(rows[t[:, None], column] - dense)) <= 1e-13 * 23
     assert uf.asymmetry == (0.0, 0.0)  # built families are exactly symmetric
+
+
+def dense(uf):
+    """The same family with its orbit structure switched off: the dense oracle, every Gram row."""
+    oracle = UnitaryFamily(d=uf.d, z=uf.z, unitaries=uf.unitaries, source=uf.source)
+    oracle.__dict__["orbit_size"] = 1  # what the cached property stores without orbit structure
+    return oracle
+
+
+def spy_gram_shapes(monkeypatch, module):
+    """Record the shape of every Gram, or block of Gram rows, that module computes."""
+    shapes = []
+    gram_matrix = module.gram_matrix
+
+    def spy(*args, **kwargs):
+        gram = gram_matrix(*args, **kwargs)
+        shapes.append(gram.shape)
+        return gram
+
+    monkeypatch.setattr(module, "gram_matrix", spy)
+    return shapes
+
+
+def assert_matches_dense(cert, oracle):
+    """Every deviation within 1e-13 of the oracle's, every verdict, span_rank and cardinality equal."""
+    for field, value in asdict(oracle).items():
+        if isinstance(value, float):
+            assert abs(getattr(cert, field) - value) <= 1e-13, field
+        else:
+            assert getattr(cert, field) == value, field
+
+
+ORBIT_FAMILIES = {
+    **{f"p{p}": (lambda p=p: _residue_unitaries(p)) for p in (3, 7, 23, 31, 47, 71, 79)},
+    "dual7": STACKED_FAMILIES["dual"],
+    "json7": STACKED_FAMILIES["json"],
+}
+
+
+@pytest.mark.parametrize(
+    "name", [pytest.param(n, marks=pytest.mark.slow) if n in ("p71", "p79") else n for n in ORBIT_FAMILIES]
+)
+def test_certificate_from_orbit_rows_matches_the_dense_certificate(name, monkeypatch):
+    uf = ORBIT_FAMILIES[name]()
+    p, n = uf.d, len(uf)
+    shapes = spy_gram_shapes(monkeypatch, umeb)
+    cert = certify_umeb(uf)
+    oracle = certify_umeb(dense(uf))
+    assert uf.orbit_size == p
+    assert shapes == [((p + 1) // 2, n), (n, n)]
+    assert cert.unextendible_verdict and cert.span_rank == cert.cardinality == p * (p + 1) // 2
+    assert_matches_dense(cert, oracle)
+
+
+def _edited_p7(edit):
+    uf = p7_unitaries()
+    return UnitaryFamily(d=7, z=uf.z, unitaries=edit(np.array(uf.unitaries)), source=None)
+
+
+def _perturbed_entry(members):
+    members[-1, 2, 4] += 1e-12  # the last member, in the last block of the structure check
+    return members
+
+
+def _swapped_orbits(members):
+    members[[3, 10]] = members[[10, 3]]  # shift 3 of orbits 0 and 1
+    return members
+
+
+@pytest.mark.parametrize(
+    "build, verdict",
+    [
+        (lambda: build_unitaries(icosahedron_lines(), compute_phase(3, 1)), True),
+        (lambda: _edited_p7(_perturbed_entry), True),
+        (lambda: _edited_p7(_swapped_orbits), True),
+        (lambda: _edited_p7(lambda members: members[:27]), False),  # 27 members span rank 27 < 28
+    ],
+    ids=["icosahedron", "perturbed-entry", "swapped-orbits", "not-whole-orbits"],
+)
+def test_certificate_without_orbit_structure_reads_every_gram_row(build, verdict, monkeypatch):
+    uf = build()
+    n = len(uf)
+    shapes = spy_gram_shapes(monkeypatch, umeb)
+    cert = certify_umeb(uf)
+    assert uf.orbit_size == 1
+    assert shapes == [(n, n)]
+    assert cert.unextendible_verdict == verdict
+    assert cert == replace(cert, **spectral_fields(uf))
 
 
 def test_families_reject_members_of_the_wrong_shape():
