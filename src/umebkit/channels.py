@@ -8,25 +8,25 @@ matrix is the channel applied to E_jk.
 
 verify_decomposition makes two checks.
 (a) The Choi check measures |C_mix - (I + SWAP)/(d+1)|_F.  When every
-member is exactly symmetric, there are n = d(d+1)/2 of them and no weight is
-negative, it reads that distance off the family's trace Gram G:
+member is exactly symmetric, there are n = d(d+1)/2 of them, no weight is
+negative and the weights are equal within each orbit of the family's shifts,
+it reads that distance off the family's trace Gram G:
 |W^(1/2) G W^(1/2) - (2/(d+1)) I_n|_F, an exact identity (the vec(U_j) lie
 in the n-dimensional symmetric subspace, where the target is (2/(d+1)) times
 the identity, and F W F* and W^(1/2) F* F W^(1/2) have the same spectrum).
-With weights equal within each Z_d orbit it sums the orbit rows the
-certificate also reads, times d; with weights that differ within an orbit it
-sums every row of the whole Gram.  Otherwise it sums the squared distance over the
-d-row blocks (w o F[:, rows])^T @ conj(F), F the rows vec(U_j), subtracting
-the target in place at its identity and SWAP entries; C_mix is Hermitian,
-so each block starts at the diagonal block and the blocks right of it count
-twice, and no d^2 x d^2 matrix is formed.  (b) The random-input check
+It sums the Gram rows the certificate also reads, times the shift count.
+Otherwise it sums the squared distance over the d-row blocks
+(w o F[:, rows])^T @ conj(F), F the rows vec(U_j), subtracting the target
+in place at its identity and SWAP entries; C_mix is Hermitian, so each
+block starts at the diagonal block and the blocks right of it count twice,
+and no d^2 x d^2 matrix is formed.  (b) The random-input check
 applies the mixture to the seeded inputs, a batch per call, through
 apply_decomposition, and compares each output with wh_plus_apply.  When the
 members come in Z_d orbits of shifts with equal weights, as the paper's
-UMEB does (member t*d + x is member t*d shifted by x), the mixture is one
+UMEB does (member t*d + x is base t shifted by x), the mixture is one
 shift-covariant kernel K with d^3 entries: out[i, i + D] =
 sum_{e,f} K[D, e, f] X[i + e, i + f], indices mod d.  The structure is the
-family's cached orbit_size, checked once per family in O(n d^2); K is built
+family's shift count, given when it was built; K is built from its bases
 once per decomposition, in O(T d^3 + d^4) for the correlation (T = n/d
 orbits), and each input then costs one gather and
 one (d x d^2)(d^2 x d) product, O(d^4), against O(n d^3) member by member.
@@ -48,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotCertified, NotSquare, OutOfRange, ShapeMismatch
-from .matcore import DEFAULT_TOL, Tolerance, _blocks, gram_matrix
+from .matcore import DEFAULT_TOL, Tolerance, _blocks
 from .umeb import UnitaryFamily, _span
 
 Channel = Callable[[np.ndarray], np.ndarray]
@@ -78,9 +78,9 @@ class MixedUnitaryDecomposition:
     def _orbit_kernel(self) -> np.ndarray | None:
         """The read-only orbit kernel, kmat[e*d + f, D] = K[D, e, f]; None without orbit structure.
 
-        Orbit structure: n = T*d members, member t*d + x equal (np.array_equal)
-        to member t*d shifted by x, U_{t,x}[i, j] = U_t[i - x, j - x], and the
-        weights equal within each orbit, w_{t,x} = w_t.  Then, indices mod d
+        Orbit structure: a family with shifts = d, member t*d + x its base
+        t shifted by x, U_{t,x}[i, j] = U_t[i - x, j - x], and the weights
+        equal within each orbit, w_{t,x} = w_t.  Then, indices mod d
         and a = i - x, the mixture is out[i, i + D] =
         sum_{e,f} K[D, e, f] X[i + e, i + f] with
         K[D, e, f] = sum_t w_t sum_a U_t[a, a + e] conj(U_t[a + D, a + f]).
@@ -90,20 +90,19 @@ class MixedUnitaryDecomposition:
         is the DFT over k of M[k, e, g] = sum_t w_t F[t, k, e] conj(F[t, k, g]),
         divided by d, with F the DFT of diag over a.  Each DFT is one product
         with the d x d DFT matrix, so K costs O(T d^3 + d^4) in gemms.  K reads
-        only the members and the weights; the orbit structure of the members
-        is the family's cached orbit_size (matcore.orbit_count).
+        only the bases and the weights.
         """
         w = _weights(self)
-        us = self.unitaries.unitaries
-        d = self.unitaries.d
-        if self.unitaries.orbit_size != d:
+        uf = self.unitaries
+        d = uf.d
+        if uf.shifts != d:
             return None
         orbit_w = w[::d]
         if np.any(w.reshape(-1, d) != orbit_w[:, None]):
             return None
         coords, plus, _ = _cyclic(d)
         dft = np.exp(-2j * np.pi / d * (coords[:, None] * coords % d))  # dft[k, a], symmetric
-        f = (dft @ us[::d, coords[:, None], plus]).transpose(1, 0, 2)  # f[k, t, e] = F[t, k, e]
+        f = (dft @ uf.bases[:, coords[:, None], plus]).transpose(1, 0, 2)  # f[k, t, e] = F[t, k, e]
         fbar = f.conj()
         f *= orbit_w[:, None]
         m = f.transpose(0, 2, 1) @ fbar
@@ -263,19 +262,13 @@ def _choi_dev_from_gram(w: np.ndarray, uf: UnitaryFamily) -> float:
     """|W^(1/2) G W^(1/2) - (2/(d+1)) I_n|_F, equal to the Choi distance when the
     n = d(d+1)/2 members are exactly symmetric and the weights are >= 0.
 
-    When the weights are equal within each orbit of uf.orbit_size members,
+    The weights must be equal within each orbit of uf.shifts members.  Then
     row t*d + x of W^(1/2) G W^(1/2) is row t*d permuted, so the squared
-    distance is orbit_size times its sum over the family's Gram rows;
-    otherwise (orbit_size 1, or weights that differ within an orbit) it is
-    summed over every row of the whole Gram, computed here when the rows
-    are not it.  Each block of rows is scaled in place, in one buffer
-    reused across blocks.
+    distance is uf.shifts times its sum over the family's Gram rows.  Each
+    block of rows is scaled in place, in one buffer reused across blocks.
     """
-    size = uf.orbit_size
-    if np.all(w.reshape(-1, size) == w[::size, None]):
-        gram = uf.gram_rows
-    else:
-        gram, size = gram_matrix(uf.unitaries), 1
+    size = uf.shifts
+    gram = uf.gram_rows
     s = np.sqrt(w)
     m, n = gram.shape
     own = np.arange(m) * size  # the column of each row's diagonal entry
@@ -323,11 +316,10 @@ def verify_decomposition(
 
     (a) Frobenius distance between sum_j w_j vec(U_j) vec(U_j)* and the
     closed-form Choi matrix (I + SWAP)/(d+1), within eps * d^2.  For
-    d(d+1)/2 exactly symmetric members with weights >= 0 it comes from the
-    family's trace Gram: from the Gram rows the certificate reads, times the
-    orbit size, when the weights are equal within each orbit, and from the
-    whole Gram when they are not; otherwise it is accumulated over blocks of
-    d rows, so no d^2 x d^2 matrix is formed.
+    d(d+1)/2 exactly symmetric members with weights >= 0, equal within each
+    orbit of the family's shifts, it comes from the Gram rows the
+    certificate reads, times the shift count; otherwise it is accumulated
+    over blocks of d rows, so no d^2 x d^2 matrix is formed.
     (b) For `trials` seeded random Hermitian inputs (per-trial seed =
     seed + index), max-entry distance between the mixture output and the
     formula output, within eps * max|X|.  Check (b) applies the mixture to a
@@ -343,7 +335,8 @@ def verify_decomposition(
     w = _weights(dec)
     uf = dec.unitaries
     d = uf.d
-    if uf.asymmetry[0] == 0.0 and len(uf) == d * (d + 1) // 2 and np.all(w >= 0):
+    equal_in_orbits = np.all(w.reshape(-1, uf.shifts) == w[:: uf.shifts, None])
+    if uf.asymmetry[0] == 0.0 and len(uf) == d * (d + 1) // 2 and np.all(w >= 0) and equal_in_orbits:
         choi_dev = _choi_dev_from_gram(w, uf)
     else:
         choi_dev = _choi_dev_by_blocks(w, uf)

@@ -52,42 +52,49 @@ def write_json(path: str, obj) -> None:
         fh.write(canonical_json(obj))
 
 
+UNITARY_FIELDS = (("d", "source", "z"), ("bases", "d", "shifts", "z"))
+
+
 def unitary_family_to_json(uf: UnitaryFamily) -> dict:
-    """{"d", "z", "source": family} when the family has a source, else {"d", "z", "unitaries": stack}."""
+    """{"d", "z", "source": family} when the family has a source, else {"d", "z", "shifts", "bases": stack}."""
     obj = {"d": uf.d, "z": [uf.z.real, uf.z.imag]}
     if uf.source is None:
-        obj["unitaries"] = stack_to_json(uf.unitaries)
+        obj["shifts"] = uf.shifts
+        obj["bases"] = stack_to_json(uf.bases)
     else:
         obj["source"] = family_to_json(uf.source)
     return obj
 
 
 def unitary_family_from_json(obj: dict, tol: Tolerance = DEFAULT_TOL) -> UnitaryFamily:
-    """Inverse of unitary_family_to_json; MalformedArtifact or ShapeMismatch on bad input.
+    """Inverse of unitary_family_to_json; MalformedArtifact, ShapeMismatch or OutOfRange on bad input.
 
     A source is rebuilt by build_unitaries, as when written, so the unitaries are bit-identical.
     Without a source, U_i = I - (1 - z)P_i has trace d - r(1 - z) for a rank-r projection P_i,
-    so every (d - tr U_i)/(1 - z) must lie within eps * d of one integer r with 1 <= r < d.
+    so every (d - tr U_i)/(1 - z), read off the bases, must lie within eps * d of one integer r
+    with 1 <= r < d.  The fields must be exactly one of UNITARY_FIELDS.
     """
-    if ("source" in obj) == ("unitaries" in obj):
-        raise MalformedArtifact('a unitary family needs exactly one of "source" and "unitaries"')
+    if tuple(sorted(obj)) not in UNITARY_FIELDS:
+        sourced, bare = map(list, UNITARY_FIELDS)
+        raise MalformedArtifact(f"a unitary family has the fields {sourced} or {bare}, not {sorted(obj)}")
     d = json_int(obj["d"], "d")
     try:
         re, im = obj["z"]
     except (TypeError, ValueError):
         raise MalformedArtifact("phase z must be a pair [re, im]") from None
     z = complex(json_number(re, "z"), json_number(im, "z"))
-    if "unitaries" in obj:
-        unitaries = stack_from_json(obj["unitaries"], d)
+    if "bases" in obj:
+        bases = stack_from_json(obj["bases"], d)
+        uf = UnitaryFamily(d=d, z=z, bases=bases, shifts=json_int(obj["shifts"], "shifts"))
         with np.errstate(all="ignore"):  # z = 1 or a huge trace fails the check below instead
-            ranks = (d - np.einsum("nii->n", unitaries)) / (1 - z)
+            ranks = (d - np.einsum("nii->n", uf.bases)) / (1 - z)
             r = np.rint(ranks[0].real)
             fits = 1 <= r < d and np.max(np.abs(ranks - r)) <= tol.eps * d
         if not fits:
             raise MalformedArtifact(
                 f"phase z = {z} does not fit the unitaries: (d - tr U_i)/(1 - z) is not one rank 1 <= r < {d}"
             )
-        return UnitaryFamily(d=d, z=z, unitaries=unitaries)
+        return uf
     source = family_from_json(obj["source"])
     if source.d != d:
         raise ShapeMismatch(f"source family of {source.d}x{source.d} projections for d={d}")
@@ -194,7 +201,7 @@ def cmd_verify(args) -> int:
             raise MalformedArtifact(f"invalid JSON input: {exc}") from None
     if not isinstance(obj, dict):
         raise MalformedArtifact("input file is not a JSON object")
-    if "projections" in obj:
+    if "r" in obj:
         family = family_from_json(obj)
         report = verify_equiangular(family, tol)
         report_obj = _stamp(

@@ -1,5 +1,6 @@
-"""Dense complex matrix core: trace inner products, Gram-matrix numerical rank,
-symmetric/antisymmetric splits, column-stacking vectorization, unitarity tests.
+"""Dense complex matrix core: whole cyclic-shift orbits of base matrices, trace
+inner products and Gram rows, Gram-matrix numerical rank, symmetric/antisymmetric
+splits, column-stacking vectorization, unitarity tests.
 
 Vectorization convention, fixed once for the whole package: vec(U) stacks the
 columns of U, so vec(U)[j*d + i] = U[i, j] and the normalized image of a
@@ -61,56 +62,59 @@ def frobenius_inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.vdot(a, b))
 
 
-def gram_matrix(mats: list[np.ndarray] | np.ndarray, step: int = 1) -> np.ndarray:
-    """Rows 0, step, 2*step, ... of the Hermitian Gram G_ij = tr(m_i* m_j) of same-shape matrices.
+def orbit_stack(bases: np.ndarray, shifts: int) -> np.ndarray:
+    """The read-only (T * shifts, d, d) members: member t*shifts + x is bases[t] shifted by x, [i, j] -> [i - x, j - x].
 
-    The default step of 1 gives the whole n x n Gram.  A stacked array is
-    used without a copy; real input gives a real Gram.  Real input is one
-    product of the chosen members with the whole stack's transpose, which
-    for the whole Gram numpy computes as a symmetric rank-k update at half
-    the cost.  Complex input needs conjugated members, so its rows are
-    computed in blocks of _BLOCK_BYTES of Gram rows, and only that block's
-    members exist conjugated at once.
+    Indices are mod d, and shifts = 1 gives the bases themselves.  For
+    shifts = d it is one gather whose index arrays are at most d x d and
+    broadcast; an index array on every axis makes it C-ordered, so the
+    reshape copies nothing.
     """
-    stack = np.asarray(mats)
+    if shifts == 1:
+        return bases
+    d = bases.shape[-1]
+    coords = np.arange(d)
+    idx = (coords[None, :] - coords[:, None]) % d  # idx[x, i] = (i - x) mod d
+    stack = bases[np.arange(len(bases))[:, None, None, None], idx[:, :, None], idx[:, None, :]].reshape(-1, d, d)
+    stack.flags.writeable = False
+    return stack
+
+
+def gram_matrix(bases: list[np.ndarray] | np.ndarray, shifts: int = 1) -> np.ndarray:
+    """Row t of the Hermitian Gram G_ij = tr(m_i* m_j) of the members m = orbit_stack(bases, shifts), one per base.
+
+    Column t'*shifts + x of row t is tr(bases[t]* m), m base t' shifted by
+    x.  A shift is a permutation similarity, so for shifts = d the Gram is
+    block-circulant, G[t*d + x, t'*d + x'] = rows[t, t'*d + (x' - x) mod d],
+    and its T rows fix every entry.  Real input gives a real Gram.  shifts =
+    1 is the whole Gram: one symmetric rank-k update for real input, blocks
+    of rows for complex input, each counting its conjugated members and its
+    rows against _BLOCK_BYTES.  For shifts = d each shift x <= d/2 is one
+    product of a shape that no budget changes, G = conj(bases @
+    conj(shifted)^T) with the shift conjugated in place; the block of shift
+    -x is the conjugate transpose of the block of shift x.
+    """
+    stack = np.asarray(bases)
     if stack.ndim < 2:
         raise ShapeMismatch("need at least one matrix")
-    n = stack.shape[0]
-    flat = stack.reshape(n, -1)
-    chosen = flat[::step]
-    if not np.iscomplexobj(flat):
-        return chosen @ flat.T
-    gram = np.empty((len(chosen), n), dtype=flat.dtype)
-    for rows in _blocks(len(chosen), n * gram.itemsize):
-        np.matmul(chosen[rows].conj(), flat.T, out=gram[rows])
-    return gram
-
-
-def orbit_count(stack: np.ndarray, d: int) -> int | None:
-    """T when the (n, d, d) stack is T whole Z_d orbits of cyclic shifts, None otherwise.
-
-    Orbit structure: n = T*d and member t*d + x equal (np.array_equal) to
-    member t*d shifted by x, m_{t,x}[i, j] = m_t[i - x, j - x], indices mod
-    d.  A shift is a permutation similarity, so the trace Gram of such a
-    stack is block-circulant, G[t*d + x, t'*d + x'] = G[t*d, t'*d + (x' - x) mod d],
-    and its T rows gram_matrix(stack, step=d) fix every entry.  The members
-    are compared with their shifted bases in blocks of members; the check
-    reads the entries alone.
-    """
-    n = len(stack)
-    if n % d:
-        return None
-    stack = np.ascontiguousarray(stack)  # np.take reads it in C order; only a foreign stack is copied
-    coords = np.arange(d)
-    minus = (coords - coords[:, None]) % d  # minus[x, i] = (i - x) mod d
-    # a member's share of a block: its shifted base and the flat index that gathers it
-    for members in _blocks(n, d * d * (stack.itemsize + 8)):
-        t, x = np.divmod(np.arange(members.start, members.stop), d)
-        at = minus[x, :, None] * d + minus[x, None, :]  # at[m, i, j]: flat index of (i - x, j - x) in member t*d
-        at += (t * d**3)[:, None, None]
-        if not np.array_equal(np.take(stack, at), stack[members]):
-            return None
-    return n // d
+    m = stack.shape[0]
+    flat = stack.reshape(m, -1)
+    if shifts == 1:
+        if not np.iscomplexobj(flat):
+            return flat @ flat.T
+        gram = np.empty((m, m), dtype=flat.dtype)
+        for rows in _blocks(m, (m + flat.shape[1]) * gram.itemsize):
+            np.matmul(flat[rows].conj(), flat.T, out=gram[rows])
+        return gram
+    gram = np.empty((m, m, shifts), dtype=flat.dtype)
+    for x in range(shifts // 2 + 1):
+        shifted = np.roll(stack, (x, x), axis=(1, 2)).reshape(m, -1)
+        np.conjugate(shifted, out=shifted)
+        np.conjugate(flat @ shifted.T, out=gram[:, :, x])
+        del shifted  # else it stays bound while the next shift is made
+        if 0 < x < shifts - x:  # G[t, t', -x] = conj(G[t', t, x]): shifting by -x is the adjoint similarity
+            gram[:, :, shifts - x] = gram[:, :, x].T.conj()
+    return gram.reshape(m, m * shifts)
 
 
 def read_only_stack(members, d: int, dtype=None) -> np.ndarray:

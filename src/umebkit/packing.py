@@ -21,8 +21,8 @@ from .errors import (
     IndexOutOfRange,
     MalformedArtifact,
     NotOrthogonal,
+    OutOfRange,
     RankOutOfRange,
-    ShapeMismatch,
 )
 from .hadamard import HadamardMatrix
 from .matcore import (
@@ -32,7 +32,7 @@ from .matcore import (
     gram_matrix,
     json_int,
     json_number,
-    orbit_count,
+    orbit_stack,
     read_only_stack,
     stack_from_json,
     stack_to_json,
@@ -42,37 +42,35 @@ from .numth import UmebPrime
 
 @dataclass(frozen=True, eq=False)
 class ProjectionFamily:
-    """Same-rank real symmetric projections with a common target angle.
+    """Same-rank real symmetric projections with a common target angle: bases and a shift count.
 
-    projections is one read-only (n, d, d) array that the family owns: a
-    sequence or a writable array given to the constructor is copied into it.
-    beta is the exact rational target of tr(P_i P_j) for i != j.  provenance
-    holds one (t, shift) pair per projection for residue/Hadamard-built
-    families and None otherwise; scale is the off-support coefficient
-    (1 + sqrt(p+2))/sqrt(p+1) when applicable.  Because no caller can write
-    to the stack through the family, its orbit structure is checked once, on
-    first use, and kept on the object.
+    Member t*shifts + x is bases[t] shifted by x (matcore.orbit_stack);
+    shifts is d for whole Z_d orbits and 1 otherwise.  bases is one
+    read-only (T, d, d) array that the family owns: a sequence or a writable
+    array given to the constructor is copied into it.  beta is the exact
+    rational target of tr(P_i P_j) for i != j; scale is the off-support
+    coefficient (1 + sqrt(p+2))/sqrt(p+1) when applicable.
     """
 
     d: int
     r: int
-    projections: np.ndarray
+    bases: np.ndarray
     beta: Fraction
-    provenance: tuple[tuple[int, int] | None, ...]
+    shifts: int = 1
     scale: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "projections", read_only_stack(self.projections, self.d))
-        if len(self.provenance) != len(self):
-            raise ShapeMismatch(f"{len(self.provenance)} provenance entries for {len(self)} projections")
+        object.__setattr__(self, "bases", read_only_stack(self.bases, self.d))
+        if self.shifts not in (1, self.d):
+            raise OutOfRange(f"shifts must be 1 or d={self.d}, got {self.shifts}")
 
     def __len__(self) -> int:
-        return len(self.projections)
+        return len(self.bases) * self.shifts
 
     @cached_property
-    def orbit_size(self) -> int:
-        """d when the stack is whole Z_d orbits of cyclic shifts (matcore.orbit_count), 1 otherwise."""
-        return 1 if orbit_count(self.projections, self.d) is None else self.d
+    def projections(self) -> np.ndarray:
+        """Every member as one read-only (n, d, d) array, gathered from the bases on first use."""
+        return orbit_stack(self.bases, self.shifts)
 
 
 @dataclass(frozen=True)
@@ -153,30 +151,23 @@ def projection_from_basis(
 def build_residue_family(prime: UmebPrime, h: HadamardMatrix) -> ProjectionFamily:
     """All p(p+1)/2 projections: bases t = 0..(p-1)/2, each cyclically shifted p ways.
 
-    Only the (p+1)/2 base projections come from projection_from_basis.  Moving
-    every basis vector by x maps P to P[i - x, j - x], so the whole Z_p orbit
-    is one gather from the bases; a shift only permutes coordinates, so the
-    orthogonality check on a base covers all its shifts.  That one
-    (p(p+1)/2, p, p) array is handed to the family as its stack, ordered
-    lexicographically in (t, shift) so that exports are reproducible.
+    The family holds the (p+1)/2 base projections with shifts = p: moving
+    every basis vector by x maps P to P[i - x, j - x], and a shift only
+    permutes coordinates, so the orthogonality check on a base covers all
+    its shifts.
     """
     p = prime.p
     residue_supports = set(prime.residues) | {prime.k * q % p for q in prime.residues}
     if len(residue_supports) != p - 1:
         raise NotOrthogonal(f"support indices collide for p={p}, k={prime.k}")
-    ts = np.arange((p + 1) // 2)
-    bases = np.asarray([projection_from_basis(residue_base_vectors(prime, h, t)) for t in ts])
-    coords = np.arange(p)
-    idx = (coords[None, :] - coords[:, None]) % p  # idx[x, i] = (i - x) mod p
-    # an index array on every axis makes the gather C-ordered, so the reshape copies nothing
-    orbit = bases[ts[:, None, None, None], idx[:, :, None], idx[:, None, :]]
-    orbit.flags.writeable = False
+    bases = np.asarray([projection_from_basis(residue_base_vectors(prime, h, t)) for t in range((p + 1) // 2)])
+    bases.flags.writeable = False
     return ProjectionFamily(
         d=p,
         r=prime.half,
-        projections=orbit.reshape(-1, p, p),
+        bases=bases,
         beta=beta_projections(p, prime.half),
-        provenance=tuple((t, shift) for t in range(len(ts)) for shift in range(p)),
+        shifts=p,
         scale=off_support_scale(p),
     )
 
@@ -186,35 +177,31 @@ def verify_equiangular(
 ) -> EquiangularReport:
     """Check pairwise traces, idempotency and trace-rank of every member.
 
-    The pairwise traces come from the Gram rows gram_matrix(stack,
-    step=orbit_size), each row's own entry zeroed in place.  A family of
-    whole Z_d orbits has a block-circulant Gram, so its (n/d) orbit rows hold
-    every entry, and a shifted member squares to the shifted square of its
-    base; any other family (orbit_size 1) reads its whole Gram.  Idempotency
-    is checked on the orbit_size-strided bases as chunk @ chunk - chunk, over
-    blocks of members sized by matcore's byte budget, so no temporary has
-    the size of the whole family; the block maxima are combined with np.max,
-    which keeps a NaN.  The traces are taken over every member.
+    The pairwise traces come from the Gram rows gram_matrix(bases, shifts),
+    which hold every entry, each row's own entry zeroed in place.  A shift
+    permutes entries, so idempotency and traces are checked on the bases
+    alone; idempotency as chunk @ chunk - chunk, over blocks of bases sized
+    by matcore's byte budget, with the block maxima combined by np.max,
+    which keeps a NaN.
     """
-    stack = family.projections
-    n = len(stack)
-    size = family.orbit_size
+    bases = family.bases
+    n = len(family)
+    size = family.shifts
     beta = float(family.beta)
-    angle_devs = gram_matrix(stack, step=size).real
+    angle_devs = gram_matrix(bases, size).real
     angle_devs -= beta
     np.abs(angle_devs, out=angle_devs)
     own = np.arange(len(angle_devs))
     angle_devs[own, own * size] = 0.0
     max_angle_dev = float(np.max(angle_devs))
-    bases = stack[::size]
     chunk_devs = []
-    for members in _blocks(len(bases), family.d * family.d * stack.itemsize):
+    for members in _blocks(len(bases), family.d * family.d * bases.itemsize):
         chunk = bases[members]
         dev = chunk @ chunk
         dev -= chunk
         chunk_devs.append(np.max(np.abs(dev, out=dev)))
     max_idem_dev = float(np.max(chunk_devs))
-    traces = np.einsum("nii->n", stack)
+    traces = np.einsum("nii->n", bases)
     max_rank_dev = float(np.max(np.abs(traces - family.r)))
     passed = (
         max_angle_dev <= tol.eps
@@ -232,16 +219,16 @@ def verify_equiangular(
 
 
 def dual_family(family: ProjectionFamily) -> ProjectionFamily:
-    """Complementary projections I - P_i; rank d - r, angle beta + d - 2r."""
+    """Complementary projections I - P_i, from the bases (I is shift-invariant); rank d - r, angle beta + d - 2r."""
     d = family.d
-    dual = np.eye(d) - family.projections
+    dual = np.eye(d) - family.bases
     dual.flags.writeable = False
     return ProjectionFamily(
         d=d,
         r=d - family.r,
-        projections=dual,
+        bases=dual,
         beta=family.beta + (d - 2 * family.r),
-        provenance=family.provenance,
+        shifts=family.shifts,
         scale=family.scale,
     )
 
@@ -265,10 +252,8 @@ def icosahedron_lines() -> ProjectionFamily:
     return ProjectionFamily(
         d=3,
         r=1,
-        projections=v[:, :, None] * v[:, None, :],
+        bases=v[:, :, None] * v[:, None, :],
         beta=Fraction(1, 5),
-        provenance=(None,) * 6,
-        scale=None,
     )
 
 
@@ -277,49 +262,49 @@ def identity_coefficient(d: int, r: int, beta: Fraction) -> Fraction:
     return (Fraction(r * r) - d * beta) / (r * (r - beta))
 
 
+FAMILY_FIELDS = ["C", "bases", "beta_den", "beta_num", "d", "r", "shifts"]  # sorted
+
+
 def family_to_json(family: ProjectionFamily) -> dict:
-    """The family's fields, its provenance as [t, shift] or null per member, its projections as one stack."""
+    """The family's fields, its shift count and its bases as one stack: exactly FAMILY_FIELDS."""
     return {
         "d": family.d,
         "r": family.r,
         "beta_num": family.beta.numerator,
         "beta_den": family.beta.denominator,
         "C": family.scale,
-        "provenance": [None if prov is None else list(prov) for prov in family.provenance],
-        "projections": stack_to_json(family.projections),
+        "shifts": family.shifts,
+        "bases": stack_to_json(family.bases),
     }
 
 
-def _provenance_from_json(prov) -> tuple[int, int] | None:
-    if prov is None:
-        return None
-    t, shift = prov
-    return json_int(t, "provenance t"), json_int(shift, "provenance shift")
-
-
 def family_from_json(obj: dict) -> ProjectionFamily:
-    """Inverse of family_to_json; MalformedArtifact or ShapeMismatch on bad input.
+    """Inverse of family_to_json; MalformedArtifact, ShapeMismatch or OutOfRange on bad input.
 
-    A family with provenance was built by the residue construction, so its
-    C must be exactly off_support_scale(d), as family_to_json wrote it.
+    The fields must be exactly FAMILY_FIELDS, which rejects the dense format
+    of earlier versions.  A family of whole orbits (shifts = d) was built by
+    the residue construction, so its C must be exactly off_support_scale(d).
     """
+    fields = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
+    if fields != FAMILY_FIELDS:
+        raise MalformedArtifact(f"a family has the fields {FAMILY_FIELDS}, not {fields}")
     try:
         d, r = json_int(obj["d"], "d"), json_int(obj["r"], "r")
         beta = Fraction(json_int(obj["beta_num"], "beta_num"), json_int(obj["beta_den"], "beta_den"))
         scale = None if obj["C"] is None else json_number(obj["C"], "C")
-        provenance = tuple(_provenance_from_json(prov) for prov in obj["provenance"])
+        shifts = json_int(obj["shifts"], "shifts")
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise MalformedArtifact(f"malformed family field: {exc}") from None
     family = ProjectionFamily(
         d=d,
         r=r,
-        projections=stack_from_json(obj["projections"], d),
+        bases=stack_from_json(obj["bases"], d),
         beta=beta,
-        provenance=provenance,
+        shifts=shifts,
         scale=scale,
     )
-    if any(prov is not None for prov in provenance) and scale != off_support_scale(d):
+    if shifts == d and scale != off_support_scale(d):
         raise MalformedArtifact(
-            f"C = {scale!r} of a family with provenance is not the coefficient {off_support_scale(d)!r} for d={d}"
+            f"C = {scale!r} of a family of whole orbits is not the coefficient {off_support_scale(d)!r} for d={d}"
         )
     return family

@@ -18,8 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import Infeasible, RankOutOfRange
-from .matcore import DEFAULT_TOL, Tolerance, _blocks, gram_matrix, orbit_count, read_only_stack
+from .errors import Infeasible, OutOfRange, RankOutOfRange
+from .matcore import DEFAULT_TOL, Tolerance, _blocks, gram_matrix, orbit_stack, read_only_stack
 from .packing import ProjectionFamily
 
 
@@ -36,53 +36,55 @@ class FeasibilityReport:
 
 @dataclass(frozen=True, eq=False)
 class UnitaryFamily:
-    """Unitaries I - (1-z)P_i sharing one unit-modulus phase z.
+    """Unitaries I - (1-z)P_i sharing one unit-modulus phase z: bases and a shift count.
 
-    unitaries is one read-only complex (n, d, d) array that the family owns:
-    a sequence or a writable array given to the constructor is copied into
-    it.  Because no caller can write to it through the family, its orbit
-    structure, its trace Gram rows and its symmetry deviations are computed
-    once, on first use, and kept on the object.
+    Members, shifts and bases are as in ProjectionFamily; the bases are
+    complex.  Because no caller can write to them through the family, its
+    trace Gram rows, its symmetry deviations and its dense members are
+    computed once, on first use, and kept on the object.
     """
 
     d: int
     z: complex
-    unitaries: np.ndarray
+    bases: np.ndarray
+    shifts: int = 1
     source: ProjectionFamily | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "unitaries", read_only_stack(self.unitaries, self.d, complex))
+        object.__setattr__(self, "bases", read_only_stack(self.bases, self.d, complex))
+        if self.shifts not in (1, self.d):
+            raise OutOfRange(f"shifts must be 1 or d={self.d}, got {self.shifts}")
 
     def __len__(self) -> int:
-        return len(self.unitaries)
+        return len(self.bases) * self.shifts
 
     @cached_property
-    def orbit_size(self) -> int:
-        """d when the stack is whole Z_d orbits of cyclic shifts (matcore.orbit_count), 1 otherwise."""
-        return 1 if orbit_count(self.unitaries, self.d) is None else self.d
+    def unitaries(self) -> np.ndarray:
+        """Every member as one read-only complex (n, d, d) array, gathered from the bases on first use."""
+        return orbit_stack(self.bases, self.shifts)
 
     @cached_property
     def gram_rows(self) -> np.ndarray:
-        """Rows k * orbit_size of G_ij = tr(U_i* U_j), read-only, shape (n / orbit_size, n).
+        """gram_matrix(bases, shifts), read-only: row t of G_ij = tr(U_i* U_j) per base, shape (n / shifts, n).
 
         For whole orbits these (n/d) rows fix the block-circulant Gram,
-        G[t*d + x, t'*d + x'] = gram_rows[t, t'*d + (x' - x) mod d]; for any
-        other family they are the whole n x n Gram.
+        G[t*d + x, t'*d + x'] = gram_rows[t, t'*d + (x' - x) mod d]; for
+        shifts = 1 they are the whole n x n Gram.
         """
-        rows = gram_matrix(self.unitaries, step=self.orbit_size)
+        rows = gram_matrix(self.bases, self.shifts)
         rows.flags.writeable = False
         return rows
 
     @cached_property
     def asymmetry(self) -> tuple[float, float]:
-        """(max |U - U^T|, sum |U - U^T|^2) entrywise over all members, in member blocks."""
+        """(max |U - U^T|, sum |U - U^T|^2) over all members, from the bases in blocks: a shift permutes entries."""
         worst, sq = [], 0.0
-        for members in _blocks(len(self), self.d * self.d * self.unitaries.itemsize):
-            chunk = self.unitaries[members]
+        for members in _blocks(len(self.bases), self.d * self.d * self.bases.itemsize):
+            chunk = self.bases[members]
             dev = np.abs(chunk - chunk.transpose(0, 2, 1))
             worst.append(np.max(dev))
             sq += float(np.vdot(dev, dev))
-        return float(np.max(worst)), sq
+        return float(np.max(worst)), self.shifts * sq
 
 
 @dataclass(frozen=True)
@@ -139,13 +141,14 @@ def compute_phase(d: int, r: int) -> complex:
 def build_unitaries(family: ProjectionFamily, z: complex) -> UnitaryFamily:
     """U_i = I - (1-z) P_i; eigenvalue z on range(P_i), 1 on its kernel.
 
-    One broadcast into one complex (n, d, d) array, handed to the family.
+    I is shift-invariant, so this maps the bases, with the same shifts: one
+    broadcast into one complex (T, d, d) array, handed to the family.
     """
-    unitaries = family.projections.astype(complex)
-    unitaries *= 1.0 - z
-    np.subtract(np.eye(family.d), unitaries, out=unitaries)
-    unitaries.flags.writeable = False
-    return UnitaryFamily(d=family.d, z=z, unitaries=unitaries, source=family)
+    bases = family.bases.astype(complex)
+    bases *= 1.0 - z
+    np.subtract(np.eye(family.d), bases, out=bases)
+    bases.flags.writeable = False
+    return UnitaryFamily(d=family.d, z=z, bases=bases, shifts=family.shifts, source=family)
 
 
 def cj_states(uf: UnitaryFamily) -> np.ndarray:
@@ -166,6 +169,13 @@ class _Span:
     diag: np.ndarray  # G_ii of the Gram rows' own members, one per row
 
 
+def _whole_gram(rows: np.ndarray, s: int) -> np.ndarray:
+    """The n x n Gram spread out of its rows for s shifts: G[t*s + x, t'*s + x'] = rows[t, t'*s + (x' - x) mod s]."""
+    ts, xs = np.arange(len(rows)), np.arange(s)
+    at = (xs - xs[:, None, None]) % s  # at[x, 0, x'] = (x' - x) mod s
+    return rows.reshape(len(ts), len(ts), s)[ts[:, None, None, None], ts[:, None], at].reshape(len(rows) * s, -1)
+
+
 def _span(uf: UnitaryFamily, tol: Tolerance) -> _Span:
     """Span rank by Gershgorin discs, by eigvalsh when the discs prove no full rank.
 
@@ -177,13 +187,13 @@ def _span(uf: UnitaryFamily, tol: Tolerance) -> _Span:
     diagonal and the diagonal come from uf.gram_rows: a row of a member
     shifted by x is its base's row permuted, so the base rows have every
     radius, off-diagonal entry and diagonal entry of the family.  The
-    eigvalsh fallback needs the whole Gram and computes it when the rows
-    are not it.
+    eigvalsh fallback needs the whole Gram, and _whole_gram spreads the
+    rows into it.
     """
     n, d = len(uf), uf.d
     gram = uf.gram_rows
     m = len(gram)
-    own = np.arange(m) * uf.orbit_size  # the column of each row's diagonal entry
+    own = np.arange(m) * uf.shifts  # the column of each row's diagonal entry
     radii = np.empty(m)
     max_off = []
     for rows in _blocks(m, n * gram.itemsize):
@@ -196,7 +206,7 @@ def _span(uf: UnitaryFamily, tol: Tolerance) -> _Span:
     if lower > tol.rank_eps * float(np.max(diag.real + radii)):
         span_rank, lam = n, lower
     else:
-        eigs = np.linalg.eigvalsh(gram if m == n else gram_matrix(uf.unitaries))
+        eigs = np.linalg.eigvalsh(_whole_gram(gram, uf.shifts))
         span_rank = int(np.sum(eigs > tol.rank_eps * eigs[-1])) if eigs[-1] > 0 else 0
         lam = float(eigs[-span_rank]) if span_rank else 0.0
     symmetric_span = span_rank == d * (d + 1) // 2 and uf.asymmetry[0] <= tol.eps
@@ -206,18 +216,17 @@ def _span(uf: UnitaryFamily, tol: Tolerance) -> _Span:
 def certify_umeb(uf: UnitaryFamily, tol: Tolerance = DEFAULT_TOL) -> UmebCertificate:
     """Fill every certificate field; failures are verdicts, not errors.
 
-    Unitarity and symmetry are checked on every member, in member blocks.
-    The orthogonality deviation, the span rank and cj_orthonormality_dev
-    come from the family's Gram rows through _span: the (n/d) orbit rows
-    for a family of whole Z_d orbits, the whole Gram otherwise.
+    Unitarity and symmetry are checked on the bases, in blocks: a shift
+    permutes entries.  The orthogonality deviation, the span rank and
+    cj_orthonormality_dev come from the family's Gram rows through _span.
     """
     d = uf.d
     n = len(uf)
 
     eye = np.eye(d)
     unitarity_devs = []
-    for members in _blocks(n, d * d * uf.unitaries.itemsize):
-        chunk = uf.unitaries[members]
+    for members in _blocks(len(uf.bases), d * d * uf.bases.itemsize):
+        chunk = uf.bases[members]
         dev = chunk.conj().transpose(0, 2, 1) @ chunk
         dev -= eye
         unitarity_devs.append(np.max(np.abs(dev)))

@@ -140,12 +140,12 @@ def test_umeb_decomposition_icosahedron():
 
 def test_umeb_decomposition_rejects_uncertified():
     uf = p7_unitaries()
-    truncated = UnitaryFamily(d=7, z=uf.z, unitaries=uf.unitaries[:27], source=None)
+    truncated = UnitaryFamily(d=7, z=uf.z, bases=uf.unitaries[:27], source=None)
     with pytest.raises(NotCertified):
         umeb_decomposition(truncated)
     # spans the symmetric matrices, but 29 weights 1/28 do not sum to 1
     members = np.concatenate((uf.unitaries, uf.unitaries[:1]))
-    duplicated = UnitaryFamily(d=7, z=uf.z, unitaries=members, source=None)
+    duplicated = UnitaryFamily(d=7, z=uf.z, bases=members, source=None)
     with pytest.raises(NotCertified):
         umeb_decomposition(duplicated)
 
@@ -337,9 +337,10 @@ CHOI_FAMILIES = {
 def test_choi_check_from_the_gram_is_the_block_sum(name, weights, monkeypatch):
     dec = umeb_decomposition(CHOI_FAMILIES[name]())
     w = np.array(dec.weights)
-    if weights == "perturbed":  # still >= 0, so the Gram path applies
-        w[-1] *= 1.5
-        w[3] *= 0.2
+    if weights == "perturbed":  # still >= 0 and equal within each orbit, so the Gram path applies
+        size = dec.unitaries.shifts
+        w[-size:] *= 1.5
+        w[size : 2 * size] *= 0.2
         dec = MixedUnitaryDecomposition(weights=tuple(w), unitaries=dec.unitaries)
     ran = spy_choi_paths(monkeypatch)
     rep = verify_decomposition(dec, trials=0)
@@ -353,24 +354,21 @@ def test_choi_check_from_the_gram_is_the_block_sum(name, weights, monkeypatch):
 
 
 def dense(uf):
-    """The same family with its orbit structure switched off: the dense oracle, every Gram row."""
-    oracle = UnitaryFamily(d=uf.d, z=uf.z, unitaries=uf.unitaries, source=uf.source)
-    oracle.__dict__["orbit_size"] = 1  # what the cached property stores without orbit structure
-    return oracle
+    """The dense twin of a family: its members as bases with shifts = 1, the oracle that reads every Gram row."""
+    return UnitaryFamily(d=uf.d, z=uf.z, bases=uf.unitaries)
 
 
 def spy_gram_shapes(monkeypatch):
-    """Record the shape of every Gram, or block of Gram rows, that umeb and channels compute."""
+    """Record the shape of every Gram, or block of Gram rows, that a family computes."""
     shapes = []
-    for module in (umeb, channels):
-        gram_matrix = module.gram_matrix
+    gram_matrix = umeb.gram_matrix
 
-        def spy(*args, gram_matrix=gram_matrix, **kwargs):
-            gram = gram_matrix(*args, **kwargs)
-            shapes.append(gram.shape)
-            return gram
+    def spy(*args, **kwargs):
+        gram = gram_matrix(*args, **kwargs)
+        shapes.append(gram.shape)
+        return gram
 
-        monkeypatch.setattr(module, "gram_matrix", spy)
+    monkeypatch.setattr(umeb, "gram_matrix", spy)
     return shapes
 
 
@@ -388,18 +386,18 @@ def test_choi_check_from_orbit_rows_matches_the_dense_rows(p, weights, monkeypat
     w = np.array(dec.weights)
     if weights == "per-orbit":  # every member of orbit 0: still the orbit rows
         w[:p] *= 1.5
-    if weights == "inside-an-orbit":  # shifts 1 and 2 of orbit 0: the whole Gram
+    if weights == "inside-an-orbit":  # shifts 1 and 2 of orbit 0: the d-row blocks
         w[1] *= 1.5
         w[2] *= 0.5
     dec = MixedUnitaryDecomposition(weights=tuple(w), unitaries=uf)
     rep = verify_decomposition(dec, trials=0)
     oracle = verify_decomposition(MixedUnitaryDecomposition(dec.weights, dense(uf)), trials=0)
     monkeypatch.undo()
-    assert ran == ["_choi_dev_from_gram"] * 2
-    assert uf.orbit_size == p
+    inside = weights == "inside-an-orbit"
+    assert ran == ["_choi_dev_by_blocks" if inside else "_choi_dev_from_gram", "_choi_dev_from_gram"]
+    assert uf.shifts == p
     # the orbit rows once, for the decomposition and its check; the whole Gram for the oracle
-    expected = [((p + 1) // 2, n)] + [(n, n)] * (weights == "inside-an-orbit") + [(n, n)]
-    assert shapes == expected
+    assert shapes == [((p + 1) // 2, n), (n, n)]
     assert rep.verdict == oracle.verdict == (weights == "uniform")
     assert abs(rep.choi_dev - oracle.choi_dev) <= 1e-13
     if weights == "per-orbit":
@@ -411,7 +409,7 @@ def test_choi_check_from_orbit_rows_matches_the_dense_rows(p, weights, monkeypat
 def _nonsymmetric_member():
     members = np.array(_unitaries(7).unitaries)
     members[0, 0, 1] += 1e-13
-    uf = UnitaryFamily(d=7, z=compute_phase(7, 3), unitaries=members)
+    uf = UnitaryFamily(d=7, z=compute_phase(7, 3), bases=members)
     return umeb_decomposition(uf)  # within eps of symmetric, so still accepted
 
 
@@ -424,7 +422,7 @@ def _negative_weight():
 
 def _member_count():
     uf = _unitaries(7)
-    part = UnitaryFamily(d=7, z=uf.z, unitaries=uf.unitaries[:27])
+    part = UnitaryFamily(d=7, z=uf.z, bases=uf.unitaries[:27])
     return MixedUnitaryDecomposition(weights=(1 / 27,) * 27, unitaries=part)
 
 
@@ -439,21 +437,23 @@ def test_choi_check_falls_back_to_the_blocks(build, monkeypatch):
 
 
 def test_gram_passes_cover_the_last_row_block(p23_decomposition, monkeypatch):
-    # blocks of 100 complex Gram rows: 100 + 100 + 76 for the 276 members at p=23
+    # the dense twin's 276 rows at p=23: blocks of 100 complex Gram rows in the passes
+    # over the Gram (100 + 100 + 76), and of 34 in gram_matrix, which also counts each
+    # row's conjugated member (8 * 34 + 4)
     monkeypatch.setattr(matcore, "_BLOCK_BYTES", 100 * 276 * 16)
-    uf = p23_decomposition.unitaries
+    uf = dense(p23_decomposition.unitaries)
     w = np.array(p23_decomposition.weights)
     w[-1] *= 1.5
     dec = MixedUnitaryDecomposition(weights=tuple(w), unitaries=uf)
     assert verify_decomposition(dec, trials=0).choi_dev == pytest.approx(full_choi_dev(dec), rel=1e-12)
     # a longer last member shows only on the last diagonal entry of G/d - I
     longer = np.concatenate((uf.unitaries[:-1], [uf.unitaries[-1] * (1 + 1e-6)]))
-    cert = certify_umeb(UnitaryFamily(d=23, z=uf.z, unitaries=longer))
+    cert = certify_umeb(UnitaryFamily(d=23, z=uf.z, bases=longer))
     assert cert.cj_orthonormality_dev == pytest.approx(2e-6, rel=1e-5)
     # the last two members mixed show only off the diagonal of the last row block
     mixed = np.array(uf.unitaries)
     mixed[-1] += 1e-3 * mixed[-2]
-    cert = certify_umeb(UnitaryFamily(d=23, z=uf.z, unitaries=mixed))
+    cert = certify_umeb(UnitaryFamily(d=23, z=uf.z, bases=mixed))
     assert cert.max_orthogonality_dev == pytest.approx(1e-3 * 23, rel=1e-9)
     assert cert.cj_orthonormality_dev == pytest.approx(1e-3, rel=1e-9)
 
@@ -514,7 +514,7 @@ def test_orbit_kernel_matches_the_member_sum(p, monkeypatch):
 
 def _perturbed_entry():
     members = np.array(_residue_unitaries(7).unitaries)
-    members[-1, 2, 4] += 1e-12  # the last member, in the last block of the structure check
+    members[-1, 2, 4] += 1e-12  # the last member; a dense family, shifts = 1
     return MixedUnitaryDecomposition((1 / 28,) * 28, UnitaryFamily(7, compute_phase(7, 3), members))
 
 

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from umebkit.cli import main, unitary_family_from_json, unitary_family_to_json, write_json
-from umebkit.hadamard import hadamard_from_json
+from umebkit.hadamard import construct, hadamard_from_json
 from umebkit.matcore import Tolerance, stack_to_json
-from umebkit.packing import family_from_json, off_support_scale, verify_equiangular
-from umebkit.umeb import UnitaryFamily
+from umebkit.numth import validate_prime
+from umebkit.packing import build_residue_family, family_from_json, off_support_scale, verify_equiangular
+from umebkit.umeb import UnitaryFamily, build_unitaries, compute_phase
 
 
 def run(argv):
@@ -24,9 +25,9 @@ def test_generate_p7(tmp_path, capsys):
     assert obj["d"] == 7
     assert obj["r"] == 3
     assert (obj["beta_num"], obj["beta_den"]) == (11, 9)
-    assert obj["projections"]["shape"] == [28, 7, 7]
-    assert "im" not in obj["projections"]
-    assert obj["provenance"][:2] == [[0, 0], [0, 1]] and len(obj["provenance"]) == 28
+    assert obj["shifts"] == 7 and obj["bases"]["shape"] == [4, 7, 7]
+    assert "im" not in obj["bases"]
+    assert "provenance" not in obj and "projections" not in obj
 
 
 def test_generate_round_trip_deviations_identical(tmp_path):
@@ -57,7 +58,7 @@ def test_umeb_p7_writes_certificate(tmp_path):
     uf = json.loads(out.read_text())
     assert uf["d"] == 7
     assert "unitaries" not in uf  # rebuilt from the source family
-    assert uf["source"]["projections"]["shape"] == [28, 7, 7]
+    assert uf["source"]["shifts"] == 7 and uf["source"]["bases"]["shape"] == [4, 7, 7]
     assert uf["z"][0] == -31 / 32
 
 
@@ -73,6 +74,22 @@ def test_verify_unitary_family(tmp_path):
     out = tmp_path / "unitaries.json"
     run(["umeb", "--p", "7", "--out", str(out)])
     assert run(["verify", "--in", str(out)]) == 0
+
+
+def _deviation_lines(text):
+    return [line for line in text.splitlines() if line.startswith(("max unitarity", "max orthogonality"))]
+
+
+def test_umeb_artifact_is_reproducible_and_verifies_alike(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(["umeb", "--p", "23", "--out", str(a), "--no-timestamp"]) == 0
+    written = capsys.readouterr().out
+    assert run(["umeb", "--p", "23", "--out", str(b), "--no-timestamp"]) == 0
+    capsys.readouterr()
+    assert a.read_bytes() == b.read_bytes()
+    assert run(["verify", "--in", str(a), "--no-timestamp"]) == 0
+    read = capsys.readouterr().out
+    assert len(_deviation_lines(read)) == 2 and _deviation_lines(read) == _deviation_lines(written)
 
 
 def test_umeb_rejects_wrong_residue_class(capsys):
@@ -248,12 +265,15 @@ IDENTITIES = stack_to_json(np.tile(np.eye(7, dtype=complex), (28, 1, 1)))
 @pytest.mark.parametrize(
     "artifact, path, value, code",
     [
-        pytest.param("family", ("projections", "re", 0), "0.5", 1, id="family-string-entry"),
-        pytest.param("family", ("projections", "re", 0), [0.5], 1, id="family-short-pair"),
-        pytest.param("family", ("projections", "re", 0), None, 1, id="family-null-entry"),
-        pytest.param("family", ("projections", "shape", 0), 27, 1, id="family-shape-disagrees"),
+        pytest.param("family", ("bases", "re", 0), "0.5", 1, id="family-string-entry"),
+        pytest.param("family", ("bases", "re", 0), [0.5], 1, id="family-short-pair"),
+        pytest.param("family", ("bases", "re", 0), None, 1, id="family-null-entry"),
+        pytest.param("family", ("bases", "shape", 0), 27, 1, id="family-shape-disagrees"),
+        # a provenance field belongs to the dense format of earlier versions
         pytest.param("family", ("provenance",), [[0, 0]], 1, id="family-provenance-short"),
-        pytest.param("family", ("provenance", 1, 1), 1.0, 1, id="family-shift-float"),
+        pytest.param("family", ("shifts",), 7.0, 1, id="family-shift-float"),
+        pytest.param("family", ("shifts",), 2, 1, id="family-shifts-other"),
+        pytest.param("family", ("shifts",), DELETE, 1, id="family-shifts-missing"),
         pytest.param("family", ("beta_den",), 0, 1, id="family-beta-den-0"),
         pytest.param("family", ("d",), "seven", 1, id="family-d-string"),
         pytest.param("family", ("d",), 5, 1, id="family-d-disagrees"),
@@ -262,20 +282,24 @@ IDENTITIES = stack_to_json(np.tile(np.eye(7, dtype=complex), (28, 1, 1)))
         pytest.param("family", ("C",), off_support_scale(7) * (1 + 1e-6), 1, id="family-scale-off"),
         pytest.param("family", ("C",), None, 1, id="family-scale-null"),
         pytest.param("unitary", ("source", "C"), off_support_scale(7) * (1 - 1e-6), 1, id="unitary-scale-off"),
-        pytest.param("family", ("projections",), {"shape": [0, 7, 7], "re": []}, 1, id="family-empty"),
-        pytest.param("bare", ("unitaries", "re", 0), "0.5", 1, id="unitary-string-entry"),
-        pytest.param("bare", ("unitaries", "im", 0), [0.5], 1, id="unitary-short-pair"),
-        pytest.param("bare", ("unitaries", "re", 0), None, 1, id="unitary-null-entry"),
+        pytest.param("family", ("bases",), {"shape": [0, 7, 7], "re": []}, 1, id="family-empty"),
+        pytest.param("bare", ("bases", "re", 0), "0.5", 1, id="unitary-string-entry"),
+        pytest.param("bare", ("bases", "im", 0), [0.5], 1, id="unitary-short-pair"),
+        pytest.param("bare", ("bases", "re", 0), None, 1, id="unitary-null-entry"),
+        pytest.param("bare", ("shifts",), 3, 1, id="bare-shifts-other"),
+        pytest.param("bare", ("unitaries",), IDENTITIES, 1, id="bare-dense-format"),
+        # the four bases alone, read as a family of four: a rank of 4 < 28
+        pytest.param("unitary", ("source", "shifts"), 1, 2, id="unitary-source-one-shift"),
         pytest.param("unitary", ("source", "beta_den"), 0, 1, id="unitary-beta-den-0"),
         pytest.param("unitary", ("d",), "seven", 1, id="unitary-d-string"),
         pytest.param("unitary", ("d",), 5, 1, id="unitary-d-disagrees"),
-        pytest.param("bare", ("unitaries",), {"shape": [0, 7, 7], "re": [], "im": []}, 1, id="unitary-empty"),
+        pytest.param("bare", ("bases",), {"shape": [0, 7, 7], "re": [], "im": []}, 1, id="unitary-empty"),
         pytest.param("unitary", ("z", 0), float("nan"), 1, id="unitary-z-nan"),
         # without a source, z must turn every (d - tr U)/(1 - z) into one rank 1 <= r < d
         pytest.param("bare", ("z", 0), -31 / 64, 1, id="bare-z-halved"),
         pytest.param("bare", ("z",), [1.0, 0.0], 1, id="bare-z-one"),
         pytest.param("bare", ("z",), [-1.0, 0.0], 1, id="bare-z-minus-one"),
-        pytest.param("unitary", ("unitaries",), IDENTITIES, 1, id="unitary-both-keys"),
+        pytest.param("unitary", ("bases",), IDENTITIES, 1, id="unitary-both-keys"),
         pytest.param("unitary", ("source",), DELETE, 1, id="unitary-neither-key"),
         # the unitaries are rebuilt with this z, so a wrong phase is a failed verdict
         pytest.param("unitary", ("z",), [1.0, 0.0], 2, id="unitary-z-disagrees"),
@@ -330,9 +354,9 @@ def test_bad_tolerance_is_rejected(argv, env, monkeypatch, capsys):
 
 def test_infinite_tolerance_cannot_pass_a_bad_artifact(p7_artifacts, tmp_path, capsys):
     sourced = json.loads(p7_artifacts["unitary"].read_text())
-    sourced["source"]["projections"]["re"][0] = 5.0
+    sourced["source"]["bases"]["re"][0] = 5.0
     bare = json.loads(p7_artifacts["bare"].read_text())
-    bare["unitaries"]["re"][0] = 5.0
+    bare["bases"]["re"][0] = 5.0
     for i, obj in enumerate((sourced, bare)):
         bad = tmp_path / f"bad{i}.json"
         bad.write_text(json.dumps(obj))
@@ -346,3 +370,24 @@ def test_infinite_tolerance_cannot_pass_a_bad_artifact(p7_artifacts, tmp_path, c
         else:  # the changed diagonal entry moves tr U_0, which z no longer fits
             assert run(["verify", "--in", str(bad)]) == 1
             assert "phase z" in _one_error_line(capsys)
+
+
+def test_dense_format_of_earlier_versions_exits_1_with_one_line(tmp_path, capsys):
+    # the artifacts as earlier versions wrote them: every member, and provenance
+    family = build_residue_family(validate_prime(7), construct(4))
+    uf = build_unitaries(family, compute_phase(7, 3))
+    old_family = {
+        "d": 7, "r": 3, "beta_num": 11, "beta_den": 9, "C": family.scale,
+        "provenance": [[t, x] for t in range(4) for x in range(7)],
+        "projections": stack_to_json(family.projections),
+    }
+    for i, obj in enumerate((
+        old_family,
+        {"d": 7, "z": [uf.z.real, uf.z.imag], "source": old_family},
+        {"d": 7, "z": [uf.z.real, uf.z.imag], "unitaries": stack_to_json(uf.unitaries)},
+    )):
+        path = tmp_path / f"old{i}.json"
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run(["verify", "--in", str(path)]) == 1
+        assert "has the fields" in _one_error_line(capsys)

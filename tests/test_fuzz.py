@@ -2,12 +2,14 @@
 
 Each example takes a p=7 artifact (a family, a unitary family with its
 source, or one without), mutates one place in it and runs `verify --in`.
-Every outcome must be exit 1 with one `umebkit:` line, or a verdict, and
-never a traceback.  A changed number never passes: every nonzero entry
-scaled by 1 +- 1e-6 moves some deviation well past eps at p=7.  That holds
-for the off-support coefficient C, which must equal off_support_scale(d)
-when the family has provenance, and for the phase z of unitaries stored
-without their source, which must turn every trace into one rank.
+Every place is a target, the shift count included.  Every outcome must be
+exit 1 with one `umebkit:` line, or a verdict, and never a traceback.  A
+changed number never passes: every nonzero entry scaled by 1 +- 1e-6 moves
+some deviation well past eps at p=7.  That holds for the shift count, which
+must be 1 or d, for the off-support coefficient C, which must equal
+off_support_scale(d) when the family is whole orbits (shifts = d), and for
+the phase z of unitaries stored without their source, which must turn every
+trace into one rank.
 """
 
 import copy

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from umebkit.matcore import (
     gram_matrix,
     is_unitary,
     numerical_rank,
+    orbit_stack,
     read_only_stack,
     stack_from_json,
     stack_to_json,
@@ -196,6 +198,40 @@ def test_gram_matrix_row_blocks_match_one_product(monkeypatch):
         g = gram_matrix(stack)
         assert g.dtype == stack.dtype
         assert np.max(np.abs(g - flat.conj() @ flat.T)) < 1e-12
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_gram_rows_of_shifted_bases_are_rows_of_the_whole_gram(dtype):
+    rng = np.random.default_rng(31)
+    bases = rng.standard_normal((3, 5, 5)).astype(dtype)
+    if dtype is complex:
+        bases += 1j * rng.standard_normal((3, 5, 5))
+    members = orbit_stack(bases, 5)
+    assert members.shape == (15, 5, 5) and not members.flags.writeable
+    assert orbit_stack(bases, 1) is bases
+    rows = gram_matrix(bases, 5)
+    whole = gram_matrix(members)
+    assert rows.shape == (3, 15) and rows.dtype == dtype
+    assert np.max(np.abs(rows - whole[::5])) < 1e-12
+
+
+@pytest.mark.parametrize("shifts", [1, 47])
+def test_gram_passes_stay_inside_the_byte_budget(shifts, monkeypatch):
+    # at p=47 one conjugated member is 76 KiB and one gathered shift of the
+    # 24 bases 0.81 MiB: a 1 MiB budget holds a shift but not the 58 rows
+    # that Gram-row bytes alone would allow with their conjugated members
+    fam = build_residue_family(validate_prime(47), construct(24))
+    uf = build_unitaries(fam, compute_phase(47, 23))
+    bases = uf.unitaries if shifts == 1 else uf.bases
+    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 1 << 20)
+    tracemalloc.start()
+    try:
+        rows = gram_matrix(bases, shifts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (len(bases), len(uf))
+    assert peak - rows.nbytes <= matcore._BLOCK_BYTES
 
 
 def test_read_only_stack_copies_unless_handed_over():

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import asdict, replace
 from fractions import Fraction
@@ -11,8 +12,8 @@ from umebkit.errors import (
     IndexOutOfRange,
     MalformedArtifact,
     NotOrthogonal,
+    OutOfRange,
     RankOutOfRange,
-    ShapeMismatch,
 )
 from umebkit.hadamard import construct
 from umebkit.matcore import numerical_rank
@@ -33,6 +34,7 @@ from umebkit.packing import (
     projection_from_basis,
     verify_equiangular,
 )
+from umebkit.umeb import build_unitaries, compute_phase
 
 EPS = 1e-9
 SQRT2 = math.sqrt(2.0)
@@ -165,8 +167,7 @@ def test_build_residue_family_p7():
     assert len(fam) == 28
     assert (fam.d, fam.r) == (7, 3)
     assert fam.beta == Fraction(11, 9)
-    assert fam.provenance[0] == (0, 0)
-    assert fam.provenance[-1] == (3, 6)
+    assert fam.shifts == 7 and fam.bases.shape == (4, 7, 7)
     report = verify_equiangular(fam)
     assert report.pairs == 378
     assert report.passed
@@ -198,14 +199,7 @@ def test_equiangularity_for_every_nonresidue_choice(k):
 
 def test_verify_equiangular_single_projection_vacuous():
     fam = p7_family()
-    single = ProjectionFamily(
-        d=7,
-        r=3,
-        projections=fam.projections[:1],
-        beta=fam.beta,
-        provenance=fam.provenance[:1],
-        scale=fam.scale,
-    )
+    single = ProjectionFamily(d=7, r=3, bases=fam.projections[:1], beta=fam.beta, scale=fam.scale)
     report = verify_equiangular(single)
     assert report.pairs == 0
     assert report.passed
@@ -216,9 +210,8 @@ def test_verify_equiangular_flags_duplicate():
     dup = ProjectionFamily(
         d=7,
         r=3,
-        projections=np.concatenate((fam.projections, fam.projections[:1])),
+        bases=np.concatenate((fam.projections, fam.projections[:1])),
         beta=fam.beta,
-        provenance=fam.provenance + fam.provenance[:1],
         scale=fam.scale,
     )
     report = verify_equiangular(dup)
@@ -276,7 +269,7 @@ def test_residue_family_equiangular_from_shift_zero(p):
     prime = validate_prime(p)
     fam = build_residue_family(prime, construct((p + 1) // 2))
     stack = np.asarray(fam.projections).reshape(len(fam), -1)
-    rows = [i for i, (_, shift) in enumerate(fam.provenance) if shift == 0]
+    rows = np.arange(0, len(fam), p)  # member t*p + 0
     traces = stack[rows] @ stack.T
     traces[np.arange(len(rows)), rows] = float(fam.beta)
     assert np.max(np.abs(traces - float(fam.beta))) <= EPS
@@ -291,8 +284,9 @@ def test_residue_family_is_the_per_shift_construction(p):
     prime = validate_prime(p)
     h = construct((p + 1) // 2)
     fam = build_residue_family(prime, h)
-    assert fam.provenance == tuple((t, s) for t in range((p + 1) // 2) for s in range(p))
-    for proj, (t, shift) in zip(fam.projections, fam.provenance):
+    assert fam.shifts == p and len(fam.bases) == (p + 1) // 2
+    for i, proj in enumerate(fam.projections):
+        t, shift = divmod(i, p)
         expected = projection_from_basis(cyclic_shift(residue_base_vectors(prime, h, t), shift))
         # byte equality: bit for bit, signed zeros included
         assert proj.dtype == expected.dtype and proj.shape == expected.shape
@@ -300,11 +294,38 @@ def test_residue_family_is_the_per_shift_construction(p):
 
 
 def _with_last_member(fam, last):
-    return replace(fam, projections=np.concatenate((fam.projections[:-1], [last])))
+    """The dense twin of fam with its last member replaced: shifts = 1, every member a base."""
+    return ProjectionFamily(fam.d, fam.r, np.concatenate((fam.projections[:-1], [last])), fam.beta)
+
+
+@pytest.mark.parametrize("p", [3, 7, 23])
+def test_dense_members_are_the_shifted_bases(p):
+    # member t*p + x is P_t[i - x, j - x], bit for bit, for the family, its dual and its unitaries
+    fam = residue_family(p)
+    uf = build_unitaries(fam, compute_phase(p, fam.r))
+    for family, members in ((fam, fam.projections), (dual_family(fam), dual_family(fam).projections), (uf, uf.unitaries)):
+        assert members.shape == (p * (p + 1) // 2, p, p) and not members.flags.writeable
+        for i, member in enumerate(members):
+            t, x = divmod(i, p)
+            assert member.tobytes() == np.roll(family.bases[t], (x, x), axis=(0, 1)).tobytes()
+    assert fam.projections is fam.projections  # gathered once
+    icosahedron = icosahedron_lines()
+    assert icosahedron.projections is icosahedron.bases
+
+
+def test_families_reject_a_shift_count_other_than_one_or_d():
+    fam = p7_family()
+    uf = build_unitaries(fam, compute_phase(7, 3))
+    for shifts in (0, 2, 6, 8, 49, -7):
+        with pytest.raises(OutOfRange, match="shifts"):
+            replace(fam, shifts=shifts)
+        with pytest.raises(OutOfRange, match="shifts"):
+            replace(uf, shifts=shifts)
+    assert len(replace(fam, shifts=1)) == 4 and len(replace(uf, shifts=1)) == 4
 
 
 def test_verify_equiangular_checks_the_last_chunk(monkeypatch):
-    # blocks of 100 real 23 x 23 members: 100 + 100 + 76 idempotency blocks
+    # blocks of 100 real 23 x 23 bases: 100 + 100 + 76 idempotency blocks of the dense twin
     monkeypatch.setattr(matcore, "_BLOCK_BYTES", 100 * 23 * 23 * 8)
     fam = build_residue_family(validate_prime(23), construct(12))
     per_block = matcore._BLOCK_BYTES // (23 * 23 * fam.projections.itemsize)
@@ -327,10 +348,8 @@ def residue_family(p):
 
 
 def dense(fam):
-    """The same family with its orbit structure switched off: the dense oracle, every Gram row."""
-    oracle = replace(fam)
-    oracle.__dict__["orbit_size"] = 1  # what the cached property stores without orbit structure
-    return oracle
+    """The dense twin of a family: its members as bases with shifts = 1, the oracle that reads every Gram row."""
+    return ProjectionFamily(fam.d, fam.r, fam.projections, fam.beta, scale=fam.scale)
 
 
 def spy_gram_shapes(monkeypatch, module):
@@ -372,7 +391,7 @@ def test_equiangular_check_from_orbit_rows_matches_the_dense_check(name, monkeyp
     shapes = spy_gram_shapes(monkeypatch, packing)
     report = verify_equiangular(fam)
     oracle = verify_equiangular(dense(fam))
-    assert fam.orbit_size == p
+    assert fam.shifts == p
     assert shapes == [((p + 1) // 2, n), (n, n)]
     assert report.passed
     assert_matches_dense(report, oracle)
@@ -380,18 +399,18 @@ def test_equiangular_check_from_orbit_rows_matches_the_dense_check(name, monkeyp
 
 def _perturbed_entry(fam):
     members = np.array(fam.projections)
-    members[-1, 2, 4] += 1e-12  # the last member, in the last block of the structure check
-    return replace(fam, projections=members)
+    members[-1, 2, 4] += 1e-12  # the last member
+    return replace(fam, bases=members, shifts=1)
 
 
 def _swapped_orbits(fam):
     members = np.array(fam.projections)
     members[[3, 10]] = members[[10, 3]]  # shift 3 of orbits 0 and 1
-    return replace(fam, projections=members)
+    return replace(fam, bases=members, shifts=1)
 
 
 def _not_whole_orbits(fam):
-    return replace(fam, projections=fam.projections[:27], provenance=fam.provenance[:27])
+    return replace(fam, bases=fam.projections[:27], shifts=1)
 
 
 @pytest.mark.parametrize(
@@ -405,7 +424,7 @@ def test_equiangular_check_without_orbit_structure_reads_every_gram_row(build, m
     n = len(fam)
     shapes = spy_gram_shapes(monkeypatch, packing)
     report = verify_equiangular(fam)
-    assert fam.orbit_size == 1
+    assert fam.shifts == 1
     assert shapes == [(n, n)]
     assert report.passed  # each is still equiangular within eps
     assert report == verify_equiangular(dense(fam))
@@ -444,37 +463,42 @@ def test_family_json_round_trip():
     fam = p7_family()
     again = family_from_json(family_to_json(fam))
     assert (again.d, again.r, again.beta) == (fam.d, fam.r, fam.beta)
-    assert again.provenance == fam.provenance
-    assert again.projections.dtype == float
+    assert again.shifts == fam.shifts == 7
+    assert again.bases.dtype == float
+    assert again.bases.tobytes() == fam.bases.tobytes()
     assert again.projections.tobytes() == fam.projections.tobytes()
     before = verify_equiangular(fam)
     after = verify_equiangular(again)
     assert before == after
 
 
-def test_family_rejects_provenance_of_another_length():
-    # with 3 entries for 28 members, family_to_json would write 3 projections
-    fam = p7_family()
-    for provenance in (fam.provenance[:3], fam.provenance + (None,)):
-        with pytest.raises(ShapeMismatch, match="provenance"):
-            replace(fam, provenance=provenance)
-
-
-def test_family_json_checks_the_coefficient_of_a_family_with_provenance():
+def test_family_json_checks_the_coefficient_of_an_orbit_family():
     for fam in (p7_family(), dual_family(p7_family())):
         obj = family_to_json(fam)
         assert family_from_json(obj).scale == off_support_scale(7)
         for scale in (None, off_support_scale(7) * (1 + 1e-12), off_support_scale(23)):
             with pytest.raises(MalformedArtifact, match="C = "):
                 family_from_json({**obj, "C": scale})
-    # without provenance C is not the residue coefficient, and any value loads
+    # with shifts = 1 C is not the residue coefficient, and any value loads
     obj = family_to_json(icosahedron_lines())
     assert family_from_json({**obj, "C": 1.5}).scale == 1.5
+    obj = family_to_json(dense(p7_family()))
+    assert family_from_json({**obj, "C": None}).scale is None
 
 
-def test_family_json_icosahedron_has_null_provenance():
-    obj = family_to_json(icosahedron_lines())
+def test_family_json_icosahedron_has_one_shift():
+    fam = icosahedron_lines()
+    obj = family_to_json(fam)
     assert obj["C"] is None
-    assert obj["provenance"] == [None] * 6
-    again = family_from_json(obj)
-    assert again.provenance == (None,) * 6
+    assert obj["shifts"] == 1 and obj["bases"]["shape"] == [6, 3, 3]
+    again = family_from_json(json.loads(json.dumps(obj)))
+    assert again.shifts == 1 and len(again) == 6
+    assert again.bases.tobytes() == fam.bases.tobytes()
+    assert verify_equiangular(again) == verify_equiangular(fam)
+
+
+def test_family_json_rejects_the_dense_format():
+    obj = family_to_json(p7_family())
+    for key, value in (("provenance", [[0, 0]]), ("projections", obj["bases"])):
+        with pytest.raises(MalformedArtifact, match="fields"):
+            family_from_json({**obj, key: value})

@@ -179,7 +179,7 @@ def test_certify_icosahedron():
 
 def test_certify_truncated_family_fails():
     uf = p7_unitaries()
-    truncated = UnitaryFamily(d=7, z=uf.z, unitaries=uf.unitaries[:27], source=None)
+    truncated = UnitaryFamily(d=7, z=uf.z, bases=uf.unitaries[:27], source=None)
     cert = certify_umeb(truncated)
     assert cert.span_rank == 27
     assert not cert.symmetric_span
@@ -190,7 +190,7 @@ def test_certify_verdict_monotone_under_removal():
     uf = p7_unitaries()
     for drop in range(28):
         rest = np.delete(uf.unitaries, drop, axis=0)
-        cert = certify_umeb(UnitaryFamily(d=7, z=uf.z, unitaries=rest, source=None))
+        cert = certify_umeb(UnitaryFamily(d=7, z=uf.z, bases=rest, source=None))
         assert not cert.symmetric_span
         assert not cert.unextendible_verdict
 
@@ -198,7 +198,7 @@ def test_certify_verdict_monotone_under_removal():
 def _p7_with_first(replace):
     uf = p7_unitaries()
     first = replace(uf.unitaries[0], uf.source.projections[0])
-    return UnitaryFamily(d=7, z=uf.z, unitaries=np.concatenate(([first], uf.unitaries[1:])), source=None)
+    return UnitaryFamily(d=7, z=uf.z, bases=np.concatenate(([first], uf.unitaries[1:])), source=None)
 
 
 def test_certify_rejects_member_with_other_phase():
@@ -234,9 +234,7 @@ def test_certify_even_dimension_flagged():
     rng = np.random.default_rng(5)
     basis = np.linalg.qr(rng.standard_normal((6, 3)))[0]
     proj = basis @ basis.T
-    fam = ProjectionFamily(
-        d=6, r=3, projections=(proj,), beta=Fraction(1), provenance=(None,), scale=None
-    )
+    fam = ProjectionFamily(d=6, r=3, bases=(proj,), beta=Fraction(1), scale=None)
     cert = certify_umeb(build_unitaries(fam, compute_phase(6, 3)))
     assert not cert.d_odd
     assert not cert.unextendible_verdict
@@ -249,7 +247,12 @@ def _residue_unitaries(p):
 
 def _p7_members(edit):
     uf = p7_unitaries()
-    return UnitaryFamily(d=7, z=uf.z, unitaries=edit(uf.unitaries), source=None)
+    return UnitaryFamily(d=7, z=uf.z, bases=edit(uf.unitaries), source=None)
+
+
+def _p7_bases(edit):
+    uf = p7_unitaries()
+    return UnitaryFamily(d=7, z=uf.z, bases=edit(uf.bases), shifts=7)
 
 
 # name -> (family, whether the Gershgorin discs prove the rank, verdict)
@@ -264,6 +267,9 @@ RANK_CASES = {
     # disc of row 1 is 7 +- 14: full rank, but only the spectrum shows it
     "p7-u0+2u1": (lambda: _p7_members(lambda us: np.concatenate(([us[0] + 2 * us[1]], us[1:]))), False, False),
     "p7-duplicate": (lambda: _p7_members(lambda us: np.concatenate((us, us[:1]))), False, False),
+    # the same edit on base 0 of the orbit family: every shift of it, and the
+    # spectrum from the whole Gram spread out of the orbit rows
+    "p7-orbit-u0+2u1": (lambda: _p7_bases(lambda bs: np.concatenate(([bs[0] + 2 * bs[1]], bs[1:]))), False, False),
     "p7-nonsymmetric": (
         lambda: _p7_members(
             lambda us: np.concatenate(([us[0] @ np.diag(np.exp(1j * np.arange(7)))], us[1:]))
@@ -323,10 +329,9 @@ def test_member_stacks_are_read_only(name):
     assert uf.unitaries.shape == (len(uf), uf.d, uf.d) and uf.unitaries.dtype == complex
     # real by contract, also after a JSON round trip
     assert fam.projections.shape == (len(fam), fam.d, fam.d) and fam.projections.dtype == float
-    with pytest.raises(ValueError):
-        uf.unitaries[0, 0, 0] = 1
-    with pytest.raises(ValueError):
-        fam.projections[0, 0, 0] = 1
+    for stack in (uf.unitaries, uf.bases, fam.projections, fam.bases):
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 1
     with pytest.raises(ValueError):
         uf.gram_rows[0, 0] = 1
     assert certify_umeb(uf).unextendible_verdict
@@ -334,12 +339,16 @@ def test_member_stacks_are_read_only(name):
 
 def test_unitary_json_round_trip_is_bit_exact():
     # with a source the unitaries are rebuilt from it, without one they are read back
+    # and without a source, with either shift count
     uf = p7_unitaries()
-    for written in (uf, UnitaryFamily(uf.d, uf.z, uf.unitaries)):
+    for written in (uf, UnitaryFamily(uf.d, uf.z, uf.unitaries), UnitaryFamily(uf.d, uf.z, uf.bases, shifts=7)):
         obj = json.loads(json.dumps(unitary_family_to_json(written)))
-        assert ("source" in obj) != ("unitaries" in obj)
+        assert ("source" in obj) != ("bases" in obj)
+        assert obj.get("shifts", written.shifts) == written.shifts
         again = unitary_family_from_json(obj)
         assert again.z == uf.z and (again.source is None) == (written.source is None)
+        assert again.shifts == written.shifts
+        assert again.bases.tobytes() == written.bases.tobytes()
         assert again.unitaries.tobytes() == uf.unitaries.tobytes()
 
 
@@ -360,16 +369,16 @@ def _callers_arrays(stack):
 def test_families_keep_their_own_copy_of_the_callers_arrays():
     uf = p7_unitaries()
     expected = certify_umeb(uf)
-    for members, mutate in _callers_arrays(uf.unitaries):
-        mine = UnitaryFamily(d=7, z=uf.z, unitaries=members)
+    for members, mutate in _callers_arrays(uf.bases):
+        mine = UnitaryFamily(d=7, z=uf.z, bases=members, shifts=7)
         assert certify_umeb(mine) == expected
         mutate()
         assert np.array_equal(mine.unitaries, uf.unitaries)
         assert certify_umeb(mine) == expected
     fam = uf.source
     expected = verify_equiangular(fam)
-    for members, mutate in _callers_arrays(fam.projections):
-        mine = replace(fam, projections=members)
+    for members, mutate in _callers_arrays(fam.bases):
+        mine = replace(fam, bases=members)
         mutate()
         assert np.array_equal(mine.projections, fam.projections)
         assert verify_equiangular(mine) == expected
@@ -379,21 +388,20 @@ def test_gram_is_cached_and_is_the_gram_of_the_stack():
     uf = _residue_unitaries(23)
     rows = uf.gram_rows
     assert rows is uf.gram_rows
-    assert uf.orbit_size == 23 and rows.shape == (12, len(uf))
+    assert uf.shifts == 23 and rows.shape == (12, len(uf))
     dense = gram_matrix(uf.unitaries)
     assert np.max(np.abs(rows - dense[::23])) <= 1e-13 * 23
     # the orbit rows fix every entry: G[t*d + x, t'*d + x'] = rows[t, t'*d + (x' - x) mod d]
     t, x = np.divmod(np.arange(len(uf)), 23)
     column = t * 23 + (x - x[:, None]) % 23
     assert np.max(np.abs(rows[t[:, None], column] - dense)) <= 1e-13 * 23
+    assert np.array_equal(umeb._whole_gram(rows, 23), rows[t[:, None], column])
     assert uf.asymmetry == (0.0, 0.0)  # built families are exactly symmetric
 
 
 def dense(uf):
-    """The same family with its orbit structure switched off: the dense oracle, every Gram row."""
-    oracle = UnitaryFamily(d=uf.d, z=uf.z, unitaries=uf.unitaries, source=uf.source)
-    oracle.__dict__["orbit_size"] = 1  # what the cached property stores without orbit structure
-    return oracle
+    """The dense twin of a family: its members as bases with shifts = 1, the oracle that reads every Gram row."""
+    return UnitaryFamily(d=uf.d, z=uf.z, bases=uf.unitaries)
 
 
 def spy_gram_shapes(monkeypatch, module):
@@ -435,7 +443,7 @@ def test_certificate_from_orbit_rows_matches_the_dense_certificate(name, monkeyp
     shapes = spy_gram_shapes(monkeypatch, umeb)
     cert = certify_umeb(uf)
     oracle = certify_umeb(dense(uf))
-    assert uf.orbit_size == p
+    assert uf.shifts == p
     assert shapes == [((p + 1) // 2, n), (n, n)]
     assert cert.unextendible_verdict and cert.span_rank == cert.cardinality == p * (p + 1) // 2
     assert_matches_dense(cert, oracle)
@@ -443,11 +451,11 @@ def test_certificate_from_orbit_rows_matches_the_dense_certificate(name, monkeyp
 
 def _edited_p7(edit):
     uf = p7_unitaries()
-    return UnitaryFamily(d=7, z=uf.z, unitaries=edit(np.array(uf.unitaries)), source=None)
+    return UnitaryFamily(d=7, z=uf.z, bases=edit(np.array(uf.unitaries)), source=None)
 
 
 def _perturbed_entry(members):
-    members[-1, 2, 4] += 1e-12  # the last member, in the last block of the structure check
+    members[-1, 2, 4] += 1e-12  # the last member
     return members
 
 
@@ -471,7 +479,7 @@ def test_certificate_without_orbit_structure_reads_every_gram_row(build, verdict
     n = len(uf)
     shapes = spy_gram_shapes(monkeypatch, umeb)
     cert = certify_umeb(uf)
-    assert uf.orbit_size == 1
+    assert uf.shifts == 1
     assert shapes == [(n, n)]
     assert cert.unextendible_verdict == verdict
     assert cert == replace(cert, **spectral_fields(uf))
@@ -481,23 +489,35 @@ def test_families_reject_members_of_the_wrong_shape():
     uf = p7_unitaries()
     for members in (uf.unitaries[:, :6, :6], uf.unitaries[0], []):
         with pytest.raises(ShapeMismatch):
-            UnitaryFamily(d=7, z=uf.z, unitaries=members)
+            UnitaryFamily(d=7, z=uf.z, bases=members)
     with pytest.raises(ShapeMismatch):
-        replace(uf.source, projections=uf.source.projections[:, :, :6])
+        replace(uf.source, bases=uf.source.bases[:, :, :6])
+
+
+def test_asymmetry_of_orbits_is_read_off_the_bases():
+    uf = _residue_unitaries(23)
+    bases = np.array(uf.bases)
+    bases[-1, 0, 1] += 1e-6
+    skewed = UnitaryFamily(d=23, z=uf.z, bases=bases, shifts=23)
+    assert skewed.asymmetry[0] == dense(skewed).asymmetry[0] == pytest.approx(1e-6, rel=1e-6)
+    assert skewed.asymmetry[1] == pytest.approx(23 * 2e-12, rel=1e-5)
+    assert skewed.asymmetry[1] == pytest.approx(dense(skewed).asymmetry[1], rel=1e-12)
+    cert = certify_umeb(skewed)
+    assert not cert.symmetric_span and not cert.complement_antisymmetric
 
 
 def test_certify_checks_the_last_member_chunk(monkeypatch):
-    # blocks of 100 complex 23 x 23 members: 100 + 100 + 76 unitarity and symmetry blocks
+    # blocks of 100 complex 23 x 23 members of the dense twins: 100 + 100 + 76 unitarity and symmetry blocks
     monkeypatch.setattr(matcore, "_BLOCK_BYTES", 100 * 23 * 23 * 16)
     uf = _residue_unitaries(23)
     per_block = matcore._BLOCK_BYTES // (23 * 23 * uf.unitaries.itemsize)
     assert per_block < len(uf) and len(uf) % per_block and certify_umeb(uf).unextendible_verdict
     last = uf.unitaries[-1]
-    scaled = UnitaryFamily(d=23, z=uf.z, unitaries=np.concatenate((uf.unitaries[:-1], [2 * last])))
+    scaled = UnitaryFamily(d=23, z=uf.z, bases=np.concatenate((uf.unitaries[:-1], [2 * last])))
     assert abs(certify_umeb(scaled).max_unitarity_dev - 3.0) < 1e-12
     skewed = np.array(uf.unitaries)
     skewed[-1, 0, 1] += 1e-6
-    skewed = UnitaryFamily(d=23, z=uf.z, unitaries=skewed)
+    skewed = UnitaryFamily(d=23, z=uf.z, bases=skewed)
     assert skewed.asymmetry[0] == pytest.approx(1e-6, rel=1e-6)
     assert skewed.asymmetry[1] == pytest.approx(2e-12, rel=1e-5)
     assert not certify_umeb(skewed).symmetric_span
@@ -515,7 +535,7 @@ def test_cj_orthonormality_dev_is_the_full_max_of_g_over_d_minus_i(off_diagonal)
     dev = np.abs(flat.conj() @ flat.T / 7 - np.eye(len(uf)))
     off = np.max(dev - np.diag(np.diag(dev)))
     assert (off > np.max(np.diag(dev))) == off_diagonal
-    cert = certify_umeb(UnitaryFamily(d=7, z=uf.z, unitaries=members))
+    cert = certify_umeb(UnitaryFamily(d=7, z=uf.z, bases=members))
     assert cert.cj_orthonormality_dev == pytest.approx(np.max(dev), rel=1e-15)
 
 
@@ -527,7 +547,7 @@ def test_cj_states_p7():
 
 
 def test_cj_states_identity():
-    uf = UnitaryFamily(d=3, z=1.0, unitaries=(np.eye(3, dtype=complex),), source=None)
+    uf = UnitaryFamily(d=3, z=1.0, bases=(np.eye(3, dtype=complex),), source=None)
     states = cj_states(uf)
     phi = np.zeros(9)
     phi[[0, 4, 8]] = 1 / math.sqrt(3)
