@@ -28,10 +28,12 @@ shift-covariant kernel K with d^3 entries: out[i, i + D] =
 sum_{e,f} K[D, e, f] X[i + e, i + f], indices mod d.  The structure is the
 family's shift count, given when it was built; K is built from its bases
 once per decomposition, in O(T d^3 + d^4) for the correlation (T = n/d
-orbits), and each input then costs one gather and
-one (d x d^2)(d^2 x d) product, O(d^4), against O(n d^3) member by member.
-Any other mixture is applied member by member, in blocks of members.
-Either way check (b) reads only the members and the weights, neither the
+orbits), and each input then costs a gather of d rows of d^2 entries and
+their product with K, O(d^4), against O(n d^3) member by member.  Any other
+mixture is applied member by member, in blocks of bases whose shifts are
+gathered one block at a time, as are the rows of the d-row blocks of (a):
+no check keeps the family's dense view.  Either way check (b) reads only
+the members and the weights, neither the
 Gram nor vec(U), so it stays independent of (a).  Every pass but the d-row
 blocks and the d^3 kernel itself sizes its blocks from matcore's one byte
 budget.
@@ -46,18 +48,19 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import NotCertified, NotSquare, OutOfRange, ShapeMismatch
-from .matcore import DEFAULT_TOL, Tolerance, _blocks
+from .matcore import DEFAULT_TOL, Tolerance, _blocks, orbit_stack
 from .umeb import UnitaryFamily, _span
 
 Channel = Callable[[np.ndarray], np.ndarray]
 
 
-def _cyclic(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(coords, plus, minus) with plus[i, e] = (i + e) mod d and minus[i, k] = (k - i) mod d."""
+def _cyclic(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(coords, plus) with plus[i, e] = (i + e) mod d."""
     coords = np.arange(d)
-    return coords, (coords[:, None] + coords) % d, (coords - coords[:, None]) % d
+    return coords, (coords[:, None] + coords) % d
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +103,7 @@ class MixedUnitaryDecomposition:
         orbit_w = w[::d]
         if np.any(w.reshape(-1, d) != orbit_w[:, None]):
             return None
-        coords, plus, _ = _cyclic(d)
+        coords, plus = _cyclic(d)
         dft = np.exp(-2j * np.pi / d * (coords[:, None] * coords % d))  # dft[k, a], symmetric
         f = (dft @ uf.bases[:, coords[:, None], plus]).transpose(1, 0, 2)  # f[k, t, e] = F[t, k, e]
         fbar = f.conj()
@@ -205,7 +208,7 @@ def apply_decomposition(dec: MixedUnitaryDecomposition, x: np.ndarray) -> np.nda
     stack = xs.reshape(-1, d, d)
     kernel = dec._orbit_kernel
     if kernel is None:
-        out = _apply_by_members(w, dec.unitaries.unitaries, stack)
+        out = _apply_by_members(w, dec.unitaries, stack)
     else:
         out = _apply_by_kernel(kernel, stack)
     return out.reshape(xs.shape)
@@ -214,39 +217,51 @@ def apply_decomposition(dec: MixedUnitaryDecomposition, x: np.ndarray) -> np.nda
 def _apply_by_kernel(kmat: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """out[s, i, i + D] = sum_{e,f} K[D, e, f] xs[s, i + e, i + f], indices mod d.
 
-    Inputs go in blocks, each one gather of the d^3 shifted entries per
-    input and one (k*d x d^2)(d^2 x d) gemm; the gather is what matcore's
-    block budget bounds (at least one input per block).
+    The inputs go in blocks, each wrapped to 2d - 1 rows and columns, so
+    that xs[s, i + e, i + f] is a strided view windows[s, i, e, f].  The sum
+    over (e, f) goes in blocks of e, each one copy of its windows, (input,
+    row) pairs by (e, f), and one gemm with the rows (e, f) of kmat,
+    accumulated.  A block's wrapped inputs and sums (under 5 d^2 entries
+    per input) take at most half of matcore's block budget and a block of
+    e's copy at most the other half, however large d grows (at least one
+    input and one e per block).
     """
     t, d = len(xs), xs.shape[-1]
-    coords, plus, minus = _cyclic(d)
-    gather_at = (plus[:, :, None] * d + plus[:, None, :]).ravel()
-    flat = xs.reshape(t, d * d)
+    coords, plus = _cyclic(d)
+    wrap = np.arange(2 * d - 1) % d
     out = np.empty_like(xs)
-    for inputs in _blocks(t, d * d * d * xs.itemsize):
-        # the gather is a temporary, so one block's gather is alive at a time
-        diagonals = (np.take(flat[inputs], gather_at, axis=1).reshape(-1, d * d) @ kmat).reshape(-1, d, d)
-        out[inputs] = diagonals[:, coords[:, None], minus]
+    for inputs in _blocks(t, 2 * 5 * d * d * xs.itemsize):
+        k = inputs.stop - inputs.start
+        wrapped = xs[inputs, wrap[:, None], wrap]  # wrapped[s, a, b] = xs[s, a mod d, b mod d]
+        step, row, col = wrapped.strides
+        windows = as_strided(wrapped, (k, d, d, d), (step, row + col, row, col), writeable=False)
+        diagonals = np.zeros((k * d, d), dtype=xs.dtype)  # diagonals[s*d + i, D] = out[s, i, i + D]
+        for es in _blocks(d, 2 * k * d * d * xs.itemsize):
+            diagonals += windows[:, :, es].reshape(k * d, -1) @ kmat[es.start * d : es.stop * d]
+        out[inputs, coords[:, None], plus] = diagonals.reshape(k, d, d)
     return out
 
 
-def _apply_by_members(w: np.ndarray, us: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def _apply_by_members(w: np.ndarray, uf: UnitaryFamily, xs: np.ndarray) -> np.ndarray:
     """sum_j w_j U_j x U_j* for every input x of the (T, d, d) stack xs.
 
-    Members go in blocks, each two matmuls: the block's U_j times all inputs
-    side by side, rearranged so that row (s, i) holds (U_j x_s)[i, :] for
-    every j of the block, times the stacked w_j U_j*.  One member's share of
-    that intermediate is the size of the inputs, so matcore's block budget
-    bounds the intermediate (at least one member per block).
+    Members go in blocks of whole bases, each base's shifts gathered for
+    its block alone (matcore.orbit_stack), so the family's dense view is
+    never formed.  Each block is two matmuls: the block's U_j times all
+    inputs side by side, rearranged so that row (s, i) holds (U_j x_s)[i, :]
+    for every j of the block, times the stacked w_j U_j*.  One member's
+    share of that intermediate is the size of the inputs, so matcore's
+    block budget bounds the intermediate (at least one base per block).
     """
     t, d = len(xs), xs.shape[-1]
+    size = uf.shifts
     x_side = xs.transpose(1, 0, 2).reshape(d, t * d)
     out = np.zeros((t * d, d), dtype=complex)
-    for members in _blocks(len(us), x_side.nbytes):
-        u = us[members]
+    for bases in _blocks(len(uf.bases), size * x_side.nbytes):
+        u = orbit_stack(uf.bases[bases], size)
         k = len(u)
         ux = (u.reshape(k * d, d) @ x_side).reshape(k, d, t, d).transpose(2, 1, 0, 3)
-        wu = (w[members, None, None] * u.conj().transpose(0, 2, 1)).reshape(k * d, d)
+        wu = (w[bases.start * size : bases.stop * size, None, None] * u.conj().transpose(0, 2, 1)).reshape(k * d, d)
         out += np.ascontiguousarray(ux).reshape(t * d, k * d) @ wu
     return out.reshape(t, d, d)
 
@@ -288,17 +303,18 @@ def _choi_dev_by_blocks(w: np.ndarray, uf: UnitaryFamily) -> float:
     """|sum_j w_j vec(U_j) vec(U_j)* - (I + SWAP)/(d+1)|_F over blocks of d rows."""
     d = uf.d
     n = len(uf)
-    # conj(vec(U_j)) as rows; vec stacks columns, so column b*d + a holds U[a, b]
-    fbar = np.empty((n, d, d), dtype=complex)
-    np.conjugate(uf.unitaries.transpose(0, 2, 1), out=fbar)
-    fbar = fbar.reshape(n, d * d)
+    # The rows are the members in C order, vec(U_j^T) = SWAP vec(U_j), conjugated on
+    # the left of each block: that is conj(SWAP C SWAP) for the mixture's Choi matrix
+    # C, whose distance to the real, SWAP-invariant target is C's.  The members are
+    # gathered from the bases, so the family's dense view is never formed
+    flat = orbit_stack(uf.bases, uf.shifts).reshape(n, d * d)
     a = np.arange(d)
     sq = 0.0
     for b in range(d):
-        # rows b*d + a, columns b*d onward, of the mixture's Choi matrix minus
-        # (I + SWAP)/(d+1): the difference is Hermitian (real weights), so the
-        # blocks right of the diagonal block stand for their mirror images too
-        block = (w[:, None] * fbar[:, b * d : (b + 1) * d].conj()).T @ fbar[:, b * d :]
+        # rows b*d + a, columns b*d onward, of that matrix minus (I + SWAP)/(d+1):
+        # the difference is Hermitian (real weights), so the blocks right of the
+        # diagonal block stand for their mirror images too
+        block = (w[:, None] * flat[:, b * d : (b + 1) * d].conj()).T @ flat[:, b * d :]
         block[a, a] -= 1 / (d + 1)
         block[a[b:], (a[b:] - b) * d + b] -= 1 / (d + 1)
         diag, right = block[:, :d], block[:, d:]

@@ -38,7 +38,7 @@ class RankOutOfRange(UmebkitError):
 
 
 class IndexOutOfRange(UmebkitError):
-    """Base index t outside 0..(p-1)/2."""
+    """Support index of the residue construction outside 1..p-1."""
 
 
 class HadamardOrderMismatch(UmebkitError):

@@ -89,10 +89,16 @@ def gram_matrix(bases: list[np.ndarray] | np.ndarray, shifts: int = 1) -> np.nda
     and its T rows fix every entry.  Real input gives a real Gram.  shifts =
     1 is the whole Gram: one symmetric rank-k update for real input, blocks
     of rows for complex input, each counting its conjugated members and its
-    rows against _BLOCK_BYTES.  For shifts = d each shift x <= d/2 is one
-    product of a shape that no budget changes, G = conj(bases @
-    conj(shifted)^T) with the shift conjugated in place; the block of shift
-    -x is the conjugate transpose of the block of shift x.
+    rows against _BLOCK_BYTES.  For shifts = d the sum runs over the union
+    support S of the bases, the flat entries (i, j) where some base is not
+    exactly 0 (a NaN or inf is not 0, so it stays in the sum): a dropped
+    term conj(bases[t][i, j]) * bases[t'][i - x, j - x] has a factor 0 for
+    every t.  Each shift x <= d/2 is one product conj(bases[:, S]) @
+    bases[:, S - (x, x)]^T, of a shape that no budget changes; the block of
+    shift -x is the conjugate transpose of the block of shift x.  The
+    paper's bases have 2(d - 1) nonzero entries (2d - 1 for the unitaries),
+    so a shift costs O(T^2 d) in place of O(T^2 d^2); dense bases make S
+    every entry.
     """
     stack = np.asarray(bases)
     if stack.ndim < 2:
@@ -106,12 +112,13 @@ def gram_matrix(bases: list[np.ndarray] | np.ndarray, shifts: int = 1) -> np.nda
         for rows in _blocks(m, (m + flat.shape[1]) * gram.itemsize):
             np.matmul(flat[rows].conj(), flat.T, out=gram[rows])
         return gram
+    d = stack.shape[-1]
+    support = np.flatnonzero(np.any(flat != 0, axis=0))
+    i, j = np.divmod(support, d)
+    lhs = flat[:, support].conj()
     gram = np.empty((m, m, shifts), dtype=flat.dtype)
     for x in range(shifts // 2 + 1):
-        shifted = np.roll(stack, (x, x), axis=(1, 2)).reshape(m, -1)
-        np.conjugate(shifted, out=shifted)
-        np.conjugate(flat @ shifted.T, out=gram[:, :, x])
-        del shifted  # else it stays bound while the next shift is made
+        np.matmul(lhs, flat[:, (i - x) % d * d + (j - x) % d].T, out=gram[:, :, x])
         if 0 < x < shifts - x:  # G[t, t', -x] = conj(G[t', t, x]): shifting by -x is the adjoint similarity
             gram[:, :, shifts - x] = gram[:, :, x].T.conj()
     return gram.reshape(m, m * shifts)

@@ -102,30 +102,35 @@ def off_support_scale(p: int) -> float:
     return (1.0 + math.sqrt(p + 2)) / math.sqrt(p + 1)
 
 
-def residue_base_vectors(prime: UmebPrime, h: HadamardMatrix, t: int) -> list[np.ndarray]:
-    """The (p-1)/2 unnormalized base vectors of the t-th subspace.
+def residue_base_vectors(prime: UmebPrime, h: HadamardMatrix) -> np.ndarray:
+    """The unnormalized base vectors of every subspace, as one (p+1)/2 x (p-1)/2 x p array.
 
-    Vector s (s = 1..(p-1)/2) has a 1 at index q_s and h[s, t] * h[0, t] * scale
-    at index k*q_s mod p, using 0-indexed coordinates; rows 0..(p-1)/2 and
-    columns 0..(p-1)/2 of h are consumed.  The factor h[0, t] normalizes row 0
-    of h to all +1, which the construction needs and not every Hadamard
-    strategy provides.  Each vector has squared norm 1 + scale^2 and their
-    supports are pairwise disjoint.
+    Vector s - 1 of subspace t (s = 1..(p-1)/2) has a 1 at index q_s and
+    h[s, t] * h[0, t] * scale at index k*q_s mod p, using 0-indexed
+    coordinates; rows 0..(p-1)/2 and columns 0..(p-1)/2 of h are consumed.
+    The factor h[0, t] normalizes row 0 of h to all +1, which the
+    construction needs and not every Hadamard strategy provides.  Each
+    vector has squared norm 1 + scale^2.  The support indices must lie in
+    1..p-1 (IndexOutOfRange otherwise) and be p - 1 distinct ones, so that
+    the supports are pairwise disjoint (NotOrthogonal otherwise): a
+    UmebPrime built by hand can break either.
     """
     p = prime.p
     half = prime.half
     if h.order != (p + 1) // 2:
         raise HadamardOrderMismatch(f"need Hadamard order {(p + 1) // 2}, got {h.order}")
-    if not 0 <= t <= half:
-        raise IndexOutOfRange(f"t={t} outside 0..{half}")
-    c = off_support_scale(p)
-    vectors = []
-    for s in range(1, half + 1):
-        q = prime.residues[s - 1]
-        v = np.zeros(p)
-        v[q] = 1.0
-        v[prime.k * q % p] = h.entries[s, t] * h.entries[0, t] * c
-        vectors.append(v)
+    residues = np.asarray(prime.residues, dtype=np.int64)
+    partners = prime.k * residues % p
+    supports = np.concatenate((residues, partners))
+    if not np.all((supports >= 1) & (supports < p)):
+        raise IndexOutOfRange(f"a support index of p={p}, k={prime.k} is outside 1..{p - 1}")
+    if len(supports) != p - 1 or np.max(np.bincount(supports)) > 1:
+        raise NotOrthogonal(f"support indices collide for p={p}, k={prime.k}")
+    signs = h.entries[1 : half + 1, : half + 1] * h.entries[0, : half + 1]  # signs[s - 1, t]
+    vectors = np.zeros(((p + 1) // 2, half, p))
+    s = np.arange(half)
+    vectors[:, s, residues] = 1.0
+    vectors[:, s, partners] = signs.T * off_support_scale(p)
     return vectors
 
 
@@ -134,33 +139,38 @@ def cyclic_shift(vectors: list[np.ndarray], x: int) -> list[np.ndarray]:
     return [np.roll(v, x) for v in vectors]
 
 
-def projection_from_basis(
-    vectors: list[np.ndarray], tol: Tolerance = DEFAULT_TOL
-) -> np.ndarray:
-    """Orthogonal projection onto the span of pairwise-orthogonal vectors."""
+def projection_from_basis(vectors: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Orthogonal projection onto the span of pairwise-orthogonal vectors, for one basis or a stack of them.
+
+    vectors is (r, d), the rows one basis, or (T, r, d), one basis per
+    entry; the result is (d, d) or (T, d, d).  NotOrthogonal if, in some
+    basis, an inner product of two vectors exceeds eps times its largest
+    squared norm.
+    """
     stack = np.asarray(vectors, dtype=float)
-    overlap = stack @ stack.T
-    off = overlap - np.diag(np.diag(overlap))
-    worst = float(np.max(np.abs(off))) if len(vectors) > 1 else 0.0
-    if worst > tol.eps * float(np.max(np.diag(overlap))):
-        raise NotOrthogonal(f"basis vectors overlap, max inner product {worst:.3e}")
-    normalized = stack / np.sqrt(np.diag(overlap))[:, None]
-    return normalized.T @ normalized
+    overlap = stack @ stack.swapaxes(-1, -2)
+    norms = np.diagonal(overlap, axis1=-2, axis2=-1).copy()
+    own = np.arange(overlap.shape[-1])
+    overlap[..., own, own] = 0.0
+    worst = np.max(np.abs(overlap, out=overlap), axis=(-2, -1))
+    del overlap  # not alive beside the vectors, their normalized copy and the product
+    if np.any(worst > tol.eps * np.max(norms, axis=-1)):
+        raise NotOrthogonal(f"basis vectors overlap, max inner product {float(np.max(worst)):.3e}")
+    normalized = stack / np.sqrt(norms)[..., None]
+    return normalized.swapaxes(-1, -2) @ normalized
 
 
 def build_residue_family(prime: UmebPrime, h: HadamardMatrix) -> ProjectionFamily:
     """All p(p+1)/2 projections: bases t = 0..(p-1)/2, each cyclically shifted p ways.
 
-    The family holds the (p+1)/2 base projections with shifts = p: moving
+    The family holds the (p+1)/2 base projections with shifts = p, built
+    from residue_base_vectors in one batched projection_from_basis: moving
     every basis vector by x maps P to P[i - x, j - x], and a shift only
     permutes coordinates, so the orthogonality check on a base covers all
     its shifts.
     """
     p = prime.p
-    residue_supports = set(prime.residues) | {prime.k * q % p for q in prime.residues}
-    if len(residue_supports) != p - 1:
-        raise NotOrthogonal(f"support indices collide for p={p}, k={prime.k}")
-    bases = np.asarray([projection_from_basis(residue_base_vectors(prime, h, t)) for t in range((p + 1) // 2)])
+    bases = projection_from_basis(residue_base_vectors(prime, h))
     bases.flags.writeable = False
     return ProjectionFamily(
         d=p,

@@ -188,7 +188,9 @@ def _span(uf: UnitaryFamily, tol: Tolerance) -> _Span:
     shifted by x is its base's row permuted, so the base rows have every
     radius, off-diagonal entry and diagonal entry of the family.  The
     eigvalsh fallback needs the whole Gram, and _whole_gram spreads the
-    rows into it.
+    rows into it.  A NaN or inf entry of a member reaches the Gram rows and
+    so the lowest point of the discs; such a Gram proves no rank (0), and
+    eigvalsh, which would not converge on it, is not called.
     """
     n, d = len(uf), uf.d
     gram = uf.gram_rows
@@ -205,6 +207,8 @@ def _span(uf: UnitaryFamily, tol: Tolerance) -> _Span:
     lower = float(np.min(diag.real - radii))
     if lower > tol.rank_eps * float(np.max(diag.real + radii)):
         span_rank, lam = n, lower
+    elif not math.isfinite(lower):
+        span_rank, lam = 0, 0.0
     else:
         eigs = np.linalg.eigvalsh(_whole_gram(gram, uf.shifts))
         span_rank = int(np.sum(eigs > tol.rank_eps * eigs[-1])) if eigs[-1] > 0 else 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -228,14 +229,14 @@ def test_verify_decomposition_rejects_bad_arguments():
     assert rep.verdict and (rep.trials, rep.apply_dev_max) == (0, 0.0)
 
 
-def test_apply_decomposition_stack_is_the_per_input_sum(p23_decomposition):
+def test_apply_decomposition_stack_is_the_per_input_sum(p23_decomposition, monkeypatch):
     dec = p23_decomposition
     xs = np.array([random_hermitian(23, seed=900 + t) for t in range(20)])
     xs[3] = xs[3] @ xs[5]  # one input that is not Hermitian
-    m = matcore._BLOCK_BYTES // xs.nbytes  # members per block of the member-by-member path
-    assert m < len(dec.weights) and len(dec.weights) % m  # ends in a partial block
+    # five bases, 115 members, per block of the member-by-member path: 12 bases end in a partial block
+    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 5 * 23 * xs.nbytes)
     out = apply_decomposition(dec, xs)  # through the orbit kernel
-    by_members = channels._apply_by_members(np.array(dec.weights), dec.unitaries.unitaries, xs)
+    by_members = channels._apply_by_members(np.array(dec.weights), dec.unitaries, xs)
     assert out.shape == by_members.shape == xs.shape
     for x, y, z in zip(xs, out, by_members):
         loop = sum(w * (u @ x @ u.conj().T) for w, u in zip(dec.weights, dec.unitaries.unitaries))
@@ -456,6 +457,66 @@ def test_gram_passes_cover_the_last_row_block(p23_decomposition, monkeypatch):
     cert = certify_umeb(UnitaryFamily(d=23, z=uf.z, bases=mixed))
     assert cert.max_orthogonality_dev == pytest.approx(1e-3 * 23, rel=1e-9)
     assert cert.cj_orthonormality_dev == pytest.approx(1e-3, rel=1e-9)
+
+
+def _weights_inside_orbit_zero(uf):
+    w = np.array(umeb_decomposition(uf).weights)
+    w[1] *= 1.5  # shifts 1 and 2 of orbit 0: the d-row blocks and the member-by-member path
+    w[2] *= 0.5
+    return MixedUnitaryDecomposition(weights=tuple(w), unitaries=uf)
+
+
+@pytest.mark.parametrize("p", [7, 23])
+def test_weights_inside_an_orbit_leave_no_dense_view_on_the_family(p, monkeypatch):
+    uf = _residue_unitaries(p)
+    dec = _weights_inside_orbit_zero(uf)
+    ran = spy_paths(monkeypatch, ("_choi_dev_by_blocks", "_apply_by_members"))
+    rep = verify_decomposition(dec, trials=3, seed=21)
+    assert ran == ["_choi_dev_by_blocks", "_apply_by_members"]
+    assert "unitaries" not in uf.__dict__
+    assert not rep.verdict
+    # the oracles read the dense view: the whole Choi matrix and the sum over the members
+    assert abs(rep.choi_dev - full_choi_dev(dec)) <= 1e-13
+    devs = []
+    for seed in (21, 22, 23):
+        x = random_hermitian(p, seed)
+        loop = sum(w * (u @ x @ u.conj().T) for w, u in zip(dec.weights, uf.unitaries))
+        devs.append(np.max(np.abs(loop - wh_plus_apply(x, p))))
+    assert abs(rep.apply_dev_max - max(devs)) <= 1e-13
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_weights_inside_an_orbit_hold_at_most_one_dense_stack(monkeypatch):
+    uf = _residue_unitaries(23)
+    dense_bytes = len(uf) * 23 * 23 * 16
+    dec = _weights_inside_orbit_zero(uf)
+    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 64 << 10)  # a base's 23 shifts are 195 KiB: one base per block
+    assert _traced_peak(lambda: verify_decomposition(dec, trials=2)) < 1.5 * dense_bytes
+
+
+def test_orbit_kernel_passes_stay_inside_the_byte_budget(p23_decomposition, monkeypatch):
+    dec = p23_decomposition
+    dec._orbit_kernel  # built and kept before the trace
+    xs = np.array([random_hermitian(23, seed=40 + t) for t in range(4)])
+    expected = apply_decomposition(dec, xs)
+    # two inputs' 23 x 23 entries: two inputs per block, and one e of their 23^3 shifted entries each
+    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 2 * 23 * 23 * 16)
+    out = []
+    peak = _traced_peak(lambda: out.append(apply_decomposition(dec, xs)))
+    assert np.max(np.abs(out[0] - expected)) <= 1e-13
+    # the output and the wrapped inputs ((2d - 1)^2 < 4 d^2 entries each) are the size of the
+    # inputs; the copy of a block's windows, its product and the block's sums are one budget
+    # each, and the index arrays of d^2 entries take less than one more (one input's gather
+    # alone, d^3 entries, would be eleven)
+    assert peak - out[0].nbytes - 4 * xs.nbytes <= 4 * matcore._BLOCK_BYTES
 
 
 def _all_reports(p):

@@ -22,7 +22,7 @@ from umebkit.matcore import (
     sym_antisym_split,
 )
 from umebkit.numth import validate_prime
-from umebkit.packing import build_residue_family, icosahedron_lines
+from umebkit.packing import build_residue_family, dual_family, icosahedron_lines
 from umebkit.umeb import build_unitaries, compute_phase
 
 EPS = 1e-9
@@ -213,6 +213,81 @@ def test_gram_rows_of_shifted_bases_are_rows_of_the_whole_gram(dtype):
     whole = gram_matrix(members)
     assert rows.shape == (3, 15) and rows.dtype == dtype
     assert np.max(np.abs(rows - whole[::5])) < 1e-12
+
+
+def rolled_rows(bases):
+    """Row t, column t'*d + x: tr(bases[t]* bases[t'] shifted by x), every shift rolled over all d^2 entries.
+
+    The dense reference for gram_matrix(bases, d): no support, no Hermitian mirror.
+    """
+    m, d = len(bases), bases.shape[-1]
+    flat = bases.reshape(m, -1)
+    rows = np.empty((m, m, d), dtype=np.result_type(bases, float))
+    for x in range(d):
+        rows[:, :, x] = flat.conj() @ np.roll(bases, (x, x), axis=(1, 2)).reshape(m, -1).T
+    return rows.reshape(m, m * d)
+
+
+def assert_rows_match_the_rolled_rows(bases):
+    rows = gram_matrix(bases, bases.shape[-1])
+    reference = rolled_rows(bases)
+    assert rows.shape == reference.shape and rows.dtype == reference.dtype
+    # each entry sums at most d^2 products, so a change of order moves it by at most d^2 ulps of max |B|^2
+    d = bases.shape[-1]
+    bound = d * d * np.finfo(float).eps * float(np.max(np.abs(bases), initial=0.0)) ** 2
+    assert np.max(np.abs(rows - reference)) <= bound
+
+
+@pytest.mark.parametrize("kind", ["P", "U", "dual"])
+@pytest.mark.parametrize(
+    "p", [3, 7, 23, 31, 47, pytest.param(71, marks=pytest.mark.slow), pytest.param(79, marks=pytest.mark.slow)]
+)
+def test_support_gram_rows_of_the_families_match_the_rolled_rows(p, kind):
+    fam = build_residue_family(validate_prime(p), construct((p + 1) // 2))
+    bases = {
+        "P": lambda: fam.bases,
+        "U": lambda: build_unitaries(fam, compute_phase(p, (p - 1) // 2)).bases,
+        "dual": lambda: dual_family(fam).bases,
+    }[kind]()
+    assert_rows_match_the_rolled_rows(bases)
+
+
+def _sparse_bases(rng, d, density):
+    """Three complex bases, each nonzero on its own random entries, so their union is the support."""
+    masks = rng.random((3, d, d)) < density
+    masks[1] &= ~masks[0]  # base 1 lives where base 0 is 0
+    return np.where(masks, rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d)), 0)
+
+
+def _single_entry(rng, d):
+    base = np.zeros((1, d, d))
+    base[0, 1, d - 1] = 2.5
+    return base
+
+
+def _with_a_zero_base(rng, d):
+    bases = rng.standard_normal((3, d, d))
+    bases[1] = 0.0
+    return bases
+
+
+@pytest.mark.parametrize("d", [5, 6])  # 6: the shift d/2 is its own mirror
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda rng, d: rng.standard_normal((3, d, d)),
+        lambda rng, d: rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d)),
+        lambda rng, d: _sparse_bases(rng, d, 0.2),
+        lambda rng, d: _sparse_bases(rng, d, 0.05),
+        _single_entry,
+        _with_a_zero_base,
+        lambda rng, d: np.zeros((2, d, d)),
+    ],
+    ids=["dense-real", "dense-complex", "supports-differ", "sparse-supports-differ", "single-entry",
+         "zero-base", "all-zero"],
+)
+def test_support_gram_rows_match_the_rolled_rows(build, d):
+    assert_rows_match_the_rolled_rows(build(np.random.default_rng(37 + d), d))
 
 
 @pytest.mark.parametrize("shifts", [1, 47])

@@ -15,7 +15,7 @@ from umebkit.errors import (
     OutOfRange,
     RankOutOfRange,
 )
-from umebkit.hadamard import construct
+from umebkit.hadamard import HadamardMatrix, construct
 from umebkit.matcore import numerical_rank
 from umebkit.numth import validate_prime
 from umebkit.packing import (
@@ -72,54 +72,84 @@ def test_off_support_scale():
     assert abs(off_support_scale(3) - (1 + math.sqrt(5)) / 2) < 1e-15
 
 
+def loop_base_vectors(prime, h, t):
+    """The base vectors of subspace t one at a time, as the construction states them: the reference."""
+    p = prime.p
+    c = off_support_scale(p)
+    vectors = []
+    for s in range(1, prime.half + 1):
+        q = prime.residues[s - 1]
+        v = np.zeros(p)
+        v[q] = 1.0
+        v[prime.k * q % p] = h.entries[s, t] * h.entries[0, t] * c
+        vectors.append(v)
+    return vectors
+
+
 def test_residue_base_vectors_p7_t0():
-    vectors = residue_base_vectors(validate_prime(7), construct(4), 0)
+    vectors = residue_base_vectors(validate_prime(7), construct(4))
+    assert vectors.shape == (4, 3, 7)
     expected = [
         [0, 1, 0, SQRT2, 0, 0, 0],
         [0, 0, 1, 0, 0, 0, SQRT2],
         [0, 0, 0, 0, 1, SQRT2, 0],
     ]
-    assert len(vectors) == 3
-    for v, e in zip(vectors, expected):
-        assert np.allclose(v, e, atol=1e-15)
+    assert np.allclose(vectors[0], expected, atol=1e-15)
 
 
 def test_residue_base_vectors_p7_t1_signs():
-    vectors = residue_base_vectors(validate_prime(7), construct(4), 1)
+    vectors = residue_base_vectors(validate_prime(7), construct(4))
     expected = [
         [0, 1, 0, -SQRT2, 0, 0, 0],
         [0, 0, 1, 0, 0, 0, SQRT2],
         [0, 0, 0, 0, 1, -SQRT2, 0],
     ]
-    for v, e in zip(vectors, expected):
-        assert np.allclose(v, e, atol=1e-15)
+    assert np.allclose(vectors[1], expected, atol=1e-15)
 
 
 def test_residue_base_vectors_p3():
     golden = (1 + math.sqrt(5)) / 2
-    vectors = residue_base_vectors(validate_prime(3), construct(2), 0)
-    assert len(vectors) == 1
-    assert np.allclose(vectors[0], [0, 1, golden], atol=1e-15)
+    vectors = residue_base_vectors(validate_prime(3), construct(2))
+    assert vectors.shape == (2, 1, 3)
+    assert np.allclose(vectors[0, 0], [0, 1, golden], atol=1e-15)
 
 
 def test_residue_base_vector_norms():
-    prime = validate_prime(7)
     c = off_support_scale(7)
-    for t in range(4):
-        for v in residue_base_vectors(prime, construct(4), t):
-            assert abs(np.dot(v, v) - (1 + c * c)) < 1e-12
+    vectors = residue_base_vectors(validate_prime(7), construct(4))
+    assert np.max(np.abs(np.sum(vectors * vectors, axis=-1) - (1 + c * c))) < 1e-12
+
+
+@pytest.mark.parametrize("p", [3, 7, 23, 31, 47, 71, 79])
+def test_residue_base_vectors_are_the_vector_by_vector_construction(p):
+    prime = validate_prime(p)
+    h = construct((p + 1) // 2)
+    # every column negated but the first: row 0 is no longer all +1, so the h[0, t] factor shows
+    flipped = HadamardMatrix(h.order, h.entries * np.where(np.arange(h.order) == 0, 1, -1))
+    for hadamard in (h, flipped):
+        vectors = residue_base_vectors(prime, hadamard)
+        assert vectors.shape == ((p + 1) // 2, prime.half, p)
+        for t in range((p + 1) // 2):
+            assert vectors[t].tobytes() == np.array(loop_base_vectors(prime, hadamard, t)).tobytes()
 
 
 def test_residue_base_vectors_errors():
     prime = validate_prime(7)
-    with pytest.raises(IndexOutOfRange):
-        residue_base_vectors(prime, construct(4), 4)
     with pytest.raises(HadamardOrderMismatch):
-        residue_base_vectors(prime, construct(8), 0)
+        residue_base_vectors(prime, construct(8))
+    # a prime built by hand: a residue index past p - 1, or one at 0
+    for residues in ((1, 2, 11), (0, 2, 4)):
+        with pytest.raises(IndexOutOfRange):
+            residue_base_vectors(replace(prime, residues=residues), construct(4))
+    # k = 2 is a residue mod 7, so k*q lands on the residues: the supports collide
+    with pytest.raises(NotOrthogonal):
+        build_residue_family(replace(prime, k=2), construct(4))
+    with pytest.raises(NotOrthogonal):  # a fourth residue: 8 support indices among 6
+        residue_base_vectors(replace(prime, residues=(1, 2, 4, 5)), construct(4))
 
 
 def test_cyclic_shift_matches_worked_case():
-    vectors = residue_base_vectors(validate_prime(7), construct(4), 0)
+    vectors = residue_base_vectors(validate_prime(7), construct(4))[0]
     shifted = cyclic_shift(vectors, 1)
     expected = [
         [0, 0, 1, 0, SQRT2, 0, 0],
@@ -131,7 +161,7 @@ def test_cyclic_shift_matches_worked_case():
 
 
 def test_cyclic_shift_identity_cases():
-    vectors = residue_base_vectors(validate_prime(7), construct(4), 2)
+    vectors = residue_base_vectors(validate_prime(7), construct(4))[2]
     for x in (0, 7):
         for v, w in zip(vectors, cyclic_shift(vectors, x)):
             assert np.array_equal(v, w)
@@ -145,7 +175,7 @@ def test_projection_from_basis_single_vector():
 
 
 def test_projection_from_basis_p7_block():
-    vectors = residue_base_vectors(validate_prime(7), construct(4), 0)
+    vectors = residue_base_vectors(validate_prime(7), construct(4))[0]
     p = projection_from_basis(vectors)
     assert abs(np.trace(p) - 3) < EPS
     assert np.max(np.abs(p @ p - p)) < EPS
@@ -160,6 +190,20 @@ def test_projection_from_basis_eigenvalues():
 def test_projection_from_basis_rejects_overlap():
     with pytest.raises(NotOrthogonal):
         projection_from_basis([np.array([1.0, 1.0, 0]), np.array([0.0, 1.0, 1.0])])
+
+
+def test_projection_from_basis_of_a_stack_is_one_per_basis():
+    vectors = residue_base_vectors(validate_prime(23), construct(12))
+    stack = projection_from_basis(vectors)
+    assert stack.shape == (12, 23, 23)
+    for t, basis in enumerate(vectors):
+        assert stack[t].tobytes() == projection_from_basis(basis).tobytes()
+    # one overlapping basis, last in the stack: each basis is checked on its own
+    bad = np.concatenate((vectors, [[[1.0, 1.0] + [0.0] * 21] + [[0.0, 1.0, 1.0] + [0.0] * 20] * 10]))
+    with pytest.raises(NotOrthogonal):
+        projection_from_basis(bad)
+    with pytest.raises(NotOrthogonal):
+        projection_from_basis(bad[-1])
 
 
 def test_build_residue_family_p7():
@@ -218,6 +262,20 @@ def test_verify_equiangular_flags_duplicate():
     assert not report.passed
     # duplicated member pairs with itself: tr(P P) = 3 against target 11/9
     assert abs(report.max_angle_dev - 16 / 9) < EPS
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+@pytest.mark.parametrize("at", [(0, 0, 0), (2, 3, 5), (3, 6, 6), (1, 0, 4)])  # on and off the support
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_equiangular_fails_a_base_with_a_non_finite_entry(value, at):
+    fam = p7_family()
+    bases = np.array(fam.bases)
+    bases[at] = value
+    report = verify_equiangular(ProjectionFamily(7, 3, bases, fam.beta, shifts=7))
+    assert not report.passed
+    # the Gram rows carry it to the angles, not only the idempotency check
+    assert not report.max_angle_dev <= EPS
+    assert not report.max_idempotency_dev <= EPS
 
 
 def test_dual_family_p7():
@@ -287,7 +345,7 @@ def test_residue_family_is_the_per_shift_construction(p):
     assert fam.shifts == p and len(fam.bases) == (p + 1) // 2
     for i, proj in enumerate(fam.projections):
         t, shift = divmod(i, p)
-        expected = projection_from_basis(cyclic_shift(residue_base_vectors(prime, h, t), shift))
+        expected = projection_from_basis(cyclic_shift(loop_base_vectors(prime, h, t), shift))
         # byte equality: bit for bit, signed zeros included
         assert proj.dtype == expected.dtype and proj.shape == expected.shape
         assert proj.tobytes() == expected.tobytes()

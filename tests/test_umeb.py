@@ -229,6 +229,28 @@ def test_certify_flags_non_symmetric_member():
     assert not cert.unextendible_verdict
 
 
+NON_FINITE = [
+    pytest.param(value, at, id=f"{name}-at-{'-'.join(map(str, at))}")
+    for name, value in (("nan", np.nan), ("inf", np.inf), ("minus-inf", -np.inf))
+    for at in ((0, 0, 0), (2, 3, 5), (3, 6, 6), (1, 0, 4))  # on and off the support of the bases
+]
+
+
+@pytest.mark.parametrize("value, at", NON_FINITE)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_certify_fails_a_base_with_a_non_finite_entry(value, at):
+    def edit(bases):
+        bases = np.array(bases)
+        bases[at] = value
+        return bases
+
+    for uf in (_p7_bases(edit), _p7_members(edit)):  # whole orbits and the dense twin
+        cert = certify_umeb(uf)  # a verdict, not a LinAlgError from eigvalsh
+        assert not cert.unextendible_verdict and not cert.symmetric_span
+        assert cert.span_rank == 0
+        assert not cert.cj_orthonormality_dev <= EPS
+
+
 def test_certify_even_dimension_flagged():
     # d=6, r=3 is feasible but even; the structural argument needs odd d
     rng = np.random.default_rng(5)
