@@ -507,16 +507,15 @@ def test_orbit_kernel_passes_stay_inside_the_byte_budget(p23_decomposition, monk
     dec._orbit_kernel  # built and kept before the trace
     xs = np.array([random_hermitian(23, seed=40 + t) for t in range(4)])
     expected = apply_decomposition(dec, xs)
-    # two inputs' 23 x 23 entries: two inputs per block, and one e of their 23^3 shifted entries each
-    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 2 * 23 * 23 * 16)
+    # half the budget holds one input's wrapped copy and sums, (2d - 1)^2 + d^2 < 5 d^2
+    # entries, and the other half five e of its 23^3 shifted entries
+    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 2 * 5 * 23 * 23 * 16)
     out = []
     peak = _traced_peak(lambda: out.append(apply_decomposition(dec, xs)))
     assert np.max(np.abs(out[0] - expected)) <= 1e-13
-    # the output and the wrapped inputs ((2d - 1)^2 < 4 d^2 entries each) are the size of the
-    # inputs; the copy of a block's windows, its product and the block's sums are one budget
-    # each, and the index arrays of d^2 entries take less than one more (one input's gather
-    # alone, d^3 entries, would be eleven)
-    assert peak - out[0].nbytes - 4 * xs.nbytes <= 4 * matcore._BLOCK_BYTES
+    # beyond the output: the two halves, a product and index arrays of d^2 entries each
+    # (one input's gather alone, d^3 entries, would be 2.3 budgets)
+    assert peak - out[0].nbytes <= 2 * matcore._BLOCK_BYTES
 
 
 def _all_reports(p):
