@@ -26,17 +26,20 @@ members come in Z_d orbits of shifts with equal weights, as the paper's
 UMEB does (member t*d + x is base t shifted by x), the mixture is one
 shift-covariant kernel K with d^3 entries: out[i, i + D] =
 sum_{e,f} K[D, e, f] X[i + e, i + f], indices mod d.  The structure is the
-family's shift count, given when it was built; K is built from its bases
-once per decomposition, in O(T d^3 + d^4) for the correlation (T = n/d
-orbits), and each input then costs a gather of d rows of d^2 entries and
-their product with K, O(d^4), against O(n d^3) member by member.  Any other
+family's shift count, given when it was built.  In the input's diagonals
+X[a, a + g] that sum is a cyclic correlation over the row i, so K is kept
+transformed over the row index: built from the bases once per
+decomposition, in O(T d^3 + d^4) (T = n/d orbits) and at most two d^3
+arrays, it turns each input into a DFT of its diagonals, d products of
+d x d matrices and an inverse DFT, O(d^3), against O(n d^3) member by
+member.  Every DFT is a product with the d x d DFT matrix.  Any other
 mixture is applied member by member, in blocks of bases whose shifts are
 gathered one block at a time, as are the rows of the d-row blocks of (a):
 no check keeps the family's dense view.  Either way check (b) reads only
-the members and the weights, neither the
-Gram nor vec(U), so it stays independent of (a).  Every pass but the d-row
-blocks and the d^3 kernel itself sizes its blocks from matcore's one byte
-budget.
+the members and the weights, neither the Gram nor vec(U), so it stays
+independent of (a); a deviation that is not finite fails it.  Every pass
+but the d-row blocks and the d^3 kernel itself sizes its blocks from
+matcore's one byte budget.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import NotCertified, NotSquare, OutOfRange, ShapeMismatch
 from .matcore import DEFAULT_TOL, Tolerance, _blocks, orbit_stack
@@ -57,10 +59,15 @@ from .umeb import UnitaryFamily, _span
 Channel = Callable[[np.ndarray], np.ndarray]
 
 
-def _cyclic(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(coords, plus) with plus[i, e] = (i + e) mod d."""
+def _cyclic(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(coords, plus, dft) with plus[i, e] = (i + e) mod d and dft[k, a] = exp(-2 pi i k a / d).
+
+    dft is symmetric; every DFT here is a product with it or its conjugate,
+    not numpy.fft, whose Bluestein path is slower at prime d.
+    """
     coords = np.arange(d)
-    return coords, (coords[:, None] + coords) % d
+    dft = np.exp(-2j * np.pi / d * (coords[:, None] * coords % d))
+    return coords, (coords[:, None] + coords) % d, dft
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +86,7 @@ class MixedUnitaryDecomposition:
 
     @cached_property
     def _orbit_kernel(self) -> np.ndarray | None:
-        """The read-only orbit kernel, kmat[e*d + f, D] = K[D, e, f]; None without orbit structure.
+        """The read-only orbit kernel transformed over the row index, lhat[k, D, g]; None without orbit structure.
 
         Orbit structure: a family with shifts = d, member t*d + x its base
         t shifted by x, U_{t,x}[i, j] = U_t[i - x, j - x], and the weights
@@ -91,9 +98,15 @@ class MixedUnitaryDecomposition:
         K[D, e, f] = C[D, e, f - D], C[D, e, g] = sum_t w_t sum_a
         diag[t, a, e] conj(diag[t, a + D, g]), a cyclic correlation over a: C
         is the DFT over k of M[k, e, g] = sum_t w_t F[t, k, e] conj(F[t, k, g]),
-        divided by d, with F the DFT of diag over a.  Each DFT is one product
-        with the d x d DFT matrix, so K costs O(T d^3 + d^4) in gemms.  K reads
-        only the bases and the weights.
+        divided by d, with F the DFT of diag over a.  In the input's
+        diagonals X[a, a + g] the mixture is a cyclic correlation over the
+        row i with L[D, e, g] = K[D, e, e + g] = C[D, e, e + g - D], so the
+        kernel is L transformed over e, lhat[k, D, g] = sum_e zeta^(k e)
+        L[D, e, g] with zeta = exp(2 pi i / d) (see _apply_by_kernel).  Each
+        DFT is one product with the d x d DFT matrix, so lhat costs
+        O(T d^3 + d^4) in gemms.  At most two d^3 arrays are alive: L is
+        gathered from C one e at a time into M's buffer, and lhat is written
+        into C's.  lhat reads only the bases and the weights.
         """
         w = _weights(self)
         uf = self.unitaries
@@ -103,20 +116,21 @@ class MixedUnitaryDecomposition:
         orbit_w = w[::d]
         if np.any(w.reshape(-1, d) != orbit_w[:, None]):
             return None
-        coords, plus = _cyclic(d)
-        dft = np.exp(-2j * np.pi / d * (coords[:, None] * coords % d))  # dft[k, a], symmetric
+        coords, plus, dft = _cyclic(d)
         f = (dft @ uf.bases[:, coords[:, None], plus]).transpose(1, 0, 2)  # f[k, t, e] = F[t, k, e]
         fbar = f.conj()
         f *= orbit_w[:, None]
         m = f.transpose(0, 2, 1) @ fbar
-        del f, fbar  # m and the arrays below are the size of the kernel: hold at most two
+        del f, fbar
         c = (dft @ m.reshape(d, d * d)).reshape(d, d, d)
         c /= d
-        del m
-        # kmat[e, f, D] = c[D, e, f - D]; a C-ordered index keeps the gather C-ordered, so reshape copies nothing
-        kmat = c[coords, coords[:, None, None], (coords[:, None] - coords) % d].reshape(d * d, d)
-        kmat.flags.writeable = False
-        return kmat
+        lrows = m  # lrows[e, D, g] = L[D, e, g] = c[D, e, e + g - D]
+        skew = (coords - coords[:, None]) % d  # skew[D, g] = g - D
+        for e in range(d):
+            lrows[e] = c[coords[:, None], e, (skew + e) % d]
+        lhat = np.matmul(dft.conj(), lrows.reshape(d, d * d), out=c.reshape(d, d * d)).reshape(d, d, d)
+        lhat.flags.writeable = False
+        return lhat
 
 
 @dataclass(frozen=True)
@@ -197,8 +211,10 @@ def apply_decomposition(dec: MixedUnitaryDecomposition, x: np.ndarray) -> np.nda
 
     When the members come in Z_d orbits of shifts with equal weights (see
     MixedUnitaryDecomposition._orbit_kernel), the mixture is applied through
-    its d^3-entry kernel, built once per decomposition: O(d^4) per input.
-    Any other mixture is applied member by member, O(n d^3) per input.
+    its d^3-entry kernel, built once per decomposition and transformed over
+    the row index: a DFT of the input's diagonals, d products of d x d
+    matrices and an inverse DFT, O(d^3) per input.  Any other mixture is
+    applied member by member, O(n d^3) per input.
     """
     d = dec.unitaries.d
     xs = np.asarray(x, dtype=complex)
@@ -214,32 +230,32 @@ def apply_decomposition(dec: MixedUnitaryDecomposition, x: np.ndarray) -> np.nda
     return out.reshape(xs.shape)
 
 
-def _apply_by_kernel(kmat: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """out[s, i, i + D] = sum_{e,f} K[D, e, f] xs[s, i + e, i + f], indices mod d.
+def _apply_by_kernel(lhat: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """out[s, i, i + D] = sum_{e,f} K[D, e, f] xs[s, i + e, i + f], indices mod d, through lhat.
 
-    The inputs go in blocks, each wrapped to 2d - 1 rows and columns, so
-    that xs[s, i + e, i + f] is a strided view windows[s, i, e, f].  The sum
-    over (e, f) goes in blocks of e, each one copy of its windows, (input,
-    row) pairs by (e, f), and one gemm with the rows (e, f) of kmat,
-    accumulated.  A block's wrapped inputs and sums (under 5 d^2 entries
-    per input) take at most half of matcore's block budget and a block of
-    e's copy at most the other half, however large d grows (at least one
-    input and one e per block).
+    With the inputs' diagonals Xd[s, a, g] = xs[s, a, a + g] and their DFT
+    over the row, xh[s, k, g] = sum_a dft[k, a] Xd[s, a, g], the outputs'
+    diagonals out[s, i, i + D] have the DFT over i
+    oh[k, D, s] = sum_g lhat[k, D, g] xh[s, k, g]: one product with the DFT
+    matrix, d products (d x d)(d x inputs) and one product with its inverse,
+    O(d^3) per input.  The inputs go in blocks, gathered and scattered
+    through one flat index of d^2 entries; at any time a block holds at
+    most two arrays of d^2 entries per input, which take at most matcore's
+    block budget, however large d grows (at least one input per block).
     """
     t, d = len(xs), xs.shape[-1]
-    coords, plus = _cyclic(d)
-    wrap = np.arange(2 * d - 1) % d
-    out = np.empty_like(xs)
-    for inputs in _blocks(t, 2 * 5 * d * d * xs.itemsize):
-        k = inputs.stop - inputs.start
-        wrapped = xs[inputs, wrap[:, None], wrap]  # wrapped[s, a, b] = xs[s, a mod d, b mod d]
-        step, row, col = wrapped.strides
-        windows = as_strided(wrapped, (k, d, d, d), (step, row + col, row, col), writeable=False)
-        diagonals = np.zeros((k * d, d), dtype=xs.dtype)  # diagonals[s*d + i, D] = out[s, i, i + D]
-        for es in _blocks(d, 2 * k * d * d * xs.itemsize):
-            diagonals += windows[:, :, es].reshape(k * d, -1) @ kmat[es.start * d : es.stop * d]
-        out[inputs, coords[:, None], plus] = diagonals.reshape(k, d, d)
-    return out
+    coords, plus, dft = _cyclic(d)
+    idft = dft.conj() / d
+    diagonals = coords[:, None] * d + plus  # diagonals[a, g]: the flat index of entry (a, a + g)
+    flat_in = xs.reshape(t, d * d)
+    flat_out = np.empty_like(flat_in)
+    for inputs in _blocks(t, 2 * d * d * xs.itemsize):
+        n = inputs.stop - inputs.start
+        xh = dft @ flat_in[inputs, diagonals]  # xh[s, k, g]
+        oh = lhat @ xh.transpose(1, 2, 0)  # oh[k, D, s]
+        del xh
+        flat_out[inputs, diagonals] = (idft @ oh.reshape(d, d * n)).reshape(d, d, n).transpose(2, 0, 1)
+    return flat_out.reshape(xs.shape)
 
 
 def _apply_by_members(w: np.ndarray, uf: UnitaryFamily, xs: np.ndarray) -> np.ndarray:
@@ -338,7 +354,8 @@ def verify_decomposition(
     over blocks of d rows, so no d^2 x d^2 matrix is formed.
     (b) For `trials` seeded random Hermitian inputs (per-trial seed =
     seed + index), max-entry distance between the mixture output and the
-    formula output, within eps * max|X|.  Check (b) applies the mixture to a
+    formula output, within eps * max|X|; a distance that is not finite
+    fails and is reported as it is.  Check (b) applies the mixture to a
     batch of inputs per apply_decomposition call: through the orbit kernel
     when the members come in Z_d orbits of shifts with equal weights, member
     by member otherwise.  It reads neither the Gram nor vec(U), so it does
@@ -364,8 +381,9 @@ def verify_decomposition(
         mixed = apply_decomposition(dec, np.asarray(xs))
         for x, y in zip(xs, mixed):
             dev = float(np.max(np.abs(y - wh_plus_apply(x, d))))
-            apply_dev_max = max(apply_dev_max, dev)
-            if dev > tol.eps * float(np.max(np.abs(x))):
+            # a NaN deviation fails and stays NaN in the report: max() and > would both drop it
+            apply_dev_max = float(np.maximum(apply_dev_max, dev))
+            if not dev <= tol.eps * float(np.max(np.abs(x))):
                 apply_ok = False
 
     verdict = choi_dev <= tol.eps * d * d and apply_ok

@@ -505,17 +505,92 @@ def test_weights_inside_an_orbit_hold_at_most_one_dense_stack(monkeypatch):
 def test_orbit_kernel_passes_stay_inside_the_byte_budget(p23_decomposition, monkeypatch):
     dec = p23_decomposition
     dec._orbit_kernel  # built and kept before the trace
-    xs = np.array([random_hermitian(23, seed=40 + t) for t in range(4)])
+    xs = np.array([random_hermitian(23, seed=40 + t) for t in range(12)])
     expected = apply_decomposition(dec, xs)
-    # half the budget holds one input's wrapped copy and sums, (2d - 1)^2 + d^2 < 5 d^2
-    # entries, and the other half five e of its 23^3 shifted entries
-    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 2 * 5 * 23 * 23 * 16)
+    # a block holds at most two arrays of d^2 entries per input: five inputs per budget,
+    # so the twelve inputs go in blocks of 5, 5 and 2
+    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 5 * 2 * 23 * 23 * 16)
     out = []
     peak = _traced_peak(lambda: out.append(apply_decomposition(dec, xs)))
     assert np.max(np.abs(out[0] - expected)) <= 1e-13
-    # beyond the output: the two halves, a product and index arrays of d^2 entries each
-    # (one input's gather alone, d^3 entries, would be 2.3 budgets)
+    # beyond the output: one budget for a block, and the DFT matrix, its inverse and the
+    # flat index, 3 d^2 entries (the twelve inputs in one block would be 2.7 budgets)
     assert peak - out[0].nbytes <= 2 * matcore._BLOCK_BYTES
+
+
+def test_orbit_kernel_build_holds_at_most_two_cubes():
+    uf = _residue_unitaries(31)
+    dec = MixedUnitaryDecomposition(weights=(float(uniform_weight(31)),) * len(uf), unitaries=uf)
+    d, orbits = 31, len(uf.bases)
+    kernel = []
+    peak = _traced_peak(lambda: kernel.append(dec._orbit_kernel))
+    assert kernel[0].shape == (d, d, d)
+    # beyond the kernel: one more d^3 array (M's buffer, reused for L) and the DFTs of the
+    # bases' diagonals, T d^2 entries each; a third d^3 array, such as a wrapped copy of C,
+    # would not fit (at p=31, T d^2 is about d^3 / 2)
+    assert peak - kernel[0].nbytes <= (d**3 + orbits * d * d) * 16
+
+
+@pytest.mark.parametrize("p", [7, 23])
+def test_orbit_kernel_is_the_row_transform_of_the_member_sum(p):
+    uf = _residue_unitaries(p)
+    w = np.full(len(uf), float(uniform_weight(p)))
+    w[:p] *= 1.5  # orbit 0 weighs more: the kernel holds one weight per orbit
+    dec = MixedUnitaryDecomposition(weights=tuple(w), unitaries=uf)
+    a = np.arange(p)
+    u = uf.bases
+    # K[D, e, f] = sum_t w_t sum_a U_t[a, a + e] conj(U_t[a + D, a + f]), summed as written
+    first = u[:, a[:, None], (a[:, None] + a) % p]
+    second = u[:, (a[:, None, None] + a[:, None]) % p, (a[:, None, None] + a) % p]
+    kernel = np.einsum("t,tae,tadf->def", w[::p], first, second.conj())
+    # L[D, e, g] = K[D, e, e + g], transformed over e with zeta = exp(2 pi i / p)
+    rows = kernel[:, a[:, None], (a[:, None] + a) % p]
+    lhat = np.einsum("ke,deg->kdg", np.exp(2j * np.pi / p * (np.outer(a, a) % p)), rows)
+    assert dec._orbit_kernel.shape == (p, p, p) and not dec._orbit_kernel.flags.writeable
+    assert np.max(np.abs(dec._orbit_kernel - lhat)) <= 1e-13
+    xs = _inputs(p, seed=600)
+    out = apply_decomposition(dec, xs)
+    for x, y in zip(xs, out):
+        assert np.max(np.abs(apply_decomposition(dec, x) - y)) <= 1e-13
+        loop = sum(wj * (m @ x @ m.conj().T) for wj, m in zip(w, uf.unitaries))
+        assert np.max(np.abs(y - loop)) <= 1e-13
+
+
+def _nan_weights():
+    uf = _residue_unitaries(7)
+    return MixedUnitaryDecomposition((math.nan,) * 28, uf)
+
+
+def _nonfinite_base_entry(value):
+    def build():
+        uf = _residue_unitaries(7)
+        bases = np.array(uf.bases)
+        bases[2, 1, 3] = value
+        return MixedUnitaryDecomposition((1 / 28,) * 28, UnitaryFamily(7, uf.z, bases, shifts=7))
+
+    return build
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "build, path",
+    [
+        (_nan_weights, "_apply_by_members"),
+        (_nonfinite_base_entry(math.nan), "_apply_by_kernel"),
+        (_nonfinite_base_entry(math.inf), "_apply_by_kernel"),
+    ],
+    ids=["nan-weights", "nan-base-entry", "inf-base-entry"],
+)
+def test_a_deviation_that_is_not_finite_fails_the_random_input_check(build, path, monkeypatch):
+    dec = build()
+    for name in ("_choi_dev_from_gram", "_choi_dev_by_blocks"):  # check (a) passes, so (b) alone decides
+        monkeypatch.setattr(channels, name, lambda w, uf: 0.0)
+    ran = spy_apply_paths(monkeypatch)
+    rep = verify_decomposition(dec, trials=3)
+    assert ran == [path]
+    assert rep.choi_dev == 0.0
+    assert not math.isfinite(rep.apply_dev_max)
+    assert not rep.verdict
 
 
 def _all_reports(p):
