@@ -329,10 +329,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sub) -> None:
+def _add_checks(sub) -> None:
+    """The options of a command that checks something: its tolerances and its report's timestamp."""
     sub.add_argument("--eps", type=float, default=None, help="entrywise tolerance in (0, 1), default 1e-9 or $UMEB_TOL")
     sub.add_argument("--rank-eps", type=float, default=DEFAULT_RANK_EPS, help="relative rank threshold in (0, 1)")
-    sub.add_argument("--format", choices=("json", "text"), default="text")
     sub.add_argument("--no-timestamp", action="store_true", help="omit generated_at from reports")
 
 
@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--p", type=int, required=True)
     gen.add_argument("--k", type=int, default=None, help="override the non-residue k")
     gen.add_argument("--out", default=None, help="write family JSON here")
-    _add_common(gen)
+    _add_checks(gen)
     gen.set_defaults(func=cmd_generate)
 
     um = subs.add_parser("umeb", help="build unitaries and certify the basis")
@@ -353,19 +353,18 @@ def build_parser() -> argparse.ArgumentParser:
     um.add_argument("--k", type=int, default=None)
     um.add_argument("--out", default=None, help="write unitary family JSON here")
     um.add_argument("--cert", default=None, help="write certificate JSON here")
-    _add_common(um)
+    _add_checks(um)
     um.set_defaults(func=cmd_umeb)
 
     ver = subs.add_parser("verify", help="re-verify an exported JSON artifact")
     ver.add_argument("--in", dest="infile", required=True)
     ver.add_argument("--report", default=None, help="write verification report here")
-    _add_common(ver)
+    _add_checks(ver)
     ver.set_defaults(func=cmd_verify)
 
     fea = subs.add_parser("feasibility", help="rank/dimension feasibility table")
     fea.add_argument("--r", type=int, required=True)
     fea.add_argument("--dmax", type=int, required=True)
-    _add_common(fea)
     fea.set_defaults(func=cmd_feasibility)
 
     wh = subs.add_parser("wh-check", help="verify the mixed-unitary decomposition")
@@ -374,21 +373,22 @@ def build_parser() -> argparse.ArgumentParser:
     wh.add_argument("--trials", type=int, default=20)
     wh.add_argument("--seed", type=int, default=42)
     wh.add_argument("--report", default=None)
-    _add_common(wh)
+    _add_checks(wh)
     wh.set_defaults(func=cmd_wh_check)
 
     had = subs.add_parser("hadamard", help="construct a Hadamard matrix")
     had.add_argument("--order", type=int, required=True)
     had.add_argument("--out", default=None)
-    _add_common(had)
     had.set_defaults(func=cmd_hadamard)
 
     demo = subs.add_parser("demo-icosahedron", help="dimension-3 pipeline end to end")
     demo.add_argument("--trials", type=int, default=20)
     demo.add_argument("--seed", type=int, default=42)
-    _add_common(demo)
+    _add_checks(demo)
     demo.set_defaults(func=cmd_demo_icosahedron)
 
+    for sub in subs.choices.values():
+        sub.add_argument("--format", choices=("json", "text"), default="text")
     return parser
 
 

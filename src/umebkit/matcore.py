@@ -1,5 +1,6 @@
 """Dense complex matrix core: whole cyclic-shift orbits of base matrices, trace
-inner products and Gram rows, Gram-matrix numerical rank, symmetric/antisymmetric
+inner products and Gram rows, the Gram spectrum from its shift blocks and its
+numerical rank, the budgeted deviation pass over a stack, symmetric/antisymmetric
 splits, column-stacking vectorization, unitarity tests.
 
 Vectorization convention, fixed once for the whole package: vec(U) stacks the
@@ -146,6 +147,31 @@ def read_only_stack(members, d: int, dtype=None) -> np.ndarray:
     return stack
 
 
+def gram_spectrum(rows: np.ndarray, shifts: int) -> np.ndarray:
+    """Every eigenvalue of the Hermitian Gram whose rows gram_matrix(bases, shifts) gives, in ascending order.
+
+    The Gram of whole orbits is block-circulant, G[t*s + x, t'*s + x'] =
+    c[t, t', (x' - x) mod s] with c = rows reshaped (T, T, s), so a DFT over
+    the shift splits it into s Hermitian T x T blocks, sum_y c[:, :, y]
+    exp(-2 pi i k y / s) for k = 0..s-1, whose eigenvalues together are
+    those of G: one batched eigvalsh on the (shifts, T, T) blocks, never
+    the n x n Gram.  The T^2 transforms of length s (numpy.fft) cost little
+    beside the eigensolves.  For shifts = 1 the single block is the rows
+    themselves, not a copy.
+    """
+    m = len(rows)
+    blocks = rows[None] if shifts == 1 else np.fft.fft(rows.reshape(m, m, shifts).transpose(2, 0, 1), axis=0)
+    return np.sort(np.linalg.eigvalsh(blocks), axis=None)
+
+
+def spectral_rank(eigs: np.ndarray, tol: Tolerance) -> tuple[int, float]:
+    """(rank, lam) of ascending eigenvalues: those above rank_eps * largest, and the smallest of them (0.0 if none)."""
+    if eigs[-1] <= 0:
+        return 0, 0.0
+    rank = int(np.sum(eigs > tol.rank_eps * eigs[-1]))
+    return rank, float(eigs[-rank])
+
+
 def numerical_rank(mats: list[np.ndarray] | np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
     """Rank of the Gram matrix, counting eigenvalues above rank_eps * largest."""
     if len(mats) == 0:
@@ -153,11 +179,23 @@ def numerical_rank(mats: list[np.ndarray] | np.ndarray, tol: Tolerance = DEFAULT
     shapes = {np.asarray(m).shape for m in mats}
     if len(shapes) > 1:
         raise ShapeMismatch(f"mixed shapes {sorted(shapes)}")
-    eigs = np.linalg.eigvalsh(gram_matrix(mats))
-    top = eigs[-1]
-    if top <= 0:
-        return 0
-    return int(np.sum(eigs > tol.rank_eps * top))
+    return spectral_rank(gram_spectrum(gram_matrix(mats), 1), tol)[0]
+
+
+def block_deviation(stack: np.ndarray, dev) -> tuple[float, float]:
+    """(max, sum of squares) of |dev(block)| over blocks of stack, each at most _BLOCK_BYTES of items, and at least one.
+
+    The block maxima are combined by np.max and the sums by +, so a NaN
+    in any block reaches both.  dev returns a fresh array, which the pass
+    may overwrite: a real one becomes its own magnitude, in place.
+    """
+    worst, sq = [], 0.0
+    for items in _blocks(len(stack), stack[0].nbytes):
+        gap = dev(stack[items])
+        gap = np.abs(gap, out=gap if gap.dtype.kind == "f" else None)
+        worst.append(np.max(gap))
+        sq += float(np.vdot(gap, gap))
+    return float(np.max(worst)), sq
 
 
 def sym_antisym_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

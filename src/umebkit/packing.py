@@ -28,7 +28,7 @@ from .hadamard import HadamardMatrix
 from .matcore import (
     DEFAULT_TOL,
     Tolerance,
-    _blocks,
+    block_deviation,
     gram_matrix,
     json_int,
     json_number,
@@ -134,11 +134,6 @@ def residue_base_vectors(prime: UmebPrime, h: HadamardMatrix) -> np.ndarray:
     return vectors
 
 
-def cyclic_shift(vectors: list[np.ndarray], x: int) -> list[np.ndarray]:
-    """Move entry i of every vector to index (i + x) mod p."""
-    return [np.roll(v, x) for v in vectors]
-
-
 def projection_from_basis(vectors: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projection onto the span of pairwise-orthogonal vectors, for one basis or a stack of them.
 
@@ -190,9 +185,8 @@ def verify_equiangular(
     The pairwise traces come from the Gram rows gram_matrix(bases, shifts),
     which hold every entry, each row's own entry zeroed in place.  A shift
     permutes entries, so idempotency and traces are checked on the bases
-    alone; idempotency as chunk @ chunk - chunk, over blocks of bases sized
-    by matcore's byte budget, with the block maxima combined by np.max,
-    which keeps a NaN.
+    alone; idempotency as chunk @ chunk - chunk in one block_deviation
+    pass, which keeps a NaN.
     """
     bases = family.bases
     n = len(family)
@@ -204,13 +198,13 @@ def verify_equiangular(
     own = np.arange(len(angle_devs))
     angle_devs[own, own * size] = 0.0
     max_angle_dev = float(np.max(angle_devs))
-    chunk_devs = []
-    for members in _blocks(len(bases), family.d * family.d * bases.itemsize):
-        chunk = bases[members]
-        dev = chunk @ chunk
-        dev -= chunk
-        chunk_devs.append(np.max(np.abs(dev, out=dev)))
-    max_idem_dev = float(np.max(chunk_devs))
+
+    def idempotency_gap(chunk):
+        gap = chunk @ chunk
+        gap -= chunk  # in place, as block_deviation takes the magnitude: one array per block
+        return gap
+
+    max_idem_dev = block_deviation(bases, idempotency_gap)[0]
     traces = np.einsum("nii->n", bases)
     max_rank_dev = float(np.max(np.abs(traces - family.r)))
     passed = (

@@ -19,7 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import Infeasible, OutOfRange, RankOutOfRange
-from .matcore import DEFAULT_TOL, Tolerance, _blocks, gram_matrix, orbit_stack, read_only_stack
+from .matcore import DEFAULT_TOL, Tolerance, _blocks, block_deviation, gram_matrix, gram_spectrum
+from .matcore import orbit_stack, read_only_stack, spectral_rank
 from .packing import ProjectionFamily
 
 
@@ -77,14 +78,9 @@ class UnitaryFamily:
 
     @cached_property
     def asymmetry(self) -> tuple[float, float]:
-        """(max |U - U^T|, sum |U - U^T|^2) over all members, from the bases in blocks: a shift permutes entries."""
-        worst, sq = [], 0.0
-        for members in _blocks(len(self.bases), self.d * self.d * self.bases.itemsize):
-            chunk = self.bases[members]
-            dev = np.abs(chunk - chunk.transpose(0, 2, 1))
-            worst.append(np.max(dev))
-            sq += float(np.vdot(dev, dev))
-        return float(np.max(worst)), self.shifts * sq
+        """(max |U - U^T|, sum |U - U^T|^2) over all members, from the bases in one block_deviation pass: a shift permutes entries."""
+        worst, sq = block_deviation(self.bases, lambda chunk: chunk - chunk.transpose(0, 2, 1))
+        return worst, self.shifts * sq
 
 
 @dataclass(frozen=True)
@@ -169,13 +165,6 @@ class _Span:
     diag: np.ndarray  # G_ii of the Gram rows' own members, one per row
 
 
-def _whole_gram(rows: np.ndarray, s: int) -> np.ndarray:
-    """The n x n Gram spread out of its rows for s shifts: G[t*s + x, t'*s + x'] = rows[t, t'*s + (x' - x) mod s]."""
-    ts, xs = np.arange(len(rows)), np.arange(s)
-    at = (xs - xs[:, None, None]) % s  # at[x, 0, x'] = (x' - x) mod s
-    return rows.reshape(len(ts), len(ts), s)[ts[:, None, None, None], ts[:, None], at].reshape(len(rows) * s, -1)
-
-
 def _span(uf: UnitaryFamily, tol: Tolerance) -> _Span:
     """Span rank by Gershgorin discs, by eigvalsh when the discs prove no full rank.
 
@@ -187,10 +176,13 @@ def _span(uf: UnitaryFamily, tol: Tolerance) -> _Span:
     diagonal and the diagonal come from uf.gram_rows: a row of a member
     shifted by x is its base's row permuted, so the base rows have every
     radius, off-diagonal entry and diagonal entry of the family.  The
-    eigvalsh fallback needs the whole Gram, and _whole_gram spreads the
-    rows into it.  A NaN or inf entry of a member reaches the Gram rows and
-    so the lowest point of the discs; such a Gram proves no rank (0), and
-    eigvalsh, which would not converge on it, is not called.
+    fallback counts the rank with spectral_rank on gram_spectrum(rows,
+    shifts): for whole orbits one batched eigvalsh on the shifts Hermitian
+    T x T blocks of the DFT over the shift, so no n x n Gram is formed, and
+    lam is then the smallest eigenvalue counted.  A NaN or inf entry of a
+    member reaches the Gram rows and so the lowest point of the discs; such
+    a Gram proves no rank (0), and eigvalsh, which would not converge on
+    it, is not called.
     """
     n, d = len(uf), uf.d
     gram = uf.gram_rows
@@ -210,9 +202,7 @@ def _span(uf: UnitaryFamily, tol: Tolerance) -> _Span:
     elif not math.isfinite(lower):
         span_rank, lam = 0, 0.0
     else:
-        eigs = np.linalg.eigvalsh(_whole_gram(gram, uf.shifts))
-        span_rank = int(np.sum(eigs > tol.rank_eps * eigs[-1])) if eigs[-1] > 0 else 0
-        lam = float(eigs[-span_rank]) if span_rank else 0.0
+        span_rank, lam = spectral_rank(gram_spectrum(gram, uf.shifts), tol)
     symmetric_span = span_rank == d * (d + 1) // 2 and uf.asymmetry[0] <= tol.eps
     return _Span(float(np.max(max_off)), span_rank, lam, symmetric_span, diag)
 
@@ -220,21 +210,23 @@ def _span(uf: UnitaryFamily, tol: Tolerance) -> _Span:
 def certify_umeb(uf: UnitaryFamily, tol: Tolerance = DEFAULT_TOL) -> UmebCertificate:
     """Fill every certificate field; failures are verdicts, not errors.
 
-    Unitarity and symmetry are checked on the bases, in blocks: a shift
-    permutes entries.  The orthogonality deviation, the span rank and
-    cj_orthonormality_dev come from the family's Gram rows through _span.
+    Unitarity and symmetry are checked on the bases, in block_deviation
+    passes: a shift permutes entries.  The orthogonality deviation, the
+    span rank and cj_orthonormality_dev come from the family's Gram rows
+    through _span: the Gershgorin discs when they prove full rank, else the
+    eigenvalues of the shift blocks of the Gram (gram_spectrum).
     """
     d = uf.d
     n = len(uf)
 
     eye = np.eye(d)
-    unitarity_devs = []
-    for members in _blocks(len(uf.bases), d * d * uf.bases.itemsize):
-        chunk = uf.bases[members]
-        dev = chunk.conj().transpose(0, 2, 1) @ chunk
-        dev -= eye
-        unitarity_devs.append(np.max(np.abs(dev)))
-    max_unitarity_dev = float(np.max(unitarity_devs))
+
+    def unitarity_gap(chunk):
+        gap = chunk.conj().transpose(0, 2, 1) @ chunk
+        gap -= eye  # in place: no second complex array per block
+        return gap
+
+    max_unitarity_dev = block_deviation(uf.bases, unitarity_gap)[0]
     span = _span(uf, tol)
     max_orthogonality_dev = span.max_off_gram
 

@@ -202,6 +202,37 @@ def test_feasibility_empty_range_is_usage_error():
     assert run(["feasibility", "--r", "5", "--dmax", "3"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv", [["feasibility", "--r", "1", "--dmax", "10"], ["hadamard", "--order", "4"]], ids=["feasibility", "hadamard"]
+)
+def test_commands_that_check_nothing_take_no_tolerance(argv, capsys):
+    # neither command reads a tolerance or stamps a report, so these options are usage errors
+    for extra in (["--eps", "5"], ["--eps", "-1"], ["--rank-eps", "0.5"], ["--no-timestamp"]):
+        assert run(argv + extra) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert run(argv + ["--format", "json"]) == 0
+
+
+def test_a_tampered_p79_artifact_ends_in_a_verdict_from_the_shift_blocks(tmp_path, monkeypatch, capsys):
+    # source base 0 replaced by base 0 + 2 base 1: the discs prove nothing, and the rank comes
+    # from one batched eigvalsh on the 79 blocks of 40 x 40, never from the 3160 x 3160 Gram
+    path = tmp_path / "umeb79.json"
+    assert run(["umeb", "--p", "79", "--out", str(path), "--no-timestamp"]) == 0
+    obj = json.loads(path.read_text())
+    stack = obj["source"]["bases"]
+    bases = np.reshape(stack["re"], stack["shape"])
+    bases[0] += 2 * bases[1]
+    stack["re"] = bases.ravel().tolist()
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    assert run(["verify", "--in", str(path), "--no-timestamp"]) == 2
+    assert "unextendible: FAIL" in capsys.readouterr().out
+    assert calls == [(79, 40, 40)]
+
+
 def test_eps_flag_tightens_verdict(tmp_path):
     # an absurdly small eps turns machine-precision deviations into failures
     assert run(["generate", "--p", "7", "--eps", "1e-20"]) == 2

@@ -13,10 +13,12 @@ from umebkit.matcore import (
     cj_vectorize,
     frobenius_inner,
     gram_matrix,
+    gram_spectrum,
     is_unitary,
     numerical_rank,
     orbit_stack,
     read_only_stack,
+    spectral_rank,
     stack_from_json,
     stack_to_json,
     sym_antisym_split,
@@ -86,6 +88,56 @@ def test_numerical_rank_detects_dependence():
 def test_numerical_rank_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         numerical_rank([np.eye(2), np.eye(3)])
+
+
+def _random_bases(d, seed, zero=False):
+    rng = np.random.default_rng(seed)
+    bases = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+    if zero:
+        bases[1] = 0.0
+    return bases
+
+
+def _residue_bases(p, kind):
+    fam = build_residue_family(validate_prime(p), construct((p + 1) // 2))
+    if kind == "U":
+        return build_unitaries(fam, compute_phase(p, fam.r)).bases
+    return (dual_family(fam) if kind == "dual" else fam).bases
+
+
+SPECTRUM_CASES = {
+    # d = 6 is even: the shift d/2 is its own mirror
+    **{f"random-d{d}": (lambda d=d: _random_bases(d, 40 + d), d) for d in (5, 6)},
+    "zero-base": (lambda: _random_bases(5, 47, zero=True), 5),
+    "shifts-1": (lambda: _random_bases(5, 48), 1),
+    **{f"{kind}-p{p}": (lambda p=p, kind=kind: _residue_bases(p, kind), p) for p in (7, 23) for kind in ("P", "U", "dual")},
+}
+
+
+@pytest.mark.parametrize("name", SPECTRUM_CASES)
+def test_gram_spectrum_is_the_spectrum_of_the_whole_gram(name, monkeypatch):
+    build, shifts = SPECTRUM_CASES[name]
+    bases = build()
+    d = bases.shape[-1]
+    rows = gram_matrix(bases, shifts)
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    spectrum = gram_spectrum(rows, shifts)
+    monkeypatch.undo()
+    expected = np.linalg.eigvalsh(gram_matrix(orbit_stack(bases, shifts)))
+    assert spectrum.shape == expected.shape == (len(bases) * shifts,)
+    assert np.max(np.abs(spectrum - expected)) <= 1e-12 * d * d
+    # one batched eigensolve on the shift blocks; for shifts = 1 its one block is a view of the rows
+    assert [a.shape for a in calls] == [(shifts, len(bases), len(bases))]
+    assert (shifts == 1) == np.shares_memory(calls[0], rows)
+
+
+def test_spectral_rank_counts_above_the_relative_threshold():
+    tol = Tolerance(rank_eps=1e-3)
+    assert spectral_rank(np.array([1e-9, 5e-4, 0.5, 1.0]), tol) == (2, 0.5)
+    assert spectral_rank(np.array([1e-4, 2e-3, 1.0]), tol) == (2, 2e-3)
+    assert spectral_rank(np.array([-1.0, 0.0]), tol) == (0, 0.0)
 
 
 def test_sym_antisym_split_symmetric_input():

@@ -24,7 +24,6 @@ from umebkit.packing import (
     beta_projections,
     build_residue_family,
     residue_base_vectors,
-    cyclic_shift,
     dual_family,
     family_from_json,
     family_to_json,
@@ -148,23 +147,16 @@ def test_residue_base_vectors_errors():
         residue_base_vectors(replace(prime, residues=(1, 2, 4, 5)), construct(4))
 
 
-def test_cyclic_shift_matches_worked_case():
-    vectors = residue_base_vectors(validate_prime(7), construct(4))[0]
-    shifted = cyclic_shift(vectors, 1)
+def test_residue_family_shift_one_matches_worked_case():
+    # member 1 of the p=7 family is base 0 shifted by 1: every vector of base 0 moved one index on
+    fam = p7_family()
     expected = [
         [0, 0, 1, 0, SQRT2, 0, 0],
         [SQRT2, 0, 0, 1, 0, 0, 0],
         [0, 0, 0, 0, 0, 1, SQRT2],
     ]
-    for v, e in zip(shifted, expected):
-        assert np.allclose(v, e, atol=1e-15)
-
-
-def test_cyclic_shift_identity_cases():
-    vectors = residue_base_vectors(validate_prime(7), construct(4))[2]
-    for x in (0, 7):
-        for v, w in zip(vectors, cyclic_shift(vectors, x)):
-            assert np.array_equal(v, w)
+    assert np.max(np.abs(fam.projections[1] - projection_from_basis(expected))) <= 1e-15
+    assert fam.projections[0].tobytes() == fam.bases[0].tobytes()  # shift 0 is the base itself
 
 
 def test_projection_from_basis_single_vector():
@@ -345,7 +337,7 @@ def test_residue_family_is_the_per_shift_construction(p):
     assert fam.shifts == p and len(fam.bases) == (p + 1) // 2
     for i, proj in enumerate(fam.projections):
         t, shift = divmod(i, p)
-        expected = projection_from_basis(cyclic_shift(loop_base_vectors(prime, h, t), shift))
+        expected = projection_from_basis(np.roll(loop_base_vectors(prime, h, t), shift, axis=-1))
         # byte equality: bit for bit, signed zeros included
         assert proj.dtype == expected.dtype and proj.shape == expected.shape
         assert proj.tobytes() == expected.tobytes()

@@ -290,7 +290,7 @@ RANK_CASES = {
     "p7-u0+2u1": (lambda: _p7_members(lambda us: np.concatenate(([us[0] + 2 * us[1]], us[1:]))), False, False),
     "p7-duplicate": (lambda: _p7_members(lambda us: np.concatenate((us, us[:1]))), False, False),
     # the same edit on base 0 of the orbit family: every shift of it, and the
-    # spectrum from the whole Gram spread out of the orbit rows
+    # spectrum from the shift blocks of the orbit rows
     "p7-orbit-u0+2u1": (lambda: _p7_bases(lambda bs: np.concatenate(([bs[0] + 2 * bs[1]], bs[1:]))), False, False),
     "p7-nonsymmetric": (
         lambda: _p7_members(
@@ -327,7 +327,7 @@ def test_span_rank_proof_matches_the_spectrum(name, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
     cert = certify_umeb(uf)
     monkeypatch.undo()
-    assert calls == ([] if by_discs else [(len(uf), len(uf))])
+    assert calls == ([] if by_discs else [(uf.shifts, len(uf.bases), len(uf.bases))])
     assert cert.span_rank == numerical_rank(uf.unitaries)
     assert cert == replace(cert, **expected)
     assert cert.unextendible_verdict == verdict
@@ -417,7 +417,6 @@ def test_gram_is_cached_and_is_the_gram_of_the_stack():
     t, x = np.divmod(np.arange(len(uf)), 23)
     column = t * 23 + (x - x[:, None]) % 23
     assert np.max(np.abs(rows[t[:, None], column] - dense)) <= 1e-13 * 23
-    assert np.array_equal(umeb._whole_gram(rows, 23), rows[t[:, None], column])
     assert uf.asymmetry == (0.0, 0.0)  # built families are exactly symmetric
 
 
@@ -543,6 +542,24 @@ def test_certify_checks_the_last_member_chunk(monkeypatch):
     assert skewed.asymmetry[0] == pytest.approx(1e-6, rel=1e-6)
     assert skewed.asymmetry[1] == pytest.approx(2e-12, rel=1e-5)
     assert not certify_umeb(skewed).symmetric_span
+
+
+def test_a_nan_in_the_last_partial_block_reaches_every_budgeted_report(monkeypatch):
+    # 12 bases at p=23; a budget of five complex bases gives U blocks of 5, 5, 2 and P blocks of 10, 2
+    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 5 * 23 * 23 * 16)
+    fam = build_residue_family(validate_prime(23), construct(12))
+    assert [b.stop - b.start for b in matcore._blocks(12, fam.bases[0].nbytes)] == [10, 2]
+    assert [b.stop - b.start for b in matcore._blocks(12, 2 * fam.bases[0].nbytes)] == [5, 5, 2]
+    bases = np.array(fam.bases)
+    bases[-1, 0, 1] = np.nan
+    poisoned = replace(fam, bases=bases)
+    report = verify_equiangular(poisoned)
+    assert math.isnan(report.max_idempotency_dev) and not report.passed
+    uf = build_unitaries(poisoned, compute_phase(23, 11))
+    assert all(math.isnan(value) for value in uf.asymmetry)
+    cert = certify_umeb(uf)
+    assert math.isnan(cert.max_unitarity_dev)
+    assert not cert.unextendible_verdict and not cert.symmetric_span and not cert.complement_antisymmetric
 
 
 @pytest.mark.parametrize("off_diagonal", [True, False], ids=["two-members-mixed", "one-member-scaled"])
