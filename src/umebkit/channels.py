@@ -9,19 +9,22 @@ matrix is the channel applied to E_jk.
 verify_decomposition makes two checks.
 (a) The Choi check measures |C_mix - (I + SWAP)/(d+1)|_F.  When every
 member is exactly symmetric, there are n = d(d+1)/2 of them, no weight is
-negative and the weights are equal within each orbit of the family's shifts,
-it reads that distance off the family's trace Gram G:
+negative and the weights are equal within each orbit of the family's shifts
+(decided once per decomposition, _orbit_weights), it reads that distance off
+the family's trace Gram G:
 |W^(1/2) G W^(1/2) - (2/(d+1)) I_n|_F, an exact identity (the vec(U_j) lie
 in the n-dimensional symmetric subspace, where the target is (2/(d+1)) times
 the identity, and F W F* and W^(1/2) F* F W^(1/2) have the same spectrum).
-It sums the Gram rows the certificate also reads, times the shift count.
+It reads the family's one pass over its Gram rows, uf.gram_stats, which the
+certificate also reads: the per-orbit sums of squares and the diagonal.
 Otherwise it sums the squared distance over the d-row blocks
 (w o F[:, rows])^T @ conj(F), F the rows vec(U_j), subtracting the target
 in place at its identity and SWAP entries; C_mix is Hermitian, so each
 block starts at the diagonal block and the blocks right of it count twice,
 and no d^2 x d^2 matrix is formed.  (b) The random-input check
 applies the mixture to the seeded inputs, a batch per call, through
-apply_decomposition, and compares each output with wh_plus_apply.  When the
+apply_decomposition, and compares the batch with wh_plus_apply of the batch,
+one stack at a time.  When the
 members come in Z_d orbits of shifts with equal weights, as the paper's
 UMEB does (member t*d + x is base t shifted by x), the mixture is one
 shift-covariant kernel K with d^3 entries: out[i, i + D] =
@@ -75,7 +78,8 @@ class MixedUnitaryDecomposition:
     """Convex mixture sum_j weights[j] U_j X U_j* over a unitary family.
 
     The weights are kept as a tuple and the family's stack is read-only, so
-    the orbit kernel is computed once, on first use, and kept on the object.
+    whether the weights are equal within each orbit and the orbit kernel are
+    computed once, on first use, and kept on the object.
     """
 
     weights: tuple[float, ...]
@@ -83,6 +87,18 @@ class MixedUnitaryDecomposition:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(self.weights))
+
+    @cached_property
+    def _orbit_weights(self) -> np.ndarray | None:
+        """One weight per orbit of the family's shifts, w[::shifts]; None unless the weights are equal within each orbit.
+
+        This is the one test of that condition, which check (a)'s Gram path
+        and the orbit kernel both need.  A NaN weight equals no weight, so
+        it gives None.
+        """
+        w = _weights(self)
+        orbit_w = w[:: self.unitaries.shifts]
+        return orbit_w if np.all(w.reshape(len(orbit_w), -1) == orbit_w[:, None]) else None
 
     @cached_property
     def _orbit_kernel(self) -> np.ndarray | None:
@@ -108,13 +124,10 @@ class MixedUnitaryDecomposition:
         gathered from C one e at a time into M's buffer, and lhat is written
         into C's.  lhat reads only the bases and the weights.
         """
-        w = _weights(self)
         uf = self.unitaries
         d = uf.d
-        if uf.shifts != d:
-            return None
-        orbit_w = w[::d]
-        if np.any(w.reshape(-1, d) != orbit_w[:, None]):
+        orbit_w = self._orbit_weights
+        if uf.shifts != d or orbit_w is None:
             return None
         coords, plus, dft = _cyclic(d)
         f = (dft @ uf.bases[:, coords[:, None], plus]).transpose(1, 0, 2)  # f[k, t, e] = F[t, k, e]
@@ -148,11 +161,12 @@ class DecompositionReport:
 
 
 def wh_plus_apply(x: np.ndarray, d: int) -> np.ndarray:
-    """(Tr(x) I + x^T)/(d+1); trace preserving and unital."""
+    """(Tr(x) I + x^T)/(d+1), for one (d, d) input or each of a (T, d, d) stack; trace preserving and unital."""
     x = np.asarray(x, dtype=complex)
-    if x.shape != (d, d):
-        raise NotSquare(f"expected a {d}x{d} matrix, got shape {x.shape}")
-    return (np.trace(x) * np.eye(d) + x.T) / (d + 1)
+    if x.ndim not in (2, 3) or x.shape[-2:] != (d, d):
+        raise NotSquare(f"expected a {d}x{d} matrix or a stack of them, got shape {x.shape}")
+    trace = np.trace(x, axis1=-2, axis2=-1)
+    return (trace[..., None, None] * np.eye(d) + x.swapaxes(-1, -2)) / (d + 1)
 
 
 def choi_of_channel(apply: Channel, d: int) -> np.ndarray:
@@ -290,29 +304,18 @@ def random_hermitian(d: int, seed: int) -> np.ndarray:
 
 
 def _choi_dev_from_gram(w: np.ndarray, uf: UnitaryFamily) -> float:
-    """|W^(1/2) G W^(1/2) - (2/(d+1)) I_n|_F, equal to the Choi distance when the
-    n = d(d+1)/2 members are exactly symmetric and the weights are >= 0.
+    """|W^(1/2) G W^(1/2) - (2/(d+1)) I_n|_F for one weight w[t] >= 0 per orbit, equal to the Choi
+    distance when the n = d(d+1)/2 members are exactly symmetric.
 
-    The weights must be equal within each orbit of uf.shifts members.  Then
-    row t*d + x of W^(1/2) G W^(1/2) is row t*d permuted, so the squared
-    distance is uf.shifts times its sum over the family's Gram rows.  Each
-    block of rows is scaled in place, in one buffer reused across blocks.
+    Entry (i, j) of W^(1/2) G W^(1/2) is sqrt(w_i w_j) G_ij, and row t*d + x
+    is row t*d permuted, so the squared distance is uf.shifts times its sum
+    over the family's Gram rows, read off uf.gram_stats: w^T sq_off w off the
+    diagonal and sum_t |w_t G_tt - 2/(d+1)|^2 on it, two sums of
+    nonnegative terms kept apart.
     """
-    size = uf.shifts
-    gram = uf.gram_rows
-    s = np.sqrt(w)
-    m, n = gram.shape
-    own = np.arange(m) * size  # the column of each row's diagonal entry
-    blocks = list(_blocks(m, n * gram.itemsize))
-    buffer = np.empty((blocks[0].stop, n), dtype=gram.dtype)  # the first block is the largest
-    sq = 0.0
-    for rows in blocks:
-        dev = buffer[: rows.stop - rows.start]
-        np.multiply(s[own[rows], None], gram[rows], out=dev)
-        dev *= s
-        dev[np.arange(len(dev)), own[rows]] -= 2 / (uf.d + 1)
-        sq += float(np.vdot(dev, dev).real)
-    return math.sqrt(size * sq)
+    stats = uf.gram_stats
+    on = np.abs(w * stats.diag - 2 / (uf.d + 1))
+    return math.sqrt(uf.shifts * (float(w @ stats.sq_off @ w) + float(np.vdot(on, on))))
 
 
 def _choi_dev_by_blocks(w: np.ndarray, uf: UnitaryFamily) -> float:
@@ -368,23 +371,20 @@ def verify_decomposition(
     w = _weights(dec)
     uf = dec.unitaries
     d = uf.d
-    equal_in_orbits = np.all(w.reshape(-1, uf.shifts) == w[:: uf.shifts, None])
-    if uf.asymmetry[0] == 0.0 and len(uf) == d * (d + 1) // 2 and np.all(w >= 0) and equal_in_orbits:
-        choi_dev = _choi_dev_from_gram(w, uf)
+    orbit_w = dec._orbit_weights
+    if uf.asymmetry[0] == 0.0 and len(uf) == d * (d + 1) // 2 and orbit_w is not None and np.all(orbit_w >= 0):
+        choi_dev = _choi_dev_from_gram(orbit_w, uf)
     else:
         choi_dev = _choi_dev_by_blocks(w, uf)
 
     apply_dev_max = 0.0
     apply_ok = True
     for batch in _blocks(trials, 16 * d * d):  # one complex (d, d) input per trial
-        xs = [random_hermitian(d, seed + t) for t in range(batch.start, batch.stop)]
-        mixed = apply_decomposition(dec, np.asarray(xs))
-        for x, y in zip(xs, mixed):
-            dev = float(np.max(np.abs(y - wh_plus_apply(x, d))))
-            # a NaN deviation fails and stays NaN in the report: max() and > would both drop it
-            apply_dev_max = float(np.maximum(apply_dev_max, dev))
-            if not dev <= tol.eps * float(np.max(np.abs(x))):
-                apply_ok = False
+        xs = np.array([random_hermitian(d, seed + t) for t in range(batch.start, batch.stop)])
+        devs = np.max(np.abs(apply_decomposition(dec, xs) - wh_plus_apply(xs, d)), axis=(1, 2))
+        # a NaN deviation fails and stays NaN in the report: max() and > would both drop it
+        apply_dev_max = float(np.maximum(apply_dev_max, np.max(devs)))
+        apply_ok = apply_ok and bool(np.all(devs <= tol.eps * np.max(np.abs(xs), axis=(1, 2))))
 
     verdict = choi_dev <= tol.eps * d * d and apply_ok
     return DecompositionReport(

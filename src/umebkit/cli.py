@@ -309,15 +309,8 @@ def cmd_demo_icosahedron(args) -> int:
         f"unextendible: {'PASS' if cert.unextendible_verdict else 'FAIL'}",
         f"channel decomposition: {'PASS' if wh.verdict else 'FAIL'}",
     ]
-    _emit(
-        args,
-        lines,
-        {
-            "equiangular": report.passed,
-            "certificate": cert.to_json(),
-            "wh_check": wh.to_json(),
-        },
-    )
+    obj = {"equiangular": report.passed, "certificate": cert.to_json(), "wh_check": wh.to_json()}
+    _emit(args, lines, _stamp(obj, args.no_timestamp))
     return 0 if ok else 2
 
 

@@ -1,7 +1,8 @@
 """Dense complex matrix core: whole cyclic-shift orbits of base matrices, trace
-inner products and Gram rows, the Gram spectrum from its shift blocks and its
-numerical rank, the budgeted deviation pass over a stack, symmetric/antisymmetric
-splits, column-stacking vectorization, unitarity tests.
+inner products and Gram rows, the one pass that every check reads off those
+rows, the Gram spectrum from its shift blocks and its numerical rank, the
+budgeted deviation pass over a stack, symmetric/antisymmetric splits,
+column-stacking vectorization, unitarity tests.
 
 Vectorization convention, fixed once for the whole package: vec(U) stacks the
 columns of U, so vec(U)[j*d + i] = U[i, j] and the normalized image of a
@@ -123,6 +124,42 @@ def gram_matrix(bases: list[np.ndarray] | np.ndarray, shifts: int = 1) -> np.nda
         if 0 < x < shifts - x:  # G[t, t', -x] = conj(G[t', t, x]): shifting by -x is the adjoint similarity
             gram[:, :, shifts - x] = gram[:, :, x].T.conj()
     return gram.reshape(m, m * shifts)
+
+
+@dataclass(frozen=True, eq=False)
+class GramRowStats:
+    """What the checks read off the Gram rows of gram_matrix(bases, shifts), from gram_row_stats."""
+
+    diag: np.ndarray  # diag[t]: row t's own entry, G[t*shifts, t*shifts], of the rows' dtype
+    radii: np.ndarray  # radii[t]: row t's Gershgorin radius, the sum of |G| off its own entry
+    max_off: float  # the largest |G| off the own entries
+    sq_off: np.ndarray  # sq_off[t, t']: sum over x of |rows[t, t'*shifts + x]|^2, the own entry left out
+
+
+def gram_row_stats(rows: np.ndarray, shifts: int) -> GramRowStats:
+    """The own entries, Gershgorin radii, largest off-diagonal magnitude and per-orbit sums of squares of the rows, in one pass.
+
+    rows is gram_matrix(bases, shifts), shape (T, T * shifts).  The row of
+    a member shifted by x is its base's row permuted, so these T rows hold
+    every radius, off-diagonal entry and diagonal entry of the n x n Gram,
+    and sq_off[t, t'] is the sum of |G|^2 over the off-diagonal entries of
+    any row of orbit t in the columns of orbit t'.  This is the one place
+    that knows a row's own entry sits at column t * shifts.  The rows go in
+    blocks of _BLOCK_BYTES; a NaN reaches the radii, max_off and sq_off.
+    """
+    m, n = rows.shape
+    own = np.arange(m) * shifts
+    radii = np.empty(m)
+    sq_off = np.empty((m, m))
+    worst = []
+    for block in _blocks(m, n * rows.itemsize):
+        off = np.abs(rows[block])
+        off[np.arange(len(off)), own[block]] = 0.0
+        radii[block] = off.sum(axis=1)
+        worst.append(np.max(off))
+        off *= off
+        sq_off[block] = off.reshape(len(off), m, shifts).sum(axis=2)
+    return GramRowStats(rows[np.arange(m), own], radii, float(np.max(worst)), sq_off)
 
 
 def read_only_stack(members, d: int, dtype=None) -> np.ndarray:

@@ -30,6 +30,7 @@ from .matcore import (
     Tolerance,
     block_deviation,
     gram_matrix,
+    gram_row_stats,
     json_int,
     json_number,
     orbit_stack,
@@ -183,21 +184,18 @@ def verify_equiangular(
     """Check pairwise traces, idempotency and trace-rank of every member.
 
     The pairwise traces come from the Gram rows gram_matrix(bases, shifts),
-    which hold every entry, each row's own entry zeroed in place.  A shift
+    which hold every entry: max_angle_dev is the largest off-diagonal
+    magnitude of the rows minus beta (matcore.gram_row_stats).  A shift
     permutes entries, so idempotency and traces are checked on the bases
     alone; idempotency as chunk @ chunk - chunk in one block_deviation
     pass, which keeps a NaN.
     """
     bases = family.bases
     n = len(family)
-    size = family.shifts
     beta = float(family.beta)
-    angle_devs = gram_matrix(bases, size).real
+    angle_devs = gram_matrix(bases, family.shifts).real
     angle_devs -= beta
-    np.abs(angle_devs, out=angle_devs)
-    own = np.arange(len(angle_devs))
-    angle_devs[own, own * size] = 0.0
-    max_angle_dev = float(np.max(angle_devs))
+    max_angle_dev = gram_row_stats(angle_devs, family.shifts).max_off
 
     def idempotency_gap(chunk):
         gap = chunk @ chunk

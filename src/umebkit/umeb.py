@@ -19,8 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import Infeasible, OutOfRange, RankOutOfRange
-from .matcore import DEFAULT_TOL, Tolerance, _blocks, block_deviation, gram_matrix, gram_spectrum
-from .matcore import orbit_stack, read_only_stack, spectral_rank
+from .matcore import DEFAULT_TOL, GramRowStats, Tolerance, block_deviation, gram_matrix, gram_row_stats
+from .matcore import gram_spectrum, orbit_stack, read_only_stack, spectral_rank
 from .packing import ProjectionFamily
 
 
@@ -41,8 +41,9 @@ class UnitaryFamily:
 
     Members, shifts and bases are as in ProjectionFamily; the bases are
     complex.  Because no caller can write to them through the family, its
-    trace Gram rows, its symmetry deviations and its dense members are
-    computed once, on first use, and kept on the object.
+    trace Gram rows, what the checks read off them, its symmetry deviations
+    and its dense members are computed once, on first use, and kept on the
+    object.
     """
 
     d: int
@@ -75,6 +76,14 @@ class UnitaryFamily:
         rows = gram_matrix(self.bases, self.shifts)
         rows.flags.writeable = False
         return rows
+
+    @cached_property
+    def gram_stats(self) -> GramRowStats:
+        """gram_row_stats(gram_rows, shifts), read-only: the one pass over the Gram rows that the span proof, the certificate and check (a) read."""
+        stats = gram_row_stats(self.gram_rows, self.shifts)
+        for array in (stats.diag, stats.radii, stats.sq_off):
+            array.flags.writeable = False
+        return stats
 
     @cached_property
     def asymmetry(self) -> tuple[float, float]:
@@ -158,11 +167,9 @@ def cj_states(uf: UnitaryFamily) -> np.ndarray:
 class _Span:
     """The tolerance-dependent span facts of a family, read off its Gram rows."""
 
-    max_off_gram: float  # max_{i != j} |G_ij|
     span_rank: int
     lam: float  # lower bound on the smallest eigenvalue counted in span_rank
     symmetric_span: bool
-    diag: np.ndarray  # G_ii of the Gram rows' own members, one per row
 
 
 def _span(uf: UnitaryFamily, tol: Tolerance) -> _Span:
@@ -172,48 +179,38 @@ def _span(uf: UnitaryFamily, tol: Tolerance) -> _Span:
     [G_ii - R_i, G_ii + R_i], R_i = sum_{j != i} |G_ij|.  If the lowest
     point of the discs exceeds rank_eps times the highest, which bounds the
     largest eigenvalue, all n eigenvalues are counted and that lowest point
-    bounds the smallest of them from below.  The discs, max |G_ij| off the
-    diagonal and the diagonal come from uf.gram_rows: a row of a member
-    shifted by x is its base's row permuted, so the base rows have every
-    radius, off-diagonal entry and diagonal entry of the family.  The
-    fallback counts the rank with spectral_rank on gram_spectrum(rows,
-    shifts): for whole orbits one batched eigvalsh on the shifts Hermitian
-    T x T blocks of the DFT over the shift, so no n x n Gram is formed, and
-    lam is then the smallest eigenvalue counted.  A NaN or inf entry of a
-    member reaches the Gram rows and so the lowest point of the discs; such
-    a Gram proves no rank (0), and eigvalsh, which would not converge on
-    it, is not called.
+    bounds the smallest of them from below.  The discs' centres and radii
+    are uf.gram_stats, the family's one pass over its Gram rows, which hold
+    every disc of the family (matcore.gram_row_stats).  The fallback counts
+    the rank with spectral_rank on gram_spectrum(rows, shifts): for whole
+    orbits one batched eigvalsh on the shifts Hermitian T x T blocks of the
+    DFT over the shift, so no n x n Gram is formed, and lam is then the
+    smallest eigenvalue counted.  A NaN or inf entry of a member reaches
+    the Gram rows and so the lowest point of the discs; such a Gram proves
+    no rank (0), and eigvalsh, which would not converge on it, is not
+    called.
     """
     n, d = len(uf), uf.d
-    gram = uf.gram_rows
-    m = len(gram)
-    own = np.arange(m) * uf.shifts  # the column of each row's diagonal entry
-    radii = np.empty(m)
-    max_off = []
-    for rows in _blocks(m, n * gram.itemsize):
-        off = np.abs(gram[rows])
-        off[np.arange(len(off)), own[rows]] = 0.0
-        radii[rows] = off.sum(axis=1)
-        max_off.append(np.max(off))
-    diag = gram[np.arange(m), own]
-    lower = float(np.min(diag.real - radii))
-    if lower > tol.rank_eps * float(np.max(diag.real + radii)):
+    stats = uf.gram_stats
+    lower = float(np.min(stats.diag.real - stats.radii))
+    if lower > tol.rank_eps * float(np.max(stats.diag.real + stats.radii)):
         span_rank, lam = n, lower
     elif not math.isfinite(lower):
         span_rank, lam = 0, 0.0
     else:
-        span_rank, lam = spectral_rank(gram_spectrum(gram, uf.shifts), tol)
+        span_rank, lam = spectral_rank(gram_spectrum(uf.gram_rows, uf.shifts), tol)
     symmetric_span = span_rank == d * (d + 1) // 2 and uf.asymmetry[0] <= tol.eps
-    return _Span(float(np.max(max_off)), span_rank, lam, symmetric_span, diag)
+    return _Span(span_rank, lam, symmetric_span)
 
 
 def certify_umeb(uf: UnitaryFamily, tol: Tolerance = DEFAULT_TOL) -> UmebCertificate:
     """Fill every certificate field; failures are verdicts, not errors.
 
     Unitarity and symmetry are checked on the bases, in block_deviation
-    passes: a shift permutes entries.  The orthogonality deviation, the
-    span rank and cj_orthonormality_dev come from the family's Gram rows
-    through _span: the Gershgorin discs when they prove full rank, else the
+    passes: a shift permutes entries.  The orthogonality deviation and
+    cj_orthonormality_dev are read off uf.gram_stats, the family's one pass
+    over its Gram rows; the span rank comes from _span, which reads the
+    same pass: the Gershgorin discs when they prove full rank, else the
     eigenvalues of the shift blocks of the Gram (gram_spectrum).
     """
     d = uf.d
@@ -228,16 +225,16 @@ def certify_umeb(uf: UnitaryFamily, tol: Tolerance = DEFAULT_TOL) -> UmebCertifi
 
     max_unitarity_dev = block_deviation(uf.bases, unitarity_gap)[0]
     span = _span(uf, tol)
-    max_orthogonality_dev = span.max_off_gram
+    stats = uf.gram_stats
 
     # for antisymmetric A, tr(U_i* A) = tr(anti(U_i)* A) with anti(U) = (U - U^T)/2,
     # so a unit A projects onto span{U_i} with squared norm at most
     # sum_i |anti(U_i)|_F^2 / lam, lam bounding the eigenvalues counted in span_rank
     complement_antisymmetric = uf.asymmetry[1] / 4 <= tol.eps * tol.eps * span.lam
 
-    # max |G/d - I| off the diagonal is the span pass's max |G_ij| over d
-    diag_dev = np.max(np.abs(span.diag / d - 1.0))
-    cj_orthonormality_dev = float(np.maximum(span.max_off_gram / d, diag_dev))
+    # max |G/d - I| off the diagonal is max |G_ij| over d
+    diag_dev = np.max(np.abs(stats.diag / d - 1.0))
+    cj_orthonormality_dev = float(np.maximum(stats.max_off / d, diag_dev))
 
     d_odd = d % 2 == 1
     unextendible_verdict = (
@@ -251,7 +248,7 @@ def certify_umeb(uf: UnitaryFamily, tol: Tolerance = DEFAULT_TOL) -> UmebCertifi
         d=d,
         cardinality=n,
         max_unitarity_dev=max_unitarity_dev,
-        max_orthogonality_dev=max_orthogonality_dev,
+        max_orthogonality_dev=stats.max_off,
         span_rank=span.span_rank,
         symmetric_span=span.symmetric_span,
         complement_antisymmetric=complement_antisymmetric,

@@ -80,6 +80,19 @@ def test_wh_plus_not_square():
         wh_plus_apply(np.eye(3), 2)
 
 
+def test_wh_plus_applies_a_stack_matrix_by_matrix():
+    xs = np.array([random_hermitian(5, seed=110 + t) for t in range(4)])
+    xs[1] = xs[1] @ xs[2]  # one input that is not Hermitian
+    out = wh_plus_apply(xs, 5)
+    assert out.shape == (4, 5, 5)
+    for x, y in zip(xs, out):
+        assert np.array_equal(y, wh_plus_apply(x, 5))
+    with pytest.raises(NotSquare):
+        wh_plus_apply(np.ones((4, 5, 6)), 5)
+    with pytest.raises(NotSquare):
+        wh_plus_apply(xs[None], 5)
+
+
 def test_choi_of_identity_channel():
     choi = choi_of_channel(lambda x: x, 2)
     vec = cj_vectorize(np.eye(2)) * math.sqrt(2)
@@ -405,6 +418,17 @@ def test_choi_check_from_orbit_rows_matches_the_dense_rows(p, weights, monkeypat
         assert rep.choi_dev == pytest.approx(channels._choi_dev_by_blocks(w, uf), rel=1e-12)
     if weights == "uniform":
         assert rep.choi_dev <= 1e-15 * p * p
+
+
+def test_a_pipeline_reads_the_unitary_gram_rows_once(monkeypatch):
+    uf = _residue_unitaries(23)
+    calls = []
+    gram_row_stats = umeb.gram_row_stats
+    monkeypatch.setattr(umeb, "gram_row_stats", lambda rows, shifts: calls.append(rows) or gram_row_stats(rows, shifts))
+    assert certify_umeb(uf).unextendible_verdict
+    assert verify_decomposition(umeb_decomposition(uf), trials=20).verdict
+    # the discs, the certificate, the decomposition's precondition and check (a) read one pass
+    assert len(calls) == 1 and calls[0] is uf.gram_rows
 
 
 def _nonsymmetric_member():

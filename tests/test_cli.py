@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from umebkit import umeb
 from umebkit.cli import main, unitary_family_from_json, unitary_family_to_json, write_json
 from umebkit.hadamard import construct, hadamard_from_json
 from umebkit.matcore import Tolerance, stack_to_json
@@ -152,6 +153,17 @@ def test_demo_icosahedron(capsys):
     assert "FAIL" not in text
 
 
+def test_demo_icosahedron_json_is_stamped_unless_asked_not_to(capsys):
+    assert run(["demo-icosahedron", "--format", "json"]) == 0
+    assert "generated_at" in json.loads(capsys.readouterr().out)
+    outputs = []
+    for _ in range(2):
+        assert run(["demo-icosahedron", "--format", "json", "--no-timestamp"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "generated_at" not in json.loads(outputs[0])
+
+
 def test_k_override_pipeline():
     assert run(["umeb", "--p", "7", "--k", "5"]) == 0
     assert run(["umeb", "--p", "7", "--k", "4"]) == 1  # 4 is a residue
@@ -228,9 +240,13 @@ def test_a_tampered_p79_artifact_ends_in_a_verdict_from_the_shift_blocks(tmp_pat
     eigvalsh = np.linalg.eigvalsh
     calls = []
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    passes = []
+    gram_row_stats = umeb.gram_row_stats
+    monkeypatch.setattr(umeb, "gram_row_stats", lambda rows, shifts: passes.append(rows.shape) or gram_row_stats(rows, shifts))
     assert run(["verify", "--in", str(path), "--no-timestamp"]) == 2
     assert "unextendible: FAIL" in capsys.readouterr().out
     assert calls == [(79, 40, 40)]
+    assert passes == [(40, 3160)]  # the unitary family's Gram rows, read in one pass
 
 
 def test_eps_flag_tightens_verdict(tmp_path):

@@ -13,6 +13,7 @@ from umebkit.matcore import (
     cj_vectorize,
     frobenius_inner,
     gram_matrix,
+    gram_row_stats,
     gram_spectrum,
     is_unitary,
     numerical_rank,
@@ -131,6 +132,48 @@ def test_gram_spectrum_is_the_spectrum_of_the_whole_gram(name, monkeypatch):
     # one batched eigensolve on the shift blocks; for shifts = 1 its one block is a view of the rows
     assert [a.shape for a in calls] == [(shifts, len(bases), len(bases))]
     assert (shifts == 1) == np.shares_memory(calls[0], rows)
+
+
+ROW_STATS_CASES = {
+    **{f"{kind}-p{p}": (lambda p=p, kind=kind: _residue_bases(p, kind), p) for p in (7, 23) for kind in ("P", "U")},
+    "icosahedron": (lambda: icosahedron_lines().bases, 1),
+    "random-d5": (lambda: _random_bases(5, 50), 5),
+}
+
+
+def _close(got, expected):
+    return np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, float(np.max(np.abs(expected))))
+
+
+@pytest.mark.parametrize("budget", ["default", "one-row"])
+@pytest.mark.parametrize("name", ROW_STATS_CASES)
+def test_gram_row_stats_match_the_whole_gram(name, budget, monkeypatch):
+    build, shifts = ROW_STATS_CASES[name]
+    bases = build()
+    if budget == "one-row":
+        monkeypatch.setattr(matcore, "_BLOCK_BYTES", 1)
+    stats = gram_row_stats(gram_matrix(bases, shifts), shifts)
+    # the oracle reads every row of the whole Gram: a shifted member's row is its base's row permuted
+    gram = gram_matrix(orbit_stack(bases, shifts))
+    t, n = len(bases), len(gram)
+    off = np.abs(gram)
+    off[np.arange(n), np.arange(n)] = 0.0
+    assert stats.diag.dtype == gram.dtype
+    assert _close(stats.diag[:, None], np.diag(gram).reshape(t, shifts))
+    assert _close(stats.radii[:, None], off.sum(axis=1).reshape(t, shifts))
+    assert _close(stats.max_off, np.max(off))
+    assert _close(stats.sq_off[:, None, :], (off**2).reshape(t, shifts, t, shifts).sum(axis=3))
+
+
+def test_gram_row_stats_carry_a_nan():
+    bases = _random_bases(5, 51)
+    bases[1, 2, 3] = np.nan
+    stats = gram_row_stats(gram_matrix(bases, 5), 5)
+    # the NaN meets every base shifted: every row has it in the columns of orbit 1
+    assert np.isnan(stats.radii).all() and math.isnan(stats.max_off)
+    assert np.isnan(stats.sq_off[1]).all() and np.isnan(stats.sq_off[:, 1]).all()
+    assert np.isfinite(stats.sq_off[[0, 0, 2, 2], [0, 2, 0, 2]]).all()
+    assert math.isnan(stats.diag[1].real) and np.isfinite(stats.diag[[0, 2]]).all()
 
 
 def test_spectral_rank_counts_above_the_relative_threshold():
