@@ -165,8 +165,10 @@ def wh_plus_apply(x: np.ndarray, d: int) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.ndim not in (2, 3) or x.shape[-2:] != (d, d):
         raise NotSquare(f"expected a {d}x{d} matrix or a stack of them, got shape {x.shape}")
-    trace = np.trace(x, axis1=-2, axis2=-1)
-    return (trace[..., None, None] * np.eye(d) + x.swapaxes(-1, -2)) / (d + 1)
+    out = np.trace(x, axis1=-2, axis2=-1)[..., None, None] * np.eye(d)
+    out += x.swapaxes(-1, -2)
+    out /= d + 1  # in place: one array of the input's size
+    return out
 
 
 def choi_of_channel(apply: Channel, d: int) -> np.ndarray:
@@ -381,7 +383,9 @@ def verify_decomposition(
     apply_ok = True
     for batch in _blocks(trials, 16 * d * d):  # one complex (d, d) input per trial
         xs = np.array([random_hermitian(d, seed + t) for t in range(batch.start, batch.stop)])
-        devs = np.max(np.abs(apply_decomposition(dec, xs) - wh_plus_apply(xs, d)), axis=(1, 2))
+        gap = apply_decomposition(dec, xs)
+        gap -= wh_plus_apply(xs, d)
+        devs = np.max(np.abs(gap), axis=(1, 2))
         # a NaN deviation fails and stays NaN in the report: max() and > would both drop it
         apply_dev_max = float(np.maximum(apply_dev_max, np.max(devs)))
         apply_ok = apply_ok and bool(np.all(devs <= tol.eps * np.max(np.abs(xs), axis=(1, 2))))
