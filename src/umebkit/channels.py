@@ -31,11 +31,15 @@ shift-covariant kernel K with d^3 entries: out[i, i + D] =
 sum_{e,f} K[D, e, f] X[i + e, i + f], indices mod d.  The structure is the
 family's shift count, given when it was built.  In the input's diagonals
 X[a, a + g] that sum is a cyclic correlation over the row i, so K is kept
-transformed over the row index: built from the bases once per
-decomposition, in O(T d^3 + d^4) (T = n/d orbits) and at most two d^3
-arrays, it turns each input into a DFT of its diagonals, d products of
-d x d matrices and an inverse DFT, O(d^3), against O(n d^3) member by
-member.  Every DFT is a product with the d x d DFT matrix.  Any other
+transformed over the row index.  It is built once per decomposition from
+the entries of the bases' union support alone, at most s a row (s = 2 for
+the paper's unitaries): one (s d x T)(T x s d) product of those entries
+(T = n/d orbits), its terms summed by their place in K, and one product
+with the d x d DFT matrix per block of K, O(T s^2 d^2 + d^4) with one
+budgeted block and the terms beside the kernel.  It turns each input
+into a DFT of its diagonals, d products of d x d matrices and an inverse
+DFT, O(d^3), against O(n d^3) member by member.  Every DFT is a product
+with the d x d DFT matrix.  Any other
 mixture is applied member by member, in blocks of bases whose shifts are
 gathered one block at a time, as are the rows of the d-row blocks of (a):
 no check keeps the family's dense view.  Either way check (b) reads only
@@ -56,7 +60,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotCertified, NotSquare, OutOfRange, ShapeMismatch
-from .matcore import DEFAULT_TOL, Tolerance, _blocks, orbit_stack
+from .matcore import DEFAULT_TOL, Tolerance, _blocks, orbit_stack, union_support
 from .umeb import UnitaryFamily, _span
 
 Channel = Callable[[np.ndarray], np.ndarray]
@@ -110,19 +114,24 @@ class MixedUnitaryDecomposition:
         and a = i - x, the mixture is out[i, i + D] =
         sum_{e,f} K[D, e, f] X[i + e, i + f] with
         K[D, e, f] = sum_t w_t sum_a U_t[a, a + e] conj(U_t[a + D, a + f]).
-        In the diagonals diag[t, a, e] = U_t[a, a + e] that is
-        K[D, e, f] = C[D, e, f - D], C[D, e, g] = sum_t w_t sum_a
-        diag[t, a, e] conj(diag[t, a + D, g]), a cyclic correlation over a: C
-        is the DFT over k of M[k, e, g] = sum_t w_t F[t, k, e] conj(F[t, k, g]),
-        divided by d, with F the DFT of diag over a.  In the input's
-        diagonals X[a, a + g] the mixture is a cyclic correlation over the
-        row i with L[D, e, g] = K[D, e, e + g] = C[D, e, e + g - D], so the
+        In the input's diagonals X[a, a + g] the mixture is a cyclic
+        correlation over the row i with L[D, e, g] = K[D, e, e + g], so the
         kernel is L transformed over e, lhat[k, D, g] = sum_e zeta^(k e)
-        L[D, e, g] with zeta = exp(2 pi i / d) (see _apply_by_kernel).  Each
-        DFT is one product with the d x d DFT matrix, so lhat costs
-        O(T d^3 + d^4) in gemms.  At most two d^3 arrays are alive: L is
-        gathered from C one e at a time into M's buffer, and lhat is written
-        into C's.  lhat reads only the bases and the weights.
+        L[D, e, g] with zeta = exp(2 pi i / d) (see _apply_by_kernel).
+        Only the bases' union support (matcore.union_support) adds to K.
+        Row a holds at most s supported offsets; offs[a] lists them first,
+        padded with unsupported ones, whose entries are 0.  For entries
+        (a, a + e) and (a2, a2 + e2), the product sum_t w_t U_t[a, a + e]
+        conj(U_t[a2, a2 + e2]) is one term of L at D = a2 - a, e and
+        g = D + e2 - e.  All (s d)^2 terms are one (s d x T)(T x s d)
+        product.  Each block of D sums its terms into their slots of an
+        (e, D, g) buffer, one np.bincount, and transforms the buffer by one
+        product with the DFT matrix, written into lhat.  The paper's
+        unitaries have s = 2 (the diagonal and each row's partner in its
+        pair {q, kq}), so the build costs O(T d^2 + d^4) and holds, beyond
+        lhat, one block of matcore's budget and O(d^2) terms; dense bases
+        make s = d, O(T d^4) and d^4 terms.  lhat reads only the bases and
+        the weights.
         """
         uf = self.unitaries
         d = uf.d
@@ -130,18 +139,37 @@ class MixedUnitaryDecomposition:
         if uf.shifts != d or orbit_w is None:
             return None
         coords, plus, dft = _cyclic(d)
-        f = (dft @ uf.bases[:, coords[:, None], plus]).transpose(1, 0, 2)  # f[k, t, e] = F[t, k, e]
-        fbar = f.conj()
-        f *= orbit_w[:, None]
-        m = f.transpose(0, 2, 1) @ fbar
-        del f, fbar
-        c = (dft @ m.reshape(d, d * d)).reshape(d, d, d)
-        c /= d
-        lrows = m  # lrows[e, D, g] = L[D, e, g] = c[D, e, e + g - D]
-        skew = (coords - coords[:, None]) % d  # skew[D, g] = g - D
-        for e in range(d):
-            lrows[e] = c[coords[:, None], e, (skew + e) % d]
-        lhat = np.matmul(dft.conj(), lrows.reshape(d, d * d), out=c.reshape(d, d * d)).reshape(d, d, d)
+        on = union_support(uf.bases)[coords[:, None], plus]  # on[a, e]: entry (a, a + e) is in the support
+        count = on.sum(axis=1)
+        s = int(count.max())
+        # each row's supported offsets first, padded with unsupported ones, whose entries are 0:
+        # place[a, e] is the place of offset e in row a
+        place = np.where(on, np.cumsum(on, axis=1), count[:, None] + np.cumsum(~on, axis=1)) - 1
+        offs = np.empty((d, d), dtype=int)
+        offs[coords[:, None], place] = coords
+        offs = offs[:, :s]
+        values = uf.bases[:, coords[:, None], (coords[:, None] + offs) % d].transpose(0, 2, 1)  # [t, i, a]
+        values = values.reshape(len(values), s * d)
+        terms = ((orbit_w[:, None] * values).T @ values.conj()).reshape(s, d, s, d)  # [i, a, j, a2]
+        partner = plus.T  # partner[D, a] = a + D, the row a2 of a term at D
+        terms = terms[:, coords, :, partner]  # [D, a, i, j]
+        big_d = coords[:, None, None, None]
+        e = offs[:, :, None]  # e[a, i, 0] = offs[a, i]
+        g = (big_d + offs[partner][:, :, None, :] - e) % d
+        # each term goes to the slot (e, D, g) of its block's buffer; its real and imaginary
+        # parts go to the two halves of that complex slot
+        keys = 2 * (big_d * d + g)[..., None] + np.arange(2)
+        del values, g
+        zeta = np.conj(dft, out=dft)  # zeta[k, e] = exp(2 pi i k e / d)
+        lhat = np.empty((d, d, d), dtype=complex)
+        rows = lhat.reshape(d, d * d)  # rows[k, D * d + g]
+        for block in _blocks(d, d * d * 16):
+            n = block.stop - block.start
+            block_keys = keys[block]
+            block_keys += 2 * (e[..., None] * n * d - block.start * d)  # in place: each block reads its keys once
+            buf = np.bincount(block_keys.ravel(), terms[block].view(float).ravel(), 2 * d * n * d).view(complex)
+            np.matmul(zeta, buf.reshape(d, n * d), out=rows[:, block.start * d : block.stop * d])
+            del buf  # freed before the next block's buffer is made
         lhat.flags.writeable = False
         return lhat
 

@@ -159,7 +159,7 @@ def cmd_generate(args) -> int:
     _emit(
         args,
         _family_report_lines(family, report),
-        {"d": family.d, "r": family.r, "count": len(family), "passed": report.passed},
+        _stamp({"d": family.d, "r": family.r, "count": len(family), "passed": report.passed}, args.no_timestamp),
     )
     return 0 if report.passed else 2
 

@@ -1,8 +1,8 @@
-"""Dense complex matrix core: whole cyclic-shift orbits of base matrices, trace
-inner products and Gram rows, the one pass that every check reads off those
-rows, the Gram spectrum from its shift blocks and its numerical rank, the
-budgeted deviation pass over a stack, symmetric/antisymmetric splits,
-column-stacking vectorization, unitarity tests.
+"""Dense complex matrix core: whole cyclic-shift orbits of base matrices, the
+bases' union support, trace inner products and Gram rows, the one pass that
+every check reads off those rows, the Gram spectrum from its shift blocks
+and its numerical rank, the budgeted deviation pass over a stack,
+symmetric/antisymmetric splits, column-stacking vectorization, unitarity tests.
 
 Vectorization convention, fixed once for the whole package: vec(U) stacks the
 columns of U, so vec(U)[j*d + i] = U[i, j] and the normalized image of a
@@ -82,6 +82,16 @@ def orbit_stack(bases: np.ndarray, shifts: int) -> np.ndarray:
     return stack
 
 
+def union_support(bases: np.ndarray) -> np.ndarray:
+    """The (d, d) mask of the entries where some base of the (T, d, d) stack is not exactly 0.
+
+    A NaN or inf is not 0, so it stays in the support, and a sum over the
+    support meets it.  A sum of products that each have a factor
+    bases[t][i, j] loses no term by skipping the entries outside it.
+    """
+    return np.any(bases != 0, axis=0)
+
+
 def gram_matrix(bases: list[np.ndarray] | np.ndarray, shifts: int = 1) -> np.ndarray:
     """Row t of the Hermitian Gram G_ij = tr(m_i* m_j) of the members m = orbit_stack(bases, shifts), one per base.
 
@@ -91,16 +101,14 @@ def gram_matrix(bases: list[np.ndarray] | np.ndarray, shifts: int = 1) -> np.nda
     and its T rows fix every entry.  Real input gives a real Gram.  shifts =
     1 is the whole Gram: one symmetric rank-k update for real input, blocks
     of rows for complex input, each counting its conjugated members and its
-    rows against _BLOCK_BYTES.  For shifts = d the sum runs over the union
-    support S of the bases, the flat entries (i, j) where some base is not
-    exactly 0 (a NaN or inf is not 0, so it stays in the sum): a dropped
-    term conj(bases[t][i, j]) * bases[t'][i - x, j - x] has a factor 0 for
-    every t.  Each shift x <= d/2 is one product conj(bases[:, S]) @
-    bases[:, S - (x, x)]^T, of a shape that no budget changes; the block of
-    shift -x is the conjugate transpose of the block of shift x.  The
-    paper's bases have 2(d - 1) nonzero entries (2d - 1 for the unitaries),
-    so a shift costs O(T^2 d) in place of O(T^2 d^2); dense bases make S
-    every entry.
+    rows against _BLOCK_BYTES.  For shifts = d the sum runs over
+    union_support(bases), S: a dropped term conj(bases[t][i, j]) *
+    bases[t'][i - x, j - x] has a factor 0 for every t.  Each shift x <= d/2
+    is one product conj(bases[:, S]) @ bases[:, S - (x, x)]^T, of a shape
+    that no budget changes; the block of shift -x is the conjugate
+    transpose of the block of shift x.  The paper's bases have 2(d - 1)
+    nonzero entries (2d - 1 for the unitaries), so a shift costs O(T^2 d) in
+    place of O(T^2 d^2); dense bases make S every entry.
     """
     stack = np.asarray(bases)
     if stack.ndim < 2:
@@ -115,7 +123,7 @@ def gram_matrix(bases: list[np.ndarray] | np.ndarray, shifts: int = 1) -> np.nda
             np.matmul(flat[rows].conj(), flat.T, out=gram[rows])
         return gram
     d = stack.shape[-1]
-    support = np.flatnonzero(np.any(flat != 0, axis=0))
+    support = np.flatnonzero(union_support(stack))
     i, j = np.divmod(support, d)
     lhs = flat[:, support].conj()
     gram = np.empty((m, m, shifts), dtype=flat.dtype)

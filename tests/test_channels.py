@@ -549,15 +549,63 @@ def test_orbit_kernel_build_holds_at_most_two_cubes():
     kernel = []
     peak = _traced_peak(lambda: kernel.append(dec._orbit_kernel))
     assert kernel[0].shape == (d, d, d)
-    # beyond the kernel: one more d^3 array (M's buffer, reused for L) and the DFTs of the
-    # bases' diagonals, T d^2 entries each; a third d^3 array, such as a wrapped copy of C,
-    # would not fit (at p=31, T d^2 is about d^3 / 2)
+    # beyond the kernel the build holds one block buffer of at most d^3 entries and the terms
+    # of the bases' union support, a few arrays of (2d)^2 entries; T d^2 entries more are
+    # allowed, but a third d^3 array would not fit (at p=31, T d^2 is about d^3 / 2)
     assert peak - kernel[0].nbytes <= (d**3 + orbits * d * d) * 16
 
 
-@pytest.mark.parametrize("p", [7, 23])
-def test_orbit_kernel_is_the_row_transform_of_the_member_sum(p):
-    uf = _residue_unitaries(p)
+def test_orbit_kernel_build_holds_one_block_beyond_its_terms(monkeypatch):
+    d = 31
+    uf = _residue_unitaries(d)
+    w = (float(uniform_weight(d)),) * len(uf)
+    expected = MixedUnitaryDecomposition(w, uf)._orbit_kernel
+    on = matcore.union_support(uf.bases)
+    assert on.sum() == 2 * d - 1 and on.sum(axis=1).max() == 2  # the diagonal and each row's partner
+    terms = (2 * d) ** 2  # s = 2 entries a row, every pair of them
+    monkeypatch.setattr(matcore, "_BLOCK_BYTES", d * d * 16)  # one D per block: 31 blocks
+    dec = MixedUnitaryDecomposition(w, uf)
+    kernel = []
+    peak = _traced_peak(lambda: kernel.append(dec._orbit_kernel))
+    assert np.max(np.abs(kernel[0] - expected)) <= 1e-13
+    # beyond the kernel: one block's buffer, and the terms with the DFT matrix and the gathered
+    # entries, less than four complex arrays of `terms` entries.  The d^3 buffer of one
+    # block for all D (476 KiB) or a T d^2 gather of the bases (246 KiB) would not fit
+    assert peak - kernel[0].nbytes <= matcore._BLOCK_BYTES + 4 * terms * 16
+
+
+def _random_bases(d, orbits, seed):
+    """Random complex d x d bases, not unitaries; whole orbits of their shifts make a family's members."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(orbits, d, d)) + 1j * rng.normal(size=(orbits, d, d))
+
+
+def _unequal_row_support():
+    """d=7: row a supports offset 0 and its min(a, 3) largest offsets, 1 to 4 entries a row, so
+    the short rows are padded; base 0 leaves row 3 empty, so the union is wider than one base."""
+    d = 7
+    a = np.arange(d)
+    in_row = (a == 0) | (a >= d - np.minimum(a, 3)[:, None])  # in_row[a, e]
+    support = np.zeros((d, d), dtype=bool)
+    support[a[:, None], (a[:, None] + a) % d] = in_row
+    bases = _random_bases(d, 3, seed=61) * support
+    bases[0, 3] = 0
+    return UnitaryFamily(d, 1.0, bases, shifts=d)
+
+
+KERNEL_CASES = {
+    7: lambda: _residue_unitaries(7),
+    23: lambda: _residue_unitaries(23),
+    47: lambda: _residue_unitaries(47),
+    "dense": lambda: UnitaryFamily(5, 1.0, _random_bases(5, 3, seed=59), shifts=5),  # every entry: s = d
+    "unequal-row-support": _unequal_row_support,
+}
+
+
+@pytest.mark.parametrize("case", list(KERNEL_CASES))
+def test_orbit_kernel_is_the_row_transform_of_the_member_sum(case):
+    uf = KERNEL_CASES[case]()
+    p = uf.d
     w = np.full(len(uf), float(uniform_weight(p)))
     w[:p] *= 1.5  # orbit 0 weighs more: the kernel holds one weight per orbit
     dec = MixedUnitaryDecomposition(weights=tuple(w), unitaries=uf)

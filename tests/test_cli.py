@@ -153,15 +153,23 @@ def test_demo_icosahedron(capsys):
     assert "FAIL" not in text
 
 
-def test_demo_icosahedron_json_is_stamped_unless_asked_not_to(capsys):
-    assert run(["demo-icosahedron", "--format", "json"]) == 0
+def assert_json_is_stamped_unless_asked_not_to(argv, capsys):
+    assert run(argv + ["--format", "json"]) == 0
     assert "generated_at" in json.loads(capsys.readouterr().out)
     outputs = []
     for _ in range(2):
-        assert run(["demo-icosahedron", "--format", "json", "--no-timestamp"]) == 0
+        assert run(argv + ["--format", "json", "--no-timestamp"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     assert "generated_at" not in json.loads(outputs[0])
+
+
+def test_demo_icosahedron_json_is_stamped_unless_asked_not_to(capsys):
+    assert_json_is_stamped_unless_asked_not_to(["demo-icosahedron"], capsys)
+
+
+def test_generate_json_is_stamped_unless_asked_not_to(capsys):
+    assert_json_is_stamped_unless_asked_not_to(["generate", "--p", "7"], capsys)
 
 
 def test_k_override_pipeline():

@@ -23,6 +23,7 @@ from umebkit.matcore import (
     stack_from_json,
     stack_to_json,
     sym_antisym_split,
+    union_support,
 )
 from umebkit.numth import validate_prime
 from umebkit.packing import build_residue_family, dual_family, icosahedron_lines
@@ -174,6 +175,17 @@ def test_gram_row_stats_carry_a_nan():
     assert np.isnan(stats.sq_off[1]).all() and np.isnan(stats.sq_off[:, 1]).all()
     assert np.isfinite(stats.sq_off[[0, 0, 2, 2], [0, 2, 0, 2]]).all()
     assert math.isnan(stats.diag[1].real) and np.isfinite(stats.diag[[0, 2]]).all()
+
+
+def test_union_support_keeps_every_entry_that_is_not_exactly_zero():
+    bases = np.zeros((3, 4, 4), dtype=complex)
+    bases[0, 1, 2] = 1e-300
+    bases[0, 2, 2] = -0.0  # equal to 0
+    bases[1, 2, 1] = 1j
+    bases[1, 3, 0] = np.nan
+    bases[2, 0, 3] = np.inf
+    bases[2, 1, 2] = 5.0  # also in base 0: counted once
+    assert np.flatnonzero(union_support(bases)).tolist() == [3, 6, 9, 12]  # i*4 + j
 
 
 def test_spectral_rank_counts_above_the_relative_threshold():
