@@ -21,9 +21,10 @@ Otherwise it sums the squared distance over the d-row blocks
 (w o F[:, rows])^T @ conj(F), F the rows vec(U_j), subtracting the target
 in place at its identity and SWAP entries; C_mix is Hermitian, so each
 block starts at the diagonal block and the blocks right of it count twice,
-and no d^2 x d^2 matrix is formed.  (b) The random-input check
-applies the mixture to the seeded inputs, a batch per call, through
-apply_decomposition, and compares the batch with wh_plus_apply of the batch,
+and no d^2 x d^2 matrix is formed.  (b) The random-input check draws
+each batch of seeded inputs into one buffer, bit for bit those of
+random_hermitian, applies the mixture to the batch in one
+apply_decomposition call, and compares it with wh_plus_apply of the batch,
 one stack at a time.  When the
 members come in Z_d orbits of shifts with equal weights, as the paper's
 UMEB does (member t*d + x is base t shifted by x), the mixture is one
@@ -36,10 +37,11 @@ the entries of the bases' union support alone, at most s a row (s = 2 for
 the paper's unitaries): one (s d x T)(T x s d) product of those entries
 (T = n/d orbits), its terms summed by their place in K, and one product
 with the d x d DFT matrix per block of K, O(T s^2 d^2 + d^4) with one
-budgeted block and the terms beside the kernel.  It turns each input
-into a DFT of its diagonals, d products of d x d matrices and an inverse
-DFT, O(d^3), against O(n d^3) member by member.  Every DFT is a product
-with the d x d DFT matrix.  Any other
+budgeted block and the terms beside the kernel.  It turns each block of
+inputs into a DFT of their diagonals, one product with the d x d DFT
+matrix, d products of d x d matrices and an inverse DFT, O(d^3) per input,
+against O(n d^3) member by member; the DFT tables are the ones the kernel
+build made.  Every DFT is a product with the d x d DFT matrix.  Any other
 mixture is applied member by member, in blocks of bases whose shifts are
 gathered one block at a time, as are the rows of the d-row blocks of (a):
 no check keeps the family's dense view.  Either way check (b) reads only
@@ -60,7 +62,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotCertified, NotSquare, OutOfRange, ShapeMismatch
-from .matcore import DEFAULT_TOL, Tolerance, _blocks, orbit_stack, union_support
+from .matcore import DEFAULT_TOL, Tolerance, _blocks, orbit_stack, support_columns
 from .umeb import UnitaryFamily, _span
 
 Channel = Callable[[np.ndarray], np.ndarray]
@@ -82,8 +84,8 @@ class MixedUnitaryDecomposition:
     """Convex mixture sum_j weights[j] U_j X U_j* over a unitary family.
 
     The weights are kept as a tuple and the family's stack is read-only, so
-    whether the weights are equal within each orbit and the orbit kernel are
-    computed once, on first use, and kept on the object.
+    whether the weights are equal within each orbit, the orbit kernel and
+    its DFT tables are computed once, on first use, and kept on the object.
     """
 
     weights: tuple[float, ...]
@@ -105,6 +107,14 @@ class MixedUnitaryDecomposition:
         return orbit_w if np.all(w.reshape(len(orbit_w), -1) == orbit_w[:, None]) else None
 
     @cached_property
+    def _dft(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """_cyclic(d) of the family, read-only: the tables that the kernel build and every apply through the kernel share."""
+        tables = _cyclic(self.unitaries.d)
+        for table in tables:
+            table.flags.writeable = False
+        return tables
+
+    @cached_property
     def _orbit_kernel(self) -> np.ndarray | None:
         """The read-only orbit kernel transformed over the row index, lhat[k, D, g]; None without orbit structure.
 
@@ -118,9 +128,10 @@ class MixedUnitaryDecomposition:
         correlation over the row i with L[D, e, g] = K[D, e, e + g], so the
         kernel is L transformed over e, lhat[k, D, g] = sum_e zeta^(k e)
         L[D, e, g] with zeta = exp(2 pi i / d) (see _apply_by_kernel).
-        Only the bases' union support (matcore.union_support) adds to K.
-        Row a holds at most s supported offsets; offs[a] lists them first,
-        padded with unsupported ones, whose entries are 0.  For entries
+        Only the bases' union support, uf.support, adds to K.  Row a holds
+        at most s supported offsets; offs[a] lists them first, padded with
+        unsupported ones, whose entries are 0 (matcore.support_columns of
+        the support read by offset).  For entries
         (a, a + e) and (a2, a2 + e2), the product sum_t w_t U_t[a, a + e]
         conj(U_t[a2, a2 + e2]) is one term of L at D = a2 - a, e and
         g = D + e2 - e.  All (s d)^2 terms are one (s d x T)(T x s d)
@@ -138,16 +149,9 @@ class MixedUnitaryDecomposition:
         orbit_w = self._orbit_weights
         if uf.shifts != d or orbit_w is None:
             return None
-        coords, plus, dft = _cyclic(d)
-        on = union_support(uf.bases)[coords[:, None], plus]  # on[a, e]: entry (a, a + e) is in the support
-        count = on.sum(axis=1)
-        s = int(count.max())
-        # each row's supported offsets first, padded with unsupported ones, whose entries are 0:
-        # place[a, e] is the place of offset e in row a
-        place = np.where(on, np.cumsum(on, axis=1), count[:, None] + np.cumsum(~on, axis=1)) - 1
-        offs = np.empty((d, d), dtype=int)
-        offs[coords[:, None], place] = coords
-        offs = offs[:, :s]
+        coords, plus, dft = self._dft
+        offs = support_columns(uf.support[coords[:, None], plus])  # row a's offsets e of supported entries (a, a + e) first
+        s = offs.shape[1]
         values = uf.bases[:, coords[:, None], (coords[:, None] + offs) % d].transpose(0, 2, 1)  # [t, i, a]
         values = values.reshape(len(values), s * d)
         terms = ((orbit_w[:, None] * values).T @ values.conj()).reshape(s, d, s, d)  # [i, a, j, a2]
@@ -160,7 +164,7 @@ class MixedUnitaryDecomposition:
         # parts go to the two halves of that complex slot
         keys = 2 * (big_d * d + g)[..., None] + np.arange(2)
         del values, g
-        zeta = np.conj(dft, out=dft)  # zeta[k, e] = exp(2 pi i k e / d)
+        zeta = dft.conj()  # zeta[k, e] = exp(2 pi i k e / d)
         lhat = np.empty((d, d, d), dtype=complex)
         rows = lhat.reshape(d, d * d)  # rows[k, D * d + g]
         for block in _blocks(d, d * d * 16):
@@ -189,13 +193,17 @@ class DecompositionReport:
 
 
 def wh_plus_apply(x: np.ndarray, d: int) -> np.ndarray:
-    """(Tr(x) I + x^T)/(d+1), for one (d, d) input or each of a (T, d, d) stack; trace preserving and unital."""
+    """(Tr(x) I + x^T)/(d+1), for one (d, d) input or each of a (T, d, d) stack; trace preserving and unital.
+
+    One array of the input's size: a copy of the transpose, the trace added
+    to its diagonal and the whole divided, in place.
+    """
     x = np.asarray(x, dtype=complex)
     if x.ndim not in (2, 3) or x.shape[-2:] != (d, d):
         raise NotSquare(f"expected a {d}x{d} matrix or a stack of them, got shape {x.shape}")
-    out = np.trace(x, axis1=-2, axis2=-1)[..., None, None] * np.eye(d)
-    out += x.swapaxes(-1, -2)
-    out /= d + 1  # in place: one array of the input's size
+    out = x.swapaxes(-1, -2).copy()
+    out.reshape(-1, d * d)[:, :: d + 1] += np.trace(x, axis1=-2, axis2=-1).reshape(-1, 1)
+    out /= d + 1
     return out
 
 
@@ -270,35 +278,37 @@ def apply_decomposition(dec: MixedUnitaryDecomposition, x: np.ndarray) -> np.nda
     if kernel is None:
         out = _apply_by_members(w, dec.unitaries, stack)
     else:
-        out = _apply_by_kernel(kernel, stack)
+        out = _apply_by_kernel(kernel, dec._dft, stack)
     return out.reshape(xs.shape)
 
 
-def _apply_by_kernel(lhat: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def _apply_by_kernel(lhat: np.ndarray, tables: tuple, xs: np.ndarray) -> np.ndarray:
     """out[s, i, i + D] = sum_{e,f} K[D, e, f] xs[s, i + e, i + f], indices mod d, through lhat.
 
-    With the inputs' diagonals Xd[s, a, g] = xs[s, a, a + g] and their DFT
-    over the row, xh[s, k, g] = sum_a dft[k, a] Xd[s, a, g], the outputs'
+    tables is the decomposition's _cyclic(d), which the kernel build made.
+    With the inputs' diagonals Xd[a, g, s] = xs[s, a, a + g] and their DFT
+    over the row, xh[k, g, s] = sum_a dft[k, a] Xd[a, g, s], the outputs'
     diagonals out[s, i, i + D] have the DFT over i
-    oh[k, D, s] = sum_g lhat[k, D, g] xh[s, k, g]: one product with the DFT
-    matrix, d products (d x d)(d x inputs) and one product with its inverse,
-    O(d^3) per input.  The inputs go in blocks, gathered and scattered
-    through one flat index of d^2 entries; at any time a block holds at
-    most two arrays of d^2 entries per input, which take at most matcore's
-    block budget, however large d grows (at least one input per block).
+    oh[k, D, s] = sum_g lhat[k, D, g] xh[k, g, s]: one (d x d)(d x d n)
+    product with the DFT matrix for a block of n inputs, d products
+    (d x d)(d x n) and one product with its inverse, O(d^3) per input.  The
+    inputs go in blocks, gathered and scattered through one flat index of
+    d^2 entries; at any time a block holds at most two arrays of d^2
+    entries per input, which take at most matcore's block budget, however
+    large d grows (at least one input per block).
     """
     t, d = len(xs), xs.shape[-1]
-    coords, plus, dft = _cyclic(d)
+    coords, plus, dft = tables
     idft = dft.conj() / d
     diagonals = coords[:, None] * d + plus  # diagonals[a, g]: the flat index of entry (a, a + g)
     flat_in = xs.reshape(t, d * d)
     flat_out = np.empty_like(flat_in)
     for inputs in _blocks(t, 2 * d * d * xs.itemsize):
         n = inputs.stop - inputs.start
-        xh = dft @ flat_in[inputs, diagonals]  # xh[s, k, g]
-        oh = lhat @ xh.transpose(1, 2, 0)  # oh[k, D, s]
+        xh = (dft @ flat_in[inputs].T[diagonals].reshape(d, d * n)).reshape(d, d, n)  # xh[k, g, s]
+        oh = lhat @ xh  # oh[k, D, s]
         del xh
-        flat_out[inputs, diagonals] = (idft @ oh.reshape(d, d * n)).reshape(d, d, n).transpose(2, 0, 1)
+        flat_out[inputs].T[diagonals] = (idft @ oh.reshape(d, d * n)).reshape(d, d, n)
     return flat_out.reshape(xs.shape)
 
 
@@ -331,6 +341,26 @@ def random_hermitian(d: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     g = rng.random((d, d)) + 1j * rng.random((d, d))
     return (g + g.conj().T) / 2
+
+
+def _random_hermitians(d: int, seeds: range) -> np.ndarray:
+    """random_hermitian(d, s) for every seed s, bit for bit, as one (len(seeds), d, d) stack.
+
+    Each seed's generator makes its two draws into the real and imaginary
+    parts of one reused d x d matrix G, and G* + G goes straight into the
+    seed's slot of the stack, which is halved at the end: one stack and one
+    d x d matrix, each step on arrays that stay in cache.
+    """
+    xs = np.empty((len(seeds), d, d), dtype=complex)
+    g = np.empty((d, d), dtype=complex)
+    for x, seed in zip(xs, seeds):
+        rng = np.random.default_rng(seed)
+        g.real = rng.random((d, d))
+        g.imag = rng.random((d, d))
+        np.conjugate(g.T, out=x)
+        x += g
+    xs /= 2
+    return xs
 
 
 def _choi_dev_from_gram(w: np.ndarray, uf: UnitaryFamily) -> float:
@@ -410,7 +440,7 @@ def verify_decomposition(
     apply_dev_max = 0.0
     apply_ok = True
     for batch in _blocks(trials, 16 * d * d):  # one complex (d, d) input per trial
-        xs = np.array([random_hermitian(d, seed + t) for t in range(batch.start, batch.stop)])
+        xs = _random_hermitians(d, range(seed + batch.start, seed + batch.stop))
         gap = apply_decomposition(dec, xs)
         gap -= wh_plus_apply(xs, d)
         devs = np.max(np.abs(gap), axis=(1, 2))

@@ -42,14 +42,19 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def input_hash(obj) -> str:
-    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+def text_hash(text: str) -> str:
+    """sha256 of the UTF-8 bytes of text, such as the canonical_json of a certificate's input."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def write_json(path: str, obj) -> None:
-    """Write exactly canonical_json(obj): the file's bytes are what input_hash hashes."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(obj))
+    """Write exactly canonical_json(obj): the file's bytes are what text_hash hashes."""
+    write_text(path, canonical_json(obj))
 
 
 UNITARY_FIELDS = (("d", "source", "z"), ("bases", "d", "shifts", "z"))
@@ -107,10 +112,11 @@ def _stamp(obj: dict, no_timestamp: bool) -> dict:
     return obj
 
 
-def _certificate_json(cert, source_obj, no_timestamp: bool) -> dict:
+def _certificate_json(cert, source_text: str, no_timestamp: bool) -> dict:
+    """The certificate's fields, the tool version and input_sha256, the hash of the source's canonical JSON text."""
     obj = cert.to_json()
     obj["tool_version"] = __version__
-    obj["input_sha256"] = input_hash(source_obj)
+    obj["input_sha256"] = text_hash(source_text)
     return _stamp(obj, no_timestamp)
 
 
@@ -172,9 +178,12 @@ def cmd_umeb(args) -> int:
     uf = build_unitaries(family, z)
     cert = certify_umeb(uf, tol)
     uf_obj = unitary_family_to_json(uf)
-    cert_obj = _certificate_json(cert, uf_obj["source"], args.no_timestamp)
+    # the source is encoded once; sorted keys put it between "d" and "z", so the
+    # artifact below is canonical_json(uf_obj), byte for byte
+    source = canonical_json(uf_obj["source"])
+    cert_obj = _certificate_json(cert, source, args.no_timestamp)
     if args.out:
-        write_json(args.out, uf_obj)
+        write_text(args.out, f'{{"d":{canonical_json(uf_obj["d"])},"source":{source},"z":{canonical_json(uf_obj["z"])}}}')
     if args.cert:
         write_json(args.cert, cert_obj)
     lines = _family_report_lines(family, report)
@@ -220,7 +229,7 @@ def cmd_verify(args) -> int:
     elif "z" in obj:
         uf = unitary_family_from_json(obj, tol)
         cert = certify_umeb(uf, tol)
-        report_obj = _certificate_json(cert, obj, args.no_timestamp)
+        report_obj = _certificate_json(cert, canonical_json(obj), args.no_timestamp)
         lines = [
             f"unitary family: d={uf.d} count={len(uf)}",
             f"max unitarity deviation:     {cert.max_unitarity_dev:.3e}",

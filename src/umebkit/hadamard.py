@@ -47,10 +47,10 @@ def _legendre(a: int, q: int) -> int:
 
 
 def _jacobsthal(q: int) -> np.ndarray:
-    """q x q matrix with entry (i, j) equal to the Legendre symbol of i - j."""
-    return np.array(
-        [[_legendre(i - j, q) for j in range(q)] for i in range(q)], dtype=np.int64
-    )
+    """q x q matrix with entry (i, j) equal to the Legendre symbol of i - j: one symbol per residue, read at (i - j) mod q."""
+    symbols = np.array([_legendre(a, q) for a in range(q)], dtype=np.int64)
+    residues = np.arange(q)
+    return symbols[(residues[:, None] - residues) % q]
 
 
 def sylvester(k: int) -> HadamardMatrix:

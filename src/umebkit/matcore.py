@@ -1,8 +1,9 @@
 """Dense complex matrix core: whole cyclic-shift orbits of base matrices, the
-bases' union support, trace inner products and Gram rows, the one pass that
-every check reads off those rows, the Gram spectrum from its shift blocks
-and its numerical rank, the budgeted deviation pass over a stack,
-symmetric/antisymmetric splits, column-stacking vectorization, unitarity tests.
+bases' union support and each row's columns in it, trace inner products and
+Gram rows, the one pass that every check reads off those rows, the Gram
+spectrum from its shift blocks and its numerical rank, the budgeted product
+a* b - c of stacks summed over their supports, symmetric/antisymmetric
+splits, column-stacking vectorization, unitarity tests.
 
 Vectorization convention, fixed once for the whole package: vec(U) stacks the
 columns of U, so vec(U)[j*d + i] = U[i, j] and the normalized image of a
@@ -92,7 +93,90 @@ def union_support(bases: np.ndarray) -> np.ndarray:
     return np.any(bases != 0, axis=0)
 
 
-def gram_matrix(bases: list[np.ndarray] | np.ndarray, shifts: int = 1) -> np.ndarray:
+def support_columns(on: np.ndarray) -> np.ndarray:
+    """cols[i, :s]: the columns of row i where the (d, d) mask on is true, in order, then its other columns.
+
+    s is the largest row count, and at least 1.  A row with fewer entries
+    is padded with columns outside the mask, which read 0 in every base of
+    the mask's union support: a sum over cols[i] adds exact zeros there,
+    and a NaN or inf of another factor still meets at least one entry.
+    """
+    count = on.sum(axis=1)
+    s = max(1, int(count.max(initial=0)))
+    # place[i, j]: the place of column j in row i, counted rather than sorted: a process's first sort maps
+    # code pages that show in its peak RSS
+    place = np.where(on, np.cumsum(on, axis=1), count[:, None] + np.cumsum(~on, axis=1)) - 1
+    cols = np.empty(on.shape, dtype=np.intp)
+    coords = np.arange(on.shape[1])
+    cols[coords[:, None], place] = coords
+    return cols[:, :s]
+
+
+def _slots(reach: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, slot) of the columns reach[i] < d of each row: cols[i] the distinct ones in ascending order, padded with -1 up to the longest row; slot[i, m] the place of reach[i, m] in cols[i]."""
+    rows = np.arange(len(reach))[:, None]
+    reached = np.zeros((len(reach), d), dtype=bool)
+    reached[rows, reach] = True
+    place = np.cumsum(reached, axis=1) - 1  # place[i, j]: the place of column j in cols[i], if reached
+    cols = np.full((len(reach), int(place[:, -1].max()) + 1), -1, dtype=np.intp)
+    i, j = np.nonzero(reached)
+    cols[i, place[i, j]] = j
+    return cols, place[rows, reach]
+
+
+def support_product(a, b, c, left, right, own) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, gap): row i of a[t]* @ b[t] - c[t] at the columns cols[i], for stacks of T d x d matrices.
+
+    a* is the conjugate transpose of a.  Row i of a* is read at the columns
+    k of left[i], row k of b at right[k] and row i of c at own[i], each
+    support_columns of its stack's union support (of on.T for a* when a
+    has support on), so each row of the product is at most s_a s_b terms.
+    cols[i] lists, once each, the columns those terms and c's entries
+    reach, in ascending order, padded with -1 up to the longest row;
+    gap[t, i, r] is the entry of a[t]* @ b[t] - c[t] at column cols[i, r],
+    and 0 where cols[i, r] is -1.  Every entry outside cols is a sum of
+    terms that each have a factor 0, minus a 0.  A NaN or inf entry of a
+    or c meets at least one term, a padded one at worst, and reaches gap
+    as a NaN or inf; so does one of b in a row that a* reads, which holds
+    for every entry of b when b is a or c.
+
+    The bases go in blocks of _BLOCK_BYTES, each holding its terms, their
+    keys and its sums: each block sums its terms into their entries with
+    one np.bincount and subtracts c's entries from theirs.  The paper's
+    bases have s = 2 entries a row (the diagonal and each row's partner in
+    its pair {q, kq}), so a base costs O(d), against the O(d^3) of its
+    dense product; dense bases make s = d and O(d^3) terms.  Real stacks
+    give a real gap.
+    """
+    t, d = len(b), b.shape[-1]
+    rows = np.arange(d)[:, None]
+    reached = right[left].reshape(d, -1)  # the column of each product term of row i
+    cols, slot = _slots(np.concatenate((reached, own), axis=1), d)
+    width = cols.shape[1]
+    dtype = np.result_type(a, b, c)
+    parts = 2 if dtype.kind == "c" else 1  # a complex term adds its real and imaginary parts to two halves of its slot
+    products = left.shape[1] * right.shape[1]
+    entries = np.repeat(left, right.shape[1], axis=1) * d + reached  # b's flat entry of each product term of row i
+    keys = parts * (rows * width + slot[:, :products])[..., None] + np.arange(parts)  # keys[i, term, part] in one base
+    size = d * products * (dtype.itemsize + 8 * parts) + d * width * dtype.itemsize  # one base's terms, keys and sums
+    step = next(_blocks(t, size)).stop
+    keys = (keys + parts * d * width * np.arange(step)[:, None, None, None]).ravel()  # every block's first bases
+    gap = np.empty((t, d, width), dtype=dtype)
+    for block in _blocks(t, size):
+        n = block.stop - block.start
+        values = np.take(b[block].reshape(n, d * d), entries, axis=1).astype(dtype, copy=False)
+        values.shape = (n, d, left.shape[1], right.shape[1])  # b[t, k, right[k, :]], k = left[i, m]
+        sums = gap[block]
+        with np.errstate(invalid="ignore", over="ignore"):  # an inf times a 0 is a NaN deviation, not a warning
+            values *= np.conj(a[block][:, left, rows])[..., None]  # conj(a[t, k, i])
+            sums.reshape(-1).view(float)[:] = np.bincount(
+                keys[: n * d * products * parts], values.ravel().view(float), parts * n * d * width
+            )
+            sums[:, rows, slot[:, products:]] -= c[block][:, rows, own]
+    return cols, gap
+
+
+def gram_matrix(bases: list[np.ndarray] | np.ndarray, shifts: int, support: np.ndarray) -> np.ndarray:
     """Row t of the Hermitian Gram G_ij = tr(m_i* m_j) of the members m = orbit_stack(bases, shifts), one per base.
 
     Column t'*shifts + x of row t is tr(bases[t]* m), m base t' shifted by
@@ -101,14 +185,15 @@ def gram_matrix(bases: list[np.ndarray] | np.ndarray, shifts: int = 1) -> np.nda
     and its T rows fix every entry.  Real input gives a real Gram.  shifts =
     1 is the whole Gram: one symmetric rank-k update for real input, blocks
     of rows for complex input, each counting its conjugated members and its
-    rows against _BLOCK_BYTES.  For shifts = d the sum runs over
-    union_support(bases), S: a dropped term conj(bases[t][i, j]) *
-    bases[t'][i - x, j - x] has a factor 0 for every t.  Each shift x <= d/2
-    is one product conj(bases[:, S]) @ bases[:, S - (x, x)]^T, of a shape
-    that no budget changes; the block of shift -x is the conjugate
-    transpose of the block of shift x.  The paper's bases have 2(d - 1)
-    nonzero entries (2d - 1 for the unitaries), so a shift costs O(T^2 d) in
-    place of O(T^2 d^2); dense bases make S every entry.
+    rows against _BLOCK_BYTES; it reads every entry.  For shifts = d the sum
+    runs over support, union_support(bases), S: a dropped term
+    conj(bases[t][i, j]) * bases[t'][i - x, j - x] has a factor 0 for every
+    t.  Each shift x <= d/2 is one product
+    conj(bases[:, S]) @ bases[:, S - (x, x)]^T, of a shape that no budget
+    changes; the block of shift -x is the conjugate transpose of the block
+    of shift x.  The paper's bases have 2(d - 1) nonzero entries (2d - 1
+    for the unitaries), so a shift costs O(T^2 d) in place of O(T^2 d^2);
+    dense bases make S every entry.
     """
     stack = np.asarray(bases)
     if stack.ndim < 2:
@@ -123,7 +208,7 @@ def gram_matrix(bases: list[np.ndarray] | np.ndarray, shifts: int = 1) -> np.nda
             np.matmul(flat[rows].conj(), flat.T, out=gram[rows])
         return gram
     d = stack.shape[-1]
-    support = np.flatnonzero(union_support(stack))
+    support = np.flatnonzero(support)
     i, j = np.divmod(support, d)
     lhs = flat[:, support].conj()
     gram = np.empty((m, m, shifts), dtype=flat.dtype)
@@ -224,23 +309,8 @@ def numerical_rank(mats: list[np.ndarray] | np.ndarray, tol: Tolerance = DEFAULT
     shapes = {np.asarray(m).shape for m in mats}
     if len(shapes) > 1:
         raise ShapeMismatch(f"mixed shapes {sorted(shapes)}")
-    return spectral_rank(gram_spectrum(gram_matrix(mats), 1), tol)[0]
-
-
-def block_deviation(stack: np.ndarray, dev) -> tuple[float, float]:
-    """(max, sum of squares) of |dev(block)| over blocks of stack, each at most _BLOCK_BYTES of items, and at least one.
-
-    The block maxima are combined by np.max and the sums by +, so a NaN
-    in any block reaches both.  dev returns a fresh array, which the pass
-    may overwrite: a real one becomes its own magnitude, in place.
-    """
-    worst, sq = [], 0.0
-    for items in _blocks(len(stack), stack[0].nbytes):
-        gap = dev(stack[items])
-        gap = np.abs(gap, out=gap if gap.dtype.kind == "f" else None)
-        worst.append(np.max(gap))
-        sq += float(np.vdot(gap, gap))
-    return float(np.max(worst)), sq
+    stack = np.asarray(mats)
+    return spectral_rank(gram_spectrum(gram_matrix(stack, 1, union_support(stack)), 1), tol)[0]
 
 
 def sym_antisym_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

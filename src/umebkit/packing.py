@@ -4,7 +4,8 @@ Two sources: the quadratic-residue/Hadamard construction that yields
 p(p+1)/2 rank-(p-1)/2 real projections in dimension p (for p = 3 or
 p = 7 mod 8), and the six icosahedron diagonals as rank-one projections in
 dimension 3.  Also the duality map Q_i = I - P_i and the closed-form common
-angles.
+angles.  verify_equiangular reads each family's pairwise traces off its Gram
+rows and its idempotency off products summed over the bases' union support.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .hadamard import HadamardMatrix
 from .matcore import (
     DEFAULT_TOL,
     Tolerance,
-    block_deviation,
     gram_matrix,
     gram_row_stats,
     json_int,
@@ -37,6 +37,9 @@ from .matcore import (
     read_only_stack,
     stack_from_json,
     stack_to_json,
+    support_columns,
+    support_product,
+    union_support,
 )
 from .numth import UmebPrime
 
@@ -50,7 +53,9 @@ class ProjectionFamily:
     read-only (T, d, d) array that the family owns: a sequence or a writable
     array given to the constructor is copied into it.  beta is the exact
     rational target of tr(P_i P_j) for i != j; scale is the off-support
-    coefficient (1 + sqrt(p+2))/sqrt(p+1) when applicable.
+    coefficient (1 + sqrt(p+2))/sqrt(p+1) when applicable.  Because no
+    caller can write to the bases through the family, its union support
+    and its dense members are computed once, on first use, and kept.
     """
 
     d: int
@@ -72,6 +77,13 @@ class ProjectionFamily:
     def projections(self) -> np.ndarray:
         """Every member as one read-only (n, d, d) array, gathered from the bases on first use."""
         return orbit_stack(self.bases, self.shifts)
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        """union_support(bases), read-only: the one mask that the Gram rows and the idempotency check read."""
+        on = union_support(self.bases)
+        on.flags.writeable = False
+        return on
 
 
 @dataclass(frozen=True)
@@ -183,26 +195,26 @@ def verify_equiangular(
 ) -> EquiangularReport:
     """Check pairwise traces, idempotency and trace-rank of every member.
 
-    The pairwise traces come from the Gram rows gram_matrix(bases, shifts),
-    which hold every entry: max_angle_dev is the largest off-diagonal
-    magnitude of the rows minus beta (matcore.gram_row_stats).  A shift
-    permutes entries, so idempotency and traces are checked on the bases
-    alone; idempotency as chunk @ chunk - chunk in one block_deviation
-    pass, which keeps a NaN.
+    The pairwise traces come from the Gram rows
+    gram_matrix(bases, shifts, support), which hold every entry:
+    max_angle_dev is the largest off-diagonal magnitude of the rows minus
+    beta (matcore.gram_row_stats).  A shift permutes entries, so
+    idempotency and traces are checked on the bases alone; idempotency as
+    the largest entry of |P P - P|, summed over the family's support
+    (matcore.support_product, which keeps a NaN): the paper's projections
+    have at most two entries a row, so a base costs O(d), not O(d^3).
     """
     bases = family.bases
+    on = family.support
     n = len(family)
     beta = float(family.beta)
-    angle_devs = gram_matrix(bases, family.shifts).real
+    angle_devs = gram_matrix(bases, family.shifts, on).real
     angle_devs -= beta
     max_angle_dev = gram_row_stats(angle_devs, family.shifts).max_off
-
-    def idempotency_gap(chunk):
-        gap = chunk @ chunk
-        gap -= chunk  # in place, as block_deviation takes the magnitude: one array per block
-        return gap
-
-    max_idem_dev = block_deviation(bases, idempotency_gap)[0]
+    # P P = (P*)* P: for real P, P* is a transposed view, no copy; P's rows read the same columns in all three
+    columns = support_columns(on)
+    gap = support_product(bases.conj().transpose(0, 2, 1), bases, bases, columns, columns, columns)[1]
+    max_idem_dev = float(np.max(np.abs(gap)))
     traces = np.einsum("nii->n", bases)
     max_rank_dev = float(np.max(np.abs(traces - family.r)))
     passed = (

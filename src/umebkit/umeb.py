@@ -6,7 +6,9 @@ U_i = I - (1 - z) P_i, and certify the resulting family: trace
 orthogonality, span of the symmetric matrices, orthogonality of the
 antisymmetric complement and odd dimension.  The certificate is the
 machine-checkable record that the vectorized family is an unextendible
-maximally entangled basis.
+maximally entangled basis.  A family computes its bases' union support once,
+and its Gram rows, its unitarity check and its asymmetry all read that one
+mask, as does the orbit kernel of channels.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import Infeasible, OutOfRange, RankOutOfRange
-from .matcore import DEFAULT_TOL, GramRowStats, Tolerance, block_deviation, gram_matrix, gram_row_stats
-from .matcore import gram_spectrum, orbit_stack, read_only_stack, spectral_rank
+from .matcore import DEFAULT_TOL, GramRowStats, Tolerance, _blocks, gram_matrix, gram_row_stats, gram_spectrum
+from .matcore import orbit_stack, read_only_stack, spectral_rank, support_columns, support_product, union_support
 from .packing import ProjectionFamily
 
 
@@ -41,9 +43,9 @@ class UnitaryFamily:
 
     Members, shifts and bases are as in ProjectionFamily; the bases are
     complex.  Because no caller can write to them through the family, its
-    trace Gram rows, what the checks read off them, its symmetry deviations
-    and its dense members are computed once, on first use, and kept on the
-    object.
+    union support, trace Gram rows, what the checks read off them, its
+    symmetry deviations and its dense members are computed once, on first
+    use, and kept on the object.
     """
 
     d: int
@@ -66,14 +68,21 @@ class UnitaryFamily:
         return orbit_stack(self.bases, self.shifts)
 
     @cached_property
+    def support(self) -> np.ndarray:
+        """union_support(bases), read-only: the one mask that the Gram rows, the unitarity check, the asymmetry and the orbit kernel read."""
+        on = union_support(self.bases)
+        on.flags.writeable = False
+        return on
+
+    @cached_property
     def gram_rows(self) -> np.ndarray:
-        """gram_matrix(bases, shifts), read-only: row t of G_ij = tr(U_i* U_j) per base, shape (n / shifts, n).
+        """gram_matrix(bases, shifts, support), read-only: row t of G_ij = tr(U_i* U_j) per base, shape (n / shifts, n).
 
         For whole orbits these (n/d) rows fix the block-circulant Gram,
         G[t*d + x, t'*d + x'] = gram_rows[t, t'*d + (x' - x) mod d]; for
         shifts = 1 they are the whole n x n Gram.
         """
-        rows = gram_matrix(self.bases, self.shifts)
+        rows = gram_matrix(self.bases, self.shifts, self.support)
         rows.flags.writeable = False
         return rows
 
@@ -87,9 +96,19 @@ class UnitaryFamily:
 
     @cached_property
     def asymmetry(self) -> tuple[float, float]:
-        """(max |U - U^T|, sum |U - U^T|^2) over all members, from the bases in one block_deviation pass: a shift permutes entries."""
-        worst, sq = block_deviation(self.bases, lambda chunk: chunk - chunk.transpose(0, 2, 1))
-        return worst, self.shifts * sq
+        """(max |U - U^T|, sum |U - U^T|^2) over all members, read off the bases: a shift permutes entries.
+
+        U - U^T is 0 outside S | S^T, S the support, so the bases are read
+        at those entries alone, in blocks of _BLOCK_BYTES.  The block maxima
+        are combined by np.max and the sums by +, so a NaN reaches both.
+        """
+        i, j = np.nonzero(self.support | self.support.T)
+        worst, sq = [], 0.0
+        for block in _blocks(len(self.bases), 2 * len(i) * self.bases.itemsize):
+            gap = np.abs(self.bases[block, i, j] - self.bases[block, j, i])
+            worst.append(np.max(gap, initial=0.0))
+            sq += float(np.vdot(gap, gap))
+        return float(np.max(worst)), self.shifts * sq
 
 
 @dataclass(frozen=True)
@@ -206,8 +225,11 @@ def _span(uf: UnitaryFamily, tol: Tolerance) -> _Span:
 def certify_umeb(uf: UnitaryFamily, tol: Tolerance = DEFAULT_TOL) -> UmebCertificate:
     """Fill every certificate field; failures are verdicts, not errors.
 
-    Unitarity and symmetry are checked on the bases, in block_deviation
-    passes: a shift permutes entries.  The orthogonality deviation and
+    Unitarity and symmetry are checked on the bases: a shift permutes
+    entries.  Unitarity is the largest entry of |U* U - I|, summed over the
+    family's support (matcore.support_product): the paper's unitaries have
+    at most two entries a row, so a base costs O(d), not O(d^3).  The
+    orthogonality deviation and
     cj_orthonormality_dev are read off uf.gram_stats, the family's one pass
     over its Gram rows; the span rank comes from _span, which reads the
     same pass: the Gershgorin discs when they prove full rank, else the
@@ -216,14 +238,10 @@ def certify_umeb(uf: UnitaryFamily, tol: Tolerance = DEFAULT_TOL) -> UmebCertifi
     d = uf.d
     n = len(uf)
 
-    eye = np.eye(d)
-
-    def unitarity_gap(chunk):
-        gap = chunk.conj().transpose(0, 2, 1) @ chunk
-        gap -= eye  # in place: no second complex array per block
-        return gap
-
-    max_unitarity_dev = block_deviation(uf.bases, unitarity_gap)[0]
+    eye = np.broadcast_to(np.eye(d), uf.bases.shape)
+    columns = support_columns(uf.support.T), support_columns(uf.support), np.arange(d)[:, None]  # U*, U, I
+    gap = support_product(uf.bases, uf.bases, eye, *columns)[1]
+    max_unitarity_dev = float(np.max(np.abs(gap)))
     span = _span(uf, tol)
     stats = uf.gram_stats
 

@@ -294,6 +294,30 @@ def test_verify_decomposition_checks_the_last_batch_of_trials(monkeypatch):
     assert rep.apply_dev_max == pytest.approx(devs[seed + batch], rel=1e-9)
 
 
+@pytest.mark.parametrize("budget", ["one-batch", "three-a-batch"])
+@pytest.mark.parametrize("d", [3, 7, 47])  # 3: the icosahedron, applied member by member
+def test_check_b_inputs_are_the_seeded_random_hermitians(d, budget, monkeypatch):
+    dec = umeb_decomposition(_unitaries(d))
+    if budget == "three-a-batch":
+        monkeypatch.setattr(matcore, "_BLOCK_BYTES", 3 * 16 * d * d)  # three complex d x d inputs
+    batches = []
+    apply = channels.apply_decomposition
+    monkeypatch.setattr(channels, "apply_decomposition", lambda dec, xs: batches.append(xs.copy()) or apply(dec, xs))
+    assert verify_decomposition(dec, trials=8, seed=31).verdict
+    assert [len(xs) for xs in batches] == ([8] if budget == "one-batch" else [3, 3, 2])
+    for t, x in enumerate(np.concatenate(batches)):
+        assert x.tobytes() == random_hermitian(d, 31 + t).tobytes()
+
+
+def test_wh_plus_apply_is_the_formula_bit_for_bit():
+    xs = np.array([random_hermitian(5, seed=120 + t) for t in range(3)])
+    xs[1] = xs[1] @ xs[2]  # one input that is not Hermitian
+    out = wh_plus_apply(xs, 5)
+    for x, y in zip(xs, out):
+        direct = (np.trace(x) * np.eye(5) + x.T) / 6
+        assert y.tobytes() == direct.tobytes() == wh_plus_apply(x, 5).tobytes()
+
+
 def _residue_unitaries(p):
     fam = build_residue_family(validate_prime(p), construct((p + 1) // 2))
     return build_unitaries(fam, compute_phase(p, (p - 1) // 2))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from umebkit import umeb
-from umebkit.cli import main, unitary_family_from_json, unitary_family_to_json, write_json
+from umebkit.cli import canonical_json, main, unitary_family_from_json, unitary_family_to_json, write_json
 from umebkit.hadamard import construct, hadamard_from_json
 from umebkit.matcore import Tolerance, stack_to_json
 from umebkit.numth import validate_prime
@@ -255,6 +255,17 @@ def test_a_tampered_p79_artifact_ends_in_a_verdict_from_the_shift_blocks(tmp_pat
     assert "unextendible: FAIL" in capsys.readouterr().out
     assert calls == [(79, 40, 40)]
     assert passes == [(40, 3160)]  # the unitary family's Gram rows, read in one pass
+
+
+@pytest.mark.parametrize("p", [7, 31])
+def test_the_umeb_artifact_is_the_canonical_json_of_the_family(p, tmp_path):
+    out, cert = tmp_path / "umeb.json", tmp_path / "cert.json"
+    assert run(["umeb", "--p", str(p), "--out", str(out), "--cert", str(cert), "--no-timestamp"]) == 0
+    fam = build_residue_family(validate_prime(p), construct((p + 1) // 2))
+    uf_obj = unitary_family_to_json(build_unitaries(fam, compute_phase(p, fam.r)))
+    assert out.read_bytes() == canonical_json(uf_obj).encode("utf-8")
+    source = canonical_json(uf_obj["source"]).encode("utf-8")
+    assert json.loads(cert.read_text())["input_sha256"] == hashlib.sha256(source).hexdigest()
 
 
 def test_eps_flag_tightens_verdict(tmp_path):

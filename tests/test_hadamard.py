@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from umebkit import hadamard
 from umebkit.errors import BadResidueClass, NotPrime, UnsupportedOrder
 from umebkit.hadamard import (
     HadamardMatrix,
@@ -12,6 +13,7 @@ from umebkit.hadamard import (
     paley_two,
     sylvester,
 )
+from umebkit.numth import is_prime
 
 # the order-4 matrix [[1,1],[1,-1]] tensored with itself
 H4 = np.array(
@@ -141,3 +143,33 @@ def test_direct_construction_rejects_bad_matrix():
         HadamardMatrix(order=2, entries=np.array([[1, 1], [1, 1]]))
     with pytest.raises(UnsupportedOrder):
         HadamardMatrix(order=2, entries=np.array([[1, 0], [0, 1]]))
+
+
+def _double_loop_jacobsthal(q):
+    """The Jacobsthal matrix as defined: one Legendre symbol of i - j per entry."""
+    return np.array([[hadamard._legendre(i - j, q) for j in range(q)] for i in range(q)], dtype=np.int64)
+
+
+def test_jacobsthal_is_the_double_loop_for_every_prime_below_400():
+    for q in filter(is_prime, range(2, 400)):
+        table = hadamard._jacobsthal(q)
+        assert table.dtype == np.int64 and np.array_equal(table, _double_loop_jacobsthal(q)), q
+
+
+def _entries_or_none(n):
+    try:
+        return construct(n).entries
+    except UnsupportedOrder:
+        return None
+
+
+def test_construct_is_unchanged_for_every_order_of_a_supported_prime(monkeypatch):
+    # p = 3 or p = 7 (mod 8) needs order (p + 1)/2; 103, 199 and 311 have no construction
+    orders = sorted({(p + 1) // 2 for p in filter(is_prime, range(3, 312)) if p == 3 or p % 8 == 7})
+    built = {n: _entries_or_none(n) for n in orders}
+    monkeypatch.setattr(hadamard, "_jacobsthal", _double_loop_jacobsthal)
+    for n in orders:
+        expected = _entries_or_none(n)
+        assert (built[n] is None) == (expected is None), n
+        assert built[n] is None or np.array_equal(built[n], expected), n
+    assert [n for n in orders if built[n] is None] == [52, 100, 156]

@@ -22,6 +22,8 @@ from umebkit.matcore import (
     spectral_rank,
     stack_from_json,
     stack_to_json,
+    support_columns,
+    support_product,
     sym_antisym_split,
     union_support,
 )
@@ -30,6 +32,12 @@ from umebkit.packing import build_residue_family, dual_family, icosahedron_lines
 from umebkit.umeb import build_unitaries, compute_phase
 
 EPS = 1e-9
+
+
+def gram_of(bases, shifts=1):
+    """gram_matrix of a stack read on its own union support."""
+    bases = np.asarray(bases)
+    return gram_matrix(bases, shifts, union_support(bases))
 
 
 def p7_family():
@@ -121,13 +129,13 @@ def test_gram_spectrum_is_the_spectrum_of_the_whole_gram(name, monkeypatch):
     build, shifts = SPECTRUM_CASES[name]
     bases = build()
     d = bases.shape[-1]
-    rows = gram_matrix(bases, shifts)
+    rows = gram_of(bases, shifts)
     eigvalsh = np.linalg.eigvalsh
     calls = []
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
     spectrum = gram_spectrum(rows, shifts)
     monkeypatch.undo()
-    expected = np.linalg.eigvalsh(gram_matrix(orbit_stack(bases, shifts)))
+    expected = np.linalg.eigvalsh(gram_of(orbit_stack(bases, shifts)))
     assert spectrum.shape == expected.shape == (len(bases) * shifts,)
     assert np.max(np.abs(spectrum - expected)) <= 1e-12 * d * d
     # one batched eigensolve on the shift blocks; for shifts = 1 its one block is a view of the rows
@@ -153,9 +161,9 @@ def test_gram_row_stats_match_the_whole_gram(name, budget, monkeypatch):
     bases = build()
     if budget == "one-row":
         monkeypatch.setattr(matcore, "_BLOCK_BYTES", 1)
-    stats = gram_row_stats(gram_matrix(bases, shifts), shifts)
+    stats = gram_row_stats(gram_of(bases, shifts), shifts)
     # the oracle reads every row of the whole Gram: a shifted member's row is its base's row permuted
-    gram = gram_matrix(orbit_stack(bases, shifts))
+    gram = gram_of(orbit_stack(bases, shifts))
     t, n = len(bases), len(gram)
     off = np.abs(gram)
     off[np.arange(n), np.arange(n)] = 0.0
@@ -169,12 +177,120 @@ def test_gram_row_stats_match_the_whole_gram(name, budget, monkeypatch):
 def test_gram_row_stats_carry_a_nan():
     bases = _random_bases(5, 51)
     bases[1, 2, 3] = np.nan
-    stats = gram_row_stats(gram_matrix(bases, 5), 5)
+    stats = gram_row_stats(gram_of(bases, 5), 5)
     # the NaN meets every base shifted: every row has it in the columns of orbit 1
     assert np.isnan(stats.radii).all() and math.isnan(stats.max_off)
     assert np.isnan(stats.sq_off[1]).all() and np.isnan(stats.sq_off[:, 1]).all()
     assert np.isfinite(stats.sq_off[[0, 0, 2, 2], [0, 2, 0, 2]]).all()
     assert math.isnan(stats.diag[1].real) and np.isfinite(stats.diag[[0, 2]]).all()
+
+
+def test_support_columns_put_each_rows_entries_first():
+    on = np.zeros((4, 4), dtype=bool)
+    on[0, [1, 3]] = True
+    on[2, 2] = True
+    on[3] = True
+    assert support_columns(on).tolist() == [[1, 3, 0, 2], [0, 1, 2, 3], [2, 0, 1, 3], [0, 1, 2, 3]]
+    on[3, 1:] = False  # the longest row holds two entries: two columns a row
+    assert support_columns(on).tolist() == [[1, 3], [0, 1], [2, 0], [0, 1]]
+    assert support_columns(np.zeros((3, 3), dtype=bool)).tolist() == [[0], [0], [0]]  # at least one column
+
+
+def _unequal_rows():
+    """d=7: rows of 1 to 4 entries, so the short rows are padded; base 0 leaves row 3 empty,
+    so the union is wider than any single base."""
+    d = 7
+    a = np.arange(d)
+    support = (a == a[:, None]) | (a >= d - np.minimum(a, 3)[:, None])
+    bases = _random_bases(d, 60) * support
+    bases[0, 3] = 0
+    return bases
+
+
+def _tampered_p79(kind):
+    """The p=79 bases with base 0 replaced by base 0 + 2 base 1, as a tampered artifact holds them."""
+    fam = build_residue_family(validate_prime(79), construct(40))
+    bases = np.array(fam.bases)
+    bases[0] += 2 * bases[1]
+    if kind == "U":
+        return bases * (compute_phase(79, 39) - 1) + np.eye(79)
+    return bases
+
+
+PRODUCT_CASES = {
+    "dense-real": lambda: np.random.default_rng(62).standard_normal((4, 6, 6)),
+    "dense-complex": lambda: _random_bases(5, 63),
+    "unequal-rows": _unequal_rows,
+    "zero-base": lambda: _random_bases(5, 64, zero=True),
+    "icosahedron": lambda: icosahedron_lines().bases,
+    **{f"{kind}-p23": (lambda kind=kind: _residue_bases(23, kind)) for kind in ("P", "U")},
+    **{f"tampered-{kind}-p79": (lambda kind=kind: _tampered_p79(kind)) for kind in ("P", "U")},
+}
+
+
+def assert_is_the_dense_gap(cols, gap, dense):
+    """gap holds every entry of dense that a term reaches, at cols, and dense is exactly 0 elsewhere."""
+    t, d = dense.shape[:2]
+    assert cols.shape == gap.shape[1:] and gap.shape[0] == t and gap.dtype == dense.dtype
+    listed = cols >= 0
+    assert np.all(gap[:, ~listed] == 0)
+    i, j = np.nonzero(listed)[0], cols[listed]
+    scale = max(1.0, float(np.max(np.abs(dense))))
+    assert np.max(np.abs(gap[:, listed] - dense[:, i, j])) <= 1e-13 * d * scale
+    elsewhere = np.ones((d, d), dtype=bool)
+    elsewhere[i, j] = False
+    assert np.all(dense[:, elsewhere] == 0)
+
+
+@pytest.mark.parametrize("name", PRODUCT_CASES)
+def test_support_product_is_the_dense_product(name):
+    bases = PRODUCT_CASES[name]()
+    d = bases.shape[-1]
+    rows, columns = support_columns(union_support(bases)), support_columns(union_support(bases).T)
+    eye = np.eye(d)
+    # idempotency: (p*)* p - p with p* a view of the conjugate transpose
+    cols, gap = support_product(bases.conj().transpose(0, 2, 1), bases, bases, rows, rows, rows)
+    assert_is_the_dense_gap(cols, gap, bases @ bases - bases)
+    # unitarity: u* u - I
+    cols, gap = support_product(bases, bases, np.broadcast_to(eye, bases.shape), columns, rows, support_columns(eye != 0))
+    assert_is_the_dense_gap(cols, gap, bases.conj().transpose(0, 2, 1) @ bases - eye)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+@pytest.mark.parametrize("at", [(0, 0, 0), (2, 3, 5), (3, 6, 6), (1, 0, 4)])  # on and off the support
+@pytest.mark.parametrize("kind", ["P", "U"])
+def test_support_product_carries_a_non_finite_entry(kind, at, value):
+    bases = np.array(_residue_bases(7, kind))
+    bases[at] = value
+    rows, columns = support_columns(union_support(bases)), support_columns(union_support(bases).T)
+    eye = np.eye(7)
+    idempotency = support_product(bases.conj().transpose(0, 2, 1), bases, bases, rows, rows, rows)[1]
+    unitarity = support_product(bases, bases, np.broadcast_to(eye, bases.shape), columns, rows, np.arange(7)[:, None])[1]
+    for gap in (idempotency, unitarity):
+        assert not np.isfinite(np.max(np.abs(gap)))
+        assert not np.isfinite(gap[at[0]]).all() and np.isfinite(np.delete(gap, at[0], axis=0)).all()
+
+
+def test_support_product_stays_inside_the_byte_budget(monkeypatch):
+    # dense complex bases, s = d = 12: a base's terms, keys and sums take 56 KiB,
+    # so a budget of 120 KiB holds two bases and the twelve bases go in six blocks
+    bases = np.random.default_rng(65).standard_normal((12, 12, 12)) + 0j
+    rows, columns = support_columns(union_support(bases)), support_columns(union_support(bases).T)
+    expected = support_product(bases, bases, bases, columns, rows, rows)
+    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 120 << 10)
+    terms = 12**3  # a base's products
+    assert len(list(matcore._blocks(12, terms * (16 + 2 * 8) + 12 * 12 * 16))) == 6
+    tracemalloc.start()
+    try:
+        cols, gap = support_product(bases, bases, bases, columns, rows, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(cols, expected[0]) and np.max(np.abs(gap - expected[1])) <= 1e-13
+    # beyond the result: one budget, and the keys of one block with the index arrays of
+    # every row's terms, four integer arrays of a base's terms
+    keys = 2 * 2 * terms * 8
+    assert peak - gap.nbytes - cols.nbytes <= matcore._BLOCK_BYTES + keys + 4 * terms * 8
 
 
 def test_union_support_keeps_every_entry_that_is_not_exactly_zero():
@@ -290,7 +406,7 @@ def test_is_unitary_not_square():
 def test_gram_matrix_is_hermitian():
     rng = np.random.default_rng(13)
     mats = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(4)]
-    g = gram_matrix(mats)
+    g = gram_of(mats)
     assert np.max(np.abs(g - g.conj().T)) < EPS
 
 
@@ -302,7 +418,7 @@ def test_gram_matrix_row_blocks_match_one_product(monkeypatch):
     assert [rows.stop - rows.start for rows in matcore._blocks(10, 10 * 16)] == [3, 3, 3, 1]
     for stack in (complex_stack, real_stack):
         flat = stack.reshape(10, 16)
-        g = gram_matrix(stack)
+        g = gram_of(stack)
         assert g.dtype == stack.dtype
         assert np.max(np.abs(g - flat.conj() @ flat.T)) < 1e-12
 
@@ -316,8 +432,8 @@ def test_gram_rows_of_shifted_bases_are_rows_of_the_whole_gram(dtype):
     members = orbit_stack(bases, 5)
     assert members.shape == (15, 5, 5) and not members.flags.writeable
     assert orbit_stack(bases, 1) is bases
-    rows = gram_matrix(bases, 5)
-    whole = gram_matrix(members)
+    rows = gram_of(bases, 5)
+    whole = gram_of(members)
     assert rows.shape == (3, 15) and rows.dtype == dtype
     assert np.max(np.abs(rows - whole[::5])) < 1e-12
 
@@ -336,7 +452,7 @@ def rolled_rows(bases):
 
 
 def assert_rows_match_the_rolled_rows(bases):
-    rows = gram_matrix(bases, bases.shape[-1])
+    rows = gram_of(bases, bases.shape[-1])
     reference = rolled_rows(bases)
     assert rows.shape == reference.shape and rows.dtype == reference.dtype
     # each entry sums at most d^2 products, so a change of order moves it by at most d^2 ulps of max |B|^2
@@ -405,10 +521,11 @@ def test_gram_passes_stay_inside_the_byte_budget(shifts, monkeypatch):
     fam = build_residue_family(validate_prime(47), construct(24))
     uf = build_unitaries(fam, compute_phase(47, 23))
     bases = uf.unitaries if shifts == 1 else uf.bases
+    support = union_support(bases)
     monkeypatch.setattr(matcore, "_BLOCK_BYTES", 1 << 20)
     tracemalloc.start()
     try:
-        rows = gram_matrix(bases, shifts)
+        rows = gram_matrix(bases, shifts, support)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -10,7 +10,7 @@ from umebkit import matcore, umeb
 from umebkit.cli import unitary_family_from_json, unitary_family_to_json
 from umebkit.errors import Infeasible, RankOutOfRange, ShapeMismatch
 from umebkit.hadamard import construct
-from umebkit.matcore import Tolerance, gram_matrix, numerical_rank
+from umebkit.matcore import Tolerance, gram_matrix, numerical_rank, union_support
 from umebkit.numth import validate_prime
 from umebkit.packing import (
     ProjectionFamily,
@@ -307,7 +307,7 @@ def spectral_fields(uf, tol=Tolerance()):
     certify_umeb did before the disc bound: from every Gram eigenvalue."""
     stack = np.asarray(uf.unitaries)
     anti = np.abs(stack - stack.transpose(0, 2, 1))
-    eigs = np.linalg.eigvalsh(gram_matrix(stack))
+    eigs = np.linalg.eigvalsh(gram_matrix(stack, 1, union_support(stack)))
     rank = numerical_rank(uf.unitaries, tol)
     lam = eigs[-rank] if rank else 0.0
     return {
@@ -411,7 +411,7 @@ def test_gram_is_cached_and_is_the_gram_of_the_stack():
     rows = uf.gram_rows
     assert rows is uf.gram_rows
     assert uf.shifts == 23 and rows.shape == (12, len(uf))
-    dense = gram_matrix(uf.unitaries)
+    dense = gram_matrix(uf.unitaries, 1, union_support(uf.unitaries))
     assert np.max(np.abs(rows - dense[::23])) <= 1e-13 * 23
     # the orbit rows fix every entry: G[t*d + x, t'*d + x'] = rows[t, t'*d + (x' - x) mod d]
     t, x = np.divmod(np.arange(len(uf)), 23)
