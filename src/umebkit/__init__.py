@@ -14,9 +14,6 @@ from .channels import (
     DecompositionReport,
     MixedUnitaryDecomposition,
     apply_decomposition,
-    choi_of_channel,
-    choi_rank,
-    swap_matrix,
     umeb_decomposition,
     uniform_weight,
     verify_decomposition,
@@ -24,24 +21,15 @@ from .channels import (
 )
 from .errors import UmebkitError
 from .hadamard import HadamardMatrix, construct, kronecker, paley_one, paley_two, sylvester
-from .matcore import (
-    Tolerance,
-    cj_vectorize,
-    frobenius_inner,
-    is_unitary,
-    numerical_rank,
-    sym_antisym_split,
-)
+from .matcore import Tolerance
 from .numth import UmebPrime, is_quadratic_residue, validate_prime
 from .packing import (
     EquiangularReport,
     ProjectionFamily,
-    beta_lines,
     beta_projections,
     build_residue_family,
     dual_family,
     icosahedron_lines,
-    identity_coefficient,
     verify_equiangular,
 )
 from .umeb import (
@@ -50,10 +38,8 @@ from .umeb import (
     UnitaryFamily,
     build_unitaries,
     certify_umeb,
-    cj_states,
     compute_phase,
     feasibility,
-    line_feasibility_sweep,
 )
 
 __all__ = [
@@ -69,32 +55,20 @@ __all__ = [
     "UmebkitError",
     "UnitaryFamily",
     "apply_decomposition",
-    "beta_lines",
     "beta_projections",
     "build_residue_family",
     "build_unitaries",
     "certify_umeb",
-    "choi_of_channel",
-    "choi_rank",
-    "cj_states",
-    "cj_vectorize",
     "compute_phase",
     "construct",
     "dual_family",
     "feasibility",
-    "frobenius_inner",
     "icosahedron_lines",
-    "identity_coefficient",
     "is_quadratic_residue",
-    "is_unitary",
     "kronecker",
-    "line_feasibility_sweep",
-    "numerical_rank",
     "paley_one",
     "paley_two",
-    "swap_matrix",
     "sylvester",
-    "sym_antisym_split",
     "umeb_decomposition",
     "uniform_weight",
     "validate_prime",

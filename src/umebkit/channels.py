@@ -1,10 +1,11 @@
-"""The symmetric transpose-plus-trace channel X -> (Tr(X) I + X^T)/(d+1),
-its Choi matrix, and the check that a certified unitary family realizes it
-as a uniform mixture of d(d+1)/2 conjugations.
+"""The symmetric transpose-plus-trace channel X -> (Tr(X) I + X^T)/(d+1) and
+the check that a certified unitary family realizes it as a uniform mixture
+of d(d+1)/2 conjugations.
 
-Choi convention matches matcore's column-stacking vec: the Choi matrix of
-X -> U X U* is vec(U) vec(U)* (unnormalized), i.e. block (j, k) of the Choi
-matrix is the channel applied to E_jk.
+Choi convention: vec(U) stacks the columns of U, vec(U)[j*d + i] = U[i, j],
+and the Choi matrix of X -> U X U* is vec(U) vec(U)* (unnormalized), i.e.
+block (j, k) of the Choi matrix is the channel applied to E_jk; the target
+channel's is (I + SWAP)/(d+1).
 
 verify_decomposition makes two checks.
 (a) The Choi check measures |C_mix - (I + SWAP)/(d+1)|_F.  When every
@@ -54,7 +55,6 @@ matcore's one byte budget.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -64,8 +64,6 @@ import numpy as np
 from .errors import NotCertified, NotSquare, OutOfRange, ShapeMismatch
 from .matcore import DEFAULT_TOL, Tolerance, _blocks, orbit_stack, support_columns
 from .umeb import UnitaryFamily, _span
-
-Channel = Callable[[np.ndarray], np.ndarray]
 
 
 def _cyclic(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -205,26 +203,6 @@ def wh_plus_apply(x: np.ndarray, d: int) -> np.ndarray:
     out.reshape(-1, d * d)[:, :: d + 1] += np.trace(x, axis1=-2, axis2=-1).reshape(-1, 1)
     out /= d + 1
     return out
-
-
-def choi_of_channel(apply: Channel, d: int) -> np.ndarray:
-    """Assemble the d^2 x d^2 Choi matrix block by block from apply(E_jk)."""
-    choi = np.zeros((d * d, d * d), dtype=complex)
-    for j in range(d):
-        for k in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[j, k] = 1.0
-            choi[j * d : (j + 1) * d, k * d : (k + 1) * d] = apply(e)
-    return choi
-
-
-def swap_matrix(d: int) -> np.ndarray:
-    """Tensor flip on C^d x C^d under the package vec convention."""
-    s = np.zeros((d * d, d * d))
-    for a in range(d):
-        for b in range(d):
-            s[b * d + a, a * d + b] = 1.0
-    return s
 
 
 def uniform_weight(d: int) -> Fraction:
@@ -456,12 +434,3 @@ def verify_decomposition(
         seed=seed,
         verdict=verdict,
     )
-
-
-def choi_rank(apply: Channel, d: int, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Numerical rank of the Choi matrix via Hermitian eigenvalues."""
-    eigs = np.linalg.eigvalsh(choi_of_channel(apply, d))
-    top = float(np.max(np.abs(eigs)))
-    if top <= 0:
-        return 0
-    return int(np.sum(np.abs(eigs) > tol.rank_eps * top))

@@ -72,9 +72,11 @@ def unitary_family_to_json(uf: UnitaryFamily) -> dict:
 
 
 def unitary_family_from_json(obj: dict, tol: Tolerance = DEFAULT_TOL) -> UnitaryFamily:
-    """Inverse of unitary_family_to_json; MalformedArtifact, ShapeMismatch or OutOfRange on bad input.
+    """Inverse of unitary_family_to_json; MalformedArtifact, ShapeMismatch, OutOfRange or RankOutOfRange on bad input.
 
     A source is rebuilt by build_unitaries, as when written, so the unitaries are bit-identical.
+    certify_umeb never reads the source's rank r, so every source base's trace must lie within
+    eps * d of r.
     Without a source, U_i = I - (1 - z)P_i has trace d - r(1 - z) for a rank-r projection P_i,
     so every (d - tr U_i)/(1 - z), read off the bases, must lie within eps * d of one integer r
     with 1 <= r < d.  The fields must be exactly one of UNITARY_FIELDS.
@@ -103,6 +105,8 @@ def unitary_family_from_json(obj: dict, tol: Tolerance = DEFAULT_TOL) -> Unitary
     source = family_from_json(obj["source"])
     if source.d != d:
         raise ShapeMismatch(f"source family of {source.d}x{source.d} projections for d={d}")
+    if not np.all(np.abs(np.einsum("nii->n", source.bases) - source.r) <= tol.eps * d):
+        raise MalformedArtifact(f"source rank r = {source.r} is not the trace of every base within {tol.eps * d:.1e}")
     return build_unitaries(source, z)
 
 

@@ -130,8 +130,3 @@ def construct(n: int) -> HadamardMatrix:
 
 def hadamard_to_json(h: HadamardMatrix) -> dict:
     return {"order": h.order, "rows": h.entries.tolist()}
-
-
-def hadamard_from_json(obj: dict) -> HadamardMatrix:
-    """Rebuild from {"order": n, "rows": [[+-1, ...], ...]}; re-validates."""
-    return HadamardMatrix(order=int(obj["order"]), entries=np.array(obj["rows"]))

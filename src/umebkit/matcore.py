@@ -2,12 +2,8 @@
 bases' union support and each row's columns in it, trace inner products and
 Gram rows, the one pass that every check reads off those rows, the Gram
 spectrum from its shift blocks and its numerical rank, the budgeted product
-a* b - c of stacks summed over their supports, symmetric/antisymmetric
-splits, column-stacking vectorization, unitarity tests.
-
-Vectorization convention, fixed once for the whole package: vec(U) stacks the
-columns of U, so vec(U)[j*d + i] = U[i, j] and the normalized image of a
-unitary is a unit vector in C^(d^2).
+a* b - c of stacks summed over their supports, read-only member stacks, the
+tolerances and the JSON coding of stacks.
 """
 
 from __future__ import annotations
@@ -18,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedArtifact, NotSquare, OutOfRange, ShapeMismatch
+from .errors import MalformedArtifact, OutOfRange, ShapeMismatch
 
 DEFAULT_EPS = 1e-9
 DEFAULT_RANK_EPS = 1e-7
@@ -54,15 +50,6 @@ def _blocks(n: int, item_bytes: int):
     step = max(1, _BLOCK_BYTES // max(1, item_bytes))
     for start in range(0, n, step):
         yield slice(start, min(n, start + step))
-
-
-def frobenius_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """tr(a* b) = sum of conj(a_ij) * b_ij."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"shapes {a.shape} and {b.shape} differ")
-    return complex(np.vdot(a, b))
 
 
 def orbit_stack(bases: np.ndarray, shifts: int) -> np.ndarray:
@@ -300,43 +287,6 @@ def spectral_rank(eigs: np.ndarray, tol: Tolerance) -> tuple[int, float]:
         return 0, 0.0
     rank = int(np.sum(eigs > tol.rank_eps * eigs[-1]))
     return rank, float(eigs[-rank])
-
-
-def numerical_rank(mats: list[np.ndarray] | np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Rank of the Gram matrix, counting eigenvalues above rank_eps * largest."""
-    if len(mats) == 0:
-        return 0
-    shapes = {np.asarray(m).shape for m in mats}
-    if len(shapes) > 1:
-        raise ShapeMismatch(f"mixed shapes {sorted(shapes)}")
-    stack = np.asarray(mats)
-    return spectral_rank(gram_spectrum(gram_matrix(stack, 1, union_support(stack)), 1), tol)[0]
-
-
-def sym_antisym_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """((a + a.T)/2, (a - a.T)/2); plain transpose, no conjugation."""
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotSquare(f"expected a square matrix, got shape {a.shape}")
-    return (a + a.T) / 2, (a - a.T) / 2
-
-
-def cj_vectorize(u: np.ndarray) -> np.ndarray:
-    """Column-stacking of u rescaled by 1/sqrt(d); unit vector for unitary u."""
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise NotSquare(f"expected a square matrix, got shape {u.shape}")
-    d = u.shape[0]
-    return u.flatten(order="F") / math.sqrt(d)
-
-
-def is_unitary(u: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
-    """(verdict, deviation) with deviation = max entry of |u* u - I|."""
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise NotSquare(f"expected a square matrix, got shape {u.shape}")
-    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-    return dev <= tol.eps, dev
 
 
 def json_int(value, what: str) -> int:

@@ -51,7 +51,9 @@ class ProjectionFamily:
     Member t*shifts + x is bases[t] shifted by x (matcore.orbit_stack);
     shifts is d for whole Z_d orbits and 1 otherwise.  bases is one
     read-only (T, d, d) array that the family owns: a sequence or a writable
-    array given to the constructor is copied into it.  beta is the exact
+    array given to the constructor is copied into it.  r is the common
+    rank, 1 <= r < d (RankOutOfRange otherwise), the range in which
+    beta_projections and feasibility are defined.  beta is the exact
     rational target of tr(P_i P_j) for i != j; scale is the off-support
     coefficient (1 + sqrt(p+2))/sqrt(p+1) when applicable.  Because no
     caller can write to the bases through the family, its union support
@@ -69,6 +71,8 @@ class ProjectionFamily:
         object.__setattr__(self, "bases", read_only_stack(self.bases, self.d))
         if self.shifts not in (1, self.d):
             raise OutOfRange(f"shifts must be 1 or d={self.d}, got {self.shifts}")
+        if not 1 <= self.r < self.d:
+            raise RankOutOfRange(f"need 1 <= r < d, got r={self.r}, d={self.d}")
 
     def __len__(self) -> int:
         return len(self.bases) * self.shifts
@@ -96,11 +100,6 @@ class EquiangularReport:
     max_idempotency_dev: float
     max_rank_dev: float
     passed: bool
-
-
-def beta_lines(d: int) -> float:
-    """Common angle 1/sqrt(d+2) of a maximal set of real equiangular lines."""
-    return 1.0 / math.sqrt(d + 2)
 
 
 def beta_projections(d: int, r: int) -> Fraction:
@@ -271,11 +270,6 @@ def icosahedron_lines() -> ProjectionFamily:
     )
 
 
-def identity_coefficient(d: int, r: int, beta: Fraction) -> Fraction:
-    """Exact x with x * sum(P_i) = I for a maximal family: (r^2 - d*beta)/(r(r - beta))."""
-    return (Fraction(r * r) - d * beta) / (r * (r - beta))
-
-
 FAMILY_FIELDS = ["C", "bases", "beta_den", "beta_num", "d", "r", "shifts"]  # sorted
 
 
@@ -293,10 +287,10 @@ def family_to_json(family: ProjectionFamily) -> dict:
 
 
 def family_from_json(obj: dict) -> ProjectionFamily:
-    """Inverse of family_to_json; MalformedArtifact, ShapeMismatch or OutOfRange on bad input.
+    """Inverse of family_to_json; MalformedArtifact, ShapeMismatch, OutOfRange or RankOutOfRange on bad input.
 
     The fields must be exactly FAMILY_FIELDS, which rejects the dense format
-    of earlier versions.  A family of whole orbits (shifts = d) was built by
+    of earlier versions, and beta must fit in a float.  A family of whole orbits (shifts = d) was built by
     the residue construction, so its C must be exactly off_support_scale(d).
     """
     fields = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
@@ -305,6 +299,7 @@ def family_from_json(obj: dict) -> ProjectionFamily:
     try:
         d, r = json_int(obj["d"], "d"), json_int(obj["r"], "r")
         beta = Fraction(json_int(obj["beta_num"], "beta_num"), json_int(obj["beta_den"], "beta_den"))
+        float(beta)  # the checks compare in floats: a beta too large for one is an OverflowError here
         scale = None if obj["C"] is None else json_number(obj["C"], "C")
         shifts = json_int(obj["shifts"], "shifts")
     except (TypeError, ValueError, ArithmeticError) as exc:

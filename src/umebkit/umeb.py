@@ -175,13 +175,6 @@ def build_unitaries(family: ProjectionFamily, z: complex) -> UnitaryFamily:
     return UnitaryFamily(d=family.d, z=z, bases=bases, shifts=family.shifts, source=family)
 
 
-def cj_states(uf: UnitaryFamily) -> np.ndarray:
-    """Row-stacked normalized vectorizations, one d^2 state per unitary."""
-    n, d = len(uf), uf.d
-    # vec stacks columns, so row i is U_i transposed, read in C order
-    return uf.unitaries.transpose(0, 2, 1).reshape(n, d * d) / math.sqrt(d)
-
-
 @dataclass(frozen=True, eq=False)
 class _Span:
     """The tolerance-dependent span facts of a family, read off its Gram rows."""
@@ -274,8 +267,3 @@ def certify_umeb(uf: UnitaryFamily, tol: Tolerance = DEFAULT_TOL) -> UmebCertifi
         unextendible_verdict=unextendible_verdict,
         cj_orthonormality_dev=cj_orthonormality_dev,
     )
-
-
-def line_feasibility_sweep(d_max: int) -> list[FeasibilityReport]:
-    """Rank-one feasibility for every d = 2..d_max; feasible only at d = 2, 3."""
-    return [feasibility(d, 1) for d in range(2, d_max + 1)]

@@ -13,25 +13,24 @@ import pytest
 
 from umebkit.channels import (
     MixedUnitaryDecomposition,
-    swap_matrix,
     umeb_decomposition,
     verify_decomposition,
     wh_plus_apply,
 )
-from umebkit.channels import choi_rank as channel_choi_rank
 from umebkit.cli import main
 from umebkit.hadamard import construct, paley_one, sylvester
-from umebkit.matcore import numerical_rank
 from umebkit.numth import validate_prime
 from umebkit.packing import (
     build_residue_family,
     dual_family,
     family_from_json,
     icosahedron_lines,
-    identity_coefficient,
     verify_equiangular,
 )
 from umebkit.umeb import build_unitaries, certify_umeb, compute_phase, feasibility
+
+from oracles import choi_rank as channel_choi_rank
+from oracles import identity_coefficient, numerical_rank, swap_matrix
 
 H4_REFERENCE = np.array(
     [

@@ -6,7 +6,7 @@ import pytest
 
 from umebkit import umeb
 from umebkit.cli import canonical_json, main, unitary_family_from_json, unitary_family_to_json, write_json
-from umebkit.hadamard import construct, hadamard_from_json
+from umebkit.hadamard import HadamardMatrix, construct
 from umebkit.matcore import Tolerance, stack_to_json
 from umebkit.numth import validate_prime
 from umebkit.packing import build_residue_family, family_from_json, off_support_scale, verify_equiangular
@@ -138,7 +138,8 @@ def test_negative_seed_or_trials_is_rejected(argv, capsys):
 def test_hadamard_command(tmp_path):
     out = tmp_path / "h12.json"
     assert run(["hadamard", "--order", "12", "--out", str(out)]) == 0
-    h = hadamard_from_json(json.loads(out.read_text()))
+    obj = json.loads(out.read_text())
+    h = HadamardMatrix(order=obj["order"], entries=obj["rows"])
     assert h.order == 12
 
 
@@ -234,14 +235,15 @@ def test_commands_that_check_nothing_take_no_tolerance(argv, capsys):
 
 
 def test_a_tampered_p79_artifact_ends_in_a_verdict_from_the_shift_blocks(tmp_path, monkeypatch, capsys):
-    # source base 0 replaced by base 0 + 2 base 1: the discs prove nothing, and the rank comes
-    # from one batched eigvalsh on the 79 blocks of 40 x 40, never from the 3160 x 3160 Gram
+    # source base 0 replaced by base 0 + 2 (base 1 - base 2), of the same trace r, which the loader
+    # checks: the discs prove nothing, and the rank comes from one batched eigvalsh on the 79
+    # blocks of 40 x 40, never from the 3160 x 3160 Gram
     path = tmp_path / "umeb79.json"
     assert run(["umeb", "--p", "79", "--out", str(path), "--no-timestamp"]) == 0
     obj = json.loads(path.read_text())
     stack = obj["source"]["bases"]
     bases = np.reshape(stack["re"], stack["shape"])
-    bases[0] += 2 * bases[1]
+    bases[0] += 2 * (bases[1] - bases[2])
     stack["re"] = bases.ravel().tolist()
     path.write_text(json.dumps(obj))
     capsys.readouterr()
@@ -326,6 +328,10 @@ def test_certificate_input_sha256_is_the_generated_family_digest(p7_artifacts, t
 
 DELETE = object()
 IDENTITIES = stack_to_json(np.tile(np.eye(7, dtype=complex), (28, 1, 1)))
+# hand-made d=3 families of two bases whose rank r lies outside 1 <= r < d: with beta
+# set to tr(P_i P_j), each meets the equiangular check, so only the rank rule rejects it
+ZERO_BASES = {"d": 3, "r": 0, "beta_num": 0, "beta_den": 1, "C": None, "shifts": 1, "bases": stack_to_json(np.zeros((2, 3, 3)))}
+IDENTITY_BASES = dict(ZERO_BASES, r=3, beta_num=3, bases=stack_to_json(np.tile(np.eye(3), (2, 1, 1))))
 
 
 @pytest.mark.parametrize(
@@ -369,18 +375,30 @@ IDENTITIES = stack_to_json(np.tile(np.eye(7, dtype=complex), (28, 1, 1)))
         pytest.param("unitary", ("source",), DELETE, 1, id="unitary-neither-key"),
         # the unitaries are rebuilt with this z, so a wrong phase is a failed verdict
         pytest.param("unitary", ("z",), [1.0, 0.0], 2, id="unitary-z-disagrees"),
+        # an empty path replaces the whole artifact
+        pytest.param("family", (), ZERO_BASES, 1, id="family-rank-0"),
+        pytest.param("family", (), IDENTITY_BASES, 1, id="family-rank-d"),
+        pytest.param("family", ("r",), 10**400, 1, id="family-rank-huge"),
+        pytest.param("unitary", ("source", "r"), 10**400, 1, id="unitary-source-rank-huge"),
+        pytest.param("family", ("beta_num",), 10**400, 1, id="family-beta-huge"),
+        pytest.param("unitary", ("source", "beta_num"), 10**400, 1, id="unitary-source-beta-huge"),
+        # the unitaries are rebuilt from the bases alone, so only the loader reads r (3 at p=7)
+        pytest.param("unitary", ("source", "r"), 2, 1, id="unitary-source-rank-disagrees"),
     ],
 )
 def test_verify_rejects_malformed_artifact(p7_artifacts, tmp_path, capsys, artifact, path, value, code):
-    obj = json.loads(p7_artifacts[artifact].read_text())
-    *parents, last = path
-    target = obj
-    for key in parents:
-        target = target[key]
-    if value is DELETE:
-        del target[last]
+    if path:
+        obj = json.loads(p7_artifacts[artifact].read_text())
+        *parents, last = path
+        target = obj
+        for key in parents:
+            target = target[key]
+        if value is DELETE:
+            del target[last]
+        else:
+            target[last] = value
     else:
-        target[last] = value
+        obj = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
     capsys.readouterr()
@@ -420,7 +438,7 @@ def test_bad_tolerance_is_rejected(argv, env, monkeypatch, capsys):
 
 def test_infinite_tolerance_cannot_pass_a_bad_artifact(p7_artifacts, tmp_path, capsys):
     sourced = json.loads(p7_artifacts["unitary"].read_text())
-    sourced["source"]["bases"]["re"][0] = 5.0
+    sourced["source"]["bases"]["re"][1] = 5.0  # off the diagonal: a source base's trace is checked on loading
     bare = json.loads(p7_artifacts["bare"].read_text())
     bare["bases"]["re"][0] = 5.0
     for i, obj in enumerate((sourced, bare)):

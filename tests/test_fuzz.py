@@ -9,7 +9,9 @@ some deviation well past eps at p=7.  That holds for the shift count, which
 must be 1 or d, for the off-support coefficient C, which must equal
 off_support_scale(d) when the family is whole orbits (shifts = d), and for
 the phase z of unitaries stored without their source, which must turn every
-trace into one rank.
+trace into one rank.  Setting an integer place to 10**400, past any float,
+only has to end in one line or a verdict: a beta_den that large is a valid,
+tiny beta, and the unitary check does not read a source's beta.
 """
 
 import copy
@@ -57,6 +59,7 @@ TARGETS = {
         "nan": [path for path, _ in places],
         "shift": [path for path, _ in places if "shape" in path[:-1]],
         "scale": [path for path, value in places if _is_number(value) and value != 0],
+        "big": [path for path, value in places if _is_number(value) and isinstance(value, int)],
     }
     for kind, places in PLACES.items()
 }
@@ -83,6 +86,9 @@ def mutations(draw, kind):
         new = math.nan
     elif op == "shift":
         new = old + draw(st.sampled_from((-1, 1)))
+    elif op == "big":
+        target[last] = 10**400
+        return obj, False
     else:
         new = old * (1 + draw(st.floats(1e-6, 0.5)) * draw(st.sampled_from((-1, 1))))
     target[last] = new

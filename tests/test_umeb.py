@@ -10,7 +10,7 @@ from umebkit import matcore, umeb
 from umebkit.cli import unitary_family_from_json, unitary_family_to_json
 from umebkit.errors import Infeasible, RankOutOfRange, ShapeMismatch
 from umebkit.hadamard import construct
-from umebkit.matcore import Tolerance, gram_matrix, numerical_rank, union_support
+from umebkit.matcore import Tolerance, gram_matrix, union_support
 from umebkit.numth import validate_prime
 from umebkit.packing import (
     ProjectionFamily,
@@ -23,11 +23,11 @@ from umebkit.umeb import (
     UnitaryFamily,
     build_unitaries,
     certify_umeb,
-    cj_states,
     compute_phase,
     feasibility,
-    line_feasibility_sweep,
 )
+
+from oracles import numerical_rank
 
 EPS = 1e-9
 
@@ -579,23 +579,17 @@ def test_cj_orthonormality_dev_is_the_full_max_of_g_over_d_minus_i(off_diagonal)
 
 
 def test_cj_states_p7():
-    states = cj_states(p7_unitaries())
+    uf = p7_unitaries()
+    states = uf.unitaries.transpose(0, 2, 1).reshape(28, 49) / math.sqrt(7)  # rows vec(U_i) / sqrt(d)
     assert states.shape == (28, 49)
     gram = states.conj() @ states.T
     assert np.max(np.abs(gram - np.eye(28))) < EPS
 
 
-def test_cj_states_identity():
-    uf = UnitaryFamily(d=3, z=1.0, bases=(np.eye(3, dtype=complex),), source=None)
-    states = cj_states(uf)
-    phi = np.zeros(9)
-    phi[[0, 4, 8]] = 1 / math.sqrt(3)
-    assert np.allclose(states[0], phi)
-
-
 def test_cj_states_icosahedron():
     fam = icosahedron_lines()
-    states = cj_states(build_unitaries(fam, compute_phase(3, 1)))
+    uf = build_unitaries(fam, compute_phase(3, 1))
+    states = uf.unitaries.transpose(0, 2, 1).reshape(6, 9) / math.sqrt(3)  # rows vec(U_i) / sqrt(d)
     assert states.shape == (6, 9)
     gram = states.conj() @ states.T
     assert np.max(np.abs(gram - np.eye(6))) < EPS
@@ -610,7 +604,7 @@ def test_dual_unitaries_share_phase():
 
 
 def test_line_feasibility_sweep():
-    rows = line_feasibility_sweep(10)
+    rows = [feasibility(d, 1) for d in range(2, 11)]
     assert [rep.d for rep in rows] == list(range(2, 11))
     feasible = {rep.d for rep in rows if rep.feasible}
     assert feasible == {2, 3}
