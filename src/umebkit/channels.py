@@ -38,18 +38,20 @@ the entries of the bases' union support alone, at most s a row (s = 2 for
 the paper's unitaries): one (s d x T)(T x s d) product of those entries
 (T = n/d orbits), its terms summed by their place in K, and one product
 with the d x d DFT matrix per block of K, O(T s^2 d^2 + d^4) with one
-budgeted block and the terms beside the kernel.  It turns each block of
+budgeted block and the terms beside the kernel.  It turns each batch of
 inputs into a DFT of their diagonals, one product with the d x d DFT
 matrix, d products of d x d matrices and an inverse DFT, O(d^3) per input,
-against O(n d^3) member by member; the DFT tables are the ones the kernel
-build made.  Every DFT is a product with the d x d DFT matrix.  Any other
-mixture is applied member by member, in blocks of bases whose shifts are
-gathered one block at a time, as are the rows of the d-row blocks of (a):
+against O(n d^3) member by member, and reads the kernel once per batch;
+the DFT tables are the ones the kernel build made.  Every DFT is a
+product with the d x d DFT matrix.  Any other mixture is applied member
+by member, in blocks of bases whose shifts are gathered one block at a
+time, as are the rows of the d-row blocks of (a):
 no check keeps the family's dense view.  Either way check (b) reads only
 the members and the weights, neither the Gram nor vec(U), so it stays
 independent of (a); a deviation that is not finite fails it.  Every pass
 but the d-row blocks and the d^3 kernel itself sizes its blocks from
-matcore's one byte budget.
+matcore's one byte budget; check (b)'s batches are the one place that
+sizes its inputs, one complex d x d input per trial.
 """
 
 from __future__ import annotations
@@ -243,8 +245,9 @@ def apply_decomposition(dec: MixedUnitaryDecomposition, x: np.ndarray) -> np.nda
     MixedUnitaryDecomposition._orbit_kernel), the mixture is applied through
     its d^3-entry kernel, built once per decomposition and transformed over
     the row index: a DFT of the input's diagonals, d products of d x d
-    matrices and an inverse DFT, O(d^3) per input.  Any other mixture is
-    applied member by member, O(n d^3) per input.
+    matrices and an inverse DFT, O(d^3) per input, the whole stack in one
+    pass that reads the kernel once.  Any other mixture is applied member
+    by member, O(n d^3) per input.
     """
     d = dec.unitaries.d
     xs = np.asarray(x, dtype=complex)
@@ -268,25 +271,23 @@ def _apply_by_kernel(lhat: np.ndarray, tables: tuple, xs: np.ndarray) -> np.ndar
     over the row, xh[k, g, s] = sum_a dft[k, a] Xd[a, g, s], the outputs'
     diagonals out[s, i, i + D] have the DFT over i
     oh[k, D, s] = sum_g lhat[k, D, g] xh[k, g, s]: one (d x d)(d x d n)
-    product with the DFT matrix for a block of n inputs, d products
-    (d x d)(d x n) and one product with its inverse, O(d^3) per input.  The
-    inputs go in blocks, gathered and scattered through one flat index of
-    d^2 entries; at any time a block holds at most two arrays of d^2
-    entries per input, which take at most matcore's block budget, however
-    large d grows (at least one input per block).
+    product with the DFT matrix for n inputs, d products (d x d)(d x n)
+    and one product with its inverse, O(d^3) per input.  All the inputs go
+    in one pass, gathered and scattered through one flat index of d^2
+    entries, so the d^3 kernel is read once per call; the pass holds two
+    arrays of d^2 entries per input beside the inputs and the outputs, and
+    the caller sizes the stack (verify_decomposition draws its trials in
+    batches of matcore's block budget).
     """
     t, d = len(xs), xs.shape[-1]
     coords, plus, dft = tables
     idft = dft.conj() / d
     diagonals = coords[:, None] * d + plus  # diagonals[a, g]: the flat index of entry (a, a + g)
-    flat_in = xs.reshape(t, d * d)
-    flat_out = np.empty_like(flat_in)
-    for inputs in _blocks(t, 2 * d * d * xs.itemsize):
-        n = inputs.stop - inputs.start
-        xh = (dft @ flat_in[inputs].T[diagonals].reshape(d, d * n)).reshape(d, d, n)  # xh[k, g, s]
-        oh = lhat @ xh  # oh[k, D, s]
-        del xh
-        flat_out[inputs].T[diagonals] = (idft @ oh.reshape(d, d * n)).reshape(d, d, n)
+    xh = (dft @ xs.reshape(t, d * d).T[diagonals].reshape(d, d * t)).reshape(d, d, t)  # xh[k, g, s]
+    oh = lhat @ xh  # oh[k, D, s]
+    del xh
+    flat_out = np.empty((t, d * d), dtype=xs.dtype)
+    flat_out.T[diagonals] = (idft @ oh.reshape(d, d * t)).reshape(d, d, t)
     return flat_out.reshape(xs.shape)
 
 
@@ -396,11 +397,13 @@ def verify_decomposition(
     (b) For `trials` seeded random Hermitian inputs (per-trial seed =
     seed + index), max-entry distance between the mixture output and the
     formula output, within eps * max|X|; a distance that is not finite
-    fails and is reported as it is.  Check (b) applies the mixture to a
-    batch of inputs per apply_decomposition call: through the orbit kernel
-    when the members come in Z_d orbits of shifts with equal weights, member
-    by member otherwise.  It reads neither the Gram nor vec(U), so it does
-    not share check (a)'s data or convention.
+    fails and is reported as it is.  Check (b) draws its inputs in batches,
+    as many as matcore's block budget holds at one complex d x d input
+    each, and applies the mixture to a batch per apply_decomposition call:
+    through the orbit kernel, in one pass per batch, when the members come
+    in Z_d orbits of shifts with equal weights, member by member otherwise.
+    It reads neither the Gram nor vec(U), so it does not share check (a)'s
+    data or convention.
     """
     if trials < 0:
         raise OutOfRange(f"trials must be >= 0, got {trials}")

@@ -5,8 +5,15 @@ certificate), verify (re-check an exported JSON artifact), feasibility
 (rank/dimension table), wh-check (mixed-unitary decomposition of the
 symmetric transpose channel), hadamard, demo-icosahedron.
 
+An artifact is a projection family (`generate --out`) or a unitary family
+(`umeb --out`), which is written as its projection family and its phase z:
+U_i = I - (1 - z)P_i fixes the unitaries.  `verify` re-runs on it the
+checks of the command that wrote it: the equiangular check on a family,
+and on a unitary family that check plus the certificate of the unitaries
+rebuilt from it.
+
 Exit status: 0 when every verdict passes, 2 when a verdict fails,
-1 for usage or I/O errors.
+1 for usage or I/O errors and for malformed artifacts.
 """
 
 from __future__ import annotations
@@ -18,14 +25,11 @@ import os
 import sys
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import __version__
 from .channels import umeb_decomposition, verify_decomposition
 from .errors import MalformedArtifact, OutOfRange, ShapeMismatch, UmebkitError
 from .hadamard import construct, hadamard_to_json
-from .matcore import DEFAULT_EPS, DEFAULT_RANK_EPS, DEFAULT_TOL, Tolerance, json_int, json_number
-from .matcore import stack_from_json, stack_to_json
+from .matcore import DEFAULT_EPS, DEFAULT_RANK_EPS, Tolerance, json_int, json_number
 from .numth import validate_prime
 from .packing import (
     ProjectionFamily,
@@ -35,7 +39,7 @@ from .packing import (
     icosahedron_lines,
     verify_equiangular,
 )
-from .umeb import UnitaryFamily, build_unitaries, certify_umeb, compute_phase, feasibility
+from .umeb import build_unitaries, certify_umeb, compute_phase, feasibility
 
 
 def canonical_json(obj) -> str:
@@ -57,57 +61,35 @@ def write_json(path: str, obj) -> None:
     write_text(path, canonical_json(obj))
 
 
-UNITARY_FIELDS = (("d", "source", "z"), ("bases", "d", "shifts", "z"))
+UNITARY_FIELDS = ["d", "source", "z"]  # sorted
 
 
-def unitary_family_to_json(uf: UnitaryFamily) -> dict:
-    """{"d", "z", "source": family} when the family has a source, else {"d", "z", "shifts", "bases": stack}."""
-    obj = {"d": uf.d, "z": [uf.z.real, uf.z.imag]}
-    if uf.source is None:
-        obj["shifts"] = uf.shifts
-        obj["bases"] = stack_to_json(uf.bases)
-    else:
-        obj["source"] = family_to_json(uf.source)
-    return obj
+def unitary_family_to_json(family: ProjectionFamily, z: complex) -> dict:
+    """The unitaries I - (1 - z)P_i of the family as exactly UNITARY_FIELDS: {"d", "z": [re, im], "source": family}."""
+    return {"d": family.d, "z": [z.real, z.imag], "source": family_to_json(family)}
 
 
-def unitary_family_from_json(obj: dict, tol: Tolerance = DEFAULT_TOL) -> UnitaryFamily:
-    """Inverse of unitary_family_to_json; MalformedArtifact, ShapeMismatch, OutOfRange or RankOutOfRange on bad input.
+def unitary_family_from_json(obj: dict) -> tuple[ProjectionFamily, complex]:
+    """Inverse of unitary_family_to_json: (family, z); MalformedArtifact, ShapeMismatch, OutOfRange or RankOutOfRange on bad input.
 
-    A source is rebuilt by build_unitaries, as when written, so the unitaries are bit-identical.
-    certify_umeb never reads the source's rank r, so every source base's trace must lie within
-    eps * d of r.
-    Without a source, U_i = I - (1 - z)P_i has trace d - r(1 - z) for a rank-r projection P_i,
-    so every (d - tr U_i)/(1 - z), read off the bases, must lie within eps * d of one integer r
-    with 1 <= r < d.  The fields must be exactly one of UNITARY_FIELDS.
+    The fields must be exactly UNITARY_FIELDS, which rejects the formats of
+    earlier versions.  build_unitaries(family, z) rebuilds the unitaries bit
+    for bit as they were written; whether the family and its unitaries hold
+    is for verify_equiangular and certify_umeb to decide, as in `umeb`.
     """
-    if tuple(sorted(obj)) not in UNITARY_FIELDS:
-        sourced, bare = map(list, UNITARY_FIELDS)
-        raise MalformedArtifact(f"a unitary family has the fields {sourced} or {bare}, not {sorted(obj)}")
+    fields = sorted(obj)
+    if fields != UNITARY_FIELDS:
+        raise MalformedArtifact(f"a unitary family has the fields {UNITARY_FIELDS}, not {fields}")
     d = json_int(obj["d"], "d")
     try:
         re, im = obj["z"]
     except (TypeError, ValueError):
         raise MalformedArtifact("phase z must be a pair [re, im]") from None
     z = complex(json_number(re, "z"), json_number(im, "z"))
-    if "bases" in obj:
-        bases = stack_from_json(obj["bases"], d)
-        uf = UnitaryFamily(d=d, z=z, bases=bases, shifts=json_int(obj["shifts"], "shifts"))
-        with np.errstate(all="ignore"):  # z = 1 or a huge trace fails the check below instead
-            ranks = (d - np.einsum("nii->n", uf.bases)) / (1 - z)
-            r = np.rint(ranks[0].real)
-            fits = 1 <= r < d and np.max(np.abs(ranks - r)) <= tol.eps * d
-        if not fits:
-            raise MalformedArtifact(
-                f"phase z = {z} does not fit the unitaries: (d - tr U_i)/(1 - z) is not one rank 1 <= r < {d}"
-            )
-        return uf
-    source = family_from_json(obj["source"])
-    if source.d != d:
-        raise ShapeMismatch(f"source family of {source.d}x{source.d} projections for d={d}")
-    if not np.all(np.abs(np.einsum("nii->n", source.bases) - source.r) <= tol.eps * d):
-        raise MalformedArtifact(f"source rank r = {source.r} is not the trace of every base within {tol.eps * d:.1e}")
-    return build_unitaries(source, z)
+    family = family_from_json(obj["source"])
+    if family.d != d:
+        raise ShapeMismatch(f"source family of {family.d}x{family.d} projections for d={d}")
+    return family, z
 
 
 def _stamp(obj: dict, no_timestamp: bool) -> dict:
@@ -181,7 +163,7 @@ def cmd_umeb(args) -> int:
     z = compute_phase(family.d, family.r)
     uf = build_unitaries(family, z)
     cert = certify_umeb(uf, tol)
-    uf_obj = unitary_family_to_json(uf)
+    uf_obj = unitary_family_to_json(family, z)
     # the source is encoded once; sorted keys put it between "d" and "z", so the
     # artifact below is canonical_json(uf_obj), byte for byte
     source = canonical_json(uf_obj["source"])
@@ -215,8 +197,14 @@ def cmd_verify(args) -> int:
     if not isinstance(obj, dict):
         raise MalformedArtifact("input file is not a JSON object")
     if "r" in obj:
-        family = family_from_json(obj)
-        report = verify_equiangular(family, tol)
+        family, z = family_from_json(obj), None
+    elif "z" in obj:
+        family, z = unitary_family_from_json(obj)
+    else:
+        raise UmebkitError("input file is neither a projection family nor a unitary family")
+    report = verify_equiangular(family, tol)
+    lines = _family_report_lines(family, report)
+    if z is None:
         report_obj = _stamp(
             {
                 "kind": "equiangular",
@@ -228,21 +216,18 @@ def cmd_verify(args) -> int:
             },
             args.no_timestamp,
         )
-        lines = _family_report_lines(family, report)
         passed = report.passed
-    elif "z" in obj:
-        uf = unitary_family_from_json(obj, tol)
+    else:  # both checks that umeb ran, so the exit code is umeb's
+        uf = build_unitaries(family, z)
         cert = certify_umeb(uf, tol)
         report_obj = _certificate_json(cert, canonical_json(obj), args.no_timestamp)
-        lines = [
+        lines += [
             f"unitary family: d={uf.d} count={len(uf)}",
             f"max unitarity deviation:     {cert.max_unitarity_dev:.3e}",
             f"max orthogonality deviation: {cert.max_orthogonality_dev:.3e}",
             f"unextendible: {'PASS' if cert.unextendible_verdict else 'FAIL'}",
         ]
-        passed = cert.unextendible_verdict
-    else:
-        raise UmebkitError("input file is neither a projection family nor a unitary family")
+        passed = report.passed and cert.unextendible_verdict
     if args.report:
         write_json(args.report, report_obj)
     _emit(args, lines, report_obj)

@@ -290,8 +290,11 @@ def family_from_json(obj: dict) -> ProjectionFamily:
     """Inverse of family_to_json; MalformedArtifact, ShapeMismatch, OutOfRange or RankOutOfRange on bad input.
 
     The fields must be exactly FAMILY_FIELDS, which rejects the dense format
-    of earlier versions, and beta must fit in a float.  A family of whole orbits (shifts = d) was built by
-    the residue construction, so its C must be exactly off_support_scale(d).
+    of earlier versions, and beta must fit in a float.  The bases must be
+    real: verify_equiangular compares only the real part of each trace with
+    beta, so a stack with an "im" part is rejected.  A family of whole
+    orbits (shifts = d) was built by the residue construction, so its C must
+    be exactly off_support_scale(d).
     """
     fields = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
     if fields != FAMILY_FIELDS:
@@ -304,10 +307,13 @@ def family_from_json(obj: dict) -> ProjectionFamily:
         shifts = json_int(obj["shifts"], "shifts")
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise MalformedArtifact(f"malformed family field: {exc}") from None
+    bases = stack_from_json(obj["bases"], d)
+    if np.iscomplexobj(bases):
+        raise MalformedArtifact("a family's bases are real, but its stack has an \"im\" part")
     family = ProjectionFamily(
         d=d,
         r=r,
-        bases=stack_from_json(obj["bases"], d),
+        bases=bases,
         beta=beta,
         shifts=shifts,
         scale=scale,

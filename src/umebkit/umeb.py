@@ -42,7 +42,9 @@ class UnitaryFamily:
     """Unitaries I - (1-z)P_i sharing one unit-modulus phase z: bases and a shift count.
 
     Members, shifts and bases are as in ProjectionFamily; the bases are
-    complex.  Because no caller can write to them through the family, its
+    complex.  The projections they came from are not kept: a unitary
+    artifact is written from the projection family and z, and read back as
+    them.  Because no caller can write to them through the family, its
     union support, trace Gram rows, what the checks read off them, its
     symmetry deviations and its dense members are computed once, on first
     use, and kept on the object.
@@ -52,7 +54,6 @@ class UnitaryFamily:
     z: complex
     bases: np.ndarray
     shifts: int = 1
-    source: ProjectionFamily | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "bases", read_only_stack(self.bases, self.d, complex))
@@ -172,7 +173,7 @@ def build_unitaries(family: ProjectionFamily, z: complex) -> UnitaryFamily:
     bases *= 1.0 - z
     np.subtract(np.eye(family.d), bases, out=bases)
     bases.flags.writeable = False
-    return UnitaryFamily(d=family.d, z=z, bases=bases, shifts=family.shifts, source=family)
+    return UnitaryFamily(d=family.d, z=z, bases=bases, shifts=family.shifts)
 
 
 @dataclass(frozen=True, eq=False)

@@ -152,12 +152,12 @@ def test_umeb_decomposition_icosahedron():
 
 def test_umeb_decomposition_rejects_uncertified():
     uf = p7_unitaries()
-    truncated = UnitaryFamily(d=7, z=uf.z, bases=uf.unitaries[:27], source=None)
+    truncated = UnitaryFamily(d=7, z=uf.z, bases=uf.unitaries[:27])
     with pytest.raises(NotCertified):
         umeb_decomposition(truncated)
     # spans the symmetric matrices, but 29 weights 1/28 do not sum to 1
     members = np.concatenate((uf.unitaries, uf.unitaries[:1]))
-    duplicated = UnitaryFamily(d=7, z=uf.z, bases=members, source=None)
+    duplicated = UnitaryFamily(d=7, z=uf.z, bases=members)
     with pytest.raises(NotCertified):
         umeb_decomposition(duplicated)
 
@@ -550,18 +550,17 @@ def test_weights_inside_an_orbit_hold_at_most_one_dense_stack(monkeypatch):
 
 def test_orbit_kernel_passes_stay_inside_the_byte_budget(p23_decomposition, monkeypatch):
     dec = p23_decomposition
-    dec._orbit_kernel  # built and kept before the trace
-    xs = np.array([random_hermitian(23, seed=40 + t) for t in range(12)])
-    expected = apply_decomposition(dec, xs)
-    # a block holds at most two arrays of d^2 entries per input: five inputs per budget,
-    # so the twelve inputs go in blocks of 5, 5 and 2
-    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 5 * 2 * 23 * 23 * 16)
-    out = []
-    peak = _traced_peak(lambda: out.append(apply_decomposition(dec, xs)))
-    assert np.max(np.abs(out[0] - expected)) <= 1e-13
-    # beyond the output: one budget for a block, and the DFT matrix, its inverse and the
-    # flat index, 3 d^2 entries (the twelve inputs in one block would be 2.7 budgets)
-    assert peak - out[0].nbytes <= 2 * matcore._BLOCK_BYTES
+    expected = verify_decomposition(dec, trials=12)  # the kernel and the Gram stats are built and kept here
+    # check (b) draws five complex 23 x 23 inputs per budget, so the twelve trials go in
+    # batches of 5, 5 and 2, and each batch goes through the kernel in one pass
+    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 5 * 23 * 23 * 16)
+    reports = []
+    peak = _traced_peak(lambda: reports.append(verify_decomposition(dec, trials=12)))
+    assert reports[0].verdict and abs(reports[0].apply_dev_max - expected.apply_dev_max) <= 1e-15
+    # a batch holds its inputs, their gathered diagonals, two arrays of d^2 entries per
+    # input in the kernel pass, the mixture's and the formula's outputs, and the DFT
+    # tables: under seven budgets (5.5 measured).  The twelve in one pass would take ten
+    assert peak <= 7 * matcore._BLOCK_BYTES
 
 
 def test_orbit_kernel_build_holds_at_most_two_cubes():
@@ -688,8 +687,9 @@ def test_a_deviation_that_is_not_finite_fails_the_random_input_check(build, path
 
 
 def _all_reports(p):
-    uf = _unitaries(p)
-    reports = verify_equiangular(uf.source), certify_umeb(uf), verify_decomposition(umeb_decomposition(uf))
+    fam = icosahedron_lines() if p == 3 else build_residue_family(validate_prime(p), construct((p + 1) // 2))
+    uf = build_unitaries(fam, compute_phase(p, fam.r))
+    reports = verify_equiangular(fam), certify_umeb(uf), verify_decomposition(umeb_decomposition(uf))
     return [asdict(report) for report in reports]
 
 

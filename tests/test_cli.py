@@ -1,16 +1,17 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 
 from umebkit import umeb
-from umebkit.cli import canonical_json, main, unitary_family_from_json, unitary_family_to_json, write_json
+from umebkit.cli import canonical_json, main, unitary_family_to_json
 from umebkit.hadamard import HadamardMatrix, construct
 from umebkit.matcore import Tolerance, stack_to_json
 from umebkit.numth import validate_prime
 from umebkit.packing import build_residue_family, family_from_json, off_support_scale, verify_equiangular
-from umebkit.umeb import UnitaryFamily, build_unitaries, compute_phase
+from umebkit.umeb import build_unitaries, compute_phase
 
 
 def run(argv):
@@ -264,7 +265,7 @@ def test_the_umeb_artifact_is_the_canonical_json_of_the_family(p, tmp_path):
     out, cert = tmp_path / "umeb.json", tmp_path / "cert.json"
     assert run(["umeb", "--p", str(p), "--out", str(out), "--cert", str(cert), "--no-timestamp"]) == 0
     fam = build_residue_family(validate_prime(p), construct((p + 1) // 2))
-    uf_obj = unitary_family_to_json(build_unitaries(fam, compute_phase(p, fam.r)))
+    uf_obj = unitary_family_to_json(fam, compute_phase(p, fam.r))
     assert out.read_bytes() == canonical_json(uf_obj).encode("utf-8")
     source = canonical_json(uf_obj["source"]).encode("utf-8")
     assert json.loads(cert.read_text())["input_sha256"] == hashlib.sha256(source).hexdigest()
@@ -284,19 +285,11 @@ def test_env_tolerance_override(monkeypatch):
 
 @pytest.fixture(scope="module")
 def p7_artifacts(tmp_path_factory):
-    """p=7 family (`generate --out`), unitary family (`umeb --out`), the same
-    unitaries written without their source, and certificate."""
+    """p=7 family (`generate --out`), unitary family (`umeb --out`) and certificate."""
     d = tmp_path_factory.mktemp("p7")
-    paths = {
-        "family": d / "family.json",
-        "unitary": d / "umeb.json",
-        "bare": d / "bare.json",
-        "cert": d / "cert.json",
-    }
+    paths = {"family": d / "family.json", "unitary": d / "umeb.json", "cert": d / "cert.json"}
     assert run(["generate", "--p", "7", "--out", str(paths["family"])]) == 0
     assert run(["umeb", "--p", "7", "--out", str(paths["unitary"]), "--cert", str(paths["cert"])]) == 0
-    uf = unitary_family_from_json(json.loads(paths["unitary"].read_text()))
-    write_json(str(paths["bare"]), unitary_family_to_json(UnitaryFamily(uf.d, uf.z, uf.unitaries)))
     return paths
 
 
@@ -332,6 +325,9 @@ IDENTITIES = stack_to_json(np.tile(np.eye(7, dtype=complex), (28, 1, 1)))
 # set to tr(P_i P_j), each meets the equiangular check, so only the rank rule rejects it
 ZERO_BASES = {"d": 3, "r": 0, "beta_num": 0, "beta_den": 1, "C": None, "shifts": 1, "bases": stack_to_json(np.zeros((2, 3, 3)))}
 IDENTITY_BASES = dict(ZERO_BASES, r=3, beta_num=3, bases=stack_to_json(np.tile(np.eye(3), (2, 1, 1))))
+# the p=7 bases conjugated by a diagonal phase, D P D*: complex projections with the traces of P
+PHASES = np.exp(0.7j * np.arange(7))
+COMPLEX_BASES = stack_to_json(PHASES[:, None] * build_residue_family(validate_prime(7), construct(4)).bases * PHASES.conj())
 
 
 @pytest.mark.parametrize(
@@ -355,22 +351,21 @@ IDENTITY_BASES = dict(ZERO_BASES, r=3, beta_num=3, bases=stack_to_json(np.tile(n
         pytest.param("family", ("C",), None, 1, id="family-scale-null"),
         pytest.param("unitary", ("source", "C"), off_support_scale(7) * (1 - 1e-6), 1, id="unitary-scale-off"),
         pytest.param("family", ("bases",), {"shape": [0, 7, 7], "re": []}, 1, id="family-empty"),
-        pytest.param("bare", ("bases", "re", 0), "0.5", 1, id="unitary-string-entry"),
-        pytest.param("bare", ("bases", "im", 0), [0.5], 1, id="unitary-short-pair"),
-        pytest.param("bare", ("bases", "re", 0), None, 1, id="unitary-null-entry"),
-        pytest.param("bare", ("shifts",), 3, 1, id="bare-shifts-other"),
-        pytest.param("bare", ("unitaries",), IDENTITIES, 1, id="bare-dense-format"),
+        # a family's bases are real: complex ones would pass the equiangular check
+        pytest.param("family", ("bases",), COMPLEX_BASES, 1, id="family-complex"),
+        pytest.param("unitary", ("source", "bases"), COMPLEX_BASES, 1, id="unitary-source-complex"),
+        pytest.param("unitary", ("source", "bases", "re", 0), "0.5", 1, id="unitary-string-entry"),
+        pytest.param("unitary", ("source", "bases", "re", 0), [0.5], 1, id="unitary-short-pair"),
+        pytest.param("unitary", ("source", "bases", "re", 0), None, 1, id="unitary-null-entry"),
+        # the members of the dense format of earlier versions beside the source
+        pytest.param("unitary", ("unitaries",), IDENTITIES, 1, id="bare-dense-format"),
         # the four bases alone, read as a family of four: a rank of 4 < 28
         pytest.param("unitary", ("source", "shifts"), 1, 2, id="unitary-source-one-shift"),
         pytest.param("unitary", ("source", "beta_den"), 0, 1, id="unitary-beta-den-0"),
         pytest.param("unitary", ("d",), "seven", 1, id="unitary-d-string"),
         pytest.param("unitary", ("d",), 5, 1, id="unitary-d-disagrees"),
-        pytest.param("bare", ("bases",), {"shape": [0, 7, 7], "re": [], "im": []}, 1, id="unitary-empty"),
+        pytest.param("unitary", ("source", "bases"), {"shape": [0, 7, 7], "re": []}, 1, id="unitary-empty"),
         pytest.param("unitary", ("z", 0), float("nan"), 1, id="unitary-z-nan"),
-        # without a source, z must turn every (d - tr U)/(1 - z) into one rank 1 <= r < d
-        pytest.param("bare", ("z", 0), -31 / 64, 1, id="bare-z-halved"),
-        pytest.param("bare", ("z",), [1.0, 0.0], 1, id="bare-z-one"),
-        pytest.param("bare", ("z",), [-1.0, 0.0], 1, id="bare-z-minus-one"),
         pytest.param("unitary", ("bases",), IDENTITIES, 1, id="unitary-both-keys"),
         pytest.param("unitary", ("source",), DELETE, 1, id="unitary-neither-key"),
         # the unitaries are rebuilt with this z, so a wrong phase is a failed verdict
@@ -382,8 +377,8 @@ IDENTITY_BASES = dict(ZERO_BASES, r=3, beta_num=3, bases=stack_to_json(np.tile(n
         pytest.param("unitary", ("source", "r"), 10**400, 1, id="unitary-source-rank-huge"),
         pytest.param("family", ("beta_num",), 10**400, 1, id="family-beta-huge"),
         pytest.param("unitary", ("source", "beta_num"), 10**400, 1, id="unitary-source-beta-huge"),
-        # the unitaries are rebuilt from the bases alone, so only the loader reads r (3 at p=7)
-        pytest.param("unitary", ("source", "r"), 2, 1, id="unitary-source-rank-disagrees"),
+        # the source's r (3 at p=7) is the trace the equiangular check compares each base with
+        pytest.param("unitary", ("source", "r"), 2, 2, id="unitary-source-rank-disagrees"),
     ],
 )
 def test_verify_rejects_malformed_artifact(p7_artifacts, tmp_path, capsys, artifact, path, value, code):
@@ -406,7 +401,21 @@ def test_verify_rejects_malformed_artifact(p7_artifacts, tmp_path, capsys, artif
     if code == 1:
         _one_error_line(capsys)
     else:
-        assert "unextendible: FAIL" in capsys.readouterr().out
+        assert re.search(r"^\w+: FAIL$", capsys.readouterr().out, re.MULTILINE)
+
+
+@pytest.mark.parametrize("field, value", [("beta_num", 12), ("beta_den", 10**400)], ids=["beta-num-12", "beta-den-huge"])
+def test_a_source_whose_bases_miss_its_beta_fails_verify(p7_artifacts, tmp_path, capsys, field, value):
+    # beta is 11/9 at p=7: 12/9, or a beta_den past any float, is a valid beta that the bases do not meet,
+    # and only the equiangular check reads it
+    obj = json.loads(p7_artifacts["unitary"].read_text())
+    obj["source"][field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["verify", "--in", str(bad)]) == 2
+    out = capsys.readouterr().out
+    assert "equiangular: FAIL" in out and "unextendible: PASS" in out
 
 
 def _one_error_line(capsys):
@@ -437,27 +446,20 @@ def test_bad_tolerance_is_rejected(argv, env, monkeypatch, capsys):
 
 
 def test_infinite_tolerance_cannot_pass_a_bad_artifact(p7_artifacts, tmp_path, capsys):
-    sourced = json.loads(p7_artifacts["unitary"].read_text())
-    sourced["source"]["bases"]["re"][1] = 5.0  # off the diagonal: a source base's trace is checked on loading
-    bare = json.loads(p7_artifacts["bare"].read_text())
-    bare["bases"]["re"][0] = 5.0
-    for i, obj in enumerate((sourced, bare)):
-        bad = tmp_path / f"bad{i}.json"
-        bad.write_text(json.dumps(obj))
-        capsys.readouterr()
-        for eps in ("inf", "1e300"):
-            assert run(["verify", "--in", str(bad), "--eps", eps]) == 1
-            assert "tol" in _one_error_line(capsys).lower()
-        if obj is sourced:
-            assert run(["verify", "--in", str(bad)]) == 2  # the finite default fails it
-            assert "unextendible: FAIL" in capsys.readouterr().out
-        else:  # the changed diagonal entry moves tr U_0, which z no longer fits
-            assert run(["verify", "--in", str(bad)]) == 1
-            assert "phase z" in _one_error_line(capsys)
+    obj = json.loads(p7_artifacts["unitary"].read_text())
+    obj["source"]["bases"]["re"][1] = 5.0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    capsys.readouterr()
+    for eps in ("inf", "1e300"):
+        assert run(["verify", "--in", str(bad), "--eps", eps]) == 1
+        assert "tol" in _one_error_line(capsys).lower()
+    assert run(["verify", "--in", str(bad)]) == 2  # the finite default fails it
+    assert "unextendible: FAIL" in capsys.readouterr().out
 
 
 def test_dense_format_of_earlier_versions_exits_1_with_one_line(tmp_path, capsys):
-    # the artifacts as earlier versions wrote them: every member, and provenance
+    # the artifacts as earlier versions wrote or read them: every member, and provenance
     family = build_residue_family(validate_prime(7), construct(4))
     uf = build_unitaries(family, compute_phase(7, 3))
     old_family = {
@@ -469,6 +471,8 @@ def test_dense_format_of_earlier_versions_exits_1_with_one_line(tmp_path, capsys
         old_family,
         {"d": 7, "z": [uf.z.real, uf.z.imag], "source": old_family},
         {"d": 7, "z": [uf.z.real, uf.z.imag], "unitaries": stack_to_json(uf.unitaries)},
+        # the bases of the unitaries without their source, which no command wrote
+        {"d": 7, "z": [uf.z.real, uf.z.imag], "shifts": 7, "bases": stack_to_json(uf.bases)},
     )):
         path = tmp_path / f"old{i}.json"
         path.write_text(json.dumps(obj))

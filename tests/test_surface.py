@@ -1,10 +1,11 @@
 """The package's public surface: the names it exports, and no public function without a caller."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import umebkit
-from umebkit import channels, hadamard, matcore, packing, umeb
+from umebkit import channels, cli, hadamard, matcore, packing, umeb
 
 SRC = Path(umebkit.__file__).parent
 EXPORTS = [
@@ -85,3 +86,10 @@ def test_every_public_function_is_called_by_a_module_other_than_init():
     }
     assert UNCALLED <= set(public.values())
     assert sorted(path for path, name in public.items() if name not in used | UNCALLED) == []
+
+
+def test_a_unitary_artifact_has_one_format():
+    # U_i = I - (1 - z)P_i: the projection family and z fix the unitaries, so the one
+    # artifact is those two, and a unitary family keeps no family of its own
+    assert cli.UNITARY_FIELDS == ["d", "source", "z"]
+    assert [field.name for field in dataclasses.fields(umeb.UnitaryFamily)] == ["d", "z", "bases", "shifts"]

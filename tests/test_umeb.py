@@ -37,9 +37,12 @@ def cubic(d, r):
     return d**3 + d**2 * (1 - 4 * r) + d * (4 * r**2 - 4 * r - 2) + 4 * r**2
 
 
+def p7_family():
+    return build_residue_family(validate_prime(7), construct(4))
+
+
 def p7_unitaries():
-    fam = build_residue_family(validate_prime(7), construct(4))
-    return build_unitaries(fam, compute_phase(7, 3))
+    return build_unitaries(p7_family(), compute_phase(7, 3))
 
 
 def test_feasibility_d3_lines():
@@ -179,7 +182,7 @@ def test_certify_icosahedron():
 
 def test_certify_truncated_family_fails():
     uf = p7_unitaries()
-    truncated = UnitaryFamily(d=7, z=uf.z, bases=uf.unitaries[:27], source=None)
+    truncated = UnitaryFamily(d=7, z=uf.z, bases=uf.unitaries[:27])
     cert = certify_umeb(truncated)
     assert cert.span_rank == 27
     assert not cert.symmetric_span
@@ -190,15 +193,15 @@ def test_certify_verdict_monotone_under_removal():
     uf = p7_unitaries()
     for drop in range(28):
         rest = np.delete(uf.unitaries, drop, axis=0)
-        cert = certify_umeb(UnitaryFamily(d=7, z=uf.z, bases=rest, source=None))
+        cert = certify_umeb(UnitaryFamily(d=7, z=uf.z, bases=rest))
         assert not cert.symmetric_span
         assert not cert.unextendible_verdict
 
 
 def _p7_with_first(replace):
     uf = p7_unitaries()
-    first = replace(uf.unitaries[0], uf.source.projections[0])
-    return UnitaryFamily(d=7, z=uf.z, bases=np.concatenate(([first], uf.unitaries[1:])), source=None)
+    first = replace(uf.unitaries[0], p7_family().projections[0])
+    return UnitaryFamily(d=7, z=uf.z, bases=np.concatenate(([first], uf.unitaries[1:])))
 
 
 def test_certify_rejects_member_with_other_phase():
@@ -269,7 +272,7 @@ def _residue_unitaries(p):
 
 def _p7_members(edit):
     uf = p7_unitaries()
-    return UnitaryFamily(d=7, z=uf.z, bases=edit(uf.unitaries), source=None)
+    return UnitaryFamily(d=7, z=uf.z, bases=edit(uf.unitaries))
 
 
 def _p7_bases(edit):
@@ -333,21 +336,21 @@ def test_span_rank_proof_matches_the_spectrum(name, monkeypatch):
     assert cert.unextendible_verdict == verdict
 
 
-# every way a family is built or loaded; each must hold read-only stacks
+# every way a projection family and its phase are built or loaded; each must hold read-only stacks
 STACKED_FAMILIES = {
-    "residue": lambda: p7_unitaries(),
-    "dual": lambda: build_unitaries(dual_family(p7_unitaries().source), compute_phase(7, 3)),
-    "icosahedron": lambda: build_unitaries(icosahedron_lines(), compute_phase(3, 1)),
+    "residue": lambda: (p7_family(), compute_phase(7, 3)),
+    "dual": lambda: (dual_family(p7_family()), compute_phase(7, 3)),
+    "icosahedron": lambda: (icosahedron_lines(), compute_phase(3, 1)),
     "json": lambda: unitary_family_from_json(
-        json.loads(json.dumps(unitary_family_to_json(p7_unitaries())))
+        json.loads(json.dumps(unitary_family_to_json(p7_family(), compute_phase(7, 3))))
     ),
 }
 
 
 @pytest.mark.parametrize("name", STACKED_FAMILIES)
 def test_member_stacks_are_read_only(name):
-    uf = STACKED_FAMILIES[name]()
-    fam = uf.source
+    fam, z = STACKED_FAMILIES[name]()
+    uf = build_unitaries(fam, z)
     assert uf.unitaries.shape == (len(uf), uf.d, uf.d) and uf.unitaries.dtype == complex
     # real by contract, also after a JSON round trip
     assert fam.projections.shape == (len(fam), fam.d, fam.d) and fam.projections.dtype == float
@@ -360,18 +363,15 @@ def test_member_stacks_are_read_only(name):
 
 
 def test_unitary_json_round_trip_is_bit_exact():
-    # with a source the unitaries are rebuilt from it, without one they are read back
-    # and without a source, with either shift count
-    uf = p7_unitaries()
-    for written in (uf, UnitaryFamily(uf.d, uf.z, uf.unitaries), UnitaryFamily(uf.d, uf.z, uf.bases, shifts=7)):
-        obj = json.loads(json.dumps(unitary_family_to_json(written)))
-        assert ("source" in obj) != ("bases" in obj)
-        assert obj.get("shifts", written.shifts) == written.shifts
-        again = unitary_family_from_json(obj)
-        assert again.z == uf.z and (again.source is None) == (written.source is None)
-        assert again.shifts == written.shifts
-        assert again.bases.tobytes() == written.bases.tobytes()
-        assert again.unitaries.tobytes() == uf.unitaries.tobytes()
+    # the family and z are read back, and the unitaries rebuilt from them
+    for fam, z in (STACKED_FAMILIES["residue"](), STACKED_FAMILIES["icosahedron"]()):
+        obj = json.loads(json.dumps(unitary_family_to_json(fam, z)))
+        assert sorted(obj) == ["d", "source", "z"]
+        again, again_z = unitary_family_from_json(obj)
+        assert again_z == z
+        assert (again.d, again.r, again.beta, again.shifts, again.scale) == (fam.d, fam.r, fam.beta, fam.shifts, fam.scale)
+        assert again.bases.tobytes() == fam.bases.tobytes()
+        assert build_unitaries(again, again_z).unitaries.tobytes() == build_unitaries(fam, z).unitaries.tobytes()
 
 
 def _callers_arrays(stack):
@@ -397,7 +397,7 @@ def test_families_keep_their_own_copy_of_the_callers_arrays():
         mutate()
         assert np.array_equal(mine.unitaries, uf.unitaries)
         assert certify_umeb(mine) == expected
-    fam = uf.source
+    fam = p7_family()
     expected = verify_equiangular(fam)
     for members, mutate in _callers_arrays(fam.bases):
         mine = replace(fam, bases=members)
@@ -450,8 +450,8 @@ def assert_matches_dense(cert, oracle):
 
 ORBIT_FAMILIES = {
     **{f"p{p}": (lambda p=p: _residue_unitaries(p)) for p in (3, 7, 23, 31, 47, 71, 79)},
-    "dual7": STACKED_FAMILIES["dual"],
-    "json7": STACKED_FAMILIES["json"],
+    "dual7": lambda: build_unitaries(*STACKED_FAMILIES["dual"]()),
+    "json7": lambda: build_unitaries(*STACKED_FAMILIES["json"]()),
 }
 
 
@@ -472,7 +472,7 @@ def test_certificate_from_orbit_rows_matches_the_dense_certificate(name, monkeyp
 
 def _edited_p7(edit):
     uf = p7_unitaries()
-    return UnitaryFamily(d=7, z=uf.z, bases=edit(np.array(uf.unitaries)), source=None)
+    return UnitaryFamily(d=7, z=uf.z, bases=edit(np.array(uf.unitaries)))
 
 
 def _perturbed_entry(members):
@@ -511,8 +511,9 @@ def test_families_reject_members_of_the_wrong_shape():
     for members in (uf.unitaries[:, :6, :6], uf.unitaries[0], []):
         with pytest.raises(ShapeMismatch):
             UnitaryFamily(d=7, z=uf.z, bases=members)
+    fam = p7_family()
     with pytest.raises(ShapeMismatch):
-        replace(uf.source, bases=uf.source.bases[:, :, :6])
+        replace(fam, bases=fam.bases[:, :, :6])
 
 
 def test_asymmetry_of_orbits_is_read_off_the_bases():
