@@ -59,3 +59,7 @@ class NotCertified(UmebkitError):
 
 class MalformedArtifact(UmebkitError):
     """JSON artifact field has the wrong type or an impossible value."""
+
+
+class NotReal(UmebkitError):
+    """A stack or a family's bases that must be real are complex."""

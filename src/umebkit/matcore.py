@@ -3,7 +3,7 @@ bases' union support and each row's columns in it, trace inner products and
 Gram rows, the one pass that every check reads off those rows, the Gram
 spectrum from its shift blocks and its numerical rank, the budgeted product
 a* b - c of stacks summed over their supports, read-only member stacks, the
-tolerances and the JSON coding of stacks.
+tolerances and the JSON coding of real stacks.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedArtifact, OutOfRange, ShapeMismatch
+from .errors import MalformedArtifact, NotReal, OutOfRange, ShapeMismatch
 
 DEFAULT_EPS = 1e-9
 DEFAULT_RANK_EPS = 1e-7
@@ -132,15 +132,24 @@ def support_product(a, b, c, left, right, own) -> tuple[np.ndarray, np.ndarray]:
     one np.bincount and subtracts c's entries from theirs.  The paper's
     bases have s = 2 entries a row (the diagonal and each row's partner in
     its pair {q, kq}), so a base costs O(d), against the O(d^3) of its
-    dense product; dense bases make s = d and O(d^3) terms.  Real stacks
-    give a real gap.
+    dense product.  When left and right both have width d, every row of
+    both factors is read whole and the terms are those of the dense
+    product, so each block is one batched matmul instead, and cols lists
+    every column of every row.  Real stacks give a real gap.
     """
     t, d = len(b), b.shape[-1]
+    dtype = np.result_type(a, b, c)
+    if left.shape[1] == right.shape[1] == d:
+        gap = np.empty((t, d, d), dtype=dtype)
+        for block in _blocks(t, 2 * d * d * dtype.itemsize):  # a block's conjugated a and its product
+            with np.errstate(invalid="ignore", over="ignore"):  # an inf times a 0 is a NaN deviation, not a warning
+                np.matmul(a[block].conj().swapaxes(-1, -2), b[block], out=gap[block])
+                gap[block] -= c[block]
+        return np.tile(np.arange(d), (d, 1)), gap
     rows = np.arange(d)[:, None]
     reached = right[left].reshape(d, -1)  # the column of each product term of row i
     cols, slot = _slots(np.concatenate((reached, own), axis=1), d)
     width = cols.shape[1]
-    dtype = np.result_type(a, b, c)
     parts = 2 if dtype.kind == "c" else 1  # a complex term adds its real and imaginary parts to two halves of its slot
     products = left.shape[1] * right.shape[1]
     entries = np.repeat(left, right.shape[1], axis=1) * d + reached  # b's flat entry of each product term of row i
@@ -173,14 +182,17 @@ def gram_matrix(bases: list[np.ndarray] | np.ndarray, shifts: int, support: np.n
     1 is the whole Gram: one symmetric rank-k update for real input, blocks
     of rows for complex input, each counting its conjugated members and its
     rows against _BLOCK_BYTES; it reads every entry.  For shifts = d the sum
-    runs over support, union_support(bases), S: a dropped term
-    conj(bases[t][i, j]) * bases[t'][i - x, j - x] has a factor 0 for every
-    t.  Each shift x <= d/2 is one product
-    conj(bases[:, S]) @ bases[:, S - (x, x)]^T, of a shape that no budget
-    changes; the block of shift -x is the conjugate transpose of the block
-    of shift x.  The paper's bases have 2(d - 1) nonzero entries (2d - 1
-    for the unitaries), so a shift costs O(T^2 d) in place of O(T^2 d^2);
-    dense bases make S every entry.
+    runs over the matched pairs of support, union_support(bases), S: the
+    entries e of S whose shift e - (x, x) is in S too.  A dropped term
+    conj(bases[t][e]) * bases[t'][e - (x, x)] has a factor 0 for every t.
+    Each shift x <= d/2 is one product
+    conj(bases[:, e]) @ bases[:, e - (x, x)]^T over its matched e, of a
+    shape that no budget changes, and a shift with none is a block of exact
+    zeros; the block of shift -x is the conjugate transpose of the block of
+    shift x.  The paper's bases have 2(d - 1) nonzero entries (2d - 1 for
+    the unitaries), and for x != 0 only their d - 2 (d) diagonal entries
+    are matched, so a shift costs O(T^2 d) in place of O(T^2 d^2); dense
+    bases match every entry.
     """
     stack = np.asarray(bases)
     if stack.ndim < 2:
@@ -197,10 +209,19 @@ def gram_matrix(bases: list[np.ndarray] | np.ndarray, shifts: int, support: np.n
     d = stack.shape[-1]
     support = np.flatnonzero(support)
     i, j = np.divmod(support, d)
-    lhs = flat[:, support].conj()
+    # place[a, b]: the place of entry (a mod d, b mod d) in support, -1 off it, for a, b < 2d: scattered rather
+    # than searched, with no sort, and tiled, so that e - (x, x) lies a fixed step of 2d + 1 back from e + (d, d)
+    place = np.full((d, d), -1, dtype=np.intp)
+    place.flat[support] = np.arange(len(support))
+    place = np.tile(place, (2, 2)).ravel()
+    start = (i + d) * 2 * d + j + d
+    values = flat[:, support]
+    lhs = values.conj()
     gram = np.empty((m, m, shifts), dtype=flat.dtype)
     for x in range(shifts // 2 + 1):
-        np.matmul(lhs, flat[:, (i - x) % d * d + (j - x) % d].T, out=gram[:, :, x])
+        shifted = place[start - x * (2 * d + 1)]  # the place of e - (x, x), -1 if it is off the support
+        matched = np.flatnonzero(shifted >= 0)
+        np.matmul(lhs[:, matched], values[:, shifted[matched]].T, out=gram[:, :, x])
         if 0 < x < shifts - x:  # G[t, t', -x] = conj(G[t', t, x]): shifting by -x is the adjoint similarity
             gram[:, :, shifts - x] = gram[:, :, x].T.conj()
     return gram.reshape(m, m * shifts)
@@ -304,42 +325,42 @@ def json_number(value, what: str) -> float:
 
 
 def stack_to_json(stack: np.ndarray) -> dict:
-    """{"shape": [n, d, d], "re": [...], "im": [...]}: the entries in C order, "im" only for a complex stack."""
-    obj = {"shape": list(stack.shape), "re": stack.real.ravel().tolist()}
+    """{"shape": [n, d, d], "re": [...]}: the entries of a real stack in C order; NotReal for a complex stack."""
     if np.iscomplexobj(stack):
-        obj["im"] = stack.imag.ravel().tolist()
-    return obj
+        raise NotReal(f"only real stacks are written, got one of dtype {stack.dtype}")
+    return {"shape": list(stack.shape), "re": stack.ravel().tolist()}
 
 
 def stack_from_json(obj: dict, d: int) -> np.ndarray:
     """Bit-exact inverse of stack_to_json for n >= 1 members of size d x d, signed zeros included.
 
-    ShapeMismatch unless shape is [n, d, d] with n, d >= 1 and "re", and "im"
-    if present, are flat lists of n*d*d JSON numbers, which is checked before
-    the stack is allocated; MalformedArtifact if an entry is NaN or infinite.
-    The stack is read-only, complex when "im" is present and float otherwise.
+    MalformedArtifact if the stack has an "im" part, which a real stack
+    never has.  ShapeMismatch unless shape is [n, d, d] with n, d >= 1 and
+    "re" is a flat list of n*d*d JSON numbers, which is checked before the
+    stack is allocated; MalformedArtifact if an entry is NaN or infinite.
+    The stack is read-only and of dtype float.
     """
     try:
         shape = tuple(json_int(n, "stack shape") for n in obj["shape"])
-        parts = [obj["re"], obj["im"]] if "im" in obj else [obj["re"]]
+        entries = obj["re"]
+        if "im" in obj:
+            raise MalformedArtifact('a stack is real, but this one has an "im" part')
     except TypeError as exc:
         raise MalformedArtifact(f"malformed stack: {exc}") from None
     if len(shape) != 3 or min(shape) < 1 or shape[1:] != (d, d):
         raise ShapeMismatch(f"stack of shape {list(shape)} is not one or more {d}x{d} matrices")
     try:
-        data = np.array(parts)
+        data = np.array(entries)
     except (ValueError, ArithmeticError) as exc:  # ValueError: ragged entries
         raise ShapeMismatch(f"malformed stack entries: {exc}") from None
-    if data.shape != (len(parts), math.prod(shape)) or data.dtype.kind not in "iuf":
+    if data.shape != (math.prod(shape),) or data.dtype.kind not in "iuf":
         raise ShapeMismatch(
-            f"stack parts of shape {data.shape} and dtype {data.dtype} "
-            f"are not flat lists of {math.prod(shape)} numbers"
+            f"stack entries of shape {data.shape} and dtype {data.dtype} "
+            f"are not a flat list of {math.prod(shape)} numbers"
         )
     if not np.isfinite(data).all():
         raise MalformedArtifact("stack has a NaN or infinite entry")
-    stack = np.empty(shape, dtype=complex if len(parts) == 2 else float)
-    stack.real[...] = data[0].reshape(shape)
-    if len(parts) == 2:
-        stack.imag[...] = data[1].reshape(shape)
+    stack = np.empty(shape)
+    stack[...] = data.reshape(shape)
     stack.flags.writeable = False
     return stack

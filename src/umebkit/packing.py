@@ -4,8 +4,11 @@ Two sources: the quadratic-residue/Hadamard construction that yields
 p(p+1)/2 rank-(p-1)/2 real projections in dimension p (for p = 3 or
 p = 7 mod 8), and the six icosahedron diagonals as rank-one projections in
 dimension 3.  Also the duality map Q_i = I - P_i and the closed-form common
-angles.  verify_equiangular reads each family's pairwise traces off its Gram
-rows and its idempotency off products summed over the bases' union support.
+angles.  The residue bases are built on their support alone: each base
+vector has two nonzero entries, and its outer product is scattered into the
+zeroed bases.  verify_equiangular reads each family's pairwise traces off
+its Gram rows and its idempotency off products summed over the bases' union
+support.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .errors import (
     IndexOutOfRange,
     MalformedArtifact,
     NotOrthogonal,
+    NotReal,
     OutOfRange,
     RankOutOfRange,
 )
@@ -50,12 +54,13 @@ class ProjectionFamily:
 
     Member t*shifts + x is bases[t] shifted by x (matcore.orbit_stack);
     shifts is d for whole Z_d orbits and 1 otherwise.  bases is one
-    read-only (T, d, d) array that the family owns: a sequence or a writable
-    array given to the constructor is copied into it.  r is the common
-    rank, 1 <= r < d (RankOutOfRange otherwise), the range in which
-    beta_projections and feasibility are defined.  beta is the exact
-    rational target of tr(P_i P_j) for i != j; scale is the off-support
-    coefficient (1 + sqrt(p+2))/sqrt(p+1) when applicable.  Because no
+    read-only real (T, d, d) array that the family owns (NotReal for
+    complex bases): a sequence or a writable array given to the constructor
+    is copied into it.  r is the common rank, 1 <= r < d (RankOutOfRange
+    otherwise), the range in which beta_projections and feasibility are
+    defined.  beta is the exact rational target of tr(P_i P_j) for i != j;
+    scale is the off-support coefficient (1 + sqrt(p+2))/sqrt(p+1) when
+    applicable.  Because no
     caller can write to the bases through the family, its union support
     and its dense members are computed once, on first use, and kept.
     """
@@ -69,6 +74,8 @@ class ProjectionFamily:
 
     def __post_init__(self):
         object.__setattr__(self, "bases", read_only_stack(self.bases, self.d))
+        if np.iscomplexobj(self.bases):  # verify_equiangular compares only the real part of each trace with beta
+            raise NotReal(f"a family's projections are real, got bases of dtype {self.bases.dtype}")
         if self.shifts not in (1, self.d):
             raise OutOfRange(f"shifts must be 1 or d={self.d}, got {self.shifts}")
         if not 1 <= self.r < self.d:
@@ -146,38 +153,27 @@ def residue_base_vectors(prime: UmebPrime, h: HadamardMatrix) -> np.ndarray:
     return vectors
 
 
-def projection_from_basis(vectors: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projection onto the span of pairwise-orthogonal vectors, for one basis or a stack of them.
-
-    vectors is (r, d), the rows one basis, or (T, r, d), one basis per
-    entry; the result is (d, d) or (T, d, d).  NotOrthogonal if, in some
-    basis, an inner product of two vectors exceeds eps times its largest
-    squared norm.
-    """
-    stack = np.asarray(vectors, dtype=float)
-    overlap = stack @ stack.swapaxes(-1, -2)
-    norms = np.diagonal(overlap, axis1=-2, axis2=-1).copy()
-    own = np.arange(overlap.shape[-1])
-    overlap[..., own, own] = 0.0
-    worst = np.max(np.abs(overlap, out=overlap), axis=(-2, -1))
-    del overlap  # not alive beside the vectors, their normalized copy and the product
-    if np.any(worst > tol.eps * np.max(norms, axis=-1)):
-        raise NotOrthogonal(f"basis vectors overlap, max inner product {float(np.max(worst)):.3e}")
-    normalized = stack / np.sqrt(norms)[..., None]
-    return normalized.swapaxes(-1, -2) @ normalized
-
-
 def build_residue_family(prime: UmebPrime, h: HadamardMatrix) -> ProjectionFamily:
     """All p(p+1)/2 projections: bases t = 0..(p-1)/2, each cyclically shifted p ways.
 
     The family holds the (p+1)/2 base projections with shifts = p, built
-    from residue_base_vectors in one batched projection_from_basis: moving
-    every basis vector by x maps P to P[i - x, j - x], and a shift only
-    permutes coordinates, so the orthogonality check on a base covers all
-    its shifts.
+    on their support from residue_base_vectors, which proves the vectors
+    of every base orthogonal: their two-entry supports are pairwise
+    disjoint, or it raises NotOrthogonal.  So each base is the sum of the
+    outer products of its normalized vectors, and each outer product is the
+    2 x 2 block of one vector's two entries, scattered into the zeroed
+    bases: O(p) writes a base, 2(p - 1) nonzero entries.  Moving every
+    basis vector by x maps P to P[i - x, j - x], and a shift only permutes
+    coordinates, so what holds for a base holds for all its shifts.
     """
     p = prime.p
-    bases = projection_from_basis(residue_base_vectors(prime, h))
+    vectors = residue_base_vectors(prime, h)
+    residues = np.asarray(prime.residues, dtype=np.int64)
+    ends = np.stack((residues, prime.k * residues % p))  # ends[:, s]: the two support indices of vector s
+    entries = vectors[:, np.arange(prime.half), ends]  # entries[t, :, s]: vector s of base t on its support
+    entries /= np.sqrt(entries[:, 0] ** 2 + entries[:, 1] ** 2)[:, None]
+    bases = np.zeros(((p + 1) // 2, p, p))
+    bases[:, ends[:, None], ends[None, :]] = entries[:, :, None] * entries[:, None, :]
     bases.flags.writeable = False
     return ProjectionFamily(
         d=p,
@@ -290,11 +286,10 @@ def family_from_json(obj: dict) -> ProjectionFamily:
     """Inverse of family_to_json; MalformedArtifact, ShapeMismatch, OutOfRange or RankOutOfRange on bad input.
 
     The fields must be exactly FAMILY_FIELDS, which rejects the dense format
-    of earlier versions, and beta must fit in a float.  The bases must be
-    real: verify_equiangular compares only the real part of each trace with
-    beta, so a stack with an "im" part is rejected.  A family of whole
-    orbits (shifts = d) was built by the residue construction, so its C must
-    be exactly off_support_scale(d).
+    of earlier versions, and beta must fit in a float.  The bases are real:
+    matcore.stack_from_json rejects a stack with an "im" part.  A family of
+    whole orbits (shifts = d) was built by the residue construction, so its
+    C must be exactly off_support_scale(d).
     """
     fields = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
     if fields != FAMILY_FIELDS:
@@ -307,13 +302,10 @@ def family_from_json(obj: dict) -> ProjectionFamily:
         shifts = json_int(obj["shifts"], "shifts")
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise MalformedArtifact(f"malformed family field: {exc}") from None
-    bases = stack_from_json(obj["bases"], d)
-    if np.iscomplexobj(bases):
-        raise MalformedArtifact("a family's bases are real, but its stack has an \"im\" part")
     family = ProjectionFamily(
         d=d,
         r=r,
-        bases=bases,
+        bases=stack_from_json(obj["bases"], d),
         beta=beta,
         shifts=shifts,
         scale=scale,

@@ -2,8 +2,9 @@
 
 Each is a direct, unoptimized formula: the SWAP matrix and a channel's Choi
 matrix under the package's column-stacking vec, the Choi matrix's rank, the
-coefficient x with x * sum(P_i) = I for a maximal equiangular family, and the
-rank of the whole Gram of a list of matrices.
+coefficient x with x * sum(P_i) = I for a maximal equiangular family, the
+rank of the whole Gram of a list of matrices, and the projection onto the span
+of orthogonal vectors as a dense product.
 """
 
 from collections.abc import Callable
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from umebkit.errors import ShapeMismatch
+from umebkit.errors import NotOrthogonal, ShapeMismatch
 from umebkit.matcore import DEFAULT_TOL, Tolerance, gram_matrix, gram_spectrum, spectral_rank, union_support
 
 Channel = Callable[[np.ndarray], np.ndarray]
@@ -60,3 +61,23 @@ def numerical_rank(mats: list[np.ndarray] | np.ndarray, tol: Tolerance = DEFAULT
         raise ShapeMismatch(f"mixed shapes {sorted(shapes)}")
     stack = np.asarray(mats)
     return spectral_rank(gram_spectrum(gram_matrix(stack, 1, union_support(stack)), 1), tol)[0]
+
+
+def projection_from_basis(vectors: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Orthogonal projection onto the span of pairwise-orthogonal vectors, for one basis or a stack of them.
+
+    vectors is (r, d), the rows one basis, or (T, r, d), one basis per
+    entry; the result is (d, d) or (T, d, d), the dense product of the
+    normalized vectors.  NotOrthogonal if, in some basis, an inner product
+    of two vectors exceeds eps times its largest squared norm.
+    """
+    stack = np.asarray(vectors, dtype=float)
+    overlap = stack @ stack.swapaxes(-1, -2)
+    norms = np.diagonal(overlap, axis1=-2, axis2=-1).copy()
+    own = np.arange(overlap.shape[-1])
+    overlap[..., own, own] = 0.0
+    worst = np.max(np.abs(overlap), axis=(-2, -1))
+    if np.any(worst > tol.eps * np.max(norms, axis=-1)):
+        raise NotOrthogonal(f"basis vectors overlap, max inner product {float(np.max(worst)):.3e}")
+    normalized = stack / np.sqrt(norms)[..., None]
+    return normalized.swapaxes(-1, -2) @ normalized

@@ -319,15 +319,20 @@ def test_certificate_input_sha256_is_the_generated_family_digest(p7_artifacts, t
         assert json.loads(cert_path.read_text())["input_sha256"] == _sha256(p7_artifacts["family"])
 
 
+def complex_stack_json(stack):
+    """A stack with an "im" part, as earlier versions wrote complex stacks; stack_to_json writes real ones only."""
+    return {"shape": list(stack.shape), "re": stack.real.ravel().tolist(), "im": stack.imag.ravel().tolist()}
+
+
 DELETE = object()
-IDENTITIES = stack_to_json(np.tile(np.eye(7, dtype=complex), (28, 1, 1)))
+IDENTITIES = complex_stack_json(np.tile(np.eye(7, dtype=complex), (28, 1, 1)))
 # hand-made d=3 families of two bases whose rank r lies outside 1 <= r < d: with beta
 # set to tr(P_i P_j), each meets the equiangular check, so only the rank rule rejects it
 ZERO_BASES = {"d": 3, "r": 0, "beta_num": 0, "beta_den": 1, "C": None, "shifts": 1, "bases": stack_to_json(np.zeros((2, 3, 3)))}
 IDENTITY_BASES = dict(ZERO_BASES, r=3, beta_num=3, bases=stack_to_json(np.tile(np.eye(3), (2, 1, 1))))
 # the p=7 bases conjugated by a diagonal phase, D P D*: complex projections with the traces of P
 PHASES = np.exp(0.7j * np.arange(7))
-COMPLEX_BASES = stack_to_json(PHASES[:, None] * build_residue_family(validate_prime(7), construct(4)).bases * PHASES.conj())
+COMPLEX_BASES = complex_stack_json(PHASES[:, None] * build_residue_family(validate_prime(7), construct(4)).bases * PHASES.conj())
 
 
 @pytest.mark.parametrize(
@@ -470,9 +475,9 @@ def test_dense_format_of_earlier_versions_exits_1_with_one_line(tmp_path, capsys
     for i, obj in enumerate((
         old_family,
         {"d": 7, "z": [uf.z.real, uf.z.imag], "source": old_family},
-        {"d": 7, "z": [uf.z.real, uf.z.imag], "unitaries": stack_to_json(uf.unitaries)},
+        {"d": 7, "z": [uf.z.real, uf.z.imag], "unitaries": complex_stack_json(uf.unitaries)},
         # the bases of the unitaries without their source, which no command wrote
-        {"d": 7, "z": [uf.z.real, uf.z.imag], "shifts": 7, "bases": stack_to_json(uf.bases)},
+        {"d": 7, "z": [uf.z.real, uf.z.imag], "shifts": 7, "bases": complex_stack_json(uf.bases)},
     )):
         path = tmp_path / f"old{i}.json"
         path.write_text(json.dumps(obj))

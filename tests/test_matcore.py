@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from umebkit import matcore
-from umebkit.errors import MalformedArtifact, OutOfRange, ShapeMismatch
+from umebkit.errors import MalformedArtifact, NotReal, OutOfRange, ShapeMismatch
 from umebkit.hadamard import construct
 from umebkit.matcore import (
     Tolerance,
@@ -224,11 +224,19 @@ def test_support_product_is_the_dense_product(name):
     assert_is_the_dense_gap(cols, gap, bases.conj().transpose(0, 2, 1) @ bases - eye)
 
 
+def _dense_with_a_zero_row():
+    """Four dense real 7 x 7 bases, base 1 with row 0 exactly 0: every row of the union is full,
+    so support_product takes its matmul path, where an entry at (1, 0, 4) meets exact zeros."""
+    bases = np.random.default_rng(68).standard_normal((4, 7, 7))
+    bases[1, 0] = 0.0
+    return bases
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
 @pytest.mark.parametrize("at", [(0, 0, 0), (2, 3, 5), (3, 6, 6), (1, 0, 4)])  # on and off the support
-@pytest.mark.parametrize("kind", ["P", "U"])
+@pytest.mark.parametrize("kind", ["P", "U", "dense"])
 def test_support_product_carries_a_non_finite_entry(kind, at, value):
-    bases = np.array(_residue_bases(7, kind))
+    bases = _dense_with_a_zero_row() if kind == "dense" else np.array(_residue_bases(7, kind))
     bases[at] = value
     rows, columns = support_columns(union_support(bases)), support_columns(union_support(bases).T)
     eye = np.eye(7)
@@ -240,14 +248,19 @@ def test_support_product_carries_a_non_finite_entry(kind, at, value):
 
 
 def test_support_product_stays_inside_the_byte_budget(monkeypatch):
-    # dense complex bases, s = d = 12: a base's terms, keys and sums take 56 KiB,
-    # so a budget of 120 KiB holds two bases and the twelve bases go in six blocks
+    # complex bases, d = 12, whose last column is 0: a* reads whole rows and b rows of s = 11
+    # columns, so the terms are summed, not multiplied as dense bases are.  A base's terms,
+    # keys and sums take 52 KiB, so a budget of 120 KiB holds two bases and the twelve
+    # bases go in six blocks
     bases = np.random.default_rng(65).standard_normal((12, 12, 12)) + 0j
+    bases[:, :, -1] = 0.0
     rows, columns = support_columns(union_support(bases)), support_columns(union_support(bases).T)
+    assert rows.shape == (12, 11) and columns.shape == (12, 12)
     expected = support_product(bases, bases, bases, columns, rows, rows)
+    assert expected[0].shape == (12, 11)
     monkeypatch.setattr(matcore, "_BLOCK_BYTES", 120 << 10)
-    terms = 12**3  # a base's products
-    assert len(list(matcore._blocks(12, terms * (16 + 2 * 8) + 12 * 12 * 16))) == 6
+    terms = 12 * 12 * 11  # a base's products
+    assert len(list(matcore._blocks(12, terms * (16 + 2 * 8) + 12 * 11 * 16))) == 6
     tracemalloc.start()
     try:
         cols, gap = support_product(bases, bases, bases, columns, rows, rows)
@@ -259,6 +272,21 @@ def test_support_product_stays_inside_the_byte_budget(monkeypatch):
     # every row's terms, four integer arrays of a base's terms
     keys = 2 * 2 * terms * 8
     assert peak - gap.nbytes - cols.nbytes <= matcore._BLOCK_BYTES + keys + 4 * terms * 8
+
+
+def test_support_product_of_full_rows_is_one_matmul_a_block(monkeypatch):
+    # dense bases read every column of every row: the terms are those of the dense product,
+    # so each block of the budget, a base's conjugate and product (4.5 KiB), is one matmul
+    bases = np.random.default_rng(66).standard_normal((12, 12, 12)) + 1j * np.random.default_rng(67).standard_normal((12, 12, 12))
+    full = support_columns(union_support(bases))
+    assert full.shape == (12, 12)
+    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 3 * 2 * 12 * 12 * 16)
+    matmul, shapes = np.matmul, []
+    monkeypatch.setattr(np, "matmul", lambda a, b, **kw: shapes.append(a.shape) or matmul(a, b, **kw))
+    cols, gap = support_product(bases, bases, bases, full, full, full)
+    assert shapes == [(3, 12, 12)] * 4
+    assert np.array_equal(cols, np.tile(np.arange(12), (12, 1)))
+    assert_is_the_dense_gap(cols, gap, bases.conj().transpose(0, 2, 1) @ bases - bases)
 
 
 def test_union_support_keeps_every_entry_that_is_not_exactly_zero():
@@ -409,6 +437,65 @@ def test_support_gram_rows_match_the_rolled_rows(build, d):
     assert_rows_match_the_rolled_rows(build(np.random.default_rng(37 + d), d))
 
 
+def _one_off_diagonal_entry(rng, d):
+    """One entry off the diagonal: its shift by (x, x) is off the support for every x != 0."""
+    base = np.zeros((2, d, d), dtype=complex)
+    base[:, 1, 3] = [1.5 - 2j, -0.5j]
+    return base
+
+
+def _one_diagonal_pair(rng, d):
+    """Two entries on one diagonal, two apart: only the shifts 2 and -2 match them with each other."""
+    bases = np.zeros((3, d, d))
+    bases[:, 1, 2] = rng.standard_normal(3)
+    bases[:, 3, 4] = rng.standard_normal(3)
+    return bases
+
+
+MATCHED_PAIR_CASES = {
+    **{f"{kind}-p{p}": (lambda rng, d, p=p, kind=kind: _residue_bases(p, kind)) for p in (7, 23) for kind in ("P", "U")},
+    "dense-real": lambda rng, d: rng.standard_normal((3, d, d)),
+    "dense-complex": lambda rng, d: rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d)),
+    "unequal-rows": lambda rng, d: _unequal_rows(),
+    "one-off-diagonal-entry": _one_off_diagonal_entry,
+    "one-diagonal-pair": _one_diagonal_pair,
+}
+
+
+@pytest.mark.parametrize("name", MATCHED_PAIR_CASES)
+def test_matched_pair_gram_rows_are_rows_of_the_dense_gram(name):
+    # the reference: every member gathered and the whole n x n Gram as one dense product
+    bases = np.asarray(MATCHED_PAIR_CASES[name](np.random.default_rng(70), 7))
+    t, d = len(bases), bases.shape[-1]
+    members = orbit_stack(bases, d).reshape(t * d, -1)
+    whole = members.conj() @ members.T
+    rows = gram_matrix(bases, d, union_support(bases))
+    assert rows.shape == (t, t * d) and rows.dtype == whole.dtype
+    scale = max(1.0, float(np.max(np.abs(bases)))) ** 2
+    assert np.max(np.abs(rows - whole[::d])) <= d * d * np.finfo(float).eps * scale
+    # a shift whose entries meet no supported entry is a block of exact zeros, as in the reference
+    blocks = rows.reshape(t, t, d)
+    unmatched = [x for x in range(d) if not np.any(union_support(bases) & np.roll(union_support(bases), (x, x), axis=(0, 1)))]
+    assert np.all(blocks[:, :, unmatched] == 0) and np.all(whole[::d].reshape(t, t, d)[:, :, unmatched] == 0)
+    if name == "one-off-diagonal-entry":
+        assert unmatched == list(range(1, d))
+    if name == "one-diagonal-pair":
+        assert unmatched == [1, 3, 4, 6]
+
+
+@pytest.mark.parametrize("kind", ["P", "U"])
+def test_matched_pair_gram_multiplies_the_diagonal_alone_off_shift_zero(kind, monkeypatch):
+    # of the 2(p - 1) supported entries (2p - 1 for U), a shift x != 0 matches the diagonal
+    # entries alone, those whose shift misses (0, 0) for P: the pair entry (q, kq) shifted is
+    # another pair's only if -q is a residue, and -1 is no residue mod 23
+    bases = _residue_bases(23, kind)
+    matmul, inner = np.matmul, []
+    monkeypatch.setattr(np, "matmul", lambda a, b, **kw: inner.append(a.shape[1]) or matmul(a, b, **kw))
+    gram_matrix(bases, 23, union_support(bases))
+    assert inner[0] == int(np.count_nonzero(union_support(bases))) == {"P": 44, "U": 45}[kind]
+    assert inner[1:] == [{"P": 21, "U": 23}[kind]] * (23 // 2)
+
+
 @pytest.mark.parametrize("shifts", [1, 47])
 def test_gram_passes_stay_inside_the_byte_budget(shifts, monkeypatch):
     # at p=47 one conjugated member is 76 KiB and one gathered shift of the
@@ -451,40 +538,49 @@ def test_read_only_stack_copies_unless_handed_over():
 
 def test_stack_json_round_trip_is_exact():
     rng = np.random.default_rng(17)
-    signed_zeros = np.array([[complex(-0.0, 1.5), complex(2.0, -0.0)], [complex(-0.0, -0.0), 0j]])
-    complex_stack = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
-    for stack in (complex_stack, signed_zeros[None], complex_stack.real, signed_zeros.real[None]):
+    signed_zeros = np.array([[-0.0, 1.5], [2.0, -0.0]])
+    for stack in (rng.standard_normal((3, 5, 5)), signed_zeros[None]):
         obj = json.loads(json.dumps(stack_to_json(stack)))
-        assert ("im" in obj) == np.iscomplexobj(stack)
+        assert sorted(obj) == ["re", "shape"]
         again = stack_from_json(obj, stack.shape[1])
-        assert again.shape == stack.shape and again.dtype == stack.dtype
+        assert again.shape == stack.shape and again.dtype == float
         assert again.tobytes() == stack.tobytes()  # bit-exact, sign of zero included
         assert not again.flags.writeable
 
 
+def test_stack_json_codes_real_stacks_only():
+    # no artifact holds a complex stack: the writer refuses one and the reader rejects an "im" part
+    with pytest.raises(NotReal):
+        stack_to_json(np.eye(2)[None] * 1j)
+    with pytest.raises(NotReal):
+        stack_to_json(np.eye(2, dtype=complex)[None])  # complex dtype, real entries
+    for im in ([0.0] * 4, [1.0] * 4, [], "x"):
+        obj = dict(stack_to_json(np.eye(2)[None]), im=im)
+        with pytest.raises(MalformedArtifact, match='"im"'):
+            stack_from_json(obj, 2)
+
+
 def test_stack_json_rejects_bad_length():
-    def drop_last(obj, part):
-        del obj[part][-1]
+    def drop_last(obj):
+        del obj["re"][-1]
 
-    def string_entry(obj, part):
-        obj[part][0] = "1.0"
+    def string_entry(obj):
+        obj["re"][0] = "1.0"
 
-    def list_entry(obj, part):
-        obj[part][0] = [1.0]
+    def list_entry(obj):
+        obj["re"][0] = [1.0]
 
-    def null_entry(obj, part):
-        obj[part][0] = None
+    def null_entry(obj):
+        obj["re"][0] = None
 
-    def shape_disagrees(obj, part):
+    def shape_disagrees(obj):
         obj["shape"][0] += 1
 
     for mutate in (drop_last, string_entry, list_entry, null_entry, shape_disagrees):
-        for stack in (np.eye(2)[None], np.eye(2)[None] * 1j):
-            for part in ("re", "im") if np.iscomplexobj(stack) else ("re",):
-                obj = stack_to_json(stack)
-                mutate(obj, part)
-                with pytest.raises(ShapeMismatch):
-                    stack_from_json(obj, 2)
+        obj = stack_to_json(np.eye(2)[None])
+        mutate(obj)
+        with pytest.raises(ShapeMismatch):
+            stack_from_json(obj, 2)
 
 
 @pytest.mark.parametrize(

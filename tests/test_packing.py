@@ -12,6 +12,7 @@ from umebkit.errors import (
     IndexOutOfRange,
     MalformedArtifact,
     NotOrthogonal,
+    NotReal,
     OutOfRange,
     RankOutOfRange,
 )
@@ -27,12 +28,11 @@ from umebkit.packing import (
     family_to_json,
     icosahedron_lines,
     off_support_scale,
-    projection_from_basis,
     verify_equiangular,
 )
 from umebkit.umeb import build_unitaries, compute_phase
 
-from oracles import identity_coefficient, numerical_rank
+from oracles import identity_coefficient, numerical_rank, projection_from_basis
 
 EPS = 1e-9
 SQRT2 = math.sqrt(2.0)
@@ -133,11 +133,35 @@ def test_residue_base_vectors_errors():
     for residues in ((1, 2, 11), (0, 2, 4)):
         with pytest.raises(IndexOutOfRange):
             residue_base_vectors(replace(prime, residues=residues), construct(4))
-    # k = 2 is a residue mod 7, so k*q lands on the residues: the supports collide
-    with pytest.raises(NotOrthogonal):
-        build_residue_family(replace(prime, k=2), construct(4))
-    with pytest.raises(NotOrthogonal):  # a fourth residue: 8 support indices among 6
-        residue_base_vectors(replace(prime, residues=(1, 2, 4, 5)), construct(4))
+    # k = 2 is a residue mod 7 (2 and 3 mod 23), so k*q lands on the residues: the supports
+    # collide, and the build, which scatters each vector's outer product, refuses them
+    for p, k in ((7, 2), (23, 2), (23, 3)):
+        with pytest.raises(NotOrthogonal):
+            build_residue_family(replace(validate_prime(p), k=k), construct((p + 1) // 2))
+    fourth = replace(prime, residues=(1, 2, 4, 5))  # a fourth residue: 8 support indices among 6
+    for build in (residue_base_vectors, build_residue_family):
+        with pytest.raises(NotOrthogonal):
+            build(fourth, construct(4))
+
+
+@pytest.mark.parametrize("p", [3, 7, 23, 31, 47, 71, 79, 151])
+def test_scattered_bases_are_the_projections_onto_the_base_vectors(p):
+    # the scatter of each vector's 2 x 2 outer product against the dense product of the normalized vectors
+    prime = validate_prime(p)
+    h = construct((p + 1) // 2)
+    bases = build_residue_family(prime, h).bases
+    expected = projection_from_basis(residue_base_vectors(prime, h))
+    assert bases.shape == expected.shape == ((p + 1) // 2, p, p) and bases.dtype == expected.dtype
+    assert np.max(np.abs(bases - expected)) <= 2.3e-16
+    assert np.array_equal(bases != 0, expected != 0)
+    assert np.count_nonzero(bases[0]) == 2 * (p - 1)
+
+
+def test_projection_families_are_real():
+    fam = p7_family()
+    for bases in (fam.bases + 0j, fam.bases * 1j, list(fam.bases.astype(complex))):
+        with pytest.raises(NotReal):
+            ProjectionFamily(7, 3, bases, fam.beta, shifts=7)
 
 
 def test_residue_family_shift_one_matches_worked_case():

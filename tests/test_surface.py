@@ -47,7 +47,7 @@ DELETED = {
     channels: ["choi_of_channel", "swap_matrix", "choi_rank"],
     matcore: ["frobenius_inner", "sym_antisym_split", "cj_vectorize", "is_unitary", "numerical_rank"],
     umeb: ["cj_states", "line_feasibility_sweep"],
-    packing: ["beta_lines", "identity_coefficient"],
+    packing: ["beta_lines", "identity_coefficient", "projection_from_basis"],
     hadamard: ["hadamard_from_json"],
 }
 # public without a caller in the package: the acceptance suite's duality claim reads
