@@ -16,8 +16,8 @@ the family's trace Gram G:
 |W^(1/2) G W^(1/2) - (2/(d+1)) I_n|_F, an exact identity (the vec(U_j) lie
 in the n-dimensional symmetric subspace, where the target is (2/(d+1)) times
 the identity, and F W F* and W^(1/2) F* F W^(1/2) have the same spectrum).
-It reads the family's one pass over its Gram rows, uf.gram_stats, which the
-certificate also reads: the per-orbit sums of squares and the diagonal.
+It reads the family's Gram stats, uf.gram_stats, which the certificate also
+reads: the per-orbit sums of squares and the diagonal.
 Otherwise it sums the squared distance over the d-row blocks
 (w o F[:, rows])^T @ conj(F), F the rows vec(U_j), subtracting the target
 in place at its identity and SWAP entries; C_mix is Hermitian, so each
@@ -64,19 +64,17 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotCertified, NotSquare, OutOfRange, ShapeMismatch
-from .matcore import DEFAULT_TOL, Tolerance, _blocks, orbit_stack, support_columns
+from .matcore import DEFAULT_TOL, Tolerance, _blocks, _dft, orbit_stack, support_columns
 from .umeb import UnitaryFamily, _span
 
 
 def _cyclic(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(coords, plus, dft) with plus[i, e] = (i + e) mod d and dft[k, a] = exp(-2 pi i k a / d).
+    """(coords, plus, dft) with plus[i, e] = (i + e) mod d and dft = matcore._dft(d), dft[k, a] = exp(-2 pi i k a / d).
 
-    dft is symmetric; every DFT here is a product with it or its conjugate,
-    not numpy.fft, whose Bluestein path is slower at prime d.
+    dft is symmetric; every DFT here is a product with it or its conjugate.
     """
     coords = np.arange(d)
-    dft = np.exp(-2j * np.pi / d * (coords[:, None] * coords % d))
-    return coords, (coords[:, None] + coords) % d, dft
+    return coords, (coords[:, None] + coords) % d, _dft(d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,7 +346,7 @@ def _choi_dev_from_gram(w: np.ndarray, uf: UnitaryFamily) -> float:
 
     Entry (i, j) of W^(1/2) G W^(1/2) is sqrt(w_i w_j) G_ij, and row t*d + x
     is row t*d permuted, so the squared distance is uf.shifts times its sum
-    over the family's Gram rows, read off uf.gram_stats: w^T sq_off w off the
+    over the rows G[t*d], read off uf.gram_stats: w^T sq_off w off the
     diagonal and sum_t |w_t G_tt - 2/(d+1)|^2 on it, two sums of
     nonnegative terms kept apart.
     """
@@ -391,7 +389,7 @@ def verify_decomposition(
     (a) Frobenius distance between sum_j w_j vec(U_j) vec(U_j)* and the
     closed-form Choi matrix (I + SWAP)/(d+1), within eps * d^2.  For
     d(d+1)/2 exactly symmetric members with weights >= 0, equal within each
-    orbit of the family's shifts, it comes from the Gram rows the
+    orbit of the family's shifts, it comes from the Gram stats the
     certificate reads, times the shift count; otherwise it is accumulated
     over blocks of d rows, so no d^2 x d^2 matrix is formed.
     (b) For `trials` seeded random Hermitian inputs (per-trial seed =

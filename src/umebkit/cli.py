@@ -13,7 +13,7 @@ and on a unitary family that check plus the certificate of the unitaries
 rebuilt from it.
 
 Exit status: 0 when every verdict passes, 2 when a verdict fails,
-1 for usage or I/O errors and for malformed artifacts.
+1 for usage or I/O errors, for malformed artifacts and when memory runs out.
 """
 
 from __future__ import annotations
@@ -399,6 +399,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as exc:
         print(f"umebkit: i/o error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's "Unable to allocate ..." for an input too large for this machine
+        print(f"umebkit: error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

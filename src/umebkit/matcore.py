@@ -1,9 +1,9 @@
 """Dense complex matrix core: whole cyclic-shift orbits of base matrices, the
-bases' union support and each row's columns in it, trace inner products and
-Gram rows, the one pass that every check reads off those rows, the Gram
-spectrum from its shift blocks and its numerical rank, the budgeted product
-a* b - c of stacks summed over their supports, read-only member stacks, the
-tolerances and the JSON coding of real stacks.
+bases' union support and each row's columns in it, the trace Gram of whole
+orbits held by its parts from the bases' cyclic diagonals, what every check
+reads off it, the Gram spectrum from its shift blocks and its numerical
+rank, the budgeted product a* b - c of stacks summed over their supports,
+read-only member stacks, the tolerances and the JSON coding of real stacks.
 """
 
 from __future__ import annotations
@@ -50,6 +50,17 @@ def _blocks(n: int, item_bytes: int):
     step = max(1, _BLOCK_BYTES // max(1, item_bytes))
     for start in range(0, n, step):
         yield slice(start, min(n, start + step))
+
+
+def _dft(d: int) -> np.ndarray:
+    """The symmetric d x d DFT matrix, dft[k, a] = exp(-2 pi i k a / d).
+
+    Every DFT of the package is a product with it, not numpy.fft, whose
+    Bluestein path is slower at prime d and whose first use loads an
+    extension into the process.
+    """
+    coords = np.arange(d)
+    return np.exp(-2j * np.pi / d * (coords[:, None] * coords % d))
 
 
 def orbit_stack(bases: np.ndarray, shifts: int) -> np.ndarray:
@@ -172,95 +183,111 @@ def support_product(a, b, c, left, right, own) -> tuple[np.ndarray, np.ndarray]:
     return cols, gap
 
 
-def gram_matrix(bases: list[np.ndarray] | np.ndarray, shifts: int, support: np.ndarray) -> np.ndarray:
-    """Row t of the Hermitian Gram G_ij = tr(m_i* m_j) of the members m = orbit_stack(bases, shifts), one per base.
+@dataclass(frozen=True, eq=False)
+class CyclicGram:
+    """The trace Gram G_ij = tr(m_i* m_j) of the members m = orbit_stack(bases, shifts), held by its parts (cyclic_gram).
 
-    Column t'*shifts + x of row t is tr(bases[t]* m), m base t' shifted by
-    x.  A shift is a permutation similarity, so for shifts = d the Gram is
-    block-circulant, G[t*d + x, t'*d + x'] = rows[t, t'*d + (x' - x) mod d],
-    and its T rows fix every entry.  Real input gives a real Gram.  shifts =
-    1 is the whole Gram: one symmetric rank-k update for real input, blocks
-    of rows for complex input, each counting its conjugated members and its
-    rows against _BLOCK_BYTES; it reads every entry.  For shifts = d the sum
-    runs over the matched pairs of support, union_support(bases), S: the
-    entries e of S whose shift e - (x, x) is in S too.  A dropped term
-    conj(bases[t][e]) * bases[t'][e - (x, x)] has a factor 0 for every t.
-    Each shift x <= d/2 is one product
-    conj(bases[:, e]) @ bases[:, e - (x, x)]^T over its matched e, of a
-    shape that no budget changes, and a shift with none is a block of exact
-    zeros; the block of shift -x is the conjugate transpose of the block of
-    shift x.  The paper's bases have 2(d - 1) nonzero entries (2d - 1 for
-    the unitaries), and for x != 0 only their d - 2 (d) diagonal entries
-    are matched, so a shift costs O(T^2 d) in place of O(T^2 d^2); dense
-    bases match every entry.
+    With s = shifts and indices mod s,
+    G[t*s + y, t'*s + y + x] = c[t, t'] [x = 0] + h[group[t], group[t'], x]:
+    the Gram of whole orbits is block-circulant, so the T x T products c
+    and the g x g x s correlations h fix every entry.  Real bases give a
+    real c and h.
+    """
+
+    c: np.ndarray  # (T, T): the terms that meet at x = 0 alone
+    group: np.ndarray  # (T,): the group of base t, the bases whose shared diagonals are exactly equal
+    h: np.ndarray  # (g, g, s): the cyclic cross-correlations of the groups' shared diagonals
+
+
+def cyclic_gram(bases: np.ndarray, shifts: int, support: np.ndarray) -> CyclicGram:
+    """The Gram of the members of the (T, d, d) bases, from their cyclic diagonals b[t, e, a] = bases[t, a, a + e].
+
+    G[t*s, t'*s + x] = sum_e sum_a conj(b[t, e, a]) b[t', e, a - x], and a
+    term is 0 unless both of its entries lie in support, the bases' union
+    support.  An offset e that holds one row of the support adds at x = 0
+    alone, so all such entries together are one product c = conj(V) V^T,
+    in blocks of rows for complex bases, each counting its conjugated rows
+    and its products against _BLOCK_BYTES.  The diagonals of the other
+    offsets, the shared ones, are grouped by exact equality across the
+    bases: each is compared with the first of each group, with no sort (a
+    process's first sort maps code pages that show in its peak RSS), and a
+    NaN equals nothing, so its base forms a group of its own.  One DFT over
+    a of each group's diagonals (a product with _dft) and one g x g product
+    per frequency give every cross-correlation h at once, O(g^2 d) beside
+    the transforms.  The
+    paper's bases hold their 2(d - 1) off-diagonal entries on as many
+    offsets, one entry each, and every base has the same main diagonal, so
+    g = 1; bases whose diagonals all differ have g = T.  For shifts = 1
+    every entry meets at x = 0 alone, so c is the whole Gram, read off
+    every entry of the bases, and h is 0.
     """
     stack = np.asarray(bases)
-    if stack.ndim < 2:
-        raise ShapeMismatch("need at least one matrix")
-    m = stack.shape[0]
+    m, d = len(stack), stack.shape[-1]
     flat = stack.reshape(m, -1)
     if shifts == 1:
-        if not np.iscomplexobj(flat):
-            return flat @ flat.T
-        gram = np.empty((m, m), dtype=flat.dtype)
-        for rows in _blocks(m, (m + flat.shape[1]) * gram.itemsize):
-            np.matmul(flat[rows].conj(), flat.T, out=gram[rows])
-        return gram
-    d = stack.shape[-1]
-    support = np.flatnonzero(support)
-    i, j = np.divmod(support, d)
-    # place[a, b]: the place of entry (a mod d, b mod d) in support, -1 off it, for a, b < 2d: scattered rather
-    # than searched, with no sort, and tiled, so that e - (x, x) lies a fixed step of 2d + 1 back from e + (d, d)
-    place = np.full((d, d), -1, dtype=np.intp)
-    place.flat[support] = np.arange(len(support))
-    place = np.tile(place, (2, 2)).ravel()
-    start = (i + d) * 2 * d + j + d
-    values = flat[:, support]
-    lhs = values.conj()
-    gram = np.empty((m, m, shifts), dtype=flat.dtype)
-    for x in range(shifts // 2 + 1):
-        shifted = place[start - x * (2 * d + 1)]  # the place of e - (x, x), -1 if it is off the support
-        matched = np.flatnonzero(shifted >= 0)
-        np.matmul(lhs[:, matched], values[:, shifted[matched]].T, out=gram[:, :, x])
-        if 0 < x < shifts - x:  # G[t, t', -x] = conj(G[t', t, x]): shifting by -x is the adjoint similarity
-            gram[:, :, shifts - x] = gram[:, :, x].T.conj()
-    return gram.reshape(m, m * shifts)
+        single, shared = flat, np.empty(0, dtype=np.intp)
+    else:
+        entries = np.flatnonzero(support)
+        i, j = np.divmod(entries, d)
+        offset = (j - i) % d
+        rows = np.bincount(offset, minlength=d)  # rows[e]: the rows of the support on offset e
+        single, shared = flat[:, entries[rows[offset] == 1]], np.flatnonzero(rows > 1)
+    a = np.arange(shifts)
+    diagonals = stack[:, a, (a + shared[:, None]) % d]  # (T, shared offsets, s)
+    group = np.empty(m, dtype=np.intp)
+    firsts, left = [], np.arange(m)
+    while len(left):
+        same = np.all(diagonals[left] == diagonals[left[0]], axis=(1, 2))
+        same[0] = True  # a diagonal with a NaN equals nothing, not even itself
+        group[left[same]] = len(firsts)
+        firsts.append(left[0])
+        left = left[~same]
+    dft = _dft(shifts)
+    with np.errstate(invalid="ignore", over="ignore"):  # an inf times a 0 is a NaN entry, not a warning
+        spectra = (diagonals[firsts] @ dft).transpose(2, 0, 1)  # (s, g, shared offsets)
+        if np.iscomplexobj(single):
+            c = np.empty((m, m), dtype=single.dtype)
+            for block in _blocks(m, (m + single.shape[1]) * c.itemsize):
+                np.matmul(single[block].conj(), single.T, out=c[block])
+        else:
+            c = single @ single.T
+        # sum_a conj(u[a]) v[a - x] is the DFT over k of conj(U[k]) V[k], over s
+        h = (spectra.conj() @ spectra.transpose(0, 2, 1)).transpose(1, 2, 0) @ dft / shifts
+    return CyclicGram(c, group, h if np.iscomplexobj(stack) else h.real)
 
 
 @dataclass(frozen=True, eq=False)
-class GramRowStats:
-    """What the checks read off the Gram rows of gram_matrix(bases, shifts), from gram_row_stats."""
+class GramStats:
+    """What the checks read off the Gram of a CyclicGram, from gram_stats."""
 
-    diag: np.ndarray  # diag[t]: row t's own entry, G[t*shifts, t*shifts], of the rows' dtype
-    radii: np.ndarray  # radii[t]: row t's Gershgorin radius, the sum of |G| off its own entry
+    diag: np.ndarray  # diag[t]: the own entry G[t*s, t*s] of base t, of the Gram's dtype
+    radii: np.ndarray  # radii[t]: the Gershgorin radius of row t*s, the sum of |G| off its own entry
     max_off: float  # the largest |G| off the own entries
-    sq_off: np.ndarray  # sq_off[t, t']: sum over x of |rows[t, t'*shifts + x]|^2, the own entry left out
+    sq_off: np.ndarray  # sq_off[t, t']: sum over x of |G[t*s, t'*s + x]|^2, the own entry left out
 
 
-def gram_row_stats(rows: np.ndarray, shifts: int) -> GramRowStats:
-    """The own entries, Gershgorin radii, largest off-diagonal magnitude and per-orbit sums of squares of the rows, in one pass.
+def gram_stats(gram: CyclicGram) -> GramStats:
+    """The own entries, Gershgorin radii, largest off-diagonal magnitude and per-orbit sums of squares of the Gram.
 
-    rows is gram_matrix(bases, shifts), shape (T, T * shifts).  The row of
-    a member shifted by x is its base's row permuted, so these T rows hold
-    every radius, off-diagonal entry and diagonal entry of the n x n Gram,
-    and sq_off[t, t'] is the sum of |G|^2 over the off-diagonal entries of
-    any row of orbit t in the columns of orbit t'.  This is the one place
-    that knows a row's own entry sits at column t * shifts.  The rows go in
-    blocks of _BLOCK_BYTES; a NaN reaches the radii, max_off and sq_off.
+    The row of a member shifted by y is its base's row permuted, so the T
+    rows G[t*s] hold every radius, off-diagonal entry and diagonal entry of
+    the n x n Gram, and sq_off[t, t'] is the sum of |G|^2 over the
+    off-diagonal entries of any row of orbit t in the columns of orbit t'.
+    The x = 0 entries are the T x T matrix c + h[group, group, 0], and the
+    entries at x != 0 are those of h, one g x g x (s - 1) pass that stands
+    for every pair of bases in each pair of groups: O(T^2 + g^2 s) in all.
+    A NaN reaches the radii, max_off and sq_off.
     """
-    m, n = rows.shape
-    own = np.arange(m) * shifts
-    radii = np.empty(m)
-    sq_off = np.empty((m, m))
-    worst = []
-    for block in _blocks(m, n * rows.itemsize):
-        off = np.abs(rows[block])
-        off[np.arange(len(off)), own[block]] = 0.0
-        radii[block] = off.sum(axis=1)
-        worst.append(np.max(off))
-        off *= off
-        sq_off[block] = off.reshape(len(off), m, shifts).sum(axis=2)
-    return GramRowStats(rows[np.arange(m), own], radii, float(np.max(worst)), sq_off)
+    own = np.arange(len(gram.c))
+    pair = np.ix_(gram.group, gram.group)
+    near = gram.c + gram.h[:, :, 0][pair]
+    diag = near[own, own]
+    near = np.abs(near)
+    near[own, own] = 0.0
+    far = np.abs(gram.h[:, :, 1:])
+    radii = near.sum(axis=1) + far.sum(axis=2)[pair].sum(axis=1)
+    sq_off = near * near + (far * far).sum(axis=2)[pair]
+    return GramStats(diag, radii, float(np.maximum(np.max(near), np.max(far, initial=0.0))), sq_off)
 
 
 def read_only_stack(members, d: int, dtype=None) -> np.ndarray:
@@ -285,20 +312,18 @@ def read_only_stack(members, d: int, dtype=None) -> np.ndarray:
     return stack
 
 
-def gram_spectrum(rows: np.ndarray, shifts: int) -> np.ndarray:
-    """Every eigenvalue of the Hermitian Gram whose rows gram_matrix(bases, shifts) gives, in ascending order.
+def gram_spectrum(gram: CyclicGram) -> np.ndarray:
+    """Every eigenvalue of the Hermitian Gram of a CyclicGram, in ascending order.
 
-    The Gram of whole orbits is block-circulant, G[t*s + x, t'*s + x'] =
-    c[t, t', (x' - x) mod s] with c = rows reshaped (T, T, s), so a DFT over
-    the shift splits it into s Hermitian T x T blocks, sum_y c[:, :, y]
-    exp(-2 pi i k y / s) for k = 0..s-1, whose eigenvalues together are
-    those of G: one batched eigvalsh on the (shifts, T, T) blocks, never
-    the n x n Gram.  The T^2 transforms of length s (numpy.fft) cost little
-    beside the eigensolves.  For shifts = 1 the single block is the rows
-    themselves, not a copy.
+    The Gram of whole orbits is block-circulant, so a DFT over the shift
+    splits it into s Hermitian T x T blocks, sum_x G[t*s, t'*s + x]
+    exp(-2 pi i k x / s) = c + hhat[group, group, k], hhat the DFT of h
+    over x, whose eigenvalues together are those of G: one batched
+    eigvalsh on the (s, T, T) blocks, never the n x n Gram.  For shifts = 1
+    the single block is c.
     """
-    m = len(rows)
-    blocks = rows[None] if shifts == 1 else np.fft.fft(rows.reshape(m, m, shifts).transpose(2, 0, 1), axis=0)
+    hhat = (gram.h @ _dft(gram.h.shape[-1])).transpose(2, 0, 1)
+    blocks = gram.c + hhat[:, gram.group[:, None], gram.group]
     return np.sort(np.linalg.eigvalsh(blocks), axis=None)
 
 

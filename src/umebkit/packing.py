@@ -5,16 +5,17 @@ p(p+1)/2 rank-(p-1)/2 real projections in dimension p (for p = 3 or
 p = 7 mod 8), and the six icosahedron diagonals as rank-one projections in
 dimension 3.  Also the duality map Q_i = I - P_i and the closed-form common
 angles.  The residue bases are built on their support alone: each base
-vector has two nonzero entries, and its outer product is scattered into the
-zeroed bases.  verify_equiangular reads each family's pairwise traces off
-its Gram rows and its idempotency off products summed over the bases' union
-support.
+vector has two nonzero entries, given by their indices and coefficients,
+and its outer product is scattered into the zeroed bases.
+verify_equiangular reads each family's pairwise traces off its Gram, held
+by its parts from the bases' cyclic diagonals, and its idempotency off
+products summed over the bases' union support.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -33,8 +34,8 @@ from .hadamard import HadamardMatrix
 from .matcore import (
     DEFAULT_TOL,
     Tolerance,
-    gram_matrix,
-    gram_row_stats,
+    cyclic_gram,
+    gram_stats,
     json_int,
     json_number,
     orbit_stack,
@@ -91,7 +92,7 @@ class ProjectionFamily:
 
     @cached_property
     def support(self) -> np.ndarray:
-        """union_support(bases), read-only: the one mask that the Gram rows and the idempotency check read."""
+        """union_support(bases), read-only: the one mask that the Gram and the idempotency check read."""
         on = union_support(self.bases)
         on.flags.writeable = False
         return on
@@ -121,18 +122,19 @@ def off_support_scale(p: int) -> float:
     return (1.0 + math.sqrt(p + 2)) / math.sqrt(p + 1)
 
 
-def residue_base_vectors(prime: UmebPrime, h: HadamardMatrix) -> np.ndarray:
-    """The unnormalized base vectors of every subspace, as one (p+1)/2 x (p-1)/2 x p array.
+def residue_base_vectors(prime: UmebPrime, h: HadamardMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(ends, coefficients): the unnormalized base vectors of every subspace on their two-entry supports.
 
-    Vector s - 1 of subspace t (s = 1..(p-1)/2) has a 1 at index q_s and
-    h[s, t] * h[0, t] * scale at index k*q_s mod p, using 0-indexed
-    coordinates; rows 0..(p-1)/2 and columns 0..(p-1)/2 of h are consumed.
-    The factor h[0, t] normalizes row 0 of h to all +1, which the
-    construction needs and not every Hadamard strategy provides.  Each
-    vector has squared norm 1 + scale^2.  The support indices must lie in
-    1..p-1 (IndexOutOfRange otherwise) and be p - 1 distinct ones, so that
-    the supports are pairwise disjoint (NotOrthogonal otherwise): a
-    UmebPrime built by hand can break either.
+    Vector s - 1 of subspace t (s = 1..(p-1)/2) has a 1 at index
+    ends[0, s - 1] = q_s and coefficients[t, s - 1] = h[s, t] * h[0, t] *
+    scale at index ends[1, s - 1] = k*q_s mod p, using 0-indexed
+    coordinates, and is 0 elsewhere; rows 0..(p-1)/2 and columns
+    0..(p-1)/2 of h are consumed.  The factor h[0, t] normalizes row 0 of h
+    to all +1, which the construction needs and not every Hadamard strategy
+    provides.  Each vector has squared norm 1 + scale^2.  The support
+    indices must lie in 1..p-1 (IndexOutOfRange otherwise) and be p - 1
+    distinct ones, so that the supports are pairwise disjoint
+    (NotOrthogonal otherwise): a UmebPrime built by hand can break either.
     """
     p = prime.p
     half = prime.half
@@ -146,11 +148,7 @@ def residue_base_vectors(prime: UmebPrime, h: HadamardMatrix) -> np.ndarray:
     if len(supports) != p - 1 or np.max(np.bincount(supports)) > 1:
         raise NotOrthogonal(f"support indices collide for p={p}, k={prime.k}")
     signs = h.entries[1 : half + 1, : half + 1] * h.entries[0, : half + 1]  # signs[s - 1, t]
-    vectors = np.zeros(((p + 1) // 2, half, p))
-    s = np.arange(half)
-    vectors[:, s, residues] = 1.0
-    vectors[:, s, partners] = signs.T * off_support_scale(p)
-    return vectors
+    return np.stack((residues, partners)), signs.T * off_support_scale(p)
 
 
 def build_residue_family(prime: UmebPrime, h: HadamardMatrix) -> ProjectionFamily:
@@ -167,10 +165,8 @@ def build_residue_family(prime: UmebPrime, h: HadamardMatrix) -> ProjectionFamil
     coordinates, so what holds for a base holds for all its shifts.
     """
     p = prime.p
-    vectors = residue_base_vectors(prime, h)
-    residues = np.asarray(prime.residues, dtype=np.int64)
-    ends = np.stack((residues, prime.k * residues % p))  # ends[:, s]: the two support indices of vector s
-    entries = vectors[:, np.arange(prime.half), ends]  # entries[t, :, s]: vector s of base t on its support
+    ends, coefficients = residue_base_vectors(prime, h)  # ends[:, s]: the two support indices of vector s
+    entries = np.stack((np.ones_like(coefficients), coefficients), axis=1)  # entries[t, :, s]: vector s of base t
     entries /= np.sqrt(entries[:, 0] ** 2 + entries[:, 1] ** 2)[:, None]
     bases = np.zeros(((p + 1) // 2, p, p))
     bases[:, ends[:, None], ends[None, :]] = entries[:, :, None] * entries[:, None, :]
@@ -190,10 +186,11 @@ def verify_equiangular(
 ) -> EquiangularReport:
     """Check pairwise traces, idempotency and trace-rank of every member.
 
-    The pairwise traces come from the Gram rows
-    gram_matrix(bases, shifts, support), which hold every entry:
-    max_angle_dev is the largest off-diagonal magnitude of the rows minus
-    beta (matcore.gram_row_stats).  A shift permutes entries, so
+    The pairwise traces come from the Gram cyclic_gram(bases, shifts,
+    support), held by its parts, which fix every entry: G - beta is its
+    products c beside its correlations h - beta, and max_angle_dev is the
+    largest off-diagonal magnitude of that (matcore.gram_stats),
+    O(T^2 + g^2 d) however many pairs there are.  A shift permutes entries, so
     idempotency and traces are checked on the bases alone; idempotency as
     the largest entry of |P P - P|, summed over the family's support
     (matcore.support_product, which keeps a NaN): the paper's projections
@@ -203,9 +200,8 @@ def verify_equiangular(
     on = family.support
     n = len(family)
     beta = float(family.beta)
-    angle_devs = gram_matrix(bases, family.shifts, on).real
-    angle_devs -= beta
-    max_angle_dev = gram_row_stats(angle_devs, family.shifts).max_off
+    gram = cyclic_gram(bases, family.shifts, on)
+    max_angle_dev = gram_stats(replace(gram, h=gram.h - beta)).max_off
     # P P = (P*)* P: for real P, P* is a transposed view, no copy; P's rows read the same columns in all three
     columns = support_columns(on)
     gap = support_product(bases.conj().transpose(0, 2, 1), bases, bases, columns, columns, columns)[1]

@@ -7,8 +7,8 @@ orthogonality, span of the symmetric matrices, orthogonality of the
 antisymmetric complement and odd dimension.  The certificate is the
 machine-checkable record that the vectorized family is an unextendible
 maximally entangled basis.  A family computes its bases' union support once,
-and its Gram rows, its unitarity check and its asymmetry all read that one
-mask, as does the orbit kernel of channels.
+and its Gram, its unitarity check and its asymmetry all read that one mask,
+as does the orbit kernel of channels.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import Infeasible, OutOfRange, RankOutOfRange
-from .matcore import DEFAULT_TOL, GramRowStats, Tolerance, _blocks, gram_matrix, gram_row_stats, gram_spectrum
+from .matcore import DEFAULT_TOL, CyclicGram, GramStats, Tolerance, _blocks, cyclic_gram, gram_spectrum, gram_stats
 from .matcore import orbit_stack, read_only_stack, spectral_rank, support_columns, support_product, union_support
 from .packing import ProjectionFamily
 
@@ -45,9 +45,9 @@ class UnitaryFamily:
     complex.  The projections they came from are not kept: a unitary
     artifact is written from the projection family and z, and read back as
     them.  Because no caller can write to them through the family, its
-    union support, trace Gram rows, what the checks read off them, its
-    symmetry deviations and its dense members are computed once, on first
-    use, and kept on the object.
+    union support, trace Gram, what the checks read off it, its symmetry
+    deviations and its dense members are computed once, on first use, and
+    kept on the object.
     """
 
     d: int
@@ -70,27 +70,26 @@ class UnitaryFamily:
 
     @cached_property
     def support(self) -> np.ndarray:
-        """union_support(bases), read-only: the one mask that the Gram rows, the unitarity check, the asymmetry and the orbit kernel read."""
+        """union_support(bases), read-only: the one mask that the Gram, the unitarity check, the asymmetry and the orbit kernel read."""
         on = union_support(self.bases)
         on.flags.writeable = False
         return on
 
     @cached_property
-    def gram_rows(self) -> np.ndarray:
-        """gram_matrix(bases, shifts, support), read-only: row t of G_ij = tr(U_i* U_j) per base, shape (n / shifts, n).
+    def gram(self) -> CyclicGram:
+        """cyclic_gram(bases, shifts, support), read-only: G_ij = tr(U_i* U_j) by its T x T and g x g x shifts parts.
 
-        For whole orbits these (n/d) rows fix the block-circulant Gram,
-        G[t*d + x, t'*d + x'] = gram_rows[t, t'*d + (x' - x) mod d]; for
-        shifts = 1 they are the whole n x n Gram.
+        For shifts = 1 its c is the whole n x n Gram.
         """
-        rows = gram_matrix(self.bases, self.shifts, self.support)
-        rows.flags.writeable = False
-        return rows
+        gram = cyclic_gram(self.bases, self.shifts, self.support)
+        for array in (gram.c, gram.group, gram.h):
+            array.flags.writeable = False
+        return gram
 
     @cached_property
-    def gram_stats(self) -> GramRowStats:
-        """gram_row_stats(gram_rows, shifts), read-only: the one pass over the Gram rows that the span proof, the certificate and check (a) read."""
-        stats = gram_row_stats(self.gram_rows, self.shifts)
+    def gram_stats(self) -> GramStats:
+        """gram_stats(gram), read-only: what the span proof, the certificate and check (a) read off the Gram, computed once."""
+        stats = gram_stats(self.gram)
         for array in (stats.diag, stats.radii, stats.sq_off):
             array.flags.writeable = False
         return stats
@@ -178,7 +177,7 @@ def build_unitaries(family: ProjectionFamily, z: complex) -> UnitaryFamily:
 
 @dataclass(frozen=True, eq=False)
 class _Span:
-    """The tolerance-dependent span facts of a family, read off its Gram rows."""
+    """The tolerance-dependent span facts of a family, read off its Gram."""
 
     span_rank: int
     lam: float  # lower bound on the smallest eigenvalue counted in span_rank
@@ -193,15 +192,14 @@ def _span(uf: UnitaryFamily, tol: Tolerance) -> _Span:
     point of the discs exceeds rank_eps times the highest, which bounds the
     largest eigenvalue, all n eigenvalues are counted and that lowest point
     bounds the smallest of them from below.  The discs' centres and radii
-    are uf.gram_stats, the family's one pass over its Gram rows, which hold
-    every disc of the family (matcore.gram_row_stats).  The fallback counts
-    the rank with spectral_rank on gram_spectrum(rows, shifts): for whole
-    orbits one batched eigvalsh on the shifts Hermitian T x T blocks of the
-    DFT over the shift, so no n x n Gram is formed, and lam is then the
-    smallest eigenvalue counted.  A NaN or inf entry of a member reaches
-    the Gram rows and so the lowest point of the discs; such a Gram proves
-    no rank (0), and eigvalsh, which would not converge on it, is not
-    called.
+    are uf.gram_stats, which hold every disc of the family
+    (matcore.gram_stats).  The fallback counts the rank with spectral_rank
+    on gram_spectrum(uf.gram): for whole orbits one batched eigvalsh on the
+    shifts Hermitian T x T blocks of the DFT over the shift, so no n x n
+    Gram is formed, and lam is then the smallest eigenvalue counted.  A NaN
+    or inf entry of a member reaches the Gram and so the lowest point of
+    the discs; such a Gram proves no rank (0), and eigvalsh, which would
+    not converge on it, is not called.
     """
     n, d = len(uf), uf.d
     stats = uf.gram_stats
@@ -211,7 +209,7 @@ def _span(uf: UnitaryFamily, tol: Tolerance) -> _Span:
     elif not math.isfinite(lower):
         span_rank, lam = 0, 0.0
     else:
-        span_rank, lam = spectral_rank(gram_spectrum(uf.gram_rows, uf.shifts), tol)
+        span_rank, lam = spectral_rank(gram_spectrum(uf.gram), tol)
     symmetric_span = span_rank == d * (d + 1) // 2 and uf.asymmetry[0] <= tol.eps
     return _Span(span_rank, lam, symmetric_span)
 
@@ -223,11 +221,11 @@ def certify_umeb(uf: UnitaryFamily, tol: Tolerance = DEFAULT_TOL) -> UmebCertifi
     entries.  Unitarity is the largest entry of |U* U - I|, summed over the
     family's support (matcore.support_product): the paper's unitaries have
     at most two entries a row, so a base costs O(d), not O(d^3).  The
-    orthogonality deviation and
-    cj_orthonormality_dev are read off uf.gram_stats, the family's one pass
-    over its Gram rows; the span rank comes from _span, which reads the
-    same pass: the Gershgorin discs when they prove full rank, else the
-    eigenvalues of the shift blocks of the Gram (gram_spectrum).
+    orthogonality deviation and cj_orthonormality_dev are read off
+    uf.gram_stats, computed once from the family's Gram; the span rank
+    comes from _span, which reads the same stats: the Gershgorin discs
+    when they prove full rank, else the eigenvalues of the shift blocks of
+    the Gram (gram_spectrum).
     """
     d = uf.d
     n = len(uf)

@@ -3,7 +3,8 @@
 Each is a direct, unoptimized formula: the SWAP matrix and a channel's Choi
 matrix under the package's column-stacking vec, the Choi matrix's rank, the
 coefficient x with x * sum(P_i) = I for a maximal equiangular family, the
-rank of the whole Gram of a list of matrices, and the projection onto the span
+whole Gram of a stack of matrices as one dense product and its rank, the
+residue base vectors as one dense array, and the projection onto the span
 of orthogonal vectors as a dense product.
 """
 
@@ -13,7 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 from umebkit.errors import NotOrthogonal, ShapeMismatch
-from umebkit.matcore import DEFAULT_TOL, Tolerance, gram_matrix, gram_spectrum, spectral_rank, union_support
+from umebkit.matcore import DEFAULT_TOL, Tolerance, spectral_rank
+from umebkit.packing import residue_base_vectors
 
 Channel = Callable[[np.ndarray], np.ndarray]
 
@@ -52,6 +54,13 @@ def identity_coefficient(d: int, r: int, beta: Fraction) -> Fraction:
     return (Fraction(r * r) - d * beta) / (r * (r - beta))
 
 
+def dense_gram(stack) -> np.ndarray:
+    """The whole Gram G_ij = tr(m_i* m_j) of a stack of matrices, one product of every entry."""
+    stack = np.asarray(stack)
+    flat = stack.reshape(len(stack), -1)
+    return flat.conj() @ flat.T
+
+
 def numerical_rank(mats: list[np.ndarray] | np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
     """Rank of the Gram matrix, counting eigenvalues above rank_eps * largest."""
     if len(mats) == 0:
@@ -59,8 +68,17 @@ def numerical_rank(mats: list[np.ndarray] | np.ndarray, tol: Tolerance = DEFAULT
     shapes = {np.asarray(m).shape for m in mats}
     if len(shapes) > 1:
         raise ShapeMismatch(f"mixed shapes {sorted(shapes)}")
-    stack = np.asarray(mats)
-    return spectral_rank(gram_spectrum(gram_matrix(stack, 1, union_support(stack)), 1), tol)[0]
+    return spectral_rank(np.linalg.eigvalsh(dense_gram(mats)), tol)[0]
+
+
+def dense_base_vectors(prime, h) -> np.ndarray:
+    """residue_base_vectors scattered into one (p+1)/2 x (p-1)/2 x p array: vector s of subspace t is row [t, s]."""
+    ends, coefficients = residue_base_vectors(prime, h)
+    vectors = np.zeros((len(coefficients), prime.half, prime.p))
+    s = np.arange(prime.half)
+    vectors[:, s, ends[0]] = 1.0
+    vectors[:, s, ends[1]] = coefficients
+    return vectors
 
 
 def projection_from_basis(vectors: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -395,16 +395,16 @@ def dense(uf):
 
 
 def spy_gram_shapes(monkeypatch):
-    """Record the shape of every Gram, or block of Gram rows, that a family computes."""
+    """Record the shapes (c, h) of every Gram that a family computes: its T x T products and its correlations."""
     shapes = []
-    gram_matrix = umeb.gram_matrix
+    cyclic_gram = umeb.cyclic_gram
 
     def spy(*args, **kwargs):
-        gram = gram_matrix(*args, **kwargs)
-        shapes.append(gram.shape)
+        gram = cyclic_gram(*args, **kwargs)
+        shapes.append((gram.c.shape, gram.h.shape))
         return gram
 
-    monkeypatch.setattr(umeb, "gram_matrix", spy)
+    monkeypatch.setattr(umeb, "cyclic_gram", spy)
     return shapes
 
 
@@ -432,8 +432,10 @@ def test_choi_check_from_orbit_rows_matches_the_dense_rows(p, weights, monkeypat
     inside = weights == "inside-an-orbit"
     assert ran == ["_choi_dev_by_blocks" if inside else "_choi_dev_from_gram", "_choi_dev_from_gram"]
     assert uf.shifts == p
-    # the orbit rows once, for the decomposition and its check; the whole Gram for the oracle
-    assert shapes == [((p + 1) // 2, n), (n, n)]
+    # the orbit family's Gram once, T x T products and one correlation, for the decomposition and
+    # its check; the whole Gram for the oracle
+    t = (p + 1) // 2
+    assert shapes == [((t, t), (1, 1, p)), ((n, n), (1, 1, 1))]
     assert rep.verdict == oracle.verdict == (weights == "uniform")
     assert abs(rep.choi_dev - oracle.choi_dev) <= 1e-13
     if weights == "per-orbit":
@@ -445,12 +447,12 @@ def test_choi_check_from_orbit_rows_matches_the_dense_rows(p, weights, monkeypat
 def test_a_pipeline_reads_the_unitary_gram_rows_once(monkeypatch):
     uf = _residue_unitaries(23)
     calls = []
-    gram_row_stats = umeb.gram_row_stats
-    monkeypatch.setattr(umeb, "gram_row_stats", lambda rows, shifts: calls.append(rows) or gram_row_stats(rows, shifts))
+    gram_stats = umeb.gram_stats
+    monkeypatch.setattr(umeb, "gram_stats", lambda gram: calls.append(gram) or gram_stats(gram))
     assert certify_umeb(uf).unextendible_verdict
     assert verify_decomposition(umeb_decomposition(uf), trials=20).verdict
     # the discs, the certificate, the decomposition's precondition and check (a) read one pass
-    assert len(calls) == 1 and calls[0] is uf.gram_rows
+    assert len(calls) == 1 and calls[0] is uf.gram
 
 
 def _nonsymmetric_member():
@@ -484,9 +486,8 @@ def test_choi_check_falls_back_to_the_blocks(build, monkeypatch):
 
 
 def test_gram_passes_cover_the_last_row_block(p23_decomposition, monkeypatch):
-    # the dense twin's 276 rows at p=23: blocks of 100 complex Gram rows in the passes
-    # over the Gram (100 + 100 + 76), and of 34 in gram_matrix, which also counts each
-    # row's conjugated member (8 * 34 + 4)
+    # the dense twin's 276 rows at p=23: blocks of 34 rows in the product of the Gram,
+    # which counts each row's conjugated member beside its Gram row (8 * 34 + 4)
     monkeypatch.setattr(matcore, "_BLOCK_BYTES", 100 * 276 * 16)
     uf = dense(p23_decomposition.unitaries)
     w = np.array(p23_decomposition.weights)

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from umebkit import umeb
+from umebkit import cli, umeb
 from umebkit.cli import canonical_json, main, unitary_family_to_json
 from umebkit.hadamard import HadamardMatrix, construct
 from umebkit.matcore import Tolerance, stack_to_json
@@ -220,6 +220,24 @@ def test_verify_rejects_missing_fields(tmp_path):
     assert run(["verify", "--in", str(path)]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, stage",
+    [(["umeb", "--p", "7"], "build_residue_family"), (["hadamard", "--order", "16"], "construct")],
+    ids=["umeb", "hadamard"],
+)
+def test_running_out_of_memory_is_one_error_line(argv, stage, monkeypatch, capsys):
+    # the stage raises as numpy does when an array does not fit; nothing is allocated
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.04 GiB for an array with shape (516, 515, 1031) and data type float64")
+
+    monkeypatch.setattr(cli, stage, fail)
+    assert run(argv) == 1
+    assert _one_error_line(capsys) == (
+        "umebkit: error: out of memory: Unable to allocate 2.04 GiB for an array with shape (516, 515, 1031) "
+        "and data type float64"
+    )
+
+
 def test_feasibility_empty_range_is_usage_error():
     assert run(["feasibility", "--r", "5", "--dmax", "3"]) == 1
 
@@ -252,12 +270,14 @@ def test_a_tampered_p79_artifact_ends_in_a_verdict_from_the_shift_blocks(tmp_pat
     calls = []
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
     passes = []
-    gram_row_stats = umeb.gram_row_stats
-    monkeypatch.setattr(umeb, "gram_row_stats", lambda rows, shifts: passes.append(rows.shape) or gram_row_stats(rows, shifts))
+    gram_stats = umeb.gram_stats
+    monkeypatch.setattr(umeb, "gram_stats", lambda gram: passes.append((gram.c.shape, gram.h.shape)) or gram_stats(gram))
     assert run(["verify", "--in", str(path), "--no-timestamp"]) == 2
     assert "unextendible: FAIL" in capsys.readouterr().out
     assert calls == [(79, 40, 40)]
-    assert passes == [(40, 3160)]  # the unitary family's Gram rows, read in one pass
+    # the unitary family's Gram, read in one pass: the tampered base keeps the shared diagonal
+    # (2 (base 1 - base 2) adds exact zeros to it), so one correlation stands for every pair
+    assert passes == [((40, 40), (1, 1, 79))]
 
 
 @pytest.mark.parametrize("p", [7, 31])

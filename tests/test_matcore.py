@@ -10,9 +10,9 @@ from umebkit.errors import MalformedArtifact, NotReal, OutOfRange, ShapeMismatch
 from umebkit.hadamard import construct
 from umebkit.matcore import (
     Tolerance,
-    gram_matrix,
-    gram_row_stats,
+    cyclic_gram,
     gram_spectrum,
+    gram_stats,
     orbit_stack,
     read_only_stack,
     spectral_rank,
@@ -26,15 +26,23 @@ from umebkit.numth import validate_prime
 from umebkit.packing import build_residue_family, dual_family, icosahedron_lines
 from umebkit.umeb import build_unitaries, compute_phase
 
-from oracles import numerical_rank
+from oracles import dense_gram, numerical_rank
 
 EPS = 1e-9
 
 
 def gram_of(bases, shifts=1):
-    """gram_matrix of a stack read on its own union support."""
+    """cyclic_gram of a stack read on its own union support."""
     bases = np.asarray(bases)
-    return gram_matrix(bases, shifts, union_support(bases))
+    return cyclic_gram(bases, shifts, union_support(bases))
+
+
+def rows_of(gram):
+    """The rows G[t*s] of a CyclicGram as one (T, T*s) array: column t'*s + x is c[t, t'] [x = 0] + h[group[t], group[t'], x]."""
+    t, s = len(gram.c), gram.h.shape[-1]
+    rows = gram.h[np.ix_(gram.group, gram.group)].astype(np.result_type(gram.c, gram.h))
+    rows[:, :, 0] += gram.c
+    return rows.reshape(t, t * s)
 
 
 def p7_family():
@@ -97,18 +105,18 @@ def test_gram_spectrum_is_the_spectrum_of_the_whole_gram(name, monkeypatch):
     build, shifts = SPECTRUM_CASES[name]
     bases = build()
     d = bases.shape[-1]
-    rows = gram_of(bases, shifts)
+    gram = gram_of(bases, shifts)
     eigvalsh = np.linalg.eigvalsh
     calls = []
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
-    spectrum = gram_spectrum(rows, shifts)
+    spectrum = gram_spectrum(gram)
     monkeypatch.undo()
-    expected = np.linalg.eigvalsh(gram_of(orbit_stack(bases, shifts)))
+    expected = np.linalg.eigvalsh(dense_gram(orbit_stack(bases, shifts)))
     assert spectrum.shape == expected.shape == (len(bases) * shifts,)
     assert np.max(np.abs(spectrum - expected)) <= 1e-12 * d * d
-    # one batched eigensolve on the shift blocks; for shifts = 1 its one block is a view of the rows
+    # one batched eigensolve on the shift blocks; for shifts = 1 there is no correlation and its one block is c
     assert [a.shape for a in calls] == [(shifts, len(bases), len(bases))]
-    assert (shifts == 1) == np.shares_memory(calls[0], rows)
+    assert (shifts == 1) == np.array_equal(calls[0][0], gram.c)
 
 
 ROW_STATS_CASES = {
@@ -129,9 +137,9 @@ def test_gram_row_stats_match_the_whole_gram(name, budget, monkeypatch):
     bases = build()
     if budget == "one-row":
         monkeypatch.setattr(matcore, "_BLOCK_BYTES", 1)
-    stats = gram_row_stats(gram_of(bases, shifts), shifts)
+    stats = gram_stats(gram_of(bases, shifts))
     # the oracle reads every row of the whole Gram: a shifted member's row is its base's row permuted
-    gram = gram_of(orbit_stack(bases, shifts))
+    gram = dense_gram(orbit_stack(bases, shifts))
     t, n = len(bases), len(gram)
     off = np.abs(gram)
     off[np.arange(n), np.arange(n)] = 0.0
@@ -145,12 +153,85 @@ def test_gram_row_stats_match_the_whole_gram(name, budget, monkeypatch):
 def test_gram_row_stats_carry_a_nan():
     bases = _random_bases(5, 51)
     bases[1, 2, 3] = np.nan
-    stats = gram_row_stats(gram_of(bases, 5), 5)
+    stats = gram_stats(gram_of(bases, 5))
     # the NaN meets every base shifted: every row has it in the columns of orbit 1
     assert np.isnan(stats.radii).all() and math.isnan(stats.max_off)
     assert np.isnan(stats.sq_off[1]).all() and np.isnan(stats.sq_off[:, 1]).all()
     assert np.isfinite(stats.sq_off[[0, 0, 2, 2], [0, 2, 0, 2]]).all()
     assert math.isnan(stats.diag[1].real) and np.isfinite(stats.diag[[0, 2]]).all()
+
+
+def _one_ulp_apart(p):
+    """The p-bases with the main diagonal of base 1 moved by one ulp at one entry: two groups."""
+    bases = np.array(_residue_bases(p, "P"))
+    bases[1, 1, 1] = np.nextafter(bases[1, 1, 1], 2.0)
+    return bases
+
+
+def _lone_off_diagonal_entry():
+    """Two complex bases, nonzero at one entry off the diagonal alone: no shared diagonal, no correlation."""
+    bases = np.zeros((2, 7, 7), dtype=complex)
+    bases[:, 2, 5] = [0.5 + 1j, -2.0]
+    return bases
+
+
+# name -> (bases, shifts, number of groups)
+STATS_CASES = {
+    **{f"{kind}-p{p}": (lambda p=p, kind=kind: _residue_bases(p, kind), p, 1) for p in (7, 23, 79) for kind in ("P", "U", "dual")},
+    **{f"dense-d{d}": (lambda d=d: _random_bases(d, 80 + d), d, 3) for d in (5, 6)},
+    "one-ulp-apart-p23": (lambda: _one_ulp_apart(23), 23, 2),
+    "unequal-rows": (lambda: _unequal_rows(), 7, 3),
+    "lone-off-diagonal-entry": (_lone_off_diagonal_entry, 7, 1),
+    "icosahedron": (lambda: icosahedron_lines().bases, 1, 1),
+}
+
+
+@pytest.mark.parametrize("name", STATS_CASES)
+def test_cyclic_gram_stats_and_spectrum_are_those_of_the_dense_gram(name):
+    build, shifts, groups = STATS_CASES[name]
+    bases = np.asarray(build())
+    gram = gram_of(bases, shifts)
+    assert len(gram.c) == len(gram.group) == len(bases) and gram.h.shape == (groups, groups, shifts)
+    assert gram.group.max() == groups - 1 and gram.group[0] == 0
+    stats = gram_stats(gram)
+    # the oracle: the rows G[t*s] of the dense Gram, each base against every member gathered,
+    # one orbit at a time; a shifted member's row is its base's row permuted
+    t, d = len(bases), bases.shape[-1]
+    flat = bases.reshape(t, -1)
+    rows = np.concatenate([flat.conj() @ orbit_stack(bases[[u]], shifts).reshape(shifts, -1).T for u in range(t)], axis=1)
+    own = np.arange(t) * shifts
+    off = np.abs(rows)
+    off[np.arange(t), own] = 0.0
+    assert stats.diag.dtype == rows.dtype
+    assert _close(stats.diag, rows[np.arange(t), own])
+    assert _close(stats.radii, off.sum(axis=1))
+    assert _close(stats.max_off, np.max(off))
+    assert _close(stats.sq_off, (off**2).reshape(t, t, shifts).sum(axis=2))
+    if name == "lone-off-diagonal-entry":
+        assert np.all(gram.h == 0)
+    if t * shifts <= 300:  # the whole n x n Gram and its eigenvalues
+        whole = dense_gram(orbit_stack(bases, shifts))
+        assert np.max(np.abs(gram_spectrum(gram) - np.linalg.eigvalsh(whole))) <= 1e-12 * d * d
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+@pytest.mark.parametrize("at", [(1, 1, 3), (1, 3, 3)], ids=["single-row-entry", "shared-diagonal"])
+@pytest.mark.parametrize("kind", ["P", "U"])
+def test_cyclic_gram_stats_carry_a_non_finite_entry(kind, at, value):
+    # p=7, k=3: (1, 3) is the pair entry (q, kq) of q = 1, alone on its offset; (3, 3) lies on
+    # the main diagonal that every base shares
+    bases = np.array(_residue_bases(7, kind))
+    assert bases[at] != 0
+    bases[at] = value
+    stats = gram_stats(gram_of(bases, 7))
+    assert not np.isfinite(stats.radii).any() and not math.isfinite(stats.max_off)
+    # base 1 meets every other base: its row and column of sq_off, and no other entry, are not finite.
+    # An entry alone on its offset meets base 1's own shifts at x = 0 alone, the own entry left out
+    others = np.arange(4) != 1
+    assert not np.isfinite(stats.sq_off[1, others]).any() and not np.isfinite(stats.sq_off[others, 1]).any()
+    assert np.isfinite(stats.sq_off[1, 1]) == (at == (1, 1, 3))
+    assert np.isfinite(np.delete(np.delete(stats.sq_off, 1, axis=0), 1, axis=1)).all()
+    assert not np.isfinite(stats.diag[1]) and np.isfinite(np.delete(stats.diag, 1)).all()
 
 
 def test_support_columns_put_each_rows_entries_first():
@@ -330,7 +411,7 @@ def test_is_unitary_phase_reflection():
 def test_gram_matrix_is_hermitian():
     rng = np.random.default_rng(13)
     mats = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(4)]
-    g = gram_of(mats)
+    g = gram_of(mats).c
     assert np.max(np.abs(g - g.conj().T)) < EPS
 
 
@@ -342,7 +423,7 @@ def test_gram_matrix_row_blocks_match_one_product(monkeypatch):
     assert [rows.stop - rows.start for rows in matcore._blocks(10, 10 * 16)] == [3, 3, 3, 1]
     for stack in (complex_stack, real_stack):
         flat = stack.reshape(10, 16)
-        g = gram_of(stack)
+        g = gram_of(stack).c
         assert g.dtype == stack.dtype
         assert np.max(np.abs(g - flat.conj() @ flat.T)) < 1e-12
 
@@ -356,8 +437,8 @@ def test_gram_rows_of_shifted_bases_are_rows_of_the_whole_gram(dtype):
     members = orbit_stack(bases, 5)
     assert members.shape == (15, 5, 5) and not members.flags.writeable
     assert orbit_stack(bases, 1) is bases
-    rows = gram_of(bases, 5)
-    whole = gram_of(members)
+    rows = rows_of(gram_of(bases, 5))
+    whole = dense_gram(members)
     assert rows.shape == (3, 15) and rows.dtype == dtype
     assert np.max(np.abs(rows - whole[::5])) < 1e-12
 
@@ -365,7 +446,7 @@ def test_gram_rows_of_shifted_bases_are_rows_of_the_whole_gram(dtype):
 def rolled_rows(bases):
     """Row t, column t'*d + x: tr(bases[t]* bases[t'] shifted by x), every shift rolled over all d^2 entries.
 
-    The dense reference for gram_matrix(bases, d): no support, no Hermitian mirror.
+    The dense reference for the rows of cyclic_gram(bases, d): no support, no DFT.
     """
     m, d = len(bases), bases.shape[-1]
     flat = bases.reshape(m, -1)
@@ -376,7 +457,7 @@ def rolled_rows(bases):
 
 
 def assert_rows_match_the_rolled_rows(bases):
-    rows = gram_of(bases, bases.shape[-1])
+    rows = rows_of(gram_of(bases, bases.shape[-1]))
     reference = rolled_rows(bases)
     assert rows.shape == reference.shape and rows.dtype == reference.dtype
     # each entry sums at most d^2 products, so a change of order moves it by at most d^2 ulps of max |B|^2
@@ -469,38 +550,46 @@ def test_matched_pair_gram_rows_are_rows_of_the_dense_gram(name):
     t, d = len(bases), bases.shape[-1]
     members = orbit_stack(bases, d).reshape(t * d, -1)
     whole = members.conj() @ members.T
-    rows = gram_matrix(bases, d, union_support(bases))
+    rows = rows_of(gram_of(bases, d))
     assert rows.shape == (t, t * d) and rows.dtype == whole.dtype
     scale = max(1.0, float(np.max(np.abs(bases)))) ** 2
-    assert np.max(np.abs(rows - whole[::d])) <= d * d * np.finfo(float).eps * scale
-    # a shift whose entries meet no supported entry is a block of exact zeros, as in the reference
+    bound = d * d * np.finfo(float).eps * scale
+    assert np.max(np.abs(rows - whole[::d])) <= bound
+    # a shift whose entries meet no supported entry is a block of exact zeros in the reference and
+    # within rounding of the DFT here; with no shared diagonal there is no correlation, and it is exact
     blocks = rows.reshape(t, t, d)
     unmatched = [x for x in range(d) if not np.any(union_support(bases) & np.roll(union_support(bases), (x, x), axis=(0, 1)))]
-    assert np.all(blocks[:, :, unmatched] == 0) and np.all(whole[::d].reshape(t, t, d)[:, :, unmatched] == 0)
+    assert np.max(np.abs(blocks[:, :, unmatched]), initial=0.0) <= bound
+    assert np.all(whole[::d].reshape(t, t, d)[:, :, unmatched] == 0)
     if name == "one-off-diagonal-entry":
-        assert unmatched == list(range(1, d))
+        assert unmatched == list(range(1, d)) and np.all(blocks[:, :, unmatched] == 0)
     if name == "one-diagonal-pair":
         assert unmatched == [1, 3, 4, 6]
 
 
 @pytest.mark.parametrize("kind", ["P", "U"])
-def test_matched_pair_gram_multiplies_the_diagonal_alone_off_shift_zero(kind, monkeypatch):
-    # of the 2(p - 1) supported entries (2p - 1 for U), a shift x != 0 matches the diagonal
-    # entries alone, those whose shift misses (0, 0) for P: the pair entry (q, kq) shifted is
-    # another pair's only if -q is a residue, and -1 is no residue mod 23
+def test_matched_pair_gram_multiplies_the_diagonal_alone_off_shift_zero(kind):
+    # of the 2(p - 1) supported entries (2p - 1 for U), the p - 1 off the diagonal sit on offsets
+    # of their own, one entry each, so they meet at x = 0 alone and make up c: the pair entry
+    # (q, kq) shifted is another pair's only if -q is a residue, and -1 is no residue mod 23.
+    # The diagonal, the same in every base, is the one correlation, for every x
     bases = _residue_bases(23, kind)
-    matmul, inner = np.matmul, []
-    monkeypatch.setattr(np, "matmul", lambda a, b, **kw: inner.append(a.shape[1]) or matmul(a, b, **kw))
-    gram_matrix(bases, 23, union_support(bases))
-    assert inner[0] == int(np.count_nonzero(union_support(bases))) == {"P": 44, "U": 45}[kind]
-    assert inner[1:] == [{"P": 21, "U": 23}[kind]] * (23 // 2)
+    gram = gram_of(bases, 23)
+    assert gram.group.tolist() == [0] * 12 and gram.h.shape == (1, 1, 23)
+    off = (bases * (1 - np.eye(23))).reshape(12, -1)
+    assert np.count_nonzero(union_support(off.reshape(12, 23, 23))) == 22
+    assert np.max(np.abs(gram.c - off.conj() @ off.T)) <= 1e-14
+    diagonal = np.diagonal(bases[0])
+    assert np.all(np.diagonal(bases, axis1=1, axis2=2) == diagonal)
+    autocorrelation = [np.vdot(diagonal, np.roll(diagonal, x)) for x in range(23)]
+    assert np.max(np.abs(gram.h[0, 0] - autocorrelation)) <= 1e-14
 
 
 @pytest.mark.parametrize("shifts", [1, 47])
 def test_gram_passes_stay_inside_the_byte_budget(shifts, monkeypatch):
-    # at p=47 one conjugated member is 76 KiB and one gathered shift of the
-    # 24 bases 0.81 MiB: a 1 MiB budget holds a shift but not the 58 rows
-    # that Gram-row bytes alone would allow with their conjugated members
+    # at p=47 one conjugated member is 76 KiB: a 1 MiB budget holds a few
+    # rows of the dense twin's product with their conjugated members, and
+    # the orbit family's diagonals and off-diagonal entries are a few KiB
     fam = build_residue_family(validate_prime(47), construct(24))
     uf = build_unitaries(fam, compute_phase(47, 23))
     bases = uf.unitaries if shifts == 1 else uf.bases
@@ -508,12 +597,12 @@ def test_gram_passes_stay_inside_the_byte_budget(shifts, monkeypatch):
     monkeypatch.setattr(matcore, "_BLOCK_BYTES", 1 << 20)
     tracemalloc.start()
     try:
-        rows = gram_matrix(bases, shifts, support)
+        gram = cyclic_gram(bases, shifts, support)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rows.shape == (len(bases), len(uf))
-    assert peak - rows.nbytes <= matcore._BLOCK_BYTES
+    assert gram.c.shape == (len(bases), len(bases)) and gram.h.shape == (1, 1, shifts)
+    assert peak - gram.c.nbytes - gram.h.nbytes <= matcore._BLOCK_BYTES
 
 
 def test_read_only_stack_copies_unless_handed_over():

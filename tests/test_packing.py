@@ -32,7 +32,7 @@ from umebkit.packing import (
 )
 from umebkit.umeb import build_unitaries, compute_phase
 
-from oracles import identity_coefficient, numerical_rank, projection_from_basis
+from oracles import dense_base_vectors, identity_coefficient, numerical_rank, projection_from_basis
 
 EPS = 1e-9
 SQRT2 = math.sqrt(2.0)
@@ -78,8 +78,17 @@ def loop_base_vectors(prime, h, t):
     return vectors
 
 
+def test_residue_base_vectors_are_support_indices_and_coefficients():
+    # p=7, k=3: the residues 1, 2, 4 and their partners 3, 6, 5; every coefficient is +-sqrt(2)
+    ends, coefficients = residue_base_vectors(validate_prime(7), construct(4))
+    assert ends.tolist() == [[1, 2, 4], [3, 6, 5]]
+    assert coefficients.shape == (4, 3) and coefficients.dtype == float
+    assert np.allclose(np.abs(coefficients), SQRT2, atol=1e-15)
+    assert np.array_equal(dense_base_vectors(validate_prime(7), construct(4))[:, np.arange(3), ends[1]], coefficients)
+
+
 def test_residue_base_vectors_p7_t0():
-    vectors = residue_base_vectors(validate_prime(7), construct(4))
+    vectors = dense_base_vectors(validate_prime(7), construct(4))
     assert vectors.shape == (4, 3, 7)
     expected = [
         [0, 1, 0, SQRT2, 0, 0, 0],
@@ -90,7 +99,7 @@ def test_residue_base_vectors_p7_t0():
 
 
 def test_residue_base_vectors_p7_t1_signs():
-    vectors = residue_base_vectors(validate_prime(7), construct(4))
+    vectors = dense_base_vectors(validate_prime(7), construct(4))
     expected = [
         [0, 1, 0, -SQRT2, 0, 0, 0],
         [0, 0, 1, 0, 0, 0, SQRT2],
@@ -101,14 +110,14 @@ def test_residue_base_vectors_p7_t1_signs():
 
 def test_residue_base_vectors_p3():
     golden = (1 + math.sqrt(5)) / 2
-    vectors = residue_base_vectors(validate_prime(3), construct(2))
+    vectors = dense_base_vectors(validate_prime(3), construct(2))
     assert vectors.shape == (2, 1, 3)
     assert np.allclose(vectors[0, 0], [0, 1, golden], atol=1e-15)
 
 
 def test_residue_base_vector_norms():
     c = off_support_scale(7)
-    vectors = residue_base_vectors(validate_prime(7), construct(4))
+    vectors = dense_base_vectors(validate_prime(7), construct(4))
     assert np.max(np.abs(np.sum(vectors * vectors, axis=-1) - (1 + c * c))) < 1e-12
 
 
@@ -119,7 +128,7 @@ def test_residue_base_vectors_are_the_vector_by_vector_construction(p):
     # every column negated but the first: row 0 is no longer all +1, so the h[0, t] factor shows
     flipped = HadamardMatrix(h.order, h.entries * np.where(np.arange(h.order) == 0, 1, -1))
     for hadamard in (h, flipped):
-        vectors = residue_base_vectors(prime, hadamard)
+        vectors = dense_base_vectors(prime, hadamard)
         assert vectors.shape == ((p + 1) // 2, prime.half, p)
         for t in range((p + 1) // 2):
             assert vectors[t].tobytes() == np.array(loop_base_vectors(prime, hadamard, t)).tobytes()
@@ -150,7 +159,7 @@ def test_scattered_bases_are_the_projections_onto_the_base_vectors(p):
     prime = validate_prime(p)
     h = construct((p + 1) // 2)
     bases = build_residue_family(prime, h).bases
-    expected = projection_from_basis(residue_base_vectors(prime, h))
+    expected = projection_from_basis(dense_base_vectors(prime, h))
     assert bases.shape == expected.shape == ((p + 1) // 2, p, p) and bases.dtype == expected.dtype
     assert np.max(np.abs(bases - expected)) <= 2.3e-16
     assert np.array_equal(bases != 0, expected != 0)
@@ -184,7 +193,7 @@ def test_projection_from_basis_single_vector():
 
 
 def test_projection_from_basis_p7_block():
-    vectors = residue_base_vectors(validate_prime(7), construct(4))[0]
+    vectors = dense_base_vectors(validate_prime(7), construct(4))[0]
     p = projection_from_basis(vectors)
     assert abs(np.trace(p) - 3) < EPS
     assert np.max(np.abs(p @ p - p)) < EPS
@@ -202,7 +211,7 @@ def test_projection_from_basis_rejects_overlap():
 
 
 def test_projection_from_basis_of_a_stack_is_one_per_basis():
-    vectors = residue_base_vectors(validate_prime(23), construct(12))
+    vectors = dense_base_vectors(validate_prime(23), construct(12))
     stack = projection_from_basis(vectors)
     assert stack.shape == (12, 23, 23)
     for t, basis in enumerate(vectors):
@@ -420,16 +429,16 @@ def dense(fam):
 
 
 def spy_gram_shapes(monkeypatch, module):
-    """Record the shape of every Gram, or block of Gram rows, that module computes."""
+    """Record the shapes (c, h) of every Gram that module computes: its T x T products and its correlations."""
     shapes = []
-    gram_matrix = module.gram_matrix
+    cyclic_gram = module.cyclic_gram
 
     def spy(*args, **kwargs):
-        gram = gram_matrix(*args, **kwargs)
-        shapes.append(gram.shape)
+        gram = cyclic_gram(*args, **kwargs)
+        shapes.append((gram.c.shape, gram.h.shape))
         return gram
 
-    monkeypatch.setattr(module, "gram_matrix", spy)
+    monkeypatch.setattr(module, "cyclic_gram", spy)
     return shapes
 
 
@@ -459,7 +468,8 @@ def test_equiangular_check_from_orbit_rows_matches_the_dense_check(name, monkeyp
     report = verify_equiangular(fam)
     oracle = verify_equiangular(dense(fam))
     assert fam.shifts == p
-    assert shapes == [((p + 1) // 2, n), (n, n)]
+    t = (p + 1) // 2
+    assert shapes == [((t, t), (1, 1, p)), ((n, n), (1, 1, 1))]
     assert report.passed
     assert_matches_dense(report, oracle)
 
@@ -492,7 +502,7 @@ def test_equiangular_check_without_orbit_structure_reads_every_gram_row(build, m
     shapes = spy_gram_shapes(monkeypatch, packing)
     report = verify_equiangular(fam)
     assert fam.shifts == 1
-    assert shapes == [(n, n)]
+    assert shapes == [((n, n), (1, 1, 1))]
     assert report.passed  # each is still equiangular within eps
     assert report == verify_equiangular(dense(fam))
 

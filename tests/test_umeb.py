@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import asdict, replace
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from umebkit import matcore, umeb
 from umebkit.cli import unitary_family_from_json, unitary_family_to_json
 from umebkit.errors import Infeasible, RankOutOfRange, ShapeMismatch
 from umebkit.hadamard import construct
-from umebkit.matcore import Tolerance, gram_matrix, union_support
+from umebkit.matcore import Tolerance
 from umebkit.numth import validate_prime
 from umebkit.packing import (
     ProjectionFamily,
@@ -27,7 +28,7 @@ from umebkit.umeb import (
     feasibility,
 )
 
-from oracles import numerical_rank
+from oracles import dense_gram, numerical_rank
 
 EPS = 1e-9
 
@@ -310,7 +311,7 @@ def spectral_fields(uf, tol=Tolerance()):
     certify_umeb did before the disc bound: from every Gram eigenvalue."""
     stack = np.asarray(uf.unitaries)
     anti = np.abs(stack - stack.transpose(0, 2, 1))
-    eigs = np.linalg.eigvalsh(gram_matrix(stack, 1, union_support(stack)))
+    eigs = np.linalg.eigvalsh(dense_gram(stack))
     rank = numerical_rank(uf.unitaries, tol)
     lam = eigs[-rank] if rank else 0.0
     return {
@@ -357,8 +358,9 @@ def test_member_stacks_are_read_only(name):
     for stack in (uf.unitaries, uf.bases, fam.projections, fam.bases):
         with pytest.raises(ValueError):
             stack[0, 0, 0] = 1
-    with pytest.raises(ValueError):
-        uf.gram_rows[0, 0] = 1
+    for part in (uf.gram.c, uf.gram.group, uf.gram.h):
+        with pytest.raises(ValueError):
+            part[0] = 1
     assert certify_umeb(uf).unextendible_verdict
 
 
@@ -408,16 +410,31 @@ def test_families_keep_their_own_copy_of_the_callers_arrays():
 
 def test_gram_is_cached_and_is_the_gram_of_the_stack():
     uf = _residue_unitaries(23)
-    rows = uf.gram_rows
-    assert rows is uf.gram_rows
-    assert uf.shifts == 23 and rows.shape == (12, len(uf))
-    dense = gram_matrix(uf.unitaries, 1, union_support(uf.unitaries))
-    assert np.max(np.abs(rows - dense[::23])) <= 1e-13 * 23
-    # the orbit rows fix every entry: G[t*d + x, t'*d + x'] = rows[t, t'*d + (x' - x) mod d]
+    gram = uf.gram
+    assert gram is uf.gram
+    assert uf.shifts == 23 and gram.c.shape == (12, 12) and gram.h.shape == (1, 1, 23)
+    dense = dense_gram(uf.unitaries)
+    # the parts fix every entry: G[t*d + x, t'*d + x'] = c[t, t'] [x' = x] + h[group[t], group[t'], (x' - x) mod d]
     t, x = np.divmod(np.arange(len(uf)), 23)
-    column = t * 23 + (x - x[:, None]) % 23
-    assert np.max(np.abs(rows[t[:, None], column] - dense)) <= 1e-13 * 23
+    shift = (x - x[:, None]) % 23
+    whole = gram.h[gram.group[t][:, None], gram.group[t], shift] + np.where(shift == 0, gram.c[t[:, None], t], 0)
+    assert np.max(np.abs(whole - dense)) <= 1e-13 * 23
     assert uf.asymmetry == (0.0, 0.0)  # built families are exactly symmetric
+
+
+def test_certifying_a_p263_family_holds_no_gram_rows():
+    # the (T, T*d) rows of the U Gram alone were 132 x 34716 complex, 73 MB; the Gram's parts
+    # are a 132 x 132 product and one correlation, and the rest of the certificate runs in
+    # blocks of the 8 MiB budget
+    uf = _residue_unitaries(263)
+    tracemalloc.start()
+    try:
+        cert = certify_umeb(uf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.unextendible_verdict and cert.span_rank == 34716
+    assert peak <= 20 << 20
 
 
 def dense(uf):
@@ -426,16 +443,16 @@ def dense(uf):
 
 
 def spy_gram_shapes(monkeypatch, module):
-    """Record the shape of every Gram, or block of Gram rows, that module computes."""
+    """Record the shapes (c, h) of every Gram that module computes: its T x T products and its correlations."""
     shapes = []
-    gram_matrix = module.gram_matrix
+    cyclic_gram = module.cyclic_gram
 
     def spy(*args, **kwargs):
-        gram = gram_matrix(*args, **kwargs)
-        shapes.append(gram.shape)
+        gram = cyclic_gram(*args, **kwargs)
+        shapes.append((gram.c.shape, gram.h.shape))
         return gram
 
-    monkeypatch.setattr(module, "gram_matrix", spy)
+    monkeypatch.setattr(module, "cyclic_gram", spy)
     return shapes
 
 
@@ -465,7 +482,8 @@ def test_certificate_from_orbit_rows_matches_the_dense_certificate(name, monkeyp
     cert = certify_umeb(uf)
     oracle = certify_umeb(dense(uf))
     assert uf.shifts == p
-    assert shapes == [((p + 1) // 2, n), (n, n)]
+    t = (p + 1) // 2
+    assert shapes == [((t, t), (1, 1, p)), ((n, n), (1, 1, 1))]
     assert cert.unextendible_verdict and cert.span_rank == cert.cardinality == p * (p + 1) // 2
     assert_matches_dense(cert, oracle)
 
@@ -501,7 +519,7 @@ def test_certificate_without_orbit_structure_reads_every_gram_row(build, verdict
     shapes = spy_gram_shapes(monkeypatch, umeb)
     cert = certify_umeb(uf)
     assert uf.shifts == 1
-    assert shapes == [(n, n)]
+    assert shapes == [((n, n), (1, 1, 1))]
     assert cert.unextendible_verdict == verdict
     assert cert == replace(cert, **spectral_fields(uf))
 
