@@ -217,7 +217,10 @@ def cyclic_gram(bases: np.ndarray, shifts: int, support: np.ndarray) -> CyclicGr
     the transforms.  The
     paper's bases hold their 2(d - 1) off-diagonal entries on as many
     offsets, one entry each, and every base has the same main diagonal, so
-    g = 1; bases whose diagonals all differ have g = T.  For shifts = 1
+    g = 1; bases whose diagonals all differ have g = T, and then the
+    transforms cost O(T d^3) and the grouping O(T^2 d^2).  Through the DFT
+    a shift block where no two supported entries meet is 0 only up to
+    rounding, not an exact 0.  For shifts = 1
     every entry meets at x = 0 alone, so c is the whole Gram, read off
     every entry of the bases, and h is 0.
     """
@@ -320,10 +323,13 @@ def gram_spectrum(gram: CyclicGram) -> np.ndarray:
     exp(-2 pi i k x / s) = c + hhat[group, group, k], hhat the DFT of h
     over x, whose eigenvalues together are those of G: one batched
     eigvalsh on the (s, T, T) blocks, never the n x n Gram.  For shifts = 1
-    the single block is c.
+    h is 0 and the single block is a view of c, copied by nothing and real
+    for real bases.
     """
-    hhat = (gram.h @ _dft(gram.h.shape[-1])).transpose(2, 0, 1)
-    blocks = gram.c + hhat[:, gram.group[:, None], gram.group]
+    if gram.h.shape[-1] == 1:
+        return np.linalg.eigvalsh(gram.c[None])[0]
+    blocks = (gram.h @ _dft(gram.h.shape[-1])).transpose(2, 0, 1)[:, gram.group[:, None], gram.group]
+    blocks += gram.c
     return np.sort(np.linalg.eigvalsh(blocks), axis=None)
 
 
