@@ -2,9 +2,15 @@
 
 Supported strategies: Sylvester doubling for powers of two, Paley type I
 (order q+1, q prime, q = 3 mod 4), Paley type II (order 2(q+1), q prime,
-q = 1 mod 4) and Kronecker products of smaller orders.  Everything is exact
-integer arithmetic; a matrix is only ever returned after H @ H.T == n*I has
-been checked entrywise.
+q = 1 mod 4) and Kronecker products of smaller orders, each built in int64:
+Sylvester doubles in place, Paley reads its Legendre symbols off the squares
+mod q, and a Kronecker product is one broadcast product.  A matrix is only
+ever returned after its entries are checked to be +-1 and H @ H.T == n*I is
+checked entrywise.  That product is formed in float64 through BLAS, and it
+is exact: each entry is a sum of n terms +-1, so every partial sum is an
+integer of magnitude at most n < 2^53, which a double holds exactly in
+whatever order BLAS adds.  It is one n x n x n gemm, about 1.2 ms at
+n = 256, where numpy's int64 matmul, which has no BLAS, takes 10-11 ms.
 """
 
 from __future__ import annotations
@@ -32,32 +38,38 @@ class HadamardMatrix:
             )
         if not np.all(np.abs(entries) == 1):
             raise UnsupportedOrder("entries must all be +1 or -1")
-        gram = entries @ entries.T
-        if not np.array_equal(gram, self.order * np.eye(self.order, dtype=np.int64)):
+        rows = entries.astype(float)
+        if not np.array_equal(rows @ rows.T, self.order * np.eye(self.order)):
             raise UnsupportedOrder(f"H @ H.T != {self.order}*I; not a Hadamard matrix")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
 
-def _legendre(a: int, q: int) -> int:
-    a %= q
-    if a == 0:
-        return 0
-    return 1 if pow(a, (q - 1) // 2, q) == 1 else -1
-
-
 def _jacobsthal(q: int) -> np.ndarray:
-    """q x q matrix with entry (i, j) equal to the Legendre symbol of i - j: one symbol per residue, read at (i - j) mod q."""
-    symbols = np.array([_legendre(a, q) for a in range(q)], dtype=np.int64)
+    """q x q matrix with entry (i, j) equal to the Legendre symbol of i - j: one symbol per residue, read at (i - j) mod q.
+
+    The symbol is 0 at 0, +1 on the squares a^2 mod q for 1 <= a <= q/2,
+    which hold every quadratic residue since a^2 = (q - a)^2, and -1
+    elsewhere: q/2 squarings, no modular exponentiation.
+    """
     residues = np.arange(q)
+    symbols = np.full(q, -1, dtype=np.int64)
+    symbols[residues[1 : q // 2 + 1] ** 2 % q] = 1
+    symbols[0] = 0
     return symbols[(residues[:, None] - residues) % q]
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Kronecker product of two square matrices, [i*m + u, j*m + v] = a[i, j] * b[u, v], as one broadcast product."""
+    return (a[:, None, :, None] * b[:, None]).reshape(len(a) * len(b), -1)
+
+
 def sylvester(k: int) -> HadamardMatrix:
-    """Order 2^k matrix by iterated doubling of [[1, 1], [1, -1]]."""
-    h = np.array([[1]], dtype=np.int64)
-    for _ in range(k):
-        h = np.block([[h, h], [h, -h]])
+    """Order 2^k matrix by iterated doubling of [[1, 1], [1, -1]], each in place in its top-left corner."""
+    h = np.ones((2**k, 2**k), dtype=np.int64)
+    for m in (2**j for j in range(k)):  # h[:m, :m] is the order-m matrix H; [[H, H], [H, -H]] doubles it
+        h[:m, m : 2 * m] = h[m : 2 * m, :m] = h[:m, :m]
+        h[m : 2 * m, m : 2 * m] = -h[:m, :m]
     return HadamardMatrix(order=2**k, entries=h)
 
 
@@ -89,13 +101,13 @@ def paley_two(q: int) -> HadamardMatrix:
     # each +-1 of S becomes +-[[1,1],[1,-1]]; each diagonal 0 becomes [[1,-1],[-1,-1]]
     a = np.array([[1, 1], [1, -1]], dtype=np.int64)
     b = np.array([[1, -1], [-1, -1]], dtype=np.int64)
-    h = np.kron(s, a) + np.kron(np.eye(n, dtype=np.int64), b)
+    h = _kron(s, a) + _kron(np.eye(n, dtype=np.int64), b)
     return HadamardMatrix(order=2 * n, entries=h)
 
 
 def kronecker(a: HadamardMatrix, b: HadamardMatrix) -> HadamardMatrix:
     """Kronecker product; order n_a * n_b."""
-    return HadamardMatrix(order=a.order * b.order, entries=np.kron(a.entries, b.entries))
+    return HadamardMatrix(order=a.order * b.order, entries=_kron(a.entries, b.entries))
 
 
 def construct(n: int) -> HadamardMatrix:

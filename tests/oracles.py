@@ -4,8 +4,9 @@ Each is a direct, unoptimized formula: the SWAP matrix and a channel's Choi
 matrix under the package's column-stacking vec, the Choi matrix's rank, the
 coefficient x with x * sum(P_i) = I for a maximal equiangular family, the
 whole Gram of a stack of matrices as one dense product and its rank, the
-residue base vectors as one dense array, and the projection onto the span
-of orthogonal vectors as a dense product.
+residue base vectors as one dense array, the projection onto the span
+of orthogonal vectors as a dense product, the Legendre symbol by Euler's
+criterion and the DFT matrix as one exponential per entry.
 """
 
 from collections.abc import Callable
@@ -99,3 +100,17 @@ def projection_from_basis(vectors: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> 
         raise NotOrthogonal(f"basis vectors overlap, max inner product {float(np.max(worst)):.3e}")
     normalized = stack / np.sqrt(norms)[..., None]
     return normalized.swapaxes(-1, -2) @ normalized
+
+
+def legendre(a: int, q: int) -> int:
+    """The Legendre symbol of a modulo the prime q by Euler's criterion: 0, 1 or -1 as a^((q-1)/2) is 0, 1 or q - 1 mod q."""
+    a %= q
+    if a == 0:
+        return 0
+    return 1 if pow(a, (q - 1) // 2, q) == 1 else -1
+
+
+def direct_dft(d: int) -> np.ndarray:
+    """The d x d DFT matrix exp(-2 pi i (k a mod d) / d), one exponential per entry."""
+    coords = np.arange(d)
+    return np.exp(-2j * np.pi / d * (coords[:, None] * coords % d))

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from umebkit import matcore
+from umebkit import channels, matcore
 from umebkit.errors import MalformedArtifact, NotReal, OutOfRange, ShapeMismatch
 from umebkit.hadamard import construct
 from umebkit.matcore import (
@@ -26,7 +26,7 @@ from umebkit.numth import validate_prime
 from umebkit.packing import build_residue_family, dual_family, icosahedron_lines
 from umebkit.umeb import build_unitaries, compute_phase
 
-from oracles import dense_gram, numerical_rank
+from oracles import dense_gram, direct_dft, numerical_rank
 
 EPS = 1e-9
 
@@ -754,3 +754,12 @@ def test_blocks_split_range_by_the_byte_budget(n, per_block, sizes):
     blocks = list(matcore._blocks(n, int(matcore._BLOCK_BYTES / per_block)))
     assert [rows.stop - rows.start for rows in blocks] == sizes
     assert [i for rows in blocks for i in range(n)[rows]] == list(range(n))
+
+
+def test_dft_is_the_direct_exponentials_bit_for_bit():
+    # d exponentials gathered at k*a mod d hold the bytes of d^2 exponentials, one per entry
+    for d in range(1, 601):
+        dft = matcore._dft(d)
+        assert dft.dtype == np.complex128 and dft.shape == (d, d) and dft.flags.c_contiguous, d
+        assert dft.tobytes() == direct_dft(d).tobytes(), d
+    assert channels._dft is matcore._dft  # the orbit kernel transforms with the same matrix

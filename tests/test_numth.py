@@ -3,6 +3,8 @@ import pytest
 from umebkit.errors import NotPrime, OutOfRange, WrongResidueClass
 from umebkit.numth import is_prime, is_quadratic_residue, validate_prime
 
+from oracles import legendre
+
 
 def brute_force_residues(p):
     """Independent oracle: exhaustive squaring over 1..p-1."""
@@ -104,3 +106,34 @@ def test_is_prime_small_values():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for n in range(50):
         assert is_prime(n) == (n in primes)
+
+
+SUPPORTED = [p for p in range(3, 1101) if is_prime(p) and (p == 3 or p % 8 == 7)]
+
+
+def euler_lists(p):
+    """The residues and the non-residues of p, each ascending, by Euler's criterion."""
+    return (
+        tuple(a for a in range(1, p) if legendre(a, p) == 1),
+        tuple(a for a in range(1, p) if legendre(a, p) == -1),
+    )
+
+
+def test_residues_are_the_euler_lists_for_every_supported_p_below_1100():
+    assert len(SUPPORTED) == 48 and SUPPORTED[:4] == [3, 7, 23, 31] and SUPPORTED[-1] == 1087
+    for p in SUPPORTED:
+        residues, nonresidues = euler_lists(p)
+        prime = validate_prime(p)
+        assert (prime.residues, prime.nonresidues, prime.k) == (residues, nonresidues, nonresidues[0]), p
+
+
+@pytest.mark.parametrize("p", [p for p in SUPPORTED if p <= 79])
+def test_every_explicit_k_is_kept_or_rejected_by_euler_s_criterion(p):
+    residues, nonresidues = euler_lists(p)
+    for k in range(-1, p + 2):
+        if k in nonresidues:
+            prime = validate_prime(p, k)
+            assert (prime.residues, prime.nonresidues, prime.k) == (residues, nonresidues, k)
+        else:
+            with pytest.raises(OutOfRange, match=f"k={k} is not a quadratic non-residue modulo {p}"):
+                validate_prime(p, k)
