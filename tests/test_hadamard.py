@@ -179,8 +179,8 @@ def test_construct_is_unchanged_for_every_order_of_a_supported_prime(monkeypatch
     assert [n for n in orders if built[n] is None] == [52, 100, 156]
 
 
-# sha256 of construct(n).entries as little-endian int64 in C order, for every constructible n <= 256,
-# recorded from the construction before the Sylvester, Paley II and Kronecker builds and the float Gram check
+# sha256 of construct(n).entries as little-endian int64 in C order, for every constructible n <= 256:
+# the matrices downstream artifacts were built from, so a build that moves any entry changes a digest
 ENTRY_DIGESTS = {
     1: "7c9fa136d4413fa6173637e883b6998d32e1d675f88cddff9dcbcf331820f4b8",
     2: "44e41c721ef7ad53582de3a2470e7bf6e74ea4471f54c42469817ef5844da195",
