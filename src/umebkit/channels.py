@@ -34,8 +34,8 @@ sum_{e,f} K[D, e, f] X[i + e, i + f], indices mod d.  The structure is the
 family's shift count, given when it was built.  In the input's diagonals
 X[a, a + g] that sum is a cyclic correlation over the row i, so K is kept
 transformed over the row index.  It is built once per decomposition from
-the entries of the bases' union support alone, at most s a row (s = 2 for
-the paper's unitaries): one (s d x T)(T x s d) product of those entries
+the bases' values on their union support alone, at most s a row (s = 2 for
+the paper's unitaries): one (s d x T)(T x s d) product of those values
 (T = n/d orbits), its terms summed by their place in K, and one product
 with the d x d DFT matrix per block of K, O(T s^2 d^2 + d^4) with one
 budgeted block and the terms beside the kernel.  It turns each batch of
@@ -44,8 +44,8 @@ matrix, d products of d x d matrices and an inverse DFT, O(d^3) per input,
 against O(n d^3) member by member, and reads the kernel once per batch;
 the DFT tables are the ones the kernel build made.  Every DFT is a
 product with the d x d DFT matrix.  Any other mixture is applied member
-by member, in blocks of bases whose shifts are gathered one block at a
-time, as are the rows of the d-row blocks of (a):
+by member, in blocks of bases scattered dense and their shifts gathered
+one block at a time, as are the rows of the d-row blocks of (a):
 no check keeps the family's dense view.  Either way check (b) reads only
 the members and the weights, neither the Gram nor vec(U), so it stays
 independent of (a); a deviation that is not finite fails it.  Every pass
@@ -64,7 +64,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotCertified, NotSquare, OutOfRange, ShapeMismatch
-from .matcore import DEFAULT_TOL, Tolerance, _blocks, _dft, orbit_stack, support_columns
+from .matcore import DEFAULT_TOL, Tolerance, _blocks, _dft, orbit_stack
 from .umeb import UnitaryFamily, _span
 
 
@@ -126,10 +126,9 @@ class MixedUnitaryDecomposition:
         correlation over the row i with L[D, e, g] = K[D, e, e + g], so the
         kernel is L transformed over e, lhat[k, D, g] = sum_e zeta^(k e)
         L[D, e, g] with zeta = exp(2 pi i / d) (see _apply_by_kernel).
-        Only the bases' union support, uf.support, adds to K.  Row a holds
-        at most s supported offsets; offs[a] lists them first, padded with
-        unsupported ones, whose entries are 0 (matcore.support_columns of
-        the support read by offset).  For entries
+        Only the bases' union support adds to K.  Row a of the bases holds
+        s values, its supported entries and padding whose values are 0, at
+        the offsets offs[a] (SupportStack.offsets).  For entries
         (a, a + e) and (a2, a2 + e2), the product sum_t w_t U_t[a, a + e]
         conj(U_t[a2, a2 + e2]) is one term of L at D = a2 - a, e and
         g = D + e2 - e.  All (s d)^2 terms are one (s d x T)(T x s d)
@@ -148,10 +147,9 @@ class MixedUnitaryDecomposition:
         if uf.shifts != d or orbit_w is None:
             return None
         coords, plus, dft = self._dft
-        offs = support_columns(uf.support[coords[:, None], plus])  # row a's offsets e of supported entries (a, a + e) first
+        offs = uf.bases.offsets()  # offs[a, i]: the offset e of row a's value i, at (a, a + e)
         s = offs.shape[1]
-        values = uf.bases[:, coords[:, None], (coords[:, None] + offs) % d].transpose(0, 2, 1)  # [t, i, a]
-        values = values.reshape(len(values), s * d)
+        values = uf.bases.values.transpose(0, 2, 1).reshape(len(uf.bases), s * d)  # [t, i, a]
         terms = ((orbit_w[:, None] * values).T @ values.conj()).reshape(s, d, s, d)  # [i, a, j, a2]
         partner = plus.T  # partner[D, a] = a + D, the row a2 of a term at D
         terms = terms[:, coords, :, partner]  # [D, a, i, j]
@@ -292,11 +290,12 @@ def _apply_by_kernel(lhat: np.ndarray, tables: tuple, xs: np.ndarray) -> np.ndar
 def _apply_by_members(w: np.ndarray, uf: UnitaryFamily, xs: np.ndarray) -> np.ndarray:
     """sum_j w_j U_j x U_j* for every input x of the (T, d, d) stack xs.
 
-    Members go in blocks of whole bases, each base's shifts gathered for
-    its block alone (matcore.orbit_stack), so the family's dense view is
-    never formed.  Each block is two matmuls: the block's U_j times all
-    inputs side by side, rearranged so that row (s, i) holds (U_j x_s)[i, :]
-    for every j of the block, times the stacked w_j U_j*.  One member's
+    Members go in blocks of whole bases, each block scattered dense and
+    its shifts gathered for it alone (matcore.orbit_stack), so the
+    family's dense view is never formed.  Each block is two matmuls: the
+    block's U_j times all inputs side by side, rearranged so that row
+    (s, i) holds (U_j x_s)[i, :] for every j of the block, times the
+    stacked w_j U_j*.  One member's
     share of that intermediate is the size of the inputs, so matcore's
     block budget bounds the intermediate (at least one base per block).
     """
@@ -305,7 +304,7 @@ def _apply_by_members(w: np.ndarray, uf: UnitaryFamily, xs: np.ndarray) -> np.nd
     x_side = xs.transpose(1, 0, 2).reshape(d, t * d)
     out = np.zeros((t * d, d), dtype=complex)
     for bases in _blocks(len(uf.bases), size * x_side.nbytes):
-        u = orbit_stack(uf.bases[bases], size)
+        u = orbit_stack(uf.bases.dense(bases), size)
         k = len(u)
         ux = (u.reshape(k * d, d) @ x_side).reshape(k, d, t, d).transpose(2, 1, 0, 3)
         wu = (w[bases.start * size : bases.stop * size, None, None] * u.conj().transpose(0, 2, 1)).reshape(k * d, d)
@@ -363,7 +362,7 @@ def _choi_dev_by_blocks(w: np.ndarray, uf: UnitaryFamily) -> float:
     # the left of each block: that is conj(SWAP C SWAP) for the mixture's Choi matrix
     # C, whose distance to the real, SWAP-invariant target is C's.  The members are
     # gathered from the bases, so the family's dense view is never formed
-    flat = orbit_stack(uf.bases, uf.shifts).reshape(n, d * d)
+    flat = orbit_stack(uf.bases.dense(), uf.shifts).reshape(n, d * d)
     a = np.arange(d)
     sq = 0.0
     for b in range(d):

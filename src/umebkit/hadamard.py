@@ -32,13 +32,14 @@ class HadamardMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = np.array(self.entries, dtype=np.int64)
-        if entries.shape != (self.order, self.order):
+        given = np.asarray(self.entries)  # read as given: a cast to int64 would truncate 1.7 to 1
+        if given.shape != (self.order, self.order):
             raise UnsupportedOrder(
-                f"entries shape {entries.shape} does not match order {self.order}"
+                f"entries shape {given.shape} does not match order {self.order}"
             )
-        if not np.all(np.abs(entries) == 1):
-            raise UnsupportedOrder("entries must all be +1 or -1")
+        if given.dtype.kind not in "iuf" or not np.all(np.abs(given) == 1):  # no bool, complex or text
+            raise UnsupportedOrder(f"entries must all be +1 or -1, got {given.dtype} entries")
+        entries = given.astype(np.int64)
         rows = entries.astype(float)
         if not np.array_equal(rows @ rows.T, self.order * np.eye(self.order)):
             raise UnsupportedOrder(f"H @ H.T != {self.order}*I; not a Hadamard matrix")

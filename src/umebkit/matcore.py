@@ -1,9 +1,10 @@
-"""Dense complex matrix core: whole cyclic-shift orbits of base matrices, the
-bases' union support and each row's columns in it, the trace Gram of whole
-orbits held by its parts from the bases' cyclic diagonals, what every check
-reads off it, the Gram spectrum from its shift blocks and its numerical
-rank, the budgeted product a* b - c of stacks summed over their supports,
-read-only member stacks, the tolerances and the JSON coding of real stacks.
+"""Matrix core: stacks of base matrices stored on their union support
+(SupportStack: one column table, and the values there), whole
+cyclic-shift orbits of base matrices, the trace Gram of whole orbits held by
+its parts from the bases' cyclic diagonals, what every check reads off it,
+the Gram spectrum from its shift blocks and its numerical rank, the budgeted
+product a* a - c summed over the support, the bases' asymmetry, the
+tolerances and the JSON coding of real stacks.
 """
 
 from __future__ import annotations
@@ -87,14 +88,14 @@ def orbit_stack(bases: np.ndarray, shifts: int) -> np.ndarray:
 
 
 def union_support(bases: np.ndarray) -> np.ndarray:
-    """The (d, d) mask of the entries where some base of the (T, d, d) stack is not exactly 0.
+    """The (d, d) mask of the entries where some base of the dense (T, d, d) stack is not exactly 0.
 
     A NaN or inf is not 0, so it stays in the support, and a sum over the
     support meets it.  A sum of products that each have a factor
     bases[t][i, j] loses no term by skipping the entries outside it.  One
-    pass of ndarray.any, with no (T, d, d) bool temporary: the complex
-    bases of a p=79 unitary family take about 0.2 ms, against 0.5 ms with
-    bases != 0 formed first (2 cores).
+    pass of ndarray.any, with no (T, d, d) bool temporary, when
+    SupportStack.of compresses a dense stack; a family's checks never scan
+    one.
     """
     return bases.any(axis=0)
 
@@ -122,77 +123,175 @@ def support_columns(on: np.ndarray) -> np.ndarray:
     return cols[:, :s]
 
 
-def _slots(reach: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(cols, slot) of the columns reach[i] < d of each row: cols[i] the distinct ones in ascending order, padded with -1 up to the longest row; slot[i, m] the place of reach[i, m] in cols[i]."""
-    rows = np.arange(len(reach))[:, None]
-    reached = np.zeros((len(reach), d), dtype=bool)
-    reached[rows, reach] = True
-    place = np.cumsum(reached, axis=1) - 1  # place[i, j]: the place of column j in cols[i], if reached
-    cols = np.full((len(reach), int(place[:, -1].max()) + 1), -1, dtype=np.intp)
-    i, j = np.nonzero(reached)
-    cols[i, place[i, j]] = j
-    return cols, place[rows, reach]
+@dataclass(frozen=True, eq=False)
+class SupportStack:
+    """T d x d bases stored on their union support: values[t, a, i] = bases[t][a, cols[a, i]].
+
+    cols (d, s) is one column table for all the bases: row a lists the
+    columns of row a in the union support, in ascending order, then pads
+    with columns outside it (support_columns), where every value is 0.  A
+    stack built from a dense one (of) holds exactly that; a builder that
+    knows its support writes cols and values directly.  Both arrays are
+    handed over and made read-only.  Every reader of a family's bases goes
+    through this type: the dense view, the entries at any (i, j), the
+    cyclic offset of each column, and the checks below, which read cols and
+    values and never a (T, d, d) array.  The paper's bases have s = 2 (the
+    diagonal and each row's partner in its pair {q, kq}), so a stack holds
+    2 T d values, against T d^2 dense.
+    """
+
+    cols: np.ndarray  # (d, s) intp
+    values: np.ndarray  # (T, d, s)
+
+    def __post_init__(self):
+        self.cols.flags.writeable = False
+        self.values.flags.writeable = False
+
+    @classmethod
+    def of(cls, bases, d: int, dtype=None) -> SupportStack:
+        """bases as a SupportStack of d x d matrices: a SupportStack kept (its values cast to dtype), a dense stack compressed.
+
+        A dense stack (a sequence or an array of shape (T, d, d)) is read
+        once, on its union support, and not kept, so no caller can write to
+        the values through it.  ShapeMismatch unless the members are d x d
+        matrices.
+        """
+        if isinstance(bases, cls):
+            stack = bases if dtype is None or bases.values.dtype == dtype else cls(bases.cols, bases.values.astype(dtype))
+        else:
+            dense = np.asarray(bases, dtype=dtype)
+            if dense.ndim != 3 or dense.shape[1:] != (d, d):
+                raise ShapeMismatch(f"members of shape {dense.shape} in a family with d={d}")
+            cols = support_columns(union_support(dense))
+            stack = cls(cols, np.ascontiguousarray(dense[:, np.arange(d)[:, None], cols]))
+        if len(stack.cols) != d:
+            raise ShapeMismatch(f"bases of size {len(stack.cols)} in a family with d={d}")
+        return stack
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def dense(self, block: slice = slice(None)) -> np.ndarray:
+        """The read-only (n, d, d) bases of block, scattered from the values: 0 off the columns."""
+        values = self.values[block]
+        d = len(self.cols)
+        out = np.zeros((len(values), d, d), dtype=values.dtype)
+        out[:, np.arange(d)[:, None], self.cols] = values
+        out.flags.writeable = False
+        return out
+
+    def at(self, i, j, block: slice = slice(None)) -> np.ndarray:
+        """bases[t][i, j] of every base t of block, for broadcast index arrays i and j: 0 where row i's columns lack j.
+
+        Each entry finds j among row i's s columns, O(s) an entry and no
+        d x d table, and one gather reads its value from every base.
+        """
+        held = self.cols[i] == np.asarray(j)[..., None]
+        return np.where(held.any(axis=-1), self.values[block][:, i, held.argmax(axis=-1)], 0)
+
+    def offsets(self) -> np.ndarray:
+        """offs[a, i] = (cols[a, i] - a) mod d: the cyclic diagonal bases[t][a, a + e] that each value lies on."""
+        return (self.cols - np.arange(len(self.cols))[:, None]) % len(self.cols)
+
+    def eye_minus(self, w) -> SupportStack:
+        """I - w B for every base B, as a new stack on these columns, each row's diagonal added where they lack it.
+
+        I is 0 off the diagonal, so only the diagonal can widen the
+        support; when every row lists its own column, as the paper's bases
+        do, the columns are kept and the values mapped in place of a copy:
+        values * w, then I's entries at the columns minus that.
+        """
+        d = len(self.cols)
+        rows = np.arange(d)[:, None]
+        stack = self
+        if not (self.cols == rows).any(axis=1).all():
+            on = np.zeros((d, d), dtype=bool)
+            on[rows, self.cols] = self.values.any(axis=0)
+            cols = support_columns(on | np.eye(d, dtype=bool))
+            stack = SupportStack(cols, self.at(rows, cols))
+        values = stack.values.astype(np.result_type(stack.values, w))
+        values *= w
+        np.subtract(stack.cols == rows, values, out=values)
+        return SupportStack(stack.cols, values)
 
 
-def support_product(a, b, c, left, right, own) -> tuple[np.ndarray, np.ndarray]:
-    """(cols, gap): row i of a[t]* @ b[t] - c[t] at the columns cols[i], for stacks of T d x d matrices.
+def support_product(a: SupportStack, c: SupportStack) -> tuple[np.ndarray, np.ndarray]:
+    """(entries, gap): gap[t, m] is the entry entries[m] = i d + j of a[t]* a[t] - c[t], over every entry a term or c reaches.
 
-    a* is the conjugate transpose of a.  Row i of a* is read at the columns
-    k of left[i], row k of b at right[k] and row i of c at own[i], each
-    support_columns of its stack's union support (of on.T for a* when a
-    has support on), so each row of the product is at most s_a s_b terms.
-    cols[i] lists, once each, the columns those terms and c's entries
-    reach, in ascending order, padded with -1 up to the longest row;
-    gap[t, i, r] is the entry of a[t]* @ b[t] - c[t] at column cols[i, r],
-    and 0 where cols[i, r] is -1.  Every entry outside cols is a sum of
-    terms that each have a factor 0, minus a 0.  A NaN or inf entry of a
-    or c meets at least one term, a padded one at worst, and reaches gap
-    as a NaN or inf; so does one of b in a row that a* reads, which holds
-    for every entry of b when b is a or c.
+    a* is the conjugate transpose of a, and a* a = sum_k conj(row k)^T row k:
+    row k of a, read on its columns, adds conj(a[k, i]) a[k, j] at (i, j)
+    for each pair of its columns, s^2 terms a row.  entries lists, once
+    each and in ascending order, the entries those terms and c's columns
+    reach; every other entry of a* a - c is a sum of terms that each have a
+    factor 0, minus a 0.  With c = a it is P^T P - P, which is 0 exactly
+    when P is a symmetric idempotent; with c = I it is U* U - I.  A NaN or
+    inf value of a meets itself in the term at its own (j, j), and one of c
+    is subtracted at its entry, so each reaches gap as a NaN or inf.
 
     The bases go in blocks of _BLOCK_BYTES, each holding its terms, their
-    keys and its sums: each block sums its terms into their entries with
-    one np.bincount and subtracts c's entries from theirs.  The paper's
-    bases have s = 2 entries a row (the diagonal and each row's partner in
-    its pair {q, kq}), so a base costs O(d), against the O(d^3) of its
-    dense product.  When left and right both have width d, every row of
-    both factors is read whole and the terms are those of the dense
-    product, so each block is one batched matmul instead, and cols lists
-    every column of every row.  Real stacks give a real gap.
+    keys and its sums: each block lays out every base's terms and then c's
+    values negated, and one np.bincount (one a part for complex stacks)
+    sums them into their entries, so an entry is its terms' sum minus c.
+    The paper's bases have s = 2, so a base costs O(d), against the O(d^3)
+    of its dense product.  When a's rows are full (s = d), the terms are those of the
+    dense product, so each block is scattered dense and is one batched
+    matmul instead, and entries lists every entry.  Real stacks give a real
+    gap.
     """
-    t, d = len(b), b.shape[-1]
-    dtype = np.result_type(a, b, c)
-    if left.shape[1] == right.shape[1] == d:
-        gap = np.empty((t, d, d), dtype=dtype)
-        for block in _blocks(t, 2 * d * d * dtype.itemsize):  # a block's conjugated a and its product
-            with np.errstate(invalid="ignore", over="ignore"):  # an inf times a 0 is a NaN deviation, not a warning
-                np.matmul(a[block].conj().swapaxes(-1, -2), b[block], out=gap[block])
-                gap[block] -= c[block]
-        return np.tile(np.arange(d), (d, 1)), gap
+    t, d, s = a.values.shape
+    dtype = np.result_type(a.values, c.values)
     rows = np.arange(d)[:, None]
-    reached = right[left].reshape(d, -1)  # the column of each product term of row i
-    cols, slot = _slots(np.concatenate((reached, own), axis=1), d)
-    width = cols.shape[1]
-    parts = 2 if dtype.kind == "c" else 1  # a complex term adds its real and imaginary parts to two halves of its slot
-    products = left.shape[1] * right.shape[1]
-    entries = np.repeat(left, right.shape[1], axis=1) * d + reached  # b's flat entry of each product term of row i
-    keys = parts * (rows * width + slot[:, :products])[..., None] + np.arange(parts)  # keys[i, term, part] in one base
-    size = d * products * (dtype.itemsize + 8 * parts) + d * width * dtype.itemsize  # one base's terms, keys and sums
-    step = next(_blocks(t, size)).stop
-    keys = (keys + parts * d * width * np.arange(step)[:, None, None, None]).ravel()  # every block's first bases
-    gap = np.empty((t, d, width), dtype=dtype)
-    for block in _blocks(t, size):
+    own = rows * d + c.cols  # c's entries
+    if s == d:
+        gap = np.empty((t, d, d), dtype=dtype)
+        for block in _blocks(t, 2 * d * d * dtype.itemsize):  # a block's dense bases and their conjugate
+            dense = a.dense(block)
+            with np.errstate(invalid="ignore", over="ignore"):  # an inf times a 0 is a NaN deviation, not a warning
+                np.matmul(dense.conj().swapaxes(-1, -2), dense, out=gap[block])
+                gap[block].reshape(-1, d * d)[:, own] -= c.values[block]
+        return np.arange(d * d), gap.reshape(t, d * d)
+    terms = a.cols.T[:, None] * d + a.cols.T  # terms[i, j, k]: the entry of conj(a[k, i]) a[k, j]
+    reached = np.zeros(d * d, dtype=bool)
+    reached[terms] = reached[own] = True
+    entries = np.flatnonzero(reached)
+    width = len(entries)
+    place = np.empty(d * d, dtype=np.intp)
+    place[entries] = np.arange(width)  # place[i d + j]: the slot of a reached entry
+    slots = np.concatenate((place[terms].ravel(), place[own].ravel()))  # a base's terms, then c's values
+    gap = np.empty((t, width), dtype=dtype)
+    for block in _blocks(t, len(slots) * (dtype.itemsize + 8) + width * (dtype.itemsize + 8)):  # terms, keys, sums
         n = block.stop - block.start
-        values = np.take(b[block].reshape(n, d * d), entries, axis=1).astype(dtype, copy=False)
-        values.shape = (n, d, left.shape[1], right.shape[1])  # b[t, k, right[k, :]], k = left[i, m]
-        sums = gap[block]
+        keys = (slots + width * np.arange(n)[:, None]).ravel()
+        weights = np.empty((n, len(slots)), dtype=dtype)  # [t, (i, j, k)], then -c[t]
+        read = a.values[block].transpose(0, 2, 1)  # read[t, i, k] = a[t][k, cols[k, i]]
         with np.errstate(invalid="ignore", over="ignore"):  # an inf times a 0 is a NaN deviation, not a warning
-            values *= np.conj(a[block][:, left, rows])[..., None]  # conj(a[t, k, i])
-            sums.reshape(-1).view(float)[:] = np.bincount(
-                keys[: n * d * products * parts], values.ravel().view(float), parts * n * d * width
-            )
-            sums[:, rows, slot[:, products:]] -= c[block][:, rows, own]
-    return cols, gap
+            np.multiply(np.conj(read)[:, :, None], read[:, None], out=weights[:, : d * s * s].reshape(n, s, s, d))
+            np.negative(c.values[block], out=weights[:, d * s * s :].reshape(n, d, -1))
+            gap[block].real = np.bincount(keys, weights.real.ravel(), n * width).reshape(n, width)
+            if dtype.kind == "c":
+                gap[block].imag = np.bincount(keys, weights.imag.ravel(), n * width).reshape(n, width)
+    return entries, gap
+
+
+def asymmetry(stack: SupportStack) -> tuple[float, float]:
+    """(max |B - B^T|, sum |B - B^T|^2) over the bases B of the stack.
+
+    B - B^T is 0 outside S | S^T, S the stored entries, so each value
+    B[a, b] is compared with its mirror B[b, a], 0 where row b's columns
+    lack a.  An entry whose mirror is not stored stands for the mirror too,
+    so it counts twice in the sum.  The bases go in blocks of
+    _BLOCK_BYTES; the block maxima are combined by np.max and the sums by
+    +, so a NaN reaches both.
+    """
+    d, s = stack.cols.shape
+    rows = np.arange(d)[:, None]
+    weight = np.where((stack.cols[stack.cols] == rows[..., None]).any(axis=-1), 1.0, 2.0)
+    worst, sq = [], 0.0
+    for block in _blocks(len(stack), 2 * d * s * stack.values.itemsize):
+        gap = np.abs(stack.values[block] - stack.at(stack.cols, rows, block))
+        worst.append(np.max(gap, initial=0.0))
+        sq += float(np.vdot(weight * gap, gap))
+    return float(np.max(worst)), sq
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,13 +310,14 @@ class CyclicGram:
     h: np.ndarray  # (g, g, s): the cyclic cross-correlations of the groups' shared diagonals
 
 
-def cyclic_gram(bases: np.ndarray, shifts: int, support: np.ndarray) -> CyclicGram:
-    """The Gram of the members of the (T, d, d) bases, from their cyclic diagonals b[t, e, a] = bases[t, a, a + e].
+def cyclic_gram(bases: SupportStack, shifts: int) -> CyclicGram:
+    """The Gram of the members of the bases, from their cyclic diagonals b[t, e, a] = bases[t][a, a + e].
 
     G[t*s, t'*s + x] = sum_e sum_a conj(b[t, e, a]) b[t', e, a - x], and a
-    term is 0 unless both of its entries lie in support, the bases' union
-    support.  An offset e that holds one row of the support adds at x = 0
-    alone, so all such entries together are one product c = conj(V) V^T,
+    term is 0 unless both of its entries lie in the bases' union support,
+    the stored entries where some base is not 0.  An offset e that holds
+    one row of the support adds at x = 0 alone, so all such entries
+    together are one product c = conj(V) V^T,
     in blocks of rows for complex bases, each counting its conjugated rows
     and its products against _BLOCK_BYTES.  The diagonals of the other
     offsets, the shared ones, are grouped by exact equality across the
@@ -234,21 +334,19 @@ def cyclic_gram(bases: np.ndarray, shifts: int, support: np.ndarray) -> CyclicGr
     a shift block where no two supported entries meet is 0 only up to
     rounding, not an exact 0.  For shifts = 1
     every entry meets at x = 0 alone, so c is the whole Gram, read off
-    every entry of the bases, and h is 0.
+    every value of the bases, and h is 0.
     """
-    stack = np.asarray(bases)
-    m, d = len(stack), stack.shape[-1]
-    flat = stack.reshape(m, -1)
+    values = bases.values
+    m, d = len(values), len(bases.cols)
     if shifts == 1:
-        single, shared = flat, np.empty(0, dtype=np.intp)
+        single, shared = values.reshape(m, -1), np.empty(0, dtype=np.intp)
     else:
-        entries = np.flatnonzero(support)
-        i, j = np.divmod(entries, d)
-        offset = (j - i) % d
-        rows = np.bincount(offset, minlength=d)  # rows[e]: the rows of the support on offset e
-        single, shared = flat[:, entries[rows[offset] == 1]], np.flatnonzero(rows > 1)
+        on = values.any(axis=0)  # the union support, a NaN in it
+        offset = bases.offsets()
+        rows = np.bincount(offset[on], minlength=d)  # rows[e]: the rows of the support on offset e
+        single, shared = values[:, on & (rows[offset] == 1)], np.flatnonzero(rows > 1)
     a = np.arange(shifts)
-    diagonals = stack[:, a, (a + shared[:, None]) % d]  # (T, shared offsets, s)
+    diagonals = bases.at(a, (a + shared[:, None]) % d)  # (T, shared offsets, s)
     group = np.empty(m, dtype=np.intp)
     firsts, left = [], np.arange(m)
     while len(left):
@@ -268,7 +366,7 @@ def cyclic_gram(bases: np.ndarray, shifts: int, support: np.ndarray) -> CyclicGr
             c = single @ single.T
         # sum_a conj(u[a]) v[a - x] is the DFT over k of conj(U[k]) V[k], over s
         h = (spectra.conj() @ spectra.transpose(0, 2, 1)).transpose(1, 2, 0) @ dft / shifts
-    return CyclicGram(c, group, h if np.iscomplexobj(stack) else h.real)
+    return CyclicGram(c, group, h if np.iscomplexobj(values) else h.real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,28 +401,6 @@ def gram_stats(gram: CyclicGram) -> GramStats:
     radii = near.sum(axis=1) + far.sum(axis=2)[pair].sum(axis=1)
     sq_off = near * near + (far * far).sum(axis=2)[pair]
     return GramStats(diag, radii, float(np.maximum(near.max(), far.max(initial=0.0))), sq_off)
-
-
-def read_only_stack(members, d: int, dtype=None) -> np.ndarray:
-    """members as one read-only (n, d, d) array that no caller can write through.
-
-    An array that is read-only down to the memory it views, and already of
-    dtype, is kept: its builder has handed it over.  Anything else (a
-    sequence, a writable array, a read-only view of a writable one) is
-    copied first.  ShapeMismatch unless the members are d x d matrices.
-    """
-    base = members
-    while isinstance(base, np.ndarray) and not base.flags.writeable:
-        base = base.base
-    handed_over = base is None and isinstance(members, np.ndarray)
-    if handed_over and (dtype is None or members.dtype == dtype):
-        stack = members
-    else:
-        stack = np.array(members, dtype=dtype)
-        stack.flags.writeable = False
-    if stack.ndim != 3 or stack.shape[1:] != (d, d):
-        raise ShapeMismatch(f"members of shape {stack.shape} in a family with d={d}")
-    return stack
 
 
 def gram_spectrum(gram: CyclicGram) -> np.ndarray:

@@ -4,12 +4,13 @@ Two sources: the quadratic-residue/Hadamard construction that yields
 p(p+1)/2 rank-(p-1)/2 real projections in dimension p (for p = 3 or
 p = 7 mod 8), and the six icosahedron diagonals as rank-one projections in
 dimension 3.  Also the duality map Q_i = I - P_i and the closed-form common
-angles.  The residue bases are built on their support alone: each base
-vector has two nonzero entries, given by their indices and coefficients,
-and its outer product is scattered into the zeroed bases.
-verify_equiangular reads each family's pairwise traces off its Gram, held
-by its parts from the bases' cyclic diagonals, and its idempotency off
-products summed over the bases' union support.
+angles.  A family holds its bases on their union support
+(matcore.SupportStack): the residue bases are written there directly, each
+base vector's two nonzero entries given by their indices and coefficients,
+and a dense stack given to a family is compressed once.  verify_equiangular
+reads each family's pairwise traces off its Gram, held by its parts from
+the bases' cyclic diagonals, and its idempotency off products summed over
+that support.
 """
 
 from __future__ import annotations
@@ -33,18 +34,16 @@ from .errors import (
 from .hadamard import HadamardMatrix
 from .matcore import (
     DEFAULT_TOL,
+    SupportStack,
     Tolerance,
     cyclic_gram,
     gram_stats,
     json_int,
     json_number,
     orbit_stack,
-    read_only_stack,
     stack_from_json,
     stack_to_json,
-    support_columns,
     support_product,
-    union_support,
 )
 from .numth import UmebPrime
 
@@ -53,30 +52,31 @@ from .numth import UmebPrime
 class ProjectionFamily:
     """Same-rank real symmetric projections with a common target angle: bases and a shift count.
 
-    Member t*shifts + x is bases[t] shifted by x (matcore.orbit_stack);
-    shifts is d for whole Z_d orbits and 1 otherwise.  bases is one
-    read-only real (T, d, d) array that the family owns (NotReal for
-    complex bases): a sequence or a writable array given to the constructor
-    is copied into it.  r is the common rank, 1 <= r < d (RankOutOfRange
-    otherwise), the range in which beta_projections and feasibility are
-    defined.  beta is the exact rational target of tr(P_i P_j) for i != j;
-    scale is the off-support coefficient (1 + sqrt(p+2))/sqrt(p+1) when
-    applicable.  Because no
-    caller can write to the bases through the family, its union support
-    and its dense members are computed once, on first use, and kept.
+    Member t*shifts + x is base t shifted by x (matcore.orbit_stack);
+    shifts is d for whole Z_d orbits and 1 otherwise.  bases is the T real
+    bases on their union support, one read-only matcore.SupportStack that
+    the family owns (NotReal for complex bases): a dense (T, d, d) stack or
+    sequence given to the constructor is compressed into one, and
+    bases.dense() is the dense view.  r is the common rank, 1 <= r < d
+    (RankOutOfRange otherwise), the range in which beta_projections and
+    feasibility are defined.  beta is the exact rational target of
+    tr(P_i P_j) for i != j; scale is the off-support coefficient
+    (1 + sqrt(p+2))/sqrt(p+1) when applicable.  Because no caller can write
+    to the bases through the family, its dense members are gathered once,
+    on first use, and kept.
     """
 
     d: int
     r: int
-    bases: np.ndarray
+    bases: SupportStack
     beta: Fraction
     shifts: int = 1
     scale: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "bases", read_only_stack(self.bases, self.d))
-        if np.iscomplexobj(self.bases):  # verify_equiangular compares only the real part of each trace with beta
-            raise NotReal(f"a family's projections are real, got bases of dtype {self.bases.dtype}")
+        object.__setattr__(self, "bases", SupportStack.of(self.bases, self.d))
+        if np.iscomplexobj(self.bases.values):  # verify_equiangular compares only the real part of each trace with beta
+            raise NotReal(f"a family's projections are real, got bases of dtype {self.bases.values.dtype}")
         if self.shifts not in (1, self.d):
             raise OutOfRange(f"shifts must be 1 or d={self.d}, got {self.shifts}")
         if not 1 <= self.r < self.d:
@@ -87,15 +87,8 @@ class ProjectionFamily:
 
     @cached_property
     def projections(self) -> np.ndarray:
-        """Every member as one read-only (n, d, d) array, gathered from the bases on first use."""
-        return orbit_stack(self.bases, self.shifts)
-
-    @cached_property
-    def support(self) -> np.ndarray:
-        """union_support(bases), read-only: the one mask that the Gram and the idempotency check read."""
-        on = union_support(self.bases)
-        on.flags.writeable = False
-        return on
+        """Every member as one read-only (n, d, d) array, gathered from the dense bases on first use."""
+        return orbit_stack(self.bases.dense(), self.shifts)
 
 
 @dataclass(frozen=True)
@@ -159,22 +152,32 @@ def build_residue_family(prime: UmebPrime, h: HadamardMatrix) -> ProjectionFamil
     of every base orthogonal: their two-entry supports are pairwise
     disjoint, or it raises NotOrthogonal.  So each base is the sum of the
     outer products of its normalized vectors, and each outer product is the
-    2 x 2 block of one vector's two entries, scattered into the zeroed
-    bases: O(p) writes a base, 2(p - 1) nonzero entries.  Moving every
-    basis vector by x maps P to P[i - x, j - x], and a shift only permutes
-    coordinates, so what holds for a base holds for all its shifts.
+    2 x 2 block of one vector's two entries: rows q and kq hold the
+    columns {q, kq}, in ascending order, and row 0, in no support, the
+    padding columns 0 and 1.  That is one (p, 2) column table for every
+    base and 2p values a base, written directly, with no (T, p, p) array.
+    Moving every basis vector by x maps P to P[i - x, j - x], and a shift
+    only permutes coordinates, so what holds for a base holds for all its
+    shifts.
     """
     p = prime.p
     ends, coefficients = residue_base_vectors(prime, h)  # ends[:, s]: the two support indices of vector s
-    entries = np.stack((np.ones_like(coefficients), coefficients), axis=1)  # entries[t, :, s]: vector s of base t
-    entries /= np.sqrt(entries[:, 0] ** 2 + entries[:, 1] ** 2)[:, None]
-    bases = np.zeros(((p + 1) // 2, p, p))
-    bases[:, ends[:, None], ends[None, :]] = entries[:, :, None] * entries[:, None, :]
-    bases.flags.writeable = False
+    norm = np.sqrt(1.0 + coefficients**2)
+    x = np.zeros(((p + 1) // 2, p))  # x[t, i]: entry i of the normalized vector of base t whose support holds i
+    x[:, ends[0]] = 1.0 / norm
+    x[:, ends[1]] = coefficients / norm
+    partner = np.empty(p, dtype=np.intp)
+    partner[ends] = ends[::-1]
+    partner[0] = 1  # row 0 lies in no support: its padding columns are 0 and 1
+    coords = np.arange(p)
+    cols = np.stack((np.minimum(coords, partner), np.maximum(coords, partner)), axis=1)
+    values = x[:, cols]
+    values *= x[:, :, None]  # the 2 x 2 block x x^T of each vector, row by row
+    values[:, 0] = 0.0
     return ProjectionFamily(
         d=p,
         r=prime.half,
-        bases=bases,
+        bases=SupportStack(cols, values),
         beta=beta_projections(p, prime.half),
         shifts=p,
         scale=off_support_scale(p),
@@ -186,27 +189,28 @@ def verify_equiangular(
 ) -> EquiangularReport:
     """Check pairwise traces, idempotency and trace-rank of every member.
 
-    The pairwise traces come from the Gram cyclic_gram(bases, shifts,
-    support), held by its parts, which fix every entry: G - beta is its
-    products c beside its correlations h - beta, and max_angle_dev is the
-    largest off-diagonal magnitude of that (matcore.gram_stats),
-    O(T^2 + g^2 d) however many pairs there are.  A shift permutes entries, so
-    idempotency and traces are checked on the bases alone; idempotency as
-    the largest entry of |P P - P|, summed over the family's support
-    (matcore.support_product, which keeps a NaN): the paper's projections
-    have at most two entries a row, so a base costs O(d), not O(d^3).
+    The pairwise traces come from the Gram cyclic_gram(bases, shifts),
+    held by its parts, which fix every entry: G - beta is its products c
+    beside its correlations h - beta, and max_angle_dev is the largest
+    off-diagonal magnitude of that (matcore.gram_stats), O(T^2 + g^2 d)
+    however many pairs there are.  A shift permutes entries, so
+    idempotency and traces are checked on the bases alone.
+    max_idempotency_dev is the largest entry of |P^T P - P|, which is 0
+    exactly when P is a symmetric idempotent, an orthogonal projection: an
+    oblique idempotent (P P = P, P^T != P) fails it.  It is summed over the
+    bases' support (matcore.support_product, which keeps a NaN): the
+    paper's projections have two entries a row, so a base costs O(d), not
+    O(d^3).  Each trace is summed in order along the diagonal.
     """
     bases = family.bases
-    on = family.support
     n = len(family)
     beta = float(family.beta)
-    gram = cyclic_gram(bases, family.shifts, on)
+    gram = cyclic_gram(bases, family.shifts)
     max_angle_dev = gram_stats(replace(gram, h=gram.h - beta)).max_off
-    # P P = (P*)* P: for real P, P* is a transposed view, no copy; P's rows read the same columns in all three
-    columns = support_columns(on)
-    gap = support_product(bases.conj().transpose(0, 2, 1), bases, bases, columns, columns, columns)[1]
+    gap = support_product(bases, bases)[1]  # P^T P - P
     max_idem_dev = float(np.max(np.abs(gap)))
-    traces = np.einsum("nii->n", bases)
+    coords = np.arange(family.d)
+    traces = np.cumsum(bases.at(coords, coords), axis=1)[:, -1]
     max_rank_dev = float(np.max(np.abs(traces - family.r)))
     passed = (
         max_angle_dev <= tol.eps
@@ -226,12 +230,10 @@ def verify_equiangular(
 def dual_family(family: ProjectionFamily) -> ProjectionFamily:
     """Complementary projections I - P_i, from the bases (I is shift-invariant); rank d - r, angle beta + d - 2r."""
     d = family.d
-    dual = np.eye(d) - family.bases
-    dual.flags.writeable = False
     return ProjectionFamily(
         d=d,
         r=d - family.r,
-        bases=dual,
+        bases=family.bases.eye_minus(1.0),
         beta=family.beta + (d - 2 * family.r),
         shifts=family.shifts,
         scale=family.scale,
@@ -274,7 +276,7 @@ def family_to_json(family: ProjectionFamily) -> dict:
         "beta_den": family.beta.denominator,
         "C": family.scale,
         "shifts": family.shifts,
-        "bases": stack_to_json(family.bases),
+        "bases": stack_to_json(family.bases.dense()),
     }
 
 

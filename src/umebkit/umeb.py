@@ -6,9 +6,10 @@ U_i = I - (1 - z) P_i, and certify the resulting family: trace
 orthogonality, span of the symmetric matrices, orthogonality of the
 antisymmetric complement and odd dimension.  The certificate is the
 machine-checkable record that the vectorized family is an unextendible
-maximally entangled basis.  A family computes its bases' union support once,
-and its Gram, its unitarity check and its asymmetry all read that one mask,
-as does the orbit kernel of channels.
+maximally entangled basis.  A family holds its bases on their union support
+(matcore.SupportStack), as its projection family does, and its Gram, its
+unitarity check and its asymmetry all read that one column table and its
+values, as does the orbit kernel of channels.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import Infeasible, OutOfRange, RankOutOfRange
-from .matcore import DEFAULT_TOL, CyclicGram, GramStats, Tolerance, _blocks, cyclic_gram, gram_spectrum, gram_stats
-from .matcore import orbit_stack, read_only_stack, spectral_rank, support_columns, support_product, union_support
+from .matcore import DEFAULT_TOL, CyclicGram, GramStats, SupportStack, Tolerance, asymmetry, cyclic_gram, gram_spectrum
+from .matcore import gram_stats, orbit_stack, spectral_rank, support_product
 from .packing import ProjectionFamily
 
 
@@ -42,21 +43,21 @@ class UnitaryFamily:
     """Unitaries I - (1-z)P_i sharing one unit-modulus phase z: bases and a shift count.
 
     Members, shifts and bases are as in ProjectionFamily; the bases are
-    complex.  The projections they came from are not kept: a unitary
-    artifact is written from the projection family and z, and read back as
-    them.  Because no caller can write to them through the family, its
-    union support, trace Gram, what the checks read off it, its symmetry
-    deviations and its dense members are computed once, on first use, and
-    kept on the object.
+    complex, a SupportStack (a dense stack given is compressed).  The
+    projections they came from are not kept: a unitary artifact is written
+    from the projection family and z, and read back as them.  Because no
+    caller can write to them through the family, its trace Gram, what the
+    checks read off it, its symmetry deviations and its dense members are
+    computed once, on first use, and kept on the object.
     """
 
     d: int
     z: complex
-    bases: np.ndarray
+    bases: SupportStack
     shifts: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "bases", read_only_stack(self.bases, self.d, complex))
+        object.__setattr__(self, "bases", SupportStack.of(self.bases, self.d, complex))
         if self.shifts not in (1, self.d):
             raise OutOfRange(f"shifts must be 1 or d={self.d}, got {self.shifts}")
 
@@ -65,23 +66,16 @@ class UnitaryFamily:
 
     @cached_property
     def unitaries(self) -> np.ndarray:
-        """Every member as one read-only complex (n, d, d) array, gathered from the bases on first use."""
-        return orbit_stack(self.bases, self.shifts)
-
-    @cached_property
-    def support(self) -> np.ndarray:
-        """union_support(bases), read-only: the one mask that the Gram, the unitarity check, the asymmetry and the orbit kernel read."""
-        on = union_support(self.bases)
-        on.flags.writeable = False
-        return on
+        """Every member as one read-only complex (n, d, d) array, gathered from the dense bases on first use."""
+        return orbit_stack(self.bases.dense(), self.shifts)
 
     @cached_property
     def gram(self) -> CyclicGram:
-        """cyclic_gram(bases, shifts, support), read-only: G_ij = tr(U_i* U_j) by its T x T and g x g x shifts parts.
+        """cyclic_gram(bases, shifts), read-only: G_ij = tr(U_i* U_j) by its T x T and g x g x shifts parts.
 
         For shifts = 1 its c is the whole n x n Gram.
         """
-        gram = cyclic_gram(self.bases, self.shifts, self.support)
+        gram = cyclic_gram(self.bases, self.shifts)
         for array in (gram.c, gram.group, gram.h):
             array.flags.writeable = False
         return gram
@@ -96,19 +90,9 @@ class UnitaryFamily:
 
     @cached_property
     def asymmetry(self) -> tuple[float, float]:
-        """(max |U - U^T|, sum |U - U^T|^2) over all members, read off the bases: a shift permutes entries.
-
-        U - U^T is 0 outside S | S^T, S the support, so the bases are read
-        at those entries alone, in blocks of _BLOCK_BYTES.  The block maxima
-        are combined by np.max and the sums by +, so a NaN reaches both.
-        """
-        i, j = np.nonzero(self.support | self.support.T)
-        worst, sq = [], 0.0
-        for block in _blocks(len(self.bases), 2 * len(i) * self.bases.itemsize):
-            gap = np.abs(self.bases[block, i, j] - self.bases[block, j, i])
-            worst.append(np.max(gap, initial=0.0))
-            sq += float(np.vdot(gap, gap))
-        return float(np.max(worst)), self.shifts * sq
+        """(max |U - U^T|, sum |U - U^T|^2) over all members, read off the bases (matcore.asymmetry): a shift permutes entries."""
+        worst, sq = asymmetry(self.bases)
+        return worst, self.shifts * sq
 
 
 @dataclass(frozen=True)
@@ -165,14 +149,11 @@ def compute_phase(d: int, r: int) -> complex:
 def build_unitaries(family: ProjectionFamily, z: complex) -> UnitaryFamily:
     """U_i = I - (1-z) P_i; eigenvalue z on range(P_i), 1 on its kernel.
 
-    I is shift-invariant, so this maps the bases, with the same shifts: one
-    broadcast into one complex (T, d, d) array, handed to the family.
+    I is shift-invariant, so this maps the bases, with the same shifts: the
+    values of the projections' support, with each row's diagonal, into one
+    complex (T, d, s) array handed to the family (SupportStack.eye_minus).
     """
-    bases = family.bases.astype(complex)
-    bases *= 1.0 - z
-    np.subtract(np.eye(family.d), bases, out=bases)
-    bases.flags.writeable = False
-    return UnitaryFamily(d=family.d, z=z, bases=bases, shifts=family.shifts)
+    return UnitaryFamily(d=family.d, z=z, bases=family.bases.eye_minus(1.0 - z), shifts=family.shifts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,7 +200,7 @@ def certify_umeb(uf: UnitaryFamily, tol: Tolerance = DEFAULT_TOL) -> UmebCertifi
 
     Unitarity and symmetry are checked on the bases: a shift permutes
     entries.  Unitarity is the largest entry of |U* U - I|, summed over the
-    family's support (matcore.support_product): the paper's unitaries have
+    bases' support (matcore.support_product): the paper's unitaries have
     at most two entries a row, so a base costs O(d), not O(d^3).  The
     orthogonality deviation and cj_orthonormality_dev are read off
     uf.gram_stats, computed once from the family's Gram; the span rank
@@ -230,9 +211,8 @@ def certify_umeb(uf: UnitaryFamily, tol: Tolerance = DEFAULT_TOL) -> UmebCertifi
     d = uf.d
     n = len(uf)
 
-    eye = np.broadcast_to(np.eye(d), uf.bases.shape)
-    columns = support_columns(uf.support.T), support_columns(uf.support), np.arange(d)[:, None]  # U*, U, I
-    gap = support_product(uf.bases, uf.bases, eye, *columns)[1]
+    eye = SupportStack(np.arange(d)[:, None], np.broadcast_to(1.0, (len(uf.bases), d, 1)))
+    gap = support_product(uf.bases, eye)[1]
     max_unitarity_dev = float(np.max(np.abs(gap)))
     span = _span(uf, tol)
     stats = uf.gram_stats

@@ -582,7 +582,7 @@ def test_orbit_kernel_build_holds_one_block_beyond_its_terms(monkeypatch):
     uf = _residue_unitaries(d)
     w = (float(uniform_weight(d)),) * len(uf)
     expected = MixedUnitaryDecomposition(w, uf)._orbit_kernel
-    on = matcore.union_support(uf.bases)
+    on = matcore.union_support(uf.bases.dense())
     assert on.sum() == 2 * d - 1 and on.sum(axis=1).max() == 2  # the diagonal and each row's partner
     terms = (2 * d) ** 2  # s = 2 entries a row, every pair of them
     monkeypatch.setattr(matcore, "_BLOCK_BYTES", d * d * 16)  # one D per block: 31 blocks
@@ -632,7 +632,7 @@ def test_orbit_kernel_is_the_row_transform_of_the_member_sum(case):
     w[:p] *= 1.5  # orbit 0 weighs more: the kernel holds one weight per orbit
     dec = MixedUnitaryDecomposition(weights=tuple(w), unitaries=uf)
     a = np.arange(p)
-    u = uf.bases
+    u = uf.bases.dense()
     # K[D, e, f] = sum_t w_t sum_a U_t[a, a + e] conj(U_t[a + D, a + f]), summed as written
     first = u[:, a[:, None], (a[:, None] + a) % p]
     second = u[:, (a[:, None, None] + a[:, None]) % p, (a[:, None, None] + a) % p]
@@ -658,7 +658,7 @@ def _nan_weights():
 def _nonfinite_base_entry(value):
     def build():
         uf = _residue_unitaries(7)
-        bases = np.array(uf.bases)
+        bases = np.array(uf.bases.dense())
         bases[2, 1, 3] = value
         return MixedUnitaryDecomposition((1 / 28,) * 28, UnitaryFamily(7, uf.z, bases, shifts=7))
 

@@ -317,6 +317,25 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+# sha256 of the --no-timestamp artifacts as the dense-bases layout wrote them, before the
+# families were stored on their support: the artifact format is unchanged, byte for byte
+RECORDED_ARTIFACTS = {
+    ("umeb", 7): "f19c64bf04aff5aaf10c65371090fb059fbab791ab94a2df3ba0db63cad2e6cc",
+    ("umeb", 31): "f97649269393bdb552511d847d0691485ca898462e1704620389dd99fdd5270f",
+    ("umeb", 79): "5ddd3f81013d577cf2d55fb29c3c6d2fc1a24392ee880875d6a77039aab9e569",
+    ("generate", 7): "c02f184671d8a09fa31e2af3437f14d43275677fdbcb2d075ce2da94e61384a2",
+    ("generate", 31): "61fc8ec68588d708a6d3be2ee78ecd89a655e74fa0949cfdaa5037965a574148",
+    ("generate", 79): "be9c26cfba9184936e5a0e0e78e6fba77ecd324056c190541e7556cefd90accf",
+}
+
+
+@pytest.mark.parametrize("command, p", list(RECORDED_ARTIFACTS), ids=[f"{c}-p{p}" for c, p in RECORDED_ARTIFACTS])
+def test_artifacts_keep_their_recorded_bytes(command, p, tmp_path):
+    out = tmp_path / "artifact.json"
+    assert run([command, "--p", str(p), "--out", str(out), "--no-timestamp"]) == 0
+    assert _sha256(out) == RECORDED_ARTIFACTS[command, p]
+
+
 def test_umeb_stdout_is_the_certificate_file(tmp_path, capsys):
     cert_path = tmp_path / "cert.json"
     assert run(["umeb", "--p", "7", "--cert", str(cert_path), "--format", "json"]) == 0
@@ -352,7 +371,7 @@ ZERO_BASES = {"d": 3, "r": 0, "beta_num": 0, "beta_den": 1, "C": None, "shifts":
 IDENTITY_BASES = dict(ZERO_BASES, r=3, beta_num=3, bases=stack_to_json(np.tile(np.eye(3), (2, 1, 1))))
 # the p=7 bases conjugated by a diagonal phase, D P D*: complex projections with the traces of P
 PHASES = np.exp(0.7j * np.arange(7))
-COMPLEX_BASES = complex_stack_json(PHASES[:, None] * build_residue_family(validate_prime(7), construct(4)).bases * PHASES.conj())
+COMPLEX_BASES = complex_stack_json(PHASES[:, None] * build_residue_family(validate_prime(7), construct(4)).bases.dense() * PHASES.conj())
 
 
 @pytest.mark.parametrize(
@@ -497,7 +516,7 @@ def test_dense_format_of_earlier_versions_exits_1_with_one_line(tmp_path, capsys
         {"d": 7, "z": [uf.z.real, uf.z.imag], "source": old_family},
         {"d": 7, "z": [uf.z.real, uf.z.imag], "unitaries": complex_stack_json(uf.unitaries)},
         # the bases of the unitaries without their source, which no command wrote
-        {"d": 7, "z": [uf.z.real, uf.z.imag], "shifts": 7, "bases": complex_stack_json(uf.bases)},
+        {"d": 7, "z": [uf.z.real, uf.z.imag], "shifts": 7, "bases": complex_stack_json(uf.bases.dense())},
     )):
         path = tmp_path / f"old{i}.json"
         path.write_text(json.dumps(obj))

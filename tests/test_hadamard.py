@@ -149,6 +149,32 @@ def test_direct_construction_rejects_bad_matrix():
         HadamardMatrix(order=2, entries=np.array([[1, 0], [0, 1]]))
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[1.7, 1], [1, -1.2]],  # truncates to [[1, 1], [1, -1]] under an int64 cast
+        [[1, 1], [1, -1 + 1e-9]],
+        [[1, 1j], [1, -1]],  # a complex entry: under a cast, its imaginary part dropped with a warning
+        [[1 + 0j, 1], [1, -1]],  # complex, though its value is real
+        [["1", "1"], ["1", "-1"]],
+        [[1, None], [1, -1]],
+        [[True, True], [True, False]],
+        [[1, float("nan")], [1, -1]],
+    ],
+    ids=["fractions", "near-one", "complex", "complex-dtype", "text", "none", "bool", "nan"],
+)
+def test_a_non_integral_complex_or_non_numeric_entry_is_rejected_without_a_warning(entries):
+    # pytest turns every warning into an error here, so a ComplexWarning fails the test too
+    with pytest.raises(UnsupportedOrder):
+        HadamardMatrix(order=2, entries=entries)
+
+
+def test_integral_float_entries_are_kept_as_integers():
+    h = HadamardMatrix(order=2, entries=[[1.0, 1.0], [1.0, -1.0]])
+    assert h.entries.dtype == np.int64 and h.entries.tolist() == [[1, 1], [1, -1]]
+    assert not h.entries.flags.writeable
+
+
 def _double_loop_jacobsthal(q):
     """The Jacobsthal matrix as defined: one Legendre symbol of i - j per entry."""
     return np.array([[legendre(i - j, q) for j in range(q)] for i in range(q)], dtype=np.int64)

@@ -9,12 +9,13 @@ from umebkit import channels, matcore
 from umebkit.errors import MalformedArtifact, NotReal, OutOfRange, ShapeMismatch
 from umebkit.hadamard import construct
 from umebkit.matcore import (
+    SupportStack,
     Tolerance,
+    asymmetry,
     cyclic_gram,
     gram_spectrum,
     gram_stats,
     orbit_stack,
-    read_only_stack,
     spectral_rank,
     stack_from_json,
     stack_to_json,
@@ -32,9 +33,14 @@ EPS = 1e-9
 
 
 def gram_of(bases, shifts=1):
-    """cyclic_gram of a stack read on its own union support."""
+    """cyclic_gram of a dense stack compressed onto its own union support."""
     bases = np.asarray(bases)
-    return cyclic_gram(bases, shifts, union_support(bases))
+    return cyclic_gram(SupportStack.of(bases, bases.shape[-1]), shifts)
+
+
+def identity(t, d):
+    """T identity matrices as a SupportStack: one column a row, the diagonal."""
+    return SupportStack(np.arange(d)[:, None], np.broadcast_to(1.0, (t, d, 1)))
 
 
 def rows_of(gram):
@@ -87,8 +93,8 @@ def _random_bases(d, seed, zero=False):
 def _residue_bases(p, kind):
     fam = build_residue_family(validate_prime(p), construct((p + 1) // 2))
     if kind == "U":
-        return build_unitaries(fam, compute_phase(p, fam.r)).bases
-    return (dual_family(fam) if kind == "dual" else fam).bases
+        return build_unitaries(fam, compute_phase(p, fam.r)).bases.dense()
+    return (dual_family(fam) if kind == "dual" else fam).bases.dense()
 
 
 SPECTRUM_CASES = {
@@ -121,7 +127,7 @@ def test_gram_spectrum_is_the_spectrum_of_the_whole_gram(name, monkeypatch):
 
 ROW_STATS_CASES = {
     **{f"{kind}-p{p}": (lambda p=p, kind=kind: _residue_bases(p, kind), p) for p in (7, 23) for kind in ("P", "U")},
-    "icosahedron": (lambda: icosahedron_lines().bases, 1),
+    "icosahedron": (lambda: icosahedron_lines().bases.dense(), 1),
     "random-d5": (lambda: _random_bases(5, 50), 5),
 }
 
@@ -182,7 +188,7 @@ STATS_CASES = {
     "one-ulp-apart-p23": (lambda: _one_ulp_apart(23), 23, 2),
     "unequal-rows": (lambda: _unequal_rows(), 7, 3),
     "lone-off-diagonal-entry": (_lone_off_diagonal_entry, 7, 1),
-    "icosahedron": (lambda: icosahedron_lines().bases, 1, 1),
+    "icosahedron": (lambda: icosahedron_lines().bases.dense(), 1, 1),
 }
 
 
@@ -259,7 +265,7 @@ def _unequal_rows():
 def _tampered_p79(kind):
     """The p=79 bases with base 0 replaced by base 0 + 2 base 1, as a tampered artifact holds them."""
     fam = build_residue_family(validate_prime(79), construct(40))
-    bases = np.array(fam.bases)
+    bases = np.array(fam.bases.dense())
     bases[0] += 2 * bases[1]
     if kind == "U":
         return bases * (compute_phase(79, 39) - 1) + np.eye(79)
@@ -271,38 +277,36 @@ PRODUCT_CASES = {
     "dense-complex": lambda: _random_bases(5, 63),
     "unequal-rows": _unequal_rows,
     "zero-base": lambda: _random_bases(5, 64, zero=True),
-    "icosahedron": lambda: icosahedron_lines().bases,
+    "icosahedron": lambda: icosahedron_lines().bases.dense(),
     **{f"{kind}-p23": (lambda kind=kind: _residue_bases(23, kind)) for kind in ("P", "U")},
     **{f"tampered-{kind}-p79": (lambda kind=kind: _tampered_p79(kind)) for kind in ("P", "U")},
 }
 
 
-def assert_is_the_dense_gap(cols, gap, dense):
-    """gap holds every entry of dense that a term reaches, at cols, and dense is exactly 0 elsewhere."""
+def assert_is_the_dense_gap(entries, gap, dense):
+    """gap holds every entry of dense that a term reaches, at the flat entries i*d + j, and dense is exactly 0 elsewhere."""
     t, d = dense.shape[:2]
-    assert cols.shape == gap.shape[1:] and gap.shape[0] == t and gap.dtype == dense.dtype
-    listed = cols >= 0
-    assert np.all(gap[:, ~listed] == 0)
-    i, j = np.nonzero(listed)[0], cols[listed]
+    assert entries.shape == gap.shape[1:] and gap.shape[0] == t and gap.dtype == dense.dtype
+    assert np.all(np.diff(entries) > 0)  # each entry once, in ascending order
+    flat = dense.reshape(t, d * d)
     scale = max(1.0, float(np.max(np.abs(dense))))
-    assert np.max(np.abs(gap[:, listed] - dense[:, i, j])) <= 1e-13 * d * scale
-    elsewhere = np.ones((d, d), dtype=bool)
-    elsewhere[i, j] = False
-    assert np.all(dense[:, elsewhere] == 0)
+    assert np.max(np.abs(gap - flat[:, entries])) <= 1e-13 * d * scale
+    elsewhere = np.ones(d * d, dtype=bool)
+    elsewhere[entries] = False
+    assert np.all(flat[:, elsewhere] == 0)
 
 
 @pytest.mark.parametrize("name", PRODUCT_CASES)
 def test_support_product_is_the_dense_product(name):
     bases = PRODUCT_CASES[name]()
     d = bases.shape[-1]
-    rows, columns = support_columns(union_support(bases)), support_columns(union_support(bases).T)
-    eye = np.eye(d)
-    # idempotency: (p*)* p - p with p* a view of the conjugate transpose
-    cols, gap = support_product(bases.conj().transpose(0, 2, 1), bases, bases, rows, rows, rows)
-    assert_is_the_dense_gap(cols, gap, bases @ bases - bases)
+    stack = SupportStack.of(bases, d)
+    # idempotency of an orthogonal projection: p* p - p
+    entries, gap = support_product(stack, stack)
+    assert_is_the_dense_gap(entries, gap, bases.conj().transpose(0, 2, 1) @ bases - bases)
     # unitarity: u* u - I
-    cols, gap = support_product(bases, bases, np.broadcast_to(eye, bases.shape), columns, rows, support_columns(eye != 0))
-    assert_is_the_dense_gap(cols, gap, bases.conj().transpose(0, 2, 1) @ bases - eye)
+    entries, gap = support_product(stack, identity(len(bases), d))
+    assert_is_the_dense_gap(entries, gap, bases.conj().transpose(0, 2, 1) @ bases - np.eye(d))
 
 
 def _dense_with_a_zero_row():
@@ -319,54 +323,54 @@ def _dense_with_a_zero_row():
 def test_support_product_carries_a_non_finite_entry(kind, at, value):
     bases = _dense_with_a_zero_row() if kind == "dense" else np.array(_residue_bases(7, kind))
     bases[at] = value
-    rows, columns = support_columns(union_support(bases)), support_columns(union_support(bases).T)
-    eye = np.eye(7)
-    idempotency = support_product(bases.conj().transpose(0, 2, 1), bases, bases, rows, rows, rows)[1]
-    unitarity = support_product(bases, bases, np.broadcast_to(eye, bases.shape), columns, rows, np.arange(7)[:, None])[1]
+    stack = SupportStack.of(bases, 7)
+    idempotency = support_product(stack, stack)[1]
+    unitarity = support_product(stack, identity(len(bases), 7))[1]
     for gap in (idempotency, unitarity):
         assert not np.isfinite(np.max(np.abs(gap)))
         assert not np.isfinite(gap[at[0]]).all() and np.isfinite(np.delete(gap, at[0], axis=0)).all()
 
 
 def test_support_product_stays_inside_the_byte_budget(monkeypatch):
-    # complex bases, d = 12, whose last column is 0: a* reads whole rows and b rows of s = 11
-    # columns, so the terms are summed, not multiplied as dense bases are.  A base's terms,
-    # keys and sums take 52 KiB, so a budget of 120 KiB holds two bases and the twelve
-    # bases go in six blocks
+    # complex bases, d = 12, whose last column is 0: rows of s = 11 columns, so the terms are
+    # summed, not multiplied as dense bases are.  A base's 12 * 11 * 11 terms and c's 12 * 11
+    # values, their keys and its sums take 40 KiB, so a budget of 120 KiB holds two bases and
+    # the twelve bases go in six blocks
     bases = np.random.default_rng(65).standard_normal((12, 12, 12)) + 0j
     bases[:, :, -1] = 0.0
-    rows, columns = support_columns(union_support(bases)), support_columns(union_support(bases).T)
-    assert rows.shape == (12, 11) and columns.shape == (12, 12)
-    expected = support_product(bases, bases, bases, columns, rows, rows)
-    assert expected[0].shape == (12, 11)
+    stack = SupportStack.of(bases, 12)
+    assert stack.cols.shape == (12, 11)
+    expected = support_product(stack, stack)
+    assert expected[0].shape == (12 * 11,)  # every row's 11 columns
     monkeypatch.setattr(matcore, "_BLOCK_BYTES", 120 << 10)
-    terms = 12 * 12 * 11  # a base's products
-    assert len(list(matcore._blocks(12, terms * (16 + 2 * 8) + 12 * 11 * 16))) == 6
+    terms = 12 * 11 * 11 + 12 * 11  # a base's products and c's values
+    assert len(list(matcore._blocks(12, terms * (16 + 8) + 12 * 11 * (16 + 8)))) == 6
     tracemalloc.start()
     try:
-        cols, gap = support_product(bases, bases, bases, columns, rows, rows)
+        cols, gap = support_product(stack, stack)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert np.array_equal(cols, expected[0]) and np.max(np.abs(gap - expected[1])) <= 1e-13
-    # beyond the result: one budget, and the keys of one block with the index arrays of
-    # every row's terms, four integer arrays of a base's terms
-    keys = 2 * 2 * terms * 8
-    assert peak - gap.nbytes - cols.nbytes <= matcore._BLOCK_BYTES + keys + 4 * terms * 8
+    # beyond the result: one budget, four integer arrays of a base's terms (their entries and
+    # slots), a contiguous copy of one part of a block's terms for np.bincount, and numpy's
+    # buffers for the broadcast product of a block, one for each of its three operands
+    products = 2 * 12 * 11 * 11
+    assert peak - gap.nbytes - cols.nbytes <= matcore._BLOCK_BYTES + 4 * terms * 8 + 2 * terms * 8 + 3 * products * 16
 
 
 def test_support_product_of_full_rows_is_one_matmul_a_block(monkeypatch):
     # dense bases read every column of every row: the terms are those of the dense product,
     # so each block of the budget, a base's conjugate and product (4.5 KiB), is one matmul
     bases = np.random.default_rng(66).standard_normal((12, 12, 12)) + 1j * np.random.default_rng(67).standard_normal((12, 12, 12))
-    full = support_columns(union_support(bases))
-    assert full.shape == (12, 12)
+    full = SupportStack.of(bases, 12)
+    assert full.cols.shape == (12, 12)
     monkeypatch.setattr(matcore, "_BLOCK_BYTES", 3 * 2 * 12 * 12 * 16)
     matmul, shapes = np.matmul, []
     monkeypatch.setattr(np, "matmul", lambda a, b, **kw: shapes.append(a.shape) or matmul(a, b, **kw))
-    cols, gap = support_product(bases, bases, bases, full, full, full)
+    cols, gap = support_product(full, full)
     assert shapes == [(3, 12, 12)] * 4
-    assert np.array_equal(cols, np.tile(np.arange(12), (12, 1)))
+    assert np.array_equal(cols, np.arange(12 * 12))
     assert_is_the_dense_gap(cols, gap, bases.conj().transpose(0, 2, 1) @ bases - bases)
 
 
@@ -476,7 +480,7 @@ def test_support_gram_rows_of_the_families_match_the_rolled_rows(p, kind):
         "P": lambda: fam.bases,
         "U": lambda: build_unitaries(fam, compute_phase(p, (p - 1) // 2)).bases,
         "dual": lambda: dual_family(fam).bases,
-    }[kind]()
+    }[kind]().dense()
     assert_rows_match_the_rolled_rows(bases)
 
 
@@ -592,12 +596,11 @@ def test_gram_passes_stay_inside_the_byte_budget(shifts, monkeypatch):
     # the orbit family's diagonals and off-diagonal entries are a few KiB
     fam = build_residue_family(validate_prime(47), construct(24))
     uf = build_unitaries(fam, compute_phase(47, 23))
-    bases = uf.unitaries if shifts == 1 else uf.bases
-    support = union_support(bases)
+    bases = SupportStack.of(uf.unitaries, 47) if shifts == 1 else uf.bases
     monkeypatch.setattr(matcore, "_BLOCK_BYTES", 1 << 20)
     tracemalloc.start()
     try:
-        gram = cyclic_gram(bases, shifts, support)
+        gram = cyclic_gram(bases, shifts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -605,24 +608,23 @@ def test_gram_passes_stay_inside_the_byte_budget(shifts, monkeypatch):
     assert peak - gram.c.nbytes - gram.h.nbytes <= matcore._BLOCK_BYTES
 
 
-def test_read_only_stack_copies_unless_handed_over():
+def test_support_stack_of_a_dense_stack_owns_its_values():
     handed = np.eye(3)[None].repeat(4, axis=0)
     handed.flags.writeable = False
-    assert read_only_stack(handed, 3) is handed
-    tail = handed[1:]  # a view of read-only memory is kept too
-    assert read_only_stack(tail, 3) is tail
     writable = np.eye(3)[None].repeat(4, axis=0)
     view = writable.view()
     view.flags.writeable = False  # read-only, but writable through `writable`
-    for given in (writable, view, list(writable), handed.astype(np.float32)):
-        stack = read_only_stack(given, 3, float)
-        assert not np.shares_memory(stack, writable) and not np.shares_memory(stack, handed)
-        assert not stack.flags.writeable and stack.dtype == float
-        assert np.array_equal(stack, handed)
-    assert read_only_stack(handed, 3, complex).dtype == complex
-    for wrong in (handed, handed[0], []):
+    for given in (handed, writable, view, list(writable), handed.astype(np.float32)):
+        stack = SupportStack.of(given, 3, float)
+        assert not np.shares_memory(stack.values, writable) and not np.shares_memory(stack.values, handed)
+        assert not stack.values.flags.writeable and not stack.cols.flags.writeable and stack.values.dtype == float
+        assert stack.cols.tolist() == [[0], [1], [2]]  # the union support: the diagonal
+        assert np.array_equal(stack.dense(), handed) and not stack.dense().flags.writeable
+    assert SupportStack.of(stack, 3) is stack  # a stack is kept
+    assert SupportStack.of(stack, 3, complex).values.dtype == complex
+    for wrong in (handed, handed[0], [], stack):
         with pytest.raises(ShapeMismatch):
-            read_only_stack(wrong, 4)
+            SupportStack.of(wrong, 4)
 
 
 def test_stack_json_round_trip_is_exact():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import asdict, replace
 from fractions import Fraction
 
@@ -158,7 +159,7 @@ def test_scattered_bases_are_the_projections_onto_the_base_vectors(p):
     # the scatter of each vector's 2 x 2 outer product against the dense product of the normalized vectors
     prime = validate_prime(p)
     h = construct((p + 1) // 2)
-    bases = build_residue_family(prime, h).bases
+    bases = build_residue_family(prime, h).bases.dense()
     expected = projection_from_basis(dense_base_vectors(prime, h))
     assert bases.shape == expected.shape == ((p + 1) // 2, p, p) and bases.dtype == expected.dtype
     assert np.max(np.abs(bases - expected)) <= 2.3e-16
@@ -168,7 +169,8 @@ def test_scattered_bases_are_the_projections_onto_the_base_vectors(p):
 
 def test_projection_families_are_real():
     fam = p7_family()
-    for bases in (fam.bases + 0j, fam.bases * 1j, list(fam.bases.astype(complex))):
+    dense = fam.bases.dense()
+    for bases in (dense + 0j, dense * 1j, list(dense.astype(complex))):
         with pytest.raises(NotReal):
             ProjectionFamily(7, 3, bases, fam.beta, shifts=7)
 
@@ -182,7 +184,7 @@ def test_residue_family_shift_one_matches_worked_case():
         [0, 0, 0, 0, 0, 1, SQRT2],
     ]
     assert np.max(np.abs(fam.projections[1] - projection_from_basis(expected))) <= 1e-15
-    assert fam.projections[0].tobytes() == fam.bases[0].tobytes()  # shift 0 is the base itself
+    assert fam.projections[0].tobytes() == fam.bases.dense()[0].tobytes()  # shift 0 is the base itself
 
 
 def test_projection_from_basis_single_vector():
@@ -229,7 +231,7 @@ def test_build_residue_family_p7():
     assert len(fam) == 28
     assert (fam.d, fam.r) == (7, 3)
     assert fam.beta == Fraction(11, 9)
-    assert fam.shifts == 7 and fam.bases.shape == (4, 7, 7)
+    assert fam.shifts == 7 and fam.bases.dense().shape == (4, 7, 7)
     report = verify_equiangular(fam)
     assert report.pairs == 378
     assert report.passed
@@ -287,13 +289,40 @@ def test_verify_equiangular_flags_duplicate():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_verify_equiangular_fails_a_base_with_a_non_finite_entry(value, at):
     fam = p7_family()
-    bases = np.array(fam.bases)
+    bases = np.array(fam.bases.dense())
     bases[at] = value
     report = verify_equiangular(ProjectionFamily(7, 3, bases, fam.beta, shifts=7))
     assert not report.passed
     # the Gram rows carry it to the angles, not only the idempotency check
     assert not report.max_angle_dev <= EPS
     assert not report.max_idempotency_dev <= EPS
+
+
+def test_an_oblique_idempotent_family_fails_the_idempotency_check():
+    # P = e3 (e3 + e1)^T and Q = e2 (e2 + e0)^T in d = 5: P P = P and Q Q = Q, tr P = tr Q = 1 and
+    # tr(P Q) = 0, but neither is symmetric, so neither is an orthogonal projection.  P^T P - P
+    # is 1 at (1, 1) and (1, 3)
+    e = np.eye(5)
+    bases = np.stack((np.outer(e[3], e[3] + e[1]), np.outer(e[2], e[2] + e[0])))
+    assert np.array_equal(bases @ bases, bases)
+    report = verify_equiangular(ProjectionFamily(d=5, r=1, bases=bases, beta=Fraction(0)))
+    assert report.max_angle_dev == 0.0 and report.max_rank_dev == 0.0
+    assert report.max_idempotency_dev == 1.0
+    assert not report.passed
+
+
+def test_the_residue_family_is_built_without_a_dense_base():
+    # at p=263 the dense bases alone are 132 * 263^2 doubles, 70 MiB; on their support they are 0.5 MiB
+    prime, h = validate_prime(263), construct(132)
+    build_residue_family(prime, h)  # the first call maps what numpy loads once
+    tracemalloc.start()
+    try:
+        family = build_residue_family(prime, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert family.bases.values.shape == (132, 263, 2)
+    assert peak <= 2 << 20
 
 
 def test_dual_family_p7():
@@ -381,12 +410,13 @@ def test_dense_members_are_the_shifted_bases(p):
     uf = build_unitaries(fam, compute_phase(p, fam.r))
     for family, members in ((fam, fam.projections), (dual_family(fam), dual_family(fam).projections), (uf, uf.unitaries)):
         assert members.shape == (p * (p + 1) // 2, p, p) and not members.flags.writeable
+        bases = family.bases.dense()
         for i, member in enumerate(members):
             t, x = divmod(i, p)
-            assert member.tobytes() == np.roll(family.bases[t], (x, x), axis=(0, 1)).tobytes()
+            assert member.tobytes() == np.roll(bases[t], (x, x), axis=(0, 1)).tobytes()
     assert fam.projections is fam.projections  # gathered once
     icosahedron = icosahedron_lines()
-    assert icosahedron.projections is icosahedron.bases
+    assert icosahedron.projections.tobytes() == icosahedron.bases.dense().tobytes()
 
 
 def test_families_reject_a_shift_count_other_than_one_or_d():
@@ -541,8 +571,8 @@ def test_family_json_round_trip():
     again = family_from_json(family_to_json(fam))
     assert (again.d, again.r, again.beta) == (fam.d, fam.r, fam.beta)
     assert again.shifts == fam.shifts == 7
-    assert again.bases.dtype == float
-    assert again.bases.tobytes() == fam.bases.tobytes()
+    assert again.bases.values.dtype == float
+    assert again.bases.dense().tobytes() == fam.bases.dense().tobytes()
     assert again.projections.tobytes() == fam.projections.tobytes()
     before = verify_equiangular(fam)
     after = verify_equiangular(again)
@@ -570,7 +600,7 @@ def test_family_json_icosahedron_has_one_shift():
     assert obj["shifts"] == 1 and obj["bases"]["shape"] == [6, 3, 3]
     again = family_from_json(json.loads(json.dumps(obj)))
     assert again.shifts == 1 and len(again) == 6
-    assert again.bases.tobytes() == fam.bases.tobytes()
+    assert again.bases.dense().tobytes() == fam.bases.dense().tobytes()
     assert verify_equiangular(again) == verify_equiangular(fam)
 
 

@@ -278,7 +278,7 @@ def _p7_members(edit):
 
 def _p7_bases(edit):
     uf = p7_unitaries()
-    return UnitaryFamily(d=7, z=uf.z, bases=edit(uf.bases), shifts=7)
+    return UnitaryFamily(d=7, z=uf.z, bases=edit(uf.bases.dense()), shifts=7)
 
 
 # name -> (family, whether the Gershgorin discs prove the rank, verdict)
@@ -355,9 +355,12 @@ def test_member_stacks_are_read_only(name):
     assert uf.unitaries.shape == (len(uf), uf.d, uf.d) and uf.unitaries.dtype == complex
     # real by contract, also after a JSON round trip
     assert fam.projections.shape == (len(fam), fam.d, fam.d) and fam.projections.dtype == float
-    for stack in (uf.unitaries, uf.bases, fam.projections, fam.bases):
+    for stack in (uf.unitaries, uf.bases.values, fam.projections, fam.bases.values):
         with pytest.raises(ValueError):
             stack[0, 0, 0] = 1
+    for cols in (uf.bases.cols, fam.bases.cols):
+        with pytest.raises(ValueError):
+            cols[0, 0] = 1
     for part in (uf.gram.c, uf.gram.group, uf.gram.h):
         with pytest.raises(ValueError):
             part[0] = 1
@@ -372,7 +375,7 @@ def test_unitary_json_round_trip_is_bit_exact():
         again, again_z = unitary_family_from_json(obj)
         assert again_z == z
         assert (again.d, again.r, again.beta, again.shifts, again.scale) == (fam.d, fam.r, fam.beta, fam.shifts, fam.scale)
-        assert again.bases.tobytes() == fam.bases.tobytes()
+        assert again.bases.dense().tobytes() == fam.bases.dense().tobytes()
         assert build_unitaries(again, again_z).unitaries.tobytes() == build_unitaries(fam, z).unitaries.tobytes()
 
 
@@ -393,7 +396,7 @@ def _callers_arrays(stack):
 def test_families_keep_their_own_copy_of_the_callers_arrays():
     uf = p7_unitaries()
     expected = certify_umeb(uf)
-    for members, mutate in _callers_arrays(uf.bases):
+    for members, mutate in _callers_arrays(uf.bases.dense()):
         mine = UnitaryFamily(d=7, z=uf.z, bases=members, shifts=7)
         assert certify_umeb(mine) == expected
         mutate()
@@ -401,11 +404,26 @@ def test_families_keep_their_own_copy_of_the_callers_arrays():
         assert certify_umeb(mine) == expected
     fam = p7_family()
     expected = verify_equiangular(fam)
-    for members, mutate in _callers_arrays(fam.bases):
+    for members, mutate in _callers_arrays(fam.bases.dense()):
         mine = replace(fam, bases=members)
         mutate()
         assert np.array_equal(mine.projections, fam.projections)
         assert verify_equiangular(mine) == expected
+
+
+def test_the_unitaries_are_built_without_a_dense_base():
+    # at p=263 the dense complex bases alone are 140 MiB; on their support they are 1.1 MiB
+    fam = build_residue_family(validate_prime(263), construct(132))
+    z = compute_phase(263, 131)
+    build_unitaries(fam, z)
+    tracemalloc.start()
+    try:
+        uf = build_unitaries(fam, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert uf.bases.values.shape == (132, 263, 2) and uf.bases.values.dtype == complex
+    assert peak <= 2 << 20
 
 
 def test_gram_is_cached_and_is_the_gram_of_the_stack():
@@ -531,12 +549,12 @@ def test_families_reject_members_of_the_wrong_shape():
             UnitaryFamily(d=7, z=uf.z, bases=members)
     fam = p7_family()
     with pytest.raises(ShapeMismatch):
-        replace(fam, bases=fam.bases[:, :, :6])
+        replace(fam, bases=fam.bases.dense()[:, :, :6])
 
 
 def test_asymmetry_of_orbits_is_read_off_the_bases():
     uf = _residue_unitaries(23)
-    bases = np.array(uf.bases)
+    bases = np.array(uf.bases.dense())
     bases[-1, 0, 1] += 1e-6
     skewed = UnitaryFamily(d=23, z=uf.z, bases=bases, shifts=23)
     assert skewed.asymmetry[0] == dense(skewed).asymmetry[0] == pytest.approx(1e-6, rel=1e-6)
@@ -564,12 +582,12 @@ def test_certify_checks_the_last_member_chunk(monkeypatch):
 
 
 def test_a_nan_in_the_last_partial_block_reaches_every_budgeted_report(monkeypatch):
-    # 12 bases at p=23; a budget of five complex bases gives U blocks of 5, 5, 2 and P blocks of 10, 2
-    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 5 * 23 * 23 * 16)
+    # 12 bases at p=23; a budget of five complex bases' values gives U blocks of 5, 5, 2 and P blocks of 10, 2
+    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 5 * 23 * 2 * 16)
     fam = build_residue_family(validate_prime(23), construct(12))
-    assert [b.stop - b.start for b in matcore._blocks(12, fam.bases[0].nbytes)] == [10, 2]
-    assert [b.stop - b.start for b in matcore._blocks(12, 2 * fam.bases[0].nbytes)] == [5, 5, 2]
-    bases = np.array(fam.bases)
+    assert [b.stop - b.start for b in matcore._blocks(12, fam.bases.values[0].nbytes)] == [10, 2]
+    assert [b.stop - b.start for b in matcore._blocks(12, 2 * fam.bases.values[0].nbytes)] == [5, 5, 2]
+    bases = np.array(fam.bases.dense())
     bases[-1, 0, 1] = np.nan
     poisoned = replace(fam, bases=bases)
     report = verify_equiangular(poisoned)
