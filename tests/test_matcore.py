@@ -374,6 +374,21 @@ def test_support_product_of_full_rows_is_one_matmul_a_block(monkeypatch):
     assert_is_the_dense_gap(cols, gap, bases.conj().transpose(0, 2, 1) @ bases - bases)
 
 
+@pytest.mark.parametrize("name", ["unequal-rows", "dense-complex", "U-p23", "tampered-U-p79"])
+def test_asymmetry_is_the_dense_sum_over_every_entry(name):
+    # a stored value whose mirror is not stored stands for the mirror too; dense bases store both
+    bases = {
+        "unequal-rows": _unequal_rows,
+        "dense-complex": lambda: _random_bases(5, 63),
+        "U-p23": lambda: _residue_bases(23, "U"),
+        "tampered-U-p79": lambda: _tampered_p79("U"),
+    }[name]()
+    gap = np.abs(bases - bases.transpose(0, 2, 1))
+    worst, sq = asymmetry(SupportStack.of(bases, bases.shape[-1]))
+    assert worst == np.max(gap)
+    assert sq == pytest.approx(float(np.sum(gap**2)), rel=1e-12, abs=0.0)
+
+
 def test_union_support_keeps_every_entry_that_is_not_exactly_zero():
     bases = np.zeros((3, 4, 4), dtype=complex)
     bases[0, 1, 2] = 1e-300
