@@ -10,7 +10,7 @@ channel's is (I + SWAP)/(d+1).
 verify_decomposition makes two checks.
 (a) The Choi check measures |C_mix - (I + SWAP)/(d+1)|_F.  When every
 member is exactly symmetric, there are n = d(d+1)/2 of them, no weight is
-negative and the weights are equal within each orbit of the family's shifts
+negative and the weights are equal within each of the family's Z_d orbits
 (decided once per decomposition, _orbit_weights), it reads that distance off
 the family's trace Gram G:
 |W^(1/2) G W^(1/2) - (2/(d+1)) I_n|_F, an exact identity (the vec(U_j) lie
@@ -26,16 +26,15 @@ and no d^2 x d^2 matrix is formed.  (b) The random-input check draws
 each batch of seeded inputs into one buffer, bit for bit those of
 random_hermitian, applies the mixture to the batch in one
 apply_decomposition call, and compares it with wh_plus_apply of the batch,
-one stack at a time.  When the
-members come in Z_d orbits of shifts with equal weights, as the paper's
-UMEB does (member t*d + x is base t shifted by x), the mixture is one
-shift-covariant kernel K with d^3 entries: out[i, i + D] =
-sum_{e,f} K[D, e, f] X[i + e, i + f], indices mod d.  The structure is the
-family's shift count, given when it was built.  In the input's diagonals
-X[a, a + g] that sum is a cyclic correlation over the row i, so K is kept
-transformed over the row index.  It is built once per decomposition from
-the bases' values on their union support alone, at most s a row (s = 2 for
-the paper's unitaries): one (s d x T)(T x s d) product of those values
+one stack at a time.  Every family is T bases, each moved by all d shifts
+(member t*d + x is base t shifted by x), so when the weights are equal
+within each orbit, as the paper's uniform mixture has them, the mixture is
+one shift-covariant kernel K with d^3 entries: out[i, i + D] =
+sum_{e,f} K[D, e, f] X[i + e, i + f], indices mod d.  In the input's
+diagonals X[a, a + g] that sum is a cyclic correlation over the row i, so K
+is kept transformed over the row index.  It is built once per decomposition
+from the bases' values on their union support alone, at most s a row (s = 2
+for the paper's unitaries): one (s d x T)(T x s d) product of those values
 (T = n/d orbits), its terms summed by their place in K, and one product
 with the d x d DFT matrix per block of K, O(T s^2 d^2 + d^4) with one
 budgeted block and the terms beside the kernel.  It turns each batch of
@@ -43,15 +42,15 @@ inputs into a DFT of their diagonals, one product with the d x d DFT
 matrix, d products of d x d matrices and an inverse DFT, O(d^3) per input,
 against O(n d^3) member by member, and reads the kernel once per batch;
 the DFT tables are the ones the kernel build made.  Every DFT is a
-product with the d x d DFT matrix.  Any other mixture is applied member
-by member, in blocks of bases scattered dense and their shifts gathered
-one block at a time, as are the rows of the d-row blocks of (a):
-no check keeps the family's dense view.  Either way check (b) reads only
-the members and the weights, neither the Gram nor vec(U), so it stays
-independent of (a); a deviation that is not finite fails it.  Every pass
-but the d-row blocks and the d^3 kernel itself sizes its blocks from
-matcore's one byte budget; check (b)'s batches are the one place that
-sizes its inputs, one complex d x d input per trial.
+product with the d x d DFT matrix.  A mixture whose weights differ within
+an orbit is applied member by member, in blocks of bases scattered dense
+and their shifts gathered one block at a time, as are the rows of the
+d-row blocks of (a): no check keeps the family's dense view.  Either way
+check (b) reads only the members and the weights, neither the Gram nor
+vec(U), so it stays independent of (a); a deviation that is not finite
+fails it.  Every pass but the d-row blocks and the d^3 kernel itself sizes
+its blocks from matcore's one byte budget; check (b)'s batches are the one
+place that sizes its inputs, one complex d x d input per trial.
 """
 
 from __future__ import annotations
@@ -94,14 +93,14 @@ class MixedUnitaryDecomposition:
 
     @cached_property
     def _orbit_weights(self) -> np.ndarray | None:
-        """One weight per orbit of the family's shifts, w[::shifts]; None unless the weights are equal within each orbit.
+        """One weight per Z_d orbit of the family, w[::d]; None unless the weights are equal within each orbit.
 
         This is the one test of that condition, which check (a)'s Gram path
         and the orbit kernel both need.  A NaN weight equals no weight, so
         it gives None.
         """
         w = _weights(self)
-        orbit_w = w[:: self.unitaries.shifts]
+        orbit_w = w[:: self.unitaries.d]
         return orbit_w if np.all(w.reshape(len(orbit_w), -1) == orbit_w[:, None]) else None
 
     @cached_property
@@ -114,12 +113,12 @@ class MixedUnitaryDecomposition:
 
     @cached_property
     def _orbit_kernel(self) -> np.ndarray | None:
-        """The read-only orbit kernel transformed over the row index, lhat[k, D, g]; None without orbit structure.
+        """The read-only orbit kernel transformed over the row index, lhat[k, D, g]; None unless _orbit_weights holds.
 
-        Orbit structure: a family with shifts = d, member t*d + x its base
-        t shifted by x, U_{t,x}[i, j] = U_t[i - x, j - x], and the weights
-        equal within each orbit, w_{t,x} = w_t.  Then, indices mod d
-        and a = i - x, the mixture is out[i, i + D] =
+        Member t*d + x of every family is its base t shifted by x,
+        U_{t,x}[i, j] = U_t[i - x, j - x]; let the weights be equal within
+        each orbit, w_{t,x} = w_t.  Then, indices mod d and a = i - x, the
+        mixture is out[i, i + D] =
         sum_{e,f} K[D, e, f] X[i + e, i + f] with
         K[D, e, f] = sum_t w_t sum_a U_t[a, a + e] conj(U_t[a + D, a + f]).
         In the input's diagonals X[a, a + g] the mixture is a cyclic
@@ -144,7 +143,7 @@ class MixedUnitaryDecomposition:
         uf = self.unitaries
         d = uf.d
         orbit_w = self._orbit_weights
-        if uf.shifts != d or orbit_w is None:
+        if orbit_w is None:
             return None
         coords, plus, dft = self._dft
         offs = uf.bases.offsets()  # offs[a, i]: the offset e of row a's value i, at (a, a + e)
@@ -237,13 +236,13 @@ def _weights(dec: MixedUnitaryDecomposition) -> np.ndarray:
 def apply_decomposition(dec: MixedUnitaryDecomposition, x: np.ndarray) -> np.ndarray:
     """sum_j weights[j] U_j x U_j*, for one (d, d) input or a (T, d, d) stack.
 
-    When the members come in Z_d orbits of shifts with equal weights (see
+    When the weights are equal within each Z_d orbit of the family (see
     MixedUnitaryDecomposition._orbit_kernel), the mixture is applied through
     its d^3-entry kernel, built once per decomposition and transformed over
     the row index: a DFT of the input's diagonals, d products of d x d
     matrices and an inverse DFT, O(d^3) per input, the whole stack in one
-    pass that reads the kernel once.  Any other mixture is applied member
-    by member, O(n d^3) per input.
+    pass that reads the kernel once.  A mixture whose weights differ within
+    an orbit is applied member by member, O(n d^3) per input.
     """
     d = dec.unitaries.d
     xs = np.asarray(x, dtype=complex)
@@ -300,14 +299,13 @@ def _apply_by_members(w: np.ndarray, uf: UnitaryFamily, xs: np.ndarray) -> np.nd
     block budget bounds the intermediate (at least one base per block).
     """
     t, d = len(xs), xs.shape[-1]
-    size = uf.shifts
     x_side = xs.transpose(1, 0, 2).reshape(d, t * d)
     out = np.zeros((t * d, d), dtype=complex)
-    for bases in _blocks(len(uf.bases), size * x_side.nbytes):
-        u = orbit_stack(uf.bases.dense(bases), size)
+    for bases in _blocks(len(uf.bases), d * x_side.nbytes):
+        u = orbit_stack(uf.bases.dense(bases))
         k = len(u)
         ux = (u.reshape(k * d, d) @ x_side).reshape(k, d, t, d).transpose(2, 1, 0, 3)
-        wu = (w[bases.start * size : bases.stop * size, None, None] * u.conj().transpose(0, 2, 1)).reshape(k * d, d)
+        wu = (w[bases.start * d : bases.stop * d, None, None] * u.conj().transpose(0, 2, 1)).reshape(k * d, d)
         out += np.ascontiguousarray(ux).reshape(t * d, k * d) @ wu
     return out.reshape(t, d, d)
 
@@ -344,14 +342,14 @@ def _choi_dev_from_gram(w: np.ndarray, uf: UnitaryFamily) -> float:
     distance when the n = d(d+1)/2 members are exactly symmetric.
 
     Entry (i, j) of W^(1/2) G W^(1/2) is sqrt(w_i w_j) G_ij, and row t*d + x
-    is row t*d permuted, so the squared distance is uf.shifts times its sum
+    is row t*d permuted, so the squared distance is d times its sum
     over the rows G[t*d], read off uf.gram_stats: w^T sq_off w off the
     diagonal and sum_t |w_t G_tt - 2/(d+1)|^2 on it, two sums of
     nonnegative terms kept apart.
     """
     stats = uf.gram_stats
     on = np.abs(w * stats.diag - 2 / (uf.d + 1))
-    return math.sqrt(uf.shifts * (float(w @ stats.sq_off @ w) + float(np.vdot(on, on))))
+    return math.sqrt(uf.d * (float(w @ stats.sq_off @ w) + float(np.vdot(on, on))))
 
 
 def _choi_dev_by_blocks(w: np.ndarray, uf: UnitaryFamily) -> float:
@@ -362,7 +360,7 @@ def _choi_dev_by_blocks(w: np.ndarray, uf: UnitaryFamily) -> float:
     # the left of each block: that is conj(SWAP C SWAP) for the mixture's Choi matrix
     # C, whose distance to the real, SWAP-invariant target is C's.  The members are
     # gathered from the bases, so the family's dense view is never formed
-    flat = orbit_stack(uf.bases.dense(), uf.shifts).reshape(n, d * d)
+    flat = orbit_stack(uf.bases.dense()).reshape(n, d * d)
     a = np.arange(d)
     sq = 0.0
     for b in range(d):
@@ -388,8 +386,8 @@ def verify_decomposition(
     (a) Frobenius distance between sum_j w_j vec(U_j) vec(U_j)* and the
     closed-form Choi matrix (I + SWAP)/(d+1), within eps * d^2.  For
     d(d+1)/2 exactly symmetric members with weights >= 0, equal within each
-    orbit of the family's shifts, it comes from the Gram stats the
-    certificate reads, times the shift count; otherwise it is accumulated
+    of the family's Z_d orbits, it comes from the Gram stats the
+    certificate reads, times d; otherwise it is accumulated
     over blocks of d rows, so no d^2 x d^2 matrix is formed.
     (b) For `trials` seeded random Hermitian inputs (per-trial seed =
     seed + index), max-entry distance between the mixture output and the
@@ -397,8 +395,8 @@ def verify_decomposition(
     fails and is reported as it is.  Check (b) draws its inputs in batches,
     as many as matcore's block budget holds at one complex d x d input
     each, and applies the mixture to a batch per apply_decomposition call:
-    through the orbit kernel, in one pass per batch, when the members come
-    in Z_d orbits of shifts with equal weights, member by member otherwise.
+    through the orbit kernel, in one pass per batch, when the weights are
+    equal within each orbit, member by member otherwise.
     It reads neither the Gram nor vec(U), so it does not share check (a)'s
     data or convention.
     """

@@ -1,6 +1,7 @@
 """Matrix core: stacks of base matrices stored on their union support
 (SupportStack: one column table, and the values there), whole
-cyclic-shift orbits of base matrices, the trace Gram of whole orbits held by
+cyclic-shift orbits of base matrices (every family is T bases, each moved
+by all d shifts, T d members), the trace Gram of those orbits held by
 its parts from the bases' cyclic diagonals, what every check reads off it,
 the Gram spectrum from its shift blocks and its numerical rank, the budgeted
 product a* a - c summed over the support, the bases' asymmetry, the
@@ -69,16 +70,13 @@ def _dft(d: int) -> np.ndarray:
     return np.exp(-2j * np.pi / d * coords)[coords[:, None] * coords % d]
 
 
-def orbit_stack(bases: np.ndarray, shifts: int) -> np.ndarray:
-    """The read-only (T * shifts, d, d) members: member t*shifts + x is bases[t] shifted by x, [i, j] -> [i - x, j - x].
+def orbit_stack(bases: np.ndarray) -> np.ndarray:
+    """The read-only (T * d, d, d) members: member t*d + x is bases[t] shifted by x, [i, j] -> [i - x, j - x].
 
-    Indices are mod d, and shifts = 1 gives the bases themselves.  For
-    shifts = d it is one gather whose index arrays are at most d x d and
-    broadcast; an index array on every axis makes it C-ordered, so the
-    reshape copies nothing.
+    Indices are mod d.  It is one gather whose index arrays are at most
+    d x d and broadcast; an index array on every axis makes it C-ordered,
+    so the reshape copies nothing.
     """
-    if shifts == 1:
-        return bases
     d = bases.shape[-1]
     coords = np.arange(d)
     idx = (coords[None, :] - coords[:, None]) % d  # idx[x, i] = (i - x) mod d
@@ -233,23 +231,12 @@ def support_product(a: SupportStack, c: SupportStack) -> tuple[np.ndarray, np.nd
     values negated, and one np.bincount (one a part for complex stacks)
     sums them into their entries, so an entry is its terms' sum minus c.
     The paper's bases have s = 2, so a base costs O(d), against the O(d^3)
-    of its dense product.  When a's rows are full (s = d), the terms are those of the
-    dense product, so each block is scattered dense and is one batched
-    matmul instead, and entries lists every entry.  Real stacks give a real
-    gap.
+    of its dense product; bases with full rows (s = d) cost O(d^3) the same
+    way.  Real stacks give a real gap.
     """
     t, d, s = a.values.shape
     dtype = np.result_type(a.values, c.values)
-    rows = np.arange(d)[:, None]
-    own = rows * d + c.cols  # c's entries
-    if s == d:
-        gap = np.empty((t, d, d), dtype=dtype)
-        for block in _blocks(t, 2 * d * d * dtype.itemsize):  # a block's dense bases and their conjugate
-            dense = a.dense(block)
-            with np.errstate(invalid="ignore", over="ignore"):  # an inf times a 0 is a NaN deviation, not a warning
-                np.matmul(dense.conj().swapaxes(-1, -2), dense, out=gap[block])
-                gap[block].reshape(-1, d * d)[:, own] -= c.values[block]
-        return np.arange(d * d), gap.reshape(t, d * d)
+    own = np.arange(d)[:, None] * d + c.cols  # c's entries
     terms = a.cols.T[:, None] * d + a.cols.T  # terms[i, j, k]: the entry of conj(a[k, i]) a[k, j]
     reached = np.zeros(d * d, dtype=bool)
     reached[terms] = reached[own] = True
@@ -296,24 +283,23 @@ def asymmetry(stack: SupportStack) -> tuple[float, float]:
 
 @dataclass(frozen=True, eq=False)
 class CyclicGram:
-    """The trace Gram G_ij = tr(m_i* m_j) of the members m = orbit_stack(bases, shifts), held by its parts (cyclic_gram).
+    """The trace Gram G_ij = tr(m_i* m_j) of the members m = orbit_stack(bases), held by its parts (cyclic_gram).
 
-    With s = shifts and indices mod s,
-    G[t*s + y, t'*s + y + x] = c[t, t'] [x = 0] + h[group[t], group[t'], x]:
-    the Gram of whole orbits is block-circulant, so the T x T products c
-    and the g x g x s correlations h fix every entry.  Real bases give a
-    real c and h.
+    With indices mod d, G[t*d + y, t'*d + y + x] = c[t, t'] [x = 0] +
+    h[group[t], group[t'], x]: the Gram of whole orbits is block-circulant,
+    so the T x T products c and the g x g x d correlations h fix every
+    entry.  Real bases give a real c and h.
     """
 
     c: np.ndarray  # (T, T): the terms that meet at x = 0 alone
     group: np.ndarray  # (T,): the group of base t, the bases whose shared diagonals are exactly equal
-    h: np.ndarray  # (g, g, s): the cyclic cross-correlations of the groups' shared diagonals
+    h: np.ndarray  # (g, g, d): the cyclic cross-correlations of the groups' shared diagonals
 
 
-def cyclic_gram(bases: SupportStack, shifts: int) -> CyclicGram:
+def cyclic_gram(bases: SupportStack) -> CyclicGram:
     """The Gram of the members of the bases, from their cyclic diagonals b[t, e, a] = bases[t][a, a + e].
 
-    G[t*s, t'*s + x] = sum_e sum_a conj(b[t, e, a]) b[t', e, a - x], and a
+    G[t*d, t'*d + x] = sum_e sum_a conj(b[t, e, a]) b[t', e, a - x], and a
     term is 0 unless both of its entries lie in the bases' union support,
     the stored entries where some base is not 0.  An offset e that holds
     one row of the support adds at x = 0 alone, so all such entries
@@ -332,21 +318,16 @@ def cyclic_gram(bases: SupportStack, shifts: int) -> CyclicGram:
     g = 1; bases whose diagonals all differ have g = T, and then the
     transforms cost O(T d^3) and the grouping O(T^2 d^2).  Through the DFT
     a shift block where no two supported entries meet is 0 only up to
-    rounding, not an exact 0.  For shifts = 1
-    every entry meets at x = 0 alone, so c is the whole Gram, read off
-    every value of the bases, and h is 0.
+    rounding, not an exact 0.
     """
     values = bases.values
     m, d = len(values), len(bases.cols)
-    if shifts == 1:
-        single, shared = values.reshape(m, -1), np.empty(0, dtype=np.intp)
-    else:
-        on = values.any(axis=0)  # the union support, a NaN in it
-        offset = bases.offsets()
-        rows = np.bincount(offset[on], minlength=d)  # rows[e]: the rows of the support on offset e
-        single, shared = values[:, on & (rows[offset] == 1)], np.flatnonzero(rows > 1)
-    a = np.arange(shifts)
-    diagonals = bases.at(a, (a + shared[:, None]) % d)  # (T, shared offsets, s)
+    on = values.any(axis=0)  # the union support, a NaN in it
+    offset = bases.offsets()
+    rows = np.bincount(offset[on], minlength=d)  # rows[e]: the rows of the support on offset e
+    single, shared = values[:, on & (rows[offset] == 1)], np.flatnonzero(rows > 1)
+    a = np.arange(d)
+    diagonals = bases.at(a, (a + shared[:, None]) % d)  # (T, shared offsets, d)
     group = np.empty(m, dtype=np.intp)
     firsts, left = [], np.arange(m)
     while len(left):
@@ -355,17 +336,17 @@ def cyclic_gram(bases: SupportStack, shifts: int) -> CyclicGram:
         group[left[same]] = len(firsts)
         firsts.append(left[0])
         left = left[~same]
-    dft = _dft(shifts)
+    dft = _dft(d)
     with np.errstate(invalid="ignore", over="ignore"):  # an inf times a 0 is a NaN entry, not a warning
-        spectra = (diagonals[firsts] @ dft).transpose(2, 0, 1)  # (s, g, shared offsets)
+        spectra = (diagonals[firsts] @ dft).transpose(2, 0, 1)  # (d, g, shared offsets)
         if np.iscomplexobj(single):
             c = np.empty((m, m), dtype=single.dtype)
             for block in _blocks(m, (m + single.shape[1]) * c.itemsize):
                 np.matmul(single[block].conj(), single.T, out=c[block])
         else:
             c = single @ single.T
-        # sum_a conj(u[a]) v[a - x] is the DFT over k of conj(U[k]) V[k], over s
-        h = (spectra.conj() @ spectra.transpose(0, 2, 1)).transpose(1, 2, 0) @ dft / shifts
+        # sum_a conj(u[a]) v[a - x] is the DFT over k of conj(U[k]) V[k], over d
+        h = (spectra.conj() @ spectra.transpose(0, 2, 1)).transpose(1, 2, 0) @ dft / d
     return CyclicGram(c, group, h if np.iscomplexobj(values) else h.real)
 
 
@@ -373,22 +354,22 @@ def cyclic_gram(bases: SupportStack, shifts: int) -> CyclicGram:
 class GramStats:
     """What the checks read off the Gram of a CyclicGram, from gram_stats."""
 
-    diag: np.ndarray  # diag[t]: the own entry G[t*s, t*s] of base t, of the Gram's dtype
-    radii: np.ndarray  # radii[t]: the Gershgorin radius of row t*s, the sum of |G| off its own entry
+    diag: np.ndarray  # diag[t]: the own entry G[t*d, t*d] of base t, of the Gram's dtype
+    radii: np.ndarray  # radii[t]: the Gershgorin radius of row t*d, the sum of |G| off its own entry
     max_off: float  # the largest |G| off the own entries
-    sq_off: np.ndarray  # sq_off[t, t']: sum over x of |G[t*s, t'*s + x]|^2, the own entry left out
+    sq_off: np.ndarray  # sq_off[t, t']: sum over x of |G[t*d, t'*d + x]|^2, the own entry left out
 
 
 def gram_stats(gram: CyclicGram) -> GramStats:
     """The own entries, Gershgorin radii, largest off-diagonal magnitude and per-orbit sums of squares of the Gram.
 
     The row of a member shifted by y is its base's row permuted, so the T
-    rows G[t*s] hold every radius, off-diagonal entry and diagonal entry of
+    rows G[t*d] hold every radius, off-diagonal entry and diagonal entry of
     the n x n Gram, and sq_off[t, t'] is the sum of |G|^2 over the
     off-diagonal entries of any row of orbit t in the columns of orbit t'.
     The x = 0 entries are the T x T matrix c + h[group, group, 0], and the
-    entries at x != 0 are those of h, one g x g x (s - 1) pass that stands
-    for every pair of bases in each pair of groups: O(T^2 + g^2 s) in all.
+    entries at x != 0 are those of h, one g x g x (d - 1) pass that stands
+    for every pair of bases in each pair of groups: O(T^2 + g^2 d) in all.
     A NaN reaches the radii, max_off and sq_off.
     """
     own = np.arange(len(gram.c))
@@ -407,15 +388,11 @@ def gram_spectrum(gram: CyclicGram) -> np.ndarray:
     """Every eigenvalue of the Hermitian Gram of a CyclicGram, in ascending order.
 
     The Gram of whole orbits is block-circulant, so a DFT over the shift
-    splits it into s Hermitian T x T blocks, sum_x G[t*s, t'*s + x]
-    exp(-2 pi i k x / s) = c + hhat[group, group, k], hhat the DFT of h
+    splits it into d Hermitian T x T blocks, sum_x G[t*d, t'*d + x]
+    exp(-2 pi i k x / d) = c + hhat[group, group, k], hhat the DFT of h
     over x, whose eigenvalues together are those of G: one batched
-    eigvalsh on the (s, T, T) blocks, never the n x n Gram.  For shifts = 1
-    h is 0 and the single block is a view of c, copied by nothing and real
-    for real bases.
+    eigvalsh on the (d, T, T) blocks, never the n x n Gram.
     """
-    if gram.h.shape[-1] == 1:
-        return np.linalg.eigvalsh(gram.c[None])[0]
     blocks = (gram.h @ _dft(gram.h.shape[-1])).transpose(2, 0, 1)[:, gram.group[:, None], gram.group]
     blocks += gram.c
     return np.sort(np.linalg.eigvalsh(blocks), axis=None)

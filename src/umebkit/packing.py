@@ -3,11 +3,13 @@
 Two sources: the quadratic-residue/Hadamard construction that yields
 p(p+1)/2 rank-(p-1)/2 real projections in dimension p (for p = 3 or
 p = 7 mod 8), and the six icosahedron diagonals as rank-one projections in
-dimension 3.  Also the duality map Q_i = I - P_i and the closed-form common
-angles.  A family holds its bases on their union support
+dimension 3, which are the same construction at p = 3: two bases, each
+moved by all 3 shifts.  Also the duality map Q_i = I - P_i and the
+closed-form common angles.  A family is T bases, each moved by all d
+cyclic shifts, and holds the bases on their union support
 (matcore.SupportStack): the residue bases are written there directly, each
 base vector's two nonzero entries given by their indices and coefficients,
-and a dense stack given to a family is compressed once.  verify_equiangular
+and a dense stack given to a family is read as bases and compressed once.  verify_equiangular
 reads each family's pairwise traces off its Gram, held by its parts from
 the bases' cyclic diagonals, and its idempotency off products summed over
 that support.
@@ -28,7 +30,6 @@ from .errors import (
     MalformedArtifact,
     NotOrthogonal,
     NotReal,
-    OutOfRange,
     RankOutOfRange,
 )
 from .hadamard import HadamardMatrix
@@ -50,14 +51,15 @@ from .numth import UmebPrime
 
 @dataclass(frozen=True, eq=False)
 class ProjectionFamily:
-    """Same-rank real symmetric projections with a common target angle: bases and a shift count.
+    """Same-rank real symmetric projections with a common target angle: T bases, each moved by all d shifts.
 
-    Member t*shifts + x is base t shifted by x (matcore.orbit_stack);
-    shifts is d for whole Z_d orbits and 1 otherwise.  bases is the T real
-    bases on their union support, one read-only matcore.SupportStack that
-    the family owns (NotReal for complex bases): a dense (T, d, d) stack or
-    sequence given to the constructor is compressed into one, and
-    bases.dense() is the dense view.  r is the common rank, 1 <= r < d
+    Member t*d + x is base t shifted by x (matcore.orbit_stack), so the
+    family has T d members, whole Z_d orbits.  bases is the T real bases on
+    their union support, one read-only matcore.SupportStack that the family
+    owns (NotReal for complex bases): a dense (T, d, d) stack or sequence
+    given to the constructor is read as bases and compressed into one, so
+    ProjectionFamily(d, r, fam.projections, beta) is a family d times larger
+    than fam, and bases.dense() is the dense view.  r is the common rank, 1 <= r < d
     (RankOutOfRange otherwise), the range in which beta_projections and
     feasibility are defined.  beta is the exact rational target of
     tr(P_i P_j) for i != j; scale is the off-support coefficient
@@ -70,25 +72,22 @@ class ProjectionFamily:
     r: int
     bases: SupportStack
     beta: Fraction
-    shifts: int = 1
     scale: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "bases", SupportStack.of(self.bases, self.d))
         if np.iscomplexobj(self.bases.values):  # verify_equiangular compares only the real part of each trace with beta
             raise NotReal(f"a family's projections are real, got bases of dtype {self.bases.values.dtype}")
-        if self.shifts not in (1, self.d):
-            raise OutOfRange(f"shifts must be 1 or d={self.d}, got {self.shifts}")
         if not 1 <= self.r < self.d:
             raise RankOutOfRange(f"need 1 <= r < d, got r={self.r}, d={self.d}")
 
     def __len__(self) -> int:
-        return len(self.bases) * self.shifts
+        return len(self.bases) * self.d
 
     @cached_property
     def projections(self) -> np.ndarray:
         """Every member as one read-only (n, d, d) array, gathered from the dense bases on first use."""
-        return orbit_stack(self.bases.dense(), self.shifts)
+        return orbit_stack(self.bases.dense())
 
 
 @dataclass(frozen=True)
@@ -147,8 +146,7 @@ def residue_base_vectors(prime: UmebPrime, h: HadamardMatrix) -> tuple[np.ndarra
 def build_residue_family(prime: UmebPrime, h: HadamardMatrix) -> ProjectionFamily:
     """All p(p+1)/2 projections: bases t = 0..(p-1)/2, each cyclically shifted p ways.
 
-    The family holds the (p+1)/2 base projections with shifts = p, built
-    on their support from residue_base_vectors, which proves the vectors
+    The family holds the (p+1)/2 base projections, built on their support from residue_base_vectors, which proves the vectors
     of every base orthogonal: their two-entry supports are pairwise
     disjoint, or it raises NotOrthogonal.  So each base is the sum of the
     outer products of its normalized vectors, and each outer product is the
@@ -179,7 +177,6 @@ def build_residue_family(prime: UmebPrime, h: HadamardMatrix) -> ProjectionFamil
         r=prime.half,
         bases=SupportStack(cols, values),
         beta=beta_projections(p, prime.half),
-        shifts=p,
         scale=off_support_scale(p),
     )
 
@@ -189,8 +186,8 @@ def verify_equiangular(
 ) -> EquiangularReport:
     """Check pairwise traces, idempotency and trace-rank of every member.
 
-    The pairwise traces come from the Gram cyclic_gram(bases, shifts),
-    held by its parts, which fix every entry: G - beta is its products c
+    The pairwise traces come from the Gram cyclic_gram(bases), held by its
+    parts, which fix every entry: G - beta is its products c
     beside its correlations h - beta, and max_angle_dev is the largest
     off-diagonal magnitude of that (matcore.gram_stats), O(T^2 + g^2 d)
     however many pairs there are.  A shift permutes entries, so
@@ -205,7 +202,7 @@ def verify_equiangular(
     bases = family.bases
     n = len(family)
     beta = float(family.beta)
-    gram = cyclic_gram(bases, family.shifts)
+    gram = cyclic_gram(bases)
     max_angle_dev = gram_stats(replace(gram, h=gram.h - beta)).max_off
     gap = support_product(bases, bases)[1]  # P^T P - P
     max_idem_dev = float(np.max(np.abs(gap)))
@@ -235,7 +232,6 @@ def dual_family(family: ProjectionFamily) -> ProjectionFamily:
         r=d - family.r,
         bases=family.bases.eye_minus(1.0),
         beta=family.beta + (d - 2 * family.r),
-        shifts=family.shifts,
         scale=family.scale,
     )
 
@@ -243,24 +239,25 @@ def dual_family(family: ProjectionFamily) -> ProjectionFamily:
 def icosahedron_lines() -> ProjectionFamily:
     """Rank-one projections onto the six diagonals of a regular icosahedron.
 
-    Standard golden-ratio coordinates (0, +-1, phi) and cyclic rotations;
-    pairwise trace 1/5, matching beta_projections(3, 1).
+    Standard golden-ratio coordinates (0, +-1, phi) and their cyclic
+    rotations: the two bases onto (0, 1, phi) and (0, -1, phi), each moved
+    by all 3 shifts, with phi = off_support_scale(3).  That is the residue
+    construction at p = 3, so the bases are written on the same support:
+    rows 1 and 2 hold the columns {1, 2}, and row 0, in no support, the
+    padding columns 0 and 1.  Pairwise trace 1/5, matching
+    beta_projections(3, 1).
     """
-    phi = (1.0 + math.sqrt(5.0)) / 2.0
-    raw = np.array([
-        (0.0, 1.0, phi),
-        (0.0, -1.0, phi),
-        (1.0, phi, 0.0),
-        (-1.0, phi, 0.0),
-        (phi, 0.0, 1.0),
-        (phi, 0.0, -1.0),
-    ])
-    v = raw / math.sqrt(1.0 + phi * phi)
+    phi = off_support_scale(3)
+    v = np.array([(0.0, 1.0, phi), (0.0, -1.0, phi)]) / math.sqrt(1.0 + phi * phi)
+    cols = np.array([[0, 1], [1, 2], [1, 2]])
+    values = v[:, cols] * v[:, :, None]
+    values[:, 0] = 0.0
     return ProjectionFamily(
         d=3,
         r=1,
-        bases=v[:, :, None] * v[:, None, :],
+        bases=SupportStack(cols, values),
         beta=Fraction(1, 5),
+        scale=phi,
     )
 
 
@@ -268,26 +265,27 @@ FAMILY_FIELDS = ["C", "bases", "beta_den", "beta_num", "d", "r", "shifts"]  # so
 
 
 def family_to_json(family: ProjectionFamily) -> dict:
-    """The family's fields, its shift count and its bases as one stack: exactly FAMILY_FIELDS."""
+    """The family's fields and its bases as one stack: exactly FAMILY_FIELDS, "shifts" always d."""
     return {
         "d": family.d,
         "r": family.r,
         "beta_num": family.beta.numerator,
         "beta_den": family.beta.denominator,
         "C": family.scale,
-        "shifts": family.shifts,
+        "shifts": family.d,
         "bases": stack_to_json(family.bases.dense()),
     }
 
 
 def family_from_json(obj: dict) -> ProjectionFamily:
-    """Inverse of family_to_json; MalformedArtifact, ShapeMismatch, OutOfRange or RankOutOfRange on bad input.
+    """Inverse of family_to_json; MalformedArtifact, ShapeMismatch or RankOutOfRange on bad input.
 
     The fields must be exactly FAMILY_FIELDS, which rejects the dense format
-    of earlier versions, and beta must fit in a float.  The bases are real:
+    of earlier versions, and beta must fit in a float.  Every family is
+    whole orbits, so "shifts" must be d.  The bases are real:
     matcore.stack_from_json rejects a stack with an "im" part.  A family of
-    whole orbits (shifts = d) was built by the residue construction, so its
-    C must be exactly off_support_scale(d).
+    whole orbits was built by the residue construction, so its C must be
+    exactly off_support_scale(d).
     """
     fields = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
     if fields != FAMILY_FIELDS:
@@ -300,15 +298,10 @@ def family_from_json(obj: dict) -> ProjectionFamily:
         shifts = json_int(obj["shifts"], "shifts")
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise MalformedArtifact(f"malformed family field: {exc}") from None
-    family = ProjectionFamily(
-        d=d,
-        r=r,
-        bases=stack_from_json(obj["bases"], d),
-        beta=beta,
-        shifts=shifts,
-        scale=scale,
-    )
-    if shifts == d and scale != off_support_scale(d):
+    if shifts != d:
+        raise MalformedArtifact(f"a family is whole orbits of its d={d} shifts, not {shifts}")
+    family = ProjectionFamily(d=d, r=r, bases=stack_from_json(obj["bases"], d), beta=beta, scale=scale)
+    if scale != off_support_scale(d):
         raise MalformedArtifact(
             f"C = {scale!r} of a family of whole orbits is not the coefficient {off_support_scale(d)!r} for d={d}"
         )

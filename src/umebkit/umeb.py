@@ -6,8 +6,9 @@ U_i = I - (1 - z) P_i, and certify the resulting family: trace
 orthogonality, span of the symmetric matrices, orthogonality of the
 antisymmetric complement and odd dimension.  The certificate is the
 machine-checkable record that the vectorized family is an unextendible
-maximally entangled basis.  A family holds its bases on their union support
-(matcore.SupportStack), as its projection family does, and its Gram, its
+maximally entangled basis.  A family is T bases, each moved by all d
+cyclic shifts, and holds the bases on their union support
+(matcore.SupportStack), as its projection family does; its Gram, its
 unitarity check and its asymmetry all read that one column table and its
 values, as does the orbit kernel of channels.
 """
@@ -21,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import Infeasible, OutOfRange, RankOutOfRange
+from .errors import Infeasible, RankOutOfRange
 from .matcore import DEFAULT_TOL, CyclicGram, GramStats, SupportStack, Tolerance, asymmetry, cyclic_gram, gram_spectrum
 from .matcore import gram_stats, orbit_stack, spectral_rank, support_product
 from .packing import ProjectionFamily
@@ -40,10 +41,12 @@ class FeasibilityReport:
 
 @dataclass(frozen=True, eq=False)
 class UnitaryFamily:
-    """Unitaries I - (1-z)P_i sharing one unit-modulus phase z: bases and a shift count.
+    """Unitaries I - (1-z)P_i sharing one unit-modulus phase z: T bases, each moved by all d shifts.
 
-    Members, shifts and bases are as in ProjectionFamily; the bases are
-    complex, a SupportStack (a dense stack given is compressed).  The
+    Members and bases are as in ProjectionFamily: member t*d + x is base t
+    shifted by x, T d members in all.  The bases are complex, a
+    SupportStack; a dense stack given is read as bases and compressed, so
+    UnitaryFamily(d, z, uf.unitaries) is a family d times larger than uf.  The
     projections they came from are not kept: a unitary artifact is written
     from the projection family and z, and read back as them.  Because no
     caller can write to them through the family, its trace Gram, what the
@@ -54,28 +57,22 @@ class UnitaryFamily:
     d: int
     z: complex
     bases: SupportStack
-    shifts: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "bases", SupportStack.of(self.bases, self.d, complex))
-        if self.shifts not in (1, self.d):
-            raise OutOfRange(f"shifts must be 1 or d={self.d}, got {self.shifts}")
 
     def __len__(self) -> int:
-        return len(self.bases) * self.shifts
+        return len(self.bases) * self.d
 
     @cached_property
     def unitaries(self) -> np.ndarray:
         """Every member as one read-only complex (n, d, d) array, gathered from the dense bases on first use."""
-        return orbit_stack(self.bases.dense(), self.shifts)
+        return orbit_stack(self.bases.dense())
 
     @cached_property
     def gram(self) -> CyclicGram:
-        """cyclic_gram(bases, shifts), read-only: G_ij = tr(U_i* U_j) by its T x T and g x g x shifts parts.
-
-        For shifts = 1 its c is the whole n x n Gram.
-        """
-        gram = cyclic_gram(self.bases, self.shifts)
+        """cyclic_gram(bases), read-only: G_ij = tr(U_i* U_j) by its T x T and g x g x d parts."""
+        gram = cyclic_gram(self.bases)
         for array in (gram.c, gram.group, gram.h):
             array.flags.writeable = False
         return gram
@@ -92,7 +89,7 @@ class UnitaryFamily:
     def asymmetry(self) -> tuple[float, float]:
         """(max |U - U^T|, sum |U - U^T|^2) over all members, read off the bases (matcore.asymmetry): a shift permutes entries."""
         worst, sq = asymmetry(self.bases)
-        return worst, self.shifts * sq
+        return worst, self.d * sq
 
 
 @dataclass(frozen=True)
@@ -149,11 +146,12 @@ def compute_phase(d: int, r: int) -> complex:
 def build_unitaries(family: ProjectionFamily, z: complex) -> UnitaryFamily:
     """U_i = I - (1-z) P_i; eigenvalue z on range(P_i), 1 on its kernel.
 
-    I is shift-invariant, so this maps the bases, with the same shifts: the
-    values of the projections' support, with each row's diagonal, into one
-    complex (T, d, s) array handed to the family (SupportStack.eye_minus).
+    I is shift-invariant, so this maps the bases, each still moved by all d
+    shifts: the values of the projections' support, with each row's
+    diagonal, into one complex (T, d, s) array handed to the family
+    (SupportStack.eye_minus).
     """
-    return UnitaryFamily(d=family.d, z=z, bases=family.bases.eye_minus(1.0 - z), shifts=family.shifts)
+    return UnitaryFamily(d=family.d, z=z, bases=family.bases.eye_minus(1.0 - z))
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,9 +173,9 @@ def _span(uf: UnitaryFamily, tol: Tolerance) -> _Span:
     bounds the smallest of them from below.  The discs' centres and radii
     are uf.gram_stats, which hold every disc of the family
     (matcore.gram_stats).  The fallback counts the rank with spectral_rank
-    on gram_spectrum(uf.gram): for whole orbits one batched eigvalsh on the
-    shifts Hermitian T x T blocks of the DFT over the shift, so no n x n
-    Gram is formed, and lam is then the smallest eigenvalue counted.  A NaN
+    on gram_spectrum(uf.gram): one batched eigvalsh on the d Hermitian
+    T x T blocks of the DFT over the shift, so no n x n Gram is formed, and
+    lam is then the smallest eigenvalue counted.  A NaN
     or inf entry of a member reaches the Gram and so the lowest point of
     the discs; such a Gram proves no rank (0), and eigvalsh, which would
     not converge on it, is not called.

@@ -2,11 +2,15 @@
 
 Each is a direct, unoptimized formula: the SWAP matrix and a channel's Choi
 matrix under the package's column-stacking vec, the Choi matrix's rank, the
+Choi distance of a mixture of unitaries from the target channel's (and
+the same distance from the members' Gram, for symmetric members), the
 coefficient x with x * sum(P_i) = I for a maximal equiangular family, the
 whole Gram of a stack of matrices as one dense product and its rank, the
-residue base vectors as one dense array, the projection onto the span
-of orthogonal vectors as a dense product, the Legendre symbol by Euler's
-criterion and the DFT matrix as one exponential per entry.
+equiangular report and the certificate read off every member of a dense
+stack, the residue base vectors as one dense array, the projection onto the
+span of orthogonal vectors as a dense product, the Legendre symbol by
+Euler's criterion and the DFT matrix as one exponential per entry.  None
+calls the package's checks: each reads the members themselves.
 """
 
 from collections.abc import Callable
@@ -15,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from umebkit.errors import NotOrthogonal, ShapeMismatch
-from umebkit.matcore import DEFAULT_TOL, Tolerance, spectral_rank
+from umebkit.matcore import DEFAULT_TOL, Tolerance
 from umebkit.packing import residue_base_vectors
 
 Channel = Callable[[np.ndarray], np.ndarray]
@@ -62,6 +66,11 @@ def dense_gram(stack) -> np.ndarray:
     return flat.conj() @ flat.T
 
 
+def _rank(eigs: np.ndarray, tol: Tolerance) -> int:
+    """The count of ascending eigenvalues above rank_eps * largest; 0 if the largest is not positive."""
+    return int(np.sum(eigs > tol.rank_eps * eigs[-1])) if eigs[-1] > 0 else 0
+
+
 def numerical_rank(mats: list[np.ndarray] | np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
     """Rank of the Gram matrix, counting eigenvalues above rank_eps * largest."""
     if len(mats) == 0:
@@ -69,7 +78,87 @@ def numerical_rank(mats: list[np.ndarray] | np.ndarray, tol: Tolerance = DEFAULT
     shapes = {np.asarray(m).shape for m in mats}
     if len(shapes) > 1:
         raise ShapeMismatch(f"mixed shapes {sorted(shapes)}")
-    return spectral_rank(np.linalg.eigvalsh(dense_gram(mats)), tol)[0]
+    return _rank(np.linalg.eigvalsh(dense_gram(mats)), tol)
+
+
+def _off_diagonal(gram: np.ndarray) -> np.ndarray:
+    return gram[~np.eye(len(gram), dtype=bool)]
+
+
+def dense_equiangular(projections, r: int, beta, tol: Tolerance = DEFAULT_TOL) -> dict:
+    """The fields of verify_equiangular's report, from every member of the (n, d, d) stack.
+
+    The whole Gram minus beta off its diagonal, P^T P - P by matmul and
+    np.trace; a NaN in a member reaches the deviations it enters and fails.
+    """
+    stack = np.asarray(projections)
+    n = len(stack)
+    devs = {
+        "max_angle_dev": float(np.max(np.abs(_off_diagonal(dense_gram(stack)) - float(beta)), initial=0.0)),
+        "max_idempotency_dev": float(np.max(np.abs(stack.transpose(0, 2, 1) @ stack - stack))),
+        "max_rank_dev": float(np.max(np.abs(np.trace(stack, axis1=1, axis2=2) - r))),
+    }
+    passed = all(dev <= tol.eps for dev in devs.values())
+    return {"pairs": n * (n - 1) // 2, "beta": float(beta), **devs, "passed": passed}
+
+
+def dense_certificate(members, tol: Tolerance = DEFAULT_TOL) -> dict:
+    """The fields of certify_umeb's certificate, from every member of the (n, d, d) stack.
+
+    U* U - I by matmul, the whole Gram, its eigvalsh for the span rank and
+    for lam, the smallest eigenvalue counted, and |U - U^T| entry by entry.
+    The members must be finite: eigvalsh does not converge on a NaN.
+    """
+    stack = np.asarray(members)
+    n, d = len(stack), stack.shape[-1]
+    gram = dense_gram(stack)
+    eigs = np.linalg.eigvalsh(gram)
+    rank = _rank(eigs, tol)
+    lam = float(eigs[-rank]) if rank else 0.0
+    anti = np.abs(stack - stack.transpose(0, 2, 1))
+    unitarity = float(np.max(np.abs(stack.conj().transpose(0, 2, 1) @ stack - np.eye(d))))
+    cj = float(np.max(np.abs(gram / d - np.eye(n))))
+    symmetric_span = rank == d * (d + 1) // 2 and float(np.max(anti)) <= tol.eps
+    complement = float(np.sum(anti**2)) / 4 <= tol.eps**2 * lam
+    return {
+        "d": d,
+        "cardinality": n,
+        "max_unitarity_dev": unitarity,
+        "max_orthogonality_dev": float(np.max(np.abs(_off_diagonal(gram)), initial=0.0)),
+        "span_rank": rank,
+        "symmetric_span": symmetric_span,
+        "complement_antisymmetric": complement,
+        "d_odd": d % 2 == 1,
+        "unextendible_verdict": symmetric_span and complement and d % 2 == 1 and unitarity <= tol.eps and cj <= tol.eps,
+        "cj_orthonormality_dev": cj,
+    }
+
+
+def gram_choi_dev(weights, members) -> float:
+    """|W^(1/2) G W^(1/2) - (2/(d+1)) I_n|_F from the whole Gram G of the members, W = diag(weights).
+
+    It is the Choi distance that mixture_choi_dev assembles when the
+    n = d(d+1)/2 members are symmetric and no weight is negative: their
+    vec(U_j) lie in the symmetric subspace, where the target is (2/(d+1))
+    times the identity.  O(n^2 d^2), against O(n d^5).
+    """
+    stack = np.asarray(members)
+    root = np.sqrt(np.asarray(weights, dtype=float))
+    d = stack.shape[-1]
+    return float(np.linalg.norm(root[:, None] * dense_gram(stack) * root - 2 / (d + 1) * np.eye(len(stack))))
+
+
+def mixture_choi_dev(weights, members) -> float:
+    """|C - (I + SWAP)/(d+1)|_F, C the Choi matrix of X -> sum_j w_j U_j X U_j*, assembled by choi_of_channel.
+
+    It applies every member to each of the d^2 inputs E_jk, O(n d^5) in all.
+    """
+    stack = np.asarray(members)
+    w = np.asarray(weights, dtype=float)
+    d = stack.shape[-1]
+    adjoints = stack.conj().transpose(0, 2, 1)
+    choi = choi_of_channel(lambda x: np.tensordot(w, stack @ x @ adjoints, axes=1), d)
+    return float(np.linalg.norm(choi - (np.eye(d * d) + swap_matrix(d)) / (d + 1)))
 
 
 def dense_base_vectors(prime, h) -> np.ndarray:

@@ -22,7 +22,7 @@ from umebkit.numth import validate_prime
 from umebkit.packing import build_residue_family, icosahedron_lines, verify_equiangular
 from umebkit.umeb import UnitaryFamily, build_unitaries, certify_umeb, compute_phase
 
-from oracles import choi_of_channel, choi_rank, swap_matrix
+from oracles import choi_of_channel, choi_rank, gram_choi_dev, mixture_choi_dev, swap_matrix
 
 EPS = 1e-9
 
@@ -152,12 +152,12 @@ def test_umeb_decomposition_icosahedron():
 
 def test_umeb_decomposition_rejects_uncertified():
     uf = p7_unitaries()
-    truncated = UnitaryFamily(d=7, z=uf.z, bases=uf.unitaries[:27])
+    bases = uf.bases.dense()
+    truncated = UnitaryFamily(d=7, z=uf.z, bases=bases[:3])  # 3 of the 4 orbits
     with pytest.raises(NotCertified):
         umeb_decomposition(truncated)
-    # spans the symmetric matrices, but 29 weights 1/28 do not sum to 1
-    members = np.concatenate((uf.unitaries, uf.unitaries[:1]))
-    duplicated = UnitaryFamily(d=7, z=uf.z, bases=members)
+    # spans the symmetric matrices, but 35 weights 1/28 do not sum to 1
+    duplicated = UnitaryFamily(d=7, z=uf.z, bases=np.concatenate((bases, bases[:1])))
     with pytest.raises(NotCertified):
         umeb_decomposition(duplicated)
 
@@ -293,7 +293,7 @@ def test_verify_decomposition_checks_the_last_batch_of_trials(monkeypatch):
 
 
 @pytest.mark.parametrize("budget", ["one-batch", "three-a-batch"])
-@pytest.mark.parametrize("d", [3, 7, 47])  # 3: the icosahedron, applied member by member
+@pytest.mark.parametrize("d", [3, 7, 47])  # 3: the icosahedron
 def test_check_b_inputs_are_the_seeded_random_hermitians(d, budget, monkeypatch):
     dec = umeb_decomposition(_unitaries(d))
     if budget == "three-a-batch":
@@ -374,7 +374,7 @@ def test_choi_check_from_the_gram_is_the_block_sum(name, weights, monkeypatch):
     dec = umeb_decomposition(CHOI_FAMILIES[name]())
     w = np.array(dec.weights)
     if weights == "perturbed":  # still >= 0 and equal within each orbit, so the Gram path applies
-        size = dec.unitaries.shifts
+        size = dec.unitaries.d
         w[-size:] *= 1.5
         w[size : 2 * size] *= 0.2
         dec = MixedUnitaryDecomposition(weights=tuple(w), unitaries=dec.unitaries)
@@ -387,11 +387,6 @@ def test_choi_check_from_the_gram_is_the_block_sum(name, weights, monkeypatch):
     if dec.unitaries.d <= 23:
         assert rep.choi_dev == pytest.approx(full_choi_dev(dec), rel=1e-12, abs=1e-14)
     assert rep.verdict == (weights == "uniform")
-
-
-def dense(uf):
-    """The dense twin of a family: its members as bases with shifts = 1, the oracle that reads every Gram row."""
-    return UnitaryFamily(d=uf.d, z=uf.z, bases=uf.unitaries)
 
 
 def spy_gram_shapes(monkeypatch):
@@ -427,17 +422,16 @@ def test_choi_check_from_orbit_rows_matches_the_dense_rows(p, weights, monkeypat
         w[2] *= 0.5
     dec = MixedUnitaryDecomposition(weights=tuple(w), unitaries=uf)
     rep = verify_decomposition(dec, trials=0)
-    oracle = verify_decomposition(MixedUnitaryDecomposition(dec.weights, dense(uf)), trials=0)
     monkeypatch.undo()
     inside = weights == "inside-an-orbit"
-    assert ran == ["_choi_dev_by_blocks" if inside else "_choi_dev_from_gram", "_choi_dev_from_gram"]
-    assert uf.shifts == p
-    # the orbit family's Gram once, T x T products and one correlation, for the decomposition and
-    # its check; the whole Gram for the oracle
+    assert ran == ["_choi_dev_by_blocks" if inside else "_choi_dev_from_gram"]
+    # the orbit family's Gram once, T x T products and one correlation, for the decomposition and its check
     t = (p + 1) // 2
-    assert shapes == [((t, t), (1, 1, p)), ((n, n), (1, 1, 1))]
-    assert rep.verdict == oracle.verdict == (weights == "uniform")
-    assert abs(rep.choi_dev - oracle.choi_dev) <= 1e-13
+    assert shapes == [((t, t), (1, 1, p))] and n == t * p
+    # the oracle: the Choi matrix itself where it is small, else the whole Gram of the members
+    oracle = mixture_choi_dev(w, uf.unitaries) if p <= 7 else gram_choi_dev(w, uf.unitaries)
+    assert rep.verdict == (oracle <= EPS * p * p) == (weights == "uniform")
+    assert abs(rep.choi_dev - oracle) <= 1e-13
     if weights == "per-orbit":
         assert rep.choi_dev == pytest.approx(channels._choi_dev_by_blocks(w, uf), rel=1e-12)
     if weights == "uniform":
@@ -456,9 +450,9 @@ def test_a_pipeline_reads_the_unitary_gram_rows_once(monkeypatch):
 
 
 def _nonsymmetric_member():
-    members = np.array(_unitaries(7).unitaries)
-    members[0, 0, 1] += 1e-13
-    uf = UnitaryFamily(d=7, z=compute_phase(7, 3), bases=members)
+    bases = np.array(_unitaries(7).bases.dense())
+    bases[0, 0, 1] += 1e-13  # base 0, and so every member of orbit 0
+    uf = UnitaryFamily(d=7, z=compute_phase(7, 3), bases=bases)
     return umeb_decomposition(uf)  # within eps of symmetric, so still accepted
 
 
@@ -471,8 +465,8 @@ def _negative_weight():
 
 def _member_count():
     uf = _unitaries(7)
-    part = UnitaryFamily(d=7, z=uf.z, bases=uf.unitaries[:27])
-    return MixedUnitaryDecomposition(weights=(1 / 27,) * 27, unitaries=part)
+    part = UnitaryFamily(d=7, z=uf.z, bases=uf.bases.dense()[:3])  # 3 of the 4 orbits: 21 members
+    return MixedUnitaryDecomposition(weights=(1 / 21,) * 21, unitaries=part)
 
 
 @pytest.mark.parametrize("build", [_nonsymmetric_member, _negative_weight, _member_count])
@@ -485,21 +479,28 @@ def test_choi_check_falls_back_to_the_blocks(build, monkeypatch):
     assert rep.verdict == (build is _nonsymmetric_member)
 
 
-def test_gram_passes_cover_the_last_row_block(p23_decomposition, monkeypatch):
-    # the dense twin's 276 rows at p=23: blocks of 34 rows in the product of the Gram,
-    # which counts each row's conjugated member beside its Gram row (8 * 34 + 4)
-    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 100 * 276 * 16)
-    uf = dense(p23_decomposition.unitaries)
-    w = np.array(p23_decomposition.weights)
-    w[-1] *= 1.5
+def test_gram_passes_cover_the_last_row_block(monkeypatch):
+    # the product c of the p=23 unitaries: each of the 12 rows counts its conjugated values and
+    # its products, 22 + 12 complex entries (the 22 off-diagonal entries sit alone on their
+    # offsets), so a budget of five such rows gives blocks of 5, 5 and 2
+    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 5 * (22 + 12) * 16)
+    uf = _residue_unitaries(23)
+    matmul, blocks = np.matmul, []
+    monkeypatch.setattr(np, "matmul", lambda a, b, **k: ("out" in k and blocks.append(len(a))) or matmul(a, b, **k))
+    uf.gram
+    monkeypatch.setattr(np, "matmul", matmul)
+    assert blocks == [5, 5, 2]
+    w = np.array(umeb_decomposition(uf).weights)
+    w[-23:] *= 1.5  # the last orbit
     dec = MixedUnitaryDecomposition(weights=tuple(w), unitaries=uf)
     assert verify_decomposition(dec, trials=0).choi_dev == pytest.approx(full_choi_dev(dec), rel=1e-12)
-    # a longer last member shows only on the last diagonal entry of G/d - I
-    longer = np.concatenate((uf.unitaries[:-1], [uf.unitaries[-1] * (1 + 1e-6)]))
+    # a longer last base shows only on the last diagonal entries of G/d - I
+    bases = uf.bases.dense()
+    longer = np.concatenate((bases[:-1], [bases[-1] * (1 + 1e-6)]))
     cert = certify_umeb(UnitaryFamily(d=23, z=uf.z, bases=longer))
     assert cert.cj_orthonormality_dev == pytest.approx(2e-6, rel=1e-5)
-    # the last two members mixed show only off the diagonal of the last row block
-    mixed = np.array(uf.unitaries)
+    # the last two bases mixed show only off the diagonal of the last row block
+    mixed = np.array(bases)
     mixed[-1] += 1e-3 * mixed[-2]
     cert = certify_umeb(UnitaryFamily(d=23, z=uf.z, bases=mixed))
     assert cert.max_orthogonality_dev == pytest.approx(1e-3 * 23, rel=1e-9)
@@ -612,14 +613,14 @@ def _unequal_row_support():
     support[a[:, None], (a[:, None] + a) % d] = in_row
     bases = _random_bases(d, 3, seed=61) * support
     bases[0, 3] = 0
-    return UnitaryFamily(d, 1.0, bases, shifts=d)
+    return UnitaryFamily(d, 1.0, bases)
 
 
 KERNEL_CASES = {
     7: lambda: _residue_unitaries(7),
     23: lambda: _residue_unitaries(23),
     47: lambda: _residue_unitaries(47),
-    "dense": lambda: UnitaryFamily(5, 1.0, _random_bases(5, 3, seed=59), shifts=5),  # every entry: s = d
+    "dense": lambda: UnitaryFamily(5, 1.0, _random_bases(5, 3, seed=59)),  # every entry: s = d
     "unequal-row-support": _unequal_row_support,
 }
 
@@ -660,7 +661,7 @@ def _nonfinite_base_entry(value):
         uf = _residue_unitaries(7)
         bases = np.array(uf.bases.dense())
         bases[2, 1, 3] = value
-        return MixedUnitaryDecomposition((1 / 28,) * 28, UnitaryFamily(7, uf.z, bases, shifts=7))
+        return MixedUnitaryDecomposition((1 / 28,) * 28, UnitaryFamily(7, uf.z, bases))
 
     return build
 
@@ -742,40 +743,36 @@ def test_orbit_kernel_matches_the_member_sum(p, monkeypatch):
     assert rep.apply_dev_max <= 1e-14 and dense_rep.apply_dev_max <= 1e-13
 
 
+def _tilted(uf, by=1e-12):
+    """The uniform mixture over uf with shifts 1 and 2 of orbit 1 moved apart by `by`: weights unequal inside an orbit."""
+    w = np.full(len(uf), 1 / len(uf))
+    w[uf.d + 1] += by
+    w[uf.d + 2] -= by
+    return MixedUnitaryDecomposition(tuple(w), uf)
+
+
 def _perturbed_entry():
-    members = np.array(_residue_unitaries(7).unitaries)
-    members[-1, 2, 4] += 1e-12  # the last member; a dense family, shifts = 1
-    return MixedUnitaryDecomposition((1 / 28,) * 28, UnitaryFamily(7, compute_phase(7, 3), members))
-
-
-def _swapped_orbits():
-    members = np.array(_residue_unitaries(7).unitaries)
-    members[[3, 10]] = members[[10, 3]]  # shift 3 of orbits 0 and 1: the same mixture
-    return MixedUnitaryDecomposition((1 / 28,) * 28, UnitaryFamily(7, compute_phase(7, 3), members))
-
-
-def _weights_inside_an_orbit():
-    w = np.full(28, 1 / 28)
-    w[8] += 0.01  # orbit 1, shifts 1 and 2
-    w[9] -= 0.01
-    return MixedUnitaryDecomposition(tuple(w), _residue_unitaries(7))
+    bases = np.array(_residue_unitaries(7).bases.dense())
+    bases[-1, 2, 4] += 1e-12  # the last base, and so every member of the last orbit
+    return _tilted(UnitaryFamily(7, compute_phase(7, 3), bases))
 
 
 def _not_whole_orbits():
     uf = _residue_unitaries(7)
-    return MixedUnitaryDecomposition((1 / 27,) * 27, UnitaryFamily(7, uf.z, uf.unitaries[:27]))
+    return _tilted(UnitaryFamily(7, uf.z, uf.bases.dense()[:3]))  # 3 of the 4 orbits: 21 members
 
 
+# every family is whole orbits, so a mixture lacks orbit structure when its weights differ inside
+# an orbit: by 1e-12, within eps, where the mixture should still pass
 @pytest.mark.parametrize(
     "build, passes",
     [
-        (lambda: umeb_decomposition(_unitaries(3)), True),  # the icosahedron
+        (lambda: _tilted(_unitaries(3)), True),  # the icosahedron
         (_perturbed_entry, True),
-        (_swapped_orbits, True),
-        (_weights_inside_an_orbit, False),
+        (lambda: _tilted(_residue_unitaries(7), by=0.01), False),
         (_not_whole_orbits, False),
     ],
-    ids=["icosahedron", "perturbed-entry", "swapped-orbits", "weights-inside-an-orbit", "not-whole-orbits"],
+    ids=["icosahedron", "perturbed-entry", "weights-inside-an-orbit", "not-whole-orbits"],
 )
 def test_mixture_without_orbit_structure_is_applied_member_by_member(build, passes, monkeypatch):
     dec = build()

@@ -367,7 +367,9 @@ DELETE = object()
 IDENTITIES = complex_stack_json(np.tile(np.eye(7, dtype=complex), (28, 1, 1)))
 # hand-made d=3 families of two bases whose rank r lies outside 1 <= r < d: with beta
 # set to tr(P_i P_j), each meets the equiangular check, so only the rank rule rejects it
-ZERO_BASES = {"d": 3, "r": 0, "beta_num": 0, "beta_den": 1, "C": None, "shifts": 1, "bases": stack_to_json(np.zeros((2, 3, 3)))}
+ZERO_BASES = {
+    "d": 3, "r": 0, "beta_num": 0, "beta_den": 1, "C": off_support_scale(3), "shifts": 3, "bases": stack_to_json(np.zeros((2, 3, 3)))
+}
 IDENTITY_BASES = dict(ZERO_BASES, r=3, beta_num=3, bases=stack_to_json(np.tile(np.eye(3), (2, 1, 1))))
 # the p=7 bases conjugated by a diagonal phase, D P D*: complex projections with the traces of P
 PHASES = np.exp(0.7j * np.arange(7))
@@ -385,6 +387,10 @@ COMPLEX_BASES = complex_stack_json(PHASES[:, None] * build_residue_family(valida
         pytest.param("family", ("provenance",), [[0, 0]], 1, id="family-provenance-short"),
         pytest.param("family", ("shifts",), 7.0, 1, id="family-shift-float"),
         pytest.param("family", ("shifts",), 2, 1, id="family-shifts-other"),
+        # every family is whole orbits: the shift count is d=7 and nothing else
+        pytest.param("family", ("shifts",), 1, 1, id="family-shifts-one"),
+        pytest.param("family", ("shifts",), 6, 1, id="family-shifts-d-minus-1"),
+        pytest.param("family", ("shifts",), 14, 1, id="family-shifts-2d"),
         pytest.param("family", ("shifts",), DELETE, 1, id="family-shifts-missing"),
         pytest.param("family", ("beta_den",), 0, 1, id="family-beta-den-0"),
         pytest.param("family", ("d",), "seven", 1, id="family-d-string"),
@@ -403,8 +409,9 @@ COMPLEX_BASES = complex_stack_json(PHASES[:, None] * build_residue_family(valida
         pytest.param("unitary", ("source", "bases", "re", 0), None, 1, id="unitary-null-entry"),
         # the members of the dense format of earlier versions beside the source
         pytest.param("unitary", ("unitaries",), IDENTITIES, 1, id="bare-dense-format"),
-        # the four bases alone, read as a family of four: a rank of 4 < 28
-        pytest.param("unitary", ("source", "shifts"), 1, 2, id="unitary-source-one-shift"),
+        pytest.param("unitary", ("source", "shifts"), 1, 1, id="unitary-source-one-shift"),
+        pytest.param("unitary", ("source", "shifts"), 6, 1, id="unitary-source-shifts-d-minus-1"),
+        pytest.param("unitary", ("source", "shifts"), 14, 1, id="unitary-source-shifts-2d"),
         pytest.param("unitary", ("source", "beta_den"), 0, 1, id="unitary-beta-den-0"),
         pytest.param("unitary", ("d",), "seven", 1, id="unitary-d-string"),
         pytest.param("unitary", ("d",), 5, 1, id="unitary-d-disagrees"),

@@ -7,9 +7,9 @@ exit 1 with one `umebkit:` line, or a verdict, and never a traceback: the
 equiangular verdict for a family, and for a unitary family that verdict and
 the certificate's, as `umeb` prints them.  A changed number never passes:
 every nonzero entry scaled by 1 +- 1e-6 moves some deviation well past eps
-at p=7.  That holds for the shift count, which must be 1 or d, and for the
-off-support coefficient C, which must equal off_support_scale(d) when the
-family is whole orbits (shifts = d).  Nor does an integer place set to
+at p=7.  That holds for the shift count, which must be d, and for the
+off-support coefficient C, which must equal off_support_scale(d), since
+every family is whole orbits.  Nor does an integer place set to
 10**400, past any float: a beta_den that large is a valid, tiny beta, which
 the equiangular check fails, and every other such place is rejected.
 """

@@ -32,10 +32,10 @@ from oracles import dense_gram, direct_dft, numerical_rank
 EPS = 1e-9
 
 
-def gram_of(bases, shifts=1):
-    """cyclic_gram of a dense stack compressed onto its own union support."""
+def gram_of(bases):
+    """cyclic_gram of a dense stack of bases compressed onto its own union support."""
     bases = np.asarray(bases)
-    return cyclic_gram(SupportStack.of(bases, bases.shape[-1]), shifts)
+    return cyclic_gram(SupportStack.of(bases, bases.shape[-1]))
 
 
 def identity(t, d):
@@ -44,7 +44,7 @@ def identity(t, d):
 
 
 def rows_of(gram):
-    """The rows G[t*s] of a CyclicGram as one (T, T*s) array: column t'*s + x is c[t, t'] [x = 0] + h[group[t], group[t'], x]."""
+    """The rows G[t*d] of a CyclicGram as one (T, T*d) array: column t'*d + x is c[t, t'] [x = 0] + h[group[t], group[t'], x]."""
     t, s = len(gram.c), gram.h.shape[-1]
     rows = gram.h[np.ix_(gram.group, gram.group)].astype(np.result_type(gram.c, gram.h))
     rows[:, :, 0] += gram.c
@@ -99,36 +99,34 @@ def _residue_bases(p, kind):
 
 SPECTRUM_CASES = {
     # d = 6 is even: the shift d/2 is its own mirror
-    **{f"random-d{d}": (lambda d=d: _random_bases(d, 40 + d), d) for d in (5, 6)},
-    "zero-base": (lambda: _random_bases(5, 47, zero=True), 5),
-    "shifts-1": (lambda: _random_bases(5, 48), 1),
-    **{f"{kind}-p{p}": (lambda p=p, kind=kind: _residue_bases(p, kind), p) for p in (7, 23) for kind in ("P", "U", "dual")},
+    **{f"random-d{d}": (lambda d=d: _random_bases(d, 40 + d)) for d in (5, 6)},
+    "zero-base": lambda: _random_bases(5, 47, zero=True),
+    "shifts-1": lambda: _random_bases(1, 48),  # d = 1: one shift, so one block
+    **{f"{kind}-p{p}": (lambda p=p, kind=kind: _residue_bases(p, kind)) for p in (7, 23) for kind in ("P", "U", "dual")},
 }
 
 
 @pytest.mark.parametrize("name", SPECTRUM_CASES)
 def test_gram_spectrum_is_the_spectrum_of_the_whole_gram(name, monkeypatch):
-    build, shifts = SPECTRUM_CASES[name]
-    bases = build()
+    bases = SPECTRUM_CASES[name]()
     d = bases.shape[-1]
-    gram = gram_of(bases, shifts)
+    gram = gram_of(bases)
     eigvalsh = np.linalg.eigvalsh
     calls = []
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
     spectrum = gram_spectrum(gram)
     monkeypatch.undo()
-    expected = np.linalg.eigvalsh(dense_gram(orbit_stack(bases, shifts)))
-    assert spectrum.shape == expected.shape == (len(bases) * shifts,)
+    expected = np.linalg.eigvalsh(dense_gram(orbit_stack(bases)))
+    assert spectrum.shape == expected.shape == (len(bases) * d,)
     assert np.max(np.abs(spectrum - expected)) <= 1e-12 * d * d
-    # one batched eigensolve on the shift blocks; for shifts = 1 there is no correlation and its one block is a view of c
-    assert [a.shape for a in calls] == [(shifts, len(bases), len(bases))]
-    assert (shifts == 1) == np.shares_memory(calls[0], gram.c)
+    # one batched eigensolve on the shift blocks
+    assert [a.shape for a in calls] == [(d, len(bases), len(bases))]
 
 
 ROW_STATS_CASES = {
-    **{f"{kind}-p{p}": (lambda p=p, kind=kind: _residue_bases(p, kind), p) for p in (7, 23) for kind in ("P", "U")},
-    "icosahedron": (lambda: icosahedron_lines().bases.dense(), 1),
-    "random-d5": (lambda: _random_bases(5, 50), 5),
+    **{f"{kind}-p{p}": (lambda p=p, kind=kind: _residue_bases(p, kind)) for p in (7, 23) for kind in ("P", "U")},
+    "icosahedron": lambda: icosahedron_lines().bases.dense(),
+    "random-d5": lambda: _random_bases(5, 50),
 }
 
 
@@ -139,27 +137,26 @@ def _close(got, expected):
 @pytest.mark.parametrize("budget", ["default", "one-row"])
 @pytest.mark.parametrize("name", ROW_STATS_CASES)
 def test_gram_row_stats_match_the_whole_gram(name, budget, monkeypatch):
-    build, shifts = ROW_STATS_CASES[name]
-    bases = build()
+    bases = ROW_STATS_CASES[name]()
     if budget == "one-row":
         monkeypatch.setattr(matcore, "_BLOCK_BYTES", 1)
-    stats = gram_stats(gram_of(bases, shifts))
+    stats = gram_stats(gram_of(bases))
     # the oracle reads every row of the whole Gram: a shifted member's row is its base's row permuted
-    gram = dense_gram(orbit_stack(bases, shifts))
-    t, n = len(bases), len(gram)
+    gram = dense_gram(orbit_stack(bases))
+    t, d, n = len(bases), bases.shape[-1], len(gram)
     off = np.abs(gram)
     off[np.arange(n), np.arange(n)] = 0.0
     assert stats.diag.dtype == gram.dtype
-    assert _close(stats.diag[:, None], np.diag(gram).reshape(t, shifts))
-    assert _close(stats.radii[:, None], off.sum(axis=1).reshape(t, shifts))
+    assert _close(stats.diag[:, None], np.diag(gram).reshape(t, d))
+    assert _close(stats.radii[:, None], off.sum(axis=1).reshape(t, d))
     assert _close(stats.max_off, np.max(off))
-    assert _close(stats.sq_off[:, None, :], (off**2).reshape(t, shifts, t, shifts).sum(axis=3))
+    assert _close(stats.sq_off[:, None, :], (off**2).reshape(t, d, t, d).sum(axis=3))
 
 
 def test_gram_row_stats_carry_a_nan():
     bases = _random_bases(5, 51)
     bases[1, 2, 3] = np.nan
-    stats = gram_stats(gram_of(bases, 5))
+    stats = gram_stats(gram_of(bases))
     # the NaN meets every base shifted: every row has it in the columns of orbit 1
     assert np.isnan(stats.radii).all() and math.isnan(stats.max_off)
     assert np.isnan(stats.sq_off[1]).all() and np.isnan(stats.sq_off[:, 1]).all()
@@ -181,42 +178,42 @@ def _lone_off_diagonal_entry():
     return bases
 
 
-# name -> (bases, shifts, number of groups)
+# name -> (bases, number of groups)
 STATS_CASES = {
-    **{f"{kind}-p{p}": (lambda p=p, kind=kind: _residue_bases(p, kind), p, 1) for p in (7, 23, 79) for kind in ("P", "U", "dual")},
-    **{f"dense-d{d}": (lambda d=d: _random_bases(d, 80 + d), d, 3) for d in (5, 6)},
-    "one-ulp-apart-p23": (lambda: _one_ulp_apart(23), 23, 2),
-    "unequal-rows": (lambda: _unequal_rows(), 7, 3),
-    "lone-off-diagonal-entry": (_lone_off_diagonal_entry, 7, 1),
-    "icosahedron": (lambda: icosahedron_lines().bases.dense(), 1, 1),
+    **{f"{kind}-p{p}": (lambda p=p, kind=kind: _residue_bases(p, kind), 1) for p in (7, 23, 79) for kind in ("P", "U", "dual")},
+    **{f"dense-d{d}": (lambda d=d: _random_bases(d, 80 + d), 3) for d in (5, 6)},
+    "one-ulp-apart-p23": (lambda: _one_ulp_apart(23), 2),
+    "unequal-rows": (lambda: _unequal_rows(), 3),
+    "lone-off-diagonal-entry": (_lone_off_diagonal_entry, 1),
+    "icosahedron": (lambda: icosahedron_lines().bases.dense(), 1),
 }
 
 
 @pytest.mark.parametrize("name", STATS_CASES)
 def test_cyclic_gram_stats_and_spectrum_are_those_of_the_dense_gram(name):
-    build, shifts, groups = STATS_CASES[name]
+    build, groups = STATS_CASES[name]
     bases = np.asarray(build())
-    gram = gram_of(bases, shifts)
-    assert len(gram.c) == len(gram.group) == len(bases) and gram.h.shape == (groups, groups, shifts)
+    t, d = len(bases), bases.shape[-1]
+    gram = gram_of(bases)
+    assert len(gram.c) == len(gram.group) == t and gram.h.shape == (groups, groups, d)
     assert gram.group.max() == groups - 1 and gram.group[0] == 0
     stats = gram_stats(gram)
-    # the oracle: the rows G[t*s] of the dense Gram, each base against every member gathered,
+    # the oracle: the rows G[t*d] of the dense Gram, each base against every member gathered,
     # one orbit at a time; a shifted member's row is its base's row permuted
-    t, d = len(bases), bases.shape[-1]
     flat = bases.reshape(t, -1)
-    rows = np.concatenate([flat.conj() @ orbit_stack(bases[[u]], shifts).reshape(shifts, -1).T for u in range(t)], axis=1)
-    own = np.arange(t) * shifts
+    rows = np.concatenate([flat.conj() @ orbit_stack(bases[[u]]).reshape(d, -1).T for u in range(t)], axis=1)
+    own = np.arange(t) * d
     off = np.abs(rows)
     off[np.arange(t), own] = 0.0
     assert stats.diag.dtype == rows.dtype
     assert _close(stats.diag, rows[np.arange(t), own])
     assert _close(stats.radii, off.sum(axis=1))
     assert _close(stats.max_off, np.max(off))
-    assert _close(stats.sq_off, (off**2).reshape(t, t, shifts).sum(axis=2))
+    assert _close(stats.sq_off, (off**2).reshape(t, t, d).sum(axis=2))
     if name == "lone-off-diagonal-entry":
         assert np.all(gram.h == 0)
-    if t * shifts <= 300:  # the whole n x n Gram and its eigenvalues
-        whole = dense_gram(orbit_stack(bases, shifts))
+    if t * d <= 300:  # the whole n x n Gram and its eigenvalues
+        whole = dense_gram(orbit_stack(bases))
         assert np.max(np.abs(gram_spectrum(gram) - np.linalg.eigvalsh(whole))) <= 1e-12 * d * d
 
 
@@ -229,7 +226,7 @@ def test_cyclic_gram_stats_carry_a_non_finite_entry(kind, at, value):
     bases = np.array(_residue_bases(7, kind))
     assert bases[at] != 0
     bases[at] = value
-    stats = gram_stats(gram_of(bases, 7))
+    stats = gram_stats(gram_of(bases))
     assert not np.isfinite(stats.radii).any() and not math.isfinite(stats.max_off)
     # base 1 meets every other base: its row and column of sq_off, and no other entry, are not finite.
     # An entry alone on its offset meets base 1's own shifts at x = 0 alone, the own entry left out
@@ -311,7 +308,7 @@ def test_support_product_is_the_dense_product(name):
 
 def _dense_with_a_zero_row():
     """Four dense real 7 x 7 bases, base 1 with row 0 exactly 0: every row of the union is full,
-    so support_product takes its matmul path, where an entry at (1, 0, 4) meets exact zeros."""
+    and an entry at (1, 0, 4) meets exact zeros in the terms of its row."""
     bases = np.random.default_rng(68).standard_normal((4, 7, 7))
     bases[1, 0] = 0.0
     return bases
@@ -332,8 +329,8 @@ def test_support_product_carries_a_non_finite_entry(kind, at, value):
 
 
 def test_support_product_stays_inside_the_byte_budget(monkeypatch):
-    # complex bases, d = 12, whose last column is 0: rows of s = 11 columns, so the terms are
-    # summed, not multiplied as dense bases are.  A base's 12 * 11 * 11 terms and c's 12 * 11
+    # complex bases, d = 12, whose last column is 0: rows of s = 11 columns.  A base's
+    # 12 * 11 * 11 terms and c's 12 * 11
     # values, their keys and its sums take 40 KiB, so a budget of 120 KiB holds two bases and
     # the twelve bases go in six blocks
     bases = np.random.default_rng(65).standard_normal((12, 12, 12)) + 0j
@@ -357,21 +354,6 @@ def test_support_product_stays_inside_the_byte_budget(monkeypatch):
     # buffers for the broadcast product of a block, one for each of its three operands
     products = 2 * 12 * 11 * 11
     assert peak - gap.nbytes - cols.nbytes <= matcore._BLOCK_BYTES + 4 * terms * 8 + 2 * terms * 8 + 3 * products * 16
-
-
-def test_support_product_of_full_rows_is_one_matmul_a_block(monkeypatch):
-    # dense bases read every column of every row: the terms are those of the dense product,
-    # so each block of the budget, a base's conjugate and product (4.5 KiB), is one matmul
-    bases = np.random.default_rng(66).standard_normal((12, 12, 12)) + 1j * np.random.default_rng(67).standard_normal((12, 12, 12))
-    full = SupportStack.of(bases, 12)
-    assert full.cols.shape == (12, 12)
-    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 3 * 2 * 12 * 12 * 16)
-    matmul, shapes = np.matmul, []
-    monkeypatch.setattr(np, "matmul", lambda a, b, **kw: shapes.append(a.shape) or matmul(a, b, **kw))
-    cols, gap = support_product(full, full)
-    assert shapes == [(3, 12, 12)] * 4
-    assert np.array_equal(cols, np.arange(12 * 12))
-    assert_is_the_dense_gap(cols, gap, bases.conj().transpose(0, 2, 1) @ bases - bases)
 
 
 @pytest.mark.parametrize("name", ["unequal-rows", "dense-complex", "U-p23", "tampered-U-p79"])
@@ -427,24 +409,36 @@ def test_is_unitary_phase_reflection():
     assert dev <= 1e-12
 
 
+def whole_of(gram):
+    """The n x n Gram that the parts of a CyclicGram fix: G[t*d + x, t'*d + x'] = c[t, t'] [x' = x] + h[group[t], group[t'], x' - x]."""
+    d = gram.h.shape[-1]
+    t, x = np.divmod(np.arange(len(gram.c) * d), d)
+    shift = (x - x[:, None]) % d
+    return gram.h[gram.group[t][:, None], gram.group[t], shift] + np.where(shift == 0, gram.c[t[:, None], t], 0)
+
+
 def test_gram_matrix_is_hermitian():
     rng = np.random.default_rng(13)
     mats = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(4)]
-    g = gram_of(mats).c
+    g = whole_of(gram_of(mats))
+    assert g.shape == (12, 12)
     assert np.max(np.abs(g - g.conj().T)) < EPS
 
 
 def test_gram_matrix_row_blocks_match_one_product(monkeypatch):
+    # bases nonzero on row 0 alone: every entry is alone on its offset, so c is their whole product
     rng = np.random.default_rng(29)
-    complex_stack = rng.standard_normal((10, 4, 4)) + 1j * rng.standard_normal((10, 4, 4))
-    real_stack = rng.standard_normal((10, 4, 4))
-    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 3 * 10 * 16)  # three complex Gram rows
-    assert [rows.stop - rows.start for rows in matcore._blocks(10, 10 * 16)] == [3, 3, 3, 1]
+    complex_stack = np.zeros((10, 4, 4), dtype=complex)
+    complex_stack[:, 0] = rng.standard_normal((10, 4)) + 1j * rng.standard_normal((10, 4))
+    real_stack = np.zeros((10, 4, 4))
+    real_stack[:, 0] = rng.standard_normal((10, 4))
+    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 3 * (10 + 4) * 16)  # three complex rows of c and their values
+    assert [rows.stop - rows.start for rows in matcore._blocks(10, (10 + 4) * 16)] == [3, 3, 3, 1]
     for stack in (complex_stack, real_stack):
         flat = stack.reshape(10, 16)
-        g = gram_of(stack).c
-        assert g.dtype == stack.dtype
-        assert np.max(np.abs(g - flat.conj() @ flat.T)) < 1e-12
+        gram = gram_of(stack)
+        assert gram.c.dtype == stack.dtype and np.all(gram.h == 0)
+        assert np.max(np.abs(gram.c - flat.conj() @ flat.T)) < 1e-12
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -453,10 +447,9 @@ def test_gram_rows_of_shifted_bases_are_rows_of_the_whole_gram(dtype):
     bases = rng.standard_normal((3, 5, 5)).astype(dtype)
     if dtype is complex:
         bases += 1j * rng.standard_normal((3, 5, 5))
-    members = orbit_stack(bases, 5)
+    members = orbit_stack(bases)
     assert members.shape == (15, 5, 5) and not members.flags.writeable
-    assert orbit_stack(bases, 1) is bases
-    rows = rows_of(gram_of(bases, 5))
+    rows = rows_of(gram_of(bases))
     whole = dense_gram(members)
     assert rows.shape == (3, 15) and rows.dtype == dtype
     assert np.max(np.abs(rows - whole[::5])) < 1e-12
@@ -465,7 +458,7 @@ def test_gram_rows_of_shifted_bases_are_rows_of_the_whole_gram(dtype):
 def rolled_rows(bases):
     """Row t, column t'*d + x: tr(bases[t]* bases[t'] shifted by x), every shift rolled over all d^2 entries.
 
-    The dense reference for the rows of cyclic_gram(bases, d): no support, no DFT.
+    The dense reference for the rows of cyclic_gram(bases): no support, no DFT.
     """
     m, d = len(bases), bases.shape[-1]
     flat = bases.reshape(m, -1)
@@ -476,7 +469,7 @@ def rolled_rows(bases):
 
 
 def assert_rows_match_the_rolled_rows(bases):
-    rows = rows_of(gram_of(bases, bases.shape[-1]))
+    rows = rows_of(gram_of(bases))
     reference = rolled_rows(bases)
     assert rows.shape == reference.shape and rows.dtype == reference.dtype
     # each entry sums at most d^2 products, so a change of order moves it by at most d^2 ulps of max |B|^2
@@ -567,9 +560,9 @@ def test_matched_pair_gram_rows_are_rows_of_the_dense_gram(name):
     # the reference: every member gathered and the whole n x n Gram as one dense product
     bases = np.asarray(MATCHED_PAIR_CASES[name](np.random.default_rng(70), 7))
     t, d = len(bases), bases.shape[-1]
-    members = orbit_stack(bases, d).reshape(t * d, -1)
+    members = orbit_stack(bases).reshape(t * d, -1)
     whole = members.conj() @ members.T
-    rows = rows_of(gram_of(bases, d))
+    rows = rows_of(gram_of(bases))
     assert rows.shape == (t, t * d) and rows.dtype == whole.dtype
     scale = max(1.0, float(np.max(np.abs(bases)))) ** 2
     bound = d * d * np.finfo(float).eps * scale
@@ -593,7 +586,7 @@ def test_matched_pair_gram_multiplies_the_diagonal_alone_off_shift_zero(kind):
     # (q, kq) shifted is another pair's only if -q is a residue, and -1 is no residue mod 23.
     # The diagonal, the same in every base, is the one correlation, for every x
     bases = _residue_bases(23, kind)
-    gram = gram_of(bases, 23)
+    gram = gram_of(bases)
     assert gram.group.tolist() == [0] * 12 and gram.h.shape == (1, 1, 23)
     off = (bases * (1 - np.eye(23))).reshape(12, -1)
     assert np.count_nonzero(union_support(off.reshape(12, 23, 23))) == 22
@@ -604,22 +597,20 @@ def test_matched_pair_gram_multiplies_the_diagonal_alone_off_shift_zero(kind):
     assert np.max(np.abs(gram.h[0, 0] - autocorrelation)) <= 1e-14
 
 
-@pytest.mark.parametrize("shifts", [1, 47])
-def test_gram_passes_stay_inside_the_byte_budget(shifts, monkeypatch):
-    # at p=47 one conjugated member is 76 KiB: a 1 MiB budget holds a few
-    # rows of the dense twin's product with their conjugated members, and
-    # the orbit family's diagonals and off-diagonal entries are a few KiB
-    fam = build_residue_family(validate_prime(47), construct(24))
-    uf = build_unitaries(fam, compute_phase(47, 23))
-    bases = SupportStack.of(uf.unitaries, 47) if shifts == 1 else uf.bases
+@pytest.mark.parametrize("p", [47])
+def test_gram_passes_stay_inside_the_byte_budget(p, monkeypatch):
+    # at p=47 one conjugated member is 76 KiB, and the family's diagonals and
+    # off-diagonal entries are a few KiB: a 1 MiB budget holds them
+    fam = build_residue_family(validate_prime(p), construct((p + 1) // 2))
+    bases = build_unitaries(fam, compute_phase(p, (p - 1) // 2)).bases
     monkeypatch.setattr(matcore, "_BLOCK_BYTES", 1 << 20)
     tracemalloc.start()
     try:
-        gram = cyclic_gram(bases, shifts)
+        gram = cyclic_gram(bases)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert gram.c.shape == (len(bases), len(bases)) and gram.h.shape == (1, 1, shifts)
+    assert gram.c.shape == (len(bases), len(bases)) and gram.h.shape == (1, 1, p)
     assert peak - gram.c.nbytes - gram.h.nbytes <= matcore._BLOCK_BYTES
 
 

@@ -1,7 +1,7 @@
 import json
 import math
 import tracemalloc
-from dataclasses import asdict, replace
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +14,6 @@ from umebkit.errors import (
     MalformedArtifact,
     NotOrthogonal,
     NotReal,
-    OutOfRange,
     RankOutOfRange,
 )
 from umebkit.hadamard import HadamardMatrix, construct
@@ -33,7 +32,7 @@ from umebkit.packing import (
 )
 from umebkit.umeb import build_unitaries, compute_phase
 
-from oracles import dense_base_vectors, identity_coefficient, numerical_rank, projection_from_basis
+from oracles import dense_base_vectors, dense_equiangular, identity_coefficient, numerical_rank, projection_from_basis
 
 EPS = 1e-9
 SQRT2 = math.sqrt(2.0)
@@ -172,7 +171,7 @@ def test_projection_families_are_real():
     dense = fam.bases.dense()
     for bases in (dense + 0j, dense * 1j, list(dense.astype(complex))):
         with pytest.raises(NotReal):
-            ProjectionFamily(7, 3, bases, fam.beta, shifts=7)
+            ProjectionFamily(7, 3, bases, fam.beta)
 
 
 def test_residue_family_shift_one_matches_worked_case():
@@ -231,7 +230,7 @@ def test_build_residue_family_p7():
     assert len(fam) == 28
     assert (fam.d, fam.r) == (7, 3)
     assert fam.beta == Fraction(11, 9)
-    assert fam.shifts == 7 and fam.bases.dense().shape == (4, 7, 7)
+    assert fam.bases.dense().shape == (4, 7, 7)
     report = verify_equiangular(fam)
     assert report.pairs == 378
     assert report.passed
@@ -261,11 +260,12 @@ def test_equiangularity_for_every_nonresidue_choice(k):
     assert verify_equiangular(fam).passed
 
 
-def test_verify_equiangular_single_projection_vacuous():
+def test_verify_equiangular_single_base_is_one_orbit():
+    # one base of the p=7 family: its 7 shifts, every pair of them at the common angle
     fam = p7_family()
-    single = ProjectionFamily(d=7, r=3, bases=fam.projections[:1], beta=fam.beta, scale=fam.scale)
+    single = ProjectionFamily(d=7, r=3, bases=fam.bases.dense()[:1], beta=fam.beta, scale=fam.scale)
     report = verify_equiangular(single)
-    assert report.pairs == 0
+    assert len(single) == 7 and report.pairs == 21
     assert report.passed
 
 
@@ -274,13 +274,13 @@ def test_verify_equiangular_flags_duplicate():
     dup = ProjectionFamily(
         d=7,
         r=3,
-        bases=np.concatenate((fam.projections, fam.projections[:1])),
+        bases=np.concatenate((fam.bases.dense(), fam.bases.dense()[:1])),
         beta=fam.beta,
         scale=fam.scale,
     )
     report = verify_equiangular(dup)
     assert not report.passed
-    # duplicated member pairs with itself: tr(P P) = 3 against target 11/9
+    # each member of the duplicated orbit pairs with its copy: tr(P P) = 3 against target 11/9
     assert abs(report.max_angle_dev - 16 / 9) < EPS
 
 
@@ -291,7 +291,7 @@ def test_verify_equiangular_fails_a_base_with_a_non_finite_entry(value, at):
     fam = p7_family()
     bases = np.array(fam.bases.dense())
     bases[at] = value
-    report = verify_equiangular(ProjectionFamily(7, 3, bases, fam.beta, shifts=7))
+    report = verify_equiangular(ProjectionFamily(7, 3, bases, fam.beta))
     assert not report.passed
     # the Gram rows carry it to the angles, not only the idempotency check
     assert not report.max_angle_dev <= EPS
@@ -299,11 +299,10 @@ def test_verify_equiangular_fails_a_base_with_a_non_finite_entry(value, at):
 
 
 def test_an_oblique_idempotent_family_fails_the_idempotency_check():
-    # P = e3 (e3 + e1)^T and Q = e2 (e2 + e0)^T in d = 5: P P = P and Q Q = Q, tr P = tr Q = 1 and
-    # tr(P Q) = 0, but neither is symmetric, so neither is an orthogonal projection.  P^T P - P
-    # is 1 at (1, 1) and (1, 3)
+    # P = e3 (e3 + e1)^T in d = 5: P P = P, tr P = 1 and no two of its shifts share an entry, but
+    # P is not symmetric, so it is not an orthogonal projection.  P^T P - P is 1 at (1, 1) and (1, 3)
     e = np.eye(5)
-    bases = np.stack((np.outer(e[3], e[3] + e[1]), np.outer(e[2], e[2] + e[0])))
+    bases = np.outer(e[3], e[3] + e[1])[None]
     assert np.array_equal(bases @ bases, bases)
     report = verify_equiangular(ProjectionFamily(d=5, r=1, bases=bases, beta=Fraction(0)))
     assert report.max_angle_dev == 0.0 and report.max_rank_dev == 0.0
@@ -389,7 +388,7 @@ def test_residue_family_is_the_per_shift_construction(p):
     prime = validate_prime(p)
     h = construct((p + 1) // 2)
     fam = build_residue_family(prime, h)
-    assert fam.shifts == p and len(fam.bases) == (p + 1) // 2
+    assert len(fam.bases) == (p + 1) // 2
     for i, proj in enumerate(fam.projections):
         t, shift = divmod(i, p)
         expected = projection_from_basis(np.roll(loop_base_vectors(prime, h, t), shift, axis=-1))
@@ -398,9 +397,11 @@ def test_residue_family_is_the_per_shift_construction(p):
         assert proj.tobytes() == expected.tobytes()
 
 
-def _with_last_member(fam, last):
-    """The dense twin of fam with its last member replaced: shifts = 1, every member a base."""
-    return ProjectionFamily(fam.d, fam.r, np.concatenate((fam.projections[:-1], [last])), fam.beta)
+def _with_last_base(fam, edit):
+    """fam with its last base, and so every shift of it, replaced by edit(base)."""
+    bases = np.array(fam.bases.dense())
+    bases[-1] = edit(bases[-1])
+    return replace(fam, bases=bases)
 
 
 @pytest.mark.parametrize("p", [3, 7, 23])
@@ -408,54 +409,44 @@ def test_dense_members_are_the_shifted_bases(p):
     # member t*p + x is P_t[i - x, j - x], bit for bit, for the family, its dual and its unitaries
     fam = residue_family(p)
     uf = build_unitaries(fam, compute_phase(p, fam.r))
-    for family, members in ((fam, fam.projections), (dual_family(fam), dual_family(fam).projections), (uf, uf.unitaries)):
+    families = [fam, dual_family(fam), uf] + ([icosahedron_lines()] if p == 3 else [])
+    for family in families:
+        members = family.unitaries if family is uf else family.projections
         assert members.shape == (p * (p + 1) // 2, p, p) and not members.flags.writeable
         bases = family.bases.dense()
         for i, member in enumerate(members):
             t, x = divmod(i, p)
             assert member.tobytes() == np.roll(bases[t], (x, x), axis=(0, 1)).tobytes()
     assert fam.projections is fam.projections  # gathered once
-    icosahedron = icosahedron_lines()
-    assert icosahedron.projections.tobytes() == icosahedron.bases.dense().tobytes()
-
-
-def test_families_reject_a_shift_count_other_than_one_or_d():
-    fam = p7_family()
-    uf = build_unitaries(fam, compute_phase(7, 3))
-    for shifts in (0, 2, 6, 8, 49, -7):
-        with pytest.raises(OutOfRange, match="shifts"):
-            replace(fam, shifts=shifts)
-        with pytest.raises(OutOfRange, match="shifts"):
-            replace(uf, shifts=shifts)
-    assert len(replace(fam, shifts=1)) == 4 and len(replace(uf, shifts=1)) == 4
 
 
 def test_verify_equiangular_checks_the_last_chunk(monkeypatch):
-    # blocks of 100 real 23 x 23 bases: 100 + 100 + 76 idempotency blocks of the dense twin
-    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 100 * 23 * 23 * 8)
+    # a base's idempotency terms at p=23: 23 * 2 * 2 products and 23 * 2 values of c, with
+    # their keys, and 47 sums with theirs, 16 bytes each; a budget of five such bases sums
+    # the 12 bases in blocks of 5, 5 and 2, one np.bincount each
+    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 5 * (23 * 2 * 2 + 23 * 2 + 47) * 16)
     fam = build_residue_family(validate_prime(23), construct(12))
-    per_block = matcore._BLOCK_BYTES // (23 * 23 * fam.projections.itemsize)
-    assert per_block < len(fam) and len(fam) % per_block and verify_equiangular(fam).passed
+    bincount, sums = np.bincount, []
+    monkeypatch.setattr(np, "bincount", lambda *a, **k: (len(a) == 3 and sums.append(a[2])) or bincount(*a, **k))
+    assert verify_equiangular(fam).passed
+    assert sums == [5 * 47, 5 * 47, 2 * 47]
 
-    poisoned = fam.projections[-1].copy()
-    poisoned[0, 1] = np.nan
-    report = verify_equiangular(_with_last_member(fam, poisoned))
+    def poison(base):
+        base[0, 1] = np.nan
+        return base
+
+    report = verify_equiangular(_with_last_base(fam, poison))
     assert not report.passed
     assert math.isnan(report.max_angle_dev)
     assert math.isnan(report.max_idempotency_dev)
 
-    report = verify_equiangular(_with_last_member(fam, fam.projections[-1] * (1 + 1e-6)))
+    report = verify_equiangular(_with_last_base(fam, lambda base: base * (1 + 1e-6)))
     assert not report.passed
     assert report.max_idempotency_dev > EPS
 
 
 def residue_family(p):
     return build_residue_family(validate_prime(p), construct((p + 1) // 2))
-
-
-def dense(fam):
-    """The dense twin of a family: its members as bases with shifts = 1, the oracle that reads every Gram row."""
-    return ProjectionFamily(fam.d, fam.r, fam.projections, fam.beta, scale=fam.scale)
 
 
 def spy_gram_shapes(monkeypatch, module):
@@ -474,7 +465,7 @@ def spy_gram_shapes(monkeypatch, module):
 
 def assert_matches_dense(report, oracle):
     """Every float field within 1e-13 of the oracle's, every other field equal."""
-    for field, value in asdict(oracle).items():
+    for field, value in oracle.items():
         if isinstance(value, float):
             assert abs(getattr(report, field) - value) <= 1e-13, field
         else:
@@ -496,45 +487,10 @@ def test_equiangular_check_from_orbit_rows_matches_the_dense_check(name, monkeyp
     p, n = fam.d, len(fam)
     shapes = spy_gram_shapes(monkeypatch, packing)
     report = verify_equiangular(fam)
-    oracle = verify_equiangular(dense(fam))
-    assert fam.shifts == p
     t = (p + 1) // 2
-    assert shapes == [((t, t), (1, 1, p)), ((n, n), (1, 1, 1))]
+    assert shapes == [((t, t), (1, 1, p))] and n == t * p
     assert report.passed
-    assert_matches_dense(report, oracle)
-
-
-def _perturbed_entry(fam):
-    members = np.array(fam.projections)
-    members[-1, 2, 4] += 1e-12  # the last member
-    return replace(fam, bases=members, shifts=1)
-
-
-def _swapped_orbits(fam):
-    members = np.array(fam.projections)
-    members[[3, 10]] = members[[10, 3]]  # shift 3 of orbits 0 and 1
-    return replace(fam, bases=members, shifts=1)
-
-
-def _not_whole_orbits(fam):
-    return replace(fam, bases=fam.projections[:27], shifts=1)
-
-
-@pytest.mark.parametrize(
-    "build",
-    [lambda: icosahedron_lines(), lambda: _perturbed_entry(p7_family()),
-     lambda: _swapped_orbits(p7_family()), lambda: _not_whole_orbits(p7_family())],
-    ids=["icosahedron", "perturbed-entry", "swapped-orbits", "not-whole-orbits"],
-)
-def test_equiangular_check_without_orbit_structure_reads_every_gram_row(build, monkeypatch):
-    fam = build()
-    n = len(fam)
-    shapes = spy_gram_shapes(monkeypatch, packing)
-    report = verify_equiangular(fam)
-    assert fam.shifts == 1
-    assert shapes == [((n, n), (1, 1, 1))]
-    assert report.passed  # each is still equiangular within eps
-    assert report == verify_equiangular(dense(fam))
+    assert_matches_dense(report, dense_equiangular(fam.projections, fam.r, fam.beta))
 
 
 def test_gram_matrix_nonsingular_for_generated_families():
@@ -570,7 +526,7 @@ def test_family_json_round_trip():
     fam = p7_family()
     again = family_from_json(family_to_json(fam))
     assert (again.d, again.r, again.beta) == (fam.d, fam.r, fam.beta)
-    assert again.shifts == fam.shifts == 7
+    assert family_to_json(fam)["shifts"] == 7 and len(again) == len(fam) == 28
     assert again.bases.values.dtype == float
     assert again.bases.dense().tobytes() == fam.bases.dense().tobytes()
     assert again.projections.tobytes() == fam.projections.tobytes()
@@ -580,28 +536,35 @@ def test_family_json_round_trip():
 
 
 def test_family_json_checks_the_coefficient_of_an_orbit_family():
-    for fam in (p7_family(), dual_family(p7_family())):
+    for fam in (p7_family(), dual_family(p7_family()), icosahedron_lines()):
         obj = family_to_json(fam)
-        assert family_from_json(obj).scale == off_support_scale(7)
-        for scale in (None, off_support_scale(7) * (1 + 1e-12), off_support_scale(23)):
+        assert family_from_json(obj).scale == off_support_scale(fam.d)
+        for scale in (None, 1.5, off_support_scale(fam.d) * (1 + 1e-12), off_support_scale(23)):
             with pytest.raises(MalformedArtifact, match="C = "):
                 family_from_json({**obj, "C": scale})
-    # with shifts = 1 C is not the residue coefficient, and any value loads
-    obj = family_to_json(icosahedron_lines())
-    assert family_from_json({**obj, "C": 1.5}).scale == 1.5
-    obj = family_to_json(dense(p7_family()))
-    assert family_from_json({**obj, "C": None}).scale is None
 
 
-def test_family_json_icosahedron_has_one_shift():
+def test_family_json_icosahedron_round_trips_with_three_shifts():
     fam = icosahedron_lines()
     obj = family_to_json(fam)
-    assert obj["C"] is None
-    assert obj["shifts"] == 1 and obj["bases"]["shape"] == [6, 3, 3]
+    assert obj["C"] == (1 + math.sqrt(5)) / 2 == off_support_scale(3)
+    assert obj["shifts"] == 3 and obj["bases"]["shape"] == [2, 3, 3]
     again = family_from_json(json.loads(json.dumps(obj)))
-    assert again.shifts == 1 and len(again) == 6
+    assert len(again) == 6 and again.scale == fam.scale
     assert again.bases.dense().tobytes() == fam.bases.dense().tobytes()
     assert verify_equiangular(again) == verify_equiangular(fam)
+
+
+def test_icosahedron_lines_are_the_residue_family_at_p3():
+    # the two bases onto (0, 1, phi) and (0, -1, phi), each shifted 3 ways: as a set, the six
+    # projections of the paper's construction at p = 3, with phi its off-support coefficient
+    lines = icosahedron_lines()
+    residue = residue_family(3)
+    assert lines.scale == off_support_scale(3) == residue.scale
+    assert len(lines) == len(residue) == 6
+    for stack, other in ((lines.projections, residue.projections), (residue.projections, lines.projections)):
+        for member in stack:
+            assert min(np.max(np.abs(member - q)) for q in other) <= 1e-15
 
 
 def test_family_json_rejects_the_dense_format():

@@ -92,4 +92,9 @@ def test_a_unitary_artifact_has_one_format():
     # U_i = I - (1 - z)P_i: the projection family and z fix the unitaries, so the one
     # artifact is those two, and a unitary family keeps no family of its own
     assert cli.UNITARY_FIELDS == ["d", "source", "z"]
-    assert [field.name for field in dataclasses.fields(umeb.UnitaryFamily)] == ["d", "z", "bases", "shifts"]
+    assert [field.name for field in dataclasses.fields(umeb.UnitaryFamily)] == ["d", "z", "bases"]
+
+
+def test_a_family_holds_no_shift_count():
+    # every family is T bases, each moved by all d shifts, so its size is T d and no field counts shifts
+    assert [field.name for field in dataclasses.fields(packing.ProjectionFamily)] == ["d", "r", "bases", "beta", "scale"]

@@ -1,7 +1,7 @@
 import json
 import math
 import tracemalloc
-from dataclasses import asdict, replace
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +28,7 @@ from umebkit.umeb import (
     feasibility,
 )
 
-from oracles import dense_gram, numerical_rank
+from oracles import dense_certificate, dense_gram, numerical_rank
 
 EPS = 1e-9
 
@@ -183,26 +183,28 @@ def test_certify_icosahedron():
 
 def test_certify_truncated_family_fails():
     uf = p7_unitaries()
-    truncated = UnitaryFamily(d=7, z=uf.z, bases=uf.unitaries[:27])
+    truncated = UnitaryFamily(d=7, z=uf.z, bases=uf.bases.dense()[:3])  # 3 of the 4 orbits: 21 members
     cert = certify_umeb(truncated)
-    assert cert.span_rank == 27
+    assert cert.span_rank == 21
     assert not cert.symmetric_span
     assert not cert.unextendible_verdict
 
 
 def test_certify_verdict_monotone_under_removal():
     uf = p7_unitaries()
-    for drop in range(28):
-        rest = np.delete(uf.unitaries, drop, axis=0)
+    for drop in range(4):  # each orbit in turn
+        rest = np.delete(uf.bases.dense(), drop, axis=0)
         cert = certify_umeb(UnitaryFamily(d=7, z=uf.z, bases=rest))
         assert not cert.symmetric_span
         assert not cert.unextendible_verdict
 
 
 def _p7_with_first(replace):
+    """The p=7 unitaries with base 0, and so every shift of it, replaced by replace(U_0, P_0)."""
     uf = p7_unitaries()
-    first = replace(uf.unitaries[0], p7_family().projections[0])
-    return UnitaryFamily(d=7, z=uf.z, bases=np.concatenate(([first], uf.unitaries[1:])))
+    bases = uf.bases.dense()
+    first = replace(bases[0], p7_family().bases.dense()[0])
+    return UnitaryFamily(d=7, z=uf.z, bases=np.concatenate(([first], bases[1:])))
 
 
 def test_certify_rejects_member_with_other_phase():
@@ -248,11 +250,10 @@ def test_certify_fails_a_base_with_a_non_finite_entry(value, at):
         bases[at] = value
         return bases
 
-    for uf in (_p7_bases(edit), _p7_members(edit)):  # whole orbits and the dense twin
-        cert = certify_umeb(uf)  # a verdict, not a LinAlgError from eigvalsh
-        assert not cert.unextendible_verdict and not cert.symmetric_span
-        assert cert.span_rank == 0
-        assert not cert.cj_orthonormality_dev <= EPS
+    cert = certify_umeb(_p7_bases(edit))  # a verdict, not a LinAlgError from eigvalsh
+    assert not cert.unextendible_verdict and not cert.symmetric_span
+    assert cert.span_rank == 0
+    assert not cert.cj_orthonormality_dev <= EPS
 
 
 def test_certify_even_dimension_flagged():
@@ -271,17 +272,19 @@ def _residue_unitaries(p):
     return build_unitaries(fam, compute_phase(p, (p - 1) // 2))
 
 
-def _p7_members(edit):
-    uf = p7_unitaries()
-    return UnitaryFamily(d=7, z=uf.z, bases=edit(uf.unitaries))
-
-
 def _p7_bases(edit):
+    """The p=7 unitaries with their bases edited: every shift of an edited base changes with it."""
     uf = p7_unitaries()
-    return UnitaryFamily(d=7, z=uf.z, bases=edit(uf.bases.dense()), shifts=7)
+    return UnitaryFamily(d=7, z=uf.z, bases=edit(uf.bases.dense()))
 
 
-# name -> (family, whether the Gershgorin discs prove the rank, verdict)
+def _shifted_once(base):
+    """base shifted by 1, [i, j] -> [i - 1, j - 1]: member 1 of its orbit."""
+    return np.roll(base, (1, 1), axis=(0, 1))
+
+
+# name -> (family, whether the Gershgorin discs prove the rank, verdict); the edits are of
+# the bases, so every shift of an edited base changes with it
 RANK_CASES = {
     "icosahedron": (lambda: build_unitaries(icosahedron_lines(), compute_phase(3, 1)), True, True),
     "p3": (lambda: _residue_unitaries(3), True, True),
@@ -289,16 +292,16 @@ RANK_CASES = {
     "p23": (lambda: _residue_unitaries(23), True, True),
     "p31": (lambda: _residue_unitaries(31), True, True),
     # discs around 8.75 and 7, both of radius 3.5: full rank, proved by the discs
-    "p7-u0+0.5u1": (lambda: _p7_members(lambda us: np.concatenate(([us[0] + 0.5 * us[1]], us[1:]))), True, False),
-    # disc of row 1 is 7 +- 14: full rank, but only the spectrum shows it
-    "p7-u0+2u1": (lambda: _p7_members(lambda us: np.concatenate(([us[0] + 2 * us[1]], us[1:]))), False, False),
-    "p7-duplicate": (lambda: _p7_members(lambda us: np.concatenate((us, us[:1]))), False, False),
-    # the same edit on base 0 of the orbit family: every shift of it, and the
-    # spectrum from the shift blocks of the orbit rows
-    "p7-orbit-u0+2u1": (lambda: _p7_bases(lambda bs: np.concatenate(([bs[0] + 2 * bs[1]], bs[1:]))), False, False),
+    "p7-u0+0.5u1": (lambda: _p7_bases(lambda bs: np.concatenate(([bs[0] + 0.5 * bs[1]], bs[1:]))), True, False),
+    # disc of a row of orbit 1 is 7 +- 14: full rank, but only the spectrum shows it
+    "p7-u0+2u1": (lambda: _p7_bases(lambda bs: np.concatenate(([bs[0] + 2 * bs[1]], bs[1:]))), False, False),
+    "p7-duplicate": (lambda: _p7_bases(lambda bs: np.concatenate((bs, bs[:1]))), False, False),
+    # base 0 plus twice its own shift by 1: discs around 35 of radius 28, and 7 of radius 0,
+    # so the discs prove the full rank of a circulant orbit
+    "p7-orbit-u0+2u1": (lambda: _p7_bases(lambda bs: np.concatenate(([bs[0] + 2 * _shifted_once(bs[0])], bs[1:]))), True, False),
     "p7-nonsymmetric": (
-        lambda: _p7_members(
-            lambda us: np.concatenate(([us[0] @ np.diag(np.exp(1j * np.arange(7)))], us[1:]))
+        lambda: _p7_bases(
+            lambda bs: np.concatenate(([bs[0] @ np.diag(np.exp(1j * np.arange(7)))], bs[1:]))
         ),
         False,
         False,
@@ -309,16 +312,8 @@ RANK_CASES = {
 def spectral_fields(uf, tol=Tolerance()):
     """The certificate fields that rest on the rank proof, computed the way
     certify_umeb did before the disc bound: from every Gram eigenvalue."""
-    stack = np.asarray(uf.unitaries)
-    anti = np.abs(stack - stack.transpose(0, 2, 1))
-    eigs = np.linalg.eigvalsh(dense_gram(stack))
-    rank = numerical_rank(uf.unitaries, tol)
-    lam = eigs[-rank] if rank else 0.0
-    return {
-        "span_rank": rank,
-        "symmetric_span": rank == uf.d * (uf.d + 1) // 2 and np.max(anti) <= tol.eps,
-        "complement_antisymmetric": np.sum(anti**2) / 4 <= tol.eps**2 * lam,
-    }
+    oracle = dense_certificate(uf.unitaries, tol)
+    return {field: oracle[field] for field in ("span_rank", "symmetric_span", "complement_antisymmetric")}
 
 
 @pytest.mark.parametrize("name", RANK_CASES)
@@ -331,7 +326,7 @@ def test_span_rank_proof_matches_the_spectrum(name, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
     cert = certify_umeb(uf)
     monkeypatch.undo()
-    assert calls == ([] if by_discs else [(uf.shifts, len(uf.bases), len(uf.bases))])
+    assert calls == ([] if by_discs else [(uf.d, len(uf.bases), len(uf.bases))])
     assert cert.span_rank == numerical_rank(uf.unitaries)
     assert cert == replace(cert, **expected)
     assert cert.unextendible_verdict == verdict
@@ -374,7 +369,7 @@ def test_unitary_json_round_trip_is_bit_exact():
         assert sorted(obj) == ["d", "source", "z"]
         again, again_z = unitary_family_from_json(obj)
         assert again_z == z
-        assert (again.d, again.r, again.beta, again.shifts, again.scale) == (fam.d, fam.r, fam.beta, fam.shifts, fam.scale)
+        assert (again.d, again.r, again.beta, again.scale) == (fam.d, fam.r, fam.beta, fam.scale)
         assert again.bases.dense().tobytes() == fam.bases.dense().tobytes()
         assert build_unitaries(again, again_z).unitaries.tobytes() == build_unitaries(fam, z).unitaries.tobytes()
 
@@ -397,7 +392,7 @@ def test_families_keep_their_own_copy_of_the_callers_arrays():
     uf = p7_unitaries()
     expected = certify_umeb(uf)
     for members, mutate in _callers_arrays(uf.bases.dense()):
-        mine = UnitaryFamily(d=7, z=uf.z, bases=members, shifts=7)
+        mine = UnitaryFamily(d=7, z=uf.z, bases=members)
         assert certify_umeb(mine) == expected
         mutate()
         assert np.array_equal(mine.unitaries, uf.unitaries)
@@ -430,7 +425,7 @@ def test_gram_is_cached_and_is_the_gram_of_the_stack():
     uf = _residue_unitaries(23)
     gram = uf.gram
     assert gram is uf.gram
-    assert uf.shifts == 23 and gram.c.shape == (12, 12) and gram.h.shape == (1, 1, 23)
+    assert len(uf) == 276 and gram.c.shape == (12, 12) and gram.h.shape == (1, 1, 23)
     dense = dense_gram(uf.unitaries)
     # the parts fix every entry: G[t*d + x, t'*d + x'] = c[t, t'] [x' = x] + h[group[t], group[t'], (x' - x) mod d]
     t, x = np.divmod(np.arange(len(uf)), 23)
@@ -455,11 +450,6 @@ def test_certifying_a_p263_family_holds_no_gram_rows():
     assert peak <= 20 << 20
 
 
-def dense(uf):
-    """The dense twin of a family: its members as bases with shifts = 1, the oracle that reads every Gram row."""
-    return UnitaryFamily(d=uf.d, z=uf.z, bases=uf.unitaries)
-
-
 def spy_gram_shapes(monkeypatch, module):
     """Record the shapes (c, h) of every Gram that module computes: its T x T products and its correlations."""
     shapes = []
@@ -476,7 +466,7 @@ def spy_gram_shapes(monkeypatch, module):
 
 def assert_matches_dense(cert, oracle):
     """Every deviation within 1e-13 of the oracle's, every verdict, span_rank and cardinality equal."""
-    for field, value in asdict(oracle).items():
+    for field, value in oracle.items():
         if isinstance(value, float):
             assert abs(getattr(cert, field) - value) <= 1e-13, field
         else:
@@ -498,48 +488,10 @@ def test_certificate_from_orbit_rows_matches_the_dense_certificate(name, monkeyp
     p, n = uf.d, len(uf)
     shapes = spy_gram_shapes(monkeypatch, umeb)
     cert = certify_umeb(uf)
-    oracle = certify_umeb(dense(uf))
-    assert uf.shifts == p
     t = (p + 1) // 2
-    assert shapes == [((t, t), (1, 1, p)), ((n, n), (1, 1, 1))]
+    assert shapes == [((t, t), (1, 1, p))] and n == t * p
     assert cert.unextendible_verdict and cert.span_rank == cert.cardinality == p * (p + 1) // 2
-    assert_matches_dense(cert, oracle)
-
-
-def _edited_p7(edit):
-    uf = p7_unitaries()
-    return UnitaryFamily(d=7, z=uf.z, bases=edit(np.array(uf.unitaries)))
-
-
-def _perturbed_entry(members):
-    members[-1, 2, 4] += 1e-12  # the last member
-    return members
-
-
-def _swapped_orbits(members):
-    members[[3, 10]] = members[[10, 3]]  # shift 3 of orbits 0 and 1
-    return members
-
-
-@pytest.mark.parametrize(
-    "build, verdict",
-    [
-        (lambda: build_unitaries(icosahedron_lines(), compute_phase(3, 1)), True),
-        (lambda: _edited_p7(_perturbed_entry), True),
-        (lambda: _edited_p7(_swapped_orbits), True),
-        (lambda: _edited_p7(lambda members: members[:27]), False),  # 27 members span rank 27 < 28
-    ],
-    ids=["icosahedron", "perturbed-entry", "swapped-orbits", "not-whole-orbits"],
-)
-def test_certificate_without_orbit_structure_reads_every_gram_row(build, verdict, monkeypatch):
-    uf = build()
-    n = len(uf)
-    shapes = spy_gram_shapes(monkeypatch, umeb)
-    cert = certify_umeb(uf)
-    assert uf.shifts == 1
-    assert shapes == [((n, n), (1, 1, 1))]
-    assert cert.unextendible_verdict == verdict
-    assert cert == replace(cert, **spectral_fields(uf))
+    assert_matches_dense(cert, dense_certificate(uf.unitaries))
 
 
 def test_families_reject_members_of_the_wrong_shape():
@@ -556,28 +508,38 @@ def test_asymmetry_of_orbits_is_read_off_the_bases():
     uf = _residue_unitaries(23)
     bases = np.array(uf.bases.dense())
     bases[-1, 0, 1] += 1e-6
-    skewed = UnitaryFamily(d=23, z=uf.z, bases=bases, shifts=23)
-    assert skewed.asymmetry[0] == dense(skewed).asymmetry[0] == pytest.approx(1e-6, rel=1e-6)
+    skewed = UnitaryFamily(d=23, z=uf.z, bases=bases)
+    anti = np.abs(skewed.unitaries - skewed.unitaries.transpose(0, 2, 1))  # every member, entry by entry
+    assert skewed.asymmetry[0] == np.max(anti) == pytest.approx(1e-6, rel=1e-6)
     assert skewed.asymmetry[1] == pytest.approx(23 * 2e-12, rel=1e-5)
-    assert skewed.asymmetry[1] == pytest.approx(dense(skewed).asymmetry[1], rel=1e-12)
+    assert skewed.asymmetry[1] == pytest.approx(float(np.sum(anti**2)), rel=1e-12)
     cert = certify_umeb(skewed)
     assert not cert.symmetric_span and not cert.complement_antisymmetric
 
 
 def test_certify_checks_the_last_member_chunk(monkeypatch):
-    # blocks of 100 complex 23 x 23 members of the dense twins: 100 + 100 + 76 unitarity and symmetry blocks
-    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 100 * 23 * 23 * 16)
+    # a budget of five complex bases' value pairs at p=23: the symmetry check reads the 12 bases in
+    # blocks of 5, 5 and 2, and unitarity, whose terms are larger, one base a block
+    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 5 * 2 * 23 * 2 * 16)
     uf = _residue_unitaries(23)
-    per_block = matcore._BLOCK_BYTES // (23 * 23 * uf.unitaries.itemsize)
-    assert per_block < len(uf) and len(uf) % per_block and certify_umeb(uf).unextendible_verdict
-    last = uf.unitaries[-1]
-    scaled = UnitaryFamily(d=23, z=uf.z, bases=np.concatenate((uf.unitaries[:-1], [2 * last])))
+    assert [b.stop - b.start for b in matcore._blocks(12, 2 * uf.bases.values[0].nbytes)] == [5, 5, 2]
+    assert certify_umeb(uf).unextendible_verdict
+
+    def with_last_base(edit):
+        bases = np.array(uf.bases.dense())
+        bases[-1] = edit(bases[-1])
+        return UnitaryFamily(d=23, z=uf.z, bases=bases)
+
+    scaled = with_last_base(lambda u: 2 * u)
     assert abs(certify_umeb(scaled).max_unitarity_dev - 3.0) < 1e-12
-    skewed = np.array(uf.unitaries)
-    skewed[-1, 0, 1] += 1e-6
-    skewed = UnitaryFamily(d=23, z=uf.z, bases=skewed)
+
+    def skew(u):
+        u[0, 1] += 1e-6
+        return u
+
+    skewed = with_last_base(skew)
     assert skewed.asymmetry[0] == pytest.approx(1e-6, rel=1e-6)
-    assert skewed.asymmetry[1] == pytest.approx(2e-12, rel=1e-5)
+    assert skewed.asymmetry[1] == pytest.approx(23 * 2e-12, rel=1e-5)  # every shift of the last base
     assert not certify_umeb(skewed).symmetric_span
 
 
@@ -602,16 +564,17 @@ def test_a_nan_in_the_last_partial_block_reaches_every_budgeted_report(monkeypat
 @pytest.mark.parametrize("off_diagonal", [True, False], ids=["two-members-mixed", "one-member-scaled"])
 def test_cj_orthonormality_dev_is_the_full_max_of_g_over_d_minus_i(off_diagonal):
     uf = p7_unitaries()
-    members = np.array(uf.unitaries)
+    bases = np.array(uf.bases.dense())  # an edited base edits every shift of it
     if off_diagonal:
-        members[1] += 1e-3 * members[0]
+        bases[1] += 1e-3 * bases[0]
     else:
-        members[0] *= 1 + 1e-3
-    flat = members.reshape(len(uf), -1)
+        bases[0] *= 1 + 1e-3
+    edited = UnitaryFamily(d=7, z=uf.z, bases=bases)
+    flat = edited.unitaries.reshape(len(uf), -1)
     dev = np.abs(flat.conj() @ flat.T / 7 - np.eye(len(uf)))
     off = np.max(dev - np.diag(np.diag(dev)))
     assert (off > np.max(np.diag(dev))) == off_diagonal
-    cert = certify_umeb(UnitaryFamily(d=7, z=uf.z, bases=members))
+    cert = certify_umeb(edited)
     assert cert.cj_orthonormality_dev == pytest.approx(np.max(dev), rel=1e-15)
 
 
