@@ -9,27 +9,25 @@ channel's is (I + SWAP)/(d+1).
 
 verify_decomposition makes two checks.
 (a) The Choi check measures |C_mix - (I + SWAP)/(d+1)|_F.  When every
-member is exactly symmetric, there are n = d(d+1)/2 of them, no weight is
-negative and the weights are equal within each of the family's Z_d orbits
-(decided once per decomposition, _orbit_weights), it reads that distance off
-the family's trace Gram G:
+member is exactly symmetric, there are n = d(d+1)/2 of them and no weight is
+negative, it reads that distance off the family's trace Gram G:
 |W^(1/2) G W^(1/2) - (2/(d+1)) I_n|_F, an exact identity (the vec(U_j) lie
 in the n-dimensional symmetric subspace, where the target is (2/(d+1)) times
 the identity, and F W F* and W^(1/2) F* F W^(1/2) have the same spectrum).
 It reads the family's Gram stats, uf.gram_stats, which the certificate also
 reads: the per-orbit sums of squares and the diagonal.
-Otherwise it sums the squared distance over the d-row blocks
-(w o F[:, rows])^T @ conj(F), F the rows vec(U_j), subtracting the target
-in place at its identity and SWAP entries; C_mix is Hermitian, so each
-block starts at the diagonal block and the blocks right of it count twice,
-and no d^2 x d^2 matrix is formed.  (b) The random-input check draws
+Otherwise it reads the distance off d rows: every family is T bases, each
+moved by all d shifts (member t*d + x is base t shifted by x), and a mixture
+has one weight per orbit, so C_mix - (I + SWAP)/(d+1) commutes with the
+shift and its squared norm is d times that of its rows (0, a), one
+(d x n)(n x d^2) product of the members with the target subtracted in
+place at its identity and SWAP entries; no d^2 x d^2 matrix is formed.
+(b) The random-input check draws
 each batch of seeded inputs into one buffer, bit for bit those of
 random_hermitian, applies the mixture to the batch in one
 apply_decomposition call, and compares it with wh_plus_apply of the batch,
-one stack at a time.  Every family is T bases, each moved by all d shifts
-(member t*d + x is base t shifted by x), so when the weights are equal
-within each orbit, as the paper's uniform mixture has them, the mixture is
-one shift-covariant kernel K with d^3 entries: out[i, i + D] =
+one stack at a time.  With one weight per orbit the mixture is one
+shift-covariant kernel K with d^3 entries: out[i, i + D] =
 sum_{e,f} K[D, e, f] X[i + e, i + f], indices mod d.  In the input's
 diagonals X[a, a + g] that sum is a cyclic correlation over the row i, so K
 is kept transformed over the row index.  It is built once per decomposition
@@ -40,15 +38,12 @@ with the d x d DFT matrix per block of K, O(T s^2 d^2 + d^4) with one
 budgeted block and the terms beside the kernel.  It turns each batch of
 inputs into a DFT of their diagonals, one product with the d x d DFT
 matrix, d products of d x d matrices and an inverse DFT, O(d^3) per input,
-against O(n d^3) member by member, and reads the kernel once per batch;
-the DFT tables are the ones the kernel build made.  Every DFT is a
-product with the d x d DFT matrix.  A mixture whose weights differ within
-an orbit is applied member by member, in blocks of bases scattered dense
-and their shifts gathered one block at a time, as are the rows of the
-d-row blocks of (a): no check keeps the family's dense view.  Either way
-check (b) reads only the members and the weights, neither the Gram nor
-vec(U), so it stays independent of (a); a deviation that is not finite
-fails it.  Every pass but the d-row blocks and the d^3 kernel itself sizes
+against O(n d^3) for the sum over the members, and reads the kernel once
+per batch; the DFT tables are the ones the kernel build made.  Every DFT
+is a product with the d x d DFT matrix.  Check (b) reads only the members
+and the weights, neither the Gram nor vec(U), so it stays independent of
+(a); a deviation that is not finite fails it.  No check keeps the family's
+dense view.  Every pass but (a)'s d rows and the d^3 kernel itself sizes
 its blocks from matcore's one byte budget; check (b)'s batches are the one
 place that sizes its inputs, one complex d x d input per trial.
 """
@@ -78,30 +73,27 @@ def _cyclic(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class MixedUnitaryDecomposition:
-    """Convex mixture sum_j weights[j] U_j X U_j* over a unitary family.
+    """Convex mixture sum_t orbit_weights[t] sum_x U_{t,x} X U_{t,x}* over a unitary family: one weight per Z_d orbit.
 
-    The weights are kept as a tuple and the family's stack is read-only, so
-    whether the weights are equal within each orbit, the orbit kernel and
-    its DFT tables are computed once, on first use, and kept on the object.
+    orbit_weights holds one float per base of the family (ShapeMismatch
+    otherwise), the weight of each of that base's d shifts.  It is kept as a
+    tuple and the family's stack is read-only, so the orbit kernel and its
+    DFT tables are computed once, on first use, and kept on the object.
     """
 
-    weights: tuple[float, ...]
+    orbit_weights: tuple[float, ...]
     unitaries: UnitaryFamily
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(self.weights))
+        w = np.asarray(self.orbit_weights, dtype=float)
+        if w.shape != (len(self.unitaries.bases),):
+            raise ShapeMismatch(f"{w.size} orbit weights for the {len(self.unitaries.bases)} orbits of the family")
+        object.__setattr__(self, "orbit_weights", tuple(w.tolist()))
 
-    @cached_property
-    def _orbit_weights(self) -> np.ndarray | None:
-        """One weight per Z_d orbit of the family, w[::d]; None unless the weights are equal within each orbit.
-
-        This is the one test of that condition, which check (a)'s Gram path
-        and the orbit kernel both need.  A NaN weight equals no weight, so
-        it gives None.
-        """
-        w = _weights(self)
-        orbit_w = w[:: self.unitaries.d]
-        return orbit_w if np.all(w.reshape(len(orbit_w), -1) == orbit_w[:, None]) else None
+    @property
+    def weights(self) -> tuple[float, ...]:
+        """The weight of every member, read-only: member t*d + x weighs orbit_weights[t]."""
+        return tuple(w for w in self.orbit_weights for _ in range(self.unitaries.d))
 
     @cached_property
     def _dft(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -112,12 +104,12 @@ class MixedUnitaryDecomposition:
         return tables
 
     @cached_property
-    def _orbit_kernel(self) -> np.ndarray | None:
-        """The read-only orbit kernel transformed over the row index, lhat[k, D, g]; None unless _orbit_weights holds.
+    def _orbit_kernel(self) -> np.ndarray:
+        """The read-only orbit kernel transformed over the row index, lhat[k, D, g].
 
         Member t*d + x of every family is its base t shifted by x,
-        U_{t,x}[i, j] = U_t[i - x, j - x]; let the weights be equal within
-        each orbit, w_{t,x} = w_t.  Then, indices mod d and a = i - x, the
+        U_{t,x}[i, j] = U_t[i - x, j - x], and it weighs w_t, the weight
+        of its orbit.  Then, indices mod d and a = i - x, the
         mixture is out[i, i + D] =
         sum_{e,f} K[D, e, f] X[i + e, i + f] with
         K[D, e, f] = sum_t w_t sum_a U_t[a, a + e] conj(U_t[a + D, a + f]).
@@ -142,9 +134,7 @@ class MixedUnitaryDecomposition:
         """
         uf = self.unitaries
         d = uf.d
-        orbit_w = self._orbit_weights
-        if orbit_w is None:
-            return None
+        orbit_w = np.asarray(self.orbit_weights)
         coords, plus, dft = self._dft
         offs = uf.bases.offsets()  # offs[a, i]: the offset e of row a's value i, at (a, a + e)
         s = offs.shape[1]
@@ -223,39 +213,23 @@ def umeb_decomposition(
             f"symmetric matrices (rank {span.span_rank}, need {d * (d + 1) // 2})"
         )
     w = float(uniform_weight(d))
-    return MixedUnitaryDecomposition(weights=(w,) * len(uf), unitaries=uf)
-
-
-def _weights(dec: MixedUnitaryDecomposition) -> np.ndarray:
-    w = np.asarray(dec.weights, dtype=float)
-    if w.shape != (len(dec.unitaries),):
-        raise ShapeMismatch(f"{w.size} weights for {len(dec.unitaries)} unitaries")
-    return w
+    return MixedUnitaryDecomposition(orbit_weights=(w,) * len(uf.bases), unitaries=uf)
 
 
 def apply_decomposition(dec: MixedUnitaryDecomposition, x: np.ndarray) -> np.ndarray:
     """sum_j weights[j] U_j x U_j*, for one (d, d) input or a (T, d, d) stack.
 
-    When the weights are equal within each Z_d orbit of the family (see
-    MixedUnitaryDecomposition._orbit_kernel), the mixture is applied through
-    its d^3-entry kernel, built once per decomposition and transformed over
-    the row index: a DFT of the input's diagonals, d products of d x d
-    matrices and an inverse DFT, O(d^3) per input, the whole stack in one
-    pass that reads the kernel once.  A mixture whose weights differ within
-    an orbit is applied member by member, O(n d^3) per input.
+    The mixture is applied through its d^3-entry orbit kernel (see
+    MixedUnitaryDecomposition._orbit_kernel), built once per decomposition
+    and transformed over the row index: a DFT of the input's diagonals, d
+    products of d x d matrices and an inverse DFT, O(d^3) per input, the
+    whole stack in one pass that reads the kernel once.
     """
     d = dec.unitaries.d
     xs = np.asarray(x, dtype=complex)
     if xs.ndim not in (2, 3) or xs.shape[-2:] != (d, d):
         raise ShapeMismatch(f"expected a ({d}, {d}) matrix or a stack of them, got {xs.shape}")
-    w = _weights(dec)
-    stack = xs.reshape(-1, d, d)
-    kernel = dec._orbit_kernel
-    if kernel is None:
-        out = _apply_by_members(w, dec.unitaries, stack)
-    else:
-        out = _apply_by_kernel(kernel, dec._dft, stack)
-    return out.reshape(xs.shape)
+    return _apply_by_kernel(dec._orbit_kernel, dec._dft, xs.reshape(-1, d, d)).reshape(xs.shape)
 
 
 def _apply_by_kernel(lhat: np.ndarray, tables: tuple, xs: np.ndarray) -> np.ndarray:
@@ -284,30 +258,6 @@ def _apply_by_kernel(lhat: np.ndarray, tables: tuple, xs: np.ndarray) -> np.ndar
     flat_out = np.empty((t, d * d), dtype=xs.dtype)
     flat_out.T[diagonals] = (idft @ oh.reshape(d, d * t)).reshape(d, d, t)
     return flat_out.reshape(xs.shape)
-
-
-def _apply_by_members(w: np.ndarray, uf: UnitaryFamily, xs: np.ndarray) -> np.ndarray:
-    """sum_j w_j U_j x U_j* for every input x of the (T, d, d) stack xs.
-
-    Members go in blocks of whole bases, each block scattered dense and
-    its shifts gathered for it alone (matcore.orbit_stack), so the
-    family's dense view is never formed.  Each block is two matmuls: the
-    block's U_j times all inputs side by side, rearranged so that row
-    (s, i) holds (U_j x_s)[i, :] for every j of the block, times the
-    stacked w_j U_j*.  One member's
-    share of that intermediate is the size of the inputs, so matcore's
-    block budget bounds the intermediate (at least one base per block).
-    """
-    t, d = len(xs), xs.shape[-1]
-    x_side = xs.transpose(1, 0, 2).reshape(d, t * d)
-    out = np.zeros((t * d, d), dtype=complex)
-    for bases in _blocks(len(uf.bases), d * x_side.nbytes):
-        u = orbit_stack(uf.bases.dense(bases))
-        k = len(u)
-        ux = (u.reshape(k * d, d) @ x_side).reshape(k, d, t, d).transpose(2, 1, 0, 3)
-        wu = (w[bases.start * d : bases.stop * d, None, None] * u.conj().transpose(0, 2, 1)).reshape(k * d, d)
-        out += np.ascontiguousarray(ux).reshape(t * d, k * d) @ wu
-    return out.reshape(t, d, d)
 
 
 def random_hermitian(d: int, seed: int) -> np.ndarray:
@@ -353,26 +303,27 @@ def _choi_dev_from_gram(w: np.ndarray, uf: UnitaryFamily) -> float:
 
 
 def _choi_dev_by_blocks(w: np.ndarray, uf: UnitaryFamily) -> float:
-    """|sum_j w_j vec(U_j) vec(U_j)* - (I + SWAP)/(d+1)|_F over blocks of d rows."""
+    """|sum_j w_j vec(U_j) vec(U_j)* - (I + SWAP)/(d+1)|_F for one weight w[t] per orbit, from d rows.
+
+    Member t*d + x is base t shifted by x, S_x U_t S_x*, and weighs w[t], so
+    the mixture's Choi matrix C commutes with S_x (x) S_x, as does the
+    target: the rows (i, a) of the difference are the rows (0, a - i),
+    their entries permuted, and its squared norm is d times that of the d
+    rows (0, a).  Those rows are one (d x n)(n x d^2) product of the
+    members, which need not be symmetric or d(d+1)/2, with weights of any
+    sign.
+    """
     d = uf.d
-    n = len(uf)
     # The rows are the members in C order, vec(U_j^T) = SWAP vec(U_j), conjugated on
-    # the left of each block: that is conj(SWAP C SWAP) for the mixture's Choi matrix
-    # C, whose distance to the real, SWAP-invariant target is C's.  The members are
-    # gathered from the bases, so the family's dense view is never formed
-    flat = orbit_stack(uf.bases.dense()).reshape(n, d * d)
+    # the left: that is conj(SWAP C SWAP), whose distance to the real, SWAP-invariant
+    # target is C's.  The members are gathered from the bases, so the family's dense
+    # view is never formed
+    flat = orbit_stack(uf.bases.dense()).reshape(len(uf), d * d)
+    rows = (np.repeat(w, d)[:, None] * flat[:, :d].conj()).T @ flat
     a = np.arange(d)
-    sq = 0.0
-    for b in range(d):
-        # rows b*d + a, columns b*d onward, of that matrix minus (I + SWAP)/(d+1):
-        # the difference is Hermitian (real weights), so the blocks right of the
-        # diagonal block stand for their mirror images too
-        block = (w[:, None] * flat[:, b * d : (b + 1) * d].conj()).T @ flat[:, b * d :]
-        block[a, a] -= 1 / (d + 1)
-        block[a[b:], (a[b:] - b) * d + b] -= 1 / (d + 1)
-        diag, right = block[:, :d], block[:, d:]
-        sq += float(np.vdot(diag, diag).real) + 2 * float(np.vdot(right, right).real)
-    return math.sqrt(sq)
+    rows[a, a] -= 1 / (d + 1)  # row (0, a) meets I at column (0, a)
+    rows[a, a * d] -= 1 / (d + 1)  # and SWAP at column (a, 0)
+    return math.sqrt(d * float(np.vdot(rows, rows).real))
 
 
 def verify_decomposition(
@@ -385,18 +336,16 @@ def verify_decomposition(
 
     (a) Frobenius distance between sum_j w_j vec(U_j) vec(U_j)* and the
     closed-form Choi matrix (I + SWAP)/(d+1), within eps * d^2.  For
-    d(d+1)/2 exactly symmetric members with weights >= 0, equal within each
-    of the family's Z_d orbits, it comes from the Gram stats the
-    certificate reads, times d; otherwise it is accumulated
-    over blocks of d rows, so no d^2 x d^2 matrix is formed.
+    d(d+1)/2 exactly symmetric members with weights >= 0 it comes from the
+    Gram stats the certificate reads, times d; otherwise from d rows of the
+    difference, times d, so no d^2 x d^2 matrix is formed.
     (b) For `trials` seeded random Hermitian inputs (per-trial seed =
     seed + index), max-entry distance between the mixture output and the
     formula output, within eps * max|X|; a distance that is not finite
     fails and is reported as it is.  Check (b) draws its inputs in batches,
     as many as matcore's block budget holds at one complex d x d input
-    each, and applies the mixture to a batch per apply_decomposition call:
-    through the orbit kernel, in one pass per batch, when the weights are
-    equal within each orbit, member by member otherwise.
+    each, and applies the mixture to a batch per apply_decomposition call,
+    through the orbit kernel in one pass per batch.
     It reads neither the Gram nor vec(U), so it does not share check (a)'s
     data or convention.
     """
@@ -404,12 +353,11 @@ def verify_decomposition(
         raise OutOfRange(f"trials must be >= 0, got {trials}")
     if seed < 0:
         raise OutOfRange(f"seed must be >= 0, got {seed}")
-    w = _weights(dec)
     uf = dec.unitaries
     d = uf.d
-    orbit_w = dec._orbit_weights
-    if uf.asymmetry[0] == 0.0 and len(uf) == d * (d + 1) // 2 and orbit_w is not None and np.all(orbit_w >= 0):
-        choi_dev = _choi_dev_from_gram(orbit_w, uf)
+    w = np.asarray(dec.orbit_weights)
+    if uf.asymmetry[0] == 0.0 and len(uf) == d * (d + 1) // 2 and np.all(w >= 0):
+        choi_dev = _choi_dev_from_gram(w, uf)
     else:
         choi_dev = _choi_dev_by_blocks(w, uf)
 

@@ -62,8 +62,7 @@ class ProjectionFamily:
     than fam, and bases.dense() is the dense view.  r is the common rank, 1 <= r < d
     (RankOutOfRange otherwise), the range in which beta_projections and
     feasibility are defined.  beta is the exact rational target of
-    tr(P_i P_j) for i != j; scale is the off-support coefficient
-    (1 + sqrt(p+2))/sqrt(p+1) when applicable.  Because no caller can write
+    tr(P_i P_j) for i != j.  Because no caller can write
     to the bases through the family, its dense members are gathered once,
     on first use, and kept.
     """
@@ -72,7 +71,6 @@ class ProjectionFamily:
     r: int
     bases: SupportStack
     beta: Fraction
-    scale: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "bases", SupportStack.of(self.bases, self.d))
@@ -177,7 +175,6 @@ def build_residue_family(prime: UmebPrime, h: HadamardMatrix) -> ProjectionFamil
         r=prime.half,
         bases=SupportStack(cols, values),
         beta=beta_projections(p, prime.half),
-        scale=off_support_scale(p),
     )
 
 
@@ -232,7 +229,6 @@ def dual_family(family: ProjectionFamily) -> ProjectionFamily:
         r=d - family.r,
         bases=family.bases.eye_minus(1.0),
         beta=family.beta + (d - 2 * family.r),
-        scale=family.scale,
     )
 
 
@@ -257,7 +253,6 @@ def icosahedron_lines() -> ProjectionFamily:
         r=1,
         bases=SupportStack(cols, values),
         beta=Fraction(1, 5),
-        scale=phi,
     )
 
 
@@ -265,13 +260,13 @@ FAMILY_FIELDS = ["C", "bases", "beta_den", "beta_num", "d", "r", "shifts"]  # so
 
 
 def family_to_json(family: ProjectionFamily) -> dict:
-    """The family's fields and its bases as one stack: exactly FAMILY_FIELDS, "shifts" always d."""
+    """The family's fields and its bases as one stack: exactly FAMILY_FIELDS, "C" always off_support_scale(d) and "shifts" always d."""
     return {
         "d": family.d,
         "r": family.r,
         "beta_num": family.beta.numerator,
         "beta_den": family.beta.denominator,
-        "C": family.scale,
+        "C": off_support_scale(family.d),
         "shifts": family.d,
         "bases": stack_to_json(family.bases.dense()),
     }
@@ -285,7 +280,7 @@ def family_from_json(obj: dict) -> ProjectionFamily:
     whole orbits, so "shifts" must be d.  The bases are real:
     matcore.stack_from_json rejects a stack with an "im" part.  A family of
     whole orbits was built by the residue construction, so its C must be
-    exactly off_support_scale(d).
+    exactly off_support_scale(d), the value family_to_json writes.
     """
     fields = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
     if fields != FAMILY_FIELDS:
@@ -300,7 +295,7 @@ def family_from_json(obj: dict) -> ProjectionFamily:
         raise MalformedArtifact(f"malformed family field: {exc}") from None
     if shifts != d:
         raise MalformedArtifact(f"a family is whole orbits of its d={d} shifts, not {shifts}")
-    family = ProjectionFamily(d=d, r=r, bases=stack_from_json(obj["bases"], d), beta=beta, scale=scale)
+    family = ProjectionFamily(d=d, r=r, bases=stack_from_json(obj["bases"], d), beta=beta)
     if scale != off_support_scale(d):
         raise MalformedArtifact(
             f"C = {scale!r} of a family of whole orbits is not the coefficient {off_support_scale(d)!r} for d={d}"

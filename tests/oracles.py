@@ -1,9 +1,10 @@
 """Reference computations that the tests compare the package with.
 
 Each is a direct, unoptimized formula: the SWAP matrix and a channel's Choi
-matrix under the package's column-stacking vec, the Choi matrix's rank, the
-Choi distance of a mixture of unitaries from the target channel's (and
-the same distance from the members' Gram, for symmetric members), the
+matrix under the package's column-stacking vec, the Choi matrix's rank, a
+mixture of unitaries applied member by member, the Choi distance of a
+mixture from the target channel's (and the same distance from the
+members' Gram, for symmetric members), the
 coefficient x with x * sum(P_i) = I for a maximal equiangular family, the
 whole Gram of a stack of matrices as one dense product and its rank, the
 equiangular report and the certificate read off every member of a dense
@@ -159,6 +160,15 @@ def mixture_choi_dev(weights, members) -> float:
     adjoints = stack.conj().transpose(0, 2, 1)
     choi = choi_of_channel(lambda x: np.tensordot(w, stack @ x @ adjoints, axes=1), d)
     return float(np.linalg.norm(choi - (np.eye(d * d) + swap_matrix(d)) / (d + 1)))
+
+
+def member_sum(weights, members, xs) -> np.ndarray:
+    """sum_j w_j U_j x U_j* for one (d, d) input x or each of a (T, d, d) stack, one member at a time."""
+    xs = np.asarray(xs, dtype=complex)
+    out = np.zeros_like(xs)
+    for w, u in zip(weights, members, strict=True):
+        out += w * (u @ xs @ u.conj().T)
+    return out
 
 
 def dense_base_vectors(prime, h) -> np.ndarray:

@@ -210,10 +210,10 @@ def test_criterion_8_werner_holevo(unitaries_p7):
     choi_dev = float(np.linalg.norm(choi_mix - target))
     rep = verify_decomposition(dec, trials=20, seed=42)
     rank = channel_choi_rank(lambda x: wh_plus_apply(x, 7), 7)
-    perturbed = np.array(dec.weights)
-    perturbed[0] += 0.01
-    perturbed /= perturbed.sum()
-    bad = MixedUnitaryDecomposition(weights=tuple(perturbed), unitaries=dec.unitaries)
+    perturbed = np.array(dec.orbit_weights)
+    perturbed[0] += 0.01  # orbit 0
+    perturbed /= 7 * perturbed.sum()
+    bad = MixedUnitaryDecomposition(orbit_weights=tuple(perturbed), unitaries=dec.unitaries)
     bad_rep = verify_decomposition(bad, trials=20, seed=42)
     ok = (
         code == 0

@@ -22,7 +22,7 @@ from umebkit.numth import validate_prime
 from umebkit.packing import build_residue_family, icosahedron_lines, verify_equiangular
 from umebkit.umeb import UnitaryFamily, build_unitaries, certify_umeb, compute_phase
 
-from oracles import choi_of_channel, choi_rank, gram_choi_dev, mixture_choi_dev, swap_matrix
+from oracles import choi_of_channel, choi_rank, gram_choi_dev, member_sum, mixture_choi_dev, swap_matrix
 
 EPS = 1e-9
 
@@ -165,13 +165,30 @@ def test_umeb_decomposition_rejects_uncertified():
 def test_decomposition_keeps_its_own_weights():
     # the orbit kernel is cached from the weights, so a caller's list must not reach them
     dec = umeb_decomposition(p7_unitaries())
-    weights = list(dec.weights)
-    mine = MixedUnitaryDecomposition(weights=weights, unitaries=dec.unitaries)
+    weights = list(dec.orbit_weights)
+    mine = MixedUnitaryDecomposition(orbit_weights=weights, unitaries=dec.unitaries)
     x = random_hermitian(7, seed=3)
     before = apply_decomposition(mine, x)
     weights[0] = 0.5
-    assert mine.weights == dec.weights
+    assert mine.orbit_weights == dec.orbit_weights
     assert np.array_equal(apply_decomposition(mine, x), before)
+
+
+def test_member_weights_are_a_view_of_the_orbit_weights():
+    uf = p7_unitaries()
+    dec = umeb_decomposition(uf)
+    assert dec.orbit_weights == (1 / 28,) * 4
+    orbit_weights = (0.1, 0.2, 0.3, 0.4)
+    tilted = MixedUnitaryDecomposition(orbit_weights, uf)
+    # member t*d + x is base t shifted by x, so it weighs orbit_weights[t]
+    assert tilted.weights == tuple(orbit_weights[j // 7] for j in range(28))
+    assert dec.weights == (1 / 28,) * 28
+    with pytest.raises(AttributeError):
+        tilted.weights = dec.weights
+    # T - 1, T + 1 and n weights are refused when the mixture is made
+    for weights in (orbit_weights[:-1], orbit_weights + (0.5,), tilted.weights):
+        with pytest.raises(ShapeMismatch):
+            MixedUnitaryDecomposition(weights, uf)
 
 
 def test_verify_decomposition_p7():
@@ -191,10 +208,10 @@ def test_verify_decomposition_identity_input():
 
 def test_verify_decomposition_perturbed_weights_fail():
     dec = umeb_decomposition(p7_unitaries())
-    w = np.array(dec.weights)
-    w[0] += 0.01
-    w /= w.sum()
-    bad = MixedUnitaryDecomposition(weights=tuple(w), unitaries=dec.unitaries)
+    w = np.array(dec.orbit_weights)
+    w[0] += 0.01  # orbit 0
+    w /= 7 * w.sum()
+    bad = MixedUnitaryDecomposition(orbit_weights=tuple(w), unitaries=dec.unitaries)
     rep = verify_decomposition(bad, trials=20, seed=42)
     assert not rep.verdict
     assert rep.apply_dev_max > 1e-4
@@ -228,46 +245,36 @@ def test_verify_decomposition_rejects_bad_arguments():
         verify_decomposition(dec, trials=-3)
     with pytest.raises(OutOfRange):
         verify_decomposition(dec, seed=-1)
-    for weights in (dec.weights[:-1], dec.weights + dec.weights[:1], dec.weights[:1]):
-        short = MixedUnitaryDecomposition(weights=weights, unitaries=dec.unitaries)
-        with pytest.raises(ShapeMismatch):
-            verify_decomposition(short)
-        with pytest.raises(ShapeMismatch):
-            apply_decomposition(short, np.eye(7))
     with pytest.raises(ShapeMismatch):
         apply_decomposition(dec, np.eye(6))
     rep = verify_decomposition(dec, trials=0)
     assert rep.verdict and (rep.trials, rep.apply_dev_max) == (0, 0.0)
 
 
-def test_apply_decomposition_stack_is_the_per_input_sum(p23_decomposition, monkeypatch):
+def test_apply_decomposition_stack_is_the_per_input_sum(p23_decomposition):
     dec = p23_decomposition
     xs = np.array([random_hermitian(23, seed=900 + t) for t in range(20)])
     xs[3] = xs[3] @ xs[5]  # one input that is not Hermitian
-    # five bases, 115 members, per block of the member-by-member path: 12 bases end in a partial block
-    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 5 * 23 * xs.nbytes)
-    out = apply_decomposition(dec, xs)  # through the orbit kernel
-    by_members = channels._apply_by_members(np.array(dec.weights), dec.unitaries, xs)
-    assert out.shape == by_members.shape == xs.shape
-    for x, y, z in zip(xs, out, by_members):
-        loop = sum(w * (u @ x @ u.conj().T) for w, u in zip(dec.weights, dec.unitaries.unitaries))
-        assert np.max(np.abs(y - loop)) < 1e-13
-        assert np.max(np.abs(z - loop)) < 1e-13
+    out = apply_decomposition(dec, xs)
+    assert out.shape == xs.shape
+    loop = member_sum(dec.weights, dec.unitaries.unitaries, xs)
+    assert np.max(np.abs(out - loop), axis=(1, 2)).max() < 1e-13
     assert np.max(np.abs(apply_decomposition(dec, xs[7]) - out[7])) < 1e-13
 
 
 def test_verify_decomposition_fails_on_the_last_weight(p23_decomposition):
     dec = p23_decomposition
     assert verify_decomposition(dec).verdict
-    w = np.array(dec.weights)
-    w[-1] *= 1.5
-    rep = verify_decomposition(MixedUnitaryDecomposition(weights=tuple(w), unitaries=dec.unitaries))
+    w = np.array(dec.orbit_weights)
+    w[-1] *= 1.5  # the last orbit
+    bad = MixedUnitaryDecomposition(orbit_weights=tuple(w), unitaries=dec.unitaries)
+    rep = verify_decomposition(bad)
     assert not rep.verdict
     assert rep.choi_dev > EPS * 23 * 23
     assert rep.apply_dev_max > 1e-4
     # the whole 529 x 529 Choi matrix, as sum_j w_j vec(U_j) vec(U_j)*
     flat = np.array([u.flatten(order="F") for u in dec.unitaries.unitaries])
-    choi = (w[:, None] * flat).T @ flat.conj()
+    choi = (np.array(bad.weights)[:, None] * flat).T @ flat.conj()
     target = (np.eye(23 * 23) + swap_matrix(23)) / 24
     assert rep.choi_dev == pytest.approx(np.linalg.norm(choi - target), rel=1e-9)
 
@@ -275,14 +282,13 @@ def test_verify_decomposition_fails_on_the_last_weight(p23_decomposition):
 def test_verify_decomposition_checks_the_last_batch_of_trials(monkeypatch):
     monkeypatch.setattr(matcore, "_BLOCK_BYTES", 64 * 16 * 3 * 3)  # 64 complex 3 x 3 inputs
     uf = build_unitaries(icosahedron_lines(), compute_phase(3, 1))
-    w = np.full(6, 1 / 6)
-    w[0] += 0.05
-    bad = MixedUnitaryDecomposition(weights=tuple(w / w.sum()), unitaries=uf)
+    w = np.full(2, 1 / 6)
+    w[0] += 0.05  # orbit 0
+    bad = MixedUnitaryDecomposition(orbit_weights=tuple(w / (3 * w.sum())), unitaries=uf)
 
     def dev(seed):
         x = random_hermitian(3, seed)
-        loop = sum(wj * (u @ x @ u.conj().T) for wj, u in zip(bad.weights, uf.unitaries))
-        return np.max(np.abs(loop - wh_plus_apply(x, 3)))
+        return np.max(np.abs(member_sum(bad.weights, uf.unitaries, x) - wh_plus_apply(x, 3)))
 
     devs = [dev(s) for s in range(400)]
     batch = matcore._BLOCK_BYTES // (16 * 3 * 3)
@@ -350,15 +356,14 @@ def spy_choi_paths(monkeypatch):
     return spy_paths(monkeypatch, ("_choi_dev_from_gram", "_choi_dev_by_blocks"))
 
 
-def spy_apply_paths(monkeypatch):
-    """Record which path apply_decomposition takes, once per call."""
-    return spy_paths(monkeypatch, ("_apply_by_kernel", "_apply_by_members"))
+def spy_kernel_applies(monkeypatch):
+    """Record each pass of apply_decomposition through the orbit kernel."""
+    return spy_paths(monkeypatch, ("_apply_by_kernel",))
 
 
-# "icosahedron" is d=3 from the six icosahedron lines; "p3" is the residue family
+# "icosahedron" is d=3 from the six icosahedron lines, bit for bit the residue family at p = 3
 CHOI_FAMILIES = {
     "icosahedron": lambda: _unitaries(3),
-    "p3": lambda: _residue_unitaries(3),
     "p7": lambda: _unitaries(7),
     "p23": lambda: _unitaries(23),
     "p31": lambda: _unitaries(31),
@@ -372,12 +377,11 @@ CHOI_FAMILIES = {
 )
 def test_choi_check_from_the_gram_is_the_block_sum(name, weights, monkeypatch):
     dec = umeb_decomposition(CHOI_FAMILIES[name]())
-    w = np.array(dec.weights)
-    if weights == "perturbed":  # still >= 0 and equal within each orbit, so the Gram path applies
-        size = dec.unitaries.d
-        w[-size:] *= 1.5
-        w[size : 2 * size] *= 0.2
-        dec = MixedUnitaryDecomposition(weights=tuple(w), unitaries=dec.unitaries)
+    w = np.array(dec.orbit_weights)
+    if weights == "perturbed":  # still >= 0, so the Gram path applies
+        w[-1] *= 1.5
+        w[1] *= 0.2
+        dec = MixedUnitaryDecomposition(orbit_weights=tuple(w), unitaries=dec.unitaries)
     ran = spy_choi_paths(monkeypatch)
     rep = verify_decomposition(dec, trials=0)
     monkeypatch.undo()
@@ -405,7 +409,7 @@ def spy_gram_shapes(monkeypatch):
 
 @pytest.mark.parametrize(
     "p, weights",
-    [(p, w) for p in (3, 7, 23, 31, 47) for w in ("uniform", "per-orbit", "inside-an-orbit")]
+    [(p, w) for p in (3, 7, 23, 31, 47) for w in ("uniform", "per-orbit")]
     + [pytest.param(p, "uniform", marks=pytest.mark.slow) for p in (71, 79)],
 )
 def test_choi_check_from_orbit_rows_matches_the_dense_rows(p, weights, monkeypatch):
@@ -414,22 +418,18 @@ def test_choi_check_from_orbit_rows_matches_the_dense_rows(p, weights, monkeypat
     ran = spy_choi_paths(monkeypatch)
     shapes = spy_gram_shapes(monkeypatch)
     dec = umeb_decomposition(uf)
-    w = np.array(dec.weights)
+    w = np.array(dec.orbit_weights)
     if weights == "per-orbit":  # every member of orbit 0: still the orbit rows
-        w[:p] *= 1.5
-    if weights == "inside-an-orbit":  # shifts 1 and 2 of orbit 0: the d-row blocks
-        w[1] *= 1.5
-        w[2] *= 0.5
-    dec = MixedUnitaryDecomposition(weights=tuple(w), unitaries=uf)
+        w[0] *= 1.5
+    dec = MixedUnitaryDecomposition(orbit_weights=tuple(w), unitaries=uf)
     rep = verify_decomposition(dec, trials=0)
     monkeypatch.undo()
-    inside = weights == "inside-an-orbit"
-    assert ran == ["_choi_dev_by_blocks" if inside else "_choi_dev_from_gram"]
+    assert ran == ["_choi_dev_from_gram"]
     # the orbit family's Gram once, T x T products and one correlation, for the decomposition and its check
     t = (p + 1) // 2
     assert shapes == [((t, t), (1, 1, p))] and n == t * p
     # the oracle: the Choi matrix itself where it is small, else the whole Gram of the members
-    oracle = mixture_choi_dev(w, uf.unitaries) if p <= 7 else gram_choi_dev(w, uf.unitaries)
+    oracle = (mixture_choi_dev if p <= 7 else gram_choi_dev)(dec.weights, uf.unitaries)
     assert rep.verdict == (oracle <= EPS * p * p) == (weights == "uniform")
     assert abs(rep.choi_dev - oracle) <= 1e-13
     if weights == "per-orbit":
@@ -456,25 +456,38 @@ def _nonsymmetric_member():
     return umeb_decomposition(uf)  # within eps of symmetric, so still accepted
 
 
-def _negative_weight():
-    dec = umeb_decomposition(_unitaries(7))
-    w = np.array(dec.weights)
-    w[2] = -w[2]
-    return MixedUnitaryDecomposition(weights=tuple(w), unitaries=dec.unitaries)
+def _negative_weight(p=7):
+    uf = _unitaries(p)
+    w = np.array(umeb_decomposition(uf).orbit_weights)
+    w[1] = -w[1]  # orbit 1
+    return MixedUnitaryDecomposition(orbit_weights=tuple(w), unitaries=uf)
 
 
 def _member_count():
     uf = _unitaries(7)
     part = UnitaryFamily(d=7, z=uf.z, bases=uf.bases.dense()[:3])  # 3 of the 4 orbits: 21 members
-    return MixedUnitaryDecomposition(weights=(1 / 21,) * 21, unitaries=part)
+    return MixedUnitaryDecomposition(orbit_weights=(1 / 21,) * 3, unitaries=part)
 
 
-@pytest.mark.parametrize("build", [_nonsymmetric_member, _negative_weight, _member_count])
+def _random_members():
+    """Random d=5 bases, neither unitary nor symmetric, so their members are not orthogonal: the
+    distance depends on which members each orbit weight falls on, not only on the weights."""
+    return MixedUnitaryDecomposition((0.1, 0.2, 0.3), UnitaryFamily(5, 1.0, _random_bases(5, 3, seed=59)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [_nonsymmetric_member, _negative_weight, _member_count, _random_members]
+    + [lambda p=p: _negative_weight(p) for p in (3, 23, 31)],
+    ids=["_nonsymmetric_member", "_negative_weight", "_member_count", "random-members"]
+    + [f"negative-weight-p{p}" for p in (3, 23, 31)],
+)
 def test_choi_check_falls_back_to_the_blocks(build, monkeypatch):
     dec = build()
     ran = spy_choi_paths(monkeypatch)
     rep = verify_decomposition(dec, trials=0)
     assert ran == ["_choi_dev_by_blocks"]
+    assert "unitaries" not in dec.unitaries.__dict__  # the fallback leaves no dense view on the family
     assert rep.choi_dev == pytest.approx(full_choi_dev(dec), rel=1e-9, abs=1e-14)
     assert rep.verdict == (build is _nonsymmetric_member)
 
@@ -490,9 +503,9 @@ def test_gram_passes_cover_the_last_row_block(monkeypatch):
     uf.gram
     monkeypatch.setattr(np, "matmul", matmul)
     assert blocks == [5, 5, 2]
-    w = np.array(umeb_decomposition(uf).weights)
-    w[-23:] *= 1.5  # the last orbit
-    dec = MixedUnitaryDecomposition(weights=tuple(w), unitaries=uf)
+    w = np.array(umeb_decomposition(uf).orbit_weights)
+    w[-1] *= 1.5  # the last orbit
+    dec = MixedUnitaryDecomposition(orbit_weights=tuple(w), unitaries=uf)
     assert verify_decomposition(dec, trials=0).choi_dev == pytest.approx(full_choi_dev(dec), rel=1e-12)
     # a longer last base shows only on the last diagonal entries of G/d - I
     bases = uf.bases.dense()
@@ -507,32 +520,6 @@ def test_gram_passes_cover_the_last_row_block(monkeypatch):
     assert cert.cj_orthonormality_dev == pytest.approx(1e-3, rel=1e-9)
 
 
-def _weights_inside_orbit_zero(uf):
-    w = np.array(umeb_decomposition(uf).weights)
-    w[1] *= 1.5  # shifts 1 and 2 of orbit 0: the d-row blocks and the member-by-member path
-    w[2] *= 0.5
-    return MixedUnitaryDecomposition(weights=tuple(w), unitaries=uf)
-
-
-@pytest.mark.parametrize("p", [7, 23])
-def test_weights_inside_an_orbit_leave_no_dense_view_on_the_family(p, monkeypatch):
-    uf = _residue_unitaries(p)
-    dec = _weights_inside_orbit_zero(uf)
-    ran = spy_paths(monkeypatch, ("_choi_dev_by_blocks", "_apply_by_members"))
-    rep = verify_decomposition(dec, trials=3, seed=21)
-    assert ran == ["_choi_dev_by_blocks", "_apply_by_members"]
-    assert "unitaries" not in uf.__dict__
-    assert not rep.verdict
-    # the oracles read the dense view: the whole Choi matrix and the sum over the members
-    assert abs(rep.choi_dev - full_choi_dev(dec)) <= 1e-13
-    devs = []
-    for seed in (21, 22, 23):
-        x = random_hermitian(p, seed)
-        loop = sum(w * (u @ x @ u.conj().T) for w, u in zip(dec.weights, uf.unitaries))
-        devs.append(np.max(np.abs(loop - wh_plus_apply(x, p))))
-    assert abs(rep.apply_dev_max - max(devs)) <= 1e-13
-
-
 def _traced_peak(run):
     tracemalloc.start()
     try:
@@ -542,12 +529,12 @@ def _traced_peak(run):
         tracemalloc.stop()
 
 
-def test_weights_inside_an_orbit_hold_at_most_one_dense_stack(monkeypatch):
-    uf = _residue_unitaries(23)
-    dense_bytes = len(uf) * 23 * 23 * 16
-    dec = _weights_inside_orbit_zero(uf)
-    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 64 << 10)  # a base's 23 shifts are 195 KiB: one base per block
+def test_the_choi_fallback_holds_at_most_one_dense_stack(monkeypatch):
+    dec = _negative_weight(23)
+    dense_bytes = len(dec.unitaries) * 23 * 23 * 16
+    ran = spy_choi_paths(monkeypatch)
     assert _traced_peak(lambda: verify_decomposition(dec, trials=2)) < 1.5 * dense_bytes
+    assert ran == ["_choi_dev_by_blocks"]
 
 
 def test_orbit_kernel_passes_stay_inside_the_byte_budget(p23_decomposition, monkeypatch):
@@ -567,7 +554,7 @@ def test_orbit_kernel_passes_stay_inside_the_byte_budget(p23_decomposition, monk
 
 def test_orbit_kernel_build_holds_at_most_two_cubes():
     uf = _residue_unitaries(31)
-    dec = MixedUnitaryDecomposition(weights=(float(uniform_weight(31)),) * len(uf), unitaries=uf)
+    dec = MixedUnitaryDecomposition(orbit_weights=(float(uniform_weight(31)),) * len(uf.bases), unitaries=uf)
     d, orbits = 31, len(uf.bases)
     kernel = []
     peak = _traced_peak(lambda: kernel.append(dec._orbit_kernel))
@@ -581,7 +568,7 @@ def test_orbit_kernel_build_holds_at_most_two_cubes():
 def test_orbit_kernel_build_holds_one_block_beyond_its_terms(monkeypatch):
     d = 31
     uf = _residue_unitaries(d)
-    w = (float(uniform_weight(d)),) * len(uf)
+    w = (float(uniform_weight(d)),) * len(uf.bases)
     expected = MixedUnitaryDecomposition(w, uf)._orbit_kernel
     on = matcore.union_support(uf.bases.dense())
     assert on.sum() == 2 * d - 1 and on.sum(axis=1).max() == 2  # the diagonal and each row's partner
@@ -629,15 +616,15 @@ KERNEL_CASES = {
 def test_orbit_kernel_is_the_row_transform_of_the_member_sum(case):
     uf = KERNEL_CASES[case]()
     p = uf.d
-    w = np.full(len(uf), float(uniform_weight(p)))
-    w[:p] *= 1.5  # orbit 0 weighs more: the kernel holds one weight per orbit
-    dec = MixedUnitaryDecomposition(weights=tuple(w), unitaries=uf)
+    w = np.full(len(uf.bases), float(uniform_weight(p)))
+    w[0] *= 1.5  # orbit 0 weighs more: the kernel holds one weight per orbit
+    dec = MixedUnitaryDecomposition(orbit_weights=tuple(w), unitaries=uf)
     a = np.arange(p)
     u = uf.bases.dense()
     # K[D, e, f] = sum_t w_t sum_a U_t[a, a + e] conj(U_t[a + D, a + f]), summed as written
     first = u[:, a[:, None], (a[:, None] + a) % p]
     second = u[:, (a[:, None, None] + a[:, None]) % p, (a[:, None, None] + a) % p]
-    kernel = np.einsum("t,tae,tadf->def", w[::p], first, second.conj())
+    kernel = np.einsum("t,tae,tadf->def", w, first, second.conj())
     # L[D, e, g] = K[D, e, e + g], transformed over e with zeta = exp(2 pi i / p)
     rows = kernel[:, a[:, None], (a[:, None] + a) % p]
     lhat = np.einsum("ke,deg->kdg", np.exp(2j * np.pi / p * (np.outer(a, a) % p)), rows)
@@ -645,15 +632,15 @@ def test_orbit_kernel_is_the_row_transform_of_the_member_sum(case):
     assert np.max(np.abs(dec._orbit_kernel - lhat)) <= 1e-13
     xs = _inputs(p, seed=600)
     out = apply_decomposition(dec, xs)
-    for x, y in zip(xs, out):
+    loop = member_sum(dec.weights, uf.unitaries, xs)
+    for x, y, z in zip(xs, out, loop):
         assert np.max(np.abs(apply_decomposition(dec, x) - y)) <= 1e-13
-        loop = sum(wj * (m @ x @ m.conj().T) for wj, m in zip(w, uf.unitaries))
-        assert np.max(np.abs(y - loop)) <= 1e-13
+        assert np.max(np.abs(y - z)) <= 1e-13
 
 
 def _nan_weights():
     uf = _residue_unitaries(7)
-    return MixedUnitaryDecomposition((math.nan,) * 28, uf)
+    return MixedUnitaryDecomposition((math.nan,) * 4, uf)
 
 
 def _nonfinite_base_entry(value):
@@ -661,28 +648,24 @@ def _nonfinite_base_entry(value):
         uf = _residue_unitaries(7)
         bases = np.array(uf.bases.dense())
         bases[2, 1, 3] = value
-        return MixedUnitaryDecomposition((1 / 28,) * 28, UnitaryFamily(7, uf.z, bases))
+        return MixedUnitaryDecomposition((1 / 28,) * 4, UnitaryFamily(7, uf.z, bases))
 
     return build
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
-    "build, path",
-    [
-        (_nan_weights, "_apply_by_members"),
-        (_nonfinite_base_entry(math.nan), "_apply_by_kernel"),
-        (_nonfinite_base_entry(math.inf), "_apply_by_kernel"),
-    ],
+    "build",
+    [_nan_weights, _nonfinite_base_entry(math.nan), _nonfinite_base_entry(math.inf)],
     ids=["nan-weights", "nan-base-entry", "inf-base-entry"],
 )
-def test_a_deviation_that_is_not_finite_fails_the_random_input_check(build, path, monkeypatch):
+def test_a_deviation_that_is_not_finite_fails_the_random_input_check(build, monkeypatch):
     dec = build()
     for name in ("_choi_dev_from_gram", "_choi_dev_by_blocks"):  # check (a) passes, so (b) alone decides
         monkeypatch.setattr(channels, name, lambda w, uf: 0.0)
-    ran = spy_apply_paths(monkeypatch)
+    ran = spy_kernel_applies(monkeypatch)
     rep = verify_decomposition(dec, trials=3)
-    assert ran == [path]
+    assert ran == ["_apply_by_kernel"]
     assert rep.choi_dev == 0.0
     assert not math.isfinite(rep.apply_dev_max)
     assert not rep.verdict
@@ -710,13 +693,6 @@ def test_reports_do_not_depend_on_the_block_budget(p, monkeypatch):
                 assert by_item[field] == value, field
 
 
-def _member_by_member(dec):
-    """The same mixture with its orbit kernel switched off: the dense oracle."""
-    oracle = MixedUnitaryDecomposition(weights=dec.weights, unitaries=dec.unitaries)
-    oracle.__dict__["_orbit_kernel"] = None  # what the cached property would have stored
-    return oracle
-
-
 def _inputs(d, seed):
     xs = np.array([random_hermitian(d, seed + t) for t in range(3)])
     xs[1] = xs[1] @ xs[2]  # one input that is not Hermitian
@@ -728,26 +704,25 @@ def _inputs(d, seed):
 )
 def test_orbit_kernel_matches_the_member_sum(p, monkeypatch):
     uf = _residue_unitaries(p)
-    dec = MixedUnitaryDecomposition(weights=(float(uniform_weight(p)),) * len(uf), unitaries=uf)
-    oracle = _member_by_member(dec)
+    dec = MixedUnitaryDecomposition(orbit_weights=(float(uniform_weight(p)),) * len(uf.bases), unitaries=uf)
     xs = _inputs(p, seed=700)
     trials = 2 if p > 47 else 6
-    ran = spy_apply_paths(monkeypatch)
+    ran = spy_kernel_applies(monkeypatch)
     out, rep = apply_decomposition(dec, xs), verify_decomposition(dec, trials=trials, seed=11)
     assert ran == ["_apply_by_kernel"] * 2
-    dense, dense_rep = apply_decomposition(oracle, xs), verify_decomposition(oracle, trials=trials, seed=11)
-    assert ran[2:] == ["_apply_by_members"] * 2
-    assert np.max(np.abs(out - dense)) <= 1e-13 * np.max(np.abs(xs))
-    assert rep.verdict and dense_rep.verdict
-    assert rep.choi_dev == dense_rep.choi_dev
-    assert rep.apply_dev_max <= 1e-14 and dense_rep.apply_dev_max <= 1e-13
+    assert np.max(np.abs(out - member_sum(dec.weights, uf.unitaries, xs))) <= 1e-13 * np.max(np.abs(xs))
+    # check (b) of the member sum: the same seeded inputs against the formula
+    trial_xs = np.array([random_hermitian(p, 11 + t) for t in range(trials)])
+    dense_dev = np.max(np.abs(member_sum(dec.weights, uf.unitaries, trial_xs) - wh_plus_apply(trial_xs, p)))
+    assert rep.verdict
+    assert rep.apply_dev_max <= 1e-14 and dense_dev <= 1e-13
 
 
 def _tilted(uf, by=1e-12):
-    """The uniform mixture over uf with shifts 1 and 2 of orbit 1 moved apart by `by`: weights unequal inside an orbit."""
-    w = np.full(len(uf), 1 / len(uf))
-    w[uf.d + 1] += by
-    w[uf.d + 2] -= by
+    """The uniform mixture over uf with the weights of orbits 0 and 1 moved apart by `by`."""
+    w = np.full(len(uf.bases), 1 / len(uf))
+    w[0] += by
+    w[1] -= by
     return MixedUnitaryDecomposition(tuple(w), uf)
 
 
@@ -757,32 +732,28 @@ def _perturbed_entry():
     return _tilted(UnitaryFamily(7, compute_phase(7, 3), bases))
 
 
-def _not_whole_orbits():
+def _part_of_the_orbits():
     uf = _residue_unitaries(7)
     return _tilted(UnitaryFamily(7, uf.z, uf.bases.dense()[:3]))  # 3 of the 4 orbits: 21 members
 
 
-# every family is whole orbits, so a mixture lacks orbit structure when its weights differ inside
-# an orbit: by 1e-12, within eps, where the mixture should still pass
+# every mixture has one weight per orbit and goes through the orbit kernel: weights 1e-12 apart
+# are within eps, where the mixture should still pass
 @pytest.mark.parametrize(
     "build, passes",
     [
         (lambda: _tilted(_unitaries(3)), True),  # the icosahedron
         (_perturbed_entry, True),
         (lambda: _tilted(_residue_unitaries(7), by=0.01), False),
-        (_not_whole_orbits, False),
+        (_part_of_the_orbits, False),
     ],
-    ids=["icosahedron", "perturbed-entry", "weights-inside-an-orbit", "not-whole-orbits"],
+    ids=["icosahedron", "perturbed-entry", "tilted-orbits", "three-of-four-orbits"],
 )
-def test_mixture_without_orbit_structure_is_applied_member_by_member(build, passes, monkeypatch):
+def test_the_orbit_kernel_applies_every_mixture(build, passes, monkeypatch):
     dec = build()
-    d = dec.unitaries.d
-    xs = _inputs(d, seed=800)
-    ran = spy_apply_paths(monkeypatch)
+    xs = _inputs(dec.unitaries.d, seed=800)
+    ran = spy_kernel_applies(monkeypatch)
     out, rep = apply_decomposition(dec, xs), verify_decomposition(dec, trials=6, seed=5)
-    assert ran == ["_apply_by_members"] * 2
-    assert dec._orbit_kernel is None
-    for x, y in zip(xs, out):
-        loop = sum(w * (u @ x @ u.conj().T) for w, u in zip(dec.weights, dec.unitaries.unitaries))
-        assert np.max(np.abs(y - loop)) < 1e-13
+    assert ran == ["_apply_by_kernel"] * 2
+    assert np.max(np.abs(out - member_sum(dec.weights, dec.unitaries.unitaries, xs))) < 1e-13
     assert rep.verdict == passes

@@ -514,7 +514,7 @@ def test_dense_format_of_earlier_versions_exits_1_with_one_line(tmp_path, capsys
     family = build_residue_family(validate_prime(7), construct(4))
     uf = build_unitaries(family, compute_phase(7, 3))
     old_family = {
-        "d": 7, "r": 3, "beta_num": 11, "beta_den": 9, "C": family.scale,
+        "d": 7, "r": 3, "beta_num": 11, "beta_den": 9, "C": off_support_scale(7),
         "provenance": [[t, x] for t in range(4) for x in range(7)],
         "projections": stack_to_json(family.projections),
     }

@@ -263,7 +263,7 @@ def test_equiangularity_for_every_nonresidue_choice(k):
 def test_verify_equiangular_single_base_is_one_orbit():
     # one base of the p=7 family: its 7 shifts, every pair of them at the common angle
     fam = p7_family()
-    single = ProjectionFamily(d=7, r=3, bases=fam.bases.dense()[:1], beta=fam.beta, scale=fam.scale)
+    single = ProjectionFamily(d=7, r=3, bases=fam.bases.dense()[:1], beta=fam.beta)
     report = verify_equiangular(single)
     assert len(single) == 7 and report.pairs == 21
     assert report.passed
@@ -276,7 +276,6 @@ def test_verify_equiangular_flags_duplicate():
         r=3,
         bases=np.concatenate((fam.bases.dense(), fam.bases.dense()[:1])),
         beta=fam.beta,
-        scale=fam.scale,
     )
     report = verify_equiangular(dup)
     assert not report.passed
@@ -538,7 +537,8 @@ def test_family_json_round_trip():
 def test_family_json_checks_the_coefficient_of_an_orbit_family():
     for fam in (p7_family(), dual_family(p7_family()), icosahedron_lines()):
         obj = family_to_json(fam)
-        assert family_from_json(obj).scale == off_support_scale(fam.d)
+        assert obj["C"] == off_support_scale(fam.d)
+        assert family_from_json(obj).bases.dense().tobytes() == fam.bases.dense().tobytes()
         for scale in (None, 1.5, off_support_scale(fam.d) * (1 + 1e-12), off_support_scale(23)):
             with pytest.raises(MalformedArtifact, match="C = "):
                 family_from_json({**obj, "C": scale})
@@ -550,21 +550,32 @@ def test_family_json_icosahedron_round_trips_with_three_shifts():
     assert obj["C"] == (1 + math.sqrt(5)) / 2 == off_support_scale(3)
     assert obj["shifts"] == 3 and obj["bases"]["shape"] == [2, 3, 3]
     again = family_from_json(json.loads(json.dumps(obj)))
-    assert len(again) == 6 and again.scale == fam.scale
+    assert len(again) == 6
     assert again.bases.dense().tobytes() == fam.bases.dense().tobytes()
     assert verify_equiangular(again) == verify_equiangular(fam)
 
 
 def test_icosahedron_lines_are_the_residue_family_at_p3():
-    # the two bases onto (0, 1, phi) and (0, -1, phi), each shifted 3 ways: as a set, the six
-    # projections of the paper's construction at p = 3, with phi its off-support coefficient
+    # the two bases onto (0, 1, phi) and (0, -1, phi), each shifted 3 ways, are bit for bit the
+    # paper's construction at p = 3, with phi its off-support coefficient: so the tests that run
+    # on one of the two cover the other
     lines = icosahedron_lines()
     residue = residue_family(3)
-    assert lines.scale == off_support_scale(3) == residue.scale
-    assert len(lines) == len(residue) == 6
-    for stack, other in ((lines.projections, residue.projections), (residue.projections, lines.projections)):
-        for member in stack:
-            assert min(np.max(np.abs(member - q)) for q in other) <= 1e-15
+    assert (lines.d, lines.r, lines.beta, len(lines)) == (residue.d, residue.r, residue.beta, 6)
+    for mine, theirs in ((lines.bases.cols, residue.bases.cols), (lines.bases.values, residue.bases.values)):
+        assert (mine.dtype, mine.shape, mine.tobytes()) == (theirs.dtype, theirs.shape, theirs.tobytes())
+    assert family_to_json(lines) == family_to_json(residue)
+
+
+def test_a_hand_made_family_round_trips():
+    # a family made from the p=7 bases, not by the construction, writes the coefficient that its loader checks
+    fam = p7_family()
+    made = ProjectionFamily(7, 3, fam.bases, fam.beta)
+    obj = json.loads(json.dumps(family_to_json(made)))
+    assert obj == json.loads(json.dumps(family_to_json(fam)))
+    again = family_from_json(obj)
+    assert again.bases.dense().tobytes() == fam.bases.dense().tobytes()
+    assert verify_equiangular(again) == verify_equiangular(fam)
 
 
 def test_family_json_rejects_the_dense_format():

@@ -97,4 +97,9 @@ def test_a_unitary_artifact_has_one_format():
 
 def test_a_family_holds_no_shift_count():
     # every family is T bases, each moved by all d shifts, so its size is T d and no field counts shifts
-    assert [field.name for field in dataclasses.fields(packing.ProjectionFamily)] == ["d", "r", "bases", "beta", "scale"]
+    assert [field.name for field in dataclasses.fields(packing.ProjectionFamily)] == ["d", "r", "bases", "beta"]
+
+
+def test_a_decomposition_holds_one_weight_per_orbit():
+    # a mixture weighs whole Z_d orbits, so it holds T weights; its n member weights are a view
+    assert [field.name for field in dataclasses.fields(channels.MixedUnitaryDecomposition)] == ["orbit_weights", "unitaries"]

@@ -261,7 +261,7 @@ def test_certify_even_dimension_flagged():
     rng = np.random.default_rng(5)
     basis = np.linalg.qr(rng.standard_normal((6, 3)))[0]
     proj = basis @ basis.T
-    fam = ProjectionFamily(d=6, r=3, bases=(proj,), beta=Fraction(1), scale=None)
+    fam = ProjectionFamily(d=6, r=3, bases=(proj,), beta=Fraction(1))
     cert = certify_umeb(build_unitaries(fam, compute_phase(6, 3)))
     assert not cert.d_odd
     assert not cert.unextendible_verdict
@@ -286,8 +286,8 @@ def _shifted_once(base):
 # name -> (family, whether the Gershgorin discs prove the rank, verdict); the edits are of
 # the bases, so every shift of an edited base changes with it
 RANK_CASES = {
+    # bit for bit the residue family at p = 3 (test_packing), which it stands for
     "icosahedron": (lambda: build_unitaries(icosahedron_lines(), compute_phase(3, 1)), True, True),
-    "p3": (lambda: _residue_unitaries(3), True, True),
     "p7": (lambda: _residue_unitaries(7), True, True),
     "p23": (lambda: _residue_unitaries(23), True, True),
     "p31": (lambda: _residue_unitaries(31), True, True),
@@ -369,7 +369,7 @@ def test_unitary_json_round_trip_is_bit_exact():
         assert sorted(obj) == ["d", "source", "z"]
         again, again_z = unitary_family_from_json(obj)
         assert again_z == z
-        assert (again.d, again.r, again.beta, again.scale) == (fam.d, fam.r, fam.beta, fam.scale)
+        assert (again.d, again.r, again.beta) == (fam.d, fam.r, fam.beta)
         assert again.bases.dense().tobytes() == fam.bases.dense().tobytes()
         assert build_unitaries(again, again_z).unitaries.tobytes() == build_unitaries(fam, z).unitaries.tobytes()
 
