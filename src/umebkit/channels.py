@@ -16,12 +16,14 @@ in the n-dimensional symmetric subspace, where the target is (2/(d+1)) times
 the identity, and F W F* and W^(1/2) F* F W^(1/2) have the same spectrum).
 It reads the family's Gram stats, uf.gram_stats, which the certificate also
 reads: the per-orbit sums of squares and the diagonal.
-Otherwise it reads the distance off d rows: every family is T bases, each
-moved by all d shifts (member t*d + x is base t shifted by x), and a mixture
-has one weight per orbit, so C_mix - (I + SWAP)/(d+1) commutes with the
-shift and its squared norm is d times that of its rows (0, a), one
-(d x n)(n x d^2) product of the members with the target subtracted in
-place at its identity and SWAP entries; no d^2 x d^2 matrix is formed.
+Otherwise it reads the distance off the sums L of the orbit kernel below:
+every family is T bases, each moved by every cyclic shift (member t*d + x
+is base t shifted by x), and a mixture has one weight per orbit, so every
+entry of C_mix is an entry of K, each standing for d of them, and the
+squared distance is d sum |L - L_target|^2.  The blocks of L are summed one at a
+time, the target subtracted in place, with no d^2 x d^2 matrix, no member
+and no d^3 array formed; in these cases (a) and (b) share the kernel's
+terms, and the tests hold (a) to the whole Choi matrix.
 (b) The random-input check draws
 each batch of seeded inputs into one buffer, bit for bit those of
 random_hermitian, applies the mixture to the batch in one
@@ -40,12 +42,13 @@ inputs into a DFT of their diagonals, one product with the d x d DFT
 matrix, d products of d x d matrices and an inverse DFT, O(d^3) per input,
 against O(n d^3) for the sum over the members, and reads the kernel once
 per batch; the DFT tables are the ones the kernel build made.  Every DFT
-is a product with the d x d DFT matrix.  Check (b) reads only the members
+is a product with the d x d DFT matrix.  Check (b) reads only the bases
 and the weights, neither the Gram nor vec(U), so it stays independent of
-(a); a deviation that is not finite fails it.  No check keeps the family's
-dense view.  Every pass but (a)'s d rows and the d^3 kernel itself sizes
-its blocks from matcore's one byte budget; check (b)'s batches are the one
-place that sizes its inputs, one complex d x d input per trial.
+(a)'s Gram path, the one every certified decomposition takes; a deviation
+that is not finite fails it.  No check forms the family's members.  Every
+pass but the d^3 kernel itself sizes its blocks from matcore's one byte
+budget; check (b)'s batches are the one place that sizes its inputs, one
+complex d x d input per trial.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotCertified, NotSquare, OutOfRange, ShapeMismatch
-from .matcore import DEFAULT_TOL, Tolerance, _blocks, _dft, orbit_stack
+from .matcore import DEFAULT_TOL, Tolerance, _blocks, _dft
 from .umeb import UnitaryFamily, _span
 
 
@@ -76,9 +79,10 @@ class MixedUnitaryDecomposition:
     """Convex mixture sum_t orbit_weights[t] sum_x U_{t,x} X U_{t,x}* over a unitary family: one weight per Z_d orbit.
 
     orbit_weights holds one float per base of the family (ShapeMismatch
-    otherwise), the weight of each of that base's d shifts.  It is kept as a
-    tuple and the family's stack is read-only, so the orbit kernel and its
-    DFT tables are computed once, on first use, and kept on the object.
+    otherwise), the weight of that base moved by each cyclic shift.  It is
+    kept as a tuple and the family's stack is read-only, so the orbit kernel
+    and its DFT tables are computed once, on first use, and kept on the
+    object.
     """
 
     orbit_weights: tuple[float, ...]
@@ -124,43 +128,60 @@ class MixedUnitaryDecomposition:
         conj(U_t[a2, a2 + e2]) is one term of L at D = a2 - a, e and
         g = D + e2 - e.  All (s d)^2 terms are one (s d x T)(T x s d)
         product.  Each block of D sums its terms into their slots of an
-        (e, D, g) buffer, one np.bincount, and transforms the buffer by one
-        product with the DFT matrix, written into lhat.  The paper's
-        unitaries have s = 2 (the diagonal and each row's partner in its
-        pair {q, kq}), so the build costs O(T d^2 + d^4) and holds, beyond
-        lhat, one block of matcore's budget and O(d^2) terms; dense bases
-        make s = d, O(T d^4) and d^4 terms.  lhat reads only the bases and
-        the weights.
+        (e, D, g) buffer, one np.bincount (_kernel_blocks, which check (a)'s
+        fallback reads too), and lhat is each buffer transformed by one
+        product with the DFT matrix.  The paper's unitaries have s = 2 (the
+        diagonal and each row's partner in its pair {q, kq}), so the build
+        costs O(T d^2 + d^4) and holds, beyond lhat, one block of matcore's
+        budget and O(d^2) terms; dense bases make s = d, O(T d^4) and d^4
+        terms.  lhat reads only the bases and the weights.
         """
-        uf = self.unitaries
-        d = uf.d
-        orbit_w = np.asarray(self.orbit_weights)
-        coords, plus, dft = self._dft
-        offs = uf.bases.offsets()  # offs[a, i]: the offset e of row a's value i, at (a, a + e)
-        s = offs.shape[1]
-        values = uf.bases.values.transpose(0, 2, 1).reshape(len(uf.bases), s * d)  # [t, i, a]
-        terms = ((orbit_w[:, None] * values).T @ values.conj()).reshape(s, d, s, d)  # [i, a, j, a2]
-        partner = plus.T  # partner[D, a] = a + D, the row a2 of a term at D
-        terms = terms[:, coords, :, partner]  # [D, a, i, j]
-        big_d = coords[:, None, None, None]
-        e = offs[:, :, None]  # e[a, i, 0] = offs[a, i]
-        g = (big_d + offs[partner][:, :, None, :] - e) % d
-        # each term goes to the slot (e, D, g) of its block's buffer; its real and imaginary
-        # parts go to the two halves of that complex slot
-        keys = 2 * (big_d * d + g)[..., None] + np.arange(2)
-        del values, g
-        zeta = dft.conj()  # zeta[k, e] = exp(2 pi i k e / d)
+        d = self.unitaries.d
+        blocks = _kernel_blocks(np.asarray(self.orbit_weights), self.unitaries)  # the terms, before lhat
+        zeta = self._dft[2].conj()  # zeta[k, e] = exp(2 pi i k e / d)
         lhat = np.empty((d, d, d), dtype=complex)
         rows = lhat.reshape(d, d * d)  # rows[k, D * d + g]
-        for block in _blocks(d, d * d * 16):
-            n = block.stop - block.start
-            block_keys = keys[block]
-            block_keys += 2 * (e[..., None] * n * d - block.start * d)  # in place: each block reads its keys once
-            buf = np.bincount(block_keys.ravel(), terms[block].view(float).ravel(), 2 * d * n * d).view(complex)
-            np.matmul(zeta, buf.reshape(d, n * d), out=rows[:, block.start * d : block.stop * d])
+        for block, buf in blocks:
+            np.matmul(zeta, buf.reshape(d, -1), out=rows[:, block.start * d : block.stop * d])
             del buf  # freed before the next block's buffer is made
         lhat.flags.writeable = False
         return lhat
+
+
+def _kernel_blocks(w: np.ndarray, uf: UnitaryFamily):
+    """An iterator of (block, buf) for each block of D in turn, buf[e, D - block.start, g] = L[D, e, g] of the orbit weights w.
+
+    The terms are those of MixedUnitaryDecomposition._orbit_kernel: one
+    (s d x T)(T x s d) product of the bases' values, each term at its (D,
+    e, g), made by this call, so their temporaries are gone before a
+    caller allocates its output.  Each block of D, as many as matcore's
+    budget holds of d^2 complex entries, sums its terms into a new buffer
+    by one np.bincount and hands it over, keeping no reference to it: a
+    consumer that drops each buffer before asking for the next holds one
+    block at a time beside the O((s d)^2) terms.
+    """
+    d = uf.d
+    coords = np.arange(d)
+    offs = uf.bases.offsets()  # offs[a, i]: the offset e of row a's value i, at (a, a + e)
+    s = offs.shape[1]
+    values = uf.bases.values.transpose(0, 2, 1).reshape(len(uf.bases), s * d)  # [t, i, a]
+    terms = ((w[:, None] * values).T @ values.conj()).reshape(s, d, s, d)  # [i, a, j, a2]
+    partner = (coords[:, None] + coords) % d  # partner[D, a] = a + D, the row a2 of a term at D
+    terms = terms[:, coords, :, partner]  # [D, a, i, j]
+    big_d = coords[:, None, None, None]
+    e = offs[:, :, None]  # e[a, i, 0] = offs[a, i]
+    g = (big_d + offs[partner][:, :, None, :] - e) % d
+    # each term goes to the slot (e, D, g) of its block's buffer; its real and imaginary
+    # parts go to the two halves of that complex slot
+    keys = 2 * (big_d * d + g)[..., None] + np.arange(2)
+
+    def block_sum(block: slice) -> np.ndarray:
+        n = block.stop - block.start
+        block_keys = keys[block]
+        block_keys += 2 * (e[..., None] * n * d - block.start * d)  # in place: each block reads its keys once
+        return np.bincount(block_keys.ravel(), terms[block].view(float).ravel(), 2 * d * n * d).view(complex).reshape(d, n, d)
+
+    return ((block, block_sum(block)) for block in _blocks(d, d * d * 16))
 
 
 @dataclass(frozen=True)
@@ -303,27 +324,30 @@ def _choi_dev_from_gram(w: np.ndarray, uf: UnitaryFamily) -> float:
 
 
 def _choi_dev_by_blocks(w: np.ndarray, uf: UnitaryFamily) -> float:
-    """|sum_j w_j vec(U_j) vec(U_j)* - (I + SWAP)/(d+1)|_F for one weight w[t] per orbit, from d rows.
+    """|sum_j w_j vec(U_j) vec(U_j)* - (I + SWAP)/(d+1)|_F for one weight w[t] per orbit, from the kernel's blocks.
 
-    Member t*d + x is base t shifted by x, S_x U_t S_x*, and weighs w[t], so
-    the mixture's Choi matrix C commutes with S_x (x) S_x, as does the
-    target: the rows (i, a) of the difference are the rows (0, a - i),
-    their entries permuted, and its squared norm is d times that of the d
-    rows (0, a).  Those rows are one (d x n)(n x d^2) product of the
-    members, which need not be symmetric or d(d+1)/2, with weights of any
-    sign.
+    Entry (j d + i, l d + k) of the mixture's Choi matrix is
+    sum_m w_m U_m[i, j] conj(U_m[k, l]) = K[k - i, j - i, l - i], the orbit
+    kernel (see MixedUnitaryDecomposition._orbit_kernel), and the target
+    (I + SWAP)/(d+1) is shift-covariant the same way, its K at (0, e, e)
+    and at (D, D, 0).  Each K[D, e, f] then stands for d entries, and
+    L[D, e, g] = K[D, e, e + g] only relabels them, so the squared
+    distance is d sum |L - L_target|^2, with L_target 1/(d+1) at (0, e, 0)
+    and at (D, D, -D).  The blocks of L come from _kernel_blocks one at a
+    time, each with its target subtracted in place: no d^2 x d^2 matrix,
+    no member and no d^3 array is formed.  The members need not be
+    symmetric or d(d+1)/2, and the weights may have any sign.
     """
     d = uf.d
-    # The rows are the members in C order, vec(U_j^T) = SWAP vec(U_j), conjugated on
-    # the left: that is conj(SWAP C SWAP), whose distance to the real, SWAP-invariant
-    # target is C's.  The members are gathered from the bases, so the family's dense
-    # view is never formed
-    flat = orbit_stack(uf.bases.dense()).reshape(len(uf), d * d)
-    rows = (np.repeat(w, d)[:, None] * flat[:, :d].conj()).T @ flat
-    a = np.arange(d)
-    rows[a, a] -= 1 / (d + 1)  # row (0, a) meets I at column (0, a)
-    rows[a, a * d] -= 1 / (d + 1)  # and SWAP at column (a, 0)
-    return math.sqrt(d * float(np.vdot(rows, rows).real))
+    sq = 0.0
+    for block, buf in _kernel_blocks(w, uf):
+        big_d = np.arange(block.start, block.stop)
+        buf[big_d, big_d - block.start, -big_d % d] -= 1 / (d + 1)  # SWAP at (D, D, -D)
+        if block.start == 0:
+            buf[:, 0, 0] -= 1 / (d + 1)  # I at (0, e, 0)
+        sq += float(np.vdot(buf, buf).real)
+        del buf
+    return math.sqrt(d * sq)
 
 
 def verify_decomposition(
@@ -337,8 +361,9 @@ def verify_decomposition(
     (a) Frobenius distance between sum_j w_j vec(U_j) vec(U_j)* and the
     closed-form Choi matrix (I + SWAP)/(d+1), within eps * d^2.  For
     d(d+1)/2 exactly symmetric members with weights >= 0 it comes from the
-    Gram stats the certificate reads, times d; otherwise from d rows of the
-    difference, times d, so no d^2 x d^2 matrix is formed.
+    Gram stats the certificate reads, times d; otherwise from the orbit
+    kernel's sums, one block at a time, times d, so no d^2 x d^2 matrix is
+    formed.
     (b) For `trials` seeded random Hermitian inputs (per-trial seed =
     seed + index), max-entry distance between the mixture output and the
     formula output, within eps * max|X|; a distance that is not finite
@@ -346,8 +371,8 @@ def verify_decomposition(
     as many as matcore's block budget holds at one complex d x d input
     each, and applies the mixture to a batch per apply_decomposition call,
     through the orbit kernel in one pass per batch.
-    It reads neither the Gram nor vec(U), so it does not share check (a)'s
-    data or convention.
+    It reads neither the Gram nor vec(U), so it does not share the data or
+    the convention of check (a)'s Gram path.
     """
     if trials < 0:
         raise OutOfRange(f"trials must be >= 0, got {trials}")

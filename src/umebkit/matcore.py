@@ -1,16 +1,16 @@
 """Matrix core: stacks of base matrices stored on their union support
 (SupportStack: one column table, and the values there), whole
 cyclic-shift orbits of base matrices (every family is T bases, each moved
-by all d shifts, T d members), the trace Gram of those orbits held by
-its parts from the bases' cyclic diagonals, what every check reads off it,
+by every cyclic shift, T d members), the trace Gram of those orbits held
+by its parts from the bases' cyclic diagonals, what every check reads off it,
 the Gram spectrum from its shift blocks and its numerical rank, the budgeted
 product a* a - c summed over the support, the bases' asymmetry, the
-tolerances and the JSON coding of real stacks.
+tolerances and the JSON coding of a real stack: its column table and its
+values, the one format of a family's bases on disk as in memory.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 
@@ -105,35 +105,29 @@ def support_columns(on: np.ndarray) -> np.ndarray:
     is padded with columns outside the mask, which read 0 in every base of
     the mask's union support: a sum over cols[i] adds exact zeros there,
     and a NaN or inf of another factor still meets at least one entry.
-    The mask holds at most count[i] of row i's first s columns, so its
-    first s - count[i] columns outside the mask lie among them: one
-    np.nonzero of the mask beside the negation of its first s columns lists
-    each row's candidates in order, and each is placed by counting, not by
-    sorting (a process's first sort maps code pages that show in its peak
-    RSS).  One O(d^2) scan, and O(d s) work beside it.
+    One stable argsort of the negated mask puts each row's columns first,
+    in order, and the columns off it after them.  Only a hand-made dense
+    stack and a support widened by eye_minus come here; the package's own
+    builds and the loader write their column tables directly.
     """
-    count = on.sum(axis=1)
-    s = max(1, int(count.max(initial=0)))
-    i, j = np.nonzero(np.concatenate((on, ~on[:, :s]), axis=1))  # by row: the mask's columns, then its first s columns off it
-    listed = count + s - on[:, :s].sum(axis=1)
-    cols = np.empty((len(on), on.shape[1] + s), dtype=np.intp)
-    cols[i, np.arange(len(i)) - (np.cumsum(listed) - listed)[i]] = j % on.shape[1]
-    return cols[:, :s]
+    s = max(1, int(on.sum(axis=1).max(initial=0)))
+    return np.argsort(~on, axis=1, kind="stable")[:, :s]
 
 
 @dataclass(frozen=True, eq=False)
 class SupportStack:
     """T d x d bases stored on their union support: values[t, a, i] = bases[t][a, cols[a, i]].
 
-    cols (d, s) is one column table for all the bases: row a lists the
-    columns of row a in the union support, in ascending order, then pads
-    with columns outside it (support_columns), where every value is 0.  A
-    stack built from a dense one (of) holds exactly that; a builder that
-    knows its support writes cols and values directly.  Both arrays are
-    handed over and made read-only.  Every reader of a family's bases goes
-    through this type: the dense view, the entries at any (i, j), the
-    cyclic offset of each column, and the checks below, which read cols and
-    values and never a (T, d, d) array.  The paper's bases have s = 2 (the
+    cols (d, s) is one column table for all the bases: row a lists s
+    distinct columns, and every entry of row a off them is 0 in every base.
+    A stack built from a dense one (of) lists the columns of the union
+    support in ascending order, then pads with columns outside it
+    (support_columns), where every value is 0; a builder that knows its
+    support, and the loader (support_from_json), write cols and values
+    directly.  Both arrays are handed over and made read-only.  Every
+    reader of a family's bases goes through this type: the dense view, the
+    entries at any (i, j), the cyclic offset of each column, and the checks
+    below, which read cols and values and never a (T, d, d) array.  The paper's bases have s = 2 (the
     diagonal and each row's partner in its pair {q, kq}), so a stack holds
     2 T d values, against T d^2 dense.
     """
@@ -213,6 +207,58 @@ class SupportStack:
         return SupportStack(stack.cols, values)
 
 
+SUPPORT_FIELDS = ["cols", "shape", "values"]  # sorted
+
+
+def support_to_json(stack: SupportStack) -> dict:
+    """{"shape": [T, d, s], "cols": [...], "values": [...]}: the column table and values of a real stack, flat in C order; NotReal for a complex one."""
+    if np.iscomplexobj(stack.values):
+        raise NotReal(f"only real stacks are written, got one of dtype {stack.values.dtype}")
+    return {"shape": list(stack.values.shape), "cols": stack.cols.ravel().tolist(), "values": stack.values.ravel().tolist()}
+
+
+def support_from_json(obj: dict, d: int) -> SupportStack:
+    """Bit-exact inverse of support_to_json for T >= 1 real d x d bases, signed zeros included.
+
+    The fields must be exactly SUPPORT_FIELDS, which rejects the dense
+    stacks of earlier versions and any "im" part.  ShapeMismatch unless
+    shape is three integers [T, d, s] with T >= 1 and 1 <= s <= d, and cols
+    and values are lists of d s and T d s entries, which is checked before
+    anything is allocated.  MalformedArtifact if a column is not a JSON
+    integer or lies outside 0..d-1, if a row lists a column twice (every
+    sum over the support would count that entry twice), or if a value is
+    not a finite JSON number; a bool is neither.
+    """
+    fields = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
+    if fields != SUPPORT_FIELDS:
+        raise MalformedArtifact(f"bases have the fields {SUPPORT_FIELDS}, not {fields}")
+    cols, values = obj["cols"], obj["values"]
+    try:
+        shape = [json_int(n, "bases shape") for n in obj["shape"]]
+    except TypeError as exc:
+        raise MalformedArtifact(f"malformed bases shape: {exc}") from None
+    if len(shape) != 3 or shape[0] < 1 or shape[1] != d or not 1 <= shape[2] <= d:
+        raise ShapeMismatch(f"bases of shape {shape} are not [T, {d}, s] with T >= 1 and 1 <= s <= {d}")
+    t, _, s = shape
+    if not (isinstance(cols, list) and isinstance(values, list) and (len(cols), len(values)) == (d * s, t * d * s)):
+        raise ShapeMismatch(f"bases of shape {shape} need lists of {d * s} columns and {t * d * s} values")
+    if not set(map(type, cols)) <= {int} or not set(map(type, values)) <= {int, float}:
+        raise MalformedArtifact("bases columns must be JSON integers and their values JSON numbers, and a bool is neither")
+    try:
+        table, data = np.array(cols, dtype=np.intp).reshape(d, s), np.array(values, dtype=float).reshape(t, d, s)
+    except OverflowError:
+        raise MalformedArtifact("a bases column or value is too large") from None
+    if not np.isfinite(data).all():
+        raise MalformedArtifact("bases have a NaN or infinite value")
+    if table.min() < 0 or table.max() >= d:
+        raise MalformedArtifact(f"a bases column lies outside 0..{d - 1}")
+    seen = np.zeros((d, d), dtype=bool)
+    seen[np.arange(d)[:, None], table] = True
+    if np.count_nonzero(seen) < table.size:
+        raise MalformedArtifact("a row of the bases lists a column twice")
+    return SupportStack(table, data)
+
+
 def support_product(a: SupportStack, c: SupportStack) -> tuple[np.ndarray, np.ndarray]:
     """(entries, gap): gap[t, m] is the entry entries[m] = i d + j of a[t]* a[t] - c[t], over every entry a term or c reaches.
 
@@ -283,7 +329,7 @@ def asymmetry(stack: SupportStack) -> tuple[float, float]:
 
 @dataclass(frozen=True, eq=False)
 class CyclicGram:
-    """The trace Gram G_ij = tr(m_i* m_j) of the members m = orbit_stack(bases), held by its parts (cyclic_gram).
+    """The trace Gram G_ij = tr(m_i* m_j) of the members m, every base moved by every shift, held by its parts (cyclic_gram).
 
     With indices mod d, G[t*d + y, t'*d + y + x] = c[t, t'] [x = 0] +
     h[group[t], group[t'], x]: the Gram of whole orbits is block-circulant,
@@ -418,45 +464,3 @@ def json_number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
         raise MalformedArtifact(f"{what} must be a finite number, got {value!r:.40}")
     return float(value)
-
-
-def stack_to_json(stack: np.ndarray) -> dict:
-    """{"shape": [n, d, d], "re": [...]}: the entries of a real stack in C order; NotReal for a complex stack."""
-    if np.iscomplexobj(stack):
-        raise NotReal(f"only real stacks are written, got one of dtype {stack.dtype}")
-    return {"shape": list(stack.shape), "re": stack.ravel().tolist()}
-
-
-def stack_from_json(obj: dict, d: int) -> np.ndarray:
-    """Bit-exact inverse of stack_to_json for n >= 1 members of size d x d, signed zeros included.
-
-    MalformedArtifact if the stack has an "im" part, which a real stack
-    never has.  ShapeMismatch unless shape is [n, d, d] with n, d >= 1 and
-    "re" is a flat list of n*d*d JSON numbers, which is checked before the
-    stack is allocated; MalformedArtifact if an entry is NaN or infinite.
-    The stack is read-only and of dtype float.
-    """
-    try:
-        shape = tuple(json_int(n, "stack shape") for n in obj["shape"])
-        entries = obj["re"]
-        if "im" in obj:
-            raise MalformedArtifact('a stack is real, but this one has an "im" part')
-    except TypeError as exc:
-        raise MalformedArtifact(f"malformed stack: {exc}") from None
-    if len(shape) != 3 or min(shape) < 1 or shape[1:] != (d, d):
-        raise ShapeMismatch(f"stack of shape {list(shape)} is not one or more {d}x{d} matrices")
-    try:
-        data = np.array(entries)
-    except (ValueError, ArithmeticError) as exc:  # ValueError: ragged entries
-        raise ShapeMismatch(f"malformed stack entries: {exc}") from None
-    if data.shape != (math.prod(shape),) or data.dtype.kind not in "iuf":
-        raise ShapeMismatch(
-            f"stack entries of shape {data.shape} and dtype {data.dtype} "
-            f"are not a flat list of {math.prod(shape)} numbers"
-        )
-    if not np.isfinite(data).all():
-        raise MalformedArtifact("stack has a NaN or infinite entry")
-    stack = np.empty(shape)
-    stack[...] = data.reshape(shape)
-    stack.flags.writeable = False
-    return stack

@@ -3,16 +3,16 @@
 Two sources: the quadratic-residue/Hadamard construction that yields
 p(p+1)/2 rank-(p-1)/2 real projections in dimension p (for p = 3 or
 p = 7 mod 8), and the six icosahedron diagonals as rank-one projections in
-dimension 3, which are the same construction at p = 3: two bases, each
-moved by all 3 shifts.  Also the duality map Q_i = I - P_i and the
-closed-form common angles.  A family is T bases, each moved by all d
-cyclic shifts, and holds the bases on their union support
+dimension 3, which are that construction at p = 3.  Also the duality map
+Q_i = I - P_i and the closed-form common angles.  A family is T bases,
+each moved by every cyclic shift, and holds the bases on their support
 (matcore.SupportStack): the residue bases are written there directly, each
 base vector's two nonzero entries given by their indices and coefficients,
-and a dense stack given to a family is read as bases and compressed once.  verify_equiangular
-reads each family's pairwise traces off its Gram, held by its parts from
-the bases' cyclic diagonals, and its idempotency off products summed over
-that support.
+a family artifact holds that column table and those values as they are
+(matcore.support_to_json), and a dense stack given to a family is read as
+bases and compressed once.  verify_equiangular reads each family's
+pairwise traces off its Gram, held by its parts from the bases' cyclic
+diagonals, and its idempotency off products summed over that support.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import (
     NotReal,
     RankOutOfRange,
 )
-from .hadamard import HadamardMatrix
+from .hadamard import HadamardMatrix, construct
 from .matcore import (
     DEFAULT_TOL,
     SupportStack,
@@ -42,29 +42,28 @@ from .matcore import (
     json_int,
     json_number,
     orbit_stack,
-    stack_from_json,
-    stack_to_json,
+    support_from_json,
     support_product,
+    support_to_json,
 )
-from .numth import UmebPrime
+from .numth import UmebPrime, validate_prime
 
 
 @dataclass(frozen=True, eq=False)
 class ProjectionFamily:
-    """Same-rank real symmetric projections with a common target angle: T bases, each moved by all d shifts.
+    """Same-rank real symmetric projections with a common target angle: T bases, each moved by every cyclic shift.
 
-    Member t*d + x is base t shifted by x (matcore.orbit_stack), so the
-    family has T d members, whole Z_d orbits.  bases is the T real bases on
-    their union support, one read-only matcore.SupportStack that the family
-    owns (NotReal for complex bases): a dense (T, d, d) stack or sequence
-    given to the constructor is read as bases and compressed into one, so
+    Member t*d + x is base t shifted by x, so the family has T d members,
+    whole Z_d orbits.  bases is the T real bases on their support, one
+    read-only matcore.SupportStack that the family owns (NotReal for
+    complex bases): a dense (T, d, d) stack or sequence given to the
+    constructor is read as bases and compressed into one, so
     ProjectionFamily(d, r, fam.projections, beta) is a family d times larger
-    than fam, and bases.dense() is the dense view.  r is the common rank, 1 <= r < d
-    (RankOutOfRange otherwise), the range in which beta_projections and
-    feasibility are defined.  beta is the exact rational target of
-    tr(P_i P_j) for i != j.  Because no caller can write
-    to the bases through the family, its dense members are gathered once,
-    on first use, and kept.
+    than fam.  r is the common rank, 1 <= r < d (RankOutOfRange otherwise),
+    the range in which beta_projections and feasibility are defined.  beta
+    is the exact rational target of tr(P_i P_j) for i != j.  Because no
+    caller can write to the bases through the family, its dense members are
+    gathered once, on first use, and kept.
     """
 
     d: int
@@ -153,8 +152,8 @@ def build_residue_family(prime: UmebPrime, h: HadamardMatrix) -> ProjectionFamil
     padding columns 0 and 1.  That is one (p, 2) column table for every
     base and 2p values a base, written directly, with no (T, p, p) array.
     Moving every basis vector by x maps P to P[i - x, j - x], and a shift
-    only permutes coordinates, so what holds for a base holds for all its
-    shifts.
+    only permutes coordinates, so what holds for a base holds for every
+    shift of it.
     """
     p = prime.p
     ends, coefficients = residue_base_vectors(prime, h)  # ends[:, s]: the two support indices of vector s
@@ -233,54 +232,41 @@ def dual_family(family: ProjectionFamily) -> ProjectionFamily:
 
 
 def icosahedron_lines() -> ProjectionFamily:
-    """Rank-one projections onto the six diagonals of a regular icosahedron.
+    """Rank-one projections onto the six diagonals of a regular icosahedron: the residue family at p = 3.
 
-    Standard golden-ratio coordinates (0, +-1, phi) and their cyclic
-    rotations: the two bases onto (0, 1, phi) and (0, -1, phi), each moved
-    by all 3 shifts, with phi = off_support_scale(3).  That is the residue
-    construction at p = 3, so the bases are written on the same support:
-    rows 1 and 2 hold the columns {1, 2}, and row 0, in no support, the
-    padding columns 0 and 1.  Pairwise trace 1/5, matching
-    beta_projections(3, 1).
+    Its two bases project onto (0, 1, phi) and (0, -1, phi), with phi =
+    off_support_scale(3) the golden ratio, and their moves by each cyclic
+    shift are the standard golden-ratio coordinates (0, +-1, phi) rotated.
+    Pairwise trace 1/5, matching beta_projections(3, 1).
     """
-    phi = off_support_scale(3)
-    v = np.array([(0.0, 1.0, phi), (0.0, -1.0, phi)]) / math.sqrt(1.0 + phi * phi)
-    cols = np.array([[0, 1], [1, 2], [1, 2]])
-    values = v[:, cols] * v[:, :, None]
-    values[:, 0] = 0.0
-    return ProjectionFamily(
-        d=3,
-        r=1,
-        bases=SupportStack(cols, values),
-        beta=Fraction(1, 5),
-    )
+    return build_residue_family(validate_prime(3), construct(2))
 
 
-FAMILY_FIELDS = ["C", "bases", "beta_den", "beta_num", "d", "r", "shifts"]  # sorted
+FAMILY_FIELDS = ["C", "bases", "beta_den", "beta_num", "d", "r"]  # sorted
 
 
 def family_to_json(family: ProjectionFamily) -> dict:
-    """The family's fields and its bases as one stack: exactly FAMILY_FIELDS, "C" always off_support_scale(d) and "shifts" always d."""
+    """The family's fields and its bases on their support (matcore.support_to_json): exactly FAMILY_FIELDS, "C" always off_support_scale(d)."""
     return {
         "d": family.d,
         "r": family.r,
         "beta_num": family.beta.numerator,
         "beta_den": family.beta.denominator,
         "C": off_support_scale(family.d),
-        "shifts": family.d,
-        "bases": stack_to_json(family.bases.dense()),
+        "bases": support_to_json(family.bases),
     }
 
 
 def family_from_json(obj: dict) -> ProjectionFamily:
     """Inverse of family_to_json; MalformedArtifact, ShapeMismatch or RankOutOfRange on bad input.
 
-    The fields must be exactly FAMILY_FIELDS, which rejects the dense format
-    of earlier versions, and beta must fit in a float.  Every family is
-    whole orbits, so "shifts" must be d.  The bases are real:
-    matcore.stack_from_json rejects a stack with an "im" part.  A family of
-    whole orbits was built by the residue construction, so its C must be
-    exactly off_support_scale(d), the value family_to_json writes.
+    The fields must be exactly FAMILY_FIELDS, which rejects the formats of
+    earlier versions (the dense stack, and the shift count beside it),
+    and beta must fit in a float.  matcore.support_from_json reads the
+    bases straight into the family's SupportStack: real values on a column
+    table whose rows list distinct columns in 0..d-1.  A family of whole
+    orbits was built by the residue construction, so its C must be exactly
+    off_support_scale(d), the value family_to_json writes.
     """
     fields = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
     if fields != FAMILY_FIELDS:
@@ -290,12 +276,9 @@ def family_from_json(obj: dict) -> ProjectionFamily:
         beta = Fraction(json_int(obj["beta_num"], "beta_num"), json_int(obj["beta_den"], "beta_den"))
         float(beta)  # the checks compare in floats: a beta too large for one is an OverflowError here
         scale = None if obj["C"] is None else json_number(obj["C"], "C")
-        shifts = json_int(obj["shifts"], "shifts")
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise MalformedArtifact(f"malformed family field: {exc}") from None
-    if shifts != d:
-        raise MalformedArtifact(f"a family is whole orbits of its d={d} shifts, not {shifts}")
-    family = ProjectionFamily(d=d, r=r, bases=stack_from_json(obj["bases"], d), beta=beta)
+    family = ProjectionFamily(d=d, r=r, bases=support_from_json(obj["bases"], d), beta=beta)
     if scale != off_support_scale(d):
         raise MalformedArtifact(
             f"C = {scale!r} of a family of whole orbits is not the coefficient {off_support_scale(d)!r} for d={d}"

@@ -6,8 +6,8 @@ U_i = I - (1 - z) P_i, and certify the resulting family: trace
 orthogonality, span of the symmetric matrices, orthogonality of the
 antisymmetric complement and odd dimension.  The certificate is the
 machine-checkable record that the vectorized family is an unextendible
-maximally entangled basis.  A family is T bases, each moved by all d
-cyclic shifts, and holds the bases on their union support
+maximally entangled basis.  A family is T bases, each moved by every
+cyclic shift, and holds the bases on their union support
 (matcore.SupportStack), as its projection family does; its Gram, its
 unitarity check and its asymmetry all read that one column table and its
 values, as does the orbit kernel of channels.
@@ -41,7 +41,7 @@ class FeasibilityReport:
 
 @dataclass(frozen=True, eq=False)
 class UnitaryFamily:
-    """Unitaries I - (1-z)P_i sharing one unit-modulus phase z: T bases, each moved by all d shifts.
+    """Unitaries I - (1-z)P_i sharing one unit-modulus phase z: T bases, each moved by every cyclic shift.
 
     Members and bases are as in ProjectionFamily: member t*d + x is base t
     shifted by x, T d members in all.  The bases are complex, a
@@ -146,8 +146,8 @@ def compute_phase(d: int, r: int) -> complex:
 def build_unitaries(family: ProjectionFamily, z: complex) -> UnitaryFamily:
     """U_i = I - (1-z) P_i; eigenvalue z on range(P_i), 1 on its kernel.
 
-    I is shift-invariant, so this maps the bases, each still moved by all d
-    shifts: the values of the projections' support, with each row's
+    I is shift-invariant, so this maps the bases, each still moved by every
+    cyclic shift: the values of the projections' support, with each row's
     diagonal, into one complex (T, d, s) array handed to the family
     (SupportStack.eye_minus).
     """

@@ -98,7 +98,7 @@ def test_criterion_2_p7_umeb(tmp_path):
     ok = (
         code == 0
         and "unitaries" not in uf
-        and uf["source"]["shifts"] * uf["source"]["bases"]["shape"][0] == 28
+        and uf["d"] * uf["source"]["bases"]["shape"][0] == 28
         and z_re == -31 / 32
         and abs(z_im - math.sqrt(63) / 32) <= 1e-15
         and cert["max_unitarity_dev"] <= 1e-10

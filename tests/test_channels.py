@@ -488,7 +488,9 @@ def test_choi_check_falls_back_to_the_blocks(build, monkeypatch):
     rep = verify_decomposition(dec, trials=0)
     assert ran == ["_choi_dev_by_blocks"]
     assert "unitaries" not in dec.unitaries.__dict__  # the fallback leaves no dense view on the family
-    assert rep.choi_dev == pytest.approx(full_choi_dev(dec), rel=1e-9, abs=1e-14)
+    # the kernel's sums against the whole d^2 x d^2 matrix; the non-symmetric member's distance is
+    # 3.5e-14, and it agrees within 4e-19
+    assert rep.choi_dev == pytest.approx(full_choi_dev(dec), rel=1e-12, abs=1e-17)
     assert rep.verdict == (build is _nonsymmetric_member)
 
 
@@ -535,6 +537,28 @@ def test_the_choi_fallback_holds_at_most_one_dense_stack(monkeypatch):
     ran = spy_choi_paths(monkeypatch)
     assert _traced_peak(lambda: verify_decomposition(dec, trials=2)) < 1.5 * dense_bytes
     assert ran == ["_choi_dev_by_blocks"]
+
+
+def test_the_choi_fallback_reads_the_kernel_blocks_one_at_a_time(monkeypatch):
+    # p=79 with orbit 1's weight negated: the fallback holds one block of the (e, D, g) sums and the
+    # terms, never the 3160 members (the dense stack is 315 MiB)
+    p = 79
+    dec = _negative_weight(p)
+    uf = dec.unitaries
+    uf.asymmetry, uf.gram_stats  # the family's own passes, kept on it: made before the trace
+    ran = spy_choi_paths(monkeypatch)
+    reports = []
+    peak = _traced_peak(lambda: reports.append(verify_decomposition(dec, trials=0)))
+    assert ran == ["_choi_dev_by_blocks"] and peak <= 16 << 20
+    # the uniform mixture is the channel, so the distance is that of the orbit's members counted
+    # -w instead of w: 2 w |sum_x vec(U_1x) vec(U_1x)*|_F, whose square is d (|G_11|^2 + sq_off[1, 1])
+    w = -dec.orbit_weights[1]
+    stats = uf.gram_stats
+    expected = 2 * w * math.sqrt(p * (abs(stats.diag[1]) ** 2 + stats.sq_off[1, 1]))
+    assert reports[0].choi_dev == pytest.approx(expected, rel=1e-12) and not reports[0].verdict
+    # one D per block gives the same sums
+    monkeypatch.setattr(matcore, "_BLOCK_BYTES", p * p * 16)
+    assert channels._choi_dev_by_blocks(np.asarray(dec.orbit_weights), uf) == pytest.approx(reports[0].choi_dev, rel=1e-14)
 
 
 def test_orbit_kernel_passes_stay_inside_the_byte_budget(p23_decomposition, monkeypatch):

@@ -8,9 +8,9 @@ import pytest
 from umebkit import cli, umeb
 from umebkit.cli import canonical_json, main, unitary_family_to_json
 from umebkit.hadamard import HadamardMatrix, construct
-from umebkit.matcore import Tolerance, stack_to_json
+from umebkit.matcore import SupportStack, Tolerance, support_to_json
 from umebkit.numth import validate_prime
-from umebkit.packing import build_residue_family, family_from_json, off_support_scale, verify_equiangular
+from umebkit.packing import FAMILY_FIELDS, build_residue_family, family_from_json, off_support_scale, verify_equiangular
 from umebkit.umeb import build_unitaries, compute_phase
 
 
@@ -27,8 +27,8 @@ def test_generate_p7(tmp_path, capsys):
     assert obj["d"] == 7
     assert obj["r"] == 3
     assert (obj["beta_num"], obj["beta_den"]) == (11, 9)
-    assert obj["shifts"] == 7 and obj["bases"]["shape"] == [4, 7, 7]
-    assert "im" not in obj["bases"]
+    assert sorted(obj) == FAMILY_FIELDS and obj["bases"]["shape"] == [4, 7, 2]  # two entries a row
+    assert sorted(obj["bases"]) == ["cols", "shape", "values"]
     assert "provenance" not in obj and "projections" not in obj
 
 
@@ -60,7 +60,7 @@ def test_umeb_p7_writes_certificate(tmp_path):
     uf = json.loads(out.read_text())
     assert uf["d"] == 7
     assert "unitaries" not in uf  # rebuilt from the source family
-    assert uf["source"]["shifts"] == 7 and uf["source"]["bases"]["shape"] == [4, 7, 7]
+    assert sorted(uf["source"]) == FAMILY_FIELDS and uf["source"]["bases"]["shape"] == [4, 7, 2]
     assert uf["z"][0] == -31 / 32
 
 
@@ -261,9 +261,9 @@ def test_a_tampered_p79_artifact_ends_in_a_verdict_from_the_shift_blocks(tmp_pat
     assert run(["umeb", "--p", "79", "--out", str(path), "--no-timestamp"]) == 0
     obj = json.loads(path.read_text())
     stack = obj["source"]["bases"]
-    bases = np.reshape(stack["re"], stack["shape"])
-    bases[0] += 2 * (bases[1] - bases[2])
-    stack["re"] = bases.ravel().tolist()
+    values = np.reshape(stack["values"], stack["shape"])  # every base on the one column table
+    values[0] += 2 * (values[1] - values[2])
+    stack["values"] = values.ravel().tolist()
     path.write_text(json.dumps(obj))
     capsys.readouterr()
     eigvalsh = np.linalg.eigvalsh
@@ -317,15 +317,15 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-# sha256 of the --no-timestamp artifacts as the dense-bases layout wrote them, before the
-# families were stored on their support: the artifact format is unchanged, byte for byte
+# sha256 of the --no-timestamp artifacts on the bases' support, {"shape", "cols", "values"}:
+# a change to these bytes is a change of the artifact format
 RECORDED_ARTIFACTS = {
-    ("umeb", 7): "f19c64bf04aff5aaf10c65371090fb059fbab791ab94a2df3ba0db63cad2e6cc",
-    ("umeb", 31): "f97649269393bdb552511d847d0691485ca898462e1704620389dd99fdd5270f",
-    ("umeb", 79): "5ddd3f81013d577cf2d55fb29c3c6d2fc1a24392ee880875d6a77039aab9e569",
-    ("generate", 7): "c02f184671d8a09fa31e2af3437f14d43275677fdbcb2d075ce2da94e61384a2",
-    ("generate", 31): "61fc8ec68588d708a6d3be2ee78ecd89a655e74fa0949cfdaa5037965a574148",
-    ("generate", 79): "be9c26cfba9184936e5a0e0e78e6fba77ecd324056c190541e7556cefd90accf",
+    ("umeb", 7): "8f8a1f0abd7ddce67b79b673184a8b108b4cef16a386d165ffb369d6e4a95c51",
+    ("umeb", 31): "da1fc5d4c4ff6e1ffdf9a00dfae728a62507c6b00e8481c239703e39ead51ad0",
+    ("umeb", 79): "fdd1be409b9fc8ba3be73f583d9fc56c561de3a28127eeb38584ebf44d6b42de",
+    ("generate", 7): "352651f8c9a3a6f8340c71d16d0c2a9f4cbe80738399813bd3aaec9678ad0295",
+    ("generate", 31): "2246af4beffddb51cb926d5d5c5f9ca89dd1cc032e002213fab9ab625e4b4e18",
+    ("generate", 79): "cce0e7fc94f80f0a7851621bbf7789e8db66a8cc46439dec5388331bf212fa9e",
 }
 
 
@@ -358,9 +358,14 @@ def test_certificate_input_sha256_is_the_generated_family_digest(p7_artifacts, t
         assert json.loads(cert_path.read_text())["input_sha256"] == _sha256(p7_artifacts["family"])
 
 
+def dense_stack_json(stack):
+    """A dense stack {"shape": [n, d, d], "re": [...]}, as earlier versions wrote a family's members or bases."""
+    return {"shape": list(stack.shape), "re": stack.real.ravel().tolist()}
+
+
 def complex_stack_json(stack):
-    """A stack with an "im" part, as earlier versions wrote complex stacks; stack_to_json writes real ones only."""
-    return {"shape": list(stack.shape), "re": stack.real.ravel().tolist(), "im": stack.imag.ravel().tolist()}
+    """A dense stack with an "im" part, as earlier versions wrote complex stacks."""
+    return dict(dense_stack_json(stack), im=stack.imag.ravel().tolist())
 
 
 DELETE = object()
@@ -368,30 +373,64 @@ IDENTITIES = complex_stack_json(np.tile(np.eye(7, dtype=complex), (28, 1, 1)))
 # hand-made d=3 families of two bases whose rank r lies outside 1 <= r < d: with beta
 # set to tr(P_i P_j), each meets the equiangular check, so only the rank rule rejects it
 ZERO_BASES = {
-    "d": 3, "r": 0, "beta_num": 0, "beta_den": 1, "C": off_support_scale(3), "shifts": 3, "bases": stack_to_json(np.zeros((2, 3, 3)))
+    "d": 3, "r": 0, "beta_num": 0, "beta_den": 1, "C": off_support_scale(3),
+    "bases": support_to_json(SupportStack.of(np.zeros((2, 3, 3)), 3)),
 }
-IDENTITY_BASES = dict(ZERO_BASES, r=3, beta_num=3, bases=stack_to_json(np.tile(np.eye(3), (2, 1, 1))))
-# the p=7 bases conjugated by a diagonal phase, D P D*: complex projections with the traces of P
+IDENTITY_BASES = dict(ZERO_BASES, r=3, beta_num=3, bases=support_to_json(SupportStack.of(np.tile(np.eye(3), (2, 1, 1)), 3)))
+# the p=7 bases conjugated by a diagonal phase, D P D*: complex projections with the traces of P,
+# on the real bases' column table, their imaginary parts beside the values
 PHASES = np.exp(0.7j * np.arange(7))
-COMPLEX_BASES = complex_stack_json(PHASES[:, None] * build_residue_family(validate_prime(7), construct(4)).bases.dense() * PHASES.conj())
+P7_BASES = build_residue_family(validate_prime(7), construct(4)).bases
+PHASED = PHASES[:, None] * P7_BASES.values * PHASES[P7_BASES.cols].conj()
+COMPLEX_BASES = dict(support_to_json(SupportStack(P7_BASES.cols, PHASED.real)), im=PHASED.imag.ravel().tolist())
+# the p=7 family as the parent format wrote it: every base dense, and the shift count d beside it
+DENSE_BASES = dense_stack_json(P7_BASES.dense())
 
 
 @pytest.mark.parametrize(
     "artifact, path, value, code",
     [
-        pytest.param("family", ("bases", "re", 0), "0.5", 1, id="family-string-entry"),
-        pytest.param("family", ("bases", "re", 0), [0.5], 1, id="family-short-pair"),
-        pytest.param("family", ("bases", "re", 0), None, 1, id="family-null-entry"),
+        pytest.param("family", ("bases", "values", 0), "0.5", 1, id="family-string-entry"),
+        pytest.param("family", ("bases", "values", 0), [0.5], 1, id="family-short-pair"),
+        pytest.param("family", ("bases", "values", 0), None, 1, id="family-null-entry"),
         pytest.param("family", ("bases", "shape", 0), 27, 1, id="family-shape-disagrees"),
+        # the bases' shape is three integers [T, d, s], T >= 1, 1 <= s <= d, d the family's
+        pytest.param("family", ("bases", "shape"), [4, 14], 1, id="family-shape-two-axes"),
+        pytest.param("family", ("bases", "shape", 1), 5, 1, id="family-shape-d-disagrees"),
+        pytest.param("family", ("bases", "shape", 2), 2.0, 1, id="family-shape-float"),
+        pytest.param("family", ("bases",), {"shape": [4, 7, 0], "cols": [], "values": []}, 1, id="family-no-column"),
+        pytest.param("family", ("bases",), {"shape": [1, 7, 8], "cols": list(range(8)) * 7, "values": [0.0] * 56}, 1, id="family-more-columns-than-d"),
+        # each list's length is that of the shape
+        pytest.param("family", ("bases", "values", -1), DELETE, 1, id="family-values-short"),
+        pytest.param("family", ("bases", "cols", -1), DELETE, 1, id="family-cols-short"),
+        pytest.param("unitary", ("source", "bases", "values", -1), DELETE, 1, id="unitary-values-short"),
+        # each column is an integer in 0..d-1, listed once in its row: row 1 is the pair {1, 3}
+        pytest.param("family", ("bases", "cols", 2), 1.0, 1, id="family-float-column"),
+        pytest.param("family", ("bases", "cols", 2), -1, 1, id="family-negative-column"),
+        pytest.param("family", ("bases", "cols", 2), 7, 1, id="family-column-d"),
+        pytest.param("family", ("bases", "cols", 3), 1, 1, id="family-repeated-column"),
+        pytest.param("unitary", ("source", "bases", "cols", 3), 1, 1, id="unitary-repeated-column"),
+        # each value is finite
+        pytest.param("family", ("bases", "values", 2), float("nan"), 1, id="family-nan-value"),
+        pytest.param("unitary", ("source", "bases", "values", 2), float("inf"), 1, id="unitary-inf-value"),
+        # a JSON bool is no number: false in place of row 0's padding value 0.0, and true in
+        # place of its padding column 1, would each read as the same family
+        pytest.param("family", ("bases", "values", 0), False, 1, id="family-false-value"),
+        pytest.param("family", ("bases", "cols", 1), True, 1, id="family-true-column"),
+        pytest.param("unitary", ("source", "bases", "values", 0), False, 1, id="unitary-false-value"),
+        pytest.param("unitary", ("source", "bases", "cols", 1), True, 1, id="unitary-true-column"),
         # a provenance field belongs to the dense format of earlier versions
         pytest.param("family", ("provenance",), [[0, 0]], 1, id="family-provenance-short"),
+        # the "shifts" field of the parent format, at any value, marks that earlier format
+        pytest.param("family", ("shifts",), 7, 1, id="family-shifts-d"),
         pytest.param("family", ("shifts",), 7.0, 1, id="family-shift-float"),
         pytest.param("family", ("shifts",), 2, 1, id="family-shifts-other"),
-        # every family is whole orbits: the shift count is d=7 and nothing else
         pytest.param("family", ("shifts",), 1, 1, id="family-shifts-one"),
         pytest.param("family", ("shifts",), 6, 1, id="family-shifts-d-minus-1"),
         pytest.param("family", ("shifts",), 14, 1, id="family-shifts-2d"),
-        pytest.param("family", ("shifts",), DELETE, 1, id="family-shifts-missing"),
+        # and its dense bases, with or without the shift count
+        pytest.param("family", ("bases",), DENSE_BASES, 1, id="family-dense-bases"),
+        pytest.param("unitary", ("source", "bases"), DENSE_BASES, 1, id="unitary-source-dense-bases"),
         pytest.param("family", ("beta_den",), 0, 1, id="family-beta-den-0"),
         pytest.param("family", ("d",), "seven", 1, id="family-d-string"),
         pytest.param("family", ("d",), 5, 1, id="family-d-disagrees"),
@@ -400,13 +439,13 @@ COMPLEX_BASES = complex_stack_json(PHASES[:, None] * build_residue_family(valida
         pytest.param("family", ("C",), off_support_scale(7) * (1 + 1e-6), 1, id="family-scale-off"),
         pytest.param("family", ("C",), None, 1, id="family-scale-null"),
         pytest.param("unitary", ("source", "C"), off_support_scale(7) * (1 - 1e-6), 1, id="unitary-scale-off"),
-        pytest.param("family", ("bases",), {"shape": [0, 7, 7], "re": []}, 1, id="family-empty"),
+        pytest.param("family", ("bases",), {"shape": [0, 7, 2], "cols": [0] * 14, "values": []}, 1, id="family-empty"),
         # a family's bases are real: complex ones would pass the equiangular check
         pytest.param("family", ("bases",), COMPLEX_BASES, 1, id="family-complex"),
         pytest.param("unitary", ("source", "bases"), COMPLEX_BASES, 1, id="unitary-source-complex"),
-        pytest.param("unitary", ("source", "bases", "re", 0), "0.5", 1, id="unitary-string-entry"),
-        pytest.param("unitary", ("source", "bases", "re", 0), [0.5], 1, id="unitary-short-pair"),
-        pytest.param("unitary", ("source", "bases", "re", 0), None, 1, id="unitary-null-entry"),
+        pytest.param("unitary", ("source", "bases", "values", 0), "0.5", 1, id="unitary-string-entry"),
+        pytest.param("unitary", ("source", "bases", "values", 0), [0.5], 1, id="unitary-short-pair"),
+        pytest.param("unitary", ("source", "bases", "values", 0), None, 1, id="unitary-null-entry"),
         # the members of the dense format of earlier versions beside the source
         pytest.param("unitary", ("unitaries",), IDENTITIES, 1, id="bare-dense-format"),
         pytest.param("unitary", ("source", "shifts"), 1, 1, id="unitary-source-one-shift"),
@@ -415,7 +454,7 @@ COMPLEX_BASES = complex_stack_json(PHASES[:, None] * build_residue_family(valida
         pytest.param("unitary", ("source", "beta_den"), 0, 1, id="unitary-beta-den-0"),
         pytest.param("unitary", ("d",), "seven", 1, id="unitary-d-string"),
         pytest.param("unitary", ("d",), 5, 1, id="unitary-d-disagrees"),
-        pytest.param("unitary", ("source", "bases"), {"shape": [0, 7, 7], "re": []}, 1, id="unitary-empty"),
+        pytest.param("unitary", ("source", "bases"), {"shape": [0, 7, 2], "cols": [0] * 14, "values": []}, 1, id="unitary-empty"),
         pytest.param("unitary", ("z", 0), float("nan"), 1, id="unitary-z-nan"),
         pytest.param("unitary", ("bases",), IDENTITIES, 1, id="unitary-both-keys"),
         pytest.param("unitary", ("source",), DELETE, 1, id="unitary-neither-key"),
@@ -498,7 +537,7 @@ def test_bad_tolerance_is_rejected(argv, env, monkeypatch, capsys):
 
 def test_infinite_tolerance_cannot_pass_a_bad_artifact(p7_artifacts, tmp_path, capsys):
     obj = json.loads(p7_artifacts["unitary"].read_text())
-    obj["source"]["bases"]["re"][1] = 5.0
+    obj["source"]["bases"]["values"][1] = 5.0  # base 0 at (0, 1), where it is 0
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
     capsys.readouterr()
@@ -510,23 +549,29 @@ def test_infinite_tolerance_cannot_pass_a_bad_artifact(p7_artifacts, tmp_path, c
 
 
 def test_dense_format_of_earlier_versions_exits_1_with_one_line(tmp_path, capsys):
-    # the artifacts as earlier versions wrote or read them: every member, and provenance
+    # the artifacts as earlier versions wrote or read them: every member, and provenance; then
+    # the dense bases with their shift count, which the parent format wrote
     family = build_residue_family(validate_prime(7), construct(4))
     uf = build_unitaries(family, compute_phase(7, 3))
     old_family = {
         "d": 7, "r": 3, "beta_num": 11, "beta_den": 9, "C": off_support_scale(7),
         "provenance": [[t, x] for t in range(4) for x in range(7)],
-        "projections": stack_to_json(family.projections),
+        "projections": dense_stack_json(family.projections),
     }
+    dense_family = {"d": 7, "r": 3, "beta_num": 11, "beta_den": 9, "C": off_support_scale(7), "shifts": 7, "bases": DENSE_BASES}
     for i, obj in enumerate((
         old_family,
         {"d": 7, "z": [uf.z.real, uf.z.imag], "source": old_family},
         {"d": 7, "z": [uf.z.real, uf.z.imag], "unitaries": complex_stack_json(uf.unitaries)},
         # the bases of the unitaries without their source, which no command wrote
         {"d": 7, "z": [uf.z.real, uf.z.imag], "shifts": 7, "bases": complex_stack_json(uf.bases.dense())},
+        dense_family,
+        {"d": 7, "z": [uf.z.real, uf.z.imag], "source": dense_family},
+        # the dense bases alone, without the shift count
+        {key: value for key, value in dense_family.items() if key != "shifts"},
     )):
         path = tmp_path / f"old{i}.json"
         path.write_text(json.dumps(obj))
         capsys.readouterr()
         assert run(["verify", "--in", str(path)]) == 1
-        assert "has the fields" in _one_error_line(capsys)
+        assert "the fields" in _one_error_line(capsys)

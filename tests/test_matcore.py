@@ -17,10 +17,10 @@ from umebkit.matcore import (
     gram_stats,
     orbit_stack,
     spectral_rank,
-    stack_from_json,
-    stack_to_json,
     support_columns,
+    support_from_json,
     support_product,
+    support_to_json,
     union_support,
 )
 from umebkit.numth import validate_prime
@@ -246,6 +246,16 @@ def test_support_columns_put_each_rows_entries_first():
     on[3, 1:] = False  # the longest row holds two entries: two columns a row
     assert support_columns(on).tolist() == [[1, 3], [0, 1], [2, 0], [0, 1]]
     assert support_columns(np.zeros((3, 3), dtype=bool)).tolist() == [[0], [0], [0]]  # at least one column
+
+
+def test_support_columns_are_each_rows_columns_then_the_rest_on_random_masks():
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        d = int(rng.integers(1, 9))
+        on = rng.random((d, d)) < rng.random()  # from empty rows to full ones
+        s = max(1, int(on.sum(axis=1).max()))
+        direct = [([j for j in range(d) if row[j]] + [j for j in range(d) if not row[j]])[:s] for row in on]
+        assert support_columns(on).tolist() == direct
 
 
 def _unequal_rows():
@@ -633,81 +643,120 @@ def test_support_stack_of_a_dense_stack_owns_its_values():
             SupportStack.of(wrong, 4)
 
 
+def _identity_json(t=1, d=2):
+    """support_to_json of t identity bases of size d x d on their diagonal: shape [t, d, 1]."""
+    return support_to_json(SupportStack.of(np.tile(np.eye(d), (t, 1, 1)), d))
+
+
 def test_stack_json_round_trip_is_exact():
     rng = np.random.default_rng(17)
-    signed_zeros = np.array([[-0.0, 1.5], [2.0, -0.0]])
-    for stack in (rng.standard_normal((3, 5, 5)), signed_zeros[None]):
-        obj = json.loads(json.dumps(stack_to_json(stack)))
-        assert sorted(obj) == ["re", "shape"]
-        again = stack_from_json(obj, stack.shape[1])
-        assert again.shape == stack.shape and again.dtype == float
-        assert again.tobytes() == stack.tobytes()  # bit-exact, sign of zero included
-        assert not again.flags.writeable
+    signed_zeros = SupportStack(np.array([[0, 1], [1, 0]]), np.array([[[-0.0, 1.5], [-0.0, 2.0]]]))
+    p7 = build_residue_family(validate_prime(7), construct(4)).bases
+    moved = SupportStack(p7.cols[:, ::-1].copy(), p7.values[:, :, ::-1].copy())  # each row's columns in another order
+    for stack in (SupportStack.of(rng.standard_normal((3, 5, 5)), 5), signed_zeros, p7, moved):
+        obj = json.loads(json.dumps(support_to_json(stack)))
+        assert sorted(obj) == matcore.SUPPORT_FIELDS == ["cols", "shape", "values"]
+        assert obj["shape"] == list(stack.values.shape) and len(obj["cols"]) == stack.cols.size
+        again = support_from_json(obj, len(stack.cols))
+        for mine, theirs in ((again.cols, stack.cols), (again.values, stack.values)):
+            # bit-exact, sign of zero included, and of the table's own dtype
+            assert (mine.dtype, mine.shape, mine.tobytes()) == (theirs.dtype, theirs.shape, theirs.tobytes())
+        assert not again.values.flags.writeable and not again.cols.flags.writeable
 
 
 def test_stack_json_codes_real_stacks_only():
     # no artifact holds a complex stack: the writer refuses one and the reader rejects an "im" part
     with pytest.raises(NotReal):
-        stack_to_json(np.eye(2)[None] * 1j)
+        support_to_json(SupportStack.of(np.eye(2)[None] * 1j, 2))
     with pytest.raises(NotReal):
-        stack_to_json(np.eye(2, dtype=complex)[None])  # complex dtype, real entries
-    for im in ([0.0] * 4, [1.0] * 4, [], "x"):
-        obj = dict(stack_to_json(np.eye(2)[None]), im=im)
-        with pytest.raises(MalformedArtifact, match='"im"'):
-            stack_from_json(obj, 2)
+        support_to_json(SupportStack.of(np.eye(2)[None], 2, complex))  # complex dtype, real entries
+    for im in ([0.0] * 2, [1.0] * 2, [], "x"):
+        with pytest.raises(MalformedArtifact, match="fields"):
+            support_from_json(dict(_identity_json(), im=im), 2)
 
 
 def test_stack_json_rejects_bad_length():
-    def drop_last(obj):
-        del obj["re"][-1]
+    def drop_last_value(obj):
+        del obj["values"][-1]
 
-    def string_entry(obj):
-        obj["re"][0] = "1.0"
+    def extra_value(obj):
+        obj["values"].append(1.0)
 
-    def list_entry(obj):
-        obj["re"][0] = [1.0]
-
-    def null_entry(obj):
-        obj["re"][0] = None
+    def drop_last_column(obj):
+        del obj["cols"][-1]
 
     def shape_disagrees(obj):
         obj["shape"][0] += 1
 
-    for mutate in (drop_last, string_entry, list_entry, null_entry, shape_disagrees):
-        obj = stack_to_json(np.eye(2)[None])
+    def wider_rows(obj):
+        obj["shape"][2] += 1
+
+    for mutate in (drop_last_value, extra_value, drop_last_column, shape_disagrees, wider_rows):
+        obj = _identity_json()
         mutate(obj)
         with pytest.raises(ShapeMismatch):
-            stack_from_json(obj, 2)
+            support_from_json(obj, 2)
 
 
 @pytest.mark.parametrize(
     "edit, error",
     [
-        pytest.param(lambda obj: obj.update(shape=[0, 2, 2], re=[]), ShapeMismatch, id="no-member"),
+        pytest.param(lambda obj: obj.update(shape=[0, 2, 1], values=[]), ShapeMismatch, id="no-member"),
         pytest.param(lambda obj: obj.update(shape=[1, 2]), ShapeMismatch, id="two-axes"),
-        pytest.param(lambda obj: obj.update(shape=[1, 2, 2, 1]), ShapeMismatch, id="four-axes"),
-        pytest.param(lambda obj: obj.update(shape=[1, 3, 3]), ShapeMismatch, id="not-d-by-d"),
-        pytest.param(lambda obj: obj.update(re=7), ShapeMismatch, id="re-not-a-list"),
-        pytest.param(lambda obj: obj.update(shape=[1, 2.0, 2]), MalformedArtifact, id="float-size"),
-        pytest.param(lambda obj: obj.update(shape=[True, 2, 2]), MalformedArtifact, id="bool-size"),
+        pytest.param(lambda obj: obj.update(shape=[1, 2, 1, 1]), ShapeMismatch, id="four-axes"),
+        pytest.param(lambda obj: obj.update(shape=[1, 3, 1]), ShapeMismatch, id="not-d-by-d"),
+        pytest.param(lambda obj: obj.update(shape=[1, 2, 0], cols=[], values=[]), ShapeMismatch, id="no-column"),
+        pytest.param(lambda obj: obj.update(shape=[1, 2, 3], cols=[0] * 6, values=[0.0] * 6), ShapeMismatch, id="more-columns-than-d"),
+        pytest.param(lambda obj: obj.update(values=7), ShapeMismatch, id="values-not-a-list"),
+        pytest.param(lambda obj: obj.update(cols={"0": 0, "1": 1}), ShapeMismatch, id="cols-not-a-list"),
+        pytest.param(lambda obj: obj.update(shape=[1, 2.0, 1]), MalformedArtifact, id="float-size"),
+        pytest.param(lambda obj: obj.update(shape=[True, 2, 1]), MalformedArtifact, id="bool-size"),
         pytest.param(lambda obj: obj.update(shape=7), MalformedArtifact, id="shape-not-a-list"),
-        pytest.param(lambda obj: obj["re"].__setitem__(1, float("nan")), MalformedArtifact, id="nan"),
-        pytest.param(lambda obj: obj["re"].__setitem__(1, float("-inf")), MalformedArtifact, id="inf"),
+        pytest.param(lambda obj: obj["values"].__setitem__(1, float("nan")), MalformedArtifact, id="nan"),
+        pytest.param(lambda obj: obj["values"].__setitem__(1, float("-inf")), MalformedArtifact, id="inf"),
+        pytest.param(lambda obj: obj["values"].__setitem__(1, 10**400), MalformedArtifact, id="value-past-any-float"),
+        pytest.param(lambda obj: obj["values"].__setitem__(1, "1.0"), MalformedArtifact, id="string-value"),
+        pytest.param(lambda obj: obj["values"].__setitem__(1, [1.0]), MalformedArtifact, id="list-value"),
+        pytest.param(lambda obj: obj["values"].__setitem__(1, None), MalformedArtifact, id="null-value"),
+        # a bool is no JSON number, though numpy would read false as 0.0 and true as 1
+        pytest.param(lambda obj: obj["values"].__setitem__(1, True), MalformedArtifact, id="true-value"),
+        pytest.param(lambda obj: obj["values"].__setitem__(1, False), MalformedArtifact, id="false-value"),
+        pytest.param(lambda obj: obj["cols"].__setitem__(1, True), MalformedArtifact, id="true-column"),
+        pytest.param(lambda obj: obj["cols"].__setitem__(1, 1.0), MalformedArtifact, id="float-column"),
+        pytest.param(lambda obj: obj["cols"].__setitem__(1, -1), MalformedArtifact, id="negative-column"),
+        pytest.param(lambda obj: obj["cols"].__setitem__(1, 2), MalformedArtifact, id="column-d"),
+        pytest.param(lambda obj: obj["cols"].__setitem__(1, 10**400), MalformedArtifact, id="column-past-any-int"),
+        # the dense stack of earlier versions
+        pytest.param(lambda obj: obj.update(shape=[1, 2, 2], re=[1.0, 0.0, 0.0, 1.0]), MalformedArtifact, id="dense-re"),
+        pytest.param(lambda obj: obj.pop("cols"), MalformedArtifact, id="no-cols"),
     ],
 )
 def test_stack_json_rejects_bad_shape_or_value(edit, error):
-    obj = stack_to_json(np.eye(2)[None])
+    obj = _identity_json()
     edit(obj)
     with pytest.raises(error):
-        stack_from_json(obj, 2)
+        support_from_json(obj, 2)
+
+
+def test_stack_json_rejects_a_row_that_lists_a_column_twice():
+    # row 1 of the p=7 bases lists its diagonal twice: each sum over the support would count it twice
+    bases = build_residue_family(validate_prime(7), construct(4)).bases
+    obj = support_to_json(bases)
+    assert obj["cols"][:4] == [0, 1, 1, 3]  # row 0 pads with columns 0 and 1; row 1 is the pair {1, 3}
+    with pytest.raises(MalformedArtifact, match="twice"):
+        support_from_json(dict(obj, cols=[0, 1, 1, 1] + obj["cols"][4:]), 7)
+    # row 0's padding moved to another free column, where its value 0 lies too: the same bases
+    again = support_from_json(dict(obj, cols=[0, 5] + obj["cols"][2:]), 7)
+    assert again.dense().tobytes() == bases.dense().tobytes()
 
 
 def test_stack_json_compares_lengths_before_allocating(monkeypatch):
     calls = []
-    monkeypatch.setattr(np, "empty", lambda *a, **k: calls.append(a))
-    obj = {"shape": [10**6, 10**4, 10**4], "re": [0.0]}
+    for name in ("array", "empty", "zeros"):
+        monkeypatch.setattr(np, name, lambda *a, name=name, **k: calls.append(name))
+    obj = {"shape": [10**6, 10**4, 2], "cols": [0, 1], "values": [0.0]}
     with pytest.raises(ShapeMismatch):
-        stack_from_json(obj, 10**4)
+        support_from_json(obj, 10**4)
     assert calls == []
 
 

@@ -525,13 +525,23 @@ def test_family_json_round_trip():
     fam = p7_family()
     again = family_from_json(family_to_json(fam))
     assert (again.d, again.r, again.beta) == (fam.d, fam.r, fam.beta)
-    assert family_to_json(fam)["shifts"] == 7 and len(again) == len(fam) == 28
+    assert sorted(family_to_json(fam)) == packing.FAMILY_FIELDS and len(again) == len(fam) == 28
     assert again.bases.values.dtype == float
     assert again.bases.dense().tobytes() == fam.bases.dense().tobytes()
     assert again.projections.tobytes() == fam.projections.tobytes()
     before = verify_equiangular(fam)
     after = verify_equiangular(again)
     assert before == after
+
+
+@pytest.mark.parametrize("p", [3, 7, 23, 31, 47, 79])
+def test_family_json_round_trips_the_support_table_bit_for_bit(p):
+    fam = residue_family(p)
+    obj = family_to_json(fam)
+    assert obj["bases"]["shape"] == [(p + 1) // 2, p, 2]
+    again = family_from_json(json.loads(json.dumps(obj, sort_keys=True, separators=(",", ":"))))
+    for mine, theirs in ((again.bases.cols, fam.bases.cols), (again.bases.values, fam.bases.values)):
+        assert (mine.dtype, mine.shape, mine.tobytes()) == (theirs.dtype, theirs.shape, theirs.tobytes())
 
 
 def test_family_json_checks_the_coefficient_of_an_orbit_family():
@@ -548,7 +558,7 @@ def test_family_json_icosahedron_round_trips_with_three_shifts():
     fam = icosahedron_lines()
     obj = family_to_json(fam)
     assert obj["C"] == (1 + math.sqrt(5)) / 2 == off_support_scale(3)
-    assert obj["shifts"] == 3 and obj["bases"]["shape"] == [2, 3, 3]
+    assert obj["bases"]["shape"] == [2, 3, 2]
     again = family_from_json(json.loads(json.dumps(obj)))
     assert len(again) == 6
     assert again.bases.dense().tobytes() == fam.bases.dense().tobytes()
@@ -556,15 +566,20 @@ def test_family_json_icosahedron_round_trips_with_three_shifts():
 
 
 def test_icosahedron_lines_are_the_residue_family_at_p3():
-    # the two bases onto (0, 1, phi) and (0, -1, phi), each shifted 3 ways, are bit for bit the
-    # paper's construction at p = 3, with phi its off-support coefficient: so the tests that run
-    # on one of the two cover the other
+    # the paper's construction at p = 3 gives the projections onto the six icosahedron diagonals:
+    # the standard golden-ratio coordinates (0, 1, phi) and (0, -1, phi), with phi = (1 + sqrt 5)/2,
+    # and their cyclic rotations, computed here independently of the construction
     lines = icosahedron_lines()
     residue = residue_family(3)
     assert (lines.d, lines.r, lines.beta, len(lines)) == (residue.d, residue.r, residue.beta, 6)
     for mine, theirs in ((lines.bases.cols, residue.bases.cols), (lines.bases.values, residue.bases.values)):
         assert (mine.dtype, mine.shape, mine.tobytes()) == (theirs.dtype, theirs.shape, theirs.tobytes())
-    assert family_to_json(lines) == family_to_json(residue)
+    phi = (1 + math.sqrt(5)) / 2
+    assert phi == off_support_scale(3)
+    diagonals = np.array([(0.0, 1.0, phi), (0.0, -1.0, phi)]) / math.sqrt(1.0 + phi * phi)
+    # member t*3 + x is base t shifted by x, the projection onto diagonal t rotated x places
+    lines_by_rotation = [np.outer(np.roll(v, x), np.roll(v, x)) for v in diagonals for x in range(3)]
+    assert all(np.array_equal(mine, theirs) for mine, theirs in zip(lines.projections, lines_by_rotation, strict=True))
 
 
 def test_a_hand_made_family_round_trips():
@@ -580,6 +595,8 @@ def test_a_hand_made_family_round_trips():
 
 def test_family_json_rejects_the_dense_format():
     obj = family_to_json(p7_family())
-    for key, value in (("provenance", [[0, 0]]), ("projections", obj["bases"])):
+    dense = {"shape": [4, 7, 7], "re": p7_family().bases.dense().ravel().tolist()}
+    # provenance and members of earlier versions, then the parent format's shift count and dense bases
+    for key, value in (("provenance", [[0, 0]]), ("projections", obj["bases"]), ("shifts", 7), ("bases", dense)):
         with pytest.raises(MalformedArtifact, match="fields"):
             family_from_json({**obj, key: value})
