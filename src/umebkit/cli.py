@@ -5,12 +5,19 @@ certificate), verify (re-check an exported JSON artifact), feasibility
 (rank/dimension table), wh-check (mixed-unitary decomposition of the
 symmetric transpose channel), hadamard, demo-icosahedron.
 
+Every command that checks something is a view of one run of the paper's
+chain of claims (_check): the family is equiangular; with a phase z, the
+unitaries I - (1 - z)P_i form a UMEB; with the channel, that UMEB is a
+uniform mixed-unitary decomposition of the symmetric transpose channel.
+generate runs the first claim, umeb the first two, wh-check and
+demo-icosahedron (the wh-check of p=3, on icosahedron_lines) all three.
+The report is one text layout and one flat JSON object for all of them.
+
 An artifact is a projection family (`generate --out`) or a unitary family
 (`umeb --out`), which is written as its projection family and its phase z:
 U_i = I - (1 - z)P_i fixes the unitaries.  `verify` re-runs on it the
-checks of the command that wrote it: the equiangular check on a family,
-and on a unitary family that check plus the certificate of the unitaries
-rebuilt from it.
+claims of the command that wrote it, and its report's input_sha256 is the
+sha256 of the file's bytes.
 
 Exit status: 0 when every verdict passes, 2 when a verdict fails,
 1 for usage or I/O errors, for malformed artifacts and when memory runs out.
@@ -23,6 +30,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 from . import __version__
@@ -92,20 +100,6 @@ def unitary_family_from_json(obj: dict) -> tuple[ProjectionFamily, complex]:
     return family, z
 
 
-def _stamp(obj: dict, no_timestamp: bool) -> dict:
-    if not no_timestamp:
-        obj["generated_at"] = datetime.now(timezone.utc).isoformat()
-    return obj
-
-
-def _certificate_json(cert, source_text: str, no_timestamp: bool) -> dict:
-    """The certificate's fields, the tool version and input_sha256, the hash of the source's canonical JSON text."""
-    obj = cert.to_json()
-    obj["tool_version"] = __version__
-    obj["input_sha256"] = text_hash(source_text)
-    return _stamp(obj, no_timestamp)
-
-
 def _tolerance(args) -> Tolerance:
     eps = args.eps
     if eps is None:
@@ -131,107 +125,111 @@ def _build_family(args) -> ProjectionFamily:
     return build_residue_family(prime, h)
 
 
-def _family_report_lines(family: ProjectionFamily, report) -> list[str]:
-    return [
+def _check(args, family: ProjectionFamily, z: complex | None = None, *, channel=False, input_sha256=None) -> int:
+    """Check the paper's claims on family, print the report and write it to --report; 0 when every claim passes, else 2.
+
+    The claims form a chain, and each one runs on what the one before it
+    checked: the family is equiangular; with z, the unitaries
+    I - (1 - z)P_i form a UMEB (certify_umeb); with channel, that UMEB is a
+    uniform mixed-unitary decomposition of the symmetric transpose channel
+    (verify_decomposition with --trials and --seed).  The text report has
+    one block per claim, in that order.  The JSON report is the flat union
+    of {"d", "r", "count"} and the fields of the reports that ran, with the
+    tool version, input_sha256 when given and generated_at unless
+    --no-timestamp; their field names do not collide, and "d" is the same
+    in each.
+    """
+    report = verify_equiangular(family, args.tol)
+    lines = [
         f"family: d={family.d} r={family.r} count={len(family)} beta={family.beta}",
         f"max pairwise-trace deviation: {report.max_angle_dev:.3e}",
         f"max idempotency deviation:    {report.max_idempotency_dev:.3e}",
         f"max trace-rank deviation:     {report.max_rank_dev:.3e}",
         f"equiangular: {'PASS' if report.passed else 'FAIL'}",
     ]
+    obj = {"d": family.d, "r": family.r, "count": len(family), **asdict(report)}
+    passed = report.passed
+    if z is not None:
+        uf = build_unitaries(family, z)
+        cert = certify_umeb(uf, args.tol)
+        lines += [
+            f"phase z = {z.real} + {z.imag}i",
+            f"unitary family: d={uf.d} count={len(uf)}",
+            f"cardinality: {cert.cardinality}",
+            f"max unitarity deviation:     {cert.max_unitarity_dev:.3e}",
+            f"max orthogonality deviation: {cert.max_orthogonality_dev:.3e}",
+            f"span rank: {cert.span_rank} (symmetric span: {cert.symmetric_span})",
+            f"unextendible: {'PASS' if cert.unextendible_verdict else 'FAIL'}",
+        ]
+        obj.update(cert.to_json())
+        passed = passed and cert.unextendible_verdict
+        if channel:
+            dec = umeb_decomposition(uf, args.tol)
+            rep = verify_decomposition(dec, trials=args.trials, seed=args.seed, tol=args.tol)
+            lines += [
+                f"mixture of {len(dec.weights)} unitaries, weight {dec.weights[0]}",
+                f"Choi deviation (Frobenius): {rep.choi_dev:.3e}",
+                f"max apply deviation ({rep.trials} trials, seed {rep.seed}): {rep.apply_dev_max:.3e}",
+                f"decomposition: {'PASS' if rep.verdict else 'FAIL'}",
+            ]
+            obj.update(rep.to_json())
+            passed = passed and rep.verdict
+    if family.d == 3:
+        lines.append("note: p=3 is the special small case outside the main prime family")
+    obj["tool_version"] = __version__
+    if input_sha256 is not None:
+        obj["input_sha256"] = input_sha256
+    if not args.no_timestamp:
+        obj["generated_at"] = datetime.now(timezone.utc).isoformat()
+    if args.report:
+        write_json(args.report, obj)
+    _emit(args, lines, obj)
+    return 0 if passed else 2
 
 
 def cmd_generate(args) -> int:
-    tol = _tolerance(args)
     family = _build_family(args)
-    report = verify_equiangular(family, tol)
-    family_obj = family_to_json(family)
     if args.out:
-        write_json(args.out, family_obj)
-    _emit(
-        args,
-        _family_report_lines(family, report),
-        _stamp({"d": family.d, "r": family.r, "count": len(family), "passed": report.passed}, args.no_timestamp),
-    )
-    return 0 if report.passed else 2
+        write_json(args.out, family_to_json(family))
+    return _check(args, family)
 
 
 def cmd_umeb(args) -> int:
-    tol = _tolerance(args)
     family = _build_family(args)
-    report = verify_equiangular(family, tol)
     z = compute_phase(family.d, family.r)
-    uf = build_unitaries(family, z)
-    cert = certify_umeb(uf, tol)
     uf_obj = unitary_family_to_json(family, z)
     # the source is encoded once; sorted keys put it between "d" and "z", so the
     # artifact below is canonical_json(uf_obj), byte for byte
     source = canonical_json(uf_obj["source"])
-    cert_obj = _certificate_json(cert, source, args.no_timestamp)
     if args.out:
         write_text(args.out, f'{{"d":{canonical_json(uf_obj["d"])},"source":{source},"z":{canonical_json(uf_obj["z"])}}}')
-    if args.cert:
-        write_json(args.cert, cert_obj)
-    lines = _family_report_lines(family, report)
-    lines += [
-        f"phase z = {z.real} + {z.imag}i",
-        f"cardinality: {cert.cardinality}",
-        f"max unitarity deviation:     {cert.max_unitarity_dev:.3e}",
-        f"max orthogonality deviation: {cert.max_orthogonality_dev:.3e}",
-        f"span rank: {cert.span_rank} (symmetric span: {cert.symmetric_span})",
-        f"unextendible: {'PASS' if cert.unextendible_verdict else 'FAIL'}",
-    ]
-    if family.d == 3:
-        lines.append("note: p=3 is the special small case outside the main prime family")
-    _emit(args, lines, cert_obj)
-    return 0 if cert.unextendible_verdict and report.passed else 2
+    digest = text_hash(source)
+    del uf_obj, source  # the checks need neither the artifact's lists nor its text
+    return _check(args, family, z, input_sha256=digest)
 
 
-def cmd_verify(args) -> int:
-    tol = _tolerance(args)
-    with open(args.infile, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # ValueError: bad JSON or bad UTF-8
-            raise MalformedArtifact(f"invalid JSON input: {exc}") from None
+def _read_artifact(path: str) -> tuple[ProjectionFamily, complex | None, str]:
+    """(family, z or None for a projection family, sha256 of the file's bytes); the bytes are dropped once parsed."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    digest = hashlib.sha256(data).hexdigest()
+    try:  # decoded first: json.loads(bytes) would also read UTF-16 and UTF-32
+        obj = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # ValueError: bad JSON or bad UTF-8
+        raise MalformedArtifact(f"invalid JSON input: {exc}") from None
+    del data
     if not isinstance(obj, dict):
         raise MalformedArtifact("input file is not a JSON object")
     if "r" in obj:
-        family, z = family_from_json(obj), None
-    elif "z" in obj:
-        family, z = unitary_family_from_json(obj)
-    else:
-        raise UmebkitError("input file is neither a projection family nor a unitary family")
-    report = verify_equiangular(family, tol)
-    lines = _family_report_lines(family, report)
-    if z is None:
-        report_obj = _stamp(
-            {
-                "kind": "equiangular",
-                "pairs": report.pairs,
-                "max_angle_dev": report.max_angle_dev,
-                "max_idempotency_dev": report.max_idempotency_dev,
-                "max_rank_dev": report.max_rank_dev,
-                "passed": report.passed,
-            },
-            args.no_timestamp,
-        )
-        passed = report.passed
-    else:  # both checks that umeb ran, so the exit code is umeb's
-        uf = build_unitaries(family, z)
-        cert = certify_umeb(uf, tol)
-        report_obj = _certificate_json(cert, canonical_json(obj), args.no_timestamp)
-        lines += [
-            f"unitary family: d={uf.d} count={len(uf)}",
-            f"max unitarity deviation:     {cert.max_unitarity_dev:.3e}",
-            f"max orthogonality deviation: {cert.max_orthogonality_dev:.3e}",
-            f"unextendible: {'PASS' if cert.unextendible_verdict else 'FAIL'}",
-        ]
-        passed = report.passed and cert.unextendible_verdict
-    if args.report:
-        write_json(args.report, report_obj)
-    _emit(args, lines, report_obj)
-    return 0 if passed else 2
+        return family_from_json(obj), None, digest
+    if "z" in obj:
+        return *unitary_family_from_json(obj), digest
+    raise UmebkitError("input file is neither a projection family nor a unitary family")
+
+
+def cmd_verify(args) -> int:
+    family, z, digest = _read_artifact(args.infile)
+    return _check(args, family, z, input_sha256=digest)
 
 
 def cmd_feasibility(args) -> int:
@@ -259,26 +257,8 @@ def cmd_feasibility(args) -> int:
 
 
 def cmd_wh_check(args) -> int:
-    tol = _tolerance(args)
     family = _build_family(args)
-    z = compute_phase(family.d, family.r)
-    uf = build_unitaries(family, z)
-    dec = umeb_decomposition(uf, tol)
-    rep = verify_decomposition(dec, trials=args.trials, seed=args.seed, tol=tol)
-    report_obj = _stamp(rep.to_json(), args.no_timestamp)
-    if args.report:
-        write_json(args.report, report_obj)
-    _emit(
-        args,
-        [
-            f"mixture of {len(dec.weights)} unitaries, weight {dec.weights[0]}",
-            f"Choi deviation (Frobenius): {rep.choi_dev:.3e}",
-            f"max apply deviation ({rep.trials} trials, seed {rep.seed}): {rep.apply_dev_max:.3e}",
-            f"decomposition: {'PASS' if rep.verdict else 'FAIL'}",
-        ],
-        report_obj,
-    )
-    return 0 if rep.verdict else 2
+    return _check(args, family, compute_phase(family.d, family.r), channel=True)
 
 
 def cmd_hadamard(args) -> int:
@@ -291,25 +271,7 @@ def cmd_hadamard(args) -> int:
 
 
 def cmd_demo_icosahedron(args) -> int:
-    tol = _tolerance(args)
-    family = icosahedron_lines()
-    report = verify_equiangular(family, tol)
-    z = compute_phase(3, 1)
-    uf = build_unitaries(family, z)
-    cert = certify_umeb(uf, tol)
-    dec = umeb_decomposition(uf, tol)
-    wh = verify_decomposition(dec, trials=args.trials, seed=args.seed, tol=tol)
-    ok = report.passed and cert.unextendible_verdict and wh.verdict
-    lines = _family_report_lines(family, report)
-    lines += [
-        f"phase z = {z.real} + {z.imag}i  (Re z = -7/8)",
-        f"cardinality: {cert.cardinality}",
-        f"unextendible: {'PASS' if cert.unextendible_verdict else 'FAIL'}",
-        f"channel decomposition: {'PASS' if wh.verdict else 'FAIL'}",
-    ]
-    obj = {"equiangular": report.passed, "certificate": cert.to_json(), "wh_check": wh.to_json()}
-    _emit(args, lines, _stamp(obj, args.no_timestamp))
-    return 0 if ok else 2
+    return _check(args, icosahedron_lines(), compute_phase(3, 1), channel=True)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -325,6 +287,7 @@ def _add_checks(sub) -> None:
     sub.add_argument("--eps", type=float, default=None, help="entrywise tolerance in (0, 1), default 1e-9 or $UMEB_TOL")
     sub.add_argument("--rank-eps", type=float, default=DEFAULT_RANK_EPS, help="relative rank threshold in (0, 1)")
     sub.add_argument("--no-timestamp", action="store_true", help="omit generated_at from reports")
+    sub.set_defaults(report=None)  # generate and demo-icosahedron write no report file
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     um.add_argument("--p", type=int, required=True)
     um.add_argument("--k", type=int, default=None)
     um.add_argument("--out", default=None, help="write unitary family JSON here")
-    um.add_argument("--cert", default=None, help="write certificate JSON here")
+    um.add_argument("--cert", dest="report", default=None, help="write certificate JSON here")
     _add_checks(um)
     um.set_defaults(func=cmd_umeb)
 
@@ -390,6 +353,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if "eps" in args:  # a checking command rejects a bad tolerance before any work
+            args.tol = _tolerance(args)
         return args.func(args)
     except UmebkitError as exc:
         print(f"umebkit: error: {exc}", file=sys.stderr)

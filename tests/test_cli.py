@@ -1,6 +1,10 @@
+import dataclasses
 import hashlib
+import importlib
 import json
 import re
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,8 +155,47 @@ def test_hadamard_command_unsupported():
 def test_demo_icosahedron(capsys):
     assert run(["demo-icosahedron"]) == 0
     text = capsys.readouterr().out
-    assert "Re z = -7/8" in text
+    re_z, im_z = re.search(r"^phase z = (\S+) \+ (\S+)i$", text, re.MULTILINE).groups()
+    assert float(re_z) == float(Fraction(-7, 8))
+    assert abs(complex(float(re_z), float(im_z))) == pytest.approx(1.0)
     assert "FAIL" not in text
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "json", "--no-timestamp"]], ids=["text", "json"])
+def test_demo_icosahedron_is_the_wh_check_of_p3(fmt, capsys):
+    # the icosahedron lines are the residue family at p=3, and the demo checks the same three claims on them
+    assert run(["demo-icosahedron"] + fmt) == 0
+    demo = capsys.readouterr().out
+    assert run(["wh-check", "--p", "3"] + fmt) == 0
+    assert capsys.readouterr().out == demo
+
+
+@pytest.mark.parametrize(
+    "check, field, line",
+    [
+        ("verify_equiangular", "passed", "equiangular"),
+        ("certify_umeb", "unextendible_verdict", "unextendible"),
+        ("verify_decomposition", "verdict", "decomposition"),
+    ],
+    ids=["equiangular", "certificate", "decomposition"],
+)
+def test_wh_check_exits_2_when_any_claim_fails(check, field, line, monkeypatch, capsys):
+    # every claim that runs counts toward the exit code, the family's too
+    passing = getattr(cli, check)
+    monkeypatch.setattr(cli, check, lambda *args, **kwargs: dataclasses.replace(passing(*args, **kwargs), **{field: False}))
+    assert run(["wh-check", "--p", "7"]) == 2
+    verdicts = re.findall(r"^(\w+): (PASS|FAIL)$", capsys.readouterr().out, re.MULTILINE)
+    assert verdicts == [(name, "FAIL" if name == line else "PASS") for name in ("equiangular", "unextendible", "decomposition")]
+
+
+def test_the_certificate_holds_the_equiangular_report(tmp_path):
+    cert_path = tmp_path / "cert.json"
+    assert run(["umeb", "--p", "7", "--cert", str(cert_path), "--no-timestamp"]) == 0
+    cert = json.loads(cert_path.read_text())
+    report = verify_equiangular(build_residue_family(validate_prime(7), construct(4)), Tolerance())
+    for key in ("max_angle_dev", "max_idempotency_dev", "max_rank_dev", "passed"):
+        assert cert[key] == getattr(report, key), key
+    assert (cert["d"], cert["r"], cert["count"]) == (7, 3, 28)
 
 
 def assert_json_is_stamped_unless_asked_not_to(argv, capsys):
@@ -205,6 +248,8 @@ def test_verify_rejects_invalid_json(tmp_path):
     [
         pytest.param(b"[" * 100000 + b"]" * 100000, id="deeply-nested"),
         pytest.param(b'{"d": "\xff"}', id="not-utf8"),
+        # UTF-16 JSON is valid JSON in another encoding: an artifact is UTF-8
+        pytest.param('{"d": 7}'.encode("utf-16"), id="utf-16"),
     ],
 )
 def test_verify_rejects_unreadable_json(tmp_path, capsys, content):
@@ -336,6 +381,26 @@ def test_artifacts_keep_their_recorded_bytes(command, p, tmp_path):
     assert _sha256(out) == RECORDED_ARTIFACTS[command, p]
 
 
+@pytest.mark.parametrize("p", [7, 31])
+def test_the_benchmark_gates_pass_the_live_output(p, tmp_path, monkeypatch, capsys):
+    # the benchmark reads umeb's and verify's stdout and the certificate through these gates,
+    # imported as they are, so what they read is a contract of the command line
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    workloads = importlib.import_module("perfbench.workloads")
+    artifact, cert = tmp_path / "umeb.json", tmp_path / "cert.json"
+    capsys.readouterr()
+    assert run(["umeb", "--p", str(p), "--out", str(artifact), "--cert", str(cert), "--no-timestamp"]) == 0
+    umeb_out = capsys.readouterr().out
+    assert run(["verify", "--in", str(artifact), "--no-timestamp"]) == 0
+    verify_out = capsys.readouterr().out
+    write, read, empty = workloads.Op("umeb"), workloads.Op("verify"), workloads.Op("no output")
+    workloads._gate_umeb_output(write, umeb_out, json.loads(cert.read_text()), p)
+    workloads._gate_verify_output(read, verify_out, umeb_out, p)
+    workloads._gate_verify_output(empty, "", umeb_out, p)
+    assert write.problems == [] and read.problems == []
+    assert empty.problems  # the gates read the output
+
+
 def test_umeb_stdout_is_the_certificate_file(tmp_path, capsys):
     cert_path = tmp_path / "cert.json"
     assert run(["umeb", "--p", "7", "--cert", str(cert_path), "--format", "json"]) == 0
@@ -349,6 +414,18 @@ def test_verify_input_sha256_is_the_file_digest(p7_artifacts, capsys):
     assert run(["verify", "--in", str(p7_artifacts["unitary"]), "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["input_sha256"] == _sha256(p7_artifacts["unitary"])
+
+
+@pytest.mark.parametrize("artifact", ["family", "unitary"])
+def test_verify_hashes_the_bytes_it_read(p7_artifacts, tmp_path, capsys, artifact):
+    # a pretty-printed artifact is the same artifact in other bytes: it verifies, and the
+    # report's input_sha256 is that of the file as read, not of a canonical re-encoding
+    pretty = tmp_path / "pretty.json"
+    pretty.write_text(json.dumps(json.loads(p7_artifacts[artifact].read_text()), indent=1))
+    capsys.readouterr()
+    assert run(["verify", "--in", str(pretty), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["input_sha256"] == _sha256(pretty) != _sha256(p7_artifacts[artifact])
 
 
 def test_certificate_input_sha256_is_the_generated_family_digest(p7_artifacts, tmp_path):

@@ -1,5 +1,6 @@
 """The package's public surface: the names it exports, and no public function without a caller."""
 
+import argparse
 import ast
 import dataclasses
 from pathlib import Path
@@ -53,6 +54,18 @@ DELETED = {
 # public without a caller in the package: the acceptance suite's duality claim reads
 # dual_family, and random_hermitian defines the inputs of check (b)
 UNCALLED = {"dual_family", "random_hermitian"}
+# the option strings of every command, in order: an option added, renamed or dropped fails here
+OPTIONS = {
+    "generate": ["-h", "--help", "--p", "--k", "--out", "--eps", "--rank-eps", "--no-timestamp", "--format"],
+    "umeb": ["-h", "--help", "--p", "--k", "--out", "--cert", "--eps", "--rank-eps", "--no-timestamp", "--format"],
+    "verify": ["-h", "--help", "--in", "--report", "--eps", "--rank-eps", "--no-timestamp", "--format"],
+    "feasibility": ["-h", "--help", "--r", "--dmax", "--format"],
+    "wh-check": [
+        "-h", "--help", "--p", "--k", "--trials", "--seed", "--report", "--eps", "--rank-eps", "--no-timestamp", "--format",
+    ],
+    "hadamard": ["-h", "--help", "--order", "--out", "--format"],
+    "demo-icosahedron": ["-h", "--help", "--trials", "--seed", "--eps", "--rank-eps", "--no-timestamp", "--format"],
+}
 
 
 def test_all_is_the_exported_names():
@@ -103,3 +116,9 @@ def test_a_family_holds_no_shift_count():
 def test_a_decomposition_holds_one_weight_per_orbit():
     # a mixture weighs whole Z_d orbits, so it holds T weights; its n member weights are a view
     assert [field.name for field in dataclasses.fields(channels.MixedUnitaryDecomposition)] == ["orbit_weights", "unitaries"]
+
+
+def test_every_command_keeps_its_options():
+    subs = next(action for action in cli.build_parser()._actions if isinstance(action, argparse._SubParsersAction))
+    options = {name: [s for action in sub._actions for s in action.option_strings] for name, sub in subs.choices.items()}
+    assert options == OPTIONS
