@@ -7,48 +7,39 @@ and the Choi matrix of X -> U X U* is vec(U) vec(U)* (unnormalized), i.e.
 block (j, k) of the Choi matrix is the channel applied to E_jk; the target
 channel's is (I + SWAP)/(d+1).
 
-verify_decomposition makes two checks.
-(a) The Choi check measures |C_mix - (I + SWAP)/(d+1)|_F.  When every
-member is exactly symmetric, there are n = d(d+1)/2 of them and no weight is
-negative, it reads that distance off the family's trace Gram G:
-|W^(1/2) G W^(1/2) - (2/(d+1)) I_n|_F, an exact identity (the vec(U_j) lie
-in the n-dimensional symmetric subspace, where the target is (2/(d+1)) times
-the identity, and F W F* and W^(1/2) F* F W^(1/2) have the same spectrum).
-It reads the family's Gram stats, uf.gram_stats, which the certificate also
-reads: the per-orbit sums of squares and the diagonal.
-Otherwise it reads the distance off the sums L of the orbit kernel below:
-every family is T bases, each moved by every cyclic shift (member t*d + x
-is base t shifted by x), and a mixture has one weight per orbit, so every
-entry of C_mix is an entry of K, each standing for d of them, and the
-squared distance is d sum |L - L_target|^2.  The blocks of L are summed one at a
-time, the target subtracted in place, with no d^2 x d^2 matrix, no member
-and no d^3 array formed; in these cases (a) and (b) share the kernel's
-terms, and the tests hold (a) to the whole Choi matrix.
-(b) The random-input check draws
-each batch of seeded inputs into one buffer, bit for bit those of
-random_hermitian, applies the mixture to the batch in one
-apply_decomposition call, and compares it with wh_plus_apply of the batch,
-one stack at a time.  With one weight per orbit the mixture is one
-shift-covariant kernel K with d^3 entries: out[i, i + D] =
-sum_{e,f} K[D, e, f] X[i + e, i + f], indices mod d.  In the input's
-diagonals X[a, a + g] that sum is a cyclic correlation over the row i, so K
-is kept transformed over the row index.  It is built once per decomposition
-from the bases' values on their union support alone, at most s a row (s = 2
-for the paper's unitaries): one (s d x T)(T x s d) product of those values
-(T = n/d orbits), its terms summed by their place in K, and one product
-with the d x d DFT matrix per block of K, O(T s^2 d^2 + d^4) with one
-budgeted block and the terms beside the kernel.  It turns each batch of
-inputs into a DFT of their diagonals, one product with the d x d DFT
-matrix, d products of d x d matrices and an inverse DFT, O(d^3) per input,
-against O(n d^3) for the sum over the members, and reads the kernel once
-per batch; the DFT tables are the ones the kernel build made.  Every DFT
-is a product with the d x d DFT matrix.  Check (b) reads only the bases
-and the weights, neither the Gram nor vec(U), so it stays independent of
-(a)'s Gram path, the one every certified decomposition takes; a deviation
-that is not finite fails it.  No check forms the family's members.  Every
-pass but the d^3 kernel itself sizes its blocks from matcore's one byte
-budget; check (b)'s batches are the one place that sizes its inputs, one
-complex d x d input per trial.
+Every family is T bases, each moved by every cyclic shift (member t*d + x
+is base t shifted by x), and a mixture has one weight per orbit, so the
+mixture is one shift-covariant kernel K with d^3 entries:
+out[i, i + D] = sum_{e,f} K[D, e, f] X[i + e, i + f], indices mod d.  Its
+sums L[D, e, g] = K[D, e, e + g] come from the bases' values on their
+union support alone, at most s a row (s = 2 for the paper's unitaries):
+one (s d x T)(T x s d) product of those values, its terms summed by their
+place in L one block of D at a time (_kernel).  verify_decomposition makes
+both of its checks from that one pass.
+(a) The Choi check measures |C_mix - (I + SWAP)/(d+1)|_F.  Every entry of
+C_mix is an entry of K, each standing for d of them, and the target is
+shift-covariant the same way, so the squared distance is
+d sum |L - L_target|^2.  Each block of L has the target subtracted in
+place and its squares summed: no d^2 x d^2 matrix and no member is formed,
+whatever the members and the signs of the weights, and the tests hold it
+to the whole Choi matrix.
+(b) The random-input check draws each batch of seeded inputs into one
+buffer, bit for bit those of random_hermitian, applies the mixture to the
+batch and compares it with wh_plus_apply of the batch, one stack at a
+time.  In the input's diagonals X[a, a + g] the mixture is a cyclic
+correlation over the row i, so it goes through L transformed over the row
+index, lhat, which the same pass writes block by block before (a)
+subtracts the target: one product with the d x d DFT matrix per block,
+O(T s^2 d^2 + d^4) in all, with one budgeted block and the terms beside
+lhat.  Each batch costs a DFT of the inputs' diagonals, d products of
+d x d matrices and an inverse DFT, O(d^3) per input, against O(n d^3) for
+the sum over the members, and reads lhat once; one DFT matrix serves the
+pass and every batch.  Every DFT is a product with it.  A deviation that
+is not finite fails.  Without trials no d^3 array is made.
+No check reads the Gram or forms the family's members, and a decomposition
+keeps nothing between calls.  Every pass but lhat itself sizes its blocks
+from matcore's one byte budget; check (b)'s batches are the one place that
+sizes its inputs, one complex d x d input per trial.
 """
 
 from __future__ import annotations
@@ -56,7 +47,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -65,24 +55,14 @@ from .matcore import DEFAULT_TOL, Tolerance, _blocks, _dft
 from .umeb import UnitaryFamily, _span
 
 
-def _cyclic(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(coords, plus, dft) with plus[i, e] = (i + e) mod d and dft = matcore._dft(d), dft[k, a] = exp(-2 pi i k a / d).
-
-    dft is symmetric; every DFT here is a product with it or its conjugate.
-    """
-    coords = np.arange(d)
-    return coords, (coords[:, None] + coords) % d, _dft(d)
-
-
 @dataclass(frozen=True, eq=False)
 class MixedUnitaryDecomposition:
     """Convex mixture sum_t orbit_weights[t] sum_x U_{t,x} X U_{t,x}* over a unitary family: one weight per Z_d orbit.
 
     orbit_weights holds one float per base of the family (ShapeMismatch
-    otherwise), the weight of that base moved by each cyclic shift.  It is
-    kept as a tuple and the family's stack is read-only, so the orbit kernel
-    and its DFT tables are computed once, on first use, and kept on the
-    object.
+    otherwise), the weight of that base moved by each cyclic shift, kept as
+    a tuple so that a caller's list does not reach it.  The object holds its
+    two fields and nothing else: every check builds the kernel it reads.
     """
 
     orbit_weights: tuple[float, ...]
@@ -99,66 +79,40 @@ class MixedUnitaryDecomposition:
         """The weight of every member, read-only: member t*d + x weighs orbit_weights[t]."""
         return tuple(w for w in self.orbit_weights for _ in range(self.unitaries.d))
 
-    @cached_property
-    def _dft(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """_cyclic(d) of the family, read-only: the tables that the kernel build and every apply through the kernel share."""
-        tables = _cyclic(self.unitaries.d)
-        for table in tables:
-            table.flags.writeable = False
-        return tables
 
-    @cached_property
-    def _orbit_kernel(self) -> np.ndarray:
-        """The read-only orbit kernel transformed over the row index, lhat[k, D, g].
+def _kernel(w: np.ndarray, uf: UnitaryFamily, dft: np.ndarray | None) -> tuple[np.ndarray | None, float]:
+    """(lhat, choi_dev) of the orbit weights w over uf: one pass over the blocks of the orbit kernel's sums L.
 
-        Member t*d + x of every family is its base t shifted by x,
-        U_{t,x}[i, j] = U_t[i - x, j - x], and it weighs w_t, the weight
-        of its orbit.  Then, indices mod d and a = i - x, the
-        mixture is out[i, i + D] =
-        sum_{e,f} K[D, e, f] X[i + e, i + f] with
-        K[D, e, f] = sum_t w_t sum_a U_t[a, a + e] conj(U_t[a + D, a + f]).
-        In the input's diagonals X[a, a + g] the mixture is a cyclic
-        correlation over the row i with L[D, e, g] = K[D, e, e + g], so the
-        kernel is L transformed over e, lhat[k, D, g] = sum_e zeta^(k e)
-        L[D, e, g] with zeta = exp(2 pi i / d) (see _apply_by_kernel).
-        Only the bases' union support adds to K.  Row a of the bases holds
-        s values, its supported entries and padding whose values are 0, at
-        the offsets offs[a] (SupportStack.offsets).  For entries
-        (a, a + e) and (a2, a2 + e2), the product sum_t w_t U_t[a, a + e]
-        conj(U_t[a2, a2 + e2]) is one term of L at D = a2 - a, e and
-        g = D + e2 - e.  All (s d)^2 terms are one (s d x T)(T x s d)
-        product.  Each block of D sums its terms into their slots of an
-        (e, D, g) buffer, one np.bincount (_kernel_blocks, which check (a)'s
-        fallback reads too), and lhat is each buffer transformed by one
-        product with the DFT matrix.  The paper's unitaries have s = 2 (the
-        diagonal and each row's partner in its pair {q, kq}), so the build
-        costs O(T d^2 + d^4) and holds, beyond lhat, one block of matcore's
-        budget and O(d^2) terms; dense bases make s = d, O(T d^4) and d^4
-        terms.  lhat reads only the bases and the weights.
-        """
-        d = self.unitaries.d
-        blocks = _kernel_blocks(np.asarray(self.orbit_weights), self.unitaries)  # the terms, before lhat
-        zeta = self._dft[2].conj()  # zeta[k, e] = exp(2 pi i k e / d)
-        lhat = np.empty((d, d, d), dtype=complex)
-        rows = lhat.reshape(d, d * d)  # rows[k, D * d + g]
-        for block, buf in blocks:
-            np.matmul(zeta, buf.reshape(d, -1), out=rows[:, block.start * d : block.stop * d])
-            del buf  # freed before the next block's buffer is made
-        lhat.flags.writeable = False
-        return lhat
-
-
-def _kernel_blocks(w: np.ndarray, uf: UnitaryFamily):
-    """An iterator of (block, buf) for each block of D in turn, buf[e, D - block.start, g] = L[D, e, g] of the orbit weights w.
-
-    The terms are those of MixedUnitaryDecomposition._orbit_kernel: one
-    (s d x T)(T x s d) product of the bases' values, each term at its (D,
-    e, g), made by this call, so their temporaries are gone before a
-    caller allocates its output.  Each block of D, as many as matcore's
-    budget holds of d^2 complex entries, sums its terms into a new buffer
-    by one np.bincount and hands it over, keeping no reference to it: a
-    consumer that drops each buffer before asking for the next holds one
-    block at a time beside the O((s d)^2) terms.
+    Member t*d + x of every family is its base t shifted by x,
+    U_{t,x}[i, j] = U_t[i - x, j - x], and it weighs w_t, the weight of
+    its orbit.  Then, indices mod d and a = i - x, the mixture is
+    out[i, i + D] = sum_{e,f} K[D, e, f] X[i + e, i + f] with
+    K[D, e, f] = sum_t w_t sum_a U_t[a, a + e] conj(U_t[a + D, a + f]),
+    and L[D, e, g] = K[D, e, e + g] relabels K.  Only the bases' union
+    support adds to K.  Row a of the bases holds s values, its supported
+    entries and padding whose values are 0, at the offsets offs[a]
+    (SupportStack.offsets).  For entries (a, a + e) and (a2, a2 + e2), the
+    product sum_t w_t U_t[a, a + e] conj(U_t[a2, a2 + e2]) is one term of
+    L at D = a2 - a, e and g = D + e2 - e.  All (s d)^2 terms are one
+    (s d x T)(T x s d) product.  Each block of D, as many as matcore's
+    budget holds of d^2 complex entries, sums its terms into an (e, D, g)
+    buffer by one np.bincount, and then:
+    - given dft, matcore._dft(d), writes its slice of the kernel
+      transformed over the row index, lhat[k, D, g] = sum_e zeta^(k e)
+      L[D, e, g] with zeta = conj(dft) (see _apply_by_kernel), by one
+      product with zeta; without dft lhat is None and no d^3 array is made;
+    - subtracts L_target in place, 1/(d+1) at (0, e, 0) and at (D, D, -D):
+      entry (j d + i, l d + k) of the mixture's Choi matrix is
+      K[k - i, j - i, l - i], and the target (I + SWAP)/(d+1) is
+      shift-covariant the same way, its K at (0, e, e) and at (D, D, 0);
+    - adds its sum of |L - L_target|^2.
+    Each K[D, e, f] stands for d entries of the Choi matrix, so
+    choi_dev = sqrt(d sum) = |C_mix - (I + SWAP)/(d+1)|_F, for members of
+    any kind and weights of any sign.  The paper's unitaries have s = 2
+    (the diagonal and each row's partner in its pair {q, kq}), so the pass
+    costs O(T d^2 + d^3), d^4 more with lhat, and holds, beside lhat, one
+    block of matcore's budget and O(d^2) terms; dense bases make s = d,
+    O(T d^4) and d^4 terms.
     """
     d = uf.d
     coords = np.arange(d)
@@ -174,14 +128,23 @@ def _kernel_blocks(w: np.ndarray, uf: UnitaryFamily):
     # each term goes to the slot (e, D, g) of its block's buffer; its real and imaginary
     # parts go to the two halves of that complex slot
     keys = 2 * (big_d * d + g)[..., None] + np.arange(2)
-
-    def block_sum(block: slice) -> np.ndarray:
+    lhat = None if dft is None else np.empty((d, d, d), dtype=complex)  # made once the product's temporaries are gone
+    zeta = None if dft is None else dft.conj()  # zeta[k, e] = exp(2 pi i k e / d)
+    sq = 0.0
+    for block in _blocks(d, d * d * 16):
         n = block.stop - block.start
         block_keys = keys[block]
         block_keys += 2 * (e[..., None] * n * d - block.start * d)  # in place: each block reads its keys once
-        return np.bincount(block_keys.ravel(), terms[block].view(float).ravel(), 2 * d * n * d).view(complex).reshape(d, n, d)
-
-    return ((block, block_sum(block)) for block in _blocks(d, d * d * 16))
+        buf = np.bincount(block_keys.ravel(), terms[block].view(float).ravel(), 2 * d * n * d).view(complex).reshape(d, n, d)
+        if lhat is not None:
+            np.matmul(zeta, buf.reshape(d, -1), out=lhat.reshape(d, d * d)[:, block.start * d : block.stop * d])
+        ds = np.arange(block.start, block.stop)
+        buf[ds, ds - block.start, -ds % d] -= 1 / (d + 1)  # SWAP at (D, D, -D)
+        if block.start == 0:
+            buf[:, 0, 0] -= 1 / (d + 1)  # I at (0, e, 0)
+        sq += float(np.vdot(buf, buf).real)
+        del buf  # freed before the next block's buffer is made
+    return lhat, math.sqrt(d * sq)
 
 
 @dataclass(frozen=True)
@@ -240,23 +203,26 @@ def umeb_decomposition(
 def apply_decomposition(dec: MixedUnitaryDecomposition, x: np.ndarray) -> np.ndarray:
     """sum_j weights[j] U_j x U_j*, for one (d, d) input or a (T, d, d) stack.
 
-    The mixture is applied through its d^3-entry orbit kernel (see
-    MixedUnitaryDecomposition._orbit_kernel), built once per decomposition
-    and transformed over the row index: a DFT of the input's diagonals, d
-    products of d x d matrices and an inverse DFT, O(d^3) per input, the
-    whole stack in one pass that reads the kernel once.
+    Each call builds the mixture's d^3-entry kernel, transformed over the
+    row index (_kernel), and applies it to the whole stack in one pass: a
+    DFT of the inputs' diagonals, d products of d x d matrices and an
+    inverse DFT, O(d^3) per input.  The build costs O(T s^2 d^2 + d^4),
+    more than an input, and the decomposition keeps nothing, so pass every
+    input in one stack, not one call each.
     """
     d = dec.unitaries.d
     xs = np.asarray(x, dtype=complex)
     if xs.ndim not in (2, 3) or xs.shape[-2:] != (d, d):
         raise ShapeMismatch(f"expected a ({d}, {d}) matrix or a stack of them, got {xs.shape}")
-    return _apply_by_kernel(dec._orbit_kernel, dec._dft, xs.reshape(-1, d, d)).reshape(xs.shape)
+    dft = _dft(d)
+    lhat = _kernel(np.asarray(dec.orbit_weights), dec.unitaries, dft)[0]
+    return _apply_by_kernel(lhat, dft, xs.reshape(-1, d, d)).reshape(xs.shape)
 
 
-def _apply_by_kernel(lhat: np.ndarray, tables: tuple, xs: np.ndarray) -> np.ndarray:
+def _apply_by_kernel(lhat: np.ndarray, dft: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """out[s, i, i + D] = sum_{e,f} K[D, e, f] xs[s, i + e, i + f], indices mod d, through lhat.
 
-    tables is the decomposition's _cyclic(d), which the kernel build made.
+    dft is matcore._dft(d), the matrix the kernel was transformed with.
     With the inputs' diagonals Xd[a, g, s] = xs[s, a, a + g] and their DFT
     over the row, xh[k, g, s] = sum_a dft[k, a] Xd[a, g, s], the outputs'
     diagonals out[s, i, i + D] have the DFT over i
@@ -270,9 +236,9 @@ def _apply_by_kernel(lhat: np.ndarray, tables: tuple, xs: np.ndarray) -> np.ndar
     batches of matcore's block budget).
     """
     t, d = len(xs), xs.shape[-1]
-    coords, plus, dft = tables
+    coords = np.arange(d)
     idft = dft.conj() / d
-    diagonals = coords[:, None] * d + plus  # diagonals[a, g]: the flat index of entry (a, a + g)
+    diagonals = coords[:, None] * d + (coords[:, None] + coords) % d  # diagonals[a, g]: the flat index of entry (a, a + g)
     xh = (dft @ xs.reshape(t, d * d).T[diagonals].reshape(d, d * t)).reshape(d, d, t)  # xh[k, g, s]
     oh = lhat @ xh  # oh[k, D, s]
     del xh
@@ -308,46 +274,12 @@ def _random_hermitians(d: int, seeds: range) -> np.ndarray:
     return xs
 
 
-def _choi_dev_from_gram(w: np.ndarray, uf: UnitaryFamily) -> float:
-    """|W^(1/2) G W^(1/2) - (2/(d+1)) I_n|_F for one weight w[t] >= 0 per orbit, equal to the Choi
-    distance when the n = d(d+1)/2 members are exactly symmetric.
-
-    Entry (i, j) of W^(1/2) G W^(1/2) is sqrt(w_i w_j) G_ij, and row t*d + x
-    is row t*d permuted, so the squared distance is d times its sum
-    over the rows G[t*d], read off uf.gram_stats: w^T sq_off w off the
-    diagonal and sum_t |w_t G_tt - 2/(d+1)|^2 on it, two sums of
-    nonnegative terms kept apart.
-    """
-    stats = uf.gram_stats
-    on = np.abs(w * stats.diag - 2 / (uf.d + 1))
-    return math.sqrt(uf.d * (float(w @ stats.sq_off @ w) + float(np.vdot(on, on))))
-
-
-def _choi_dev_by_blocks(w: np.ndarray, uf: UnitaryFamily) -> float:
-    """|sum_j w_j vec(U_j) vec(U_j)* - (I + SWAP)/(d+1)|_F for one weight w[t] per orbit, from the kernel's blocks.
-
-    Entry (j d + i, l d + k) of the mixture's Choi matrix is
-    sum_m w_m U_m[i, j] conj(U_m[k, l]) = K[k - i, j - i, l - i], the orbit
-    kernel (see MixedUnitaryDecomposition._orbit_kernel), and the target
-    (I + SWAP)/(d+1) is shift-covariant the same way, its K at (0, e, e)
-    and at (D, D, 0).  Each K[D, e, f] then stands for d entries, and
-    L[D, e, g] = K[D, e, e + g] only relabels them, so the squared
-    distance is d sum |L - L_target|^2, with L_target 1/(d+1) at (0, e, 0)
-    and at (D, D, -D).  The blocks of L come from _kernel_blocks one at a
-    time, each with its target subtracted in place: no d^2 x d^2 matrix,
-    no member and no d^3 array is formed.  The members need not be
-    symmetric or d(d+1)/2, and the weights may have any sign.
-    """
-    d = uf.d
-    sq = 0.0
-    for block, buf in _kernel_blocks(w, uf):
-        big_d = np.arange(block.start, block.stop)
-        buf[big_d, big_d - block.start, -big_d % d] -= 1 / (d + 1)  # SWAP at (D, D, -D)
-        if block.start == 0:
-            buf[:, 0, 0] -= 1 / (d + 1)  # I at (0, e, 0)
-        sq += float(np.vdot(buf, buf).real)
-        del buf
-    return math.sqrt(d * sq)
+def _check_probe(trials: int, seed: int) -> None:
+    """OutOfRange unless trials >= 0 and seed >= 0: the arguments of check (b)'s random probe."""
+    if trials < 0:
+        raise OutOfRange(f"trials must be >= 0, got {trials}")
+    if seed < 0:
+        raise OutOfRange(f"seed must be >= 0, got {seed}")
 
 
 def verify_decomposition(
@@ -356,41 +288,30 @@ def verify_decomposition(
     seed: int = 42,
     tol: Tolerance = DEFAULT_TOL,
 ) -> DecompositionReport:
-    """Two checks of the mixture against the direct channel formula.
+    """Two checks of the mixture against the direct channel formula, from one pass over the orbit kernel (_kernel).
 
     (a) Frobenius distance between sum_j w_j vec(U_j) vec(U_j)* and the
-    closed-form Choi matrix (I + SWAP)/(d+1), within eps * d^2.  For
-    d(d+1)/2 exactly symmetric members with weights >= 0 it comes from the
-    Gram stats the certificate reads, times d; otherwise from the orbit
-    kernel's sums, one block at a time, times d, so no d^2 x d^2 matrix is
-    formed.
+    closed-form Choi matrix (I + SWAP)/(d+1), within eps * d^2: the
+    kernel's sums against the target's, one block at a time, times d, so
+    no d^2 x d^2 matrix is formed, and with trials = 0 no d^3 array.
     (b) For `trials` seeded random Hermitian inputs (per-trial seed =
     seed + index), max-entry distance between the mixture output and the
     formula output, within eps * max|X|; a distance that is not finite
     fails and is reported as it is.  Check (b) draws its inputs in batches,
     as many as matcore's block budget holds at one complex d x d input
-    each, and applies the mixture to a batch per apply_decomposition call,
-    through the orbit kernel in one pass per batch.
-    It reads neither the Gram nor vec(U), so it does not share the data or
-    the convention of check (a)'s Gram path.
+    each, and applies the kernel that the same pass transformed to one
+    batch at a time.  Neither check reads the Gram or vec(U).
     """
-    if trials < 0:
-        raise OutOfRange(f"trials must be >= 0, got {trials}")
-    if seed < 0:
-        raise OutOfRange(f"seed must be >= 0, got {seed}")
-    uf = dec.unitaries
-    d = uf.d
-    w = np.asarray(dec.orbit_weights)
-    if uf.asymmetry[0] == 0.0 and len(uf) == d * (d + 1) // 2 and np.all(w >= 0):
-        choi_dev = _choi_dev_from_gram(w, uf)
-    else:
-        choi_dev = _choi_dev_by_blocks(w, uf)
+    _check_probe(trials, seed)
+    d = dec.unitaries.d
+    dft = _dft(d) if trials else None
+    lhat, choi_dev = _kernel(np.asarray(dec.orbit_weights), dec.unitaries, dft)
 
     apply_dev_max = 0.0
     apply_ok = True
     for batch in _blocks(trials, 16 * d * d):  # one complex (d, d) input per trial
         xs = _random_hermitians(d, range(seed + batch.start, seed + batch.stop))
-        gap = apply_decomposition(dec, xs)
+        gap = _apply_by_kernel(lhat, dft, xs)
         gap -= wh_plus_apply(xs, d)
         devs = np.max(np.abs(gap), axis=(1, 2))
         # a NaN deviation fails and stays NaN in the report: max() and > would both drop it

@@ -34,7 +34,7 @@ from dataclasses import asdict
 from datetime import datetime, timezone
 
 from . import __version__
-from .channels import umeb_decomposition, verify_decomposition
+from .channels import _check_probe, umeb_decomposition, verify_decomposition
 from .errors import MalformedArtifact, OutOfRange, ShapeMismatch, UmebkitError
 from .hadamard import construct, hadamard_to_json
 from .matcore import DEFAULT_EPS, DEFAULT_RANK_EPS, Tolerance, json_int, json_number
@@ -197,14 +197,16 @@ def cmd_generate(args) -> int:
 def cmd_umeb(args) -> int:
     family = _build_family(args)
     z = compute_phase(family.d, family.r)
-    uf_obj = unitary_family_to_json(family, z)
-    # the source is encoded once; sorted keys put it between "d" and "z", so the
-    # artifact below is canonical_json(uf_obj), byte for byte
-    source = canonical_json(uf_obj["source"])
-    if args.out:
-        write_text(args.out, f'{{"d":{canonical_json(uf_obj["d"])},"source":{source},"z":{canonical_json(uf_obj["z"])}}}')
-    digest = text_hash(source)
-    del uf_obj, source  # the checks need neither the artifact's lists nor its text
+    digest = None
+    if args.out or args.report or args.format == "json":  # the text report alone prints no digest
+        uf_obj = unitary_family_to_json(family, z)
+        # the source is encoded once; sorted keys put it between "d" and "z", so the
+        # artifact below is canonical_json(uf_obj), byte for byte
+        source = canonical_json(uf_obj["source"])
+        if args.out:
+            write_text(args.out, f'{{"d":{canonical_json(uf_obj["d"])},"source":{source},"z":{canonical_json(uf_obj["z"])}}}')
+        digest = text_hash(source)
+        del uf_obj, source  # the checks need neither the artifact's lists nor its text
     return _check(args, family, z, input_sha256=digest)
 
 
@@ -355,6 +357,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if "eps" in args:  # a checking command rejects a bad tolerance before any work
             args.tol = _tolerance(args)
+        if "trials" in args:  # and a bad random probe
+            _check_probe(args.trials, args.seed)
         return args.func(args)
     except UmebkitError as exc:
         print(f"umebkit: error: {exc}", file=sys.stderr)

@@ -79,7 +79,7 @@ class UnitaryFamily:
 
     @cached_property
     def gram_stats(self) -> GramStats:
-        """gram_stats(gram), read-only: what the span proof, the certificate and check (a) read off the Gram, computed once."""
+        """gram_stats(gram), read-only: what the span proof, the certificate and umeb_decomposition's precondition read off the Gram, computed once."""
         stats = gram_stats(self.gram)
         for array in (stats.diag, stats.radii, stats.sq_off):
             array.flags.writeable = False

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from dataclasses import asdict
@@ -5,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umebkit import channels, matcore, umeb
 from umebkit.channels import (
@@ -163,7 +166,7 @@ def test_umeb_decomposition_rejects_uncertified():
 
 
 def test_decomposition_keeps_its_own_weights():
-    # the orbit kernel is cached from the weights, so a caller's list must not reach them
+    # every check builds the orbit kernel from the weights, so a caller's list must not reach them
     dec = umeb_decomposition(p7_unitaries())
     weights = list(dec.orbit_weights)
     mine = MixedUnitaryDecomposition(orbit_weights=weights, unitaries=dec.unitaries)
@@ -305,8 +308,8 @@ def test_check_b_inputs_are_the_seeded_random_hermitians(d, budget, monkeypatch)
     if budget == "three-a-batch":
         monkeypatch.setattr(matcore, "_BLOCK_BYTES", 3 * 16 * d * d)  # three complex d x d inputs
     batches = []
-    apply = channels.apply_decomposition
-    monkeypatch.setattr(channels, "apply_decomposition", lambda dec, xs: batches.append(xs.copy()) or apply(dec, xs))
+    apply = channels._apply_by_kernel
+    monkeypatch.setattr(channels, "_apply_by_kernel", lambda lhat, dft, xs: batches.append(xs.copy()) or apply(lhat, dft, xs))
     assert verify_decomposition(dec, trials=8, seed=31).verdict
     assert [len(xs) for xs in batches] == ([8] if budget == "one-batch" else [3, 3, 2])
     for t, x in enumerate(np.concatenate(batches)):
@@ -351,11 +354,6 @@ def spy_paths(monkeypatch, names):
     return ran
 
 
-def spy_choi_paths(monkeypatch):
-    """Record which Choi path verify_decomposition takes."""
-    return spy_paths(monkeypatch, ("_choi_dev_from_gram", "_choi_dev_by_blocks"))
-
-
 def spy_kernel_applies(monkeypatch):
     """Record each pass of apply_decomposition through the orbit kernel."""
     return spy_paths(monkeypatch, ("_apply_by_kernel",))
@@ -375,19 +373,18 @@ CHOI_FAMILIES = {
 @pytest.mark.parametrize(
     "name", [pytest.param(n, marks=pytest.mark.slow) if n == "p47" else n for n in CHOI_FAMILIES]
 )
-def test_choi_check_from_the_gram_is_the_block_sum(name, weights, monkeypatch):
+def test_choi_check_from_the_gram_is_the_block_sum(name, weights):
+    # the kernel's block sums against the Gram identity, which holds for these d(d+1)/2 symmetric
+    # members and weights >= 0, and against the whole Choi matrix where it is small
     dec = umeb_decomposition(CHOI_FAMILIES[name]())
     w = np.array(dec.orbit_weights)
-    if weights == "perturbed":  # still >= 0, so the Gram path applies
+    if weights == "perturbed":  # still >= 0, so the Gram identity holds
         w[-1] *= 1.5
         w[1] *= 0.2
         dec = MixedUnitaryDecomposition(orbit_weights=tuple(w), unitaries=dec.unitaries)
-    ran = spy_choi_paths(monkeypatch)
     rep = verify_decomposition(dec, trials=0)
-    monkeypatch.undo()
-    assert ran == ["_choi_dev_from_gram"]
-    blocks = channels._choi_dev_by_blocks(w, dec.unitaries)
-    assert rep.choi_dev == pytest.approx(blocks, rel=1e-12, abs=1e-14)
+    gram = gram_choi_dev(dec.weights, dec.unitaries.unitaries)
+    assert rep.choi_dev == pytest.approx(gram, rel=1e-12, abs=1e-14)
     if dec.unitaries.d <= 23:
         assert rep.choi_dev == pytest.approx(full_choi_dev(dec), rel=1e-12, abs=1e-14)
     assert rep.verdict == (weights == "uniform")
@@ -415,7 +412,6 @@ def spy_gram_shapes(monkeypatch):
 def test_choi_check_from_orbit_rows_matches_the_dense_rows(p, weights, monkeypatch):
     uf = _residue_unitaries(p)
     n = len(uf)
-    ran = spy_choi_paths(monkeypatch)
     shapes = spy_gram_shapes(monkeypatch)
     dec = umeb_decomposition(uf)
     w = np.array(dec.orbit_weights)
@@ -424,8 +420,8 @@ def test_choi_check_from_orbit_rows_matches_the_dense_rows(p, weights, monkeypat
     dec = MixedUnitaryDecomposition(orbit_weights=tuple(w), unitaries=uf)
     rep = verify_decomposition(dec, trials=0)
     monkeypatch.undo()
-    assert ran == ["_choi_dev_from_gram"]
-    # the orbit family's Gram once, T x T products and one correlation, for the decomposition and its check
+    # the orbit family's Gram once, T x T products and one correlation, for the decomposition's
+    # precondition; the check reads no Gram
     t = (p + 1) // 2
     assert shapes == [((t, t), (1, 1, p))] and n == t * p
     # the oracle: the Choi matrix itself where it is small, else the whole Gram of the members
@@ -433,7 +429,7 @@ def test_choi_check_from_orbit_rows_matches_the_dense_rows(p, weights, monkeypat
     assert rep.verdict == (oracle <= EPS * p * p) == (weights == "uniform")
     assert abs(rep.choi_dev - oracle) <= 1e-13
     if weights == "per-orbit":
-        assert rep.choi_dev == pytest.approx(channels._choi_dev_by_blocks(w, uf), rel=1e-12)
+        assert rep.choi_dev == pytest.approx(oracle, rel=1e-12)
     if weights == "uniform":
         assert rep.choi_dev <= 1e-15 * p * p
 
@@ -445,7 +441,7 @@ def test_a_pipeline_reads_the_unitary_gram_rows_once(monkeypatch):
     monkeypatch.setattr(umeb, "gram_stats", lambda gram: calls.append(gram) or gram_stats(gram))
     assert certify_umeb(uf).unextendible_verdict
     assert verify_decomposition(umeb_decomposition(uf), trials=20).verdict
-    # the discs, the certificate, the decomposition's precondition and check (a) read one pass
+    # the discs, the certificate and the decomposition's precondition read one pass; its check reads none
     assert len(calls) == 1 and calls[0] is uf.gram
 
 
@@ -482,12 +478,11 @@ def _random_members():
     ids=["_nonsymmetric_member", "_negative_weight", "_member_count", "random-members"]
     + [f"negative-weight-p{p}" for p in (3, 23, 31)],
 )
-def test_choi_check_falls_back_to_the_blocks(build, monkeypatch):
+def test_choi_check_falls_back_to_the_blocks(build):
+    # decompositions outside the Gram identity: the same block sums, held to the whole Choi matrix
     dec = build()
-    ran = spy_choi_paths(monkeypatch)
     rep = verify_decomposition(dec, trials=0)
-    assert ran == ["_choi_dev_by_blocks"]
-    assert "unitaries" not in dec.unitaries.__dict__  # the fallback leaves no dense view on the family
+    assert "unitaries" not in dec.unitaries.__dict__  # the check leaves no dense view on the family
     # the kernel's sums against the whole d^2 x d^2 matrix; the non-symmetric member's distance is
     # 3.5e-14, and it agrees within 4e-19
     assert rep.choi_dev == pytest.approx(full_choi_dev(dec), rel=1e-12, abs=1e-17)
@@ -522,6 +517,44 @@ def test_gram_passes_cover_the_last_row_block(monkeypatch):
     assert cert.cj_orthonormality_dev == pytest.approx(1e-3, rel=1e-9)
 
 
+SIGNED_WEIGHT_FAMILIES = {
+    "icosahedron": lambda: _unitaries(3),
+    "p7": lambda: _unitaries(7),
+    "dense-d5": lambda: UnitaryFamily(5, 1.0, _random_bases(5, 3, seed=59)),  # neither unitary nor symmetric
+}
+
+
+@functools.cache
+def _signed_weight_family(name):
+    return SIGNED_WEIGHT_FAMILIES[name]()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(list(SIGNED_WEIGHT_FAMILIES)),
+    scale=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1.0]),
+    data=st.data(),
+)
+def test_choi_check_is_the_dense_choi_distance_for_signed_orbit_weights(name, scale, data):
+    # the uniform weights moved by `scale` times a random offset in [-1, 1] per orbit: at scale 1
+    # the weights take either sign, and at the small scales the distance lies near eps * d^2
+    uf = _signed_weight_family(name)
+    offsets = data.draw(st.lists(st.floats(-1, 1), min_size=len(uf.bases), max_size=len(uf.bases)))
+    dec = MixedUnitaryDecomposition(tuple(1 / len(uf) + scale * np.array(offsets)), uf)
+    rep = verify_decomposition(dec, trials=0)
+    oracle = mixture_choi_dev(dec.weights, uf.unitaries)
+    # relative where the distance is above rounding; a distance at rounding level is compared absolutely
+    assert rep.choi_dev == pytest.approx(oracle, rel=1e-12, abs=1e-14)
+    assert rep.verdict == (oracle <= EPS * uf.d**2)
+
+
+def test_a_decomposition_keeps_nothing_between_calls():
+    dec = umeb_decomposition(p7_unitaries())
+    assert verify_decomposition(dec, trials=3).verdict
+    apply_decomposition(dec, random_hermitian(7, seed=4))
+    assert dec.__dict__.keys() == {"orbit_weights", "unitaries"}
+
+
 def _traced_peak(run):
     tracemalloc.start()
     try:
@@ -531,25 +564,21 @@ def _traced_peak(run):
         tracemalloc.stop()
 
 
-def test_the_choi_fallback_holds_at_most_one_dense_stack(monkeypatch):
+def test_the_choi_fallback_holds_at_most_one_dense_stack():
     dec = _negative_weight(23)
     dense_bytes = len(dec.unitaries) * 23 * 23 * 16
-    ran = spy_choi_paths(monkeypatch)
     assert _traced_peak(lambda: verify_decomposition(dec, trials=2)) < 1.5 * dense_bytes
-    assert ran == ["_choi_dev_by_blocks"]
 
 
 def test_the_choi_fallback_reads_the_kernel_blocks_one_at_a_time(monkeypatch):
-    # p=79 with orbit 1's weight negated: the fallback holds one block of the (e, D, g) sums and the
+    # p=79 with orbit 1's weight negated: the check holds one block of the (e, D, g) sums and the
     # terms, never the 3160 members (the dense stack is 315 MiB)
     p = 79
     dec = _negative_weight(p)
     uf = dec.unitaries
-    uf.asymmetry, uf.gram_stats  # the family's own passes, kept on it: made before the trace
-    ran = spy_choi_paths(monkeypatch)
     reports = []
     peak = _traced_peak(lambda: reports.append(verify_decomposition(dec, trials=0)))
-    assert ran == ["_choi_dev_by_blocks"] and peak <= 16 << 20
+    assert peak <= 16 << 20
     # the uniform mixture is the channel, so the distance is that of the orbit's members counted
     # -w instead of w: 2 w |sum_x vec(U_1x) vec(U_1x)*|_F, whose square is d (|G_11|^2 + sq_off[1, 1])
     w = -dec.orbit_weights[1]
@@ -558,30 +587,47 @@ def test_the_choi_fallback_reads_the_kernel_blocks_one_at_a_time(monkeypatch):
     assert reports[0].choi_dev == pytest.approx(expected, rel=1e-12) and not reports[0].verdict
     # one D per block gives the same sums
     monkeypatch.setattr(matcore, "_BLOCK_BYTES", p * p * 16)
-    assert channels._choi_dev_by_blocks(np.asarray(dec.orbit_weights), uf) == pytest.approx(reports[0].choi_dev, rel=1e-14)
+    assert verify_decomposition(dec, trials=0).choi_dev == pytest.approx(reports[0].choi_dev, rel=1e-14)
+
+
+def test_the_choi_check_of_a_certified_decomposition_reads_the_blocks_one_at_a_time():
+    # the uniform p=79 mixture, the decomposition of every certified family: no trials, so no d^3
+    # array, and the same traced bound as with a negated weight
+    dec = umeb_decomposition(_residue_unitaries(79))
+    reports = []
+    peak = _traced_peak(lambda: reports.append(verify_decomposition(dec, trials=0)))
+    assert peak <= 16 << 20
+    assert reports[0].verdict and reports[0].choi_dev <= 1e-15 * 79 * 79
 
 
 def test_orbit_kernel_passes_stay_inside_the_byte_budget(p23_decomposition, monkeypatch):
     dec = p23_decomposition
-    expected = verify_decomposition(dec, trials=12)  # the kernel and the Gram stats are built and kept here
+    expected = verify_decomposition(dec, trials=12)
     # check (b) draws five complex 23 x 23 inputs per budget, so the twelve trials go in
     # batches of 5, 5 and 2, and each batch goes through the kernel in one pass
     monkeypatch.setattr(matcore, "_BLOCK_BYTES", 5 * 23 * 23 * 16)
     reports = []
     peak = _traced_peak(lambda: reports.append(verify_decomposition(dec, trials=12)))
     assert reports[0].verdict and abs(reports[0].apply_dev_max - expected.apply_dev_max) <= 1e-15
-    # a batch holds its inputs, their gathered diagonals, two arrays of d^2 entries per
-    # input in the kernel pass, the mixture's and the formula's outputs, and the DFT
-    # tables: under seven budgets (5.5 measured).  The twelve in one pass would take ten
-    assert peak <= 7 * matcore._BLOCK_BYTES
+    # beside the d^3 kernel, which the call builds and drops, a batch holds its inputs, their
+    # gathered diagonals, two arrays of d^2 entries per input in the kernel pass, the mixture's
+    # and the formula's outputs, and the DFT tables: under seven budgets (5.6 measured).  The
+    # twelve in one pass would take ten
+    assert peak - 23**3 * 16 <= 7 * matcore._BLOCK_BYTES
+
+
+def orbit_kernel(dec, dft=None):
+    """The kernel transformed over the row index, lhat, that verify_decomposition and apply_decomposition build."""
+    return channels._kernel(np.asarray(dec.orbit_weights), dec.unitaries, matcore._dft(dec.unitaries.d) if dft is None else dft)[0]
 
 
 def test_orbit_kernel_build_holds_at_most_two_cubes():
     uf = _residue_unitaries(31)
     dec = MixedUnitaryDecomposition(orbit_weights=(float(uniform_weight(31)),) * len(uf.bases), unitaries=uf)
     d, orbits = 31, len(uf.bases)
+    dft = matcore._dft(d)  # made once by the caller, as verify_decomposition does
     kernel = []
-    peak = _traced_peak(lambda: kernel.append(dec._orbit_kernel))
+    peak = _traced_peak(lambda: kernel.append(orbit_kernel(dec, dft)))
     assert kernel[0].shape == (d, d, d)
     # beyond the kernel the build holds one block buffer of at most d^3 entries and the terms
     # of the bases' union support, a few arrays of (2d)^2 entries; T d^2 entries more are
@@ -593,14 +639,15 @@ def test_orbit_kernel_build_holds_one_block_beyond_its_terms(monkeypatch):
     d = 31
     uf = _residue_unitaries(d)
     w = (float(uniform_weight(d)),) * len(uf.bases)
-    expected = MixedUnitaryDecomposition(w, uf)._orbit_kernel
+    expected = orbit_kernel(MixedUnitaryDecomposition(w, uf))
     on = matcore.union_support(uf.bases.dense())
     assert on.sum() == 2 * d - 1 and on.sum(axis=1).max() == 2  # the diagonal and each row's partner
     terms = (2 * d) ** 2  # s = 2 entries a row, every pair of them
     monkeypatch.setattr(matcore, "_BLOCK_BYTES", d * d * 16)  # one D per block: 31 blocks
     dec = MixedUnitaryDecomposition(w, uf)
+    dft = matcore._dft(d)
     kernel = []
-    peak = _traced_peak(lambda: kernel.append(dec._orbit_kernel))
+    peak = _traced_peak(lambda: kernel.append(orbit_kernel(dec, dft)))
     assert np.max(np.abs(kernel[0] - expected)) <= 1e-13
     # beyond the kernel: one block's buffer, and the terms with the DFT matrix and the gathered
     # entries, less than four complex arrays of `terms` entries.  The d^3 buffer of one
@@ -652,8 +699,9 @@ def test_orbit_kernel_is_the_row_transform_of_the_member_sum(case):
     # L[D, e, g] = K[D, e, e + g], transformed over e with zeta = exp(2 pi i / p)
     rows = kernel[:, a[:, None], (a[:, None] + a) % p]
     lhat = np.einsum("ke,deg->kdg", np.exp(2j * np.pi / p * (np.outer(a, a) % p)), rows)
-    assert dec._orbit_kernel.shape == (p, p, p) and not dec._orbit_kernel.flags.writeable
-    assert np.max(np.abs(dec._orbit_kernel - lhat)) <= 1e-13
+    kernel = orbit_kernel(dec)
+    assert kernel.shape == (p, p, p)
+    assert np.max(np.abs(kernel - lhat)) <= 1e-13
     xs = _inputs(p, seed=600)
     out = apply_decomposition(dec, xs)
     loop = member_sum(dec.weights, uf.unitaries, xs)
@@ -685,8 +733,9 @@ def _nonfinite_base_entry(value):
 )
 def test_a_deviation_that_is_not_finite_fails_the_random_input_check(build, monkeypatch):
     dec = build()
-    for name in ("_choi_dev_from_gram", "_choi_dev_by_blocks"):  # check (a) passes, so (b) alone decides
-        monkeypatch.setattr(channels, name, lambda w, uf: 0.0)
+    kernel = channels._kernel
+    # check (a) passes, so (b) alone decides
+    monkeypatch.setattr(channels, "_kernel", lambda w, uf, dft: (kernel(w, uf, dft)[0], 0.0))
     ran = spy_kernel_applies(monkeypatch)
     rep = verify_decomposition(dec, trials=3)
     assert ran == ["_apply_by_kernel"]

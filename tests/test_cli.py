@@ -132,8 +132,13 @@ def test_wh_check(capsys):
     ],
     ids=["wh-seed", "wh-trials", "demo-seed", "demo-trials"],
 )
-def test_negative_seed_or_trials_is_rejected(argv, capsys):
+def test_negative_seed_or_trials_is_rejected(argv, capsys, monkeypatch):
+    built = []
+    for name in ("build_residue_family", "icosahedron_lines"):
+        build = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, build=build, name=name: built.append(name) or build(*a))
     assert run(argv) == 1
+    assert built == []  # rejected before any family is built
     captured = capsys.readouterr()
     assert "PASS" not in captured.out
     err = captured.err.splitlines()
@@ -426,6 +431,23 @@ def test_verify_hashes_the_bytes_it_read(p7_artifacts, tmp_path, capsys, artifac
     assert run(["verify", "--in", str(pretty), "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["input_sha256"] == _sha256(pretty) != _sha256(p7_artifacts[artifact])
+
+
+def test_umeb_text_report_encodes_no_family(monkeypatch, capsys):
+    # the text report prints no digest, so without --out, --cert or --format json the family
+    # is not encoded; with --cert it is, once
+    encoded = []
+    canonical = cli.canonical_json
+    monkeypatch.setattr(cli, "canonical_json", lambda obj: encoded.append(obj) or canonical(obj))
+    assert run(["umeb", "--p", "7"]) == 0
+    assert "unextendible: PASS" in capsys.readouterr().out
+    assert encoded == []
+    assert run(["umeb", "--p", "7", "--format", "json", "--no-timestamp"]) == 0
+    assert [sorted(obj) for obj in encoded if isinstance(obj, dict)][0] == FAMILY_FIELDS
+    report = json.loads(capsys.readouterr().out)
+    fam = build_residue_family(validate_prime(7), construct(4))
+    source = canonical_json(unitary_family_to_json(fam, compute_phase(7, fam.r))["source"])
+    assert report["input_sha256"] == hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
 def test_certificate_input_sha256_is_the_generated_family_digest(p7_artifacts, tmp_path):
