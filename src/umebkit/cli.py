@@ -13,11 +13,14 @@ generate runs the first claim, umeb the first two, wh-check and
 demo-icosahedron (the wh-check of p=3, on icosahedron_lines) all three.
 The report is one text layout and one flat JSON object for all of them.
 
-An artifact is a projection family (`generate --out`) or a unitary family
-(`umeb --out`), which is written as its projection family and its phase z:
-U_i = I - (1 - z)P_i fixes the unitaries.  `verify` re-runs on it the
-claims of the command that wrote it, and its report's input_sha256 is the
-sha256 of the file's bytes.
+An artifact is the generator of a residue family, {"p", "k", "hadamard"}
+(`generate --out`), with its phase "z" for a unitary family (`umeb
+--out`): the family is build_residue_family of p, k and H, and
+U_i = I - (1 - z)P_i fixes the unitaries.  `verify` rebuilds them and
+re-runs the claims of the command that wrote it, and its report's
+input_sha256 is the sha256 of the file's bytes; that of a `umeb`
+certificate is the sha256 of the family's generator as `generate --out`
+writes it.
 
 Exit status: 0 when every verdict passes, 2 when a verdict fails,
 1 for usage or I/O errors, for malformed artifacts and when memory runs out.
@@ -35,10 +38,10 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .channels import _check_probe, umeb_decomposition, verify_decomposition
-from .errors import MalformedArtifact, OutOfRange, ShapeMismatch, UmebkitError
-from .hadamard import construct, hadamard_to_json
-from .matcore import DEFAULT_EPS, DEFAULT_RANK_EPS, Tolerance, json_int, json_number
-from .numth import validate_prime
+from .errors import MalformedArtifact, OutOfRange, UmebkitError
+from .hadamard import HadamardMatrix, construct, hadamard_to_json
+from .matcore import DEFAULT_EPS, DEFAULT_RANK_EPS, Tolerance, json_number
+from .numth import UmebPrime, validate_prime
 from .packing import (
     ProjectionFamily,
     build_residue_family,
@@ -59,45 +62,33 @@ def text_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def write_json(path: str, obj) -> None:
     """Write exactly canonical_json(obj): the file's bytes are what text_hash hashes."""
-    write_text(path, canonical_json(obj))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(canonical_json(obj))
 
 
-UNITARY_FIELDS = ["d", "source", "z"]  # sorted
+def unitary_family_to_json(prime: UmebPrime, h: HadamardMatrix, z: complex) -> dict:
+    """The unitaries I - (1 - z)P_i of build_residue_family(prime, h): its generator (packing.family_to_json) and "z": [re, im]."""
+    return {**family_to_json(prime, h), "z": [z.real, z.imag]}
 
 
-def unitary_family_to_json(family: ProjectionFamily, z: complex) -> dict:
-    """The unitaries I - (1 - z)P_i of the family as exactly UNITARY_FIELDS: {"d", "z": [re, im], "source": family}."""
-    return {"d": family.d, "z": [z.real, z.imag], "source": family_to_json(family)}
+def unitary_family_from_json(obj: dict) -> tuple[UmebPrime, HadamardMatrix, complex]:
+    """Inverse of unitary_family_to_json: (prime, h, z); a typed UmebkitError on bad input.
 
-
-def unitary_family_from_json(obj: dict) -> tuple[ProjectionFamily, complex]:
-    """Inverse of unitary_family_to_json: (family, z); MalformedArtifact, ShapeMismatch, OutOfRange or RankOutOfRange on bad input.
-
-    The fields must be exactly UNITARY_FIELDS, which rejects the formats of
-    earlier versions.  build_unitaries(family, z) rebuilds the unitaries bit
-    for bit as they were written; whether the family and its unitaries hold
-    is for verify_equiangular and certify_umeb to decide, as in `umeb`.
+    z must be a pair of finite numbers, and the other fields exactly a
+    family's generator, which packing.family_from_json checks, so the
+    formats of earlier versions are rejected.  build_residue_family(prime,
+    h) and build_unitaries(family, z) rebuild the unitaries bit for bit as
+    `umeb` built them; whether they hold is for verify_equiangular and
+    certify_umeb to decide, as in `umeb`.
     """
-    fields = sorted(obj)
-    if fields != UNITARY_FIELDS:
-        raise MalformedArtifact(f"a unitary family has the fields {UNITARY_FIELDS}, not {fields}")
-    d = json_int(obj["d"], "d")
     try:
         re, im = obj["z"]
     except (TypeError, ValueError):
         raise MalformedArtifact("phase z must be a pair [re, im]") from None
     z = complex(json_number(re, "z"), json_number(im, "z"))
-    family = family_from_json(obj["source"])
-    if family.d != d:
-        raise ShapeMismatch(f"source family of {family.d}x{family.d} projections for d={d}")
-    return family, z
+    return *family_from_json({key: value for key, value in obj.items() if key != "z"}), z
 
 
 def _tolerance(args) -> Tolerance:
@@ -119,10 +110,9 @@ def _emit(args, text_lines: list[str], json_obj: dict) -> None:
             print(line)
 
 
-def _build_family(args) -> ProjectionFamily:
+def _generator(args) -> tuple[UmebPrime, HadamardMatrix]:
     prime = validate_prime(args.p, args.k)
-    h = construct((prime.p + 1) // 2)
-    return build_residue_family(prime, h)
+    return prime, construct((prime.p + 1) // 2)
 
 
 def _check(args, family: ProjectionFamily, z: complex | None = None, *, channel=False, input_sha256=None) -> int:
@@ -188,30 +178,25 @@ def _check(args, family: ProjectionFamily, z: complex | None = None, *, channel=
 
 
 def cmd_generate(args) -> int:
-    family = _build_family(args)
+    prime, h = _generator(args)
     if args.out:
-        write_json(args.out, family_to_json(family))
-    return _check(args, family)
+        write_json(args.out, family_to_json(prime, h))
+    return _check(args, build_residue_family(prime, h))
 
 
 def cmd_umeb(args) -> int:
-    family = _build_family(args)
+    prime, h = _generator(args)
+    family = build_residue_family(prime, h)
     z = compute_phase(family.d, family.r)
-    digest = None
-    if args.out or args.report or args.format == "json":  # the text report alone prints no digest
-        uf_obj = unitary_family_to_json(family, z)
-        # the source is encoded once; sorted keys put it between "d" and "z", so the
-        # artifact below is canonical_json(uf_obj), byte for byte
-        source = canonical_json(uf_obj["source"])
-        if args.out:
-            write_text(args.out, f'{{"d":{canonical_json(uf_obj["d"])},"source":{source},"z":{canonical_json(uf_obj["z"])}}}')
-        digest = text_hash(source)
-        del uf_obj, source  # the checks need neither the artifact's lists nor its text
+    if args.out:
+        write_json(args.out, unitary_family_to_json(prime, h, z))
+    # the text report prints no digest, so only a certificate or a JSON report encodes the generator
+    digest = text_hash(canonical_json(family_to_json(prime, h))) if args.report or args.format == "json" else None
     return _check(args, family, z, input_sha256=digest)
 
 
-def _read_artifact(path: str) -> tuple[ProjectionFamily, complex | None, str]:
-    """(family, z or None for a projection family, sha256 of the file's bytes); the bytes are dropped once parsed."""
+def _read_artifact(path: str) -> tuple[UmebPrime, HadamardMatrix, complex | None, str]:
+    """(prime, h, z or None for a projection family, sha256 of the file's bytes); the bytes are dropped once parsed, and the JSON on return."""
     with open(path, "rb") as fh:
         data = fh.read()
     digest = hashlib.sha256(data).hexdigest()
@@ -220,18 +205,14 @@ def _read_artifact(path: str) -> tuple[ProjectionFamily, complex | None, str]:
     except (ValueError, RecursionError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise MalformedArtifact(f"invalid JSON input: {exc}") from None
     del data
-    if not isinstance(obj, dict):
-        raise MalformedArtifact("input file is not a JSON object")
-    if "r" in obj:
-        return family_from_json(obj), None, digest
-    if "z" in obj:
+    if isinstance(obj, dict) and "z" in obj:
         return *unitary_family_from_json(obj), digest
-    raise UmebkitError("input file is neither a projection family nor a unitary family")
+    return *family_from_json(obj), None, digest
 
 
 def cmd_verify(args) -> int:
-    family, z, digest = _read_artifact(args.infile)
-    return _check(args, family, z, input_sha256=digest)
+    prime, h, z, digest = _read_artifact(args.infile)
+    return _check(args, build_residue_family(prime, h), z, input_sha256=digest)
 
 
 def cmd_feasibility(args) -> int:
@@ -259,7 +240,7 @@ def cmd_feasibility(args) -> int:
 
 
 def cmd_wh_check(args) -> int:
-    family = _build_family(args)
+    family = build_residue_family(*_generator(args))
     return _check(args, family, compute_phase(family.d, family.r), channel=True)
 
 

@@ -11,7 +11,9 @@ is exact: each entry is a sum of n terms +-1, so every partial sum is an
 integer of magnitude at most n < 2^53, which a double holds exactly in
 whatever order BLAS adds.  It is one n x n x n gemm: at n = 256 about
 1.2 ms on 2 cores with OpenBLAS, where numpy's int64 matmul, which has
-no BLAS, takes 10-11 ms.
+no BLAS, takes 10-11 ms.  A matrix is written as {"order", "rows"}
+(hadamard_to_json), the form `hadamard --out` prints and a family artifact
+holds, and read back by hadamard_from_json through the same checks.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadResidueClass, NotPrime, UnsupportedOrder
+from .errors import BadResidueClass, MalformedArtifact, NotPrime, UnsupportedOrder
+from .matcore import json_int, json_int_matrix
 from .numth import is_prime
 
 
@@ -144,3 +147,18 @@ def construct(n: int) -> HadamardMatrix:
 
 def hadamard_to_json(h: HadamardMatrix) -> dict:
     return {"order": h.order, "rows": h.entries.tolist()}
+
+
+def hadamard_from_json(obj: dict) -> HadamardMatrix:
+    """Inverse of hadamard_to_json for any Hadamard matrix, not only construct's; MalformedArtifact or UnsupportedOrder on bad input.
+
+    The fields must be exactly "order" and "rows", and rows order lists of
+    order JSON integers (matcore.json_int_matrix), which is checked before
+    any array is built; HadamardMatrix then checks that every entry is +-1
+    and that H @ H.T = order*I.
+    """
+    fields = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
+    if fields != ["order", "rows"]:
+        raise MalformedArtifact(f"a Hadamard matrix has the fields ['order', 'rows'], not {fields}")
+    n = json_int(obj["order"], "Hadamard order")
+    return HadamardMatrix(order=n, entries=json_int_matrix(obj["rows"], n, "Hadamard rows"))

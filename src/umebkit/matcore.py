@@ -5,8 +5,8 @@ by every cyclic shift, T d members), the trace Gram of those orbits held
 by its parts from the bases' cyclic diagonals, what every check reads off it,
 the Gram spectrum from its shift blocks and its numerical rank, the budgeted
 product a* a - c summed over the support, the bases' asymmetry, the
-tolerances and the JSON coding of a real stack: its column table and its
-values, the one format of a family's bases on disk as in memory.
+tolerances and the readers of JSON integers, numbers and integer matrices
+that the artifact loaders share.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedArtifact, NotReal, OutOfRange, ShapeMismatch
+from .errors import MalformedArtifact, OutOfRange, ShapeMismatch
 
 DEFAULT_EPS = 1e-9
 DEFAULT_RANK_EPS = 1e-7
@@ -108,7 +108,7 @@ def support_columns(on: np.ndarray) -> np.ndarray:
     One stable argsort of the negated mask puts each row's columns first,
     in order, and the columns off it after them.  Only a hand-made dense
     stack and a support widened by eye_minus come here; the package's own
-    builds and the loader write their column tables directly.
+    builds write their column tables directly.
     """
     s = max(1, int(on.sum(axis=1).max(initial=0)))
     return np.argsort(~on, axis=1, kind="stable")[:, :s]
@@ -123,11 +123,11 @@ class SupportStack:
     A stack built from a dense one (of) lists the columns of the union
     support in ascending order, then pads with columns outside it
     (support_columns), where every value is 0; a builder that knows its
-    support, and the loader (support_from_json), write cols and values
-    directly.  Both arrays are handed over and made read-only.  Every
-    reader of a family's bases goes through this type: the dense view, the
-    entries at any (i, j), the cyclic offset of each column, and the checks
-    below, which read cols and values and never a (T, d, d) array.  The paper's bases have s = 2 (the
+    support writes cols and values directly.  Both arrays are handed over
+    and made read-only.  Every reader of a family's bases goes through this
+    type: the dense view, the entries at any (i, j), the cyclic offset of
+    each column, and the checks below, which read cols and values and never
+    a (T, d, d) array.  The paper's bases have s = 2 (the
     diagonal and each row's partner in its pair {q, kq}), so a stack holds
     2 T d values, against T d^2 dense.
     """
@@ -205,58 +205,6 @@ class SupportStack:
         values *= w
         np.subtract(stack.cols == rows, values, out=values)
         return SupportStack(stack.cols, values)
-
-
-SUPPORT_FIELDS = ["cols", "shape", "values"]  # sorted
-
-
-def support_to_json(stack: SupportStack) -> dict:
-    """{"shape": [T, d, s], "cols": [...], "values": [...]}: the column table and values of a real stack, flat in C order; NotReal for a complex one."""
-    if np.iscomplexobj(stack.values):
-        raise NotReal(f"only real stacks are written, got one of dtype {stack.values.dtype}")
-    return {"shape": list(stack.values.shape), "cols": stack.cols.ravel().tolist(), "values": stack.values.ravel().tolist()}
-
-
-def support_from_json(obj: dict, d: int) -> SupportStack:
-    """Bit-exact inverse of support_to_json for T >= 1 real d x d bases, signed zeros included.
-
-    The fields must be exactly SUPPORT_FIELDS, which rejects the dense
-    stacks of earlier versions and any "im" part.  ShapeMismatch unless
-    shape is three integers [T, d, s] with T >= 1 and 1 <= s <= d, and cols
-    and values are lists of d s and T d s entries, which is checked before
-    anything is allocated.  MalformedArtifact if a column is not a JSON
-    integer or lies outside 0..d-1, if a row lists a column twice (every
-    sum over the support would count that entry twice), or if a value is
-    not a finite JSON number; a bool is neither.
-    """
-    fields = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
-    if fields != SUPPORT_FIELDS:
-        raise MalformedArtifact(f"bases have the fields {SUPPORT_FIELDS}, not {fields}")
-    cols, values = obj["cols"], obj["values"]
-    try:
-        shape = [json_int(n, "bases shape") for n in obj["shape"]]
-    except TypeError as exc:
-        raise MalformedArtifact(f"malformed bases shape: {exc}") from None
-    if len(shape) != 3 or shape[0] < 1 or shape[1] != d or not 1 <= shape[2] <= d:
-        raise ShapeMismatch(f"bases of shape {shape} are not [T, {d}, s] with T >= 1 and 1 <= s <= {d}")
-    t, _, s = shape
-    if not (isinstance(cols, list) and isinstance(values, list) and (len(cols), len(values)) == (d * s, t * d * s)):
-        raise ShapeMismatch(f"bases of shape {shape} need lists of {d * s} columns and {t * d * s} values")
-    if not set(map(type, cols)) <= {int} or not set(map(type, values)) <= {int, float}:
-        raise MalformedArtifact("bases columns must be JSON integers and their values JSON numbers, and a bool is neither")
-    try:
-        table, data = np.array(cols, dtype=np.intp).reshape(d, s), np.array(values, dtype=float).reshape(t, d, s)
-    except OverflowError:
-        raise MalformedArtifact("a bases column or value is too large") from None
-    if not np.isfinite(data).all():
-        raise MalformedArtifact("bases have a NaN or infinite value")
-    if table.min() < 0 or table.max() >= d:
-        raise MalformedArtifact(f"a bases column lies outside 0..{d - 1}")
-    seen = np.zeros((d, d), dtype=bool)
-    seen[np.arange(d)[:, None], table] = True
-    if np.count_nonzero(seen) < table.size:
-        raise MalformedArtifact("a row of the bases lists a column twice")
-    return SupportStack(table, data)
 
 
 def support_product(a: SupportStack, c: SupportStack) -> tuple[np.ndarray, np.ndarray]:
@@ -464,3 +412,19 @@ def json_number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
         raise MalformedArtifact(f"{what} must be a finite number, got {value!r:.40}")
     return float(value)
+
+
+def json_int_matrix(value, n: int, what: str) -> np.ndarray:
+    """value as an int64 array if it is n lists of n JSON integers that int64 holds; MalformedArtifact otherwise (a bool is not one).
+
+    Every row's length and its entries' types are checked before any array
+    is built, so a short list that claims a large n allocates nothing.
+    """
+    if not isinstance(value, list) or len(value) != n or not all(
+        isinstance(row, list) and len(row) == n and set(map(type, row)) <= {int} for row in value
+    ):
+        raise MalformedArtifact(f"{what} must be {n} lists of {n} integers")
+    try:
+        return np.array(value, dtype=np.int64)
+    except OverflowError:
+        raise MalformedArtifact(f"an integer of {what} is past int64") from None

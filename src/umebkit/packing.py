@@ -8,11 +8,12 @@ Q_i = I - P_i and the closed-form common angles.  A family is T bases,
 each moved by every cyclic shift, and holds the bases on their support
 (matcore.SupportStack): the residue bases are written there directly, each
 base vector's two nonzero entries given by their indices and coefficients,
-a family artifact holds that column table and those values as they are
-(matcore.support_to_json), and a dense stack given to a family is read as
-bases and compressed once.  verify_equiangular reads each family's
-pairwise traces off its Gram, held by its parts from the bases' cyclic
-diagonals, and its idempotency off products summed over that support.
+and a dense stack given to a family is read as bases and compressed once.
+A residue family's artifact is its generator, p, k and the Hadamard matrix
+(family_to_json), from which the family is rebuilt.  verify_equiangular
+reads each family's pairwise traces off its Gram, held by its parts from
+the bases' cyclic diagonals, and its idempotency off products summed over
+that support.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import (
     NotReal,
     RankOutOfRange,
 )
-from .hadamard import HadamardMatrix, construct
+from .hadamard import HadamardMatrix, construct, hadamard_from_json, hadamard_to_json
 from .matcore import (
     DEFAULT_TOL,
     SupportStack,
@@ -40,11 +41,8 @@ from .matcore import (
     cyclic_gram,
     gram_stats,
     json_int,
-    json_number,
     orbit_stack,
-    support_from_json,
     support_product,
-    support_to_json,
 )
 from .numth import UmebPrime, validate_prime
 
@@ -242,45 +240,28 @@ def icosahedron_lines() -> ProjectionFamily:
     return build_residue_family(validate_prime(3), construct(2))
 
 
-FAMILY_FIELDS = ["C", "bases", "beta_den", "beta_num", "d", "r"]  # sorted
+def family_to_json(prime: UmebPrime, h: HadamardMatrix) -> dict:
+    """The generator of build_residue_family(prime, h): {"p", "k", "hadamard": hadamard_to_json(h)}."""
+    return {"p": prime.p, "k": prime.k, "hadamard": hadamard_to_json(h)}
 
 
-def family_to_json(family: ProjectionFamily) -> dict:
-    """The family's fields and its bases on their support (matcore.support_to_json): exactly FAMILY_FIELDS, "C" always off_support_scale(d)."""
-    return {
-        "d": family.d,
-        "r": family.r,
-        "beta_num": family.beta.numerator,
-        "beta_den": family.beta.denominator,
-        "C": off_support_scale(family.d),
-        "bases": support_to_json(family.bases),
-    }
+def family_from_json(obj: dict) -> tuple[UmebPrime, HadamardMatrix]:
+    """Inverse of family_to_json: the generator (prime, h); a typed UmebkitError on bad input.
 
-
-def family_from_json(obj: dict) -> ProjectionFamily:
-    """Inverse of family_to_json; MalformedArtifact, ShapeMismatch or RankOutOfRange on bad input.
-
-    The fields must be exactly FAMILY_FIELDS, which rejects the formats of
-    earlier versions (the dense stack, and the shift count beside it),
-    and beta must fit in a float.  matcore.support_from_json reads the
-    bases straight into the family's SupportStack: real values on a column
-    table whose rows list distinct columns in 0..d-1.  A family of whole
-    orbits was built by the residue construction, so its C must be exactly
-    off_support_scale(d), the value family_to_json writes.
+    The fields must be exactly "hadamard", "k" and "p", which rejects the
+    formats of earlier versions, p and k must be JSON integers, and the
+    Hadamard matrix (hadamard_from_json) any one of order (p+1)/2.  All of
+    that is checked before validate_prime, whose trial division costs
+    O(sqrt p) and whose residues O(p), so a small file cannot reach it with
+    a huge p; validate_prime then checks p and k.
+    build_residue_family(prime, h) builds the family as `generate` does,
+    for verify_equiangular to check.
     """
     fields = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
-    if fields != FAMILY_FIELDS:
-        raise MalformedArtifact(f"a family has the fields {FAMILY_FIELDS}, not {fields}")
-    try:
-        d, r = json_int(obj["d"], "d"), json_int(obj["r"], "r")
-        beta = Fraction(json_int(obj["beta_num"], "beta_num"), json_int(obj["beta_den"], "beta_den"))
-        float(beta)  # the checks compare in floats: a beta too large for one is an OverflowError here
-        scale = None if obj["C"] is None else json_number(obj["C"], "C")
-    except (TypeError, ValueError, ArithmeticError) as exc:
-        raise MalformedArtifact(f"malformed family field: {exc}") from None
-    family = ProjectionFamily(d=d, r=r, bases=support_from_json(obj["bases"], d), beta=beta)
-    if scale != off_support_scale(d):
-        raise MalformedArtifact(
-            f"C = {scale!r} of a family of whole orbits is not the coefficient {off_support_scale(d)!r} for d={d}"
-        )
-    return family
+    if fields != ["hadamard", "k", "p"]:
+        raise MalformedArtifact(f"a family has the fields ['hadamard', 'k', 'p'], not {fields}")
+    p, k = json_int(obj["p"], "p"), json_int(obj["k"], "k")
+    h = hadamard_from_json(obj["hadamard"])
+    if h.order != (p + 1) // 2:
+        raise HadamardOrderMismatch(f"p={p} needs Hadamard order {(p + 1) // 2}, got {h.order}")
+    return validate_prime(p, k), h

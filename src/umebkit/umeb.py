@@ -47,8 +47,9 @@ class UnitaryFamily:
     shifted by x, T d members in all.  The bases are complex, a
     SupportStack; a dense stack given is read as bases and compressed, so
     UnitaryFamily(d, z, uf.unitaries) is a family d times larger than uf.  The
-    projections they came from are not kept: a unitary artifact is written
-    from the projection family and z, and read back as them.  Because no
+    projections they came from are not kept: a unitary artifact is the
+    generator of the projection family (p, k and the Hadamard matrix) and z,
+    and the unitaries are rebuilt from them.  Because no
     caller can write to them through the family, its trace Gram, what the
     checks read off it, its symmetry deviations and its dense members are
     computed once, on first use, and kept on the object.

@@ -68,7 +68,7 @@ def test_criterion_1_p7_generate(tmp_path):
     start = time.perf_counter()
     code = main(["generate", "--p", "7", "--out", str(out)])
     elapsed = time.perf_counter() - start
-    family = family_from_json(json.loads(out.read_text()))
+    family = build_residue_family(*family_from_json(json.loads(out.read_text())))
     traces = np.array([np.trace(p).real for p in family.projections])
     idem = max(np.max(np.abs(p @ p - p)) for p in family.projections)
     offdiag = pairwise_traces(family)
@@ -98,7 +98,7 @@ def test_criterion_2_p7_umeb(tmp_path):
     ok = (
         code == 0
         and "unitaries" not in uf
-        and uf["d"] * uf["source"]["bases"]["shape"][0] == 28
+        and uf["p"] * uf["hadamard"]["order"] == cert["cardinality"] == 28  # d shifts of (p+1)/2 bases
         and z_re == -31 / 32
         and abs(z_im - math.sqrt(63) / 32) <= 1e-15
         and cert["max_unitarity_dev"] <= 1e-10

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import hashlib
 import importlib
@@ -9,13 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from umebkit import cli, umeb
+from umebkit import cli, packing, umeb
 from umebkit.cli import canonical_json, main, unitary_family_to_json
-from umebkit.hadamard import HadamardMatrix, construct
-from umebkit.matcore import SupportStack, Tolerance, support_to_json
+from umebkit.hadamard import HadamardMatrix, construct, hadamard_to_json
+from umebkit.matcore import SupportStack, Tolerance
 from umebkit.numth import validate_prime
-from umebkit.packing import FAMILY_FIELDS, build_residue_family, family_from_json, off_support_scale, verify_equiangular
+from umebkit.packing import build_residue_family, family_from_json, family_to_json, off_support_scale, verify_equiangular
 from umebkit.umeb import build_unitaries, compute_phase
+
+GENERATOR_FIELDS = ["hadamard", "k", "p"]
 
 
 def run(argv):
@@ -28,18 +31,14 @@ def test_generate_p7(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "PASS" in text
     obj = json.loads(out.read_text())
-    assert obj["d"] == 7
-    assert obj["r"] == 3
-    assert (obj["beta_num"], obj["beta_den"]) == (11, 9)
-    assert sorted(obj) == FAMILY_FIELDS and obj["bases"]["shape"] == [4, 7, 2]  # two entries a row
-    assert sorted(obj["bases"]) == ["cols", "shape", "values"]
-    assert "provenance" not in obj and "projections" not in obj
+    # the family's generator: p, the default non-residue k and construct's H
+    assert obj == {"p": 7, "k": 3, "hadamard": hadamard_to_json(construct(4))}
 
 
 def test_generate_round_trip_deviations_identical(tmp_path):
     out = tmp_path / "family7.json"
     run(["generate", "--p", "7", "--out", str(out)])
-    family = family_from_json(json.loads(out.read_text()))
+    family = build_residue_family(*family_from_json(json.loads(out.read_text())))
     in_memory = verify_equiangular(family, Tolerance())
     report_path = tmp_path / "report.json"
     assert run(["verify", "--in", str(out), "--report", str(report_path), "--no-timestamp"]) == 0
@@ -62,9 +61,8 @@ def test_umeb_p7_writes_certificate(tmp_path):
     assert len(cert["input_sha256"]) == 64
     assert "generated_at" not in cert
     uf = json.loads(out.read_text())
-    assert uf["d"] == 7
-    assert "unitaries" not in uf  # rebuilt from the source family
-    assert sorted(uf["source"]) == FAMILY_FIELDS and uf["source"]["bases"]["shape"] == [4, 7, 2]
+    assert sorted(uf) == GENERATOR_FIELDS + ["z"]  # the unitaries are rebuilt from the generator and z
+    assert (uf["p"], uf["k"], uf["hadamard"]["order"]) == (7, 3, 4)
     assert uf["z"][0] == -31 / 32
 
 
@@ -96,6 +94,40 @@ def test_umeb_artifact_is_reproducible_and_verifies_alike(tmp_path, capsys):
     assert run(["verify", "--in", str(a), "--no-timestamp"]) == 0
     read = capsys.readouterr().out
     assert len(_deviation_lines(read)) == 2 and _deviation_lines(read) == _deviation_lines(written)
+
+
+def test_umeb_with_another_k_verifies_to_the_same_report_byte_for_byte(tmp_path, capsys):
+    # 7 is a non-residue mod 23 other than the default 5: the artifact carries it, and verify
+    # rebuilds the same family, so it prints umeb's text report byte for byte
+    out = tmp_path / "umeb23.json"
+    assert run(["umeb", "--p", "23", "--k", "7", "--out", str(out), "--no-timestamp"]) == 0
+    written = capsys.readouterr().out
+    assert json.loads(out.read_text())["k"] == 7
+    assert run(["verify", "--in", str(out), "--no-timestamp"]) == 0
+    read = capsys.readouterr().out
+    assert len(_deviation_lines(read)) == 2 and read == written
+    # and it is the family of k = 7, whose support pairs q with 7q, not the default's 5q
+    prime, h = family_from_json({key: value for key, value in json.loads(out.read_text()).items() if key != "z"})
+    assert prime.k == 7 and h.entries.tobytes() == construct(12).entries.tobytes()
+    cols = build_residue_family(prime, h).bases.cols
+    assert cols.tobytes() == build_residue_family(validate_prime(23, 7), construct(12)).bases.cols.tobytes()
+    assert cols.tobytes() != build_residue_family(validate_prime(23), construct(12)).bases.cols.tobytes()
+
+
+def test_a_hadamard_matrix_that_is_not_constructs_loads_and_certifies(tmp_path, capsys):
+    # construct's order-12 matrix with rows 1 and 4 negated and the rows permuted: another Hadamard
+    # matrix, so another family of the construction, which every claim still holds for
+    rows = construct(12).entries * np.where(np.isin(np.arange(12), [1, 4]), -1, 1)[:, None]
+    rows = rows[np.random.default_rng(5).permutation(12)]
+    z = compute_phase(23, 11)
+    artifact = {"p": 23, "k": 5, "hadamard": {"order": 12, "rows": rows.tolist()}, "z": [z.real, z.imag]}
+    path = tmp_path / "other-h.json"
+    path.write_text(json.dumps(artifact))
+    assert not np.array_equal(rows, construct(12).entries)
+    capsys.readouterr()
+    assert run(["verify", "--in", str(path), "--no-timestamp"]) == 0
+    out = capsys.readouterr().out
+    assert "equiangular: PASS" in out and "unextendible: PASS" in out
 
 
 def test_umeb_rejects_wrong_residue_class(capsys):
@@ -304,16 +336,14 @@ def test_commands_that_check_nothing_take_no_tolerance(argv, capsys):
 
 
 def test_a_tampered_p79_artifact_ends_in_a_verdict_from_the_shift_blocks(tmp_path, monkeypatch, capsys):
-    # source base 0 replaced by base 0 + 2 (base 1 - base 2), of the same trace r, which the loader
-    # checks: the discs prove nothing, and the rank comes from one batched eigvalsh on the 79
-    # blocks of 40 x 40, never from the 3160 x 3160 Gram
+    # the phase z turned by 0.1 rad, still of modulus 1: the unitaries are no longer trace-orthogonal,
+    # the discs prove nothing, and the rank comes from one batched eigvalsh on the 79 blocks of
+    # 40 x 40, never from the 3160 x 3160 Gram
     path = tmp_path / "umeb79.json"
     assert run(["umeb", "--p", "79", "--out", str(path), "--no-timestamp"]) == 0
     obj = json.loads(path.read_text())
-    stack = obj["source"]["bases"]
-    values = np.reshape(stack["values"], stack["shape"])  # every base on the one column table
-    values[0] += 2 * (values[1] - values[2])
-    stack["values"] = values.ravel().tolist()
+    z = complex(*obj["z"]) * cmath.exp(0.1j)
+    obj["z"] = [z.real, z.imag]
     path.write_text(json.dumps(obj))
     capsys.readouterr()
     eigvalsh = np.linalg.eigvalsh
@@ -325,8 +355,8 @@ def test_a_tampered_p79_artifact_ends_in_a_verdict_from_the_shift_blocks(tmp_pat
     assert run(["verify", "--in", str(path), "--no-timestamp"]) == 2
     assert "unextendible: FAIL" in capsys.readouterr().out
     assert calls == [(79, 40, 40)]
-    # the unitary family's Gram, read in one pass: the tampered base keeps the shared diagonal
-    # (2 (base 1 - base 2) adds exact zeros to it), so one correlation stands for every pair
+    # the unitary family's Gram, read in one pass: every base keeps the shared diagonal,
+    # so one correlation stands for every pair
     assert passes == [((40, 40), (1, 1, 79))]
 
 
@@ -334,11 +364,11 @@ def test_a_tampered_p79_artifact_ends_in_a_verdict_from_the_shift_blocks(tmp_pat
 def test_the_umeb_artifact_is_the_canonical_json_of_the_family(p, tmp_path):
     out, cert = tmp_path / "umeb.json", tmp_path / "cert.json"
     assert run(["umeb", "--p", str(p), "--out", str(out), "--cert", str(cert), "--no-timestamp"]) == 0
-    fam = build_residue_family(validate_prime(p), construct((p + 1) // 2))
-    uf_obj = unitary_family_to_json(fam, compute_phase(p, fam.r))
+    prime, h = validate_prime(p), construct((p + 1) // 2)
+    uf_obj = unitary_family_to_json(prime, h, compute_phase(p, prime.half))
     assert out.read_bytes() == canonical_json(uf_obj).encode("utf-8")
-    source = canonical_json(uf_obj["source"]).encode("utf-8")
-    assert json.loads(cert.read_text())["input_sha256"] == hashlib.sha256(source).hexdigest()
+    generator = canonical_json(family_to_json(prime, h)).encode("utf-8")
+    assert json.loads(cert.read_text())["input_sha256"] == hashlib.sha256(generator).hexdigest()
 
 
 def test_eps_flag_tightens_verdict(tmp_path):
@@ -367,15 +397,15 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-# sha256 of the --no-timestamp artifacts on the bases' support, {"shape", "cols", "values"}:
-# a change to these bytes is a change of the artifact format
+# sha256 of the --no-timestamp artifacts, each the family's generator {"p", "k", "hadamard"} (and "z"):
+# a change to these bytes is a change of the artifact format or of construct's matrices
 RECORDED_ARTIFACTS = {
-    ("umeb", 7): "8f8a1f0abd7ddce67b79b673184a8b108b4cef16a386d165ffb369d6e4a95c51",
-    ("umeb", 31): "da1fc5d4c4ff6e1ffdf9a00dfae728a62507c6b00e8481c239703e39ead51ad0",
-    ("umeb", 79): "fdd1be409b9fc8ba3be73f583d9fc56c561de3a28127eeb38584ebf44d6b42de",
-    ("generate", 7): "352651f8c9a3a6f8340c71d16d0c2a9f4cbe80738399813bd3aaec9678ad0295",
-    ("generate", 31): "2246af4beffddb51cb926d5d5c5f9ca89dd1cc032e002213fab9ab625e4b4e18",
-    ("generate", 79): "cce0e7fc94f80f0a7851621bbf7789e8db66a8cc46439dec5388331bf212fa9e",
+    ("umeb", 7): "18fa51c208dc01b9be68c083097b28f9b4de81ff935f6ee098ea860d0aa65ec2",
+    ("umeb", 31): "7d81b2e3a24f51ff866c13ea29e7721cf4639512767e3603c4ee4eb043500856",
+    ("umeb", 79): "703ee1ca55e11cb742e9913253838b9f047f21a5000b88300973c60306585eed",
+    ("generate", 7): "d6826b5f1ce27add1f0f0b320cf48f64e0873ecab7cce140937804cdcdacd49a",
+    ("generate", 31): "f8edb36d139882487aa47497c56788d0d930dfd4a60417bb3437a9f5aa7b719a",
+    ("generate", 79): "b3f37984a1988e677700869227b0e179ad292820acf8354961aafbfd9bd2d022",
 }
 
 
@@ -434,8 +464,8 @@ def test_verify_hashes_the_bytes_it_read(p7_artifacts, tmp_path, capsys, artifac
 
 
 def test_umeb_text_report_encodes_no_family(monkeypatch, capsys):
-    # the text report prints no digest, so without --out, --cert or --format json the family
-    # is not encoded; with --cert it is, once
+    # the text report prints no digest, so without --out, --cert or --format json the family's
+    # generator is not encoded; with --format json it is, once
     encoded = []
     canonical = cli.canonical_json
     monkeypatch.setattr(cli, "canonical_json", lambda obj: encoded.append(obj) or canonical(obj))
@@ -443,11 +473,10 @@ def test_umeb_text_report_encodes_no_family(monkeypatch, capsys):
     assert "unextendible: PASS" in capsys.readouterr().out
     assert encoded == []
     assert run(["umeb", "--p", "7", "--format", "json", "--no-timestamp"]) == 0
-    assert [sorted(obj) for obj in encoded if isinstance(obj, dict)][0] == FAMILY_FIELDS
+    assert [sorted(obj) for obj in encoded if isinstance(obj, dict)][0] == GENERATOR_FIELDS
     report = json.loads(capsys.readouterr().out)
-    fam = build_residue_family(validate_prime(7), construct(4))
-    source = canonical_json(unitary_family_to_json(fam, compute_phase(7, fam.r))["source"])
-    assert report["input_sha256"] == hashlib.sha256(source.encode("utf-8")).hexdigest()
+    generator = canonical_json(family_to_json(validate_prime(7), construct(4)))
+    assert report["input_sha256"] == hashlib.sha256(generator.encode("utf-8")).hexdigest()
 
 
 def test_certificate_input_sha256_is_the_generated_family_digest(p7_artifacts, tmp_path):
@@ -467,112 +496,161 @@ def complex_stack_json(stack):
     return dict(dense_stack_json(stack), im=stack.imag.ravel().tolist())
 
 
+def support_stack_json(stack):
+    """A stack on its support {"shape": [T, d, s], "cols": [...], "values": [...]}, as the support-table format wrote bases."""
+    return {"shape": list(stack.values.shape), "cols": stack.cols.ravel().tolist(), "values": stack.values.ravel().tolist()}
+
+
+def support_table_json(family):
+    """A family in the support-table format of earlier versions: its fields and its bases on their support."""
+    return {
+        "d": family.d, "r": family.r, "beta_num": family.beta.numerator, "beta_den": family.beta.denominator,
+        "C": off_support_scale(family.d), "bases": support_stack_json(family.bases),
+    }
+
+
 DELETE = object()
+P7 = build_residue_family(validate_prime(7), construct(4))
 IDENTITIES = complex_stack_json(np.tile(np.eye(7, dtype=complex), (28, 1, 1)))
-# hand-made d=3 families of two bases whose rank r lies outside 1 <= r < d: with beta
-# set to tr(P_i P_j), each meets the equiangular check, so only the rank rule rejects it
+# the p=7 artifacts in the support-table format, with the source family beside z for the unitaries
+SUPPORT_TABLES = {
+    "support-family": support_table_json(P7),
+    "support-unitary": {"d": 7, "z": [-31 / 32, 63**0.5 / 32], "source": support_table_json(P7)},
+}
+# hand-made d=3 families of two bases whose rank r lies outside 1 <= r < d, in the support-table format
 ZERO_BASES = {
     "d": 3, "r": 0, "beta_num": 0, "beta_den": 1, "C": off_support_scale(3),
-    "bases": support_to_json(SupportStack.of(np.zeros((2, 3, 3)), 3)),
+    "bases": support_stack_json(SupportStack.of(np.zeros((2, 3, 3)), 3)),
 }
-IDENTITY_BASES = dict(ZERO_BASES, r=3, beta_num=3, bases=support_to_json(SupportStack.of(np.tile(np.eye(3), (2, 1, 1)), 3)))
+IDENTITY_BASES = dict(ZERO_BASES, r=3, beta_num=3, bases=support_stack_json(SupportStack.of(np.tile(np.eye(3), (2, 1, 1)), 3)))
 # the p=7 bases conjugated by a diagonal phase, D P D*: complex projections with the traces of P,
 # on the real bases' column table, their imaginary parts beside the values
 PHASES = np.exp(0.7j * np.arange(7))
-P7_BASES = build_residue_family(validate_prime(7), construct(4)).bases
-PHASED = PHASES[:, None] * P7_BASES.values * PHASES[P7_BASES.cols].conj()
-COMPLEX_BASES = dict(support_to_json(SupportStack(P7_BASES.cols, PHASED.real)), im=PHASED.imag.ravel().tolist())
-# the p=7 family as the parent format wrote it: every base dense, and the shift count d beside it
-DENSE_BASES = dense_stack_json(P7_BASES.dense())
+PHASED = PHASES[:, None] * P7.bases.values * PHASES[P7.bases.cols].conj()
+COMPLEX_BASES = dict(support_stack_json(SupportStack(P7.bases.cols, PHASED.real)), im=PHASED.imag.ravel().tolist())
+# the p=7 bases as the format before the support table wrote them: every base dense
+DENSE_BASES = dense_stack_json(P7.bases.dense())
+H2, H8 = hadamard_to_json(construct(2)), hadamard_to_json(construct(8))
 
 
 @pytest.mark.parametrize(
     "artifact, path, value, code",
     [
-        pytest.param("family", ("bases", "values", 0), "0.5", 1, id="family-string-entry"),
-        pytest.param("family", ("bases", "values", 0), [0.5], 1, id="family-short-pair"),
-        pytest.param("family", ("bases", "values", 0), None, 1, id="family-null-entry"),
-        pytest.param("family", ("bases", "shape", 0), 27, 1, id="family-shape-disagrees"),
-        # the bases' shape is three integers [T, d, s], T >= 1, 1 <= s <= d, d the family's
-        pytest.param("family", ("bases", "shape"), [4, 14], 1, id="family-shape-two-axes"),
-        pytest.param("family", ("bases", "shape", 1), 5, 1, id="family-shape-d-disagrees"),
-        pytest.param("family", ("bases", "shape", 2), 2.0, 1, id="family-shape-float"),
-        pytest.param("family", ("bases",), {"shape": [4, 7, 0], "cols": [], "values": []}, 1, id="family-no-column"),
-        pytest.param("family", ("bases",), {"shape": [1, 7, 8], "cols": list(range(8)) * 7, "values": [0.0] * 56}, 1, id="family-more-columns-than-d"),
-        # each list's length is that of the shape
-        pytest.param("family", ("bases", "values", -1), DELETE, 1, id="family-values-short"),
-        pytest.param("family", ("bases", "cols", -1), DELETE, 1, id="family-cols-short"),
-        pytest.param("unitary", ("source", "bases", "values", -1), DELETE, 1, id="unitary-values-short"),
-        # each column is an integer in 0..d-1, listed once in its row: row 1 is the pair {1, 3}
-        pytest.param("family", ("bases", "cols", 2), 1.0, 1, id="family-float-column"),
-        pytest.param("family", ("bases", "cols", 2), -1, 1, id="family-negative-column"),
-        pytest.param("family", ("bases", "cols", 2), 7, 1, id="family-column-d"),
-        pytest.param("family", ("bases", "cols", 3), 1, 1, id="family-repeated-column"),
-        pytest.param("unitary", ("source", "bases", "cols", 3), 1, 1, id="unitary-repeated-column"),
-        # each value is finite
-        pytest.param("family", ("bases", "values", 2), float("nan"), 1, id="family-nan-value"),
-        pytest.param("unitary", ("source", "bases", "values", 2), float("inf"), 1, id="unitary-inf-value"),
-        # a JSON bool is no number: false in place of row 0's padding value 0.0, and true in
-        # place of its padding column 1, would each read as the same family
-        pytest.param("family", ("bases", "values", 0), False, 1, id="family-false-value"),
-        pytest.param("family", ("bases", "cols", 1), True, 1, id="family-true-column"),
-        pytest.param("unitary", ("source", "bases", "values", 0), False, 1, id="unitary-false-value"),
-        pytest.param("unitary", ("source", "bases", "cols", 1), True, 1, id="unitary-true-column"),
-        # a provenance field belongs to the dense format of earlier versions
+        # the generator {"p", "k", "hadamard": {"order", "rows"}} of the p=7 family, and "z" beside it
+        # for the unitaries: rows is 4 lists of 4 entries, each the JSON integer 1 or -1
+        pytest.param("family", ("hadamard", "rows", 0, 0), "1", 1, id="family-string-entry"),
+        pytest.param("family", ("hadamard", "rows", 0, 0), [1], 1, id="family-short-pair"),
+        pytest.param("family", ("hadamard", "rows", 0, 0), None, 1, id="family-null-entry"),
+        pytest.param("family", ("hadamard", "rows", 0, 0), 2, 1, id="family-entry-two"),
+        pytest.param("family", ("hadamard", "rows", 0, 0), 0, 1, id="family-entry-zero"),
+        pytest.param("family", ("hadamard", "rows", 2, 0), float("nan"), 1, id="family-nan-value"),
+        pytest.param("unitary", ("hadamard", "rows", 2, 0), float("inf"), 1, id="unitary-inf-value"),
+        # a JSON bool or float is no integer, though numpy would read false as 0, and true or
+        # 1.0 in place of a 1 as the same matrix
+        pytest.param("family", ("hadamard", "rows", 0, 0), False, 1, id="family-false-value"),
+        pytest.param("family", ("hadamard", "rows", 0, 1), True, 1, id="family-true-column"),
+        pytest.param("family", ("hadamard", "rows", 0, 1), 1.0, 1, id="family-float-column"),
+        pytest.param("unitary", ("hadamard", "rows", 0, 0), False, 1, id="unitary-false-value"),
+        pytest.param("unitary", ("hadamard", "rows", 0, 1), True, 1, id="unitary-true-column"),
+        pytest.param("unitary", ("hadamard", "rows", 0, 0), "1", 1, id="unitary-string-entry"),
+        pytest.param("unitary", ("hadamard", "rows", 0, 0), [1], 1, id="unitary-short-pair"),
+        pytest.param("unitary", ("hadamard", "rows", 0, 0), None, 1, id="unitary-null-entry"),
+        # rows that are not order lists of order entries
+        pytest.param("family", ("hadamard", "order"), 27, 1, id="family-shape-disagrees"),
+        pytest.param("family", ("hadamard", "rows"), [1] * 16, 1, id="family-shape-two-axes"),
+        pytest.param("family", ("hadamard", "order"), 4.0, 1, id="family-shape-float"),
+        pytest.param("family", ("hadamard", "order"), True, 1, id="family-order-bool"),
+        pytest.param("family", ("hadamard", "rows"), [[]] * 4, 1, id="family-no-column"),
+        pytest.param("family", ("hadamard", "rows", 0), [1] * 5, 1, id="family-more-columns-than-d"),
+        pytest.param("family", ("hadamard", "rows", 3, -1), DELETE, 1, id="family-values-short"),
+        pytest.param("family", ("hadamard", "rows", -1), DELETE, 1, id="family-cols-short"),
+        pytest.param("unitary", ("hadamard", "rows", 3, -1), DELETE, 1, id="unitary-values-short"),
+        pytest.param("family", ("hadamard", "rows"), {"0": [1, 1, 1, 1]}, 1, id="family-rows-not-a-list"),
+        pytest.param("family", ("hadamard",), {"order": 0, "rows": []}, 1, id="family-empty"),
+        pytest.param("unitary", ("hadamard",), {"order": 0, "rows": []}, 1, id="unitary-empty"),
+        # entries +-1 whose rows are not orthogonal: row 1 repeats row 0
+        pytest.param("family", ("hadamard", "rows", 1), [1, 1, 1, 1], 1, id="family-repeated-column"),
+        pytest.param("unitary", ("hadamard", "rows", 1), [1, 1, 1, 1], 1, id="unitary-repeated-column"),
+        # a Hadamard matrix of an order other than (p+1)/2
+        pytest.param("family", ("hadamard",), H2, 1, id="family-shape-d-disagrees"),
+        pytest.param("family", ("hadamard",), H8, 1, id="family-order-8"),
+        pytest.param("family", ("p",), 5, 1, id="family-d-disagrees"),
+        pytest.param("unitary", ("p",), 5, 1, id="unitary-d-disagrees"),
+        # p is a JSON integer, a prime p = 3 or 7 (mod 8), and (p+1)/2 the order of H
+        pytest.param("family", ("p",), "seven", 1, id="family-d-string"),
+        pytest.param("family", ("p",), 7.0, 1, id="family-d-float"),
+        pytest.param("family", ("p",), True, 1, id="family-p-bool"),
+        pytest.param("unitary", ("p",), "seven", 1, id="unitary-d-string"),
+        pytest.param("family", (), {"p": 15, "k": 3, "hadamard": H8}, 1, id="family-p-not-prime"),
+        pytest.param("family", (), {"p": 1, "k": 1, "hadamard": hadamard_to_json(construct(1))}, 1, id="family-p-one"),
+        pytest.param("family", (), {"p": 3, "k": 2, "hadamard": H2}, 0, id="family-p-three"),
+        # a p too large for any file: its order is checked before p's primality
+        pytest.param("family", ("p",), 10**400, 1, id="family-rank-huge"),
+        pytest.param("unitary", ("p",), 10**400, 1, id="unitary-source-rank-huge"),
+        # k is a JSON integer, a non-residue in 1..p-1: the residues mod 7 are 1, 2 and 4, and
+        # -4 and 10 are the non-residue 3 mod 7, which a reduction mod p would accept
+        pytest.param("family", ("k",), 2, 1, id="family-k-residue"),
+        pytest.param("family", ("k",), -4, 1, id="family-negative-column"),
+        pytest.param("family", ("k",), 7, 1, id="family-column-d"),
+        pytest.param("family", ("k",), 10, 1, id="family-k-past-p"),
+        pytest.param("family", ("k",), 0, 1, id="family-k-zero"),
+        pytest.param("family", ("k",), 5.0, 1, id="family-k-float"),
+        pytest.param("family", ("k",), True, 1, id="family-k-bool"),
+        pytest.param("family", ("k",), 5, 0, id="family-k-other-nonresidue"),
+        pytest.param("unitary", ("k",), 4, 1, id="unitary-k-residue"),
+        # exactly the generator's fields
+        pytest.param("family", ("k",), DELETE, 1, id="family-no-k"),
+        pytest.param("family", ("hadamard",), DELETE, 1, id="family-no-hadamard"),
+        pytest.param("family", ("hadamard", "im"), [[0] * 4] * 4, 1, id="family-complex"),
+        pytest.param("family", ("hadamard",), DENSE_BASES, 1, id="family-dense-bases"),
         pytest.param("family", ("provenance",), [[0, 0]], 1, id="family-provenance-short"),
-        # the "shifts" field of the parent format, at any value, marks that earlier format
+        # the "shifts" field of earlier formats, at any value, marks an earlier format
         pytest.param("family", ("shifts",), 7, 1, id="family-shifts-d"),
         pytest.param("family", ("shifts",), 7.0, 1, id="family-shift-float"),
         pytest.param("family", ("shifts",), 2, 1, id="family-shifts-other"),
         pytest.param("family", ("shifts",), 1, 1, id="family-shifts-one"),
         pytest.param("family", ("shifts",), 6, 1, id="family-shifts-d-minus-1"),
         pytest.param("family", ("shifts",), 14, 1, id="family-shifts-2d"),
-        # and its dense bases, with or without the shift count
-        pytest.param("family", ("bases",), DENSE_BASES, 1, id="family-dense-bases"),
-        pytest.param("unitary", ("source", "bases"), DENSE_BASES, 1, id="unitary-source-dense-bases"),
-        pytest.param("family", ("beta_den",), 0, 1, id="family-beta-den-0"),
-        pytest.param("family", ("d",), "seven", 1, id="family-d-string"),
-        pytest.param("family", ("d",), 5, 1, id="family-d-disagrees"),
-        pytest.param("family", ("d",), 7.0, 1, id="family-d-float"),
-        pytest.param("family", ("C",), float("nan"), 1, id="family-scale-nan"),
-        pytest.param("family", ("C",), off_support_scale(7) * (1 + 1e-6), 1, id="family-scale-off"),
-        pytest.param("family", ("C",), None, 1, id="family-scale-null"),
-        pytest.param("unitary", ("source", "C"), off_support_scale(7) * (1 - 1e-6), 1, id="unitary-scale-off"),
-        pytest.param("family", ("bases",), {"shape": [0, 7, 2], "cols": [0] * 14, "values": []}, 1, id="family-empty"),
-        # a family's bases are real: complex ones would pass the equiangular check
-        pytest.param("family", ("bases",), COMPLEX_BASES, 1, id="family-complex"),
-        pytest.param("unitary", ("source", "bases"), COMPLEX_BASES, 1, id="unitary-source-complex"),
-        pytest.param("unitary", ("source", "bases", "values", 0), "0.5", 1, id="unitary-string-entry"),
-        pytest.param("unitary", ("source", "bases", "values", 0), [0.5], 1, id="unitary-short-pair"),
-        pytest.param("unitary", ("source", "bases", "values", 0), None, 1, id="unitary-null-entry"),
-        # the members of the dense format of earlier versions beside the source
+        pytest.param("family", ("d",), 7, 1, id="family-extra-d"),
+        # the members of the dense format of earlier versions beside the generator
         pytest.param("unitary", ("unitaries",), IDENTITIES, 1, id="bare-dense-format"),
-        pytest.param("unitary", ("source", "shifts"), 1, 1, id="unitary-source-one-shift"),
-        pytest.param("unitary", ("source", "shifts"), 6, 1, id="unitary-source-shifts-d-minus-1"),
-        pytest.param("unitary", ("source", "shifts"), 14, 1, id="unitary-source-shifts-2d"),
-        pytest.param("unitary", ("source", "beta_den"), 0, 1, id="unitary-beta-den-0"),
-        pytest.param("unitary", ("d",), "seven", 1, id="unitary-d-string"),
-        pytest.param("unitary", ("d",), 5, 1, id="unitary-d-disagrees"),
-        pytest.param("unitary", ("source", "bases"), {"shape": [0, 7, 2], "cols": [0] * 14, "values": []}, 1, id="unitary-empty"),
-        pytest.param("unitary", ("z", 0), float("nan"), 1, id="unitary-z-nan"),
         pytest.param("unitary", ("bases",), IDENTITIES, 1, id="unitary-both-keys"),
-        pytest.param("unitary", ("source",), DELETE, 1, id="unitary-neither-key"),
-        # the unitaries are rebuilt with this z, so a wrong phase is a failed verdict
+        pytest.param("unitary", ("hadamard",), DELETE, 1, id="unitary-neither-key"),
+        # z is a pair of finite numbers; the unitaries are rebuilt with it, so a wrong phase is a failed verdict
+        pytest.param("unitary", ("z", 0), float("nan"), 1, id="unitary-z-nan"),
+        pytest.param("unitary", ("z", 1), True, 1, id="unitary-z-bool"),
+        pytest.param("unitary", ("z",), [1.0], 1, id="unitary-z-short"),
+        pytest.param("unitary", ("z",), [1.0, 0.0, 0.0], 1, id="unitary-z-long"),
+        pytest.param("unitary", ("z",), "z", 1, id="unitary-z-string"),
+        pytest.param("unitary", ("z",), None, 1, id="unitary-z-null"),
         pytest.param("unitary", ("z",), [1.0, 0.0], 2, id="unitary-z-disagrees"),
-        # an empty path replaces the whole artifact
-        pytest.param("family", (), ZERO_BASES, 1, id="family-rank-0"),
-        pytest.param("family", (), IDENTITY_BASES, 1, id="family-rank-d"),
-        pytest.param("family", ("r",), 10**400, 1, id="family-rank-huge"),
-        pytest.param("unitary", ("source", "r"), 10**400, 1, id="unitary-source-rank-huge"),
-        pytest.param("family", ("beta_num",), 10**400, 1, id="family-beta-huge"),
-        pytest.param("unitary", ("source", "beta_num"), 10**400, 1, id="unitary-source-beta-huge"),
-        # the source's r (3 at p=7) is the trace the equiangular check compares each base with
-        pytest.param("unitary", ("source", "r"), 2, 2, id="unitary-source-rank-disagrees"),
+        # the support-table format of earlier versions, however it is edited, exits 1 as an earlier format
+        pytest.param("support-unitary", ("source", "bases"), DENSE_BASES, 1, id="unitary-source-dense-bases"),
+        pytest.param("support-unitary", ("source", "bases"), COMPLEX_BASES, 1, id="unitary-source-complex"),
+        pytest.param("support-unitary", ("source", "shifts"), 1, 1, id="unitary-source-one-shift"),
+        pytest.param("support-unitary", ("source", "shifts"), 6, 1, id="unitary-source-shifts-d-minus-1"),
+        pytest.param("support-unitary", ("source", "shifts"), 14, 1, id="unitary-source-shifts-2d"),
+        pytest.param("support-unitary", ("source", "beta_den"), 0, 1, id="unitary-beta-den-0"),
+        pytest.param("support-unitary", ("source", "C"), off_support_scale(7) * (1 - 1e-6), 1, id="unitary-scale-off"),
+        pytest.param("support-unitary", ("source", "beta_num"), 10**400, 1, id="unitary-source-beta-huge"),
+        pytest.param("support-unitary", ("source", "r"), 2, 1, id="unitary-source-rank-disagrees"),
+        pytest.param("support-family", ("beta_den",), 0, 1, id="family-beta-den-0"),
+        pytest.param("support-family", ("C",), float("nan"), 1, id="family-scale-nan"),
+        pytest.param("support-family", ("C",), off_support_scale(7) * (1 + 1e-6), 1, id="family-scale-off"),
+        pytest.param("support-family", ("C",), None, 1, id="family-scale-null"),
+        pytest.param("support-family", ("beta_num",), 10**400, 1, id="family-beta-huge"),
+        pytest.param("support-family", (), ZERO_BASES, 1, id="family-rank-0"),
+        pytest.param("support-family", (), IDENTITY_BASES, 1, id="family-rank-d"),
     ],
 )
 def test_verify_rejects_malformed_artifact(p7_artifacts, tmp_path, capsys, artifact, path, value, code):
-    if path:
-        obj = json.loads(p7_artifacts[artifact].read_text())
+    if not path:
+        obj = value  # an empty path replaces the whole artifact
+    else:
+        if artifact in SUPPORT_TABLES:
+            obj = json.loads(json.dumps(SUPPORT_TABLES[artifact]))
+        else:
+            obj = json.loads(p7_artifacts[artifact].read_text())
         *parents, last = path
         target = obj
         for key in parents:
@@ -581,8 +659,6 @@ def test_verify_rejects_malformed_artifact(p7_artifacts, tmp_path, capsys, artif
             del target[last]
         else:
             target[last] = value
-    else:
-        obj = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
     capsys.readouterr()
@@ -590,21 +666,36 @@ def test_verify_rejects_malformed_artifact(p7_artifacts, tmp_path, capsys, artif
     if code == 1:
         _one_error_line(capsys)
     else:
-        assert re.search(r"^\w+: FAIL$", capsys.readouterr().out, re.MULTILINE)
+        verdicts = re.findall(r"^\w+: (PASS|FAIL)$", capsys.readouterr().out, re.MULTILINE)
+        assert verdicts and ("FAIL" in verdicts) == (code == 2)
 
 
-@pytest.mark.parametrize("field, value", [("beta_num", 12), ("beta_den", 10**400)], ids=["beta-num-12", "beta-den-huge"])
-def test_a_source_whose_bases_miss_its_beta_fails_verify(p7_artifacts, tmp_path, capsys, field, value):
-    # beta is 11/9 at p=7: 12/9, or a beta_den past any float, is a valid beta that the bases do not meet,
-    # and only the equiangular check reads it
+def test_a_phase_that_misses_the_family_fails_only_the_certificate(p7_artifacts, tmp_path, capsys):
+    # z turned by 0.1 rad keeps |z| = 1: the family is the generator's, and only the unitaries miss their contract
     obj = json.loads(p7_artifacts["unitary"].read_text())
-    obj["source"][field] = value
+    z = complex(*obj["z"]) * cmath.exp(0.1j)
+    obj["z"] = [z.real, z.imag]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
     capsys.readouterr()
     assert run(["verify", "--in", str(bad)]) == 2
     out = capsys.readouterr().out
-    assert "equiangular: FAIL" in out and "unextendible: PASS" in out
+    assert "equiangular: PASS" in out and "unextendible: FAIL" in out
+
+
+def test_a_huge_p_is_rejected_before_its_primality_is_tried(tmp_path, monkeypatch, capsys):
+    # validate_prime's trial division and residue set cost O(sqrt p) and O(p): a small file with the
+    # Mersenne prime 2^61 - 1 and an order-2 matrix must not reach it
+    def tried(*args, **kwargs):
+        raise AssertionError("validate_prime was called")
+
+    monkeypatch.setattr(packing, "validate_prime", tried)
+    for artifact in ({"p": 2**61 - 1, "k": 3, "hadamard": H2}, {"p": 2**61 - 1, "k": 3, "hadamard": H2, "z": [1.0, 0.0]}):
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(artifact))
+        capsys.readouterr()
+        assert run(["verify", "--in", str(bad)]) == 1
+        assert "order" in _one_error_line(capsys)
 
 
 def _one_error_line(capsys):
@@ -636,7 +727,7 @@ def test_bad_tolerance_is_rejected(argv, env, monkeypatch, capsys):
 
 def test_infinite_tolerance_cannot_pass_a_bad_artifact(p7_artifacts, tmp_path, capsys):
     obj = json.loads(p7_artifacts["unitary"].read_text())
-    obj["source"]["bases"]["values"][1] = 5.0  # base 0 at (0, 1), where it is 0
+    obj["z"] = [1.0, 0.0]  # every unitary I: unitary, and as far from trace-orthogonal as can be
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
     capsys.readouterr()
@@ -649,8 +740,8 @@ def test_infinite_tolerance_cannot_pass_a_bad_artifact(p7_artifacts, tmp_path, c
 
 def test_dense_format_of_earlier_versions_exits_1_with_one_line(tmp_path, capsys):
     # the artifacts as earlier versions wrote or read them: every member, and provenance; then
-    # the dense bases with their shift count, which the parent format wrote
-    family = build_residue_family(validate_prime(7), construct(4))
+    # the dense bases with their shift count; then the bases on their support table
+    family = P7
     uf = build_unitaries(family, compute_phase(7, 3))
     old_family = {
         "d": 7, "r": 3, "beta_num": 11, "beta_den": 9, "C": off_support_scale(7),
@@ -668,6 +759,7 @@ def test_dense_format_of_earlier_versions_exits_1_with_one_line(tmp_path, capsys
         {"d": 7, "z": [uf.z.real, uf.z.imag], "source": dense_family},
         # the dense bases alone, without the shift count
         {key: value for key, value in dense_family.items() if key != "shifts"},
+        *SUPPORT_TABLES.values(),
     )):
         path = tmp_path / f"old{i}.json"
         path.write_text(json.dumps(obj))

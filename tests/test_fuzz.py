@@ -1,26 +1,22 @@
 """Mutation fuzz of the artifact loaders through `umebkit verify`.
 
-Each example takes a p=7 artifact (a family, or a unitary family written
-as its family and phase), mutates one place in it and runs `verify --in`.
-Every place is a target: the bases' shape, every entry of their column
-table and every value included.  Every outcome must be exit 1 with one
-`umebkit:` line, or a verdict, and never a traceback: the equiangular
-verdict for a family, and for a unitary family that verdict and the
-certificate's, as `umeb` prints them.  A JSON bool put in the bases'
-columns or values exits 1, though it would read as the number 0 or 1.
+Each example takes a p=7 artifact, the family's generator
+{"p", "k", "hadamard": {"order", "rows"}} and, for a unitary family, its
+phase "z", mutates one place in it and runs `verify --in`.  The mutations
+change p, k, one entry of H, H's order or z, delete or retype any place,
+or add a field.  Every outcome must be exit 1 with one `umebkit:` line, or
+a verdict, and never a traceback: the equiangular verdict for a family,
+and for a unitary family that verdict and the certificate's, as `umeb`
+prints them.
 
-A changed number does not pass, with one exception.  Row 0 of the bases
-lies in no support: its two columns, 0 and 1, are padding whose values are
-0 in every base.  Moving its column 1 to a column that the row does not
-list describes the same family, so PASS is the correct verdict there.
-Every other changed number fails or is rejected: every nonzero value
-scaled by 1 +- 1e-6 moves some deviation well past eps at p=7, a column
-moved by one in rows 1..6 moves a nonzero entry, and a changed shape
-disagrees with its lists.  That holds for the off-support coefficient C,
-which must equal off_support_scale(d), since every family is whole
-orbits.  Nor does an integer place set to 10**400, past any float: a
-beta_den that large is a valid, tiny beta, which the equiangular check
-fails, and every other such place is rejected.
+Each mutation's exit code is known in advance.  Order 4 fixes p at 7 (p = 8
+is no prime), and only the non-residues 3, 5 and 6 are a k, so any other p
+or k exits 1, and another non-residue builds another family of the
+construction, which passes.  One entry of H changed, or another order,
+leaves no Hadamard matrix of order 4.  A z scaled by 1 +- 1e-6 or more is
+no unit phase, so the certificate fails at p=7, and a non-finite z is
+rejected.  A JSON bool is no integer, so a bool anywhere exits 1.  Only
+deleting z leaves an artifact that passes: the generator alone, a family.
 """
 
 import copy
@@ -36,14 +32,15 @@ from hypothesis import strategies as st
 from umebkit.cli import main, unitary_family_to_json
 from umebkit.hadamard import construct
 from umebkit.numth import validate_prime
-from umebkit.packing import build_residue_family, family_to_json
+from umebkit.packing import family_to_json
 from umebkit.umeb import compute_phase
 
-FAMILY = build_residue_family(validate_prime(7), construct(4))
+PRIME, H = validate_prime(7), construct(4)
 ARTIFACTS = {
-    "family": family_to_json(FAMILY),
-    "unitary": unitary_family_to_json(FAMILY, compute_phase(7, 3)),
+    "family": family_to_json(PRIME, H),
+    "unitary": unitary_family_to_json(PRIME, H, compute_phase(7, 3)),
 }
+NONRESIDUES = {3, 5, 6}
 
 
 def _places(obj, path=()):
@@ -54,55 +51,54 @@ def _places(obj, path=()):
         yield from _places(value, path + (key,))
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-PLACES = {kind: list(_places(obj)) for kind, obj in ARTIFACTS.items()}
-TARGETS = {
-    kind: {
-        "delete": [path for path, _ in places],
-        "swap": [path for path, _ in places],
-        "nan": [path for path, _ in places],
-        "shift": [path for path, _ in places if {"shape", "cols"} & set(path[:-1])],
-        "scale": [path for path, value in places if _is_number(value) and value != 0],
-        "big": [path for path, value in places if _is_number(value) and isinstance(value, int)],
-    }
-    for kind, places in PLACES.items()
-}
-SWAPS = ["x", None, True, False, [], {}, [0.5], {"shape": [1, 7, 2]}]
+PLACES = {kind: [path for path, _ in _places(obj)] for kind, obj in ARTIFACTS.items()}
+SWAPS = ["x", None, True, False, [], {}, [0.5], {"order": 2, "rows": [[1, 1], [1, -1]]}]
+OPS = ["delete", "swap", "add", "p", "k", "entry", "order"]
 
 
 @st.composite
 def mutations(draw, kind):
-    op = draw(st.sampled_from(sorted(TARGETS[kind])))
-    path = draw(st.sampled_from(TARGETS[kind][op]))
+    """(mutated artifact, the exit code verify must give)."""
     obj = copy.deepcopy(ARTIFACTS[kind])
-    *parents, last = path
-    target = obj
-    for key in parents:
-        target = target[key]
-    old = target[last]
+    op = draw(st.sampled_from(OPS + (["z"] if kind == "unitary" else [])))
     if op == "delete":
+        path = draw(st.sampled_from(PLACES[kind]))
+        *parents, last = path
+        target = obj
+        for key in parents:
+            target = target[key]
         del target[last]
-        return obj, False, False
+        return obj, 0 if path == ("z",) else 1
     if op == "swap":
-        choices = SWAPS + ([str(old)] if _is_number(old) else [])
-        new = draw(st.sampled_from([c for c in choices if type(c) is not type(old)]))
-    elif op == "nan":
-        new = math.nan
-    elif op == "shift":
-        new = old + draw(st.sampled_from((-1, 1)))
-    elif op == "big":
-        new = 10**400
-    else:
-        new = old * (1 + draw(st.floats(1e-6, 0.5)) * draw(st.sampled_from((-1, 1))))
-    target[last] = new
-    # true in place of 1.0 reads as the same number, and a column of row 0 moved to a free
-    # column describes the same family
-    padding = "cols" in parents and last < 2
-    changed = _is_number(old) and new != old and not padding
-    return obj, changed, isinstance(new, bool) and bool({"cols", "values"} & set(parents))
+        *parents, last = draw(st.sampled_from(PLACES[kind]))
+        target = obj
+        for key in parents:
+            target = target[key]
+        old = target[last]
+        target[last] = draw(st.sampled_from([c for c in SWAPS + [str(old)] if type(c) is not type(old)]))
+        return obj, 1
+    if op == "add":
+        target = draw(st.sampled_from([obj, obj["hadamard"]]))
+        target[draw(st.sampled_from(["d", "r", "shifts", "source", "bases", "im"]))] = draw(st.sampled_from([7, [], None]))
+        return obj, 1
+    if op == "p":
+        obj["p"] = draw(st.one_of(st.integers(-10, 100), st.sampled_from([2**61 - 1, 10**400])))
+        return obj, 0 if obj["p"] == 7 else 1
+    if op == "k":
+        obj["k"] = draw(st.one_of(st.integers(-10, 20), st.just(10**400)))
+        return obj, 0 if obj["k"] in NONRESIDUES else 1
+    if op == "entry":
+        row = obj["hadamard"]["rows"][draw(st.integers(0, 3))]
+        i = draw(st.integers(0, 3))
+        row[i] = draw(st.sampled_from([-row[i], 0, 2, -2, 3]))
+        return obj, 1
+    if op == "order":
+        obj["hadamard"]["order"] = draw(st.integers(-2, 10).filter(lambda n: n != 4))
+        return obj, 1
+    i = draw(st.integers(0, 1))
+    scale = 1 + draw(st.floats(1e-6, 0.5)) * draw(st.sampled_from((-1, 1)))
+    obj["z"][i] = draw(st.sampled_from([obj["z"][i] * scale, math.nan, math.inf, -math.inf]))
+    return obj, 2 if math.isfinite(obj["z"][i]) else 1
 
 
 def _verify(tmp_path, obj):
@@ -129,15 +125,12 @@ def test_unmutated_artifacts_pass(kind, tmp_path):
 )
 @given(data=st.data())
 def test_mutated_artifacts_end_in_one_line_or_a_verdict(kind, tmp_path, data):
-    obj, changed, bool_in_bases = data.draw(mutations(kind))
+    obj, expected = data.draw(mutations(kind))
     code, out, err = _verify(tmp_path, obj)
     if code == 1:
         assert len(err) == 1 and err[0].startswith("umebkit:"), err
     else:
         assert code in (0, 2) and err == []
         assert "equiangular: " in out
-        assert ("unextendible: " in out) == (kind == "unitary")
-    if changed:
-        assert code != 0, "a changed number passed"
-    if bool_in_bases:
-        assert code == 1, "a bool in the bases was read as a number"
+        assert ("unextendible: " in out) == ("z" in obj)
+    assert code == expected, (obj, out, err)

@@ -1,13 +1,15 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from umebkit import hadamard
-from umebkit.errors import BadResidueClass, NotPrime, UnsupportedOrder
+from umebkit.errors import BadResidueClass, MalformedArtifact, NotPrime, UnsupportedOrder
 from umebkit.hadamard import (
     HadamardMatrix,
     construct,
+    hadamard_from_json,
     hadamard_to_json,
     kronecker,
     paley_one,
@@ -128,11 +130,15 @@ def test_row_inner_products():
 
 
 def test_json_round_trip():
-    h = construct(12)
-    obj = hadamard_to_json(h)
-    again = HadamardMatrix(order=obj["order"], entries=obj["rows"])
-    assert again.order == h.order
-    assert np.array_equal(again.entries, h.entries)
+    for n in (1, 2, 12, 20):
+        h = construct(n)
+        again = hadamard_from_json(json.loads(json.dumps(hadamard_to_json(h))))
+        assert again.order == h.order
+        assert again.entries.dtype == np.int64 and again.entries.tobytes() == h.entries.tobytes()
+    # any Hadamard matrix of the order reads back, not only construct's: columns negated, rows permuted
+    made = construct(12).entries * np.where(np.arange(12) % 3 == 0, -1, 1)
+    made = made[np.random.default_rng(1).permutation(12)]
+    assert hadamard_from_json({"order": 12, "rows": made.tolist()}).entries.tolist() == made.tolist()
 
 
 def test_json_import_rejects_corrupt():
@@ -140,6 +146,21 @@ def test_json_import_rejects_corrupt():
     obj["rows"][0][0] = -obj["rows"][0][0]
     with pytest.raises(UnsupportedOrder):
         HadamardMatrix(order=obj["order"], entries=obj["rows"])
+    with pytest.raises(UnsupportedOrder):  # every entry +-1, but no longer orthogonal rows
+        hadamard_from_json(obj)
+    for rows in ([[1, 1], [1, 2]], [[1, 1], [1, 0]]):
+        with pytest.raises(UnsupportedOrder):
+            hadamard_from_json({"order": 2, "rows": rows})
+    for bad in (
+        {"order": 2, "rows": [[1, 1], [1, True]]},  # true would read as 1
+        {"order": 2, "rows": [[1, 1], [1, -1.0]]},
+        {"order": 2, "rows": [[1, 1], [1]]},
+        {"order": 2.0, "rows": [[1, 1], [1, -1]]},
+        {"order": 2, "rows": [[1, 1], [1, -1]], "im": [[0, 0], [0, 0]]},
+        [[1, 1], [1, -1]],
+    ):
+        with pytest.raises(MalformedArtifact):
+            hadamard_from_json(bad)
 
 
 def test_direct_construction_rejects_bad_matrix():

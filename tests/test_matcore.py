@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from umebkit import channels, matcore
-from umebkit.errors import MalformedArtifact, NotReal, OutOfRange, ShapeMismatch
+from umebkit.errors import MalformedArtifact, OutOfRange, ShapeMismatch
 from umebkit.hadamard import construct
 from umebkit.matcore import (
     SupportStack,
@@ -18,9 +18,7 @@ from umebkit.matcore import (
     orbit_stack,
     spectral_rank,
     support_columns,
-    support_from_json,
     support_product,
-    support_to_json,
     union_support,
 )
 from umebkit.numth import validate_prime
@@ -643,120 +641,86 @@ def test_support_stack_of_a_dense_stack_owns_its_values():
             SupportStack.of(wrong, 4)
 
 
-def _identity_json(t=1, d=2):
-    """support_to_json of t identity bases of size d x d on their diagonal: shape [t, d, 1]."""
-    return support_to_json(SupportStack.of(np.tile(np.eye(d), (t, 1, 1)), d))
+H2_ROWS = [[1, 1], [1, -1]]
 
 
 def test_stack_json_round_trip_is_exact():
+    # an artifact's one matrix is H: its rows read back as int64, entry for entry, whatever they hold
     rng = np.random.default_rng(17)
-    signed_zeros = SupportStack(np.array([[0, 1], [1, 0]]), np.array([[[-0.0, 1.5], [-0.0, 2.0]]]))
-    p7 = build_residue_family(validate_prime(7), construct(4)).bases
-    moved = SupportStack(p7.cols[:, ::-1].copy(), p7.values[:, :, ::-1].copy())  # each row's columns in another order
-    for stack in (SupportStack.of(rng.standard_normal((3, 5, 5)), 5), signed_zeros, p7, moved):
-        obj = json.loads(json.dumps(support_to_json(stack)))
-        assert sorted(obj) == matcore.SUPPORT_FIELDS == ["cols", "shape", "values"]
-        assert obj["shape"] == list(stack.values.shape) and len(obj["cols"]) == stack.cols.size
-        again = support_from_json(obj, len(stack.cols))
-        for mine, theirs in ((again.cols, stack.cols), (again.values, stack.values)):
-            # bit-exact, sign of zero included, and of the table's own dtype
-            assert (mine.dtype, mine.shape, mine.tobytes()) == (theirs.dtype, theirs.shape, theirs.tobytes())
-        assert not again.values.flags.writeable and not again.cols.flags.writeable
+    extremes = [[np.iinfo(np.int64).min, -1, 0], [1, np.iinfo(np.int64).max, 7], [3, 2, 1]]
+    for rows in (construct(4).entries.tolist(), construct(12).entries.tolist(), rng.integers(-9, 9, (5, 5)).tolist(), extremes, [[1]]):
+        again = matcore.json_int_matrix(json.loads(json.dumps(rows)), len(rows), "rows")
+        assert again.dtype == np.int64 and again.shape == (len(rows), len(rows)) and again.tolist() == rows
 
 
 def test_stack_json_codes_real_stacks_only():
-    # no artifact holds a complex stack: the writer refuses one and the reader rejects an "im" part
-    with pytest.raises(NotReal):
-        support_to_json(SupportStack.of(np.eye(2)[None] * 1j, 2))
-    with pytest.raises(NotReal):
-        support_to_json(SupportStack.of(np.eye(2)[None], 2, complex))  # complex dtype, real entries
-    for im in ([0.0] * 2, [1.0] * 2, [], "x"):
-        with pytest.raises(MalformedArtifact, match="fields"):
-            support_from_json(dict(_identity_json(), im=im), 2)
+    # an artifact's matrix is real, and integral: a [re, im] pair, a complex dict or a float is no entry
+    for rows in ([[1, [1, 0]], [1, -1]], [[1, {"re": 1, "im": 0}], [1, -1]], [[1, 1], [1, -1.0]]):
+        with pytest.raises(MalformedArtifact):
+            matcore.json_int_matrix(rows, 2, "rows")
 
 
 def test_stack_json_rejects_bad_length():
-    def drop_last_value(obj):
-        del obj["values"][-1]
+    def drop_last_entry(rows):
+        del rows[-1][-1]
 
-    def extra_value(obj):
-        obj["values"].append(1.0)
+    def extra_entry(rows):
+        rows[0].append(1)
 
-    def drop_last_column(obj):
-        del obj["cols"][-1]
+    def drop_last_row(rows):
+        del rows[-1]
 
-    def shape_disagrees(obj):
-        obj["shape"][0] += 1
+    def extra_row(rows):
+        rows.append([1, 1])
 
-    def wider_rows(obj):
-        obj["shape"][2] += 1
-
-    for mutate in (drop_last_value, extra_value, drop_last_column, shape_disagrees, wider_rows):
-        obj = _identity_json()
-        mutate(obj)
-        with pytest.raises(ShapeMismatch):
-            support_from_json(obj, 2)
+    for mutate in (drop_last_entry, extra_entry, drop_last_row, extra_row):
+        rows = json.loads(json.dumps(H2_ROWS))
+        mutate(rows)
+        with pytest.raises(MalformedArtifact, match="2 lists of 2 integers"):
+            matcore.json_int_matrix(rows, 2, "rows")
 
 
 @pytest.mark.parametrize(
-    "edit, error",
+    "rows",
     [
-        pytest.param(lambda obj: obj.update(shape=[0, 2, 1], values=[]), ShapeMismatch, id="no-member"),
-        pytest.param(lambda obj: obj.update(shape=[1, 2]), ShapeMismatch, id="two-axes"),
-        pytest.param(lambda obj: obj.update(shape=[1, 2, 1, 1]), ShapeMismatch, id="four-axes"),
-        pytest.param(lambda obj: obj.update(shape=[1, 3, 1]), ShapeMismatch, id="not-d-by-d"),
-        pytest.param(lambda obj: obj.update(shape=[1, 2, 0], cols=[], values=[]), ShapeMismatch, id="no-column"),
-        pytest.param(lambda obj: obj.update(shape=[1, 2, 3], cols=[0] * 6, values=[0.0] * 6), ShapeMismatch, id="more-columns-than-d"),
-        pytest.param(lambda obj: obj.update(values=7), ShapeMismatch, id="values-not-a-list"),
-        pytest.param(lambda obj: obj.update(cols={"0": 0, "1": 1}), ShapeMismatch, id="cols-not-a-list"),
-        pytest.param(lambda obj: obj.update(shape=[1, 2.0, 1]), MalformedArtifact, id="float-size"),
-        pytest.param(lambda obj: obj.update(shape=[True, 2, 1]), MalformedArtifact, id="bool-size"),
-        pytest.param(lambda obj: obj.update(shape=7), MalformedArtifact, id="shape-not-a-list"),
-        pytest.param(lambda obj: obj["values"].__setitem__(1, float("nan")), MalformedArtifact, id="nan"),
-        pytest.param(lambda obj: obj["values"].__setitem__(1, float("-inf")), MalformedArtifact, id="inf"),
-        pytest.param(lambda obj: obj["values"].__setitem__(1, 10**400), MalformedArtifact, id="value-past-any-float"),
-        pytest.param(lambda obj: obj["values"].__setitem__(1, "1.0"), MalformedArtifact, id="string-value"),
-        pytest.param(lambda obj: obj["values"].__setitem__(1, [1.0]), MalformedArtifact, id="list-value"),
-        pytest.param(lambda obj: obj["values"].__setitem__(1, None), MalformedArtifact, id="null-value"),
-        # a bool is no JSON number, though numpy would read false as 0.0 and true as 1
-        pytest.param(lambda obj: obj["values"].__setitem__(1, True), MalformedArtifact, id="true-value"),
-        pytest.param(lambda obj: obj["values"].__setitem__(1, False), MalformedArtifact, id="false-value"),
-        pytest.param(lambda obj: obj["cols"].__setitem__(1, True), MalformedArtifact, id="true-column"),
-        pytest.param(lambda obj: obj["cols"].__setitem__(1, 1.0), MalformedArtifact, id="float-column"),
-        pytest.param(lambda obj: obj["cols"].__setitem__(1, -1), MalformedArtifact, id="negative-column"),
-        pytest.param(lambda obj: obj["cols"].__setitem__(1, 2), MalformedArtifact, id="column-d"),
-        pytest.param(lambda obj: obj["cols"].__setitem__(1, 10**400), MalformedArtifact, id="column-past-any-int"),
-        # the dense stack of earlier versions
-        pytest.param(lambda obj: obj.update(shape=[1, 2, 2], re=[1.0, 0.0, 0.0, 1.0]), MalformedArtifact, id="dense-re"),
-        pytest.param(lambda obj: obj.pop("cols"), MalformedArtifact, id="no-cols"),
+        pytest.param([], id="no-member"),
+        pytest.param([1, 1, 1, -1], id="two-axes"),
+        pytest.param([[[1], [1]], [[1], [-1]]], id="four-axes"),
+        pytest.param([[1, 1], [1, -1], [1, 1]], id="not-d-by-d"),
+        pytest.param([[], []], id="no-column"),
+        pytest.param([[1, 1, 1], [1, -1, 1]], id="more-columns-than-d"),
+        pytest.param(7, id="values-not-a-list"),
+        pytest.param([{"0": 1, "1": 1}, [1, -1]], id="cols-not-a-list"),
+        pytest.param("[[1, 1], [1, -1]]", id="shape-not-a-list"),
+        pytest.param([[1, 1], [1, float("nan")]], id="nan"),
+        pytest.param([[1, 1], [1, float("-inf")]], id="inf"),
+        pytest.param([[1, 1], [1, 10**400]], id="value-past-any-float"),
+        pytest.param([[1, "1"], [1, -1]], id="string-value"),
+        pytest.param([[1, [1]], [1, -1]], id="list-value"),
+        pytest.param([[1, None], [1, -1]], id="null-value"),
+        # a bool is no JSON integer, though numpy would read true as 1 and false as 0
+        pytest.param([[1, True], [1, -1]], id="true-value"),
+        pytest.param([[1, 1], [1, False]], id="false-value"),
+        pytest.param([[True, 1], [1, -1]], id="true-column"),
+        pytest.param([[1.0, 1], [1, -1]], id="float-column"),
+        pytest.param([[1, 1], [-(2**63) - 1, -1]], id="negative-column"),
+        pytest.param([[1, 2**63], [1, -1]], id="column-past-any-int"),
+        # the dense stack of earlier versions, and no rows at all
+        pytest.param({"shape": [1, 2, 2], "re": [1.0, 1.0, 1.0, -1.0]}, id="dense-re"),
+        pytest.param(None, id="no-cols"),
     ],
 )
-def test_stack_json_rejects_bad_shape_or_value(edit, error):
-    obj = _identity_json()
-    edit(obj)
-    with pytest.raises(error):
-        support_from_json(obj, 2)
-
-
-def test_stack_json_rejects_a_row_that_lists_a_column_twice():
-    # row 1 of the p=7 bases lists its diagonal twice: each sum over the support would count it twice
-    bases = build_residue_family(validate_prime(7), construct(4)).bases
-    obj = support_to_json(bases)
-    assert obj["cols"][:4] == [0, 1, 1, 3]  # row 0 pads with columns 0 and 1; row 1 is the pair {1, 3}
-    with pytest.raises(MalformedArtifact, match="twice"):
-        support_from_json(dict(obj, cols=[0, 1, 1, 1] + obj["cols"][4:]), 7)
-    # row 0's padding moved to another free column, where its value 0 lies too: the same bases
-    again = support_from_json(dict(obj, cols=[0, 5] + obj["cols"][2:]), 7)
-    assert again.dense().tobytes() == bases.dense().tobytes()
+def test_stack_json_rejects_bad_shape_or_value(rows):
+    with pytest.raises(MalformedArtifact):
+        matcore.json_int_matrix(rows, 2, "rows")
 
 
 def test_stack_json_compares_lengths_before_allocating(monkeypatch):
     calls = []
     for name in ("array", "empty", "zeros"):
         monkeypatch.setattr(np, name, lambda *a, name=name, **k: calls.append(name))
-    obj = {"shape": [10**6, 10**4, 2], "cols": [0, 1], "values": [0.0]}
-    with pytest.raises(ShapeMismatch):
-        support_from_json(obj, 10**4)
+    with pytest.raises(MalformedArtifact):
+        matcore.json_int_matrix([[1, 1], [1, -1]], 10**6, "rows")
     assert calls == []
 
 

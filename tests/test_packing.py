@@ -474,7 +474,7 @@ def assert_matches_dense(report, oracle):
 ORBIT_FAMILIES = {
     **{f"p{p}": (lambda p=p: residue_family(p)) for p in (3, 7, 23, 31, 47, 71, 79)},
     "dual7": lambda: dual_family(p7_family()),
-    "json7": lambda: family_from_json(family_to_json(p7_family())),
+    "json7": lambda: build_residue_family(*family_from_json(family_to_json(validate_prime(7), construct(4)))),
 }
 
 
@@ -523,9 +523,12 @@ def test_projections_real_symmetric():
 
 def test_family_json_round_trip():
     fam = p7_family()
-    again = family_from_json(family_to_json(fam))
-    assert (again.d, again.r, again.beta) == (fam.d, fam.r, fam.beta)
-    assert sorted(family_to_json(fam)) == packing.FAMILY_FIELDS and len(again) == len(fam) == 28
+    obj = family_to_json(validate_prime(7), construct(4))
+    assert obj == {"p": 7, "k": 3, "hadamard": {"order": 4, "rows": construct(4).entries.tolist()}}
+    prime, h = family_from_json(obj)  # the generator, read back
+    assert prime == validate_prime(7) and h.entries.tobytes() == construct(4).entries.tobytes()
+    again = build_residue_family(prime, h)
+    assert (again.d, again.r, again.beta) == (fam.d, fam.r, fam.beta) and len(again) == len(fam) == 28
     assert again.bases.values.dtype == float
     assert again.bases.dense().tobytes() == fam.bases.dense().tobytes()
     assert again.projections.tobytes() == fam.projections.tobytes()
@@ -536,30 +539,34 @@ def test_family_json_round_trip():
 
 @pytest.mark.parametrize("p", [3, 7, 23, 31, 47, 79])
 def test_family_json_round_trips_the_support_table_bit_for_bit(p):
-    fam = residue_family(p)
-    obj = family_to_json(fam)
-    assert obj["bases"]["shape"] == [(p + 1) // 2, p, 2]
-    again = family_from_json(json.loads(json.dumps(obj, sort_keys=True, separators=(",", ":"))))
+    # the artifact holds the generator, not the table: the loader rebuilds the same cols and values
+    prime, h = validate_prime(p), construct((p + 1) // 2)
+    fam = build_residue_family(prime, h)
+    obj = family_to_json(prime, h)
+    assert sorted(obj) == ["hadamard", "k", "p"] and obj["hadamard"]["order"] == (p + 1) // 2
+    again = build_residue_family(*family_from_json(json.loads(json.dumps(obj, sort_keys=True, separators=(",", ":")))))
     for mine, theirs in ((again.bases.cols, fam.bases.cols), (again.bases.values, fam.bases.values)):
         assert (mine.dtype, mine.shape, mine.tobytes()) == (theirs.dtype, theirs.shape, theirs.tobytes())
 
 
 def test_family_json_checks_the_coefficient_of_an_orbit_family():
-    for fam in (p7_family(), dual_family(p7_family()), icosahedron_lines()):
-        obj = family_to_json(fam)
-        assert obj["C"] == off_support_scale(fam.d)
-        assert family_from_json(obj).bases.dense().tobytes() == fam.bases.dense().tobytes()
-        for scale in (None, 1.5, off_support_scale(fam.d) * (1 + 1e-12), off_support_scale(23)):
-            with pytest.raises(MalformedArtifact, match="C = "):
-                family_from_json({**obj, "C": scale})
+    # the rebuilt family puts off_support_scale(p) on the non-residue index: row q of every base,
+    # q a residue, holds (1, +-C) times the same factor at its columns q and kq
+    for p in (3, 7, 23):
+        prime = validate_prime(p)
+        fam = build_residue_family(*family_from_json(family_to_json(prime, construct((p + 1) // 2))))
+        q = np.asarray(prime.residues)
+        cols = fam.bases.cols[q]
+        assert np.array_equal(cols, np.sort(np.stack((q, prime.k * q % p), axis=1), axis=1))
+        on_q, on_kq = (fam.bases.at(q, c) for c in (q, prime.k * q % p))
+        assert np.allclose(np.abs(on_kq / on_q), off_support_scale(p), rtol=1e-14, atol=0)
 
 
 def test_family_json_icosahedron_round_trips_with_three_shifts():
     fam = icosahedron_lines()
-    obj = family_to_json(fam)
-    assert obj["C"] == (1 + math.sqrt(5)) / 2 == off_support_scale(3)
-    assert obj["bases"]["shape"] == [2, 3, 2]
-    again = family_from_json(json.loads(json.dumps(obj)))
+    obj = family_to_json(validate_prime(3), construct(2))
+    assert obj == {"p": 3, "k": 2, "hadamard": {"order": 2, "rows": [[1, 1], [1, -1]]}}
+    again = build_residue_family(*family_from_json(json.loads(json.dumps(obj))))
     assert len(again) == 6
     assert again.bases.dense().tobytes() == fam.bases.dense().tobytes()
     assert verify_equiangular(again) == verify_equiangular(fam)
@@ -583,20 +590,26 @@ def test_icosahedron_lines_are_the_residue_family_at_p3():
 
 
 def test_a_hand_made_family_round_trips():
-    # a family made from the p=7 bases, not by the construction, writes the coefficient that its loader checks
-    fam = p7_family()
-    made = ProjectionFamily(7, 3, fam.bases, fam.beta)
-    obj = json.loads(json.dumps(family_to_json(made)))
-    assert obj == json.loads(json.dumps(family_to_json(fam)))
-    again = family_from_json(obj)
-    assert again.bases.dense().tobytes() == fam.bases.dense().tobytes()
-    assert verify_equiangular(again) == verify_equiangular(fam)
+    # a Hadamard matrix that is not construct's (columns negated, rows permuted) writes and reads
+    # back as itself, and builds a family of the construction that passes the check
+    prime = validate_prime(23)
+    rows = construct(12).entries * np.where(np.arange(12) % 5 == 1, -1, 1)
+    made = HadamardMatrix(12, rows[np.random.default_rng(3).permutation(12)])
+    obj = json.loads(json.dumps(family_to_json(prime, made)))
+    assert obj["hadamard"]["rows"] == made.entries.tolist() != construct(12).entries.tolist()
+    again = build_residue_family(*family_from_json(obj))
+    assert again.bases.dense().tobytes() == build_residue_family(prime, made).bases.dense().tobytes()
+    assert verify_equiangular(again).passed
 
 
 def test_family_json_rejects_the_dense_format():
-    obj = family_to_json(p7_family())
-    dense = {"shape": [4, 7, 7], "re": p7_family().bases.dense().ravel().tolist()}
-    # provenance and members of earlier versions, then the parent format's shift count and dense bases
-    for key, value in (("provenance", [[0, 0]]), ("projections", obj["bases"]), ("shifts", 7), ("bases", dense)):
+    obj = family_to_json(validate_prime(7), construct(4))
+    bases = p7_family().bases
+    dense = {"shape": [4, 7, 7], "re": bases.dense().ravel().tolist()}
+    table = {"shape": [4, 7, 2], "cols": bases.cols.ravel().tolist(), "values": bases.values.ravel().tolist()}
+    # provenance and members of earlier versions, the shift count, dense bases and the support table
+    for key, value in (("provenance", [[0, 0]]), ("projections", dense), ("shifts", 7), ("bases", dense), ("bases", table)):
         with pytest.raises(MalformedArtifact, match="fields"):
             family_from_json({**obj, key: value})
+    with pytest.raises(MalformedArtifact, match="fields"):
+        family_from_json({"d": 7, "r": 3, "beta_num": 11, "beta_den": 9, "C": off_support_scale(7), "bases": table})

@@ -6,7 +6,9 @@ import dataclasses
 from pathlib import Path
 
 import umebkit
-from umebkit import channels, cli, hadamard, matcore, packing, umeb
+from umebkit import channels, cli, matcore, packing, umeb
+from umebkit.hadamard import construct
+from umebkit.numth import validate_prime
 
 SRC = Path(umebkit.__file__).parent
 EXPORTS = [
@@ -49,7 +51,6 @@ DELETED = {
     matcore: ["frobenius_inner", "sym_antisym_split", "cj_vectorize", "is_unitary", "numerical_rank"],
     umeb: ["cj_states", "line_feasibility_sweep"],
     packing: ["beta_lines", "identity_coefficient", "projection_from_basis"],
-    hadamard: ["hadamard_from_json"],
 }
 # public without a caller in the package: the acceptance suite's duality claim reads
 # dual_family, random_hermitian defines the inputs of check (b), and apply_decomposition
@@ -104,9 +105,11 @@ def test_every_public_function_is_called_by_a_module_other_than_init():
 
 
 def test_a_unitary_artifact_has_one_format():
-    # U_i = I - (1 - z)P_i: the projection family and z fix the unitaries, so the one
+    # U_i = I - (1 - z)P_i: the family's generator and z fix the unitaries, so the one
     # artifact is those two, and a unitary family keeps no family of its own
-    assert cli.UNITARY_FIELDS == ["d", "source", "z"]
+    obj = cli.unitary_family_to_json(validate_prime(7), construct(4), 1j)
+    assert obj == {**packing.family_to_json(validate_prime(7), construct(4)), "z": [0.0, 1.0]}
+    assert sorted(obj) == ["hadamard", "k", "p", "z"]
     assert [field.name for field in dataclasses.fields(umeb.UnitaryFamily)] == ["d", "z", "bases"]
 
 

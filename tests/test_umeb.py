@@ -332,13 +332,18 @@ def test_span_rank_proof_matches_the_spectrum(name, monkeypatch):
     assert cert.unextendible_verdict == verdict
 
 
+def _built(prime, h, z):
+    """(family, z) from a loaded generator and phase."""
+    return build_residue_family(prime, h), z
+
+
 # every way a projection family and its phase are built or loaded; each must hold read-only stacks
 STACKED_FAMILIES = {
     "residue": lambda: (p7_family(), compute_phase(7, 3)),
     "dual": lambda: (dual_family(p7_family()), compute_phase(7, 3)),
     "icosahedron": lambda: (icosahedron_lines(), compute_phase(3, 1)),
-    "json": lambda: unitary_family_from_json(
-        json.loads(json.dumps(unitary_family_to_json(p7_family(), compute_phase(7, 3))))
+    "json": lambda: _built(
+        *unitary_family_from_json(json.loads(json.dumps(unitary_family_to_json(validate_prime(7), construct(4), compute_phase(7, 3)))))
     ),
 }
 
@@ -363,11 +368,13 @@ def test_member_stacks_are_read_only(name):
 
 
 def test_unitary_json_round_trip_is_bit_exact():
-    # the family and z are read back, and the unitaries rebuilt from them
-    for fam, z in (STACKED_FAMILIES["residue"](), STACKED_FAMILIES["icosahedron"]()):
-        obj = json.loads(json.dumps(unitary_family_to_json(fam, z)))
-        assert sorted(obj) == ["d", "source", "z"]
-        again, again_z = unitary_family_from_json(obj)
+    # the generator and z are read back, and the family and its unitaries rebuilt from them
+    for p in (7, 3):
+        prime, h = validate_prime(p), construct((p + 1) // 2)
+        fam, z = build_residue_family(prime, h), compute_phase(p, prime.half)
+        obj = json.loads(json.dumps(unitary_family_to_json(prime, h, z)))
+        assert sorted(obj) == ["hadamard", "k", "p", "z"]
+        again, again_z = _built(*unitary_family_from_json(obj))
         assert again_z == z
         assert (again.d, again.r, again.beta) == (fam.d, fam.r, fam.beta)
         assert again.bases.dense().tobytes() == fam.bases.dense().tobytes()
