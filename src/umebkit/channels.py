@@ -45,7 +45,7 @@ sizes its inputs, one complex d x d input per trial.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -156,9 +156,6 @@ class DecompositionReport:
     trials: int
     seed: int
     verdict: bool
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def wh_plus_apply(x: np.ndarray, d: int) -> np.ndarray:

@@ -16,7 +16,9 @@ The report is one text layout and one flat JSON object for all of them.
 An artifact is the generator of a residue family, {"p", "k", "hadamard"}
 (`generate --out`), with its phase "z" for a unitary family (`umeb
 --out`): the family is build_residue_family of p, k and H, and
-U_i = I - (1 - z)P_i fixes the unitaries.  `verify` rebuilds them and
+U_i = I - (1 - z)P_i fixes the unitaries.  artifact_to_json writes it
+and artifact_from_json reads it, the package's one JSON writer and one
+reader of artifacts.  `verify` rebuilds the family and its unitaries and
 re-runs the claims of the command that wrote it, and its report's
 input_sha256 is the sha256 of the file's bytes; that of a `umeb`
 certificate is the sha256 of the family's generator as `generate --out`
@@ -36,20 +38,15 @@ import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import __version__
 from .channels import _check_probe, umeb_decomposition, verify_decomposition
-from .errors import MalformedArtifact, OutOfRange, UmebkitError
-from .hadamard import HadamardMatrix, construct, hadamard_to_json
-from .matcore import DEFAULT_EPS, DEFAULT_RANK_EPS, Tolerance, json_number
+from .errors import HadamardOrderMismatch, MalformedArtifact, OutOfRange, UmebkitError
+from .hadamard import HadamardMatrix, construct
+from .matcore import DEFAULT_EPS, DEFAULT_RANK_EPS, Tolerance
 from .numth import UmebPrime, validate_prime
-from .packing import (
-    ProjectionFamily,
-    build_residue_family,
-    family_from_json,
-    family_to_json,
-    icosahedron_lines,
-    verify_equiangular,
-)
+from .packing import ProjectionFamily, build_residue_family, icosahedron_lines, verify_equiangular
 from .umeb import build_unitaries, certify_umeb, compute_phase, feasibility
 
 
@@ -68,27 +65,67 @@ def write_json(path: str, obj) -> None:
         fh.write(canonical_json(obj))
 
 
-def unitary_family_to_json(prime: UmebPrime, h: HadamardMatrix, z: complex) -> dict:
-    """The unitaries I - (1 - z)P_i of build_residue_family(prime, h): its generator (packing.family_to_json) and "z": [re, im]."""
-    return {**family_to_json(prime, h), "z": [z.real, z.imag]}
+def _hadamard_json(h: HadamardMatrix) -> dict:
+    """{"order", "rows"}: the form `hadamard --out` writes and an artifact holds."""
+    return {"order": h.order, "rows": h.entries.tolist()}
 
 
-def unitary_family_from_json(obj: dict) -> tuple[UmebPrime, HadamardMatrix, complex]:
-    """Inverse of unitary_family_to_json: (prime, h, z); a typed UmebkitError on bad input.
+def artifact_to_json(prime: UmebPrime, h: HadamardMatrix, z: complex | None = None) -> dict:
+    """The generator of build_residue_family(prime, h), {"p", "k", "hadamard"}, and "z": [re, im] for its unitaries I - (1 - z)P_i."""
+    obj = {"p": prime.p, "k": prime.k, "hadamard": _hadamard_json(h)}
+    if z is not None:
+        obj["z"] = [z.real, z.imag]
+    return obj
 
-    z must be a pair of finite numbers, and the other fields exactly a
-    family's generator, which packing.family_from_json checks, so the
-    formats of earlier versions are rejected.  build_residue_family(prime,
-    h) and build_unitaries(family, z) rebuild the unitaries bit for bit as
-    `umeb` built them; whether they hold is for verify_equiangular and
-    certify_umeb to decide, as in `umeb`.
+
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:  # a JSON bool is no integer
+        raise MalformedArtifact(f"{what} must be an integer, got {type(value).__name__}")
+    return value
+
+
+def artifact_from_json(obj) -> tuple[UmebPrime, HadamardMatrix, complex | None]:
+    """Inverse of artifact_to_json: (prime, h, z or None for a projection family); a typed UmebkitError on bad input.
+
+    The fields must be exactly "hadamard", "k", "p" and, for a unitary
+    family, "z", which rejects the formats of earlier versions; p, k and
+    H's order must be JSON integers, the order (p+1)/2, H's fields exactly
+    "order" and "rows", its rows order lists of order JSON integers that
+    int64 holds, and z a pair of finite JSON numbers.  All of that is
+    checked before any array is built, so a short file that claims a large
+    order allocates nothing, and before HadamardMatrix's O(n^3) product and
+    validate_prime's O(sqrt p) trial division, so it cannot reach them with
+    a huge p.  HadamardMatrix then checks that every entry is +-1 and that
+    H @ H.T = order*I, and validate_prime checks p and k: any Hadamard
+    matrix of the order is read, not only construct's.
+    build_residue_family(prime, h) and build_unitaries(family, z) rebuild
+    the family and its unitaries bit for bit as the command that wrote them
+    built them; whether they hold is for the checks to decide.
     """
+    fields = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
+    if fields not in (["hadamard", "k", "p"], ["hadamard", "k", "p", "z"]):
+        raise MalformedArtifact(f"an artifact has the fields ['hadamard', 'k', 'p'] and optionally 'z', not {fields}")
+    p, k, had = _json_int(obj["p"], "p"), _json_int(obj["k"], "k"), obj["hadamard"]
+    fields = sorted(had) if isinstance(had, dict) else type(had).__name__
+    if fields != ["order", "rows"]:
+        raise MalformedArtifact(f"a Hadamard matrix has the fields ['order', 'rows'], not {fields}")
+    n, rows = _json_int(had["order"], "Hadamard order"), had["rows"]
+    if n != (p + 1) // 2:
+        raise HadamardOrderMismatch(f"p={p} needs Hadamard order {(p + 1) // 2}, got {n}")
+    if not isinstance(rows, list) or len(rows) != n or not all(
+        isinstance(row, list) and len(row) == n and set(map(type, row)) <= {int} for row in rows
+    ):
+        raise MalformedArtifact(f"Hadamard rows must be {n} lists of {n} integers")
+    z = obj.get("z")
+    if "z" in obj and not (
+        isinstance(z, list) and len(z) == 2 and all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in z)
+    ):
+        raise MalformedArtifact(f"phase z must be a pair [re, im] of finite numbers, got {z!r:.40}")
     try:
-        re, im = obj["z"]
-    except (TypeError, ValueError):
-        raise MalformedArtifact("phase z must be a pair [re, im]") from None
-    z = complex(json_number(re, "z"), json_number(im, "z"))
-    return *family_from_json({key: value for key, value in obj.items() if key != "z"}), z
+        entries = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        raise MalformedArtifact("an integer of the Hadamard rows is past int64") from None
+    return validate_prime(p, k), HadamardMatrix(order=n, entries=entries), None if z is None else complex(*z)
 
 
 def _tolerance(args) -> Tolerance:
@@ -151,7 +188,7 @@ def _check(args, family: ProjectionFamily, z: complex | None = None, *, channel=
             f"span rank: {cert.span_rank} (symmetric span: {cert.symmetric_span})",
             f"unextendible: {'PASS' if cert.unextendible_verdict else 'FAIL'}",
         ]
-        obj.update(cert.to_json())
+        obj.update(asdict(cert))
         passed = passed and cert.unextendible_verdict
         if channel:
             dec = umeb_decomposition(uf, args.tol)
@@ -162,7 +199,7 @@ def _check(args, family: ProjectionFamily, z: complex | None = None, *, channel=
                 f"max apply deviation ({rep.trials} trials, seed {rep.seed}): {rep.apply_dev_max:.3e}",
                 f"decomposition: {'PASS' if rep.verdict else 'FAIL'}",
             ]
-            obj.update(rep.to_json())
+            obj.update(asdict(rep))
             passed = passed and rep.verdict
     if family.d == 3:
         lines.append("note: p=3 is the special small case outside the main prime family")
@@ -180,7 +217,7 @@ def _check(args, family: ProjectionFamily, z: complex | None = None, *, channel=
 def cmd_generate(args) -> int:
     prime, h = _generator(args)
     if args.out:
-        write_json(args.out, family_to_json(prime, h))
+        write_json(args.out, artifact_to_json(prime, h))
     return _check(args, build_residue_family(prime, h))
 
 
@@ -189,9 +226,9 @@ def cmd_umeb(args) -> int:
     family = build_residue_family(prime, h)
     z = compute_phase(family.d, family.r)
     if args.out:
-        write_json(args.out, unitary_family_to_json(prime, h, z))
+        write_json(args.out, artifact_to_json(prime, h, z))
     # the text report prints no digest, so only a certificate or a JSON report encodes the generator
-    digest = text_hash(canonical_json(family_to_json(prime, h))) if args.report or args.format == "json" else None
+    digest = text_hash(canonical_json(artifact_to_json(prime, h))) if args.report or args.format == "json" else None
     return _check(args, family, z, input_sha256=digest)
 
 
@@ -205,9 +242,7 @@ def _read_artifact(path: str) -> tuple[UmebPrime, HadamardMatrix, complex | None
     except (ValueError, RecursionError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise MalformedArtifact(f"invalid JSON input: {exc}") from None
     del data
-    if isinstance(obj, dict) and "z" in obj:
-        return *unitary_family_from_json(obj), digest
-    return *family_from_json(obj), None, digest
+    return *artifact_from_json(obj), digest
 
 
 def cmd_verify(args) -> int:
@@ -246,7 +281,7 @@ def cmd_wh_check(args) -> int:
 
 def cmd_hadamard(args) -> int:
     h = construct(args.order)
-    obj = hadamard_to_json(h)
+    obj = _hadamard_json(h)
     if args.out:
         write_json(args.out, obj)
     _emit(args, [f"Hadamard order {h.order}: H @ H.T = {h.order}*I verified"], obj)

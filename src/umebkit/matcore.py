@@ -4,19 +4,17 @@ cyclic-shift orbits of base matrices (every family is T bases, each moved
 by every cyclic shift, T d members), the trace Gram of those orbits held
 by its parts from the bases' cyclic diagonals, what every check reads off it,
 the Gram spectrum from its shift blocks and its numerical rank, the budgeted
-product a* a - c summed over the support, the bases' asymmetry, the
-tolerances and the readers of JSON integers, numbers and integer matrices
-that the artifact loaders share.
+product a* a - c summed over the support, the bases' asymmetry and the
+tolerances.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedArtifact, OutOfRange, ShapeMismatch
+from .errors import OutOfRange, ShapeMismatch
 
 DEFAULT_EPS = 1e-9
 DEFAULT_RANK_EPS = 1e-7
@@ -163,12 +161,11 @@ class SupportStack:
     def __len__(self) -> int:
         return len(self.values)
 
-    def dense(self, block: slice = slice(None)) -> np.ndarray:
-        """The read-only (n, d, d) bases of block, scattered from the values: 0 off the columns."""
-        values = self.values[block]
+    def dense(self) -> np.ndarray:
+        """The read-only (T, d, d) bases, scattered from the values: 0 off the columns."""
         d = len(self.cols)
-        out = np.zeros((len(values), d, d), dtype=values.dtype)
-        out[:, np.arange(d)[:, None], self.cols] = values
+        out = np.zeros((len(self), d, d), dtype=self.values.dtype)
+        out[:, np.arange(d)[:, None], self.cols] = self.values
         out.flags.writeable = False
         return out
 
@@ -351,20 +348,17 @@ class GramStats:
     diag: np.ndarray  # diag[t]: the own entry G[t*d, t*d] of base t, of the Gram's dtype
     radii: np.ndarray  # radii[t]: the Gershgorin radius of row t*d, the sum of |G| off its own entry
     max_off: float  # the largest |G| off the own entries
-    sq_off: np.ndarray  # sq_off[t, t']: sum over x of |G[t*d, t'*d + x]|^2, the own entry left out
 
 
 def gram_stats(gram: CyclicGram) -> GramStats:
-    """The own entries, Gershgorin radii, largest off-diagonal magnitude and per-orbit sums of squares of the Gram.
+    """The own entries, Gershgorin radii and largest off-diagonal magnitude of the Gram.
 
     The row of a member shifted by y is its base's row permuted, so the T
     rows G[t*d] hold every radius, off-diagonal entry and diagonal entry of
-    the n x n Gram, and sq_off[t, t'] is the sum of |G|^2 over the
-    off-diagonal entries of any row of orbit t in the columns of orbit t'.
-    The x = 0 entries are the T x T matrix c + h[group, group, 0], and the
-    entries at x != 0 are those of h, one g x g x (d - 1) pass that stands
-    for every pair of bases in each pair of groups: O(T^2 + g^2 d) in all.
-    A NaN reaches the radii, max_off and sq_off.
+    the n x n Gram.  The x = 0 entries are the T x T matrix
+    c + h[group, group, 0], and the entries at x != 0 are those of h, one
+    g x g x (d - 1) pass that stands for every pair of bases in each pair
+    of groups: O(T^2 + g^2 d) in all.  A NaN reaches the radii and max_off.
     """
     own = np.arange(len(gram.c))
     pair = gram.group[:, None], gram.group
@@ -374,8 +368,7 @@ def gram_stats(gram: CyclicGram) -> GramStats:
     near[own, own] = 0.0
     far = np.abs(gram.h[:, :, 1:])
     radii = near.sum(axis=1) + far.sum(axis=2)[pair].sum(axis=1)
-    sq_off = near * near + (far * far).sum(axis=2)[pair]
-    return GramStats(diag, radii, float(np.maximum(near.max(), far.max(initial=0.0))), sq_off)
+    return GramStats(diag, radii, float(np.maximum(near.max(), far.max(initial=0.0))))
 
 
 def gram_spectrum(gram: CyclicGram) -> np.ndarray:
@@ -398,33 +391,3 @@ def spectral_rank(eigs: np.ndarray, tol: Tolerance) -> tuple[int, float]:
         return 0, 0.0
     rank = int(np.sum(eigs > tol.rank_eps * eigs[-1]))
     return rank, float(eigs[-rank])
-
-
-def json_int(value, what: str) -> int:
-    """value itself if it is a JSON integer; MalformedArtifact otherwise (a bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise MalformedArtifact(f"{what} must be an integer, got {type(value).__name__}")
-    return value
-
-
-def json_number(value, what: str) -> float:
-    """value as a float if it is a finite JSON number; MalformedArtifact otherwise (a bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-        raise MalformedArtifact(f"{what} must be a finite number, got {value!r:.40}")
-    return float(value)
-
-
-def json_int_matrix(value, n: int, what: str) -> np.ndarray:
-    """value as an int64 array if it is n lists of n JSON integers that int64 holds; MalformedArtifact otherwise (a bool is not one).
-
-    Every row's length and its entries' types are checked before any array
-    is built, so a short list that claims a large n allocates nothing.
-    """
-    if not isinstance(value, list) or len(value) != n or not all(
-        isinstance(row, list) and len(row) == n and set(map(type, row)) <= {int} for row in value
-    ):
-        raise MalformedArtifact(f"{what} must be {n} lists of {n} integers")
-    try:
-        return np.array(value, dtype=np.int64)
-    except OverflowError:
-        raise MalformedArtifact(f"an integer of {what} is past int64") from None

@@ -9,11 +9,9 @@ each moved by every cyclic shift, and holds the bases on their support
 (matcore.SupportStack): the residue bases are written there directly, each
 base vector's two nonzero entries given by their indices and coefficients,
 and a dense stack given to a family is read as bases and compressed once.
-A residue family's artifact is its generator, p, k and the Hadamard matrix
-(family_to_json), from which the family is rebuilt.  verify_equiangular
-reads each family's pairwise traces off its Gram, held by its parts from
-the bases' cyclic diagonals, and its idempotency off products summed over
-that support.
+verify_equiangular reads each family's pairwise traces off its Gram, held
+by its parts from the bases' cyclic diagonals, and its idempotency off
+products summed over that support.
 """
 
 from __future__ import annotations
@@ -28,19 +26,17 @@ import numpy as np
 from .errors import (
     HadamardOrderMismatch,
     IndexOutOfRange,
-    MalformedArtifact,
     NotOrthogonal,
     NotReal,
     RankOutOfRange,
 )
-from .hadamard import HadamardMatrix, construct, hadamard_from_json, hadamard_to_json
+from .hadamard import HadamardMatrix, construct
 from .matcore import (
     DEFAULT_TOL,
     SupportStack,
     Tolerance,
     cyclic_gram,
     gram_stats,
-    json_int,
     orbit_stack,
     support_product,
 )
@@ -238,30 +234,3 @@ def icosahedron_lines() -> ProjectionFamily:
     Pairwise trace 1/5, matching beta_projections(3, 1).
     """
     return build_residue_family(validate_prime(3), construct(2))
-
-
-def family_to_json(prime: UmebPrime, h: HadamardMatrix) -> dict:
-    """The generator of build_residue_family(prime, h): {"p", "k", "hadamard": hadamard_to_json(h)}."""
-    return {"p": prime.p, "k": prime.k, "hadamard": hadamard_to_json(h)}
-
-
-def family_from_json(obj: dict) -> tuple[UmebPrime, HadamardMatrix]:
-    """Inverse of family_to_json: the generator (prime, h); a typed UmebkitError on bad input.
-
-    The fields must be exactly "hadamard", "k" and "p", which rejects the
-    formats of earlier versions, p and k must be JSON integers, and the
-    Hadamard matrix (hadamard_from_json) any one of order (p+1)/2.  All of
-    that is checked before validate_prime, whose trial division costs
-    O(sqrt p) and whose residues O(p), so a small file cannot reach it with
-    a huge p; validate_prime then checks p and k.
-    build_residue_family(prime, h) builds the family as `generate` does,
-    for verify_equiangular to check.
-    """
-    fields = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
-    if fields != ["hadamard", "k", "p"]:
-        raise MalformedArtifact(f"a family has the fields ['hadamard', 'k', 'p'], not {fields}")
-    p, k = json_int(obj["p"], "p"), json_int(obj["k"], "k")
-    h = hadamard_from_json(obj["hadamard"])
-    if h.order != (p + 1) // 2:
-        raise HadamardOrderMismatch(f"p={p} needs Hadamard order {(p + 1) // 2}, got {h.order}")
-    return validate_prime(p, k), h

@@ -16,7 +16,7 @@ values, as does the orbit kernel of channels.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -82,7 +82,7 @@ class UnitaryFamily:
     def gram_stats(self) -> GramStats:
         """gram_stats(gram), read-only: what the span proof, the certificate and umeb_decomposition's precondition read off the Gram, computed once."""
         stats = gram_stats(self.gram)
-        for array in (stats.diag, stats.radii, stats.sq_off):
+        for array in (stats.diag, stats.radii):
             array.flags.writeable = False
         return stats
 
@@ -109,9 +109,6 @@ class UmebCertificate:
     d_odd: bool
     unextendible_verdict: bool
     cj_orthonormality_dev: float
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def feasibility(d: int, r: int) -> FeasibilityReport:

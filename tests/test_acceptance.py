@@ -17,13 +17,12 @@ from umebkit.channels import (
     verify_decomposition,
     wh_plus_apply,
 )
-from umebkit.cli import main
+from umebkit.cli import artifact_from_json, main
 from umebkit.hadamard import construct, paley_one, sylvester
 from umebkit.numth import validate_prime
 from umebkit.packing import (
     build_residue_family,
     dual_family,
-    family_from_json,
     icosahedron_lines,
     verify_equiangular,
 )
@@ -68,7 +67,8 @@ def test_criterion_1_p7_generate(tmp_path):
     start = time.perf_counter()
     code = main(["generate", "--p", "7", "--out", str(out)])
     elapsed = time.perf_counter() - start
-    family = build_residue_family(*family_from_json(json.loads(out.read_text())))
+    prime, h, _ = artifact_from_json(json.loads(out.read_text()))
+    family = build_residue_family(prime, h)
     traces = np.array([np.trace(p).real for p in family.projections])
     idem = max(np.max(np.abs(p @ p - p)) for p in family.projections)
     offdiag = pairwise_traces(family)

@@ -580,10 +580,11 @@ def test_the_choi_fallback_reads_the_kernel_blocks_one_at_a_time(monkeypatch):
     peak = _traced_peak(lambda: reports.append(verify_decomposition(dec, trials=0)))
     assert peak <= 16 << 20
     # the uniform mixture is the channel, so the distance is that of the orbit's members counted
-    # -w instead of w: 2 w |sum_x vec(U_1x) vec(U_1x)*|_F, whose square is d (|G_11|^2 + sq_off[1, 1])
+    # -w instead of w: 2 w |sum_x vec(U_1x) vec(U_1x)*|_F, whose square is d sum_x |tr(U_1x* U_10)|^2
     w = -dec.orbit_weights[1]
-    stats = uf.gram_stats
-    expected = 2 * w * math.sqrt(p * (abs(stats.diag[1]) ** 2 + stats.sq_off[1, 1]))
+    members = matcore.orbit_stack(uf.bases.dense()[[1]]).reshape(p, -1)  # orbit 1 alone: 79 members
+    overlaps = members.conj() @ members[0]
+    expected = 2 * w * math.sqrt(p * np.vdot(overlaps, overlaps).real)
     assert reports[0].choi_dev == pytest.approx(expected, rel=1e-12) and not reports[0].verdict
     # one D per block gives the same sums
     monkeypatch.setattr(matcore, "_BLOCK_BYTES", p * p * 16)

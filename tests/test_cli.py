@@ -10,12 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from umebkit import cli, packing, umeb
-from umebkit.cli import canonical_json, main, unitary_family_to_json
-from umebkit.hadamard import HadamardMatrix, construct, hadamard_to_json
+from umebkit import cli, hadamard, umeb
+from umebkit.cli import artifact_from_json, artifact_to_json, canonical_json, main
+from umebkit.hadamard import HadamardMatrix, construct
 from umebkit.matcore import SupportStack, Tolerance
 from umebkit.numth import validate_prime
-from umebkit.packing import build_residue_family, family_from_json, family_to_json, off_support_scale, verify_equiangular
+from umebkit.packing import build_residue_family, off_support_scale, verify_equiangular
 from umebkit.umeb import build_unitaries, compute_phase
 
 GENERATOR_FIELDS = ["hadamard", "k", "p"]
@@ -32,13 +32,15 @@ def test_generate_p7(tmp_path, capsys):
     assert "PASS" in text
     obj = json.loads(out.read_text())
     # the family's generator: p, the default non-residue k and construct's H
-    assert obj == {"p": 7, "k": 3, "hadamard": hadamard_to_json(construct(4))}
+    assert obj == {"p": 7, "k": 3, "hadamard": {"order": 4, "rows": construct(4).entries.tolist()}}
 
 
 def test_generate_round_trip_deviations_identical(tmp_path):
     out = tmp_path / "family7.json"
     run(["generate", "--p", "7", "--out", str(out)])
-    family = build_residue_family(*family_from_json(json.loads(out.read_text())))
+    prime, h, z = artifact_from_json(json.loads(out.read_text()))
+    assert z is None  # a projection family's artifact holds no phase
+    family = build_residue_family(prime, h)
     in_memory = verify_equiangular(family, Tolerance())
     report_path = tmp_path / "report.json"
     assert run(["verify", "--in", str(out), "--report", str(report_path), "--no-timestamp"]) == 0
@@ -107,7 +109,7 @@ def test_umeb_with_another_k_verifies_to_the_same_report_byte_for_byte(tmp_path,
     read = capsys.readouterr().out
     assert len(_deviation_lines(read)) == 2 and read == written
     # and it is the family of k = 7, whose support pairs q with 7q, not the default's 5q
-    prime, h = family_from_json({key: value for key, value in json.loads(out.read_text()).items() if key != "z"})
+    prime, h, _ = artifact_from_json(json.loads(out.read_text()))
     assert prime.k == 7 and h.entries.tobytes() == construct(12).entries.tobytes()
     cols = build_residue_family(prime, h).bases.cols
     assert cols.tobytes() == build_residue_family(validate_prime(23, 7), construct(12)).bases.cols.tobytes()
@@ -365,9 +367,9 @@ def test_the_umeb_artifact_is_the_canonical_json_of_the_family(p, tmp_path):
     out, cert = tmp_path / "umeb.json", tmp_path / "cert.json"
     assert run(["umeb", "--p", str(p), "--out", str(out), "--cert", str(cert), "--no-timestamp"]) == 0
     prime, h = validate_prime(p), construct((p + 1) // 2)
-    uf_obj = unitary_family_to_json(prime, h, compute_phase(p, prime.half))
+    uf_obj = artifact_to_json(prime, h, compute_phase(p, prime.half))
     assert out.read_bytes() == canonical_json(uf_obj).encode("utf-8")
-    generator = canonical_json(family_to_json(prime, h)).encode("utf-8")
+    generator = canonical_json(artifact_to_json(prime, h)).encode("utf-8")
     assert json.loads(cert.read_text())["input_sha256"] == hashlib.sha256(generator).hexdigest()
 
 
@@ -475,7 +477,7 @@ def test_umeb_text_report_encodes_no_family(monkeypatch, capsys):
     assert run(["umeb", "--p", "7", "--format", "json", "--no-timestamp"]) == 0
     assert [sorted(obj) for obj in encoded if isinstance(obj, dict)][0] == GENERATOR_FIELDS
     report = json.loads(capsys.readouterr().out)
-    generator = canonical_json(family_to_json(validate_prime(7), construct(4)))
+    generator = canonical_json(artifact_to_json(validate_prime(7), construct(4)))
     assert report["input_sha256"] == hashlib.sha256(generator.encode("utf-8")).hexdigest()
 
 
@@ -530,7 +532,7 @@ PHASED = PHASES[:, None] * P7.bases.values * PHASES[P7.bases.cols].conj()
 COMPLEX_BASES = dict(support_stack_json(SupportStack(P7.bases.cols, PHASED.real)), im=PHASED.imag.ravel().tolist())
 # the p=7 bases as the format before the support table wrote them: every base dense
 DENSE_BASES = dense_stack_json(P7.bases.dense())
-H2, H8 = hadamard_to_json(construct(2)), hadamard_to_json(construct(8))
+H1, H2, H8 = ({"order": n, "rows": construct(n).entries.tolist()} for n in (1, 2, 8))
 
 
 @pytest.mark.parametrize(
@@ -557,13 +559,13 @@ H2, H8 = hadamard_to_json(construct(2)), hadamard_to_json(construct(8))
         pytest.param("unitary", ("hadamard", "rows", 0, 0), None, 1, id="unitary-null-entry"),
         # rows that are not order lists of order entries
         pytest.param("family", ("hadamard", "order"), 27, 1, id="family-shape-disagrees"),
-        pytest.param("family", ("hadamard", "rows"), [1] * 16, 1, id="family-shape-two-axes"),
+        pytest.param("family", ("hadamard", "rows"), [1] * 16, 1, id="family-rows-flat"),
         pytest.param("family", ("hadamard", "order"), 4.0, 1, id="family-shape-float"),
         pytest.param("family", ("hadamard", "order"), True, 1, id="family-order-bool"),
         pytest.param("family", ("hadamard", "rows"), [[]] * 4, 1, id="family-no-column"),
-        pytest.param("family", ("hadamard", "rows", 0), [1] * 5, 1, id="family-more-columns-than-d"),
-        pytest.param("family", ("hadamard", "rows", 3, -1), DELETE, 1, id="family-values-short"),
-        pytest.param("family", ("hadamard", "rows", -1), DELETE, 1, id="family-cols-short"),
+        pytest.param("family", ("hadamard", "rows", 0), [1] * 5, 1, id="family-row-long"),
+        pytest.param("family", ("hadamard", "rows", 3, -1), DELETE, 1, id="family-row-short"),
+        pytest.param("family", ("hadamard", "rows", -1), DELETE, 1, id="family-rows-short"),
         pytest.param("unitary", ("hadamard", "rows", 3, -1), DELETE, 1, id="unitary-values-short"),
         pytest.param("family", ("hadamard", "rows"), {"0": [1, 1, 1, 1]}, 1, id="family-rows-not-a-list"),
         pytest.param("family", ("hadamard",), {"order": 0, "rows": []}, 1, id="family-empty"),
@@ -582,7 +584,7 @@ H2, H8 = hadamard_to_json(construct(2)), hadamard_to_json(construct(8))
         pytest.param("family", ("p",), True, 1, id="family-p-bool"),
         pytest.param("unitary", ("p",), "seven", 1, id="unitary-d-string"),
         pytest.param("family", (), {"p": 15, "k": 3, "hadamard": H8}, 1, id="family-p-not-prime"),
-        pytest.param("family", (), {"p": 1, "k": 1, "hadamard": hadamard_to_json(construct(1))}, 1, id="family-p-one"),
+        pytest.param("family", (), {"p": 1, "k": 1, "hadamard": H1}, 1, id="family-p-one"),
         pytest.param("family", (), {"p": 3, "k": 2, "hadamard": H2}, 0, id="family-p-three"),
         # a p too large for any file: its order is checked before p's primality
         pytest.param("family", ("p",), 10**400, 1, id="family-rank-huge"),
@@ -689,9 +691,25 @@ def test_a_huge_p_is_rejected_before_its_primality_is_tried(tmp_path, monkeypatc
     def tried(*args, **kwargs):
         raise AssertionError("validate_prime was called")
 
-    monkeypatch.setattr(packing, "validate_prime", tried)
+    monkeypatch.setattr(cli, "validate_prime", tried)
     for artifact in ({"p": 2**61 - 1, "k": 3, "hadamard": H2}, {"p": 2**61 - 1, "k": 3, "hadamard": H2, "z": [1.0, 0.0]}):
         bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(artifact))
+        capsys.readouterr()
+        assert run(["verify", "--in", str(bad)]) == 1
+        assert "order" in _one_error_line(capsys)
+
+
+def test_an_order_other_than_half_of_p_plus_1_is_rejected_before_h_is_built(tmp_path, monkeypatch, capsys):
+    # p=7 needs order 4: an order-8 Hadamard matrix, whole and valid, is rejected on its order
+    # alone, before HadamardMatrix forms its O(n^3) product
+    def built(*args, **kwargs):
+        raise AssertionError("HadamardMatrix was called")
+
+    monkeypatch.setattr(cli, "HadamardMatrix", built)
+    monkeypatch.setattr(hadamard, "HadamardMatrix", built)
+    for artifact in ({"p": 7, "k": 3, "hadamard": H8}, {"p": 7, "k": 3, "hadamard": H8, "z": [1.0, 0.0]}):
+        bad = tmp_path / "order8.json"
         bad.write_text(json.dumps(artifact))
         capsys.readouterr()
         assert run(["verify", "--in", str(bad)]) == 1

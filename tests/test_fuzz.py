@@ -1,4 +1,4 @@
-"""Mutation fuzz of the artifact loaders through `umebkit verify`.
+"""Mutation fuzz of the artifact reader (cli.artifact_from_json) through `umebkit verify`.
 
 Each example takes a p=7 artifact, the family's generator
 {"p", "k", "hadamard": {"order", "rows"}} and, for a unitary family, its
@@ -29,16 +29,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from umebkit.cli import main, unitary_family_to_json
+from umebkit.cli import artifact_to_json, main
 from umebkit.hadamard import construct
 from umebkit.numth import validate_prime
-from umebkit.packing import family_to_json
 from umebkit.umeb import compute_phase
 
 PRIME, H = validate_prime(7), construct(4)
 ARTIFACTS = {
-    "family": family_to_json(PRIME, H),
-    "unitary": unitary_family_to_json(PRIME, H, compute_phase(7, 3)),
+    "family": artifact_to_json(PRIME, H),
+    "unitary": artifact_to_json(PRIME, H, compute_phase(7, 3)),
 }
 NONRESIDUES = {3, 5, 6}
 

@@ -5,18 +5,17 @@ import numpy as np
 import pytest
 
 from umebkit import hadamard
+from umebkit.cli import artifact_from_json, artifact_to_json, main
 from umebkit.errors import BadResidueClass, MalformedArtifact, NotPrime, UnsupportedOrder
 from umebkit.hadamard import (
     HadamardMatrix,
     construct,
-    hadamard_from_json,
-    hadamard_to_json,
     kronecker,
     paley_one,
     paley_two,
     sylvester,
 )
-from umebkit.numth import is_prime
+from umebkit.numth import is_prime, validate_prime
 
 from oracles import legendre
 
@@ -129,28 +128,39 @@ def test_row_inner_products():
     assert np.all(gram[~np.eye(12, dtype=bool)] == 0)
 
 
-def test_json_round_trip():
+def _read_h(had, p=3):
+    """H of the artifact of p and its default k that holds had, read by cli.artifact_from_json."""
+    return artifact_from_json({"p": p, "k": validate_prime(p).k, "hadamard": had})[1]
+
+
+def test_json_round_trip(tmp_path):
+    # `hadamard --out` writes {"order", "rows"}: construct's matrix, entry for entry
     for n in (1, 2, 12, 20):
-        h = construct(n)
-        again = hadamard_from_json(json.loads(json.dumps(hadamard_to_json(h))))
+        out = tmp_path / f"h{n}.json"
+        assert main(["hadamard", "--order", str(n), "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == {"order": n, "rows": construct(n).entries.tolist()}
+    # an artifact holds the same form, and reads it back as int64, for p = 3, 7, 23 and 79
+    for p in (3, 7, 23, 79):
+        h = construct((p + 1) // 2)
+        again = _read_h(json.loads(json.dumps(artifact_to_json(validate_prime(p), h)["hadamard"])), p)
         assert again.order == h.order
         assert again.entries.dtype == np.int64 and again.entries.tobytes() == h.entries.tobytes()
     # any Hadamard matrix of the order reads back, not only construct's: columns negated, rows permuted
     made = construct(12).entries * np.where(np.arange(12) % 3 == 0, -1, 1)
     made = made[np.random.default_rng(1).permutation(12)]
-    assert hadamard_from_json({"order": 12, "rows": made.tolist()}).entries.tolist() == made.tolist()
+    assert _read_h({"order": 12, "rows": made.tolist()}, 23).entries.tolist() == made.tolist()
 
 
 def test_json_import_rejects_corrupt():
-    obj = hadamard_to_json(construct(4))
+    obj = {"order": 4, "rows": construct(4).entries.tolist()}
     obj["rows"][0][0] = -obj["rows"][0][0]
     with pytest.raises(UnsupportedOrder):
         HadamardMatrix(order=obj["order"], entries=obj["rows"])
     with pytest.raises(UnsupportedOrder):  # every entry +-1, but no longer orthogonal rows
-        hadamard_from_json(obj)
+        _read_h(obj, 7)
     for rows in ([[1, 1], [1, 2]], [[1, 1], [1, 0]]):
         with pytest.raises(UnsupportedOrder):
-            hadamard_from_json({"order": 2, "rows": rows})
+            _read_h({"order": 2, "rows": rows})
     for bad in (
         {"order": 2, "rows": [[1, 1], [1, True]]},  # true would read as 1
         {"order": 2, "rows": [[1, 1], [1, -1.0]]},
@@ -160,7 +170,7 @@ def test_json_import_rejects_corrupt():
         [[1, 1], [1, -1]],
     ):
         with pytest.raises(MalformedArtifact):
-            hadamard_from_json(bad)
+            _read_h(bad)
 
 
 def test_direct_construction_rejects_bad_matrix():

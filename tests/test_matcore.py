@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from umebkit import channels, matcore
+from umebkit.cli import artifact_from_json
 from umebkit.errors import MalformedArtifact, OutOfRange, ShapeMismatch
 from umebkit.hadamard import construct
 from umebkit.matcore import (
@@ -148,7 +149,6 @@ def test_gram_row_stats_match_the_whole_gram(name, budget, monkeypatch):
     assert _close(stats.diag[:, None], np.diag(gram).reshape(t, d))
     assert _close(stats.radii[:, None], off.sum(axis=1).reshape(t, d))
     assert _close(stats.max_off, np.max(off))
-    assert _close(stats.sq_off[:, None, :], (off**2).reshape(t, d, t, d).sum(axis=3))
 
 
 def test_gram_row_stats_carry_a_nan():
@@ -157,8 +157,6 @@ def test_gram_row_stats_carry_a_nan():
     stats = gram_stats(gram_of(bases))
     # the NaN meets every base shifted: every row has it in the columns of orbit 1
     assert np.isnan(stats.radii).all() and math.isnan(stats.max_off)
-    assert np.isnan(stats.sq_off[1]).all() and np.isnan(stats.sq_off[:, 1]).all()
-    assert np.isfinite(stats.sq_off[[0, 0, 2, 2], [0, 2, 0, 2]]).all()
     assert math.isnan(stats.diag[1].real) and np.isfinite(stats.diag[[0, 2]]).all()
 
 
@@ -207,7 +205,6 @@ def test_cyclic_gram_stats_and_spectrum_are_those_of_the_dense_gram(name):
     assert _close(stats.diag, rows[np.arange(t), own])
     assert _close(stats.radii, off.sum(axis=1))
     assert _close(stats.max_off, np.max(off))
-    assert _close(stats.sq_off, (off**2).reshape(t, t, d).sum(axis=2))
     if name == "lone-off-diagonal-entry":
         assert np.all(gram.h == 0)
     if t * d <= 300:  # the whole n x n Gram and its eigenvalues
@@ -226,12 +223,6 @@ def test_cyclic_gram_stats_carry_a_non_finite_entry(kind, at, value):
     bases[at] = value
     stats = gram_stats(gram_of(bases))
     assert not np.isfinite(stats.radii).any() and not math.isfinite(stats.max_off)
-    # base 1 meets every other base: its row and column of sq_off, and no other entry, are not finite.
-    # An entry alone on its offset meets base 1's own shifts at x = 0 alone, the own entry left out
-    others = np.arange(4) != 1
-    assert not np.isfinite(stats.sq_off[1, others]).any() and not np.isfinite(stats.sq_off[others, 1]).any()
-    assert np.isfinite(stats.sq_off[1, 1]) == (at == (1, 1, 3))
-    assert np.isfinite(np.delete(np.delete(stats.sq_off, 1, axis=0), 1, axis=1)).all()
     assert not np.isfinite(stats.diag[1]) and np.isfinite(np.delete(stats.diag, 1)).all()
 
 
@@ -644,12 +635,19 @@ def test_support_stack_of_a_dense_stack_owns_its_values():
 H2_ROWS = [[1, 1], [1, -1]]
 
 
+# an artifact's one matrix is H: cli.artifact_from_json reads its rows, and these cases read them
+# through it, as the rows of the order-2 matrix of p = 3 unless another order is named
+def read_rows(rows, n=2):
+    """The int64 entries of H as the artifact of p = 2n - 1, with its default k, reads them."""
+    p = 2 * n - 1
+    return artifact_from_json({"p": p, "k": validate_prime(p).k, "hadamard": {"order": n, "rows": rows}})[1].entries
+
+
 def test_stack_json_round_trip_is_exact():
-    # an artifact's one matrix is H: its rows read back as int64, entry for entry, whatever they hold
-    rng = np.random.default_rng(17)
-    extremes = [[np.iinfo(np.int64).min, -1, 0], [1, np.iinfo(np.int64).max, 7], [3, 2, 1]]
-    for rows in (construct(4).entries.tolist(), construct(12).entries.tolist(), rng.integers(-9, 9, (5, 5)).tolist(), extremes, [[1]]):
-        again = matcore.json_int_matrix(json.loads(json.dumps(rows)), len(rows), "rows")
+    # H's rows read back as int64, entry for entry, whichever Hadamard matrix they hold
+    made = construct(12).entries[np.random.default_rng(17).permutation(12)] * np.where(np.arange(12) % 2, -1, 1)
+    for rows in (construct(2).entries.tolist(), construct(4).entries.tolist(), construct(12).entries.tolist(), made.tolist()):
+        again = read_rows(json.loads(json.dumps(rows)), len(rows))
         assert again.dtype == np.int64 and again.shape == (len(rows), len(rows)) and again.tolist() == rows
 
 
@@ -657,7 +655,7 @@ def test_stack_json_codes_real_stacks_only():
     # an artifact's matrix is real, and integral: a [re, im] pair, a complex dict or a float is no entry
     for rows in ([[1, [1, 0]], [1, -1]], [[1, {"re": 1, "im": 0}], [1, -1]], [[1, 1], [1, -1.0]]):
         with pytest.raises(MalformedArtifact):
-            matcore.json_int_matrix(rows, 2, "rows")
+            read_rows(rows)
 
 
 def test_stack_json_rejects_bad_length():
@@ -677,7 +675,7 @@ def test_stack_json_rejects_bad_length():
         rows = json.loads(json.dumps(H2_ROWS))
         mutate(rows)
         with pytest.raises(MalformedArtifact, match="2 lists of 2 integers"):
-            matcore.json_int_matrix(rows, 2, "rows")
+            read_rows(rows)
 
 
 @pytest.mark.parametrize(
@@ -712,7 +710,7 @@ def test_stack_json_rejects_bad_length():
 )
 def test_stack_json_rejects_bad_shape_or_value(rows):
     with pytest.raises(MalformedArtifact):
-        matcore.json_int_matrix(rows, 2, "rows")
+        read_rows(rows)
 
 
 def test_stack_json_compares_lengths_before_allocating(monkeypatch):
@@ -720,31 +718,42 @@ def test_stack_json_compares_lengths_before_allocating(monkeypatch):
     for name in ("array", "empty", "zeros"):
         monkeypatch.setattr(np, name, lambda *a, name=name, **k: calls.append(name))
     with pytest.raises(MalformedArtifact):
-        matcore.json_int_matrix([[1, 1], [1, -1]], 10**6, "rows")
+        artifact_from_json({"p": 2 * 10**6 - 1, "k": 3, "hadamard": {"order": 10**6, "rows": H2_ROWS}})
     assert calls == []
 
 
+P7_ARTIFACT = {"p": 7, "k": 3, "hadamard": {"order": 4, "rows": construct(4).entries.tolist()}, "z": [-7, 0]}
+
+
 @pytest.mark.parametrize(
-    "convert, value",
+    "path, value",
     [
-        (matcore.json_int, True),
-        (matcore.json_int, "7"),
-        (matcore.json_int, 7.0),
-        (matcore.json_int, None),
-        (matcore.json_number, True),
-        (matcore.json_number, "0.5"),
-        (matcore.json_number, [0.5]),
-        (matcore.json_number, float("nan")),
-        (matcore.json_number, float("-inf")),
-        (matcore.json_number, 10**400),
+        (("p",), True),
+        (("k",), "7"),
+        (("hadamard", "order"), 7.0),
+        (("p",), None),
+        (("z", 0), True),
+        (("z", 1), "0.5"),
+        (("z", 0), [0.5]),
+        (("z", 1), float("nan")),
+        (("z", 0), float("-inf")),
+        (("z", 1), 10**400),
     ],
     ids=["int-bool", "int-string", "int-float", "int-null", "number-bool", "number-string",
          "number-list", "number-nan", "number-inf", "number-huge-int"],
 )
-def test_json_scalars_must_be_numbers_of_their_kind(convert, value):
+def test_json_scalars_must_be_numbers_of_their_kind(path, value):
+    # p, k and H's order are JSON integers, and z a pair of finite JSON numbers, an integer among them
+    obj = json.loads(json.dumps(P7_ARTIFACT))
+    *parents, last = path
+    target = obj
+    for key in parents:
+        target = target[key]
+    target[last] = value
     with pytest.raises(MalformedArtifact):
-        convert(value, "field")
-    assert matcore.json_int(7, "d") == 7 and matcore.json_number(-7, "z") == -7.0
+        artifact_from_json(obj)
+    prime, _, z = artifact_from_json(P7_ARTIFACT)
+    assert (prime.p, prime.k, z) == (7, 3, -7)
 
 
 def test_tolerance_validation():

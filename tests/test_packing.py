@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from umebkit import matcore, packing
+from umebkit.cli import artifact_from_json, artifact_to_json
 from umebkit.errors import (
     HadamardOrderMismatch,
     IndexOutOfRange,
@@ -24,8 +25,6 @@ from umebkit.packing import (
     build_residue_family,
     residue_base_vectors,
     dual_family,
-    family_from_json,
-    family_to_json,
     icosahedron_lines,
     off_support_scale,
     verify_equiangular,
@@ -462,6 +461,13 @@ def spy_gram_shapes(monkeypatch, module):
     return shapes
 
 
+def rebuilt(obj):
+    """The projection family of a generator artifact, read by cli.artifact_from_json."""
+    prime, h, z = artifact_from_json(obj)
+    assert z is None
+    return build_residue_family(prime, h)
+
+
 def assert_matches_dense(report, oracle):
     """Every float field within 1e-13 of the oracle's, every other field equal."""
     for field, value in oracle.items():
@@ -474,7 +480,7 @@ def assert_matches_dense(report, oracle):
 ORBIT_FAMILIES = {
     **{f"p{p}": (lambda p=p: residue_family(p)) for p in (3, 7, 23, 31, 47, 71, 79)},
     "dual7": lambda: dual_family(p7_family()),
-    "json7": lambda: build_residue_family(*family_from_json(family_to_json(validate_prime(7), construct(4)))),
+    "json7": lambda: rebuilt(artifact_to_json(validate_prime(7), construct(4))),
 }
 
 
@@ -523,10 +529,10 @@ def test_projections_real_symmetric():
 
 def test_family_json_round_trip():
     fam = p7_family()
-    obj = family_to_json(validate_prime(7), construct(4))
+    obj = artifact_to_json(validate_prime(7), construct(4))
     assert obj == {"p": 7, "k": 3, "hadamard": {"order": 4, "rows": construct(4).entries.tolist()}}
-    prime, h = family_from_json(obj)  # the generator, read back
-    assert prime == validate_prime(7) and h.entries.tobytes() == construct(4).entries.tobytes()
+    prime, h, z = artifact_from_json(obj)  # the generator, read back, and no phase
+    assert prime == validate_prime(7) and z is None and h.entries.tobytes() == construct(4).entries.tobytes()
     again = build_residue_family(prime, h)
     assert (again.d, again.r, again.beta) == (fam.d, fam.r, fam.beta) and len(again) == len(fam) == 28
     assert again.bases.values.dtype == float
@@ -542,9 +548,9 @@ def test_family_json_round_trips_the_support_table_bit_for_bit(p):
     # the artifact holds the generator, not the table: the loader rebuilds the same cols and values
     prime, h = validate_prime(p), construct((p + 1) // 2)
     fam = build_residue_family(prime, h)
-    obj = family_to_json(prime, h)
+    obj = artifact_to_json(prime, h)
     assert sorted(obj) == ["hadamard", "k", "p"] and obj["hadamard"]["order"] == (p + 1) // 2
-    again = build_residue_family(*family_from_json(json.loads(json.dumps(obj, sort_keys=True, separators=(",", ":")))))
+    again = rebuilt(json.loads(json.dumps(obj, sort_keys=True, separators=(",", ":"))))
     for mine, theirs in ((again.bases.cols, fam.bases.cols), (again.bases.values, fam.bases.values)):
         assert (mine.dtype, mine.shape, mine.tobytes()) == (theirs.dtype, theirs.shape, theirs.tobytes())
 
@@ -554,7 +560,7 @@ def test_family_json_checks_the_coefficient_of_an_orbit_family():
     # q a residue, holds (1, +-C) times the same factor at its columns q and kq
     for p in (3, 7, 23):
         prime = validate_prime(p)
-        fam = build_residue_family(*family_from_json(family_to_json(prime, construct((p + 1) // 2))))
+        fam = rebuilt(artifact_to_json(prime, construct((p + 1) // 2)))
         q = np.asarray(prime.residues)
         cols = fam.bases.cols[q]
         assert np.array_equal(cols, np.sort(np.stack((q, prime.k * q % p), axis=1), axis=1))
@@ -564,9 +570,9 @@ def test_family_json_checks_the_coefficient_of_an_orbit_family():
 
 def test_family_json_icosahedron_round_trips_with_three_shifts():
     fam = icosahedron_lines()
-    obj = family_to_json(validate_prime(3), construct(2))
+    obj = artifact_to_json(validate_prime(3), construct(2))
     assert obj == {"p": 3, "k": 2, "hadamard": {"order": 2, "rows": [[1, 1], [1, -1]]}}
-    again = build_residue_family(*family_from_json(json.loads(json.dumps(obj))))
+    again = rebuilt(json.loads(json.dumps(obj)))
     assert len(again) == 6
     assert again.bases.dense().tobytes() == fam.bases.dense().tobytes()
     assert verify_equiangular(again) == verify_equiangular(fam)
@@ -595,21 +601,21 @@ def test_a_hand_made_family_round_trips():
     prime = validate_prime(23)
     rows = construct(12).entries * np.where(np.arange(12) % 5 == 1, -1, 1)
     made = HadamardMatrix(12, rows[np.random.default_rng(3).permutation(12)])
-    obj = json.loads(json.dumps(family_to_json(prime, made)))
+    obj = json.loads(json.dumps(artifact_to_json(prime, made)))
     assert obj["hadamard"]["rows"] == made.entries.tolist() != construct(12).entries.tolist()
-    again = build_residue_family(*family_from_json(obj))
+    again = rebuilt(obj)
     assert again.bases.dense().tobytes() == build_residue_family(prime, made).bases.dense().tobytes()
     assert verify_equiangular(again).passed
 
 
 def test_family_json_rejects_the_dense_format():
-    obj = family_to_json(validate_prime(7), construct(4))
+    obj = artifact_to_json(validate_prime(7), construct(4))
     bases = p7_family().bases
     dense = {"shape": [4, 7, 7], "re": bases.dense().ravel().tolist()}
     table = {"shape": [4, 7, 2], "cols": bases.cols.ravel().tolist(), "values": bases.values.ravel().tolist()}
     # provenance and members of earlier versions, the shift count, dense bases and the support table
     for key, value in (("provenance", [[0, 0]]), ("projections", dense), ("shifts", 7), ("bases", dense), ("bases", table)):
         with pytest.raises(MalformedArtifact, match="fields"):
-            family_from_json({**obj, key: value})
+            artifact_from_json({**obj, key: value})
     with pytest.raises(MalformedArtifact, match="fields"):
-        family_from_json({"d": 7, "r": 3, "beta_num": 11, "beta_den": 9, "C": off_support_scale(7), "bases": table})
+        artifact_from_json({"d": 7, "r": 3, "beta_num": 11, "beta_den": 9, "C": off_support_scale(7), "bases": table})

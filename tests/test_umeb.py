@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from umebkit import matcore, umeb
-from umebkit.cli import unitary_family_from_json, unitary_family_to_json
+from umebkit.cli import artifact_from_json, artifact_to_json
 from umebkit.errors import Infeasible, RankOutOfRange, ShapeMismatch
 from umebkit.hadamard import construct
 from umebkit.matcore import Tolerance
@@ -343,7 +343,7 @@ STACKED_FAMILIES = {
     "dual": lambda: (dual_family(p7_family()), compute_phase(7, 3)),
     "icosahedron": lambda: (icosahedron_lines(), compute_phase(3, 1)),
     "json": lambda: _built(
-        *unitary_family_from_json(json.loads(json.dumps(unitary_family_to_json(validate_prime(7), construct(4), compute_phase(7, 3)))))
+        *artifact_from_json(json.loads(json.dumps(artifact_to_json(validate_prime(7), construct(4), compute_phase(7, 3)))))
     ),
 }
 
@@ -372,9 +372,9 @@ def test_unitary_json_round_trip_is_bit_exact():
     for p in (7, 3):
         prime, h = validate_prime(p), construct((p + 1) // 2)
         fam, z = build_residue_family(prime, h), compute_phase(p, prime.half)
-        obj = json.loads(json.dumps(unitary_family_to_json(prime, h, z)))
+        obj = json.loads(json.dumps(artifact_to_json(prime, h, z)))
         assert sorted(obj) == ["hadamard", "k", "p", "z"]
-        again, again_z = _built(*unitary_family_from_json(obj))
+        again, again_z = _built(*artifact_from_json(obj))
         assert again_z == z
         assert (again.d, again.r, again.beta) == (fam.d, fam.r, fam.beta)
         assert again.bases.dense().tobytes() == fam.bases.dense().tobytes()
