@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .channels import (
     DecompositionReport,
     MixedUnitaryDecomposition,
-    apply_decomposition,
     umeb_decomposition,
     uniform_weight,
     verify_decomposition,
@@ -54,7 +53,6 @@ __all__ = [
     "UmebPrime",
     "UmebkitError",
     "UnitaryFamily",
-    "apply_decomposition",
     "beta_projections",
     "build_residue_family",
     "build_unitaries",

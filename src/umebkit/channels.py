@@ -23,8 +23,8 @@ d sum |L - L_target|^2.  Each block of L has the target subtracted in
 place and its squares summed: no d^2 x d^2 matrix and no member is formed,
 whatever the members and the signs of the weights, and the tests hold it
 to the whole Choi matrix.
-(b) The random-input check draws each batch of seeded inputs into one
-buffer, bit for bit those of random_hermitian, applies the mixture to the
+(b) The random-input check draws each batch of seeded random Hermitian
+inputs into one buffer (_random_hermitians), applies the mixture to the
 batch and compares it with wh_plus_apply of the batch, one stack at a
 time.  In the input's diagonals X[a, a + g] the mixture is a cyclic
 correlation over the row i, so it goes through L transformed over the row
@@ -197,25 +197,6 @@ def umeb_decomposition(
     return MixedUnitaryDecomposition(orbit_weights=(w,) * len(uf.bases), unitaries=uf)
 
 
-def apply_decomposition(dec: MixedUnitaryDecomposition, x: np.ndarray) -> np.ndarray:
-    """sum_j weights[j] U_j x U_j*, for one (d, d) input or a (T, d, d) stack.
-
-    Each call builds the mixture's d^3-entry kernel, transformed over the
-    row index (_kernel), and applies it to the whole stack in one pass: a
-    DFT of the inputs' diagonals, d products of d x d matrices and an
-    inverse DFT, O(d^3) per input.  The build costs O(T s^2 d^2 + d^4),
-    more than an input, and the decomposition keeps nothing, so pass every
-    input in one stack, not one call each.
-    """
-    d = dec.unitaries.d
-    xs = np.asarray(x, dtype=complex)
-    if xs.ndim not in (2, 3) or xs.shape[-2:] != (d, d):
-        raise ShapeMismatch(f"expected a ({d}, {d}) matrix or a stack of them, got {xs.shape}")
-    dft = _dft(d)
-    lhat = _kernel(np.asarray(dec.orbit_weights), dec.unitaries, dft)[0]
-    return _apply_by_kernel(lhat, dft, xs.reshape(-1, d, d)).reshape(xs.shape)
-
-
 def _apply_by_kernel(lhat: np.ndarray, dft: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """out[s, i, i + D] = sum_{e,f} K[D, e, f] xs[s, i + e, i + f], indices mod d, through lhat.
 
@@ -244,20 +225,15 @@ def _apply_by_kernel(lhat: np.ndarray, dft: np.ndarray, xs: np.ndarray) -> np.nd
     return flat_out.reshape(xs.shape)
 
 
-def random_hermitian(d: int, seed: int) -> np.ndarray:
-    """(G + G*)/2 with G entries uniform on [0,1) + i[0,1); seeded, reproducible."""
-    rng = np.random.default_rng(seed)
-    g = rng.random((d, d)) + 1j * rng.random((d, d))
-    return (g + g.conj().T) / 2
-
-
 def _random_hermitians(d: int, seeds: range) -> np.ndarray:
-    """random_hermitian(d, s) for every seed s, bit for bit, as one (len(seeds), d, d) stack.
+    """(G + G*)/2 for every seed s, as one (len(seeds), d, d) stack: check (b)'s seeded random Hermitian inputs.
 
-    Each seed's generator makes its two draws into the real and imaginary
-    parts of one reused d x d matrix G, and G* + G goes straight into the
-    seed's slot of the stack, which is halved at the end: one stack and one
-    d x d matrix, each step on arrays that stay in cache.
+    G's entries are uniform on [0,1) + i[0,1): np.random.default_rng(s)
+    draws random((d, d)) for the real parts and then random((d, d)) for
+    the imaginary parts.  Each seed's two draws go into one reused d x d
+    matrix G, and G* + G goes straight into the seed's slot of the stack,
+    which is halved at the end: one stack and one d x d matrix, each step
+    on arrays that stay in cache.
     """
     xs = np.empty((len(seeds), d, d), dtype=complex)
     g = np.empty((d, d), dtype=complex)

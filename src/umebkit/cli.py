@@ -379,9 +379,6 @@ def main(argv: list[str] | None = None) -> int:
     except UmebkitError as exc:
         print(f"umebkit: error: {exc}", file=sys.stderr)
         return 1
-    except KeyError as exc:
-        print(f"umebkit: malformed input, missing field {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"umebkit: i/o error: {exc}", file=sys.stderr)
         return 1

@@ -1,5 +1,6 @@
 """Matrix core: stacks of base matrices stored on their union support
-(SupportStack: one column table, and the values there), whole
+(SupportStack: one column table, and the values there, both written by
+the builder that knows the support), whole
 cyclic-shift orbits of base matrices (every family is T bases, each moved
 by every cyclic shift, T d members), the trace Gram of those orbits held
 by its parts from the bases' cyclic diagonals, what every check reads off it,
@@ -83,19 +84,6 @@ def orbit_stack(bases: np.ndarray) -> np.ndarray:
     return stack
 
 
-def union_support(bases: np.ndarray) -> np.ndarray:
-    """The (d, d) mask of the entries where some base of the dense (T, d, d) stack is not exactly 0.
-
-    A NaN or inf is not 0, so it stays in the support, and a sum over the
-    support meets it.  A sum of products that each have a factor
-    bases[t][i, j] loses no term by skipping the entries outside it.  One
-    pass of ndarray.any, with no (T, d, d) bool temporary, when
-    SupportStack.of compresses a dense stack; a family's checks never scan
-    one.
-    """
-    return bases.any(axis=0)
-
-
 def support_columns(on: np.ndarray) -> np.ndarray:
     """cols[i, :s]: the columns of row i where the (d, d) mask on is true, in order, then its other columns.
 
@@ -118,16 +106,15 @@ class SupportStack:
 
     cols (d, s) is one column table for all the bases: row a lists s
     distinct columns, and every entry of row a off them is 0 in every base.
-    A stack built from a dense one (of) lists the columns of the union
-    support in ascending order, then pads with columns outside it
-    (support_columns), where every value is 0; a builder that knows its
-    support writes cols and values directly.  Both arrays are handed over
-    and made read-only.  Every reader of a family's bases goes through this
-    type: the dense view, the entries at any (i, j), the cyclic offset of
-    each column, and the checks below, which read cols and values and never
-    a (T, d, d) array.  The paper's bases have s = 2 (the
-    diagonal and each row's partner in its pair {q, kq}), so a stack holds
-    2 T d values, against T d^2 dense.
+    Every builder knows its support and writes cols and values directly,
+    and a family takes nothing else as its bases (of): no (T, d, d) array
+    is read into one.  Both arrays are handed over and made read-only.
+    Every reader of a family's bases goes through this type: the dense
+    view, the entries at any (i, j), the cyclic offset of each column, and
+    the checks below, which read cols and values and never a (T, d, d)
+    array.  The paper's bases have s = 2 (the diagonal and each row's
+    partner in its pair {q, kq}), so a stack holds 2 T d values, against
+    T d^2 dense.
     """
 
     cols: np.ndarray  # (d, s) intp
@@ -139,24 +126,12 @@ class SupportStack:
 
     @classmethod
     def of(cls, bases, d: int, dtype=None) -> SupportStack:
-        """bases as a SupportStack of d x d matrices: a SupportStack kept (its values cast to dtype), a dense stack compressed.
-
-        A dense stack (a sequence or an array of shape (T, d, d)) is read
-        once, on its union support, and not kept, so no caller can write to
-        the values through it.  ShapeMismatch unless the members are d x d
-        matrices.
-        """
-        if isinstance(bases, cls):
-            stack = bases if dtype is None or bases.values.dtype == dtype else cls(bases.cols, bases.values.astype(dtype))
-        else:
-            dense = np.asarray(bases, dtype=dtype)
-            if dense.ndim != 3 or dense.shape[1:] != (d, d):
-                raise ShapeMismatch(f"members of shape {dense.shape} in a family with d={d}")
-            cols = support_columns(union_support(dense))
-            stack = cls(cols, np.ascontiguousarray(dense[:, np.arange(d)[:, None], cols]))
-        if len(stack.cols) != d:
-            raise ShapeMismatch(f"bases of size {len(stack.cols)} in a family with d={d}")
-        return stack
+        """bases, a SupportStack of d x d matrices, kept, its values cast to dtype: ShapeMismatch for a stack of another size or any other type."""
+        if not isinstance(bases, cls):
+            raise ShapeMismatch(f"a family's bases are a SupportStack, got {type(bases).__name__}")
+        if len(bases.cols) != d:
+            raise ShapeMismatch(f"bases of size {len(bases.cols)} in a family with d={d}")
+        return bases if dtype is None or bases.values.dtype == dtype else cls(bases.cols, bases.values.astype(dtype))
 
     def __len__(self) -> int:
         return len(self.values)

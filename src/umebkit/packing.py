@@ -6,9 +6,9 @@ p = 7 mod 8), and the six icosahedron diagonals as rank-one projections in
 dimension 3, which are that construction at p = 3.  Also the duality map
 Q_i = I - P_i and the closed-form common angles.  A family is T bases,
 each moved by every cyclic shift, and holds the bases on their support
-(matcore.SupportStack): the residue bases are written there directly, each
-base vector's two nonzero entries given by their indices and coefficients,
-and a dense stack given to a family is read as bases and compressed once.
+(matcore.SupportStack), and takes no other kind of bases: the residue
+bases are written there directly, each base vector's two nonzero entries
+given by their indices and coefficients.
 verify_equiangular reads each family's pairwise traces off its Gram, held
 by its parts from the bases' cyclic diagonals, and its idempotency off
 products summed over that support.
@@ -49,11 +49,9 @@ class ProjectionFamily:
 
     Member t*d + x is base t shifted by x, so the family has T d members,
     whole Z_d orbits.  bases is the T real bases on their support, one
-    read-only matcore.SupportStack that the family owns (NotReal for
-    complex bases): a dense (T, d, d) stack or sequence given to the
-    constructor is read as bases and compressed into one, so
-    ProjectionFamily(d, r, fam.projections, beta) is a family d times larger
-    than fam.  r is the common rank, 1 <= r < d (RankOutOfRange otherwise),
+    read-only matcore.SupportStack of d x d matrices (ShapeMismatch for
+    any other bases, a dense array among them; NotReal for complex
+    values).  r is the common rank, 1 <= r < d (RankOutOfRange otherwise),
     the range in which beta_projections and feasibility are defined.  beta
     is the exact rational target of tr(P_i P_j) for i != j.  Because no
     caller can write to the bases through the family, its dense members are

@@ -44,15 +44,14 @@ class UnitaryFamily:
     """Unitaries I - (1-z)P_i sharing one unit-modulus phase z: T bases, each moved by every cyclic shift.
 
     Members and bases are as in ProjectionFamily: member t*d + x is base t
-    shifted by x, T d members in all.  The bases are complex, a
-    SupportStack; a dense stack given is read as bases and compressed, so
-    UnitaryFamily(d, z, uf.unitaries) is a family d times larger than uf.  The
-    projections they came from are not kept: a unitary artifact is the
-    generator of the projection family (p, k and the Hadamard matrix) and z,
-    and the unitaries are rebuilt from them.  Because no
-    caller can write to them through the family, its trace Gram, what the
-    checks read off it, its symmetry deviations and its dense members are
-    computed once, on first use, and kept on the object.
+    shifted by x, T d members in all.  The bases are a SupportStack of
+    d x d matrices (ShapeMismatch for any other bases), its values cast to
+    complex.  The projections they came from are not kept: a unitary
+    artifact is the generator of the projection family (p, k and the
+    Hadamard matrix) and z, and the unitaries are rebuilt from them.
+    Because no caller can write to them through the family, its trace
+    Gram, what the checks read off it, its symmetry deviations and its
+    dense members are computed once, on first use, and kept on the object.
     """
 
     d: int

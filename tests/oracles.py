@@ -1,6 +1,8 @@
 """Reference computations that the tests compare the package with.
 
-Each is a direct, unoptimized formula: the SWAP matrix and a channel's Choi
+Each is a direct, unoptimized formula: a dense stack of bases compressed to
+the SupportStack a family takes, a seeded random Hermitian matrix, the
+SWAP matrix and a channel's Choi
 matrix under the package's column-stacking vec, the Choi matrix's rank, a
 mixture of unitaries applied member by member, the Choi distance of a
 mixture from the target channel's (and the same distance from the
@@ -20,10 +22,32 @@ from fractions import Fraction
 import numpy as np
 
 from umebkit.errors import NotOrthogonal, ShapeMismatch
-from umebkit.matcore import DEFAULT_TOL, Tolerance
+from umebkit.matcore import DEFAULT_TOL, SupportStack, Tolerance, support_columns
 from umebkit.packing import residue_base_vectors
 
 Channel = Callable[[np.ndarray], np.ndarray]
+
+
+def support_stack(bases, d: int, dtype=None) -> SupportStack:
+    """A dense (T, d, d) stack, cast to dtype, as the SupportStack of its union support: what a family takes as bases.
+
+    Row i lists the columns where some base is not exactly 0, in ascending
+    order (a NaN or inf is not 0, so it stays), then columns outside them,
+    where every value is 0 (matcore.support_columns).  ShapeMismatch unless
+    the members are d x d matrices.
+    """
+    dense = np.asarray(bases, dtype=dtype)
+    if dense.ndim != 3 or dense.shape[1:] != (d, d):
+        raise ShapeMismatch(f"members of shape {dense.shape} in a family with d={d}")
+    cols = support_columns(dense.any(axis=0))
+    return SupportStack(cols, np.ascontiguousarray(dense[:, np.arange(d)[:, None], cols]))
+
+
+def random_hermitian(d: int, seed: int) -> np.ndarray:
+    """(G + G*)/2, G's entries uniform on [0,1) + i[0,1): np.random.default_rng(seed) draws the real parts, then the imaginary."""
+    rng = np.random.default_rng(seed)
+    g = rng.random((d, d)) + 1j * rng.random((d, d))
+    return (g + g.conj().T) / 2
 
 
 def choi_of_channel(apply: Channel, d: int) -> np.ndarray:

@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 from umebkit import channels, matcore, umeb
 from umebkit.channels import (
     MixedUnitaryDecomposition,
-    apply_decomposition,
-    random_hermitian,
     umeb_decomposition,
     uniform_weight,
     verify_decomposition,
@@ -21,11 +19,21 @@ from umebkit.channels import (
 )
 from umebkit.errors import NotCertified, NotSquare, OutOfRange, ShapeMismatch
 from umebkit.hadamard import construct
+from umebkit.matcore import SupportStack
 from umebkit.numth import validate_prime
 from umebkit.packing import build_residue_family, icosahedron_lines, verify_equiangular
 from umebkit.umeb import UnitaryFamily, build_unitaries, certify_umeb, compute_phase
 
-from oracles import choi_of_channel, choi_rank, gram_choi_dev, member_sum, mixture_choi_dev, swap_matrix
+from oracles import (
+    choi_of_channel,
+    choi_rank,
+    gram_choi_dev,
+    member_sum,
+    mixture_choi_dev,
+    random_hermitian,
+    support_stack,
+    swap_matrix,
+)
 
 EPS = 1e-9
 
@@ -39,6 +47,12 @@ def p7_unitaries():
 def p23_decomposition():
     fam = build_residue_family(validate_prime(23), construct(12))
     return umeb_decomposition(build_unitaries(fam, compute_phase(23, 11)))
+
+
+def kernel_apply(dec, xs):
+    """The mixture dec applied to each of a (T, d, d) stack of inputs through its orbit kernel, as check (b) applies it."""
+    dft = matcore._dft(dec.unitaries.d)
+    return channels._apply_by_kernel(orbit_kernel(dec, dft), dft, np.asarray(xs, dtype=complex))
 
 
 def kron_assembled_choi(apply, d):
@@ -155,12 +169,12 @@ def test_umeb_decomposition_icosahedron():
 
 def test_umeb_decomposition_rejects_uncertified():
     uf = p7_unitaries()
-    bases = uf.bases.dense()
-    truncated = UnitaryFamily(d=7, z=uf.z, bases=bases[:3])  # 3 of the 4 orbits
+    cols, values = uf.bases.cols, uf.bases.values
+    truncated = UnitaryFamily(d=7, z=uf.z, bases=SupportStack(cols, values[:3]))  # 3 of the 4 orbits
     with pytest.raises(NotCertified):
         umeb_decomposition(truncated)
     # spans the symmetric matrices, but 35 weights 1/28 do not sum to 1
-    duplicated = UnitaryFamily(d=7, z=uf.z, bases=np.concatenate((bases, bases[:1])))
+    duplicated = UnitaryFamily(d=7, z=uf.z, bases=SupportStack(cols, np.concatenate((values, values[:1]))))
     with pytest.raises(NotCertified):
         umeb_decomposition(duplicated)
 
@@ -170,11 +184,11 @@ def test_decomposition_keeps_its_own_weights():
     dec = umeb_decomposition(p7_unitaries())
     weights = list(dec.orbit_weights)
     mine = MixedUnitaryDecomposition(orbit_weights=weights, unitaries=dec.unitaries)
-    x = random_hermitian(7, seed=3)
-    before = apply_decomposition(mine, x)
+    xs = random_hermitian(7, seed=3)[None]
+    before = kernel_apply(mine, xs)
     weights[0] = 0.5
     assert mine.orbit_weights == dec.orbit_weights
-    assert np.array_equal(apply_decomposition(mine, x), before)
+    assert np.array_equal(kernel_apply(mine, xs), before)
 
 
 def test_member_weights_are_a_view_of_the_orbit_weights():
@@ -204,7 +218,7 @@ def test_verify_decomposition_p7():
 
 def test_verify_decomposition_identity_input():
     dec = umeb_decomposition(p7_unitaries())
-    out = apply_decomposition(dec, np.eye(7))
+    out = member_sum(dec.weights, dec.unitaries.unitaries, np.eye(7))
     assert np.max(np.abs(out - np.eye(7))) < EPS
     assert np.max(np.abs(wh_plus_apply(np.eye(7), 7) - np.eye(7))) < EPS
 
@@ -230,7 +244,7 @@ def test_mixture_reproduces_channel_on_random_inputs():
     dec = umeb_decomposition(p7_unitaries())
     for t in range(5):
         x = random_hermitian(7, seed=500 + t)
-        lhs = apply_decomposition(dec, x)
+        lhs = member_sum(dec.weights, dec.unitaries.unitaries, x)
         rhs = wh_plus_apply(x, 7)
         assert np.max(np.abs(lhs - rhs)) < EPS * np.max(np.abs(x))
 
@@ -248,21 +262,8 @@ def test_verify_decomposition_rejects_bad_arguments():
         verify_decomposition(dec, trials=-3)
     with pytest.raises(OutOfRange):
         verify_decomposition(dec, seed=-1)
-    with pytest.raises(ShapeMismatch):
-        apply_decomposition(dec, np.eye(6))
     rep = verify_decomposition(dec, trials=0)
     assert rep.verdict and (rep.trials, rep.apply_dev_max) == (0, 0.0)
-
-
-def test_apply_decomposition_stack_is_the_per_input_sum(p23_decomposition):
-    dec = p23_decomposition
-    xs = np.array([random_hermitian(23, seed=900 + t) for t in range(20)])
-    xs[3] = xs[3] @ xs[5]  # one input that is not Hermitian
-    out = apply_decomposition(dec, xs)
-    assert out.shape == xs.shape
-    loop = member_sum(dec.weights, dec.unitaries.unitaries, xs)
-    assert np.max(np.abs(out - loop), axis=(1, 2)).max() < 1e-13
-    assert np.max(np.abs(apply_decomposition(dec, xs[7]) - out[7])) < 1e-13
 
 
 def test_verify_decomposition_fails_on_the_last_weight(p23_decomposition):
@@ -355,7 +356,7 @@ def spy_paths(monkeypatch, names):
 
 
 def spy_kernel_applies(monkeypatch):
-    """Record each pass of apply_decomposition through the orbit kernel."""
+    """Record each pass of a stack of inputs through the orbit kernel."""
     return spy_paths(monkeypatch, ("_apply_by_kernel",))
 
 
@@ -448,7 +449,7 @@ def test_a_pipeline_reads_the_unitary_gram_rows_once(monkeypatch):
 def _nonsymmetric_member():
     bases = np.array(_unitaries(7).bases.dense())
     bases[0, 0, 1] += 1e-13  # base 0, and so every member of orbit 0
-    uf = UnitaryFamily(d=7, z=compute_phase(7, 3), bases=bases)
+    uf = UnitaryFamily(d=7, z=compute_phase(7, 3), bases=support_stack(bases, 7))
     return umeb_decomposition(uf)  # within eps of symmetric, so still accepted
 
 
@@ -461,14 +462,14 @@ def _negative_weight(p=7):
 
 def _member_count():
     uf = _unitaries(7)
-    part = UnitaryFamily(d=7, z=uf.z, bases=uf.bases.dense()[:3])  # 3 of the 4 orbits: 21 members
+    part = UnitaryFamily(d=7, z=uf.z, bases=SupportStack(uf.bases.cols, uf.bases.values[:3]))  # 3 of the 4 orbits: 21 members
     return MixedUnitaryDecomposition(orbit_weights=(1 / 21,) * 3, unitaries=part)
 
 
 def _random_members():
     """Random d=5 bases, neither unitary nor symmetric, so their members are not orthogonal: the
     distance depends on which members each orbit weight falls on, not only on the weights."""
-    return MixedUnitaryDecomposition((0.1, 0.2, 0.3), UnitaryFamily(5, 1.0, _random_bases(5, 3, seed=59)))
+    return MixedUnitaryDecomposition((0.1, 0.2, 0.3), UnitaryFamily(5, 1.0, support_stack(_random_bases(5, 3, seed=59), 5)))
 
 
 @pytest.mark.parametrize(
@@ -507,12 +508,12 @@ def test_gram_passes_cover_the_last_row_block(monkeypatch):
     # a longer last base shows only on the last diagonal entries of G/d - I
     bases = uf.bases.dense()
     longer = np.concatenate((bases[:-1], [bases[-1] * (1 + 1e-6)]))
-    cert = certify_umeb(UnitaryFamily(d=23, z=uf.z, bases=longer))
+    cert = certify_umeb(UnitaryFamily(d=23, z=uf.z, bases=support_stack(longer, 23)))
     assert cert.cj_orthonormality_dev == pytest.approx(2e-6, rel=1e-5)
     # the last two bases mixed show only off the diagonal of the last row block
     mixed = np.array(bases)
     mixed[-1] += 1e-3 * mixed[-2]
-    cert = certify_umeb(UnitaryFamily(d=23, z=uf.z, bases=mixed))
+    cert = certify_umeb(UnitaryFamily(d=23, z=uf.z, bases=support_stack(mixed, 23)))
     assert cert.max_orthogonality_dev == pytest.approx(1e-3 * 23, rel=1e-9)
     assert cert.cj_orthonormality_dev == pytest.approx(1e-3, rel=1e-9)
 
@@ -520,7 +521,7 @@ def test_gram_passes_cover_the_last_row_block(monkeypatch):
 SIGNED_WEIGHT_FAMILIES = {
     "icosahedron": lambda: _unitaries(3),
     "p7": lambda: _unitaries(7),
-    "dense-d5": lambda: UnitaryFamily(5, 1.0, _random_bases(5, 3, seed=59)),  # neither unitary nor symmetric
+    "dense-d5": lambda: UnitaryFamily(5, 1.0, support_stack(_random_bases(5, 3, seed=59), 5)),  # neither unitary nor symmetric
 }
 
 
@@ -551,7 +552,7 @@ def test_choi_check_is_the_dense_choi_distance_for_signed_orbit_weights(name, sc
 def test_a_decomposition_keeps_nothing_between_calls():
     dec = umeb_decomposition(p7_unitaries())
     assert verify_decomposition(dec, trials=3).verdict
-    apply_decomposition(dec, random_hermitian(7, seed=4))
+    kernel_apply(dec, random_hermitian(7, seed=4)[None])
     assert dec.__dict__.keys() == {"orbit_weights", "unitaries"}
 
 
@@ -618,7 +619,7 @@ def test_orbit_kernel_passes_stay_inside_the_byte_budget(p23_decomposition, monk
 
 
 def orbit_kernel(dec, dft=None):
-    """The kernel transformed over the row index, lhat, that verify_decomposition and apply_decomposition build."""
+    """The kernel transformed over the row index, lhat, that verify_decomposition builds."""
     return channels._kernel(np.asarray(dec.orbit_weights), dec.unitaries, matcore._dft(dec.unitaries.d) if dft is None else dft)[0]
 
 
@@ -641,7 +642,7 @@ def test_orbit_kernel_build_holds_one_block_beyond_its_terms(monkeypatch):
     uf = _residue_unitaries(d)
     w = (float(uniform_weight(d)),) * len(uf.bases)
     expected = orbit_kernel(MixedUnitaryDecomposition(w, uf))
-    on = matcore.union_support(uf.bases.dense())
+    on = uf.bases.dense().any(axis=0)  # the union support
     assert on.sum() == 2 * d - 1 and on.sum(axis=1).max() == 2  # the diagonal and each row's partner
     terms = (2 * d) ** 2  # s = 2 entries a row, every pair of them
     # 11 D per block: blocks of 11, 11 and 9 D, each buffer (165 KiB) larger than the slack
@@ -675,14 +676,14 @@ def _unequal_row_support():
     support[a[:, None], (a[:, None] + a) % d] = in_row
     bases = _random_bases(d, 3, seed=61) * support
     bases[0, 3] = 0
-    return UnitaryFamily(d, 1.0, bases)
+    return UnitaryFamily(d, 1.0, support_stack(bases, d))
 
 
 KERNEL_CASES = {
     7: lambda: _residue_unitaries(7),
     23: lambda: _residue_unitaries(23),
     47: lambda: _residue_unitaries(47),
-    "dense": lambda: UnitaryFamily(5, 1.0, _random_bases(5, 3, seed=59)),  # every entry: s = d
+    "dense": lambda: UnitaryFamily(5, 1.0, support_stack(_random_bases(5, 3, seed=59), 5)),  # every entry: s = d
     "unequal-row-support": _unequal_row_support,
 }
 
@@ -707,10 +708,10 @@ def test_orbit_kernel_is_the_row_transform_of_the_member_sum(case):
     assert kernel.shape == (p, p, p)
     assert np.max(np.abs(kernel - lhat)) <= 1e-13
     xs = _inputs(p, seed=600)
-    out = apply_decomposition(dec, xs)
+    out = kernel_apply(dec, xs)
     loop = member_sum(dec.weights, uf.unitaries, xs)
     for x, y, z in zip(xs, out, loop):
-        assert np.max(np.abs(apply_decomposition(dec, x) - y)) <= 1e-13
+        assert np.max(np.abs(kernel_apply(dec, x[None])[0] - y)) <= 1e-13
         assert np.max(np.abs(y - z)) <= 1e-13
 
 
@@ -724,7 +725,7 @@ def _nonfinite_base_entry(value):
         uf = _residue_unitaries(7)
         bases = np.array(uf.bases.dense())
         bases[2, 1, 3] = value
-        return MixedUnitaryDecomposition((1 / 28,) * 4, UnitaryFamily(7, uf.z, bases))
+        return MixedUnitaryDecomposition((1 / 28,) * 4, UnitaryFamily(7, uf.z, support_stack(bases, 7)))
 
     return build
 
@@ -785,7 +786,7 @@ def test_orbit_kernel_matches_the_member_sum(p, monkeypatch):
     xs = _inputs(p, seed=700)
     trials = 2 if p > 47 else 6
     ran = spy_kernel_applies(monkeypatch)
-    out, rep = apply_decomposition(dec, xs), verify_decomposition(dec, trials=trials, seed=11)
+    out, rep = kernel_apply(dec, xs), verify_decomposition(dec, trials=trials, seed=11)
     assert ran == ["_apply_by_kernel"] * 2
     assert np.max(np.abs(out - member_sum(dec.weights, uf.unitaries, xs))) <= 1e-13 * np.max(np.abs(xs))
     # check (b) of the member sum: the same seeded inputs against the formula
@@ -806,12 +807,12 @@ def _tilted(uf, by=1e-12):
 def _perturbed_entry():
     bases = np.array(_residue_unitaries(7).bases.dense())
     bases[-1, 2, 4] += 1e-12  # the last base, and so every member of the last orbit
-    return _tilted(UnitaryFamily(7, compute_phase(7, 3), bases))
+    return _tilted(UnitaryFamily(7, compute_phase(7, 3), support_stack(bases, 7)))
 
 
 def _part_of_the_orbits():
     uf = _residue_unitaries(7)
-    return _tilted(UnitaryFamily(7, uf.z, uf.bases.dense()[:3]))  # 3 of the 4 orbits: 21 members
+    return _tilted(UnitaryFamily(7, uf.z, SupportStack(uf.bases.cols, uf.bases.values[:3])))  # 3 of the 4 orbits: 21 members
 
 
 # every mixture has one weight per orbit and goes through the orbit kernel: weights 1e-12 apart
@@ -830,7 +831,7 @@ def test_the_orbit_kernel_applies_every_mixture(build, passes, monkeypatch):
     dec = build()
     xs = _inputs(dec.unitaries.d, seed=800)
     ran = spy_kernel_applies(monkeypatch)
-    out, rep = apply_decomposition(dec, xs), verify_decomposition(dec, trials=6, seed=5)
+    out, rep = kernel_apply(dec, xs), verify_decomposition(dec, trials=6, seed=5)
     assert ran == ["_apply_by_kernel"] * 2
     assert np.max(np.abs(out - member_sum(dec.weights, dec.unitaries.unitaries, xs))) < 1e-13
     assert rep.verdict == passes

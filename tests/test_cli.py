@@ -18,6 +18,8 @@ from umebkit.numth import validate_prime
 from umebkit.packing import build_residue_family, off_support_scale, verify_equiangular
 from umebkit.umeb import build_unitaries, compute_phase
 
+from oracles import support_stack
+
 GENERATOR_FIELDS = ["hadamard", "k", "p"]
 
 
@@ -522,9 +524,9 @@ SUPPORT_TABLES = {
 # hand-made d=3 families of two bases whose rank r lies outside 1 <= r < d, in the support-table format
 ZERO_BASES = {
     "d": 3, "r": 0, "beta_num": 0, "beta_den": 1, "C": off_support_scale(3),
-    "bases": support_stack_json(SupportStack.of(np.zeros((2, 3, 3)), 3)),
+    "bases": support_stack_json(support_stack(np.zeros((2, 3, 3)), 3)),
 }
-IDENTITY_BASES = dict(ZERO_BASES, r=3, beta_num=3, bases=support_stack_json(SupportStack.of(np.tile(np.eye(3), (2, 1, 1)), 3)))
+IDENTITY_BASES = dict(ZERO_BASES, r=3, beta_num=3, bases=support_stack_json(support_stack(np.tile(np.eye(3), (2, 1, 1)), 3)))
 # the p=7 bases conjugated by a diagonal phase, D P D*: complex projections with the traces of P,
 # on the real bases' column table, their imaginary parts beside the values
 PHASES = np.exp(0.7j * np.arange(7))

@@ -20,13 +20,12 @@ from umebkit.matcore import (
     spectral_rank,
     support_columns,
     support_product,
-    union_support,
 )
 from umebkit.numth import validate_prime
 from umebkit.packing import build_residue_family, dual_family, icosahedron_lines
 from umebkit.umeb import build_unitaries, compute_phase
 
-from oracles import dense_gram, direct_dft, numerical_rank
+from oracles import dense_gram, direct_dft, numerical_rank, support_stack
 
 EPS = 1e-9
 
@@ -34,7 +33,7 @@ EPS = 1e-9
 def gram_of(bases):
     """cyclic_gram of a dense stack of bases compressed onto its own union support."""
     bases = np.asarray(bases)
-    return cyclic_gram(SupportStack.of(bases, bases.shape[-1]))
+    return cyclic_gram(support_stack(bases, bases.shape[-1]))
 
 
 def identity(t, d):
@@ -296,7 +295,7 @@ def assert_is_the_dense_gap(entries, gap, dense):
 def test_support_product_is_the_dense_product(name):
     bases = PRODUCT_CASES[name]()
     d = bases.shape[-1]
-    stack = SupportStack.of(bases, d)
+    stack = support_stack(bases, d)
     # idempotency of an orthogonal projection: p* p - p
     entries, gap = support_product(stack, stack)
     assert_is_the_dense_gap(entries, gap, bases.conj().transpose(0, 2, 1) @ bases - bases)
@@ -319,7 +318,7 @@ def _dense_with_a_zero_row():
 def test_support_product_carries_a_non_finite_entry(kind, at, value):
     bases = _dense_with_a_zero_row() if kind == "dense" else np.array(_residue_bases(7, kind))
     bases[at] = value
-    stack = SupportStack.of(bases, 7)
+    stack = support_stack(bases, 7)
     idempotency = support_product(stack, stack)[1]
     unitarity = support_product(stack, identity(len(bases), 7))[1]
     for gap in (idempotency, unitarity):
@@ -334,7 +333,7 @@ def test_support_product_stays_inside_the_byte_budget(monkeypatch):
     # the twelve bases go in six blocks
     bases = np.random.default_rng(65).standard_normal((12, 12, 12)) + 0j
     bases[:, :, -1] = 0.0
-    stack = SupportStack.of(bases, 12)
+    stack = support_stack(bases, 12)
     assert stack.cols.shape == (12, 11)
     expected = support_product(stack, stack)
     assert expected[0].shape == (12 * 11,)  # every row's 11 columns
@@ -365,7 +364,7 @@ def test_asymmetry_is_the_dense_sum_over_every_entry(name):
         "tampered-U-p79": lambda: _tampered_p79("U"),
     }[name]()
     gap = np.abs(bases - bases.transpose(0, 2, 1))
-    worst, sq = asymmetry(SupportStack.of(bases, bases.shape[-1]))
+    worst, sq = asymmetry(support_stack(bases, bases.shape[-1]))
     assert worst == np.max(gap)
     assert sq == pytest.approx(float(np.sum(gap**2)), rel=1e-12, abs=0.0)
 
@@ -378,7 +377,8 @@ def test_union_support_keeps_every_entry_that_is_not_exactly_zero():
     bases[1, 3, 0] = np.nan
     bases[2, 0, 3] = np.inf
     bases[2, 1, 2] = 5.0  # also in base 0: counted once
-    assert np.flatnonzero(union_support(bases)).tolist() == [3, 6, 9, 12]  # i*4 + j
+    # each row's one entry that is not exactly 0, entries (0, 3), (1, 2), (2, 1) and (3, 0)
+    assert support_stack(bases, 4).cols.tolist() == [[3], [2], [1], [0]]
 
 
 def test_spectral_rank_counts_above_the_relative_threshold():
@@ -569,7 +569,8 @@ def test_matched_pair_gram_rows_are_rows_of_the_dense_gram(name):
     # a shift whose entries meet no supported entry is a block of exact zeros in the reference and
     # within rounding of the DFT here; with no shared diagonal there is no correlation, and it is exact
     blocks = rows.reshape(t, t, d)
-    unmatched = [x for x in range(d) if not np.any(union_support(bases) & np.roll(union_support(bases), (x, x), axis=(0, 1)))]
+    on = bases.any(axis=0)  # the union support
+    unmatched = [x for x in range(d) if not np.any(on & np.roll(on, (x, x), axis=(0, 1)))]
     assert np.max(np.abs(blocks[:, :, unmatched]), initial=0.0) <= bound
     assert np.all(whole[::d].reshape(t, t, d)[:, :, unmatched] == 0)
     if name == "one-off-diagonal-entry":
@@ -588,7 +589,7 @@ def test_matched_pair_gram_multiplies_the_diagonal_alone_off_shift_zero(kind):
     gram = gram_of(bases)
     assert gram.group.tolist() == [0] * 12 and gram.h.shape == (1, 1, 23)
     off = (bases * (1 - np.eye(23))).reshape(12, -1)
-    assert np.count_nonzero(union_support(off.reshape(12, 23, 23))) == 22
+    assert np.count_nonzero(off.any(axis=0)) == 22
     assert np.max(np.abs(gram.c - off.conj() @ off.T)) <= 1e-14
     diagonal = np.diagonal(bases[0])
     assert np.all(np.diagonal(bases, axis1=1, axis2=2) == diagonal)
@@ -620,16 +621,26 @@ def test_support_stack_of_a_dense_stack_owns_its_values():
     view = writable.view()
     view.flags.writeable = False  # read-only, but writable through `writable`
     for given in (handed, writable, view, list(writable), handed.astype(np.float32)):
-        stack = SupportStack.of(given, 3, float)
+        stack = support_stack(given, 3, float)
         assert not np.shares_memory(stack.values, writable) and not np.shares_memory(stack.values, handed)
         assert not stack.values.flags.writeable and not stack.cols.flags.writeable and stack.values.dtype == float
         assert stack.cols.tolist() == [[0], [1], [2]]  # the union support: the diagonal
         assert np.array_equal(stack.dense(), handed) and not stack.dense().flags.writeable
-    assert SupportStack.of(stack, 3) is stack  # a stack is kept
-    assert SupportStack.of(stack, 3, complex).values.dtype == complex
-    for wrong in (handed, handed[0], [], stack):
+    for wrong in (handed, handed[0], []):
         with pytest.raises(ShapeMismatch):
-            SupportStack.of(wrong, 4)
+            support_stack(wrong, 4)
+
+
+def test_support_stack_of_keeps_a_stack_and_refuses_anything_else():
+    # a family's bases are a SupportStack of its size; a dense stack or sequence is no such stack
+    stack = identity(4, 3)
+    assert SupportStack.of(stack, 3) is stack and SupportStack.of(stack, 3, float) is stack
+    assert SupportStack.of(stack, 3, complex).values.tolist() == stack.values.astype(complex).tolist()
+    for wrong, kind in ((stack.dense(), "ndarray"), (list(stack.dense()), "list"), ((), "tuple")):
+        with pytest.raises(ShapeMismatch, match=f"SupportStack, got {kind}$"):
+            SupportStack.of(wrong, 3)
+    with pytest.raises(ShapeMismatch, match="size 3 in a family with d=4"):
+        SupportStack.of(stack, 4)
 
 
 H2_ROWS = [[1, 1], [1, -1]]

@@ -18,6 +18,7 @@ from umebkit.errors import (
     RankOutOfRange,
 )
 from umebkit.hadamard import HadamardMatrix, construct
+from umebkit.matcore import SupportStack
 from umebkit.numth import validate_prime
 from umebkit.packing import (
     ProjectionFamily,
@@ -31,7 +32,14 @@ from umebkit.packing import (
 )
 from umebkit.umeb import build_unitaries, compute_phase
 
-from oracles import dense_base_vectors, dense_equiangular, identity_coefficient, numerical_rank, projection_from_basis
+from oracles import (
+    dense_base_vectors,
+    dense_equiangular,
+    identity_coefficient,
+    numerical_rank,
+    projection_from_basis,
+    support_stack,
+)
 
 EPS = 1e-9
 SQRT2 = math.sqrt(2.0)
@@ -56,6 +64,13 @@ def test_beta_projections_rank_range():
         beta_projections(7, 0)
     with pytest.raises(RankOutOfRange):
         beta_projections(7, 7)
+
+
+@pytest.mark.parametrize("r", [0, 7])
+def test_a_family_needs_a_rank_strictly_between_0_and_d(r):
+    fam = p7_family()
+    with pytest.raises(RankOutOfRange):
+        ProjectionFamily(7, r, fam.bases, fam.beta)
 
 
 def test_off_support_scale():
@@ -167,10 +182,9 @@ def test_scattered_bases_are_the_projections_onto_the_base_vectors(p):
 
 def test_projection_families_are_real():
     fam = p7_family()
-    dense = fam.bases.dense()
-    for bases in (dense + 0j, dense * 1j, list(dense.astype(complex))):
+    for values in (fam.bases.values + 0j, fam.bases.values * 1j):
         with pytest.raises(NotReal):
-            ProjectionFamily(7, 3, bases, fam.beta)
+            ProjectionFamily(7, 3, SupportStack(fam.bases.cols, values), fam.beta)
 
 
 def test_residue_family_shift_one_matches_worked_case():
@@ -262,7 +276,7 @@ def test_equiangularity_for_every_nonresidue_choice(k):
 def test_verify_equiangular_single_base_is_one_orbit():
     # one base of the p=7 family: its 7 shifts, every pair of them at the common angle
     fam = p7_family()
-    single = ProjectionFamily(d=7, r=3, bases=fam.bases.dense()[:1], beta=fam.beta)
+    single = ProjectionFamily(d=7, r=3, bases=SupportStack(fam.bases.cols, fam.bases.values[:1]), beta=fam.beta)
     report = verify_equiangular(single)
     assert len(single) == 7 and report.pairs == 21
     assert report.passed
@@ -273,7 +287,7 @@ def test_verify_equiangular_flags_duplicate():
     dup = ProjectionFamily(
         d=7,
         r=3,
-        bases=np.concatenate((fam.bases.dense(), fam.bases.dense()[:1])),
+        bases=SupportStack(fam.bases.cols, np.concatenate((fam.bases.values, fam.bases.values[:1]))),
         beta=fam.beta,
     )
     report = verify_equiangular(dup)
@@ -289,7 +303,7 @@ def test_verify_equiangular_fails_a_base_with_a_non_finite_entry(value, at):
     fam = p7_family()
     bases = np.array(fam.bases.dense())
     bases[at] = value
-    report = verify_equiangular(ProjectionFamily(7, 3, bases, fam.beta))
+    report = verify_equiangular(ProjectionFamily(7, 3, support_stack(bases, 7), fam.beta))
     assert not report.passed
     # the Gram rows carry it to the angles, not only the idempotency check
     assert not report.max_angle_dev <= EPS
@@ -302,7 +316,7 @@ def test_an_oblique_idempotent_family_fails_the_idempotency_check():
     e = np.eye(5)
     bases = np.outer(e[3], e[3] + e[1])[None]
     assert np.array_equal(bases @ bases, bases)
-    report = verify_equiangular(ProjectionFamily(d=5, r=1, bases=bases, beta=Fraction(0)))
+    report = verify_equiangular(ProjectionFamily(d=5, r=1, bases=support_stack(bases, 5), beta=Fraction(0)))
     assert report.max_angle_dev == 0.0 and report.max_rank_dev == 0.0
     assert report.max_idempotency_dev == 1.0
     assert not report.passed
@@ -342,6 +356,21 @@ def test_dual_family_icosahedron():
     assert dual.r == 2
     assert dual.beta == Fraction(6, 5)
     assert dual.beta == beta_projections(3, 2)
+    assert verify_equiangular(dual).passed
+
+
+def test_eye_minus_adds_the_diagonal_a_row_lacks():
+    # the rank-1 projection onto e0 in d = 3: compressed, rows 1 and 2 hold padding column 0 and
+    # not their own, so I - w P widens the columns to the diagonal
+    p = np.zeros((3, 3))
+    p[0, 0] = 1.0
+    fam = ProjectionFamily(d=3, r=1, bases=support_stack(p[None], 3), beta=Fraction(0))
+    assert fam.bases.cols.tolist() == [[0], [0], [0]]
+    dual, uf = dual_family(fam), build_unitaries(fam, 1j)
+    for family, expected in ((dual, np.eye(3) - p), (uf, np.eye(3) - (1 - 1j) * p)):
+        assert np.array_equal(family.bases.dense()[0], expected)
+        assert (family.bases.cols == np.arange(3)[:, None]).any(axis=1).all()
+    assert np.array_equal(dual.projections, np.eye(3) - fam.projections)
     assert verify_equiangular(dual).passed
 
 
@@ -399,7 +428,7 @@ def _with_last_base(fam, edit):
     """fam with its last base, and so every shift of it, replaced by edit(base)."""
     bases = np.array(fam.bases.dense())
     bases[-1] = edit(bases[-1])
-    return replace(fam, bases=bases)
+    return replace(fam, bases=support_stack(bases, fam.d))
 
 
 @pytest.mark.parametrize("p", [3, 7, 23])

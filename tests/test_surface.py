@@ -5,8 +5,11 @@ import ast
 import dataclasses
 from pathlib import Path
 
+import pytest
+
 import umebkit
 from umebkit import channels, cli, hadamard, matcore, packing, umeb
+from umebkit.errors import ShapeMismatch
 from umebkit.hadamard import construct
 from umebkit.numth import validate_prime
 
@@ -23,7 +26,6 @@ EXPORTS = [
     "UmebPrime",
     "UmebkitError",
     "UnitaryFamily",
-    "apply_decomposition",
     "beta_projections",
     "build_residue_family",
     "build_unitaries",
@@ -46,23 +48,21 @@ EXPORTS = [
     "wh_plus_apply",
 ]
 # helpers that no pipeline stage or command called; the tests' oracles among them live in tests/oracles.py
-# and the JSON coders outside cli, which the one artifact writer and reader replace
+# (random_hermitian, and union_support with the dense branch of SupportStack.of as support_stack), and
+# the JSON coders outside cli, which the one artifact writer and reader replace
 DELETED = {
-    channels: ["choi_of_channel", "swap_matrix", "choi_rank"],
+    channels: ["choi_of_channel", "swap_matrix", "choi_rank", "apply_decomposition", "random_hermitian"],
     matcore: [
         "frobenius_inner", "sym_antisym_split", "cj_vectorize", "is_unitary", "numerical_rank",
-        "json_int", "json_number", "json_int_matrix",
+        "json_int", "json_number", "json_int_matrix", "union_support",
     ],
     umeb: ["cj_states", "line_feasibility_sweep"],
     packing: ["beta_lines", "identity_coefficient", "projection_from_basis", "family_to_json", "family_from_json"],
     hadamard: ["hadamard_to_json", "hadamard_from_json"],
     cli: ["unitary_family_to_json", "unitary_family_from_json"],
 }
-# public without a caller in the package: the acceptance suite's duality claim reads
-# dual_family, random_hermitian defines the inputs of check (b), and apply_decomposition
-# is the mixture as a channel for callers, which check (b) applies through the kernel its
-# one pass built rather than building it again
-UNCALLED = {"apply_decomposition", "dual_family", "random_hermitian"}
+# public without a caller in the package: the acceptance suite's duality claim reads dual_family
+UNCALLED = {"dual_family"}
 # the option strings of every command, in order: an option added, renamed or dropped fails here
 OPTIONS = {
     "generate": ["-h", "--help", "--p", "--k", "--out", "--eps", "--rank-eps", "--no-timestamp", "--format"],
@@ -78,7 +78,7 @@ OPTIONS = {
 
 
 def test_all_is_the_exported_names():
-    assert len(EXPORTS) == 32
+    assert len(EXPORTS) == 31
     assert umebkit.__all__ == EXPORTS
     for name in EXPORTS:
         assert hasattr(umebkit, name), name
@@ -122,6 +122,17 @@ def test_a_unitary_artifact_has_one_format():
     for module in (channels, hadamard, matcore, packing, umeb):
         assert not [name for name, value in vars(module).items() if "json" in name.lower() or hasattr(value, "to_json")]
     assert [field.name for field in dataclasses.fields(umeb.UnitaryFamily)] == ["d", "z", "bases"]
+
+
+def test_a_family_takes_its_bases_as_a_support_stack_only():
+    # a dense (T, d, d) stack is no SupportStack: a hand-made family compresses its bases first
+    fam = packing.build_residue_family(validate_prime(7), construct(4))
+    uf = umeb.build_unitaries(fam, umeb.compute_phase(7, 3))
+    for dense in (fam.bases.dense(), uf.bases.dense()):
+        with pytest.raises(ShapeMismatch, match="SupportStack, got ndarray"):
+            packing.ProjectionFamily(7, 3, dense, fam.beta)
+        with pytest.raises(ShapeMismatch, match="SupportStack, got ndarray"):
+            umeb.UnitaryFamily(7, uf.z, dense)
 
 
 def test_a_family_holds_no_shift_count():

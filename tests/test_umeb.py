@@ -11,7 +11,7 @@ from umebkit import matcore, umeb
 from umebkit.cli import artifact_from_json, artifact_to_json
 from umebkit.errors import Infeasible, RankOutOfRange, ShapeMismatch
 from umebkit.hadamard import construct
-from umebkit.matcore import Tolerance
+from umebkit.matcore import SupportStack, Tolerance
 from umebkit.numth import validate_prime
 from umebkit.packing import (
     ProjectionFamily,
@@ -28,7 +28,7 @@ from umebkit.umeb import (
     feasibility,
 )
 
-from oracles import dense_certificate, dense_gram, numerical_rank
+from oracles import dense_certificate, dense_gram, numerical_rank, support_stack
 
 EPS = 1e-9
 
@@ -183,7 +183,7 @@ def test_certify_icosahedron():
 
 def test_certify_truncated_family_fails():
     uf = p7_unitaries()
-    truncated = UnitaryFamily(d=7, z=uf.z, bases=uf.bases.dense()[:3])  # 3 of the 4 orbits: 21 members
+    truncated = UnitaryFamily(d=7, z=uf.z, bases=SupportStack(uf.bases.cols, uf.bases.values[:3]))  # 3 of the 4 orbits: 21 members
     cert = certify_umeb(truncated)
     assert cert.span_rank == 21
     assert not cert.symmetric_span
@@ -193,7 +193,7 @@ def test_certify_truncated_family_fails():
 def test_certify_verdict_monotone_under_removal():
     uf = p7_unitaries()
     for drop in range(4):  # each orbit in turn
-        rest = np.delete(uf.bases.dense(), drop, axis=0)
+        rest = SupportStack(uf.bases.cols, np.delete(uf.bases.values, drop, axis=0))
         cert = certify_umeb(UnitaryFamily(d=7, z=uf.z, bases=rest))
         assert not cert.symmetric_span
         assert not cert.unextendible_verdict
@@ -204,7 +204,7 @@ def _p7_with_first(replace):
     uf = p7_unitaries()
     bases = uf.bases.dense()
     first = replace(bases[0], p7_family().bases.dense()[0])
-    return UnitaryFamily(d=7, z=uf.z, bases=np.concatenate(([first], bases[1:])))
+    return UnitaryFamily(d=7, z=uf.z, bases=support_stack(np.concatenate(([first], bases[1:])), 7))
 
 
 def test_certify_rejects_member_with_other_phase():
@@ -261,7 +261,7 @@ def test_certify_even_dimension_flagged():
     rng = np.random.default_rng(5)
     basis = np.linalg.qr(rng.standard_normal((6, 3)))[0]
     proj = basis @ basis.T
-    fam = ProjectionFamily(d=6, r=3, bases=(proj,), beta=Fraction(1))
+    fam = ProjectionFamily(d=6, r=3, bases=support_stack(proj[None], 6), beta=Fraction(1))
     cert = certify_umeb(build_unitaries(fam, compute_phase(6, 3)))
     assert not cert.d_odd
     assert not cert.unextendible_verdict
@@ -275,7 +275,7 @@ def _residue_unitaries(p):
 def _p7_bases(edit):
     """The p=7 unitaries with their bases edited: every shift of an edited base changes with it."""
     uf = p7_unitaries()
-    return UnitaryFamily(d=7, z=uf.z, bases=edit(uf.bases.dense()))
+    return UnitaryFamily(d=7, z=uf.z, bases=support_stack(edit(uf.bases.dense()), 7))
 
 
 def _shifted_once(base):
@@ -396,10 +396,12 @@ def _callers_arrays(stack):
 
 
 def test_families_keep_their_own_copy_of_the_callers_arrays():
+    # a hand-made family's bases are gathered from the caller's dense arrays, so a later write
+    # into those arrays reaches neither its members nor its checks
     uf = p7_unitaries()
     expected = certify_umeb(uf)
     for members, mutate in _callers_arrays(uf.bases.dense()):
-        mine = UnitaryFamily(d=7, z=uf.z, bases=members)
+        mine = UnitaryFamily(d=7, z=uf.z, bases=support_stack(members, 7))
         assert certify_umeb(mine) == expected
         mutate()
         assert np.array_equal(mine.unitaries, uf.unitaries)
@@ -407,7 +409,7 @@ def test_families_keep_their_own_copy_of_the_callers_arrays():
     fam = p7_family()
     expected = verify_equiangular(fam)
     for members, mutate in _callers_arrays(fam.bases.dense()):
-        mine = replace(fam, bases=members)
+        mine = replace(fam, bases=support_stack(members, 7))
         mutate()
         assert np.array_equal(mine.projections, fam.projections)
         assert verify_equiangular(mine) == expected
@@ -503,19 +505,20 @@ def test_certificate_from_orbit_rows_matches_the_dense_certificate(name, monkeyp
 
 def test_families_reject_members_of_the_wrong_shape():
     uf = p7_unitaries()
-    for members in (uf.unitaries[:, :6, :6], uf.unitaries[0], []):
+    # a stack of 6 x 6 bases, as sliced and as compressed, in a family with d = 7
+    for bases in (SupportStack(uf.bases.cols[:6], uf.bases.values[:, :6]), support_stack(uf.unitaries[:, :6, :6], 6)):
         with pytest.raises(ShapeMismatch):
-            UnitaryFamily(d=7, z=uf.z, bases=members)
+            UnitaryFamily(d=7, z=uf.z, bases=bases)
     fam = p7_family()
     with pytest.raises(ShapeMismatch):
-        replace(fam, bases=fam.bases.dense()[:, :, :6])
+        replace(fam, bases=SupportStack(fam.bases.cols[:6], fam.bases.values[:, :6]))
 
 
 def test_asymmetry_of_orbits_is_read_off_the_bases():
     uf = _residue_unitaries(23)
     bases = np.array(uf.bases.dense())
     bases[-1, 0, 1] += 1e-6
-    skewed = UnitaryFamily(d=23, z=uf.z, bases=bases)
+    skewed = UnitaryFamily(d=23, z=uf.z, bases=support_stack(bases, 23))
     anti = np.abs(skewed.unitaries - skewed.unitaries.transpose(0, 2, 1))  # every member, entry by entry
     assert skewed.asymmetry[0] == np.max(anti) == pytest.approx(1e-6, rel=1e-6)
     assert skewed.asymmetry[1] == pytest.approx(23 * 2e-12, rel=1e-5)
@@ -535,7 +538,7 @@ def test_certify_checks_the_last_member_chunk(monkeypatch):
     def with_last_base(edit):
         bases = np.array(uf.bases.dense())
         bases[-1] = edit(bases[-1])
-        return UnitaryFamily(d=23, z=uf.z, bases=bases)
+        return UnitaryFamily(d=23, z=uf.z, bases=support_stack(bases, 23))
 
     scaled = with_last_base(lambda u: 2 * u)
     assert abs(certify_umeb(scaled).max_unitarity_dev - 3.0) < 1e-12
@@ -558,7 +561,7 @@ def test_a_nan_in_the_last_partial_block_reaches_every_budgeted_report(monkeypat
     assert [b.stop - b.start for b in matcore._blocks(12, 2 * fam.bases.values[0].nbytes)] == [5, 5, 2]
     bases = np.array(fam.bases.dense())
     bases[-1, 0, 1] = np.nan
-    poisoned = replace(fam, bases=bases)
+    poisoned = replace(fam, bases=support_stack(bases, 23))
     report = verify_equiangular(poisoned)
     assert math.isnan(report.max_idempotency_dev) and not report.passed
     uf = build_unitaries(poisoned, compute_phase(23, 11))
@@ -576,7 +579,7 @@ def test_cj_orthonormality_dev_is_the_full_max_of_g_over_d_minus_i(off_diagonal)
         bases[1] += 1e-3 * bases[0]
     else:
         bases[0] *= 1 + 1e-3
-    edited = UnitaryFamily(d=7, z=uf.z, bases=bases)
+    edited = UnitaryFamily(d=7, z=uf.z, bases=support_stack(bases, 7))
     flat = edited.unitaries.reshape(len(uf), -1)
     dev = np.abs(flat.conj() @ flat.T / 7 - np.eye(len(uf)))
     off = np.max(dev - np.diag(np.diag(dev)))
