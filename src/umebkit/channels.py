@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import NotCertified, NotSquare, OutOfRange, ShapeMismatch
 from .matcore import DEFAULT_TOL, Tolerance, _blocks, _dft
-from .umeb import UnitaryFamily, _span
+from .umeb import UnitaryFamily
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,21 +178,18 @@ def uniform_weight(d: int) -> Fraction:
     return Fraction(2, d * (d + 1))
 
 
-def umeb_decomposition(
-    uf: UnitaryFamily, tol: Tolerance = DEFAULT_TOL
-) -> MixedUnitaryDecomposition:
-    """Uniform mixture over d(d+1)/2 unitaries that span the symmetric matrices.
+def umeb_decomposition(uf: UnitaryFamily) -> MixedUnitaryDecomposition:
+    """Uniform mixture with weight 2/(d(d+1)) over a family of d(d+1)/2 unitaries; NotCertified for any other count.
 
-    Checks only that precondition (member count, symmetry and span rank),
-    not the rest of the certificate.
+    Checks only what the uniform weight needs, the member count, and reads
+    no Gram.  That the members span the symmetric matrices, which the
+    paper's claim rests on, is the certificate's (certify_umeb), and
+    verify_decomposition's check (a) implies it: d(d+1)/2 members whose
+    mixture realizes the channel span the symmetric matrices.
     """
     d = uf.d
-    span = _span(uf, tol)
-    if len(uf) != d * (d + 1) // 2 or not span.symmetric_span:
-        raise NotCertified(
-            f"family of {len(uf)} unitaries in d={d} is not a basis of the "
-            f"symmetric matrices (rank {span.span_rank}, need {d * (d + 1) // 2})"
-        )
+    if len(uf) != d * (d + 1) // 2:
+        raise NotCertified(f"family of {len(uf)} unitaries in d={d}; a uniform mixture needs {d * (d + 1) // 2}")
     w = float(uniform_weight(d))
     return MixedUnitaryDecomposition(orbit_weights=(w,) * len(uf.bases), unitaries=uf)
 
@@ -267,6 +264,10 @@ def verify_decomposition(
     closed-form Choi matrix (I + SWAP)/(d+1), within eps * d^2: the
     kernel's sums against the target's, one block at a time, times d, so
     no d^2 x d^2 matrix is formed, and with trials = 0 no d^3 array.
+    The target is 2/(d+1) times the projection onto the symmetric
+    subspace, of dimension d(d+1)/2, so uniform weights over d(d+1)/2
+    members pass (a) only if their vec(U) span that subspace: (a) implies
+    the span that umeb_decomposition does not check.
     (b) For `trials` seeded random Hermitian inputs (per-trial seed =
     seed + index), max-entry distance between the mixture output and the
     formula output, within eps * max|X|; a distance that is not finite

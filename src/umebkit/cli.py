@@ -159,7 +159,10 @@ def _check(args, family: ProjectionFamily, z: complex | None = None, *, channel=
     checked: the family is equiangular; with z, the unitaries
     I - (1 - z)P_i form a UMEB (certify_umeb); with channel, that UMEB is a
     uniform mixed-unitary decomposition of the symmetric transpose channel
-    (verify_decomposition with --trials and --seed).  The text report has
+    (umeb_decomposition, which checks only the member count, then
+    verify_decomposition with --trials and --seed, whose Choi check implies
+    the span again).  Each claim reads the family once: only the
+    certificate computes a Gram.  The text report has
     one block per claim, in that order.  The JSON report is the flat union
     of {"d", "r", "count"} and the fields of the reports that ran, with the
     tool version, input_sha256 when given and generated_at unless
@@ -191,7 +194,7 @@ def _check(args, family: ProjectionFamily, z: complex | None = None, *, channel=
         obj.update(asdict(cert))
         passed = passed and cert.unextendible_verdict
         if channel:
-            dec = umeb_decomposition(uf, args.tol)
+            dec = umeb_decomposition(uf)
             rep = verify_decomposition(dec, trials=args.trials, seed=args.seed, tol=args.tol)
             lines += [
                 f"mixture of {len(dec.weights)} unitaries, weight {dec.weights[0]}",

@@ -105,10 +105,14 @@ class SupportStack:
     """T d x d bases stored on their union support: values[t, a, i] = bases[t][a, cols[a, i]].
 
     cols (d, s) is one column table for all the bases: row a lists s
-    distinct columns, and every entry of row a off them is 0 in every base.
-    Every builder knows its support and writes cols and values directly,
-    and a family takes nothing else as its bases (of): no (T, d, d) array
-    is read into one.  Both arrays are handed over and made read-only.
+    distinct integer columns in 0..d-1, and every entry of row a off them
+    is 0 in every base.  values has shape (T, d, s).  Any other table or
+    shape raises ShapeMismatch, by one vectorised check, O(d s^2).  Every
+    builder knows its support and writes cols and values directly, and a
+    family takes nothing else as its bases (of): no (T, d, d) array is read
+    into one.  Both arrays are made read-only, and an array that does not
+    own its data (a view, whose base a caller may still write) is copied
+    first, so no caller can write to a stack.
     Every reader of a family's bases goes through this type: the dense
     view, the entries at any (i, j), the cyclic offset of each column, and
     the checks below, which read cols and values and never a (T, d, d)
@@ -121,8 +125,17 @@ class SupportStack:
     values: np.ndarray  # (T, d, s)
 
     def __post_init__(self):
-        self.cols.flags.writeable = False
-        self.values.flags.writeable = False
+        cols, values = self.cols, self.values
+        if cols.ndim != 2 or cols.dtype.kind not in "iu" or values.shape[1:] != cols.shape:
+            raise ShapeMismatch(f"values of shape {values.shape} on columns of shape {cols.shape} and dtype {cols.dtype}")
+        d = len(cols)
+        if not np.all((cols >= 0) & (cols < d)) or (cols[:, :, None] == cols[:, None]).sum() != cols.size:
+            raise ShapeMismatch(f"a row of the {d} x {d} bases lists a column outside 0..{d - 1} or a column twice")
+        for name, array in (("cols", cols), ("values", values)):
+            if not array.flags.owndata:
+                array = array.copy()
+                object.__setattr__(self, name, array)
+            array.flags.writeable = False
 
     @classmethod
     def of(cls, bases, d: int, dtype=None) -> SupportStack:

@@ -54,8 +54,9 @@ class ProjectionFamily:
     values).  r is the common rank, 1 <= r < d (RankOutOfRange otherwise),
     the range in which beta_projections and feasibility are defined.  beta
     is the exact rational target of tr(P_i P_j) for i != j.  Because no
-    caller can write to the bases through the family, its dense members are
-    gathered once, on first use, and kept.
+    caller can write to the bases (SupportStack owns its arrays, copying a
+    view it is handed), its dense members are gathered once, on first use,
+    and kept; the family keeps nothing else.
     """
 
     d: int
@@ -158,7 +159,7 @@ def build_residue_family(prime: UmebPrime, h: HadamardMatrix) -> ProjectionFamil
     partner[0] = 1  # row 0 lies in no support: its padding columns are 0 and 1
     coords = np.arange(p)
     cols = np.stack((np.minimum(coords, partner), np.maximum(coords, partner)), axis=1)
-    values = x[:, cols]
+    values = np.take(x, cols, axis=1)  # owns its data, unlike x[:, cols], so the stack keeps it uncopied
     values *= x[:, :, None]  # the 2 x 2 block x x^T of each vector, row by row
     values[:, 0] = 0.0
     return ProjectionFamily(

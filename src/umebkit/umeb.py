@@ -8,9 +8,10 @@ antisymmetric complement and odd dimension.  The certificate is the
 machine-checkable record that the vectorized family is an unextendible
 maximally entangled basis.  A family is T bases, each moved by every
 cyclic shift, and holds the bases on their union support
-(matcore.SupportStack), as its projection family does; its Gram, its
-unitarity check and its asymmetry all read that one column table and its
-values, as does the orbit kernel of channels.
+(matcore.SupportStack), as its projection family does.  The
+certificate's Gram, unitarity check and asymmetry all read that one column
+table and its values, as does the orbit kernel of channels, and the family
+keeps only its bases and its dense members.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import Infeasible, RankOutOfRange
-from .matcore import DEFAULT_TOL, CyclicGram, GramStats, SupportStack, Tolerance, asymmetry, cyclic_gram, gram_spectrum
-from .matcore import gram_stats, orbit_stack, spectral_rank, support_product
+from .matcore import DEFAULT_TOL, SupportStack, Tolerance, asymmetry, cyclic_gram, gram_spectrum, gram_stats, orbit_stack
+from .matcore import spectral_rank, support_product
 from .packing import ProjectionFamily
 
 
@@ -49,9 +50,9 @@ class UnitaryFamily:
     complex.  The projections they came from are not kept: a unitary
     artifact is the generator of the projection family (p, k and the
     Hadamard matrix) and z, and the unitaries are rebuilt from them.
-    Because no caller can write to them through the family, its trace
-    Gram, what the checks read off it, its symmetry deviations and its
-    dense members are computed once, on first use, and kept on the object.
+    Because no caller can write to the bases (SupportStack owns its
+    arrays), the dense members are gathered once, on first use, and kept;
+    the family keeps nothing else, and certify_umeb computes its Gram.
     """
 
     d: int
@@ -68,28 +69,6 @@ class UnitaryFamily:
     def unitaries(self) -> np.ndarray:
         """Every member as one read-only complex (n, d, d) array, gathered from the dense bases on first use."""
         return orbit_stack(self.bases.dense())
-
-    @cached_property
-    def gram(self) -> CyclicGram:
-        """cyclic_gram(bases), read-only: G_ij = tr(U_i* U_j) by its T x T and g x g x d parts."""
-        gram = cyclic_gram(self.bases)
-        for array in (gram.c, gram.group, gram.h):
-            array.flags.writeable = False
-        return gram
-
-    @cached_property
-    def gram_stats(self) -> GramStats:
-        """gram_stats(gram), read-only: what the span proof, the certificate and umeb_decomposition's precondition read off the Gram, computed once."""
-        stats = gram_stats(self.gram)
-        for array in (stats.diag, stats.radii):
-            array.flags.writeable = False
-        return stats
-
-    @cached_property
-    def asymmetry(self) -> tuple[float, float]:
-        """(max |U - U^T|, sum |U - U^T|^2) over all members, read off the bases (matcore.asymmetry): a shift permutes entries."""
-        worst, sq = asymmetry(self.bases)
-        return worst, self.d * sq
 
 
 @dataclass(frozen=True)
@@ -151,45 +130,6 @@ def build_unitaries(family: ProjectionFamily, z: complex) -> UnitaryFamily:
     return UnitaryFamily(d=family.d, z=z, bases=family.bases.eye_minus(1.0 - z))
 
 
-@dataclass(frozen=True, eq=False)
-class _Span:
-    """The tolerance-dependent span facts of a family, read off its Gram."""
-
-    span_rank: int
-    lam: float  # lower bound on the smallest eigenvalue counted in span_rank
-    symmetric_span: bool
-
-
-def _span(uf: UnitaryFamily, tol: Tolerance) -> _Span:
-    """Span rank by Gershgorin discs, by eigvalsh when the discs prove no full rank.
-
-    Every eigenvalue of the Hermitian Gram lies in some disc
-    [G_ii - R_i, G_ii + R_i], R_i = sum_{j != i} |G_ij|.  If the lowest
-    point of the discs exceeds rank_eps times the highest, which bounds the
-    largest eigenvalue, all n eigenvalues are counted and that lowest point
-    bounds the smallest of them from below.  The discs' centres and radii
-    are uf.gram_stats, which hold every disc of the family
-    (matcore.gram_stats).  The fallback counts the rank with spectral_rank
-    on gram_spectrum(uf.gram): one batched eigvalsh on the d Hermitian
-    T x T blocks of the DFT over the shift, so no n x n Gram is formed, and
-    lam is then the smallest eigenvalue counted.  A NaN
-    or inf entry of a member reaches the Gram and so the lowest point of
-    the discs; such a Gram proves no rank (0), and eigvalsh, which would
-    not converge on it, is not called.
-    """
-    n, d = len(uf), uf.d
-    stats = uf.gram_stats
-    lower = float(np.min(stats.diag.real - stats.radii))
-    if lower > tol.rank_eps * float(np.max(stats.diag.real + stats.radii)):
-        span_rank, lam = n, lower
-    elif not math.isfinite(lower):
-        span_rank, lam = 0, 0.0
-    else:
-        span_rank, lam = spectral_rank(gram_spectrum(uf.gram), tol)
-    symmetric_span = span_rank == d * (d + 1) // 2 and uf.asymmetry[0] <= tol.eps
-    return _Span(span_rank, lam, symmetric_span)
-
-
 def certify_umeb(uf: UnitaryFamily, tol: Tolerance = DEFAULT_TOL) -> UmebCertificate:
     """Fill every certificate field; failures are verdicts, not errors.
 
@@ -197,25 +137,48 @@ def certify_umeb(uf: UnitaryFamily, tol: Tolerance = DEFAULT_TOL) -> UmebCertifi
     entries.  Unitarity is the largest entry of |U* U - I|, summed over the
     bases' support (matcore.support_product): the paper's unitaries have
     at most two entries a row, so a base costs O(d), not O(d^3).  The
-    orthogonality deviation and cj_orthonormality_dev are read off
-    uf.gram_stats, computed once from the family's Gram; the span rank
-    comes from _span, which reads the same stats: the Gershgorin discs
-    when they prove full rank, else the eigenvalues of the shift blocks of
-    the Gram (gram_spectrum).
+    family's Gram (cyclic_gram), what the checks read off it (gram_stats)
+    and its asymmetry are computed once each, here, and the family keeps
+    none of them.  The orthogonality deviation and cj_orthonormality_dev
+    are read off the stats.
+
+    The span rank comes from Gershgorin discs, or from eigvalsh when the
+    discs prove no full rank.  Every eigenvalue of the Hermitian Gram lies
+    in some disc [G_ii - R_i, G_ii + R_i], R_i = sum_{j != i} |G_ij|.  If
+    the lowest point of the discs exceeds rank_eps times the highest, which
+    bounds the largest eigenvalue, all n eigenvalues are counted and that
+    lowest point, lam, bounds the smallest of them from below.  The discs'
+    centres and radii are the stats, which hold every disc of the family.
+    The fallback counts the rank with spectral_rank on gram_spectrum: one
+    batched eigvalsh on the d Hermitian T x T blocks of the DFT over the
+    shift, so no n x n Gram is formed, and lam is then the smallest
+    eigenvalue counted.  A NaN or inf entry of a member reaches the Gram
+    and so the lowest point of the discs; such a Gram proves no rank (0),
+    and eigvalsh, which would not converge on it, is not called.
     """
     d = uf.d
     n = len(uf)
 
-    eye = SupportStack(np.arange(d)[:, None], np.broadcast_to(1.0, (len(uf.bases), d, 1)))
-    gap = support_product(uf.bases, eye)[1]
-    max_unitarity_dev = float(np.max(np.abs(gap)))
-    span = _span(uf, tol)
-    stats = uf.gram_stats
+    eye = SupportStack(np.arange(d)[:, None], np.ones((len(uf.bases), d, 1)))
+    max_unitarity_dev = float(np.max(np.abs(support_product(uf.bases, eye)[1])))  # U* U - I
+    del eye  # its T d ones, like the gap, are freed before the Gram
+
+    gram = cyclic_gram(uf.bases)
+    stats = gram_stats(gram)
+    lower = float(np.min(stats.diag.real - stats.radii))
+    if lower > tol.rank_eps * float(np.max(stats.diag.real + stats.radii)):
+        span_rank, lam = n, lower
+    elif not math.isfinite(lower):
+        span_rank, lam = 0, 0.0
+    else:
+        span_rank, lam = spectral_rank(gram_spectrum(gram), tol)
+    worst, sq = asymmetry(uf.bases)  # over the bases; each of the d shifts of a base adds its sq
+    symmetric_span = span_rank == d * (d + 1) // 2 and worst <= tol.eps
 
     # for antisymmetric A, tr(U_i* A) = tr(anti(U_i)* A) with anti(U) = (U - U^T)/2,
     # so a unit A projects onto span{U_i} with squared norm at most
     # sum_i |anti(U_i)|_F^2 / lam, lam bounding the eigenvalues counted in span_rank
-    complement_antisymmetric = uf.asymmetry[1] / 4 <= tol.eps * tol.eps * span.lam
+    complement_antisymmetric = d * sq / 4 <= tol.eps * tol.eps * lam
 
     # max |G/d - I| off the diagonal is max |G_ij| over d
     diag_dev = np.max(np.abs(stats.diag / d - 1.0))
@@ -223,7 +186,7 @@ def certify_umeb(uf: UnitaryFamily, tol: Tolerance = DEFAULT_TOL) -> UmebCertifi
 
     d_odd = d % 2 == 1
     unextendible_verdict = (
-        span.symmetric_span
+        symmetric_span
         and complement_antisymmetric
         and d_odd
         and max_unitarity_dev <= tol.eps
@@ -234,8 +197,8 @@ def certify_umeb(uf: UnitaryFamily, tol: Tolerance = DEFAULT_TOL) -> UmebCertifi
         cardinality=n,
         max_unitarity_dev=max_unitarity_dev,
         max_orthogonality_dev=stats.max_off,
-        span_rank=span.span_rank,
-        symmetric_span=span.symmetric_span,
+        span_rank=span_rank,
+        symmetric_span=symmetric_span,
         complement_antisymmetric=complement_antisymmetric,
         d_odd=d_odd,
         unextendible_verdict=unextendible_verdict,

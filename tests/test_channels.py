@@ -421,10 +421,8 @@ def test_choi_check_from_orbit_rows_matches_the_dense_rows(p, weights, monkeypat
     dec = MixedUnitaryDecomposition(orbit_weights=tuple(w), unitaries=uf)
     rep = verify_decomposition(dec, trials=0)
     monkeypatch.undo()
-    # the orbit family's Gram once, T x T products and one correlation, for the decomposition's
-    # precondition; the check reads no Gram
-    t = (p + 1) // 2
-    assert shapes == [((t, t), (1, 1, p))] and n == t * p
+    # the decomposition counts the members and its check reads the bases' values: neither reads a Gram
+    assert shapes == [] and n == (p + 1) // 2 * p
     # the oracle: the Choi matrix itself where it is small, else the whole Gram of the members
     oracle = (mixture_choi_dev if p <= 7 else gram_choi_dev)(dec.weights, uf.unitaries)
     assert rep.verdict == (oracle <= EPS * p * p) == (weights == "uniform")
@@ -440,10 +438,38 @@ def test_a_pipeline_reads_the_unitary_gram_rows_once(monkeypatch):
     calls = []
     gram_stats = umeb.gram_stats
     monkeypatch.setattr(umeb, "gram_stats", lambda gram: calls.append(gram) or gram_stats(gram))
+    grams = []
+    cyclic_gram = umeb.cyclic_gram
+    monkeypatch.setattr(umeb, "cyclic_gram", lambda bases: grams.append(cyclic_gram(bases)) or grams[-1])
     assert certify_umeb(uf).unextendible_verdict
     assert verify_decomposition(umeb_decomposition(uf), trials=20).verdict
-    # the discs, the certificate and the decomposition's precondition read one pass; its check reads none
-    assert len(calls) == 1 and calls[0] is uf.gram
+    # the discs and the certificate read one pass of the one Gram; the decomposition and its check read none
+    assert len(calls) == 1 and len(grams) == 1 and calls[0] is grams[0]
+
+
+@pytest.mark.parametrize("p", [3, 7, 23])
+def test_a_family_of_the_right_count_that_does_not_span_fails_the_choi_check(p):
+    # orbit 1 replaced by orbit 0: d(d+1)/2 members, so the uniform mixture is built, but they span
+    # d fewer dimensions; the decomposition counts members only, and check (a) implies the span
+    uf = _residue_unitaries(p)
+    orbits = np.arange(len(uf.bases))
+    orbits[1] = 0
+    twice = UnitaryFamily(d=p, z=uf.z, bases=SupportStack(uf.bases.cols, uf.bases.values[orbits]))
+    cert = certify_umeb(twice)
+    assert (cert.span_rank, cert.symmetric_span, cert.unextendible_verdict) == (len(twice) - p, False, False)
+    dec = umeb_decomposition(twice)
+    assert dec.orbit_weights == (float(uniform_weight(p)),) * len(orbits)
+    rep = verify_decomposition(dec, trials=20, seed=42)
+    assert not rep.verdict
+    # the mixture misses orbit 1 and weighs orbit 0 twice, two sets of d orthogonal members of
+    # norm^2 d: |C_mix - C_target|_F = w d sqrt(2d) = 2 sqrt(2d)/(d+1), 1.22 / 0.935 / 0.565
+    assert rep.choi_dev == pytest.approx(2 * math.sqrt(2 * p) / (p + 1), rel=1e-12)
+    assert rep.choi_dev == pytest.approx(full_choi_dev(dec), rel=1e-12)
+    assert rep.choi_dev > 1e5 * EPS * p * p
+    # check (b) against the members applied one at a time: 0.57 / 0.21 / 0.070
+    xs = [random_hermitian(p, 42 + i) for i in range(20)]
+    oracle = max(np.max(np.abs(member_sum(dec.weights, twice.unitaries, x) - wh_plus_apply(x, p))) for x in xs)
+    assert rep.apply_dev_max == pytest.approx(oracle, rel=1e-9)
 
 
 def _nonsymmetric_member():
@@ -498,7 +524,7 @@ def test_gram_passes_cover_the_last_row_block(monkeypatch):
     uf = _residue_unitaries(23)
     matmul, blocks = np.matmul, []
     monkeypatch.setattr(np, "matmul", lambda a, b, **k: ("out" in k and blocks.append(len(a))) or matmul(a, b, **k))
-    uf.gram
+    matcore.cyclic_gram(uf.bases)
     monkeypatch.setattr(np, "matmul", matmul)
     assert blocks == [5, 5, 2]
     w = np.array(umeb_decomposition(uf).orbit_weights)

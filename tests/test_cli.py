@@ -12,6 +12,7 @@ import pytest
 
 from umebkit import cli, hadamard, umeb
 from umebkit.cli import artifact_from_json, artifact_to_json, canonical_json, main
+from umebkit.errors import MalformedArtifact
 from umebkit.hadamard import HadamardMatrix, construct
 from umebkit.matcore import SupportStack, Tolerance
 from umebkit.numth import validate_prime
@@ -535,6 +536,39 @@ COMPLEX_BASES = dict(support_stack_json(SupportStack(P7.bases.cols, PHASED.real)
 # the p=7 bases as the format before the support table wrote them: every base dense
 DENSE_BASES = dense_stack_json(P7.bases.dense())
 H1, H2, H8 = ({"order": n, "rows": construct(n).entries.tolist()} for n in (1, 2, 8))
+# the p=7 unitary artifact, its phase an integer among the JSON numbers
+P7_ARTIFACT = {"p": 7, "k": 3, "hadamard": {"order": 4, "rows": construct(4).entries.tolist()}, "z": [-7, 0]}
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("p",), True),
+        (("k",), "7"),
+        (("hadamard", "order"), 7.0),
+        (("p",), None),
+        (("z", 0), True),
+        (("z", 1), "0.5"),
+        (("z", 0), [0.5]),
+        (("z", 1), float("nan")),
+        (("z", 0), float("-inf")),
+        (("z", 1), 10**400),
+    ],
+    ids=["int-bool", "int-string", "int-float", "int-null", "number-bool", "number-string",
+         "number-list", "number-nan", "number-inf", "number-huge-int"],
+)
+def test_artifact_scalars_must_be_numbers_of_their_kind(path, value):
+    # p, k and H's order are JSON integers, and z a pair of finite JSON numbers, an integer among them
+    obj = json.loads(json.dumps(P7_ARTIFACT))
+    *parents, last = path
+    target = obj
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(MalformedArtifact):
+        artifact_from_json(obj)
+    prime, _, z = artifact_from_json(P7_ARTIFACT)
+    assert (prime.p, prime.k, z) == (7, 3, -7)
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import dataclasses
+import functools
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,32 @@ def test_every_public_function_is_called_by_a_module_other_than_init():
     }
     assert UNCALLED <= set(public.values())
     assert sorted(path for path, name in public.items() if name not in used | UNCALLED) == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # a name bound by an import counts as used when the module reads it, or, in __init__, exports it
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.stem == "__init__":
+            used |= set(umebkit.__all__)
+        unused += [f"{path.stem}.{name}" for name in sorted(imported - used)]
+    assert unused == []
+
+
+def test_a_family_keeps_only_its_dense_members():
+    # each family caches one view, its dense members; everything the checks read off the bases,
+    # the Gram among them, is computed by the check that reads it
+    for cls, name in ((packing.ProjectionFamily, "projections"), (umeb.UnitaryFamily, "unitaries")):
+        cached = [key for key, value in vars(cls).items() if isinstance(value, functools.cached_property)]
+        assert cached == [name], cls.__name__
 
 
 def test_a_unitary_artifact_has_one_format():

@@ -361,10 +361,10 @@ def test_member_stacks_are_read_only(name):
     for cols in (uf.bases.cols, fam.bases.cols):
         with pytest.raises(ValueError):
             cols[0, 0] = 1
-    for part in (uf.gram.c, uf.gram.group, uf.gram.h):
-        with pytest.raises(ValueError):
-            part[0] = 1
+    # the certificate computes its Gram and keeps none of it on the family
+    held = dict(vars(uf))
     assert certify_umeb(uf).unextendible_verdict
+    assert vars(uf) == held and list(held) == ["d", "z", "bases", "unitaries"]
 
 
 def test_unitary_json_round_trip_is_bit_exact():
@@ -415,6 +415,20 @@ def test_families_keep_their_own_copy_of_the_callers_arrays():
         assert verify_equiangular(mine) == expected
 
 
+def test_a_family_on_a_view_of_the_callers_values_does_not_go_stale():
+    # a view does not own its data, so the stack copies it: the caller's later write into the
+    # values the view shares reaches neither the dense bases, the members nor the checks
+    fam = p7_family()
+    expected = verify_equiangular(fam)
+    mine = np.array(fam.bases.values)
+    held = replace(fam, bases=SupportStack(fam.bases.cols, mine.view()))
+    assert held.projections[0].max() == pytest.approx(2 / 3)
+    mine[0, 1, :] *= 2
+    assert verify_equiangular(held) == expected and expected.passed
+    assert np.array_equal(held.bases.dense(), fam.bases.dense())
+    assert np.array_equal(held.projections, fam.projections)
+
+
 def test_the_unitaries_are_built_without_a_dense_base():
     # at p=263 the dense complex bases alone are 140 MiB; on their support they are 1.1 MiB
     fam = build_residue_family(validate_prime(263), construct(132))
@@ -431,9 +445,10 @@ def test_the_unitaries_are_built_without_a_dense_base():
 
 
 def test_gram_is_cached_and_is_the_gram_of_the_stack():
+    # the family holds no Gram: cyclic_gram of its bases is the Gram of its members
     uf = _residue_unitaries(23)
-    gram = uf.gram
-    assert gram is uf.gram
+    gram = matcore.cyclic_gram(uf.bases)
+    assert not any(hasattr(uf, name) for name in ("gram", "gram_stats", "asymmetry"))
     assert len(uf) == 276 and gram.c.shape == (12, 12) and gram.h.shape == (1, 1, 23)
     dense = dense_gram(uf.unitaries)
     # the parts fix every entry: G[t*d + x, t'*d + x'] = c[t, t'] [x' = x] + h[group[t], group[t'], (x' - x) mod d]
@@ -441,7 +456,7 @@ def test_gram_is_cached_and_is_the_gram_of_the_stack():
     shift = (x - x[:, None]) % 23
     whole = gram.h[gram.group[t][:, None], gram.group[t], shift] + np.where(shift == 0, gram.c[t[:, None], t], 0)
     assert np.max(np.abs(whole - dense)) <= 1e-13 * 23
-    assert uf.asymmetry == (0.0, 0.0)  # built families are exactly symmetric
+    assert matcore.asymmetry(uf.bases) == (0.0, 0.0)  # built families are exactly symmetric
 
 
 def test_certifying_a_p263_family_holds_no_gram_rows():
@@ -505,10 +520,12 @@ def test_certificate_from_orbit_rows_matches_the_dense_certificate(name, monkeyp
 
 def test_families_reject_members_of_the_wrong_shape():
     uf = p7_unitaries()
-    # a stack of 6 x 6 bases, as sliced and as compressed, in a family with d = 7
-    for bases in (SupportStack(uf.bases.cols[:6], uf.bases.values[:, :6]), support_stack(uf.unitaries[:, :6, :6], 6)):
-        with pytest.raises(ShapeMismatch):
-            UnitaryFamily(d=7, z=uf.z, bases=bases)
+    # a stack of 6 x 6 bases, as sliced and as compressed, in a family with d = 7: the sliced rows
+    # still list column 6, so the stack itself is malformed
+    with pytest.raises(ShapeMismatch):
+        UnitaryFamily(d=7, z=uf.z, bases=SupportStack(uf.bases.cols[:6], uf.bases.values[:, :6]))
+    with pytest.raises(ShapeMismatch):
+        UnitaryFamily(d=7, z=uf.z, bases=support_stack(uf.unitaries[:, :6, :6], 6))
     fam = p7_family()
     with pytest.raises(ShapeMismatch):
         replace(fam, bases=SupportStack(fam.bases.cols[:6], fam.bases.values[:, :6]))
@@ -520,9 +537,10 @@ def test_asymmetry_of_orbits_is_read_off_the_bases():
     bases[-1, 0, 1] += 1e-6
     skewed = UnitaryFamily(d=23, z=uf.z, bases=support_stack(bases, 23))
     anti = np.abs(skewed.unitaries - skewed.unitaries.transpose(0, 2, 1))  # every member, entry by entry
-    assert skewed.asymmetry[0] == np.max(anti) == pytest.approx(1e-6, rel=1e-6)
-    assert skewed.asymmetry[1] == pytest.approx(23 * 2e-12, rel=1e-5)
-    assert skewed.asymmetry[1] == pytest.approx(float(np.sum(anti**2)), rel=1e-12)
+    worst, sq = matcore.asymmetry(skewed.bases)  # over the bases: each of the 23 shifts of a base adds its sq
+    assert worst == np.max(anti) == pytest.approx(1e-6, rel=1e-6)
+    assert 23 * sq == pytest.approx(23 * 2e-12, rel=1e-5)
+    assert 23 * sq == pytest.approx(float(np.sum(anti**2)), rel=1e-12)
     cert = certify_umeb(skewed)
     assert not cert.symmetric_span and not cert.complement_antisymmetric
 
@@ -548,8 +566,9 @@ def test_certify_checks_the_last_member_chunk(monkeypatch):
         return u
 
     skewed = with_last_base(skew)
-    assert skewed.asymmetry[0] == pytest.approx(1e-6, rel=1e-6)
-    assert skewed.asymmetry[1] == pytest.approx(23 * 2e-12, rel=1e-5)  # every shift of the last base
+    worst, sq = matcore.asymmetry(skewed.bases)
+    assert worst == pytest.approx(1e-6, rel=1e-6)
+    assert 23 * sq == pytest.approx(23 * 2e-12, rel=1e-5)  # every shift of the last base
     assert not certify_umeb(skewed).symmetric_span
 
 
@@ -565,7 +584,7 @@ def test_a_nan_in_the_last_partial_block_reaches_every_budgeted_report(monkeypat
     report = verify_equiangular(poisoned)
     assert math.isnan(report.max_idempotency_dev) and not report.passed
     uf = build_unitaries(poisoned, compute_phase(23, 11))
-    assert all(math.isnan(value) for value in uf.asymmetry)
+    assert all(math.isnan(value) for value in matcore.asymmetry(uf.bases))
     cert = certify_umeb(uf)
     assert math.isnan(cert.max_unitarity_dev)
     assert not cert.unextendible_verdict and not cert.symmetric_span and not cert.complement_antisymmetric
