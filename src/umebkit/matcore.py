@@ -2,7 +2,8 @@
 (SupportStack: one column table, and the values there, both written by
 the builder that knows the support), whole
 cyclic-shift orbits of base matrices (every family is T bases, each moved
-by every cyclic shift, T d members), the trace Gram of those orbits held
+by every cyclic shift, T d members, which OrbitMembers reads one at a time
+from the support), the trace Gram of those orbits held
 by its parts from the bases' cyclic diagonals, what every check reads off it,
 the Gram spectrum from its shift blocks and its numerical rank, the budgeted
 product a* a - c summed over the support, the bases' asymmetry and the
@@ -11,6 +12,7 @@ tolerances.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +84,34 @@ def orbit_stack(bases: np.ndarray) -> np.ndarray:
     stack = bases[np.arange(len(bases))[:, None, None, None], idx[:, :, None], idx[:, None, :]].reshape(-1, d, d)
     stack.flags.writeable = False
     return stack
+
+
+@dataclass(frozen=True, eq=False)
+class OrbitMembers(Sequence):
+    """The T d members of a SupportStack's bases, each read on demand: member t*d + x is base t shifted by x.
+
+    Reading member t*d + x scatters base t's values straight from the
+    support into a fresh read-only (d, d) array, value [a, i] to
+    [a + x, cols[a, i] + x] (indices mod d) and 0 elsewhere, so it is bit
+    for bit orbit_stack(bases.dense())[t*d + x] and no (T d, d, d) stack is
+    formed.  A negative index counts from the end, and one past either end
+    raises IndexError, which ends an iteration after the last member.
+    """
+
+    bases: SupportStack
+
+    def __len__(self) -> int:
+        return len(self.bases) * len(self.bases.cols)
+
+    def __getitem__(self, index) -> np.ndarray:
+        n, d = len(self), len(self.bases.cols)
+        if not -n <= index < n:
+            raise IndexError(f"member {index} of {n}")
+        t, x = divmod(index % n, d)
+        out = np.zeros((d, d), dtype=self.bases.values.dtype)
+        out[(np.arange(d)[:, None] + x) % d, (self.bases.cols + x) % d] = self.bases.values[t]
+        out.flags.writeable = False
+        return out
 
 
 def support_columns(on: np.ndarray) -> np.ndarray:

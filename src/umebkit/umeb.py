@@ -10,8 +10,9 @@ maximally entangled basis.  A family is T bases, each moved by every
 cyclic shift, and holds the bases on their union support
 (matcore.SupportStack), as its projection family does.  The
 certificate's Gram, unitarity check and asymmetry all read that one column
-table and its values, as does the orbit kernel of channels, and the family
-keeps only its bases and its dense members.
+table and its values, as does the orbit kernel of channels.  The family
+keeps only d, z and its bases, and reads any one member from them on demand
+(matcore.OrbitMembers), so it never holds the n d^2 entries of every member.
 """
 
 from __future__ import annotations
@@ -19,12 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
 from .errors import Infeasible, RankOutOfRange
-from .matcore import DEFAULT_TOL, SupportStack, Tolerance, asymmetry, cyclic_gram, gram_spectrum, gram_stats, orbit_stack
+from .matcore import DEFAULT_TOL, OrbitMembers, SupportStack, Tolerance, asymmetry, cyclic_gram, gram_spectrum, gram_stats
 from .matcore import spectral_rank, support_product
 from .packing import ProjectionFamily
 
@@ -50,9 +50,9 @@ class UnitaryFamily:
     complex.  The projections they came from are not kept: a unitary
     artifact is the generator of the projection family (p, k and the
     Hadamard matrix) and z, and the unitaries are rebuilt from them.
-    Because no caller can write to the bases (SupportStack owns its
-    arrays), the dense members are gathered once, on first use, and kept;
-    the family keeps nothing else, and certify_umeb computes its Gram.
+    The family keeps d, z and the bases and nothing else: unitaries reads
+    each member from the bases when it is asked for, and certify_umeb
+    computes the Gram.
     """
 
     d: int
@@ -65,10 +65,10 @@ class UnitaryFamily:
     def __len__(self) -> int:
         return len(self.bases) * self.d
 
-    @cached_property
-    def unitaries(self) -> np.ndarray:
-        """Every member as one read-only complex (n, d, d) array, gathered from the dense bases on first use."""
-        return orbit_stack(self.bases.dense())
+    @property
+    def unitaries(self) -> OrbitMembers:
+        """Every member as a read-only sequence of len(self) complex (d, d) arrays, each scattered from the bases when read."""
+        return OrbitMembers(self.bases)
 
 
 @dataclass(frozen=True)

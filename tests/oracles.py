@@ -1,7 +1,8 @@
 """Reference computations that the tests compare the package with.
 
 Each is a direct, unoptimized formula: a dense stack of bases compressed to
-the SupportStack a family takes, a seeded random Hermitian matrix, the
+the SupportStack a family takes, every member of a family as one dense
+stack, a seeded random Hermitian matrix, the
 SWAP matrix and a channel's Choi
 matrix under the package's column-stacking vec, the Choi matrix's rank, a
 mixture of unitaries applied member by member, the Choi distance of a
@@ -22,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from umebkit.errors import NotOrthogonal, ShapeMismatch
-from umebkit.matcore import DEFAULT_TOL, SupportStack, Tolerance, support_columns
+from umebkit.matcore import DEFAULT_TOL, SupportStack, Tolerance, orbit_stack, support_columns
 from umebkit.packing import residue_base_vectors
 
 Channel = Callable[[np.ndarray], np.ndarray]
@@ -41,6 +42,11 @@ def support_stack(bases, d: int, dtype=None) -> SupportStack:
         raise ShapeMismatch(f"members of shape {dense.shape} in a family with d={d}")
     cols = support_columns(dense.any(axis=0))
     return SupportStack(cols, np.ascontiguousarray(dense[:, np.arange(d)[:, None], cols]))
+
+
+def member_stack(family) -> np.ndarray:
+    """Every member of a family as one read-only (T d, d, d) array, gathered from its dense bases (matcore.orbit_stack)."""
+    return orbit_stack(family.bases.dense())
 
 
 def random_hermitian(d: int, seed: int) -> np.ndarray:

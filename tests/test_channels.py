@@ -28,6 +28,7 @@ from oracles import (
     choi_of_channel,
     choi_rank,
     gram_choi_dev,
+    member_stack,
     member_sum,
     mixture_choi_dev,
     random_hermitian,
@@ -384,7 +385,7 @@ def test_choi_check_from_the_gram_is_the_block_sum(name, weights):
         w[1] *= 0.2
         dec = MixedUnitaryDecomposition(orbit_weights=tuple(w), unitaries=dec.unitaries)
     rep = verify_decomposition(dec, trials=0)
-    gram = gram_choi_dev(dec.weights, dec.unitaries.unitaries)
+    gram = gram_choi_dev(dec.weights, member_stack(dec.unitaries))
     assert rep.choi_dev == pytest.approx(gram, rel=1e-12, abs=1e-14)
     if dec.unitaries.d <= 23:
         assert rep.choi_dev == pytest.approx(full_choi_dev(dec), rel=1e-12, abs=1e-14)
@@ -424,7 +425,7 @@ def test_choi_check_from_orbit_rows_matches_the_dense_rows(p, weights, monkeypat
     # the decomposition counts the members and its check reads the bases' values: neither reads a Gram
     assert shapes == [] and n == (p + 1) // 2 * p
     # the oracle: the Choi matrix itself where it is small, else the whole Gram of the members
-    oracle = (mixture_choi_dev if p <= 7 else gram_choi_dev)(dec.weights, uf.unitaries)
+    oracle = (mixture_choi_dev if p <= 7 else gram_choi_dev)(dec.weights, member_stack(uf))
     assert rep.verdict == (oracle <= EPS * p * p) == (weights == "uniform")
     assert abs(rep.choi_dev - oracle) <= 1e-13
     if weights == "per-orbit":
@@ -569,7 +570,7 @@ def test_choi_check_is_the_dense_choi_distance_for_signed_orbit_weights(name, sc
     offsets = data.draw(st.lists(st.floats(-1, 1), min_size=len(uf.bases), max_size=len(uf.bases)))
     dec = MixedUnitaryDecomposition(tuple(1 / len(uf) + scale * np.array(offsets)), uf)
     rep = verify_decomposition(dec, trials=0)
-    oracle = mixture_choi_dev(dec.weights, uf.unitaries)
+    oracle = mixture_choi_dev(dec.weights, member_stack(uf))
     # relative where the distance is above rounding; a distance at rounding level is compared absolutely
     assert rep.choi_dev == pytest.approx(oracle, rel=1e-12, abs=1e-14)
     assert rep.verdict == (oracle <= EPS * uf.d**2)

@@ -19,7 +19,7 @@ from umebkit.numth import validate_prime
 from umebkit.packing import build_residue_family, off_support_scale, verify_equiangular
 from umebkit.umeb import build_unitaries, compute_phase
 
-from oracles import support_stack
+from oracles import member_stack, support_stack
 
 GENERATOR_FIELDS = ["hadamard", "k", "p"]
 
@@ -571,6 +571,61 @@ def test_artifact_scalars_must_be_numbers_of_their_kind(path, value):
     assert (prime.p, prime.k, z) == (7, 3, -7)
 
 
+H2_ROWS = [[1, 1], [1, -1]]
+
+
+# an artifact's one matrix is H: cli.artifact_from_json reads its rows, and these cases read them
+# through it, as the rows of the order-2 matrix of p = 3 unless another order is named
+def read_rows(rows, n=2):
+    """The int64 entries of H as the artifact of p = 2n - 1, with its default k, reads them."""
+    p = 2 * n - 1
+    return artifact_from_json({"p": p, "k": validate_prime(p).k, "hadamard": {"order": n, "rows": rows}})[1].entries
+
+
+def test_artifact_hadamard_rows_round_trip_exactly():
+    # H's rows read back as int64, entry for entry, whichever Hadamard matrix they hold
+    made = construct(12).entries[np.random.default_rng(17).permutation(12)] * np.where(np.arange(12) % 2, -1, 1)
+    for rows in (construct(2).entries.tolist(), construct(4).entries.tolist(), construct(12).entries.tolist(), made.tolist()):
+        again = read_rows(json.loads(json.dumps(rows)), len(rows))
+        assert again.dtype == np.int64 and again.shape == (len(rows), len(rows)) and again.tolist() == rows
+
+
+def test_artifact_hadamard_rows_are_integers_only():
+    # an artifact's matrix is real, and integral: a [re, im] pair, a complex dict or a float is no entry
+    for rows in ([[1, [1, 0]], [1, -1]], [[1, {"re": 1, "im": 0}], [1, -1]], [[1, 1], [1, -1.0]]):
+        with pytest.raises(MalformedArtifact):
+            read_rows(rows)
+
+
+def test_artifact_hadamard_rows_reject_a_bad_length():
+    def drop_last_entry(rows):
+        del rows[-1][-1]
+
+    def extra_entry(rows):
+        rows[0].append(1)
+
+    def drop_last_row(rows):
+        del rows[-1]
+
+    def extra_row(rows):
+        rows.append([1, 1])
+
+    for mutate in (drop_last_entry, extra_entry, drop_last_row, extra_row):
+        rows = json.loads(json.dumps(H2_ROWS))
+        mutate(rows)
+        with pytest.raises(MalformedArtifact, match="2 lists of 2 integers"):
+            read_rows(rows)
+
+
+def test_artifact_hadamard_rows_compare_lengths_before_allocating(monkeypatch):
+    calls = []
+    for name in ("array", "empty", "zeros"):
+        monkeypatch.setattr(np, name, lambda *a, name=name, **k: calls.append(name))
+    with pytest.raises(MalformedArtifact):
+        artifact_from_json({"p": 2 * 10**6 - 1, "k": 3, "hadamard": {"order": 10**6, "rows": H2_ROWS}})
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "artifact, path, value, code",
     [
@@ -806,7 +861,7 @@ def test_dense_format_of_earlier_versions_exits_1_with_one_line(tmp_path, capsys
     for i, obj in enumerate((
         old_family,
         {"d": 7, "z": [uf.z.real, uf.z.imag], "source": old_family},
-        {"d": 7, "z": [uf.z.real, uf.z.imag], "unitaries": complex_stack_json(uf.unitaries)},
+        {"d": 7, "z": [uf.z.real, uf.z.imag], "unitaries": complex_stack_json(member_stack(uf))},
         # the bases of the unitaries without their source, which no command wrote
         {"d": 7, "z": [uf.z.real, uf.z.imag], "shifts": 7, "bases": complex_stack_json(uf.bases.dense())},
         dense_family,

@@ -1,4 +1,3 @@
-import json
 import math
 import tracemalloc
 
@@ -6,10 +5,10 @@ import numpy as np
 import pytest
 
 from umebkit import channels, matcore
-from umebkit.cli import artifact_from_json
 from umebkit.errors import MalformedArtifact, OutOfRange, ShapeMismatch
 from umebkit.hadamard import construct
 from umebkit.matcore import (
+    OrbitMembers,
     SupportStack,
     Tolerance,
     asymmetry,
@@ -26,6 +25,7 @@ from umebkit.packing import build_residue_family, dual_family, icosahedron_lines
 from umebkit.umeb import build_unitaries, compute_phase
 
 from oracles import dense_gram, direct_dft, numerical_rank, support_stack
+from test_cli import read_rows  # the artifact's Hadamard rows, as the cli tests read them
 
 EPS = 1e-9
 
@@ -255,6 +255,20 @@ def _unequal_rows():
     bases = _random_bases(d, 60) * support
     bases[0, 3] = 0
     return bases
+
+
+def test_orbit_members_are_the_gathered_orbits_on_any_support():
+    # padded rows, a union wider than any base, real values, a NaN and no base at all: each member is
+    # scattered from the support bit for bit as orbit_stack gathers it from the dense bases
+    poisoned = _unequal_rows()
+    poisoned[2, 4, 4] = np.nan
+    for bases in (_unequal_rows(), _unequal_rows().real, poisoned, np.zeros((0, 7, 7))):
+        stack = support_stack(bases, 7)
+        members, dense = OrbitMembers(stack), orbit_stack(stack.dense())
+        assert len(members) == len(dense) == 7 * len(bases)
+        assert [(m.dtype, m.tobytes()) for m in members] == [(m.dtype, m.tobytes()) for m in dense]
+    with pytest.raises(IndexError):  # the last stack has no base, so even member 0 is past the end
+        members[0]
 
 
 def _tampered_p79(kind):
@@ -686,52 +700,6 @@ def test_support_stack_copies_only_an_array_that_does_not_own_its_data():
     assert stack.cols.tolist() == [[0, 1], [1, 0]] and stack.values.ravel().tolist() == list(range(8))
 
 
-H2_ROWS = [[1, 1], [1, -1]]
-
-
-# an artifact's one matrix is H: cli.artifact_from_json reads its rows, and these cases read them
-# through it, as the rows of the order-2 matrix of p = 3 unless another order is named
-def read_rows(rows, n=2):
-    """The int64 entries of H as the artifact of p = 2n - 1, with its default k, reads them."""
-    p = 2 * n - 1
-    return artifact_from_json({"p": p, "k": validate_prime(p).k, "hadamard": {"order": n, "rows": rows}})[1].entries
-
-
-def test_stack_json_round_trip_is_exact():
-    # H's rows read back as int64, entry for entry, whichever Hadamard matrix they hold
-    made = construct(12).entries[np.random.default_rng(17).permutation(12)] * np.where(np.arange(12) % 2, -1, 1)
-    for rows in (construct(2).entries.tolist(), construct(4).entries.tolist(), construct(12).entries.tolist(), made.tolist()):
-        again = read_rows(json.loads(json.dumps(rows)), len(rows))
-        assert again.dtype == np.int64 and again.shape == (len(rows), len(rows)) and again.tolist() == rows
-
-
-def test_stack_json_codes_real_stacks_only():
-    # an artifact's matrix is real, and integral: a [re, im] pair, a complex dict or a float is no entry
-    for rows in ([[1, [1, 0]], [1, -1]], [[1, {"re": 1, "im": 0}], [1, -1]], [[1, 1], [1, -1.0]]):
-        with pytest.raises(MalformedArtifact):
-            read_rows(rows)
-
-
-def test_stack_json_rejects_bad_length():
-    def drop_last_entry(rows):
-        del rows[-1][-1]
-
-    def extra_entry(rows):
-        rows[0].append(1)
-
-    def drop_last_row(rows):
-        del rows[-1]
-
-    def extra_row(rows):
-        rows.append([1, 1])
-
-    for mutate in (drop_last_entry, extra_entry, drop_last_row, extra_row):
-        rows = json.loads(json.dumps(H2_ROWS))
-        mutate(rows)
-        with pytest.raises(MalformedArtifact, match="2 lists of 2 integers"):
-            read_rows(rows)
-
-
 @pytest.mark.parametrize(
     "rows",
     [
@@ -765,15 +733,6 @@ def test_stack_json_rejects_bad_length():
 def test_stack_json_rejects_bad_shape_or_value(rows):
     with pytest.raises(MalformedArtifact):
         read_rows(rows)
-
-
-def test_stack_json_compares_lengths_before_allocating(monkeypatch):
-    calls = []
-    for name in ("array", "empty", "zeros"):
-        monkeypatch.setattr(np, name, lambda *a, name=name, **k: calls.append(name))
-    with pytest.raises(MalformedArtifact):
-        artifact_from_json({"p": 2 * 10**6 - 1, "k": 3, "hadamard": {"order": 10**6, "rows": H2_ROWS}})
-    assert calls == []
 
 
 def test_tolerance_validation():

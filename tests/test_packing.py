@@ -438,12 +438,15 @@ def test_dense_members_are_the_shifted_bases(p):
     uf = build_unitaries(fam, compute_phase(p, fam.r))
     families = [fam, dual_family(fam), uf] + ([icosahedron_lines()] if p == 3 else [])
     for family in families:
+        # the unitaries are a sequence read member by member, the projections one dense stack
         members = family.unitaries if family is uf else family.projections
-        assert members.shape == (p * (p + 1) // 2, p, p) and not members.flags.writeable
+        assert len(members) == p * (p + 1) // 2
         bases = family.bases.dense()
         for i, member in enumerate(members):
             t, x = divmod(i, p)
+            assert member.shape == (p, p) and not member.flags.writeable
             assert member.tobytes() == np.roll(bases[t], (x, x), axis=(0, 1)).tobytes()
+        assert i == len(members) - 1
     assert fam.projections is fam.projections  # gathered once
 
 

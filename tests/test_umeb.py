@@ -28,7 +28,7 @@ from umebkit.umeb import (
     feasibility,
 )
 
-from oracles import dense_certificate, dense_gram, numerical_rank, support_stack
+from oracles import dense_certificate, dense_gram, member_stack, numerical_rank, support_stack
 
 EPS = 1e-9
 
@@ -312,7 +312,7 @@ RANK_CASES = {
 def spectral_fields(uf, tol=Tolerance()):
     """The certificate fields that rest on the rank proof, computed the way
     certify_umeb did before the disc bound: from every Gram eigenvalue."""
-    oracle = dense_certificate(uf.unitaries, tol)
+    oracle = dense_certificate(member_stack(uf), tol)
     return {field: oracle[field] for field in ("span_rank", "symmetric_span", "complement_antisymmetric")}
 
 
@@ -327,7 +327,7 @@ def test_span_rank_proof_matches_the_spectrum(name, monkeypatch):
     cert = certify_umeb(uf)
     monkeypatch.undo()
     assert calls == ([] if by_discs else [(uf.d, len(uf.bases), len(uf.bases))])
-    assert cert.span_rank == numerical_rank(uf.unitaries)
+    assert cert.span_rank == numerical_rank(member_stack(uf))
     assert cert == replace(cert, **expected)
     assert cert.unextendible_verdict == verdict
 
@@ -352,19 +352,68 @@ STACKED_FAMILIES = {
 def test_member_stacks_are_read_only(name):
     fam, z = STACKED_FAMILIES[name]()
     uf = build_unitaries(fam, z)
-    assert uf.unitaries.shape == (len(uf), uf.d, uf.d) and uf.unitaries.dtype == complex
+    # the unitaries are read one member at a time, each its own read-only complex d x d array
+    members = list(uf.unitaries)
+    assert len(members) == len(uf)
+    for member in members:
+        assert member.shape == (uf.d, uf.d) and member.dtype == complex
+        with pytest.raises(ValueError):
+            member[0, 0] = 1
     # real by contract, also after a JSON round trip
     assert fam.projections.shape == (len(fam), fam.d, fam.d) and fam.projections.dtype == float
-    for stack in (uf.unitaries, uf.bases.values, fam.projections, fam.bases.values):
+    for stack in (uf.bases.values, fam.projections, fam.bases.values):
         with pytest.raises(ValueError):
             stack[0, 0, 0] = 1
     for cols in (uf.bases.cols, fam.bases.cols):
         with pytest.raises(ValueError):
             cols[0, 0] = 1
-    # the certificate computes its Gram and keeps none of it on the family
+    # neither reading the members nor the certificate, which computes its Gram, leaves anything on the family
     held = dict(vars(uf))
     assert certify_umeb(uf).unextendible_verdict
-    assert vars(uf) == held and list(held) == ["d", "z", "bases", "unitaries"]
+    assert vars(uf) == held and list(held) == ["d", "z", "bases"]
+
+
+MEMBER_FAMILIES = {
+    **{name: lambda name=name: build_unitaries(*STACKED_FAMILIES[name]()) for name in STACKED_FAMILIES},
+    **{f"p{p}": (lambda p=p: _residue_unitaries(p)) for p in (47, 79)},
+}
+
+
+@pytest.mark.parametrize("name", MEMBER_FAMILIES)
+def test_each_member_is_the_member_of_the_gathered_orbits(name):
+    # member t*d + x, scattered from the support when read, is bit for bit orbit_stack(dense bases)[t*d + x]
+    uf = MEMBER_FAMILIES[name]()
+    stack = member_stack(uf)
+    assert len(uf.unitaries) == len(stack) == len(uf)
+    for i in range(len(uf)):
+        member = uf.unitaries[i]
+        assert member.dtype == stack.dtype and member.shape == stack[i].shape
+        assert member.tobytes() == stack[i].tobytes()
+
+
+def test_the_members_are_a_sequence_of_the_family_length():
+    uf = p7_unitaries()
+    members, stack = uf.unitaries, member_stack(uf)
+    assert len(members) == len(uf) == 28
+    for i in (-1, -28, np.int64(-1), 27):  # negative indices count from the end
+        assert members[i].tobytes() == stack[i].tobytes()
+    for i in (28, -29):
+        with pytest.raises(IndexError):
+            members[i]
+    assert sum(1 for _ in members) == 28
+
+
+def test_reading_one_member_at_p79_holds_no_stack():
+    # every member of the p=79 unitaries is 3160 x 79 x 79 complex, 301 MiB; one is 98 KiB
+    uf = _residue_unitaries(79)
+    tracemalloc.start()
+    try:
+        member = uf.unitaries[-1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert member.shape == (79, 79)
+    assert peak <= 1 << 20
 
 
 def test_unitary_json_round_trip_is_bit_exact():
@@ -378,7 +427,7 @@ def test_unitary_json_round_trip_is_bit_exact():
         assert again_z == z
         assert (again.d, again.r, again.beta) == (fam.d, fam.r, fam.beta)
         assert again.bases.dense().tobytes() == fam.bases.dense().tobytes()
-        assert build_unitaries(again, again_z).unitaries.tobytes() == build_unitaries(fam, z).unitaries.tobytes()
+        assert member_stack(build_unitaries(again, again_z)).tobytes() == member_stack(build_unitaries(fam, z)).tobytes()
 
 
 def _callers_arrays(stack):
@@ -404,7 +453,7 @@ def test_families_keep_their_own_copy_of_the_callers_arrays():
         mine = UnitaryFamily(d=7, z=uf.z, bases=support_stack(members, 7))
         assert certify_umeb(mine) == expected
         mutate()
-        assert np.array_equal(mine.unitaries, uf.unitaries)
+        assert np.array_equal(member_stack(mine), member_stack(uf))
         assert certify_umeb(mine) == expected
     fam = p7_family()
     expected = verify_equiangular(fam)
@@ -444,13 +493,13 @@ def test_the_unitaries_are_built_without_a_dense_base():
     assert peak <= 2 << 20
 
 
-def test_gram_is_cached_and_is_the_gram_of_the_stack():
+def test_the_cyclic_gram_is_the_gram_of_the_members():
     # the family holds no Gram: cyclic_gram of its bases is the Gram of its members
     uf = _residue_unitaries(23)
     gram = matcore.cyclic_gram(uf.bases)
     assert not any(hasattr(uf, name) for name in ("gram", "gram_stats", "asymmetry"))
     assert len(uf) == 276 and gram.c.shape == (12, 12) and gram.h.shape == (1, 1, 23)
-    dense = dense_gram(uf.unitaries)
+    dense = dense_gram(member_stack(uf))
     # the parts fix every entry: G[t*d + x, t'*d + x'] = c[t, t'] [x' = x] + h[group[t], group[t'], (x' - x) mod d]
     t, x = np.divmod(np.arange(len(uf)), 23)
     shift = (x - x[:, None]) % 23
@@ -515,7 +564,7 @@ def test_certificate_from_orbit_rows_matches_the_dense_certificate(name, monkeyp
     t = (p + 1) // 2
     assert shapes == [((t, t), (1, 1, p))] and n == t * p
     assert cert.unextendible_verdict and cert.span_rank == cert.cardinality == p * (p + 1) // 2
-    assert_matches_dense(cert, dense_certificate(uf.unitaries))
+    assert_matches_dense(cert, dense_certificate(member_stack(uf)))
 
 
 def test_families_reject_members_of_the_wrong_shape():
@@ -525,7 +574,7 @@ def test_families_reject_members_of_the_wrong_shape():
     with pytest.raises(ShapeMismatch):
         UnitaryFamily(d=7, z=uf.z, bases=SupportStack(uf.bases.cols[:6], uf.bases.values[:, :6]))
     with pytest.raises(ShapeMismatch):
-        UnitaryFamily(d=7, z=uf.z, bases=support_stack(uf.unitaries[:, :6, :6], 6))
+        UnitaryFamily(d=7, z=uf.z, bases=support_stack(member_stack(uf)[:, :6, :6], 6))
     fam = p7_family()
     with pytest.raises(ShapeMismatch):
         replace(fam, bases=SupportStack(fam.bases.cols[:6], fam.bases.values[:, :6]))
@@ -536,7 +585,8 @@ def test_asymmetry_of_orbits_is_read_off_the_bases():
     bases = np.array(uf.bases.dense())
     bases[-1, 0, 1] += 1e-6
     skewed = UnitaryFamily(d=23, z=uf.z, bases=support_stack(bases, 23))
-    anti = np.abs(skewed.unitaries - skewed.unitaries.transpose(0, 2, 1))  # every member, entry by entry
+    members = member_stack(skewed)
+    anti = np.abs(members - members.transpose(0, 2, 1))  # every member, entry by entry
     worst, sq = matcore.asymmetry(skewed.bases)  # over the bases: each of the 23 shifts of a base adds its sq
     assert worst == np.max(anti) == pytest.approx(1e-6, rel=1e-6)
     assert 23 * sq == pytest.approx(23 * 2e-12, rel=1e-5)
@@ -599,7 +649,7 @@ def test_cj_orthonormality_dev_is_the_full_max_of_g_over_d_minus_i(off_diagonal)
     else:
         bases[0] *= 1 + 1e-3
     edited = UnitaryFamily(d=7, z=uf.z, bases=support_stack(bases, 7))
-    flat = edited.unitaries.reshape(len(uf), -1)
+    flat = member_stack(edited).reshape(len(uf), -1)
     dev = np.abs(flat.conj() @ flat.T / 7 - np.eye(len(uf)))
     off = np.max(dev - np.diag(np.diag(dev)))
     assert (off > np.max(np.diag(dev))) == off_diagonal
@@ -609,7 +659,7 @@ def test_cj_orthonormality_dev_is_the_full_max_of_g_over_d_minus_i(off_diagonal)
 
 def test_cj_states_p7():
     uf = p7_unitaries()
-    states = uf.unitaries.transpose(0, 2, 1).reshape(28, 49) / math.sqrt(7)  # rows vec(U_i) / sqrt(d)
+    states = member_stack(uf).transpose(0, 2, 1).reshape(28, 49) / math.sqrt(7)  # rows vec(U_i) / sqrt(d)
     assert states.shape == (28, 49)
     gram = states.conj() @ states.T
     assert np.max(np.abs(gram - np.eye(28))) < EPS
@@ -618,7 +668,7 @@ def test_cj_states_p7():
 def test_cj_states_icosahedron():
     fam = icosahedron_lines()
     uf = build_unitaries(fam, compute_phase(3, 1))
-    states = uf.unitaries.transpose(0, 2, 1).reshape(6, 9) / math.sqrt(3)  # rows vec(U_i) / sqrt(d)
+    states = member_stack(uf).transpose(0, 2, 1).reshape(6, 9) / math.sqrt(3)  # rows vec(U_i) / sqrt(d)
     assert states.shape == (6, 9)
     gram = states.conj() @ states.T
     assert np.max(np.abs(gram - np.eye(6))) < EPS
