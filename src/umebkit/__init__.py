@@ -14,20 +14,17 @@ from .channels import (
     DecompositionReport,
     MixedUnitaryDecomposition,
     umeb_decomposition,
-    uniform_weight,
     verify_decomposition,
     wh_plus_apply,
 )
 from .errors import UmebkitError
-from .hadamard import HadamardMatrix, construct, kronecker, paley_one, paley_two, sylvester
+from .hadamard import HadamardMatrix, construct
 from .matcore import Tolerance
-from .numth import UmebPrime, is_quadratic_residue, validate_prime
+from .numth import UmebPrime, validate_prime
 from .packing import (
     EquiangularReport,
     ProjectionFamily,
-    beta_projections,
     build_residue_family,
-    dual_family,
     icosahedron_lines,
     verify_equiangular,
 )
@@ -53,22 +50,14 @@ __all__ = [
     "UmebPrime",
     "UmebkitError",
     "UnitaryFamily",
-    "beta_projections",
     "build_residue_family",
     "build_unitaries",
     "certify_umeb",
     "compute_phase",
     "construct",
-    "dual_family",
     "feasibility",
     "icosahedron_lines",
-    "is_quadratic_residue",
-    "kronecker",
-    "paley_one",
-    "paley_two",
-    "sylvester",
     "umeb_decomposition",
-    "uniform_weight",
     "validate_prime",
     "verify_decomposition",
     "verify_equiangular",

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -173,11 +172,6 @@ def wh_plus_apply(x: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def uniform_weight(d: int) -> Fraction:
-    """Exact weight 2/(d(d+1)) shared by all members of the decomposition."""
-    return Fraction(2, d * (d + 1))
-
-
 def umeb_decomposition(uf: UnitaryFamily) -> MixedUnitaryDecomposition:
     """Uniform mixture with weight 2/(d(d+1)) over a family of d(d+1)/2 unitaries; NotCertified for any other count.
 
@@ -190,7 +184,7 @@ def umeb_decomposition(uf: UnitaryFamily) -> MixedUnitaryDecomposition:
     d = uf.d
     if len(uf) != d * (d + 1) // 2:
         raise NotCertified(f"family of {len(uf)} unitaries in d={d}; a uniform mixture needs {d * (d + 1) // 2}")
-    w = float(uniform_weight(d))
+    w = 2 / (d * (d + 1))  # int / int is correctly rounded: float(Fraction(2, d(d+1))) bit for bit
     return MixedUnitaryDecomposition(orbit_weights=(w,) * len(uf.bases), unitaries=uf)
 
 

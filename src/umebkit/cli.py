@@ -197,7 +197,7 @@ def _check(args, family: ProjectionFamily, z: complex | None = None, *, channel=
             dec = umeb_decomposition(uf)
             rep = verify_decomposition(dec, trials=args.trials, seed=args.seed, tol=args.tol)
             lines += [
-                f"mixture of {len(dec.weights)} unitaries, weight {dec.weights[0]}",
+                f"mixture of {len(uf)} unitaries, weight {dec.orbit_weights[0]}",
                 f"Choi deviation (Frobenius): {rep.choi_dev:.3e}",
                 f"max apply deviation ({rep.trials} trials, seed {rep.seed}): {rep.apply_dev_max:.3e}",
                 f"decomposition: {'PASS' if rep.verdict else 'FAIL'}",

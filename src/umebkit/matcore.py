@@ -12,7 +12,7 @@ tolerances.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,15 +87,18 @@ def orbit_stack(bases: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class OrbitMembers(Sequence):
+class OrbitMembers:
     """The T d members of a SupportStack's bases, each read on demand: member t*d + x is base t shifted by x.
 
     Reading member t*d + x scatters base t's values straight from the
     support into a fresh read-only (d, d) array, value [a, i] to
     [a + x, cols[a, i] + x] (indices mod d) and 0 elsewhere, so it is bit
     for bit orbit_stack(bases.dense())[t*d + x] and no (T d, d, d) stack is
-    formed.  A negative index counts from the end, and one past either end
-    raises IndexError, which ends an iteration after the last member.
+    formed.  An index is an integer (operator.index: a slice or a float
+    raises TypeError); a negative one counts from the end, and one past
+    either end raises IndexError, which ends an iteration or a reversed()
+    after the last member.  Members are arrays, so `in` is not defined on
+    them and raises TypeError.
     """
 
     bases: SupportStack
@@ -104,6 +107,7 @@ class OrbitMembers(Sequence):
         return len(self.bases) * len(self.bases.cols)
 
     def __getitem__(self, index) -> np.ndarray:
+        index = operator.index(index)
         n, d = len(self), len(self.bases.cols)
         if not -n <= index < n:
             raise IndexError(f"member {index} of {n}")
@@ -113,21 +117,8 @@ class OrbitMembers(Sequence):
         out.flags.writeable = False
         return out
 
-
-def support_columns(on: np.ndarray) -> np.ndarray:
-    """cols[i, :s]: the columns of row i where the (d, d) mask on is true, in order, then its other columns.
-
-    s is the largest row count, and at least 1.  A row with fewer entries
-    is padded with columns outside the mask, which read 0 in every base of
-    the mask's union support: a sum over cols[i] adds exact zeros there,
-    and a NaN or inf of another factor still meets at least one entry.
-    One stable argsort of the negated mask puts each row's columns first,
-    in order, and the columns off it after them.  Only a hand-made dense
-    stack and a support widened by eye_minus come here; the package's own
-    builds write their column tables directly.
-    """
-    s = max(1, int(on.sum(axis=1).max(initial=0)))
-    return np.argsort(~on, axis=1, kind="stable")[:, :s]
+    def __contains__(self, item):
+        raise TypeError("the members are arrays and are not compared: `in` is not defined on them")
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,25 +192,22 @@ class SupportStack:
         return (self.cols - np.arange(len(self.cols))[:, None]) % len(self.cols)
 
     def eye_minus(self, w) -> SupportStack:
-        """I - w B for every base B, as a new stack on these columns, each row's diagonal added where they lack it.
+        """I - w B for every base B, as a new stack on these columns: ShapeMismatch unless every row lists its own column.
 
-        I is 0 off the diagonal, so only the diagonal can widen the
-        support; when every row lists its own column, as the paper's bases
-        do, the columns are kept and the values mapped in place of a copy:
-        values * w, then I's entries at the columns minus that.
+        I is 0 off the diagonal, so the columns hold I - w B only where
+        each row holds its diagonal, as every support the package builds
+        does (the paper's rows q hold {q, kq}, and row 0 pads with 0 and 1);
+        on any other support I's 1 would be dropped.  The values are mapped
+        in place of a copy: values * w, then I's entries at the columns
+        minus that.
         """
-        d = len(self.cols)
-        rows = np.arange(d)[:, None]
-        stack = self
+        rows = np.arange(len(self.cols))[:, None]
         if not (self.cols == rows).any(axis=1).all():
-            on = np.zeros((d, d), dtype=bool)
-            on[rows, self.cols] = self.values.any(axis=0)
-            cols = support_columns(on | np.eye(d, dtype=bool))
-            stack = SupportStack(cols, self.at(rows, cols))
-        values = stack.values.astype(np.result_type(stack.values, w))
+            raise ShapeMismatch("I - w B needs every row of the support to list its own column")
+        values = self.values.astype(np.result_type(self.values, w))
         values *= w
-        np.subtract(stack.cols == rows, values, out=values)
-        return SupportStack(stack.cols, values)
+        np.subtract(self.cols == rows, values, out=values)
+        return SupportStack(self.cols, values)
 
 
 def support_product(a: SupportStack, c: SupportStack) -> tuple[np.ndarray, np.ndarray]:

@@ -3,12 +3,14 @@
 Two sources: the quadratic-residue/Hadamard construction that yields
 p(p+1)/2 rank-(p-1)/2 real projections in dimension p (for p = 3 or
 p = 7 mod 8), and the six icosahedron diagonals as rank-one projections in
-dimension 3, which are that construction at p = 3.  Also the duality map
-Q_i = I - P_i and the closed-form common angles.  A family is T bases,
-each moved by every cyclic shift, and holds the bases on their support
-(matcore.SupportStack), and takes no other kind of bases: the residue
-bases are written there directly, each base vector's two nonzero entries
-given by their indices and coefficients.
+dimension 3, which are that construction at p = 3; and the closed-form
+common angle.  The paper's dual family Q_i = I - P_i is no new UMEB (its
+unitaries are z conj(U_i), member by member), so the package does not
+build it.  A family is T bases, each moved by every cyclic shift, and
+holds the bases on their support (matcore.SupportStack), and takes no
+other kind of bases: the residue bases are written there directly, each
+base vector's two nonzero entries given by their indices and
+coefficients.
 verify_equiangular reads each family's pairwise traces off its Gram, held
 by its parts from the bases' cyclic diagonals, and its idempotency off
 products summed over that support.
@@ -210,17 +212,6 @@ def verify_equiangular(
         max_idempotency_dev=max_idem_dev,
         max_rank_dev=max_rank_dev,
         passed=passed,
-    )
-
-
-def dual_family(family: ProjectionFamily) -> ProjectionFamily:
-    """Complementary projections I - P_i, from the bases (I is shift-invariant); rank d - r, angle beta + d - 2r."""
-    d = family.d
-    return ProjectionFamily(
-        d=d,
-        r=d - family.r,
-        bases=family.bases.eye_minus(1.0),
-        beta=family.beta + (d - 2 * family.r),
     )
 
 

@@ -123,9 +123,9 @@ def build_unitaries(family: ProjectionFamily, z: complex) -> UnitaryFamily:
     """U_i = I - (1-z) P_i; eigenvalue z on range(P_i), 1 on its kernel.
 
     I is shift-invariant, so this maps the bases, each still moved by every
-    cyclic shift: the values of the projections' support, with each row's
-    diagonal, into one complex (T, d, s) array handed to the family
-    (SupportStack.eye_minus).
+    cyclic shift: the values on the projections' support, which must list
+    each row's diagonal (ShapeMismatch otherwise), into one complex
+    (T, d, s) array handed to the family (SupportStack.eye_minus).
     """
     return UnitaryFamily(d=family.d, z=z, bases=family.bases.eye_minus(1.0 - z))
 

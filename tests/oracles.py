@@ -1,8 +1,9 @@
 """Reference computations that the tests compare the package with.
 
 Each is a direct, unoptimized formula: a dense stack of bases compressed to
-the SupportStack a family takes, every member of a family as one dense
-stack, a seeded random Hermitian matrix, the
+the SupportStack a family takes (each row's columns found by one argsort),
+every member of a family as one dense stack, the paper's dual family
+I - P_i, the exact uniform weight, a seeded random Hermitian matrix, the
 SWAP matrix and a channel's Choi
 matrix under the package's column-stacking vec, the Choi matrix's rank, a
 mixture of unitaries applied member by member, the Choi distance of a
@@ -23,10 +24,24 @@ from fractions import Fraction
 import numpy as np
 
 from umebkit.errors import NotOrthogonal, ShapeMismatch
-from umebkit.matcore import DEFAULT_TOL, SupportStack, Tolerance, orbit_stack, support_columns
-from umebkit.packing import residue_base_vectors
+from umebkit.matcore import DEFAULT_TOL, SupportStack, Tolerance, orbit_stack
+from umebkit.packing import ProjectionFamily, residue_base_vectors
 
 Channel = Callable[[np.ndarray], np.ndarray]
+
+
+def support_columns(on: np.ndarray) -> np.ndarray:
+    """cols[i, :s]: the columns of row i where the (d, d) mask on is true, in order, then its other columns.
+
+    s is the largest row count, and at least 1.  A row with fewer entries
+    is padded with columns outside the mask, which read 0 in every base of
+    the mask's union support: a sum over cols[i] adds exact zeros there,
+    and a NaN or inf of another factor still meets at least one entry.
+    One stable argsort of the negated mask puts each row's columns first,
+    in order, and the columns off it after them.
+    """
+    s = max(1, int(on.sum(axis=1).max(initial=0)))
+    return np.argsort(~on, axis=1, kind="stable")[:, :s]
 
 
 def support_stack(bases, d: int, dtype=None) -> SupportStack:
@@ -34,7 +49,7 @@ def support_stack(bases, d: int, dtype=None) -> SupportStack:
 
     Row i lists the columns where some base is not exactly 0, in ascending
     order (a NaN or inf is not 0, so it stays), then columns outside them,
-    where every value is 0 (matcore.support_columns).  ShapeMismatch unless
+    where every value is 0 (support_columns).  ShapeMismatch unless
     the members are d x d matrices.
     """
     dense = np.asarray(bases, dtype=dtype)
@@ -47,6 +62,27 @@ def support_stack(bases, d: int, dtype=None) -> SupportStack:
 def member_stack(family) -> np.ndarray:
     """Every member of a family as one read-only (T d, d, d) array, gathered from its dense bases (matcore.orbit_stack)."""
     return orbit_stack(family.bases.dense())
+
+
+def dual_family(family: ProjectionFamily) -> ProjectionFamily:
+    """The paper's dual family, the complementary projections I - P_i: rank d - r, common trace beta + d - 2r.
+
+    I is shift-invariant, so it maps the bases (SupportStack.eye_minus,
+    ShapeMismatch unless every row of the support lists its own column).
+    Its unitaries are z conj(U_i), member by member, U_i those of family.
+    """
+    d = family.d
+    return ProjectionFamily(
+        d=d,
+        r=d - family.r,
+        bases=family.bases.eye_minus(1.0),
+        beta=family.beta + (d - 2 * family.r),
+    )
+
+
+def uniform_weight(d: int) -> Fraction:
+    """The exact weight 2/(d(d+1)) of each of the d(d+1)/2 members of a uniform mixture."""
+    return Fraction(2, d * (d + 1))
 
 
 def random_hermitian(d: int, seed: int) -> np.ndarray:

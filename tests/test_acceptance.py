@@ -22,14 +22,13 @@ from umebkit.hadamard import construct, paley_one, sylvester
 from umebkit.numth import validate_prime
 from umebkit.packing import (
     build_residue_family,
-    dual_family,
     icosahedron_lines,
     verify_equiangular,
 )
 from umebkit.umeb import build_unitaries, certify_umeb, compute_phase, feasibility
 
 from oracles import choi_rank as channel_choi_rank
-from oracles import identity_coefficient, numerical_rank, swap_matrix
+from oracles import dual_family, identity_coefficient, numerical_rank, swap_matrix
 
 H4_REFERENCE = np.array(
     [

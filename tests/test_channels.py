@@ -13,7 +13,6 @@ from umebkit import channels, matcore, umeb
 from umebkit.channels import (
     MixedUnitaryDecomposition,
     umeb_decomposition,
-    uniform_weight,
     verify_decomposition,
     wh_plus_apply,
 )
@@ -34,6 +33,7 @@ from oracles import (
     random_hermitian,
     support_stack,
     swap_matrix,
+    uniform_weight,
 )
 
 EPS = 1e-9
@@ -147,11 +147,16 @@ def test_choi_rank_of_wh_plus(d, rank):
     assert choi_rank(lambda x: wh_plus_apply(x, d), d) == rank
 
 
-def test_uniform_weight_exact():
+def test_uniform_orbit_weights_are_the_exact_weight_rounded_once():
+    # each of the d(d+1)/2 members weighs exactly 2/(d(d+1)), and the package's float is that
+    # fraction correctly rounded, bit for bit
     assert uniform_weight(7) == Fraction(1, 28)
     assert uniform_weight(3) == Fraction(1, 6)
-    for d in (3, 7, 23):
-        assert uniform_weight(d) * (d * (d + 1) // 2) == 1
+    for d in (3, 7, 23, 79):
+        uf = _residue_unitaries(d)
+        assert uniform_weight(d) * len(uf) == 1
+        weights = umeb_decomposition(uf).orbit_weights
+        assert [w.hex() for w in weights] == [float(Fraction(2, d * (d + 1))).hex()] * len(uf.bases)
 
 
 def test_umeb_decomposition_p7():

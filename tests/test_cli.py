@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from umebkit import cli, hadamard, umeb
+from umebkit.channels import MixedUnitaryDecomposition
 from umebkit.cli import artifact_from_json, artifact_to_json, canonical_json, main
 from umebkit.errors import MalformedArtifact
 from umebkit.hadamard import HadamardMatrix, construct
@@ -157,6 +158,26 @@ def test_wh_check(capsys):
     assert obj["seed"] == 42
     assert obj["choi_dev"] <= 1e-8
     assert obj["apply_dev_max"] <= 1e-9
+
+
+def test_the_channel_report_builds_no_member_weights(monkeypatch, capsys):
+    # the mixture line reads the member count off the family and the one weight off the orbit
+    # weights: the n member weights are never built, and the text is the same
+    lines = {"wh-check": "mixture of 28 unitaries, weight 0.03571428571428571", "demo-icosahedron": "mixture of 6 unitaries, weight 0.16666666666666666"}
+    argvs = [["wh-check", "--p", "7"], ["demo-icosahedron"]]
+    expected = []
+    for argv in argvs:
+        assert run(argv) == 0
+        expected.append(capsys.readouterr().out)
+        assert lines[argv[0]] in expected[-1].splitlines()
+
+    def built(self):
+        raise AssertionError("the member weights were built")
+
+    monkeypatch.setattr(MixedUnitaryDecomposition, "weights", property(built))
+    for argv, out in zip(argvs, expected):
+        assert run(argv) == 0
+        assert capsys.readouterr().out == out
 
 
 @pytest.mark.parametrize(

@@ -17,14 +17,13 @@ from umebkit.matcore import (
     gram_stats,
     orbit_stack,
     spectral_rank,
-    support_columns,
     support_product,
 )
 from umebkit.numth import validate_prime
-from umebkit.packing import build_residue_family, dual_family, icosahedron_lines
+from umebkit.packing import build_residue_family, icosahedron_lines
 from umebkit.umeb import build_unitaries, compute_phase
 
-from oracles import dense_gram, direct_dft, numerical_rank, support_stack
+from oracles import dense_gram, direct_dft, dual_family, numerical_rank, support_columns, support_stack
 from test_cli import read_rows  # the artifact's Hadamard rows, as the cli tests read them
 
 EPS = 1e-9

@@ -16,6 +16,7 @@ from umebkit.errors import (
     NotOrthogonal,
     NotReal,
     RankOutOfRange,
+    ShapeMismatch,
 )
 from umebkit.hadamard import HadamardMatrix, construct
 from umebkit.matcore import SupportStack
@@ -25,7 +26,6 @@ from umebkit.packing import (
     beta_projections,
     build_residue_family,
     residue_base_vectors,
-    dual_family,
     icosahedron_lines,
     off_support_scale,
     verify_equiangular,
@@ -35,6 +35,7 @@ from umebkit.umeb import build_unitaries, compute_phase
 from oracles import (
     dense_base_vectors,
     dense_equiangular,
+    dual_family,
     identity_coefficient,
     numerical_rank,
     projection_from_basis,
@@ -359,17 +360,23 @@ def test_dual_family_icosahedron():
     assert verify_equiangular(dual).passed
 
 
-def test_eye_minus_adds_the_diagonal_a_row_lacks():
-    # the rank-1 projection onto e0 in d = 3: compressed, rows 1 and 2 hold padding column 0 and
-    # not their own, so I - w P widens the columns to the diagonal
+def test_eye_minus_rejects_a_support_without_its_diagonal():
+    # the rank-1 projection onto e0 in d = 3, compressed from its dense stack: rows 1 and 2 hold
+    # padding column 0 and not their own, so I - w P, whose 1 lies on their diagonal, is refused
+    # rather than held without it
     p = np.zeros((3, 3))
     p[0, 0] = 1.0
-    fam = ProjectionFamily(d=3, r=1, bases=support_stack(p[None], 3), beta=Fraction(0))
+    fam = ProjectionFamily(d=3, r=1, bases=support_stack(p[None], 3), beta=Fraction(0))  # e0, e1 and e2
     assert fam.bases.cols.tolist() == [[0], [0], [0]]
+    for build in (lambda: build_unitaries(fam, 1j), lambda: dual_family(fam)):
+        with pytest.raises(ShapeMismatch, match="its own column"):
+            build()
+    # the same projection on the support of its diagonal maps to I - w P on those columns
+    fam = ProjectionFamily(d=3, r=1, bases=SupportStack(np.arange(3)[:, None], p.diagonal()[None, :, None]), beta=Fraction(0))
     dual, uf = dual_family(fam), build_unitaries(fam, 1j)
     for family, expected in ((dual, np.eye(3) - p), (uf, np.eye(3) - (1 - 1j) * p)):
         assert np.array_equal(family.bases.dense()[0], expected)
-        assert (family.bases.cols == np.arange(3)[:, None]).any(axis=1).all()
+        assert family.bases.cols.tolist() == [[0], [1], [2]]
     assert np.array_equal(dual.projections, np.eye(3) - fam.projections)
     assert verify_equiangular(dual).passed
 

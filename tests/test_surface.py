@@ -27,43 +27,36 @@ EXPORTS = [
     "UmebPrime",
     "UmebkitError",
     "UnitaryFamily",
-    "beta_projections",
     "build_residue_family",
     "build_unitaries",
     "certify_umeb",
     "compute_phase",
     "construct",
-    "dual_family",
     "feasibility",
     "icosahedron_lines",
-    "is_quadratic_residue",
-    "kronecker",
-    "paley_one",
-    "paley_two",
-    "sylvester",
     "umeb_decomposition",
-    "uniform_weight",
     "validate_prime",
     "verify_decomposition",
     "verify_equiangular",
     "wh_plus_apply",
 ]
 # helpers that no pipeline stage or command called; the tests' oracles among them live in tests/oracles.py
-# (random_hermitian, and union_support with the dense branch of SupportStack.of as support_stack), and
-# the JSON coders outside cli, which the one artifact writer and reader replace
+# (random_hermitian, dual_family, support_columns, and union_support with the dense branch of
+# SupportStack.of as support_stack), and the JSON coders outside cli, which the one artifact writer
+# and reader replace; uniform_weight is the one float 2 / (d(d+1)) in umeb_decomposition
 DELETED = {
-    channels: ["choi_of_channel", "swap_matrix", "choi_rank", "apply_decomposition", "random_hermitian"],
+    channels: ["choi_of_channel", "swap_matrix", "choi_rank", "apply_decomposition", "random_hermitian", "uniform_weight"],
     matcore: [
         "frobenius_inner", "sym_antisym_split", "cj_vectorize", "is_unitary", "numerical_rank",
-        "json_int", "json_number", "json_int_matrix", "union_support",
+        "json_int", "json_number", "json_int_matrix", "union_support", "support_columns",
     ],
     umeb: ["cj_states", "line_feasibility_sweep"],
-    packing: ["beta_lines", "identity_coefficient", "projection_from_basis", "family_to_json", "family_from_json"],
+    packing: [
+        "beta_lines", "identity_coefficient", "projection_from_basis", "family_to_json", "family_from_json", "dual_family",
+    ],
     hadamard: ["hadamard_to_json", "hadamard_from_json"],
     cli: ["unitary_family_to_json", "unitary_family_from_json"],
 }
-# public without a caller in the package: the acceptance suite's duality claim reads dual_family
-UNCALLED = {"dual_family"}
 # the option strings of every command, in order: an option added, renamed or dropped fails here
 OPTIONS = {
     "generate": ["-h", "--help", "--p", "--k", "--out", "--eps", "--rank-eps", "--no-timestamp", "--format"],
@@ -79,7 +72,7 @@ OPTIONS = {
 
 
 def test_all_is_the_exported_names():
-    assert len(EXPORTS) == 31
+    assert len(EXPORTS) == 23
     assert umebkit.__all__ == EXPORTS
     for name in EXPORTS:
         assert hasattr(umebkit, name), name
@@ -107,8 +100,7 @@ def test_every_public_function_is_called_by_a_module_other_than_init():
         for node in tree.body
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     }
-    assert UNCALLED <= set(public.values())
-    assert sorted(path for path, name in public.items() if name not in used | UNCALLED) == []
+    assert sorted(path for path, name in public.items() if name not in used) == []
 
 
 def test_no_module_imports_a_name_it_never_uses():
@@ -129,7 +121,7 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
-def test_a_family_keeps_only_its_dense_members():
+def test_only_a_projection_family_caches_its_members():
     # a projection family caches one view, its dense members, and a unitary family caches none:
     # it reads each member from its bases when asked; everything the checks read off the bases,
     # the Gram among them, is computed by the check that reads it

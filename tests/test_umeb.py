@@ -16,7 +16,6 @@ from umebkit.numth import validate_prime
 from umebkit.packing import (
     ProjectionFamily,
     build_residue_family,
-    dual_family,
     icosahedron_lines,
     verify_equiangular,
 )
@@ -28,7 +27,7 @@ from umebkit.umeb import (
     feasibility,
 )
 
-from oracles import dense_certificate, dense_gram, member_stack, numerical_rank, support_stack
+from oracles import dense_certificate, dense_gram, dual_family, member_stack, numerical_rank, support_stack
 
 EPS = 1e-9
 
@@ -403,6 +402,19 @@ def test_the_members_are_a_sequence_of_the_family_length():
     assert sum(1 for _ in members) == 28
 
 
+def test_the_members_take_an_integer_index_and_are_not_compared():
+    # a slice or a float is no member index, and an array member is not compared with `in`
+    uf = p7_unitaries()
+    members = uf.unitaries
+    for index in (slice(1, 3), 1.0):
+        with pytest.raises(TypeError, match=f"'{type(index).__name__}'"):
+            members[index]
+    with pytest.raises(TypeError, match="not compared"):
+        members[3] in members
+    assert not hasattr(members, "index") and not hasattr(members, "count")  # no mixin compares members either
+    assert [m.tobytes() for m in reversed(members)] == [m.tobytes() for m in member_stack(uf)[::-1]]
+
+
 def test_reading_one_member_at_p79_holds_no_stack():
     # every member of the p=79 unitaries is 3160 x 79 x 79 complex, 301 MiB; one is 98 KiB
     uf = _residue_unitaries(79)
@@ -680,6 +692,19 @@ def test_dual_unitaries_share_phase():
     cert = certify_umeb(build_unitaries(dual_family(fam), z))
     assert cert.max_orthogonality_dev <= 1e-8
     assert cert.unextendible_verdict
+
+
+@pytest.mark.parametrize("p", [3, 7, 23])
+def test_the_dual_unitaries_are_z_times_the_conjugate_unitaries(p):
+    # I - (1 - z)(I - P) = z I + (1 - z)P = z conj(I - (1 - z)P), as |z| = 1: the dual family's UMEB is
+    # no new one, and Re z is symmetric in r <-> d - r, so both families get the same z
+    fam = build_residue_family(validate_prime(p), construct((p + 1) // 2))
+    z = compute_phase(p, fam.r)
+    assert compute_phase(p, p - fam.r) == z
+    uf, dual = build_unitaries(fam, z), build_unitaries(dual_family(fam), z)
+    assert len(dual) == len(uf) == p * (p + 1) // 2
+    for u, v in zip(uf.unitaries, dual.unitaries):
+        assert np.max(np.abs(v - z * u.conj())) <= 1e-15
 
 
 def test_line_feasibility_sweep():
