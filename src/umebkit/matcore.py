@@ -71,30 +71,17 @@ def _dft(d: int) -> np.ndarray:
     return np.exp(-2j * np.pi / d * coords)[coords[:, None] * coords % d]
 
 
-def orbit_stack(bases: np.ndarray) -> np.ndarray:
-    """The read-only (T * d, d, d) members: member t*d + x is bases[t] shifted by x, [i, j] -> [i - x, j - x].
-
-    Indices are mod d.  It is one gather whose index arrays are at most
-    d x d and broadcast; an index array on every axis makes it C-ordered,
-    so the reshape copies nothing.
-    """
-    d = bases.shape[-1]
-    coords = np.arange(d)
-    idx = (coords[None, :] - coords[:, None]) % d  # idx[x, i] = (i - x) mod d
-    stack = bases[np.arange(len(bases))[:, None, None, None], idx[:, :, None], idx[:, None, :]].reshape(-1, d, d)
-    stack.flags.writeable = False
-    return stack
-
-
 @dataclass(frozen=True, eq=False)
 class OrbitMembers:
     """The T d members of a SupportStack's bases, each read on demand: member t*d + x is base t shifted by x.
 
-    Reading member t*d + x scatters base t's values straight from the
-    support into a fresh read-only (d, d) array, value [a, i] to
-    [a + x, cols[a, i] + x] (indices mod d) and 0 elsewhere, so it is bit
-    for bit orbit_stack(bases.dense())[t*d + x] and no (T d, d, d) stack is
-    formed.  An index is an integer (operator.index: a slice or a float
+    Both families read their members through it (ProjectionFamily's real,
+    UnitaryFamily's complex), so no object of the package holds the T d^3
+    entries of every member.  Reading member t*d + x scatters base t's
+    values straight from the support into a fresh read-only (d, d) array of
+    the values' dtype, value [a, i] to [a + x, cols[a, i] + x] (indices mod
+    d) and 0 elsewhere: base t rolled by x on both axes, bit for bit.  An
+    index is an integer (operator.index: a slice or a float
     raises TypeError); a negative one counts from the end, and one past
     either end raises IndexError, which ends an iteration or a reversed()
     after the last member.  Members are arrays, so `in` is not defined on

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -35,11 +34,11 @@ from .errors import (
 from .hadamard import HadamardMatrix, construct
 from .matcore import (
     DEFAULT_TOL,
+    OrbitMembers,
     SupportStack,
     Tolerance,
     cyclic_gram,
     gram_stats,
-    orbit_stack,
     support_product,
 )
 from .numth import UmebPrime, validate_prime
@@ -55,10 +54,10 @@ class ProjectionFamily:
     any other bases, a dense array among them; NotReal for complex
     values).  r is the common rank, 1 <= r < d (RankOutOfRange otherwise),
     the range in which beta_projections and feasibility are defined.  beta
-    is the exact rational target of tr(P_i P_j) for i != j.  Because no
-    caller can write to the bases (SupportStack owns its arrays, copying a
-    view it is handed), its dense members are gathered once, on first use,
-    and kept; the family keeps nothing else.
+    is the exact rational target of tr(P_i P_j) for i != j.  The family
+    keeps d, r, bases and beta and nothing else: projections reads each
+    member from the bases when it is asked for, as UnitaryFamily.unitaries
+    does, so it never holds the n d^2 entries of every member.
     """
 
     d: int
@@ -76,10 +75,10 @@ class ProjectionFamily:
     def __len__(self) -> int:
         return len(self.bases) * self.d
 
-    @cached_property
-    def projections(self) -> np.ndarray:
-        """Every member as one read-only (n, d, d) array, gathered from the dense bases on first use."""
-        return orbit_stack(self.bases.dense())
+    @property
+    def projections(self) -> OrbitMembers:
+        """Every member as a read-only sequence of len(self) real (d, d) arrays, each scattered from the bases when read."""
+        return OrbitMembers(self.bases)
 
 
 @dataclass(frozen=True)
@@ -127,9 +126,9 @@ def residue_base_vectors(prime: UmebPrime, h: HadamardMatrix) -> tuple[np.ndarra
     residues = np.asarray(prime.residues, dtype=np.int64)
     partners = prime.k * residues % p
     supports = np.concatenate((residues, partners))
-    if not np.all((supports >= 1) & (supports < p)):
+    if supports.min(initial=1) < 1 or supports.max(initial=1) >= p:
         raise IndexOutOfRange(f"a support index of p={p}, k={prime.k} is outside 1..{p - 1}")
-    if len(supports) != p - 1 or np.max(np.bincount(supports)) > 1:
+    if len(supports) != p - 1 or np.bincount(supports).max() > 1:
         raise NotOrthogonal(f"support indices collide for p={p}, k={prime.k}")
     signs = h.entries[1 : half + 1, : half + 1] * h.entries[0, : half + 1]  # signs[s - 1, t]
     return np.stack((residues, partners)), signs.T * off_support_scale(p)

@@ -2,7 +2,8 @@
 
 Each is a direct, unoptimized formula: a dense stack of bases compressed to
 the SupportStack a family takes (each row's columns found by one argsort),
-every member of a family as one dense stack, the paper's dual family
+every member of a family as one dense stack, gathered from the shifted
+dense bases, the paper's dual family
 I - P_i, the exact uniform weight, a seeded random Hermitian matrix, the
 SWAP matrix and a channel's Choi
 matrix under the package's column-stacking vec, the Choi matrix's rank, a
@@ -24,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from umebkit.errors import NotOrthogonal, ShapeMismatch
-from umebkit.matcore import DEFAULT_TOL, SupportStack, Tolerance, orbit_stack
+from umebkit.matcore import DEFAULT_TOL, SupportStack, Tolerance
 from umebkit.packing import ProjectionFamily, residue_base_vectors
 
 Channel = Callable[[np.ndarray], np.ndarray]
@@ -59,8 +60,23 @@ def support_stack(bases, d: int, dtype=None) -> SupportStack:
     return SupportStack(cols, np.ascontiguousarray(dense[:, np.arange(d)[:, None], cols]))
 
 
+def orbit_stack(bases: np.ndarray) -> np.ndarray:
+    """The read-only (T * d, d, d) members: member t*d + x is bases[t] shifted by x, [i, j] -> [i - x, j - x].
+
+    Indices are mod d.  It is one gather whose index arrays are at most
+    d x d and broadcast; an index array on every axis makes it C-ordered,
+    so the reshape copies nothing.
+    """
+    d = bases.shape[-1]
+    coords = np.arange(d)
+    idx = (coords[None, :] - coords[:, None]) % d  # idx[x, i] = (i - x) mod d
+    stack = bases[np.arange(len(bases))[:, None, None, None], idx[:, :, None], idx[:, None, :]].reshape(-1, d, d)
+    stack.flags.writeable = False
+    return stack
+
+
 def member_stack(family) -> np.ndarray:
-    """Every member of a family as one read-only (T d, d, d) array, gathered from its dense bases (matcore.orbit_stack)."""
+    """Every member of a family as one read-only (T d, d, d) array, gathered from its dense bases (orbit_stack)."""
     return orbit_stack(family.bases.dense())
 
 

@@ -1,8 +1,13 @@
 import functools
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +35,7 @@ from oracles import (
     member_stack,
     member_sum,
     mixture_choi_dev,
+    orbit_stack,
     random_hermitian,
     support_stack,
     swap_matrix,
@@ -53,7 +59,8 @@ def p23_decomposition():
 def kernel_apply(dec, xs):
     """The mixture dec applied to each of a (T, d, d) stack of inputs through its orbit kernel, as check (b) applies it."""
     dft = matcore._dft(dec.unitaries.d)
-    return channels._apply_by_kernel(orbit_kernel(dec, dft), dft, np.asarray(xs, dtype=complex))
+    xs = np.asarray(xs, dtype=complex)
+    return channels._apply_by_kernel(orbit_kernel(dec, dft), dft, xs, np.empty(2 * xs.size, dtype=complex))
 
 
 def kron_assembled_choi(apply, d):
@@ -316,7 +323,7 @@ def test_check_b_inputs_are_the_seeded_random_hermitians(d, budget, monkeypatch)
         monkeypatch.setattr(matcore, "_BLOCK_BYTES", 3 * 16 * d * d)  # three complex d x d inputs
     batches = []
     apply = channels._apply_by_kernel
-    monkeypatch.setattr(channels, "_apply_by_kernel", lambda lhat, dft, xs: batches.append(xs.copy()) or apply(lhat, dft, xs))
+    monkeypatch.setattr(channels, "_apply_by_kernel", lambda lhat, dft, xs, work: batches.append(xs.copy()) or apply(lhat, dft, xs, work))
     assert verify_decomposition(dec, trials=8, seed=31).verdict
     assert [len(xs) for xs in batches] == ([8] if budget == "one-batch" else [3, 3, 2])
     for t, x in enumerate(np.concatenate(batches)):
@@ -615,7 +622,7 @@ def test_the_choi_fallback_reads_the_kernel_blocks_one_at_a_time(monkeypatch):
     # the uniform mixture is the channel, so the distance is that of the orbit's members counted
     # -w instead of w: 2 w |sum_x vec(U_1x) vec(U_1x)*|_F, whose square is d sum_x |tr(U_1x* U_10)|^2
     w = -dec.orbit_weights[1]
-    members = matcore.orbit_stack(uf.bases.dense()[[1]]).reshape(p, -1)  # orbit 1 alone: 79 members
+    members = orbit_stack(uf.bases.dense()[[1]]).reshape(p, -1)  # orbit 1 alone: 79 members
     overlaps = members.conj() @ members[0]
     expected = 2 * w * math.sqrt(p * np.vdot(overlaps, overlaps).real)
     assert reports[0].choi_dev == pytest.approx(expected, rel=1e-12) and not reports[0].verdict
@@ -643,16 +650,55 @@ def test_orbit_kernel_passes_stay_inside_the_byte_budget(p23_decomposition, monk
     reports = []
     peak = _traced_peak(lambda: reports.append(verify_decomposition(dec, trials=12)))
     assert reports[0].verdict and abs(reports[0].apply_dev_max - expected.apply_dev_max) <= 1e-15
-    # beside the d^3 kernel, which the call builds and drops, a batch holds its inputs, their
-    # gathered diagonals, two arrays of d^2 entries per input in the kernel pass, the mixture's
-    # and the formula's outputs, and the DFT tables: under seven budgets (5.6 measured).  The
-    # twelve in one pass would take ten
+    # beside the d^3 kernel, the call's workspace holds one batch's inputs and the two arrays
+    # the kernel pass works in, three budgets; a batch adds its gathered diagonals, the
+    # formula's outputs and the DFT tables, and the kernel build one block and its terms:
+    # under seven budgets (5.9 measured).  The twelve in one pass would take ten
     assert peak - 23**3 * 16 <= 7 * matcore._BLOCK_BYTES
+
+
+# builds the p=47 decomposition, makes 5 warm-up calls, then prints the minor page faults per
+# call over 20 more calls
+FAULTS_PER_CALL = """
+import resource
+from umebkit.channels import umeb_decomposition, verify_decomposition
+from umebkit.hadamard import construct
+from umebkit.numth import validate_prime
+from umebkit.packing import build_residue_family
+from umebkit.umeb import build_unitaries, compute_phase
+
+dec = umeb_decomposition(build_unitaries(build_residue_family(validate_prime(47), construct(24)), compute_phase(47, 23)))
+for _ in range(5):
+    verify_decomposition(dec, trials=20)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    assert verify_decomposition(dec, trials=20).verdict
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+    reason="counts the minor page faults (ru_minflt) of glibc's allocator, which reuses the workspace's memory; "
+    "other systems count and allocate differently",
+)
+def test_check_b_reuses_its_memory_from_call_to_call():
+    # a fresh process, so no earlier test has moved the allocator's thresholds: after the warm-up
+    # each call gets back the memory of the call before and faults no new page (0 measured); lhat
+    # and each batch's arrays made on their own faulted about 1,600 pages a call
+    src = str(Path(channels.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-c", FAULTS_PER_CALL], env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert float(run.stdout) <= 50
 
 
 def orbit_kernel(dec, dft=None):
     """The kernel transformed over the row index, lhat, that verify_decomposition builds."""
-    return channels._kernel(np.asarray(dec.orbit_weights), dec.unitaries, matcore._dft(dec.unitaries.d) if dft is None else dft)[0]
+    d = dec.unitaries.d
+    lhat = np.empty((d, d, d), dtype=complex)
+    channels._kernel(np.asarray(dec.orbit_weights), dec.unitaries, matcore._dft(d) if dft is None else dft, lhat)
+    return lhat
 
 
 def test_orbit_kernel_build_holds_at_most_two_cubes():
@@ -771,8 +817,12 @@ def _nonfinite_base_entry(value):
 def test_a_deviation_that_is_not_finite_fails_the_random_input_check(build, monkeypatch):
     dec = build()
     kernel = channels._kernel
-    # check (a) passes, so (b) alone decides
-    monkeypatch.setattr(channels, "_kernel", lambda w, uf, dft: (kernel(w, uf, dft)[0], 0.0))
+
+    def passing_choi_check(*args):  # check (a) passes, so (b) alone decides
+        kernel(*args)
+        return 0.0
+
+    monkeypatch.setattr(channels, "_kernel", passing_choi_check)
     ran = spy_kernel_applies(monkeypatch)
     rep = verify_decomposition(dec, trials=3)
     assert ran == ["_apply_by_kernel"]

@@ -876,7 +876,7 @@ def test_dense_format_of_earlier_versions_exits_1_with_one_line(tmp_path, capsys
     old_family = {
         "d": 7, "r": 3, "beta_num": 11, "beta_den": 9, "C": off_support_scale(7),
         "provenance": [[t, x] for t in range(4) for x in range(7)],
-        "projections": dense_stack_json(family.projections),
+        "projections": dense_stack_json(member_stack(family)),
     }
     dense_family = {"d": 7, "r": 3, "beta_num": 11, "beta_den": 9, "C": off_support_scale(7), "shifts": 7, "bases": DENSE_BASES}
     for i, obj in enumerate((

@@ -15,7 +15,6 @@ from umebkit.matcore import (
     cyclic_gram,
     gram_spectrum,
     gram_stats,
-    orbit_stack,
     spectral_rank,
     support_product,
 )
@@ -23,7 +22,7 @@ from umebkit.numth import validate_prime
 from umebkit.packing import build_residue_family, icosahedron_lines
 from umebkit.umeb import build_unitaries, compute_phase
 
-from oracles import dense_gram, direct_dft, dual_family, numerical_rank, support_columns, support_stack
+from oracles import dense_gram, direct_dft, dual_family, numerical_rank, orbit_stack, support_stack
 from test_cli import read_rows  # the artifact's Hadamard rows, as the cli tests read them
 
 EPS = 1e-9
@@ -222,27 +221,6 @@ def test_cyclic_gram_stats_carry_a_non_finite_entry(kind, at, value):
     stats = gram_stats(gram_of(bases))
     assert not np.isfinite(stats.radii).any() and not math.isfinite(stats.max_off)
     assert not np.isfinite(stats.diag[1]) and np.isfinite(np.delete(stats.diag, 1)).all()
-
-
-def test_support_columns_put_each_rows_entries_first():
-    on = np.zeros((4, 4), dtype=bool)
-    on[0, [1, 3]] = True
-    on[2, 2] = True
-    on[3] = True
-    assert support_columns(on).tolist() == [[1, 3, 0, 2], [0, 1, 2, 3], [2, 0, 1, 3], [0, 1, 2, 3]]
-    on[3, 1:] = False  # the longest row holds two entries: two columns a row
-    assert support_columns(on).tolist() == [[1, 3], [0, 1], [2, 0], [0, 1]]
-    assert support_columns(np.zeros((3, 3), dtype=bool)).tolist() == [[0], [0], [0]]  # at least one column
-
-
-def test_support_columns_are_each_rows_columns_then_the_rest_on_random_masks():
-    rng = np.random.default_rng(29)
-    for _ in range(300):
-        d = int(rng.integers(1, 9))
-        on = rng.random((d, d)) < rng.random()  # from empty rows to full ones
-        s = max(1, int(on.sum(axis=1).max()))
-        direct = [([j for j in range(d) if row[j]] + [j for j in range(d) if not row[j]])[:s] for row in on]
-        assert support_columns(on).tolist() == direct
 
 
 def _unequal_rows():

@@ -37,6 +37,7 @@ from oracles import (
     dense_equiangular,
     dual_family,
     identity_coefficient,
+    member_stack,
     numerical_rank,
     projection_from_basis,
     support_stack,
@@ -153,8 +154,9 @@ def test_residue_base_vectors_errors():
     prime = validate_prime(7)
     with pytest.raises(HadamardOrderMismatch):
         residue_base_vectors(prime, construct(8))
-    # a prime built by hand: a residue index past p - 1, or one at 0
-    for residues in ((1, 2, 11), (0, 2, 4)):
+    # a prime built by hand: a residue index past p - 1, or one at 0; one far past p - 1 is refused
+    # before the collision count, whose table would reach it
+    for residues in ((1, 2, 11), (0, 2, 4), (1, 2, 1 << 50)):
         with pytest.raises(IndexOutOfRange):
             residue_base_vectors(replace(prime, residues=residues), construct(4))
     # k = 2 is a residue mod 7 (2 and 3 mod 23), so k*q lands on the residues: the supports
@@ -377,7 +379,7 @@ def test_eye_minus_rejects_a_support_without_its_diagonal():
     for family, expected in ((dual, np.eye(3) - p), (uf, np.eye(3) - (1 - 1j) * p)):
         assert np.array_equal(family.bases.dense()[0], expected)
         assert family.bases.cols.tolist() == [[0], [1], [2]]
-    assert np.array_equal(dual.projections, np.eye(3) - fam.projections)
+    assert np.array_equal(member_stack(dual), np.eye(3) - member_stack(fam))
     assert verify_equiangular(dual).passed
 
 
@@ -406,7 +408,7 @@ def test_residue_family_equiangular_from_shift_zero(p):
     # with a shift-0 member carry every value of tr(P_i P_j)
     prime = validate_prime(p)
     fam = build_residue_family(prime, construct((p + 1) // 2))
-    stack = np.asarray(fam.projections).reshape(len(fam), -1)
+    stack = member_stack(fam).reshape(len(fam), -1)
     rows = np.arange(0, len(fam), p)  # member t*p + 0
     traces = stack[rows] @ stack.T
     traces[np.arange(len(rows)), rows] = float(fam.beta)
@@ -445,7 +447,7 @@ def test_dense_members_are_the_shifted_bases(p):
     uf = build_unitaries(fam, compute_phase(p, fam.r))
     families = [fam, dual_family(fam), uf] + ([icosahedron_lines()] if p == 3 else [])
     for family in families:
-        # the unitaries are a sequence read member by member, the projections one dense stack
+        # both families' members are a sequence read member by member
         members = family.unitaries if family is uf else family.projections
         assert len(members) == p * (p + 1) // 2
         bases = family.bases.dense()
@@ -454,7 +456,8 @@ def test_dense_members_are_the_shifted_bases(p):
             assert member.shape == (p, p) and not member.flags.writeable
             assert member.tobytes() == np.roll(bases[t], (x, x), axis=(0, 1)).tobytes()
         assert i == len(members) - 1
-    assert fam.projections is fam.projections  # gathered once
+    # reading the members leaves nothing on the family
+    assert list(vars(fam)) == ["d", "r", "bases", "beta"]
 
 
 def test_verify_equiangular_checks_the_last_chunk(monkeypatch):
@@ -534,7 +537,7 @@ def test_equiangular_check_from_orbit_rows_matches_the_dense_check(name, monkeyp
     t = (p + 1) // 2
     assert shapes == [((t, t), (1, 1, p))] and n == t * p
     assert report.passed
-    assert_matches_dense(report, dense_equiangular(fam.projections, fam.r, fam.beta))
+    assert_matches_dense(report, dense_equiangular(member_stack(fam), fam.r, fam.beta))
 
 
 def test_gram_matrix_nonsingular_for_generated_families():
@@ -576,7 +579,7 @@ def test_family_json_round_trip():
     assert (again.d, again.r, again.beta) == (fam.d, fam.r, fam.beta) and len(again) == len(fam) == 28
     assert again.bases.values.dtype == float
     assert again.bases.dense().tobytes() == fam.bases.dense().tobytes()
-    assert again.projections.tobytes() == fam.projections.tobytes()
+    assert member_stack(again).tobytes() == member_stack(fam).tobytes()
     before = verify_equiangular(fam)
     after = verify_equiangular(again)
     assert before == after

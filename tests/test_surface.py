@@ -48,7 +48,7 @@ DELETED = {
     channels: ["choi_of_channel", "swap_matrix", "choi_rank", "apply_decomposition", "random_hermitian", "uniform_weight"],
     matcore: [
         "frobenius_inner", "sym_antisym_split", "cj_vectorize", "is_unitary", "numerical_rank",
-        "json_int", "json_number", "json_int_matrix", "union_support", "support_columns",
+        "json_int", "json_number", "json_int_matrix", "union_support", "support_columns", "orbit_stack",
     ],
     umeb: ["cj_states", "line_feasibility_sweep"],
     packing: [
@@ -121,13 +121,12 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
-def test_only_a_projection_family_caches_its_members():
-    # a projection family caches one view, its dense members, and a unitary family caches none:
-    # it reads each member from its bases when asked; everything the checks read off the bases,
-    # the Gram among them, is computed by the check that reads it
-    for cls, names in ((packing.ProjectionFamily, ["projections"]), (umeb.UnitaryFamily, [])):
+def test_no_family_caches_its_members():
+    # neither family caches a view: each reads a member from its bases when asked, and everything
+    # the checks read off the bases, the Gram among them, is computed by the check that reads it
+    for cls in (packing.ProjectionFamily, umeb.UnitaryFamily):
         cached = [key for key, value in vars(cls).items() if isinstance(value, functools.cached_property)]
-        assert cached == names, cls.__name__
+        assert cached == [], cls.__name__
 
 
 def test_a_unitary_artifact_has_one_format():
