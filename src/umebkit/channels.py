@@ -77,8 +77,9 @@ class MixedUnitaryDecomposition:
 
     def __post_init__(self):
         w = np.asarray(self.orbit_weights, dtype=float)
-        if w.shape != (len(self.unitaries.bases),):
-            raise ShapeMismatch(f"{w.size} orbit weights for the {len(self.unitaries.bases)} orbits of the family")
+        orbits = len(self.unitaries.family.bases)
+        if w.shape != (orbits,):
+            raise ShapeMismatch(f"{w.size} orbit weights for the {orbits} orbits of the family")
         object.__setattr__(self, "orbit_weights", tuple(w.tolist()))
 
     @property
@@ -124,9 +125,10 @@ def _kernel(w: np.ndarray, uf: UnitaryFamily, dft: np.ndarray | None, lhat: np.n
     """
     d = uf.d
     coords = np.arange(d)
-    offs = uf.bases.offsets()  # offs[a, i]: the offset e of row a's value i, at (a, a + e)
+    bases = uf.bases  # mapped from the projections once a call
+    offs = bases.offsets()  # offs[a, i]: the offset e of row a's value i, at (a, a + e)
     s = offs.shape[1]
-    values = uf.bases.values.transpose(0, 2, 1).reshape(len(uf.bases), s * d)  # [t, i, a]
+    values = bases.values.transpose(0, 2, 1).reshape(len(bases), s * d)  # [t, i, a]
     terms = ((w[:, None] * values).T @ values.conj()).reshape(s, d, s, d)  # [i, a, j, a2]
     partner = (coords[:, None] + coords) % d  # partner[D, a] = a + D, the row a2 of a term at D
     terms = terms[:, coords, :, partner]  # [D, a, i, j]
@@ -191,7 +193,7 @@ def umeb_decomposition(uf: UnitaryFamily) -> MixedUnitaryDecomposition:
     if len(uf) != d * (d + 1) // 2:
         raise NotCertified(f"family of {len(uf)} unitaries in d={d}; a uniform mixture needs {d * (d + 1) // 2}")
     w = 2 / (d * (d + 1))  # int / int is correctly rounded: float(Fraction(2, d(d+1))) bit for bit
-    return MixedUnitaryDecomposition(orbit_weights=(w,) * len(uf.bases), unitaries=uf)
+    return MixedUnitaryDecomposition(orbit_weights=(w,) * len(uf.family.bases), unitaries=uf)
 
 
 def _apply_by_kernel(lhat: np.ndarray, dft: np.ndarray, xs: np.ndarray, work: np.ndarray) -> np.ndarray:

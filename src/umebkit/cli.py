@@ -161,8 +161,9 @@ def _check(args, family: ProjectionFamily, z: complex | None = None, *, channel=
     uniform mixed-unitary decomposition of the symmetric transpose channel
     (umeb_decomposition, which checks only the member count, then
     verify_decomposition with --trials and --seed, whose Choi check implies
-    the span again).  Each claim reads the family once: only the
-    certificate computes a Gram.  The text report has
+    the span again).  The certificate reads its own equiangular report of
+    the projections, so the equiangular pass runs twice, and no Gram of
+    the unitaries is computed.  The text report has
     one block per claim, in that order.  The JSON report is the flat union
     of {"d", "r", "count"} and the fields of the reports that ran, with the
     tool version, input_sha256 when given and generated_at unless

@@ -120,14 +120,10 @@ def construct(n: int) -> HadamardMatrix:
     n = a*b with the smallest constructible factor a first.  Deterministic:
     the same n always yields the identical matrix.
     """
-    if n == 1:
-        return sylvester(0)
-    if n == 2:
-        return sylvester(1)
+    if n >= 1 and n & (n - 1) == 0:  # 1 and 2 among them
+        return sylvester(n.bit_length() - 1)
     if n < 1 or n % 4 != 0:
         raise UnsupportedOrder(f"Hadamard order must be 1, 2 or a multiple of 4, got {n}")
-    if n & (n - 1) == 0:
-        return sylvester(n.bit_length() - 1)
     if is_prime(n - 1) and (n - 1) % 4 == 3:
         return paley_one(n - 1)
     if n % 2 == 0 and is_prime(n // 2 - 1) and (n // 2 - 1) % 4 == 1:

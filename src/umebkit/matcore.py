@@ -4,10 +4,11 @@ the builder that knows the support), whole
 cyclic-shift orbits of base matrices (every family is T bases, each moved
 by every cyclic shift, T d members, which OrbitMembers reads one at a time
 from the support), the trace Gram of those orbits held
-by its parts from the bases' cyclic diagonals, what every check reads off it,
-the Gram spectrum from its shift blocks and its numerical rank, the budgeted
-product a* a - c summed over the support, the bases' asymmetry and the
-tolerances.
+by its parts from the bases' cyclic diagonals, what the equiangular check
+reads off it, the budgeted product a* a - c summed over the support and the
+tolerances.  The package computes Grams and such products of the real
+projections only: the UMEB certificate is read off the equiangular report
+they give.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ class OrbitMembers:
     """The T d members of a SupportStack's bases, each read on demand: member t*d + x is base t shifted by x.
 
     Both families read their members through it (ProjectionFamily's real,
-    UnitaryFamily's complex), so no object of the package holds the T d^3
-    entries of every member.  Reading member t*d + x scatters base t's
+    UnitaryFamily's complex, from the bases it maps), so no object of the
+    package holds the T d^3 entries of every member.  Reading member t*d + x scatters base t's
     values straight from the support into a fresh read-only (d, d) array of
     the values' dtype, value [a, i] to [a + x, cols[a, i] + x] (indices mod
     d) and 0 elsewhere: base t rolled by x on both axes, bit for bit.  An
@@ -146,13 +147,13 @@ class SupportStack:
             array.flags.writeable = False
 
     @classmethod
-    def of(cls, bases, d: int, dtype=None) -> SupportStack:
-        """bases, a SupportStack of d x d matrices, kept, its values cast to dtype: ShapeMismatch for a stack of another size or any other type."""
+    def of(cls, bases, d: int) -> SupportStack:
+        """bases, a SupportStack of d x d matrices, kept as it is: ShapeMismatch for a stack of another size or any other type."""
         if not isinstance(bases, cls):
             raise ShapeMismatch(f"a family's bases are a SupportStack, got {type(bases).__name__}")
         if len(bases.cols) != d:
             raise ShapeMismatch(f"bases of size {len(bases.cols)} in a family with d={d}")
-        return bases if dtype is None or bases.values.dtype == dtype else cls(bases.cols, bases.values.astype(dtype))
+        return bases
 
     def __len__(self) -> int:
         return len(self.values)
@@ -206,7 +207,7 @@ def support_product(a: SupportStack, c: SupportStack) -> tuple[np.ndarray, np.nd
     each and in ascending order, the entries those terms and c's columns
     reach; every other entry of a* a - c is a sum of terms that each have a
     factor 0, minus a 0.  With c = a it is P^T P - P, which is 0 exactly
-    when P is a symmetric idempotent; with c = I it is U* U - I.  A NaN or
+    when P is a symmetric idempotent, the package's one use of it.  A NaN or
     inf value of a meets itself in the term at its own (j, j), and one of c
     is subtracted at its entry, so each reaches gap as a NaN or inf.
 
@@ -244,27 +245,6 @@ def support_product(a: SupportStack, c: SupportStack) -> tuple[np.ndarray, np.nd
     return entries, gap
 
 
-def asymmetry(stack: SupportStack) -> tuple[float, float]:
-    """(max |B - B^T|, sum |B - B^T|^2) over the bases B of the stack.
-
-    B - B^T is 0 outside S | S^T, S the stored entries, so each value
-    B[a, b] is compared with its mirror B[b, a], 0 where row b's columns
-    lack a.  An entry whose mirror is not stored stands for the mirror too,
-    so it counts twice in the sum.  The bases go in blocks of
-    _BLOCK_BYTES; the block maxima are combined by np.max and the sums by
-    +, so a NaN reaches both.
-    """
-    d, s = stack.cols.shape
-    rows = np.arange(d)[:, None]
-    weight = np.where((stack.cols[stack.cols] == rows[..., None]).any(axis=-1), 1.0, 2.0)
-    worst, sq = [], 0.0
-    for block in _blocks(len(stack), 2 * d * s * stack.values.itemsize):
-        gap = np.abs(stack.values[block] - stack.at(stack.cols, rows, block))
-        worst.append(np.max(gap, initial=0.0))
-        sq += float(np.vdot(weight * gap, gap))
-    return float(np.max(worst)), sq
-
-
 @dataclass(frozen=True, eq=False)
 class CyclicGram:
     """The trace Gram G_ij = tr(m_i* m_j) of the members m, every base moved by every shift, held by its parts (cyclic_gram).
@@ -287,9 +267,9 @@ def cyclic_gram(bases: SupportStack) -> CyclicGram:
     term is 0 unless both of its entries lie in the bases' union support,
     the stored entries where some base is not 0.  An offset e that holds
     one row of the support adds at x = 0 alone, so all such entries
-    together are one product c = conj(V) V^T,
-    in blocks of rows for complex bases, each counting its conjugated rows
-    and its products against _BLOCK_BYTES.  The diagonals of the other
+    together are one product c = conj(V) V^T, in blocks of rows, each
+    counting its conjugated rows and its products against _BLOCK_BYTES
+    (for real bases conj() copies nothing).  The diagonals of the other
     offsets, the shared ones, are grouped by exact equality across the
     bases: each is compared with the first of each group, with no sort (a
     process's first sort maps code pages that show in its peak RSS), and a
@@ -323,12 +303,9 @@ def cyclic_gram(bases: SupportStack) -> CyclicGram:
     dft = _dft(d)
     with np.errstate(invalid="ignore", over="ignore"):  # an inf times a 0 is a NaN entry, not a warning
         spectra = (diagonals[firsts] @ dft).transpose(2, 0, 1)  # (d, g, shared offsets)
-        if np.iscomplexobj(single):
-            c = np.empty((m, m), dtype=single.dtype)
-            for block in _blocks(m, (m + single.shape[1]) * c.itemsize):
-                np.matmul(single[block].conj(), single.T, out=c[block])
-        else:
-            c = single @ single.T
+        c = np.empty((m, m), dtype=single.dtype)
+        for block in _blocks(m, (m + single.shape[1]) * c.itemsize):  # conj() of a real array is the array itself
+            np.matmul(single[block].conj(), single.T, out=c[block])
         # sum_a conj(u[a]) v[a - x] is the DFT over k of conj(U[k]) V[k], over d
         h = (spectra.conj() @ spectra.transpose(0, 2, 1)).transpose(1, 2, 0) @ dft / d
     return CyclicGram(c, group, h if np.iscomplexobj(values) else h.real)
@@ -362,25 +339,3 @@ def gram_stats(gram: CyclicGram) -> GramStats:
     far = np.abs(gram.h[:, :, 1:])
     radii = near.sum(axis=1) + far.sum(axis=2)[pair].sum(axis=1)
     return GramStats(diag, radii, float(np.maximum(near.max(), far.max(initial=0.0))))
-
-
-def gram_spectrum(gram: CyclicGram) -> np.ndarray:
-    """Every eigenvalue of the Hermitian Gram of a CyclicGram, in ascending order.
-
-    The Gram of whole orbits is block-circulant, so a DFT over the shift
-    splits it into d Hermitian T x T blocks, sum_x G[t*d, t'*d + x]
-    exp(-2 pi i k x / d) = c + hhat[group, group, k], hhat the DFT of h
-    over x, whose eigenvalues together are those of G: one batched
-    eigvalsh on the (d, T, T) blocks, never the n x n Gram.
-    """
-    blocks = (gram.h @ _dft(gram.h.shape[-1])).transpose(2, 0, 1)[:, gram.group[:, None], gram.group]
-    blocks += gram.c
-    return np.sort(np.linalg.eigvalsh(blocks), axis=None)
-
-
-def spectral_rank(eigs: np.ndarray, tol: Tolerance) -> tuple[int, float]:
-    """(rank, lam) of ascending eigenvalues: those above rank_eps * largest, and the smallest of them (0.0 if none)."""
-    if eigs[-1] <= 0:
-        return 0, 0.0
-    rank = int(np.sum(eigs > tol.rank_eps * eigs[-1]))
-    return rank, float(eigs[-rank])

@@ -6,13 +6,15 @@ U_i = I - (1 - z) P_i, and certify the resulting family: trace
 orthogonality, span of the symmetric matrices, orthogonality of the
 antisymmetric complement and odd dimension.  The certificate is the
 machine-checkable record that the vectorized family is an unextendible
-maximally entangled basis.  A family is T bases, each moved by every
-cyclic shift, and holds the bases on their union support
-(matcore.SupportStack), as its projection family does.  The
-certificate's Gram, unitarity check and asymmetry all read that one column
-table and its values, as does the orbit kernel of channels.  The family
-keeps only d, z and its bases, and reads any one member from them on demand
-(matcore.OrbitMembers), so it never holds the n d^2 entries of every member.
+maximally entangled basis.  A unitary family is its projection family and
+z: it maps the projections' bases on their union support
+(matcore.SupportStack) to its own when they are read, and reads any one
+member from those on demand (matcore.OrbitMembers), so it never holds the
+n d^2 entries of every member.  The certificate is read off the
+projections' equiangular report and z, since U = I - (1 - z)P is unitary,
+symmetric and trace-orthogonal exactly as far as the projections are
+symmetric idempotents of trace r at the angle beta and z is the exact
+unit phase: it computes no Gram, product or asymmetry of its own.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import Infeasible, RankOutOfRange
-from .matcore import DEFAULT_TOL, OrbitMembers, SupportStack, Tolerance, asymmetry, cyclic_gram, gram_spectrum, gram_stats
-from .matcore import spectral_rank, support_product
-from .packing import ProjectionFamily
+from .matcore import DEFAULT_TOL, OrbitMembers, SupportStack, Tolerance
+from .packing import ProjectionFamily, verify_equiangular
 
 
 @dataclass(frozen=True)
@@ -42,28 +43,33 @@ class FeasibilityReport:
 
 @dataclass(frozen=True, eq=False)
 class UnitaryFamily:
-    """Unitaries I - (1-z)P_i sharing one unit-modulus phase z: T bases, each moved by every cyclic shift.
+    """Unitaries I - (1-z)P_i sharing one unit-modulus phase z: a projection family and z, and nothing else.
 
-    Members and bases are as in ProjectionFamily: member t*d + x is base t
-    shifted by x, T d members in all.  The bases are a SupportStack of
-    d x d matrices (ShapeMismatch for any other bases), its values cast to
-    complex.  The projections they came from are not kept: a unitary
-    artifact is the generator of the projection family (p, k and the
-    Hadamard matrix) and z, and the unitaries are rebuilt from them.
-    The family keeps d, z and the bases and nothing else: unitaries reads
-    each member from the bases when it is asked for, and certify_umeb
-    computes the Gram.
+    Members are as in ProjectionFamily: member t*d + x is base t shifted by
+    x, T d members in all.  d, the bases and the members are read from the
+    projection family and z on demand, and nothing is cached: bases maps
+    the projections' bases to I - (1 - z)P_t at each read, and unitaries
+    reads each member from those.  certify_umeb reads the projection
+    family's equiangular report and z, and the orbit kernel of channels
+    reads the bases once a call.  A unitary artifact is the generator of
+    the projection family (p, k and the Hadamard matrix) and z, and the
+    unitaries are rebuilt from them.
     """
 
-    d: int
+    family: ProjectionFamily
     z: complex
-    bases: SupportStack
 
-    def __post_init__(self):
-        object.__setattr__(self, "bases", SupportStack.of(self.bases, self.d, complex))
+    @property
+    def d(self) -> int:
+        return self.family.d
 
     def __len__(self) -> int:
-        return len(self.bases) * self.d
+        return len(self.family)
+
+    @property
+    def bases(self) -> SupportStack:
+        """The T complex bases I - (1 - z)P_t on the projections' support, mapped afresh at each read (SupportStack.eye_minus)."""
+        return self.family.bases.eye_minus(1 - complex(self.z))
 
     @property
     def unitaries(self) -> OrbitMembers:
@@ -122,67 +128,85 @@ def compute_phase(d: int, r: int) -> complex:
 def build_unitaries(family: ProjectionFamily, z: complex) -> UnitaryFamily:
     """U_i = I - (1-z) P_i; eigenvalue z on range(P_i), 1 on its kernel.
 
-    I is shift-invariant, so this maps the bases, each still moved by every
-    cyclic shift: the values on the projections' support, which must list
-    each row's diagonal (ShapeMismatch otherwise), into one complex
-    (T, d, s) array handed to the family (SupportStack.eye_minus).
+    The family is the projections and z: its bases map the projections'
+    values on their support, which must list each row's diagonal
+    (ShapeMismatch when they are read otherwise), into one complex
+    (T, d, s) array when they are read (SupportStack.eye_minus).
     """
-    return UnitaryFamily(d=family.d, z=z, bases=family.bases.eye_minus(1.0 - z))
+    return UnitaryFamily(family, z)
 
 
 def certify_umeb(uf: UnitaryFamily, tol: Tolerance = DEFAULT_TOL) -> UmebCertificate:
-    """Fill every certificate field; failures are verdicts, not errors.
+    """Fill every certificate field from the projections' equiangular report and z; failures are verdicts, not errors.
 
-    Unitarity and symmetry are checked on the bases: a shift permutes
-    entries.  Unitarity is the largest entry of |U* U - I|, summed over the
-    bases' support (matcore.support_product): the paper's unitaries have
-    at most two entries a row, so a base costs O(d), not O(d^3).  The
-    family's Gram (cyclic_gram), what the checks read off it (gram_stats)
-    and its asymmetry are computed once each, here, and the family keeps
-    none of them.  The orthogonality deviation and cj_orthonormality_dev
-    are read off the stats.
-
-    The span rank comes from Gershgorin discs, or from eigvalsh when the
-    discs prove no full rank.  Every eigenvalue of the Hermitian Gram lies
-    in some disc [G_ii - R_i, G_ii + R_i], R_i = sum_{j != i} |G_ij|.  If
-    the lowest point of the discs exceeds rank_eps times the highest, which
-    bounds the largest eigenvalue, all n eigenvalues are counted and that
-    lowest point, lam, bounds the smallest of them from below.  The discs'
-    centres and radii are the stats, which hold every disc of the family.
-    The fallback counts the rank with spectral_rank on gram_spectrum: one
-    batched eigvalsh on the d Hermitian T x T blocks of the DFT over the
-    shift, so no n x n Gram is formed, and lam is then the smallest
-    eigenvalue counted.  A NaN or inf entry of a member reaches the Gram
-    and so the lowest point of the discs; such a Gram proves no rank (0),
-    and eigvalsh, which would not converge on it, is not called.
+    Every field is an upper bound derived from one verify_equiangular
+    report of uf.family, whose deviations are the angle deviation A =
+    max |tr(P_i^T P_j) - beta| (i != j), the idempotency deviation
+    max |Delta|, Delta = P^T P - P, and the trace deviation max |delta_i|,
+    delta_i = tr(P_i) - r, and from O(T d) scalars: a = 1 - z, the phase
+    residual phi = d - 2 r Re a + |a|^2 beta, |z|^2 - 1, m = max |P| and
+    the support width s.  The members are never formed and no Gram of
+    them is computed.  With U = I - aP and P real:
+    - tr(U_i* U_j) = |a|^2 (tr(P_i^T P_j) - beta) + phi - conj(a) delta_i
+      - a delta_j, so for i != j |tr(U_i* U_j)| <= |phi| + |a|^2 A
+      + 2 |a| max |delta| (max_orthogonality_dev); compute_phase makes phi
+      0 up to rounding, by feasibility's exact Re z;
+    - tr(U_i* U_i) - d = (|z|^2 - 1)(r + delta_i) + |a|^2 tr(Delta_i), at
+      most ||z|^2 - 1| (r + max |delta|) + |a|^2 d max |Delta| in magnitude;
+    - U* U - I = |a|^2 Delta + conj(a)(P - P^T) + (|z|^2 - 1)P, and
+      P - P^T = Delta^T - Delta, so |P - P^T| <= 2 max |Delta| entrywise
+      and max_unitarity_dev <= (|a|^2 + 2|a|) max |Delta| + ||z|^2 - 1| m;
+    - U - U^T = -a(P - P^T), at most 2 |a| max |Delta| an entry, and a
+      base holds at most 2 d s entries of it.
+    Each bound adds a float-rounding term: 4 s u (1 + |a| m)^2 for an
+    entry, u the float epsilon, which is 4 u times the s products of at
+    most (1 + |a| m)^2 that an entry of U* U sums, and d times that for a
+    trace, which sums d rows of them.  It covers the rounding of the
+    members' values and of the sums the report and a computed certificate
+    form, which round within a few units of u of their terms' magnitude:
+    a model of the rounding, not a worst case, which for a sum of N terms
+    reaches N u times that magnitude.
+    cj_orthonormality_dev is the larger of the two trace bounds over d.
+    The span rank comes from Gershgorin discs: every eigenvalue of the
+    Gram lies in some disc [G_ii - R_i, G_ii + R_i], R_i = sum_{j != i}
+    |G_ij| <= (n - 1) times the orthogonality bound.  If the lowest point
+    of the discs exceeds rank_eps times the highest, which bounds the
+    largest eigenvalue, span_rank is n = len(uf) and lam, that lowest
+    point, bounds the smallest eigenvalue from below; otherwise no rank is
+    proved, span_rank is 0 and lam 0.  A NaN or inf value of a base
+    reaches the report and m, so every bound, and proves no rank.
+    For antisymmetric A, tr(U_i* A) = tr(anti(U_i)* A) with
+    anti(U) = (U - U^T)/2, so a unit A projects onto span{U_i} with
+    squared norm at most sum_i |anti(U_i)|_F^2 / lam: the complement is
+    antisymmetric when the bound on that sum is within eps^2 lam.  Each
+    derived field bounds the one computed from the members, so a derived
+    PASS implies the computed PASS, but not the reverse.
     """
-    d = uf.d
-    n = len(uf)
+    family = uf.family
+    d, n, r = family.d, len(family), family.r
+    report = verify_equiangular(family, tol)
+    z = complex(uf.z)
+    a = 1 - z
+    size = abs(a)
+    phase = d - 2 * r * a.real + size * size * float(family.beta)  # phi
+    norm = abs(z.real * z.real + z.imag * z.imag - 1)  # ||z|^2 - 1|
+    m = float(np.max(np.abs(family.bases.values), initial=0.0))
+    s = family.bases.cols.shape[1]
+    entry_err = 4 * s * math.ulp(1.0) * (1 + size * m) ** 2  # ulp(1): the float epsilon u
+    idem, trace = report.max_idempotency_dev, report.max_rank_dev
 
-    eye = SupportStack(np.arange(d)[:, None], np.ones((len(uf.bases), d, 1)))
-    max_unitarity_dev = float(np.max(np.abs(support_product(uf.bases, eye)[1])))  # U* U - I
-    del eye  # its T d ones, like the gap, are freed before the Gram
+    max_unitarity_dev = (size * size + 2 * size) * idem + norm * m + entry_err
+    max_orthogonality_dev = abs(phase) + size * size * report.max_angle_dev + 2 * size * trace + d * entry_err
+    own = norm * (r + trace) + size * size * d * idem + d * entry_err  # max |tr(U_i* U_i) - d|
+    asym = 2 * size * idem + entry_err  # max |U - U^T|
 
-    gram = cyclic_gram(uf.bases)
-    stats = gram_stats(gram)
-    lower = float(np.min(stats.diag.real - stats.radii))
-    if lower > tol.rank_eps * float(np.max(stats.diag.real + stats.radii)):
-        span_rank, lam = n, lower
-    elif not math.isfinite(lower):
-        span_rank, lam = 0, 0.0
-    else:
-        span_rank, lam = spectral_rank(gram_spectrum(gram), tol)
-    worst, sq = asymmetry(uf.bases)  # over the bases; each of the d shifts of a base adds its sq
-    symmetric_span = span_rank == d * (d + 1) // 2 and worst <= tol.eps
-
-    # for antisymmetric A, tr(U_i* A) = tr(anti(U_i)* A) with anti(U) = (U - U^T)/2,
-    # so a unit A projects onto span{U_i} with squared norm at most
-    # sum_i |anti(U_i)|_F^2 / lam, lam bounding the eigenvalues counted in span_rank
-    complement_antisymmetric = d * sq / 4 <= tol.eps * tol.eps * lam
-
-    # max |G/d - I| off the diagonal is max |G_ij| over d
-    diag_dev = np.max(np.abs(stats.diag / d - 1.0))
-    cj_orthonormality_dev = float(np.maximum(stats.max_off / d, diag_dev))
+    radius = (n - 1) * max_orthogonality_dev
+    lower = d - own - radius
+    span_rank, lam = (n, lower) if lower > tol.rank_eps * (d + own + radius) else (0, 0.0)
+    symmetric_span = span_rank == d * (d + 1) // 2 and asym <= tol.eps
+    # n members, each with at most 2 d s entries of U - U^T, so sum_i |anti(U_i)|_F^2 <= n 2 d s asym^2 / 4
+    complement_antisymmetric = n * d * s * asym * asym / 2 <= tol.eps * tol.eps * lam
+    cj_orthonormality_dev = float(np.maximum(max_orthogonality_dev, own)) / d  # keeps a NaN, as max() would not
 
     d_odd = d % 2 == 1
     unextendible_verdict = (
@@ -196,7 +220,7 @@ def certify_umeb(uf: UnitaryFamily, tol: Tolerance = DEFAULT_TOL) -> UmebCertifi
         d=d,
         cardinality=n,
         max_unitarity_dev=max_unitarity_dev,
-        max_orthogonality_dev=stats.max_off,
+        max_orthogonality_dev=max_orthogonality_dev,
         span_rank=span_rank,
         symmetric_span=symmetric_span,
         complement_antisymmetric=complement_antisymmetric,

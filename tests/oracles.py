@@ -13,19 +13,25 @@ members' Gram, for symmetric members), the
 coefficient x with x * sum(P_i) = I for a maximal equiangular family, the
 whole Gram of a stack of matrices as one dense product and its rank, the
 equiangular report and the certificate read off every member of a dense
-stack, the residue base vectors as one dense array, the projection onto the
+stack, the certificate computed from the unitary bases' Gram, product and
+asymmetry (with the Gram spectrum, its rank and the asymmetry it reads),
+as the package computed it before it read the certificate off the
+equiangular report, the residue base vectors as one dense array, the projection onto the
 span of orthogonal vectors as a dense product, the Legendre symbol by
 Euler's criterion and the DFT matrix as one exponential per entry.  None
-calls the package's checks: each reads the members themselves.
+calls the package's checks: each reads the members themselves, but for
+the computed certificate, which reads the unitary bases through matcore's
+Gram and support product where a dense stack would not fit (p >= 263).
 """
 
+import math
 from collections.abc import Callable
 from fractions import Fraction
 
 import numpy as np
 
 from umebkit.errors import NotOrthogonal, ShapeMismatch
-from umebkit.matcore import DEFAULT_TOL, SupportStack, Tolerance
+from umebkit.matcore import DEFAULT_TOL, SupportStack, Tolerance, _blocks, _dft, cyclic_gram, gram_stats, support_product
 from umebkit.packing import ProjectionFamily, residue_base_vectors
 
 Channel = Callable[[np.ndarray], np.ndarray]
@@ -208,6 +214,93 @@ def dense_certificate(members, tol: Tolerance = DEFAULT_TOL) -> dict:
         "cardinality": n,
         "max_unitarity_dev": unitarity,
         "max_orthogonality_dev": float(np.max(np.abs(_off_diagonal(gram)), initial=0.0)),
+        "span_rank": rank,
+        "symmetric_span": symmetric_span,
+        "complement_antisymmetric": complement,
+        "d_odd": d % 2 == 1,
+        "unextendible_verdict": symmetric_span and complement and d % 2 == 1 and unitarity <= tol.eps and cj <= tol.eps,
+        "cj_orthonormality_dev": cj,
+    }
+
+
+def asymmetry(stack: SupportStack) -> tuple[float, float]:
+    """(max |B - B^T|, sum |B - B^T|^2) over the bases B of the stack.
+
+    B - B^T is 0 outside S | S^T, S the stored entries, so each value
+    B[a, b] is compared with its mirror B[b, a], 0 where row b's columns
+    lack a.  An entry whose mirror is not stored stands for the mirror too,
+    so it counts twice in the sum.  The bases go in blocks of matcore's
+    budget; the block maxima are combined by np.max and the sums by +, so a
+    NaN reaches both.
+    """
+    d, s = stack.cols.shape
+    rows = np.arange(d)[:, None]
+    weight = np.where((stack.cols[stack.cols] == rows[..., None]).any(axis=-1), 1.0, 2.0)
+    worst, sq = [], 0.0
+    for block in _blocks(len(stack), 2 * d * s * stack.values.itemsize):
+        gap = np.abs(stack.values[block] - stack.at(stack.cols, rows, block))
+        worst.append(np.max(gap, initial=0.0))
+        sq += float(np.vdot(weight * gap, gap))
+    return float(np.max(worst)), sq
+
+
+def gram_spectrum(gram) -> np.ndarray:
+    """Every eigenvalue of the Hermitian Gram of a matcore.CyclicGram, in ascending order.
+
+    The Gram of whole orbits is block-circulant, so a DFT over the shift
+    splits it into d Hermitian T x T blocks, sum_x G[t*d, t'*d + x]
+    exp(-2 pi i k x / d) = c + hhat[group, group, k], hhat the DFT of h
+    over x, whose eigenvalues together are those of G: one batched
+    eigvalsh on the (d, T, T) blocks, never the n x n Gram.
+    """
+    blocks = (gram.h @ _dft(gram.h.shape[-1])).transpose(2, 0, 1)[:, gram.group[:, None], gram.group]
+    blocks += gram.c
+    return np.sort(np.linalg.eigvalsh(blocks), axis=None)
+
+
+def spectral_rank(eigs: np.ndarray, tol: Tolerance) -> tuple[int, float]:
+    """(rank, lam) of ascending eigenvalues: those above rank_eps * largest, and the smallest of them (0.0 if none)."""
+    if eigs[-1] <= 0:
+        return 0, 0.0
+    rank = int(np.sum(eigs > tol.rank_eps * eigs[-1]))
+    return rank, float(eigs[-rank])
+
+
+def orbit_certificate(uf, tol: Tolerance = DEFAULT_TOL) -> dict:
+    """The fields of certify_umeb's certificate computed from the unitary bases, with no dense stack.
+
+    Unitarity is the largest entry of U* U - I summed over the support
+    (matcore.support_product with c = I); the orthogonality and CJ
+    deviations are read off the unitary Gram's stats (cyclic_gram,
+    gram_stats), and the span rank off its Gershgorin discs, or, when they
+    prove no full rank, off its spectrum (gram_spectrum), with lam the
+    smallest eigenvalue counted; a Gram with a NaN or inf proves no rank.
+    The symmetry flags read the bases' asymmetry.  Up to p = 79 it agrees
+    with dense_certificate to rounding, and it runs where that one does not
+    fit: at p = 1087 in about 0.4 s and 46 MiB traced.
+    """
+    bases = uf.bases
+    d, n = uf.d, len(uf)
+    eye = SupportStack(np.arange(d)[:, None], np.ones((len(bases), d, 1)))
+    unitarity = float(np.max(np.abs(support_product(bases, eye)[1])))
+    gram = cyclic_gram(bases)
+    stats = gram_stats(gram)
+    lower = float(np.min(stats.diag.real - stats.radii))
+    if lower > tol.rank_eps * float(np.max(stats.diag.real + stats.radii)):
+        rank, lam = n, lower
+    elif not math.isfinite(lower):
+        rank, lam = 0, 0.0
+    else:
+        rank, lam = spectral_rank(gram_spectrum(gram), tol)
+    worst, sq = asymmetry(bases)
+    symmetric_span = rank == d * (d + 1) // 2 and worst <= tol.eps
+    complement = d * sq / 4 <= tol.eps**2 * lam
+    cj = float(np.maximum(stats.max_off / d, np.max(np.abs(stats.diag / d - 1.0))))
+    return {
+        "d": d,
+        "cardinality": n,
+        "max_unitarity_dev": unitarity,
+        "max_orthogonality_dev": stats.max_off,
         "span_rank": rank,
         "symmetric_span": symmetric_span,
         "complement_antisymmetric": complement,

@@ -5,7 +5,7 @@ import platform
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umebkit import channels, matcore, umeb
+from umebkit import channels, matcore, packing
 from umebkit.channels import (
     MixedUnitaryDecomposition,
     umeb_decomposition,
@@ -25,8 +25,8 @@ from umebkit.errors import NotCertified, NotSquare, OutOfRange, ShapeMismatch
 from umebkit.hadamard import construct
 from umebkit.matcore import SupportStack
 from umebkit.numth import validate_prime
-from umebkit.packing import build_residue_family, icosahedron_lines, verify_equiangular
-from umebkit.umeb import UnitaryFamily, build_unitaries, certify_umeb, compute_phase
+from umebkit.packing import ProjectionFamily, build_residue_family, icosahedron_lines, verify_equiangular
+from umebkit.umeb import build_unitaries, certify_umeb, compute_phase
 
 from oracles import (
     choi_of_channel,
@@ -38,9 +38,11 @@ from oracles import (
     orbit_stack,
     random_hermitian,
     support_stack,
+    dense_certificate,
     swap_matrix,
     uniform_weight,
 )
+from test_umeb import assert_bounds  # the derived certificate against the dense one
 
 EPS = 1e-9
 
@@ -182,12 +184,12 @@ def test_umeb_decomposition_icosahedron():
 
 def test_umeb_decomposition_rejects_uncertified():
     uf = p7_unitaries()
-    cols, values = uf.bases.cols, uf.bases.values
-    truncated = UnitaryFamily(d=7, z=uf.z, bases=SupportStack(cols, values[:3]))  # 3 of the 4 orbits
+    values = uf.family.bases.values
+    truncated = _with_bases(uf, values[:3])  # 3 of the 4 orbits
     with pytest.raises(NotCertified):
         umeb_decomposition(truncated)
     # spans the symmetric matrices, but 35 weights 1/28 do not sum to 1
-    duplicated = UnitaryFamily(d=7, z=uf.z, bases=SupportStack(cols, np.concatenate((values, values[:1]))))
+    duplicated = _with_bases(uf, np.concatenate((values, values[:1])))
     with pytest.raises(NotCertified):
         umeb_decomposition(duplicated)
 
@@ -350,6 +352,17 @@ def _unitaries(p):
     return _residue_unitaries(p)
 
 
+def _with_bases(uf, values):
+    """The unitaries at uf's phase of the projection bases `values` on uf's support: whole orbits kept, dropped or repeated."""
+    return build_unitaries(replace(uf.family, bases=SupportStack(uf.family.bases.cols, values)), uf.z)
+
+
+def _edited(uf, edit):
+    """The unitaries at uf's phase of its dense projection bases edited in place: every shift of an edited base changes with it."""
+    fam = uf.family
+    return build_unitaries(replace(fam, bases=support_stack(edit(np.array(fam.bases.dense())), fam.d)), uf.z)
+
+
 def full_choi_dev(dec):
     """|sum_j w_j vec(U_j) vec(U_j)* - (I + SWAP)/(d+1)|_F from the whole d^2 x d^2 matrix."""
     uf = dec.unitaries
@@ -405,16 +418,17 @@ def test_choi_check_from_the_gram_is_the_block_sum(name, weights):
 
 
 def spy_gram_shapes(monkeypatch):
-    """Record the shapes (c, h) of every Gram that a family computes: its T x T products and its correlations."""
+    """Record the shapes (c, h) of every Gram that matcore computes, for the equiangular check or any other caller."""
     shapes = []
-    cyclic_gram = umeb.cyclic_gram
+    cyclic_gram = matcore.cyclic_gram
 
     def spy(*args, **kwargs):
         gram = cyclic_gram(*args, **kwargs)
         shapes.append((gram.c.shape, gram.h.shape))
         return gram
 
-    monkeypatch.setattr(umeb, "cyclic_gram", spy)
+    for module in (matcore, packing):
+        monkeypatch.setattr(module, "cyclic_gram", spy)
     return shapes
 
 
@@ -447,29 +461,29 @@ def test_choi_check_from_orbit_rows_matches_the_dense_rows(p, weights, monkeypat
 
 
 def test_a_pipeline_reads_the_unitary_gram_rows_once(monkeypatch):
+    # the certificate reads the one Gram of the real projections, through their equiangular report,
+    # and the decomposition and its check read none: no Gram of the unitaries is computed
     uf = _residue_unitaries(23)
-    calls = []
-    gram_stats = umeb.gram_stats
-    monkeypatch.setattr(umeb, "gram_stats", lambda gram: calls.append(gram) or gram_stats(gram))
     grams = []
-    cyclic_gram = umeb.cyclic_gram
-    monkeypatch.setattr(umeb, "cyclic_gram", lambda bases: grams.append(cyclic_gram(bases)) or grams[-1])
+    for module in (matcore, packing):
+        cyclic_gram = module.cyclic_gram
+        monkeypatch.setattr(module, "cyclic_gram", lambda bases, gram=cyclic_gram: grams.append(bases.values.dtype) or gram(bases))
     assert certify_umeb(uf).unextendible_verdict
     assert verify_decomposition(umeb_decomposition(uf), trials=20).verdict
-    # the discs and the certificate read one pass of the one Gram; the decomposition and its check read none
-    assert len(calls) == 1 and len(grams) == 1 and calls[0] is grams[0]
+    assert grams == [float]
 
 
 @pytest.mark.parametrize("p", [3, 7, 23])
 def test_a_family_of_the_right_count_that_does_not_span_fails_the_choi_check(p):
     # orbit 1 replaced by orbit 0: d(d+1)/2 members, so the uniform mixture is built, but they span
-    # d fewer dimensions; the decomposition counts members only, and check (a) implies the span
+    # d fewer dimensions, which no Gershgorin disc proves (span rank 0); the decomposition counts
+    # members only, and check (a) implies the span
     uf = _residue_unitaries(p)
-    orbits = np.arange(len(uf.bases))
+    orbits = np.arange(len(uf.family.bases))
     orbits[1] = 0
-    twice = UnitaryFamily(d=p, z=uf.z, bases=SupportStack(uf.bases.cols, uf.bases.values[orbits]))
+    twice = _with_bases(uf, uf.family.bases.values[orbits])
     cert = certify_umeb(twice)
-    assert (cert.span_rank, cert.symmetric_span, cert.unextendible_verdict) == (len(twice) - p, False, False)
+    assert (cert.span_rank, cert.symmetric_span, cert.unextendible_verdict) == (0, False, False)
     dec = umeb_decomposition(twice)
     assert dec.orbit_weights == (float(uniform_weight(p)),) * len(orbits)
     rep = verify_decomposition(dec, trials=20, seed=42)
@@ -486,10 +500,11 @@ def test_a_family_of_the_right_count_that_does_not_span_fails_the_choi_check(p):
 
 
 def _nonsymmetric_member():
-    bases = np.array(_unitaries(7).bases.dense())
-    bases[0, 0, 1] += 1e-13  # base 0, and so every member of orbit 0
-    uf = UnitaryFamily(d=7, z=compute_phase(7, 3), bases=support_stack(bases, 7))
-    return umeb_decomposition(uf)  # within eps of symmetric, so still accepted
+    def skew(bases):
+        bases[0, 0, 1] += 1e-13  # projection base 0, and so every member of orbit 0
+        return bases
+
+    return umeb_decomposition(_edited(_unitaries(7), skew))  # within eps of symmetric, so still accepted
 
 
 def _negative_weight(p=7):
@@ -501,14 +516,14 @@ def _negative_weight(p=7):
 
 def _member_count():
     uf = _unitaries(7)
-    part = UnitaryFamily(d=7, z=uf.z, bases=SupportStack(uf.bases.cols, uf.bases.values[:3]))  # 3 of the 4 orbits: 21 members
+    part = _with_bases(uf, uf.family.bases.values[:3])  # 3 of the 4 orbits: 21 members
     return MixedUnitaryDecomposition(orbit_weights=(1 / 21,) * 3, unitaries=part)
 
 
 def _random_members():
-    """Random d=5 bases, neither unitary nor symmetric, so their members are not orthogonal: the
-    distance depends on which members each orbit weight falls on, not only on the weights."""
-    return MixedUnitaryDecomposition((0.1, 0.2, 0.3), UnitaryFamily(5, 1.0, support_stack(_random_bases(5, 3, seed=59), 5)))
+    """I - aB for random real d=5 bases B, neither unitary nor symmetric, so the members are not orthogonal:
+    the distance depends on which members each orbit weight falls on, not only on the weights."""
+    return MixedUnitaryDecomposition((0.1, 0.2, 0.3), _random_unitaries(_random_bases(5, 3, seed=59)))
 
 
 @pytest.mark.parametrize(
@@ -530,37 +545,46 @@ def test_choi_check_falls_back_to_the_blocks(build):
 
 
 def test_gram_passes_cover_the_last_row_block(monkeypatch):
-    # the product c of the p=23 unitaries: each of the 12 rows counts its conjugated values and
-    # its products, 22 + 12 complex entries (the 22 off-diagonal entries sit alone on their
-    # offsets), so a budget of five such rows gives blocks of 5, 5 and 2
-    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 5 * (22 + 12) * 16)
+    # the product c of the p=23 bases: each of the 12 rows counts its conjugated values and its
+    # products, 22 + 12 entries (the 22 off-diagonal entries sit alone on their offsets), so a
+    # budget of five such rows gives blocks of 5, 5 and 2, for the complex unitary bases as for
+    # the real projection bases, which conj() does not copy
     uf = _residue_unitaries(23)
     matmul, blocks = np.matmul, []
     monkeypatch.setattr(np, "matmul", lambda a, b, **k: ("out" in k and blocks.append(len(a))) or matmul(a, b, **k))
-    matcore.cyclic_gram(uf.bases)
+    for bases in (uf.bases, uf.family.bases):
+        monkeypatch.setattr(matcore, "_BLOCK_BYTES", 5 * (22 + 12) * bases.values.itemsize)
+        matcore.cyclic_gram(bases)
+        assert blocks == [5, 5, 2], bases.values.dtype
+        blocks.clear()
     monkeypatch.setattr(np, "matmul", matmul)
-    assert blocks == [5, 5, 2]
     w = np.array(umeb_decomposition(uf).orbit_weights)
     w[-1] *= 1.5  # the last orbit
     dec = MixedUnitaryDecomposition(orbit_weights=tuple(w), unitaries=uf)
     assert verify_decomposition(dec, trials=0).choi_dev == pytest.approx(full_choi_dev(dec), rel=1e-12)
-    # a longer last base shows only on the last diagonal entries of G/d - I
-    bases = uf.bases.dense()
-    longer = np.concatenate((bases[:-1], [bases[-1] * (1 + 1e-6)]))
-    cert = certify_umeb(UnitaryFamily(d=23, z=uf.z, bases=support_stack(longer, 23)))
-    assert cert.cj_orthonormality_dev == pytest.approx(2e-6, rel=1e-5)
-    # the last two bases mixed show only off the diagonal of the last row block
-    mixed = np.array(bases)
-    mixed[-1] += 1e-3 * mixed[-2]
-    cert = certify_umeb(UnitaryFamily(d=23, z=uf.z, bases=support_stack(mixed, 23)))
-    assert cert.max_orthogonality_dev == pytest.approx(1e-3 * 23, rel=1e-9)
-    assert cert.cj_orthonormality_dev == pytest.approx(1e-3, rel=1e-9)
+    # a longer last projection base shows on the last diagonal entries of G/d - I: tr(U* U) - d is
+    # |a|^2 r (c^2 - c) there, for P scaled by c
+    longer = _edited(uf, lambda bases: np.concatenate((bases[:-1], [bases[-1] * (1 + 1e-6)])))
+    cert, oracle = certify_umeb(longer), dense_certificate(member_stack(longer))
+    a2 = abs(1 - uf.z) ** 2
+    assert oracle["cj_orthonormality_dev"] == pytest.approx(a2 * 11 * ((1 + 1e-6) ** 2 - (1 + 1e-6)) / 23, rel=1e-5)
+    assert_bounds(cert, oracle)
+    # the last two projection bases mixed show off the diagonal of the last row block
+    def mix(bases):
+        bases[-1] += 1e-3 * bases[-2]
+        return bases
+
+    mixed = _edited(uf, mix)
+    cert, oracle = certify_umeb(mixed), dense_certificate(member_stack(mixed))
+    assert oracle["max_orthogonality_dev"] > 1e-3 and oracle["cj_orthonormality_dev"] > 1e-4
+    assert not cert.unextendible_verdict
+    assert_bounds(cert, oracle)
 
 
 SIGNED_WEIGHT_FAMILIES = {
     "icosahedron": lambda: _unitaries(3),
     "p7": lambda: _unitaries(7),
-    "dense-d5": lambda: UnitaryFamily(5, 1.0, support_stack(_random_bases(5, 3, seed=59), 5)),  # neither unitary nor symmetric
+    "dense-d5": lambda: _random_unitaries(_random_bases(5, 3, seed=59)),  # neither unitary nor symmetric
 }
 
 
@@ -739,9 +763,14 @@ def test_orbit_kernel_build_holds_one_block_beyond_its_terms(monkeypatch):
 
 
 def _random_bases(d, orbits, seed):
-    """Random complex d x d bases, not unitaries; whole orbits of their shifts make a family's members."""
-    rng = np.random.default_rng(seed)
-    return rng.normal(size=(orbits, d, d)) + 1j * rng.normal(size=(orbits, d, d))
+    """Random real d x d bases, no projections; whole orbits of their shifts make a family's members."""
+    return np.random.default_rng(seed).normal(size=(orbits, d, d))
+
+
+def _random_unitaries(bases):
+    """The members I - aB of real d x d bases B, a = 1 - z non-real at z = compute_phase(d, d // 2): neither unitary nor symmetric."""
+    d = bases.shape[-1]
+    return build_unitaries(ProjectionFamily(d, d // 2, support_stack(bases, d), Fraction(0)), compute_phase(d, d // 2))
 
 
 def _unequal_row_support():
@@ -754,14 +783,14 @@ def _unequal_row_support():
     support[a[:, None], (a[:, None] + a) % d] = in_row
     bases = _random_bases(d, 3, seed=61) * support
     bases[0, 3] = 0
-    return UnitaryFamily(d, 1.0, support_stack(bases, d))
+    return _random_unitaries(bases)
 
 
 KERNEL_CASES = {
     7: lambda: _residue_unitaries(7),
     23: lambda: _residue_unitaries(23),
     47: lambda: _residue_unitaries(47),
-    "dense": lambda: UnitaryFamily(5, 1.0, support_stack(_random_bases(5, 3, seed=59), 5)),  # every entry: s = d
+    "dense": lambda: _random_unitaries(_random_bases(5, 3, seed=59)),  # every entry: s = d
     "unequal-row-support": _unequal_row_support,
 }
 
@@ -800,10 +829,11 @@ def _nan_weights():
 
 def _nonfinite_base_entry(value):
     def build():
-        uf = _residue_unitaries(7)
-        bases = np.array(uf.bases.dense())
-        bases[2, 1, 3] = value
-        return MixedUnitaryDecomposition((1 / 28,) * 4, UnitaryFamily(7, uf.z, support_stack(bases, 7)))
+        def edit(bases):
+            bases[2, 1, 3] = value  # of projection base 2, so of every unitary of orbit 2
+            return bases
+
+        return MixedUnitaryDecomposition((1 / 28,) * 4, _edited(_residue_unitaries(7), edit))
 
     return build
 
@@ -887,14 +917,16 @@ def _tilted(uf, by=1e-12):
 
 
 def _perturbed_entry():
-    bases = np.array(_residue_unitaries(7).bases.dense())
-    bases[-1, 2, 4] += 1e-12  # the last base, and so every member of the last orbit
-    return _tilted(UnitaryFamily(7, compute_phase(7, 3), support_stack(bases, 7)))
+    def edit(bases):
+        bases[-1, 2, 4] += 1e-12  # the last projection base, and so every member of the last orbit
+        return bases
+
+    return _tilted(_edited(_residue_unitaries(7), edit))
 
 
 def _part_of_the_orbits():
     uf = _residue_unitaries(7)
-    return _tilted(UnitaryFamily(7, uf.z, SupportStack(uf.bases.cols, uf.bases.values[:3])))  # 3 of the 4 orbits: 21 members
+    return _tilted(_with_bases(uf, uf.family.bases.values[:3]))  # 3 of the 4 orbits: 21 members
 
 
 # every mixture has one weight per orbit and goes through the orbit kernel: weights 1e-12 apart

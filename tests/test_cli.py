@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from umebkit import cli, hadamard, umeb
+from umebkit import cli, hadamard, packing
 from umebkit.channels import MixedUnitaryDecomposition
 from umebkit.cli import artifact_from_json, artifact_to_json, canonical_json, main
 from umebkit.errors import MalformedArtifact
@@ -361,10 +361,10 @@ def test_commands_that_check_nothing_take_no_tolerance(argv, capsys):
     assert run(argv + ["--format", "json"]) == 0
 
 
-def test_a_tampered_p79_artifact_ends_in_a_verdict_from_the_shift_blocks(tmp_path, monkeypatch, capsys):
+def test_a_tampered_p79_artifact_ends_in_a_verdict_from_the_discs(tmp_path, monkeypatch, capsys):
     # the phase z turned by 0.1 rad, still of modulus 1: the unitaries are no longer trace-orthogonal,
-    # the discs prove nothing, and the rank comes from one batched eigvalsh on the 79 blocks of
-    # 40 x 40, never from the 3160 x 3160 Gram
+    # so the Gershgorin discs of the derived bounds prove no rank (0) and no spectrum is computed; the
+    # only Grams are the projections', one for the equiangular report and one for the certificate's
     path = tmp_path / "umeb79.json"
     assert run(["umeb", "--p", "79", "--out", str(path), "--no-timestamp"]) == 0
     obj = json.loads(path.read_text())
@@ -376,14 +376,14 @@ def test_a_tampered_p79_artifact_ends_in_a_verdict_from_the_shift_blocks(tmp_pat
     calls = []
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
     passes = []
-    gram_stats = umeb.gram_stats
-    monkeypatch.setattr(umeb, "gram_stats", lambda gram: passes.append((gram.c.shape, gram.h.shape)) or gram_stats(gram))
-    assert run(["verify", "--in", str(path), "--no-timestamp"]) == 2
-    assert "unextendible: FAIL" in capsys.readouterr().out
-    assert calls == [(79, 40, 40)]
-    # the unitary family's Gram, read in one pass: every base keeps the shared diagonal,
-    # so one correlation stands for every pair
-    assert passes == [((40, 40), (1, 1, 79))]
+    gram_stats = packing.gram_stats
+    monkeypatch.setattr(packing, "gram_stats", lambda gram: passes.append((gram.c.dtype, gram.h.shape)) or gram_stats(gram))
+    assert run(["verify", "--in", str(path), "--no-timestamp", "--format", "json"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert (report["span_rank"], report["unextendible_verdict"], report["passed"]) == (0, False, True)
+    assert calls == []
+    # every base keeps the shared diagonal, so one correlation stands for every pair
+    assert passes == [(np.dtype(float), (1, 1, 79))] * 2
 
 
 @pytest.mark.parametrize("p", [7, 31])

@@ -108,6 +108,19 @@ def test_construct_four_matches_reference():
     assert np.array_equal(construct(4).entries, H4)
 
 
+def test_the_smallest_powers_of_two_are_sylvester_matrices():
+    # orders 1 and 2 go through the one power-of-two branch, entry for entry the matrices they were
+    # always built as, and 0, -4, 3 and 6 are refused with the message they always had
+    assert construct(1).entries.tolist() == [[1]]
+    assert construct(2).entries.tolist() == [[1, 1], [1, -1]]
+    assert construct(4).entries.tolist() == [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
+    for n in (1, 2, 4):
+        assert construct(n).entries.dtype == np.int64 and construct(n).entries.tobytes() == sylvester(n.bit_length() - 1).entries.tobytes()
+    for n in (0, -4, 3, 6):
+        with pytest.raises(UnsupportedOrder, match=f"^Hadamard order must be 1, 2 or a multiple of 4, got {n}$"):
+            construct(n)
+
+
 def test_construct_deterministic():
     for n in (12, 24, 36, 40):
         assert np.array_equal(construct(n).entries, construct(n).entries)

@@ -365,12 +365,12 @@ def test_dual_family_icosahedron():
 def test_eye_minus_rejects_a_support_without_its_diagonal():
     # the rank-1 projection onto e0 in d = 3, compressed from its dense stack: rows 1 and 2 hold
     # padding column 0 and not their own, so I - w P, whose 1 lies on their diagonal, is refused
-    # rather than held without it
+    # rather than held without it, when the unitary family's bases are read
     p = np.zeros((3, 3))
     p[0, 0] = 1.0
     fam = ProjectionFamily(d=3, r=1, bases=support_stack(p[None], 3), beta=Fraction(0))  # e0, e1 and e2
     assert fam.bases.cols.tolist() == [[0], [0], [0]]
-    for build in (lambda: build_unitaries(fam, 1j), lambda: dual_family(fam)):
+    for build in (lambda: build_unitaries(fam, 1j).bases, lambda: dual_family(fam)):
         with pytest.raises(ShapeMismatch, match="its own column"):
             build()
     # the same projection on the support of its diagonal maps to I - w P on those columns

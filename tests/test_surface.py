@@ -43,12 +43,15 @@ EXPORTS = [
 # helpers that no pipeline stage or command called; the tests' oracles among them live in tests/oracles.py
 # (random_hermitian, dual_family, support_columns, and union_support with the dense branch of
 # SupportStack.of as support_stack), and the JSON coders outside cli, which the one artifact writer
-# and reader replace; uniform_weight is the one float 2 / (d(d+1)) in umeb_decomposition
+# and reader replace; uniform_weight is the one float 2 / (d(d+1)) in umeb_decomposition.  The
+# certificate is read off the equiangular report, so the unitary Gram's spectrum, its rank and the
+# bases' asymmetry are the computed certificate's, an oracle (orbit_certificate)
 DELETED = {
     channels: ["choi_of_channel", "swap_matrix", "choi_rank", "apply_decomposition", "random_hermitian", "uniform_weight"],
     matcore: [
         "frobenius_inner", "sym_antisym_split", "cj_vectorize", "is_unitary", "numerical_rank",
         "json_int", "json_number", "json_int_matrix", "union_support", "support_columns", "orbit_stack",
+        "asymmetry", "gram_spectrum", "spectral_rank",
     ],
     umeb: ["cj_states", "line_feasibility_sweep"],
     packing: [
@@ -140,18 +143,18 @@ def test_a_unitary_artifact_has_one_format():
     # the reports are their dataclasses' fields: no module but cli codes JSON
     for module in (channels, hadamard, matcore, packing, umeb):
         assert not [name for name, value in vars(module).items() if "json" in name.lower() or hasattr(value, "to_json")]
-    assert [field.name for field in dataclasses.fields(umeb.UnitaryFamily)] == ["d", "z", "bases"]
+    assert [field.name for field in dataclasses.fields(umeb.UnitaryFamily)] == ["family", "z"]
 
 
 def test_a_family_takes_its_bases_as_a_support_stack_only():
-    # a dense (T, d, d) stack is no SupportStack: a hand-made family compresses its bases first
+    # a dense (T, d, d) stack is no SupportStack: a hand-made family compresses its bases first, and a
+    # unitary family takes a projection family and maps its bases
     fam = packing.build_residue_family(validate_prime(7), construct(4))
     uf = umeb.build_unitaries(fam, umeb.compute_phase(7, 3))
     for dense in (fam.bases.dense(), uf.bases.dense()):
         with pytest.raises(ShapeMismatch, match="SupportStack, got ndarray"):
             packing.ProjectionFamily(7, 3, dense, fam.beta)
-        with pytest.raises(ShapeMismatch, match="SupportStack, got ndarray"):
-            umeb.UnitaryFamily(7, uf.z, dense)
+    assert uf.family is fam and uf.bases.values.tobytes() == fam.bases.eye_minus(1 - uf.z).values.tobytes()
 
 
 def test_a_family_holds_no_shift_count():

@@ -1,13 +1,15 @@
 import json
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from umebkit import matcore, umeb
+from umebkit import matcore, packing, umeb
 from umebkit.cli import artifact_from_json, artifact_to_json
 from umebkit.errors import Infeasible, RankOutOfRange, ShapeMismatch
 from umebkit.hadamard import construct
@@ -20,14 +22,22 @@ from umebkit.packing import (
     verify_equiangular,
 )
 from umebkit.umeb import (
-    UnitaryFamily,
     build_unitaries,
     certify_umeb,
     compute_phase,
     feasibility,
 )
 
-from oracles import dense_certificate, dense_gram, dual_family, member_stack, numerical_rank, support_stack
+from oracles import (
+    asymmetry,
+    dense_certificate,
+    dense_gram,
+    dual_family,
+    member_stack,
+    numerical_rank,
+    orbit_certificate,
+    support_stack,
+)
 
 EPS = 1e-9
 
@@ -180,58 +190,101 @@ def test_certify_icosahedron():
     assert cert.unextendible_verdict
 
 
+DEVIATIONS = ("max_unitarity_dev", "max_orthogonality_dev", "cj_orthonormality_dev")
+
+
+def assert_bounds(cert, oracle):
+    """The derived certificate bounds the computed one: every deviation at least the oracle's, a PASS only where the oracle passes.
+
+    A proved span rank is the family's size, and then the oracle's rank too;
+    an unproved one is 0.
+    """
+    for field in DEVIATIONS:
+        assert getattr(cert, field) >= oracle[field], field
+    for field in ("symmetric_span", "complement_antisymmetric", "unextendible_verdict"):
+        assert oracle[field] or not getattr(cert, field), field
+    assert cert.span_rank in (0, oracle["cardinality"]) and cert.span_rank in (0, oracle["span_rank"])
+    assert (cert.d, cert.cardinality, cert.d_odd) == (oracle["d"], oracle["cardinality"], oracle["d_odd"])
+
+
+def _p7_projections(edit):
+    """The p=7 projections with their dense bases edited: every shift of an edited base changes with it."""
+    fam = p7_family()
+    return replace(fam, bases=support_stack(edit(np.array(fam.bases.dense())), 7))
+
+
+def _p7_bases(edit, z=None):
+    """The unitaries of the edited p=7 projections (_p7_projections), at z or else at the paper's phase."""
+    return build_unitaries(_p7_projections(edit), compute_phase(7, 3) if z is None else z)
+
+
+def _p7_orbits(keep):
+    """The p=7 unitaries of the projection bases values[keep] on the family's own support."""
+    fam = p7_family()
+    return build_unitaries(replace(fam, bases=SupportStack(fam.bases.cols, fam.bases.values[keep])), compute_phase(7, 3))
+
+
 def test_certify_truncated_family_fails():
-    uf = p7_unitaries()
-    truncated = UnitaryFamily(d=7, z=uf.z, bases=SupportStack(uf.bases.cols, uf.bases.values[:3]))  # 3 of the 4 orbits: 21 members
+    truncated = _p7_orbits(slice(3))  # 3 of the 4 orbits: 21 members
     cert = certify_umeb(truncated)
     assert cert.span_rank == 21
     assert not cert.symmetric_span
     assert not cert.unextendible_verdict
+    assert_bounds(cert, dense_certificate(member_stack(truncated)))
 
 
 def test_certify_verdict_monotone_under_removal():
-    uf = p7_unitaries()
     for drop in range(4):  # each orbit in turn
-        rest = SupportStack(uf.bases.cols, np.delete(uf.bases.values, drop, axis=0))
-        cert = certify_umeb(UnitaryFamily(d=7, z=uf.z, bases=rest))
+        rest = _p7_orbits(np.delete(np.arange(4), drop))
+        cert = certify_umeb(rest)
         assert not cert.symmetric_span
         assert not cert.unextendible_verdict
-
-
-def _p7_with_first(replace):
-    """The p=7 unitaries with base 0, and so every shift of it, replaced by replace(U_0, P_0)."""
-    uf = p7_unitaries()
-    bases = uf.bases.dense()
-    first = replace(bases[0], p7_family().bases.dense()[0])
-    return UnitaryFamily(d=7, z=uf.z, bases=support_stack(np.concatenate(([first], bases[1:])), 7))
+        assert_bounds(cert, dense_certificate(member_stack(rest)))
 
 
 def test_certify_rejects_member_with_other_phase():
-    # still unitary and symmetric, so the three structural facts hold
-    w = complex(math.cos(0.3), math.sin(0.3))
-    cert = certify_umeb(_p7_with_first(lambda u, p: np.eye(7) - (1 - w) * p))
+    # every member at a unit phase turned 1e-3 off the paper's, so off the exact Re z: still unitary
+    # and symmetric, so the three structural facts hold, but tr(U_i* U_j) = phi, about 8.8e-4
+    z = compute_phase(7, 3) * complex(math.cos(1e-3), math.sin(1e-3))
+    uf = _p7_bases(lambda bases: bases, z)
+    cert, oracle = certify_umeb(uf), dense_certificate(member_stack(uf))
     assert cert.symmetric_span and cert.complement_antisymmetric and cert.d_odd
     assert cert.max_unitarity_dev <= EPS
-    assert cert.max_orthogonality_dev > 1.0
+    assert cert.max_orthogonality_dev == pytest.approx(oracle["max_orthogonality_dev"], rel=1e-9)
+    assert oracle["max_orthogonality_dev"] > 1e-4
     assert cert.cj_orthonormality_dev > EPS
     assert not cert.unextendible_verdict
+    assert_bounds(cert, oracle)
 
 
 def test_certify_rejects_non_unitary_member():
-    cert = certify_umeb(_p7_with_first(lambda u, p: 2 * u))
+    # |z| = 1 + 1e-3: U* U - I = (|z|^2 - 1) P, at most 2.001e-3 * 2/3, and the members stay symmetric
+    uf = _p7_bases(lambda bases: bases, compute_phase(7, 3) * (1 + 1e-3))
+    cert, oracle = certify_umeb(uf), dense_certificate(member_stack(uf))
     assert cert.symmetric_span and cert.complement_antisymmetric and cert.d_odd
-    assert abs(cert.max_unitarity_dev - 3.0) < 1e-12
+    assert oracle["max_unitarity_dev"] == pytest.approx((1.001**2 - 1) * 2 / 3, rel=1e-12)
+    assert cert.max_unitarity_dev == pytest.approx(oracle["max_unitarity_dev"], rel=1e-9)
     assert cert.cj_orthonormality_dev > EPS
     assert not cert.unextendible_verdict
+    assert_bounds(cert, oracle)
+
+
+def _skewed(bases, by=1e-3):
+    """bases with base 0's entry (0, 1) moved by `by`: that entry's mirror (1, 0) lies off the support."""
+    bases[0, 0, 1] += by
+    return bases
 
 
 def test_certify_flags_non_symmetric_member():
-    phases = np.diag(np.exp(1j * np.arange(7)))
-    cert = certify_umeb(_p7_with_first(lambda u, p: u @ phases))
-    assert cert.max_unitarity_dev <= EPS
+    # P_0 no longer symmetric, so no orthogonal projection: the members of orbit 0 are neither
+    # symmetric nor unitary
+    uf = _p7_bases(_skewed)
+    cert, oracle = certify_umeb(uf), dense_certificate(member_stack(uf))
+    assert not oracle["symmetric_span"]
     assert not cert.symmetric_span
     assert not cert.complement_antisymmetric
     assert not cert.unextendible_verdict
+    assert_bounds(cert, oracle)
 
 
 NON_FINITE = [
@@ -245,11 +298,10 @@ NON_FINITE = [
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_certify_fails_a_base_with_a_non_finite_entry(value, at):
     def edit(bases):
-        bases = np.array(bases)
-        bases[at] = value
+        bases[at] = value  # of the projections, so of every unitary of the edited orbit
         return bases
 
-    cert = certify_umeb(_p7_bases(edit))  # a verdict, not a LinAlgError from eigvalsh
+    cert = certify_umeb(_p7_bases(edit))  # a verdict, not an error
     assert not cert.unextendible_verdict and not cert.symmetric_span
     assert cert.span_rank == 0
     assert not cert.cj_orthonormality_dev <= EPS
@@ -271,64 +323,49 @@ def _residue_unitaries(p):
     return build_unitaries(fam, compute_phase(p, (p - 1) // 2))
 
 
-def _p7_bases(edit):
-    """The p=7 unitaries with their bases edited: every shift of an edited base changes with it."""
-    uf = p7_unitaries()
-    return UnitaryFamily(d=7, z=uf.z, bases=support_stack(edit(uf.bases.dense()), 7))
-
-
 def _shifted_once(base):
     """base shifted by 1, [i, j] -> [i - 1, j - 1]: member 1 of its orbit."""
     return np.roll(base, (1, 1), axis=(0, 1))
 
 
-# name -> (family, whether the Gershgorin discs prove the rank, verdict); the edits are of
-# the bases, so every shift of an edited base changes with it
+# name -> (family, whether the Gershgorin discs prove the rank, verdict); the edits are of the
+# projection bases (u0 and u1 in a name are the bases of orbits 0 and 1), so every shift of an
+# edited base changes with it.  Where the discs prove no rank the span rank is 0: every such
+# family is of full rank, or (the duplicate) more members than its rank
 RANK_CASES = {
     # bit for bit the residue family at p = 3 (test_packing), which it stands for
     "icosahedron": (lambda: build_unitaries(icosahedron_lines(), compute_phase(3, 1)), True, True),
     "p7": (lambda: _residue_unitaries(7), True, True),
     "p23": (lambda: _residue_unitaries(23), True, True),
     "p31": (lambda: _residue_unitaries(31), True, True),
-    # discs around 8.75 and 7, both of radius 3.5: full rank, proved by the discs
-    "p7-u0+0.5u1": (lambda: _p7_bases(lambda bs: np.concatenate(([bs[0] + 0.5 * bs[1]], bs[1:]))), True, False),
-    # disc of a row of orbit 1 is 7 +- 14: full rank, but only the spectrum shows it
+    # orthogonality bound 0.24 over 27 other members against d = 7: full rank, proved by the discs
+    "p7-u0+0.01u1": (lambda: _p7_bases(lambda bs: np.concatenate(([bs[0] + 0.01 * bs[1]], bs[1:]))), True, False),
+    # orthogonality bounds of 12 and 62: full rank, but only the spectrum shows it
+    "p7-u0+0.5u1": (lambda: _p7_bases(lambda bs: np.concatenate(([bs[0] + 0.5 * bs[1]], bs[1:]))), False, False),
     "p7-u0+2u1": (lambda: _p7_bases(lambda bs: np.concatenate(([bs[0] + 2 * bs[1]], bs[1:]))), False, False),
     "p7-duplicate": (lambda: _p7_bases(lambda bs: np.concatenate((bs, bs[:1]))), False, False),
-    # base 0 plus twice its own shift by 1: discs around 35 of radius 28, and 7 of radius 0,
-    # so the discs prove the full rank of a circulant orbit
-    "p7-orbit-u0+2u1": (lambda: _p7_bases(lambda bs: np.concatenate(([bs[0] + 2 * _shifted_once(bs[0])], bs[1:]))), True, False),
-    "p7-nonsymmetric": (
-        lambda: _p7_bases(
-            lambda bs: np.concatenate(([bs[0] @ np.diag(np.exp(1j * np.arange(7)))], bs[1:]))
-        ),
-        False,
-        False,
-    ),
+    # base 0 plus twice its own shift by 1
+    "p7-orbit-u0+2u1": (lambda: _p7_bases(lambda bs: np.concatenate(([bs[0] + 2 * _shifted_once(bs[0])], bs[1:]))), False, False),
+    # one asymmetric entry of 1e-3: the discs prove the rank, and the asymmetry fails the span
+    "p7-nonsymmetric": (lambda: _p7_bases(_skewed), True, False),
 }
-
-
-def spectral_fields(uf, tol=Tolerance()):
-    """The certificate fields that rest on the rank proof, computed the way
-    certify_umeb did before the disc bound: from every Gram eigenvalue."""
-    oracle = dense_certificate(member_stack(uf), tol)
-    return {field: oracle[field] for field in ("span_rank", "symmetric_span", "complement_antisymmetric")}
 
 
 @pytest.mark.parametrize("name", RANK_CASES)
 def test_span_rank_proof_matches_the_spectrum(name, monkeypatch):
     build, by_discs, verdict = RANK_CASES[name]
     uf = build()
-    expected = spectral_fields(uf)
     eigvalsh = np.linalg.eigvalsh
     calls = []
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
     cert = certify_umeb(uf)
     monkeypatch.undo()
-    assert calls == ([] if by_discs else [(uf.d, len(uf.bases), len(uf.bases))])
-    assert cert.span_rank == numerical_rank(member_stack(uf))
-    assert cert == replace(cert, **expected)
+    assert calls == []  # the discs alone decide: no spectrum is computed
+    rank = numerical_rank(member_stack(uf))
+    assert cert.span_rank == (len(uf) if by_discs else 0)
+    assert rank == len(uf) or not by_discs
     assert cert.unextendible_verdict == verdict
+    assert_bounds(cert, dense_certificate(member_stack(uf)))
 
 
 def _built(prime, h, z):
@@ -372,10 +409,10 @@ def test_member_stacks_are_read_only(name):
     for cols in (uf.bases.cols, fam.bases.cols):
         with pytest.raises(ValueError):
             cols[0, 0] = 1
-    # neither reading the members nor the certificate, which computes its Gram, leaves anything on the family
+    # neither reading the members nor the certificate, which reads the projections' report, leaves anything on the family
     held = dict(vars(uf))
     assert certify_umeb(uf).unextendible_verdict
-    assert vars(uf) == held and list(held) == ["d", "z", "bases"]
+    assert vars(uf) == held and list(held) == ["family", "z"]
 
 
 MEMBER_FAMILIES = {
@@ -481,8 +518,8 @@ def test_families_keep_their_own_copy_of_the_callers_arrays():
     # into those arrays reaches neither its members nor its checks
     uf = p7_unitaries()
     expected = certify_umeb(uf)
-    for members, mutate in _callers_arrays(uf.bases.dense()):
-        mine = UnitaryFamily(d=7, z=uf.z, bases=support_stack(members, 7))
+    for members, mutate in _callers_arrays(uf.family.bases.dense()):
+        mine = build_unitaries(replace(uf.family, bases=support_stack(members, 7)), uf.z)
         assert certify_umeb(mine) == expected
         mutate()
         assert np.array_equal(member_stack(mine), member_stack(uf))
@@ -511,17 +548,18 @@ def test_a_family_on_a_view_of_the_callers_values_does_not_go_stale():
 
 
 def test_the_unitaries_are_built_without_a_dense_base():
-    # at p=263 the dense complex bases alone are 140 MiB; on their support they are 1.1 MiB
+    # at p=263 the dense complex bases alone are 140 MiB; on their support they are 1.1 MiB, mapped
+    # from the projections each time they are read
     fam = build_residue_family(validate_prime(263), construct(132))
     z = compute_phase(263, 131)
-    build_unitaries(fam, z)
+    build_unitaries(fam, z).bases
     tracemalloc.start()
     try:
-        uf = build_unitaries(fam, z)
+        bases = build_unitaries(fam, z).bases
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert uf.bases.values.shape == (132, 263, 2) and uf.bases.values.dtype == complex
+    assert bases.values.shape == (132, 263, 2) and bases.values.dtype == complex
     assert peak <= 2 << 20
 
 
@@ -537,7 +575,7 @@ def test_the_cyclic_gram_is_the_gram_of_the_members():
     shift = (x - x[:, None]) % 23
     whole = gram.h[gram.group[t][:, None], gram.group[t], shift] + np.where(shift == 0, gram.c[t[:, None], t], 0)
     assert np.max(np.abs(whole - dense)) <= 1e-13 * 23
-    assert matcore.asymmetry(uf.bases) == (0.0, 0.0)  # built families are exactly symmetric
+    assert asymmetry(uf.bases) == (0.0, 0.0)  # built families are exactly symmetric
 
 
 def test_certifying_a_p263_family_holds_no_gram_rows():
@@ -555,27 +593,13 @@ def test_certifying_a_p263_family_holds_no_gram_rows():
     assert peak <= 20 << 20
 
 
-def spy_gram_shapes(monkeypatch, module):
-    """Record the shapes (c, h) of every Gram that module computes: its T x T products and its correlations."""
-    shapes = []
-    cyclic_gram = module.cyclic_gram
-
-    def spy(*args, **kwargs):
-        gram = cyclic_gram(*args, **kwargs)
-        shapes.append((gram.c.shape, gram.h.shape))
-        return gram
-
-    monkeypatch.setattr(module, "cyclic_gram", spy)
-    return shapes
-
-
 def assert_matches_dense(cert, oracle):
     """Every deviation within 1e-13 of the oracle's, every verdict, span_rank and cardinality equal."""
     for field, value in oracle.items():
         if isinstance(value, float):
-            assert abs(getattr(cert, field) - value) <= 1e-13, field
+            assert abs(cert[field] - value) <= 1e-13, field
         else:
-            assert getattr(cert, field) == value, field
+            assert cert[field] == value, field
 
 
 ORBIT_FAMILIES = {
@@ -588,69 +612,155 @@ ORBIT_FAMILIES = {
 @pytest.mark.parametrize(
     "name", [pytest.param(n, marks=pytest.mark.slow) if n in ("p71", "p79") else n for n in ORBIT_FAMILIES]
 )
-def test_certificate_from_orbit_rows_matches_the_dense_certificate(name, monkeypatch):
+def test_certificate_from_orbit_rows_matches_the_dense_certificate(name):
+    # the computed certificate, from the unitary bases' Gram, product and asymmetry, is the dense one,
+    # and the certificate derived from the equiangular report bounds both, within a tenth of eps
     uf = ORBIT_FAMILIES[name]()
-    p, n = uf.d, len(uf)
-    shapes = spy_gram_shapes(monkeypatch, umeb)
+    p = uf.d
+    dense = dense_certificate(member_stack(uf))
+    assert_matches_dense(orbit_certificate(uf), dense)
     cert = certify_umeb(uf)
-    t = (p + 1) // 2
-    assert shapes == [((t, t), (1, 1, p))] and n == t * p
     assert cert.unextendible_verdict and cert.span_rank == cert.cardinality == p * (p + 1) // 2
-    assert_matches_dense(cert, dense_certificate(member_stack(uf)))
+    assert asdict(cert) == {**dense, **{field: getattr(cert, field) for field in DEVIATIONS}}
+    assert_bounds(cert, dense)
+    assert all(getattr(cert, field) <= EPS / 10 for field in DEVIATIONS)
+
+
+@pytest.mark.parametrize("p", [263, pytest.param(1087, marks=pytest.mark.slow)])
+def test_the_derived_certificate_bounds_the_computed_one_at_scale(p):
+    # no dense stack fits here: the oracle is the certificate computed from the unitary bases
+    uf = _residue_unitaries(p)
+    cert, oracle = certify_umeb(uf), orbit_certificate(uf)
+    assert cert.unextendible_verdict and oracle["unextendible_verdict"]
+    assert cert.span_rank == oracle["span_rank"] == p * (p + 1) // 2
+    assert_bounds(cert, oracle)
+    assert all(getattr(cert, field) <= EPS / 10 for field in DEVIATIONS)
+
+
+def test_the_certificate_reads_one_equiangular_report_and_no_unitary_stack(monkeypatch):
+    # the certificate's one pass is the projections' equiangular check: one Gram and one support
+    # product, both of the real bases, and no asymmetry; nothing runs on the complex unitary bases
+    uf = _residue_unitaries(23)
+    reports, passes = [], []
+    verify = umeb.verify_equiangular
+    monkeypatch.setattr(umeb, "verify_equiangular", lambda *args: reports.append(args[0]) or verify(*args))
+    for name in ("cyclic_gram", "gram_stats", "support_product"):
+        for module in (matcore, packing):
+            original = getattr(module, name)
+
+            def spy(first, *rest, name=name, original=original):
+                passes.append((name, getattr(first, "values", getattr(first, "c", None)).dtype))
+                return original(first, *rest)
+
+            monkeypatch.setattr(module, name, spy)
+    assert certify_umeb(uf).unextendible_verdict
+    assert reports == [uf.family]
+    assert passes == [("cyclic_gram", float), ("gram_stats", float), ("support_product", float)]
+    gone = ("cyclic_gram", "gram_stats", "gram_spectrum", "spectral_rank", "support_product", "asymmetry")
+    assert not [name for name in gone if hasattr(umeb, name)]
+
+
+def _perturbed(values, rng, scale, which):
+    """values times 1 + scale * a standard normal draw per value, in base 0 alone or in every base."""
+    values = np.array(values)
+    bases = slice(0, 1) if which == "one" else slice(None)
+    values[bases] *= 1 + scale * rng.standard_normal(values[bases].shape)
+    return values
+
+
+SCALES = st.one_of(st.just(0.0), st.floats(-13, -5).map(lambda e: 10.0**e))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([3, 7, 23]),
+    which=st.sampled_from(["one", "all"]),
+    scale=SCALES,
+    modulus=SCALES,
+    real=SCALES,
+    eps=st.floats(-14, -2).map(lambda e: 10.0**e),
+    rank_eps=st.floats(-12, -1).map(lambda e: 10.0**e),
+    nan=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_the_derived_certificate_bounds_the_dense_one_under_random_faults(p, which, scale, modulus, real, eps, rank_eps, nan, seed):
+    # one or all projection bases moved by a relative `scale`, |z| by `modulus` and Re z by `real`:
+    # every derived deviation is at least the dense certificate's, and a derived PASS is a dense
+    # PASS, under any tolerance; a NaN in any base value fails and proves no rank
+    rng = np.random.default_rng(seed)
+    fam = build_residue_family(validate_prime(p), construct((p + 1) // 2))
+    values = _perturbed(fam.bases.values, rng, scale, which)
+    if nan:
+        values[tuple(rng.integers(0, n) for n in values.shape)] = np.nan
+    fam = replace(fam, bases=SupportStack(fam.bases.cols, values))
+    z = compute_phase(p, fam.r) * (1 + modulus * rng.standard_normal()) + real * rng.standard_normal()
+    uf = build_unitaries(fam, z)
+    tol = Tolerance(eps=eps, rank_eps=rank_eps)
+    cert = certify_umeb(uf, tol)
+    if nan:  # the dense oracle's eigvalsh does not converge on a NaN
+        assert cert.span_rank == 0 and not cert.unextendible_verdict and not cert.symmetric_span
+    else:
+        assert_bounds(cert, dense_certificate(member_stack(uf), tol))
 
 
 def test_families_reject_members_of_the_wrong_shape():
-    uf = p7_unitaries()
+    fam = p7_family()
     # a stack of 6 x 6 bases, as sliced and as compressed, in a family with d = 7: the sliced rows
     # still list column 6, so the stack itself is malformed
     with pytest.raises(ShapeMismatch):
-        UnitaryFamily(d=7, z=uf.z, bases=SupportStack(uf.bases.cols[:6], uf.bases.values[:, :6]))
-    with pytest.raises(ShapeMismatch):
-        UnitaryFamily(d=7, z=uf.z, bases=support_stack(member_stack(uf)[:, :6, :6], 6))
-    fam = p7_family()
-    with pytest.raises(ShapeMismatch):
         replace(fam, bases=SupportStack(fam.bases.cols[:6], fam.bases.values[:, :6]))
+    with pytest.raises(ShapeMismatch):
+        replace(fam, bases=support_stack(member_stack(fam)[:, :6, :6], 6))
+    # I - (1 - z)P needs each row's diagonal on the support: the unitary bases of any other are not read
+    lines = ProjectionFamily(3, 1, SupportStack(np.array([[1], [2], [0]]), np.ones((1, 3, 1))), Fraction(1, 5))
+    with pytest.raises(ShapeMismatch):
+        build_unitaries(lines, compute_phase(3, 1)).bases
+
+
+def _p23_with_last_base(edit):
+    """The p=23 unitaries with the last projection base, and so every shift of it, replaced by edit(P_last)."""
+    fam = build_residue_family(validate_prime(23), construct(12))
+    bases = np.array(fam.bases.dense())
+    bases[-1] = edit(bases[-1])
+    return build_unitaries(replace(fam, bases=support_stack(bases, 23)), compute_phase(23, 11))
 
 
 def test_asymmetry_of_orbits_is_read_off_the_bases():
-    uf = _residue_unitaries(23)
-    bases = np.array(uf.bases.dense())
-    bases[-1, 0, 1] += 1e-6
-    skewed = UnitaryFamily(d=23, z=uf.z, bases=support_stack(bases, 23))
+    skewed = _p23_with_last_base(lambda b: _skewed(b[None], 1e-6)[0])  # U - U^T = -a(P - P^T): a 1e-6 entry times |a|
+    a = abs(1 - skewed.z)
     members = member_stack(skewed)
     anti = np.abs(members - members.transpose(0, 2, 1))  # every member, entry by entry
-    worst, sq = matcore.asymmetry(skewed.bases)  # over the bases: each of the 23 shifts of a base adds its sq
-    assert worst == np.max(anti) == pytest.approx(1e-6, rel=1e-6)
-    assert 23 * sq == pytest.approx(23 * 2e-12, rel=1e-5)
+    worst, sq = asymmetry(skewed.bases)  # over the bases: each of the 23 shifts of a base adds its sq
+    assert worst == np.max(anti) == pytest.approx(a * 1e-6, rel=1e-6)
+    assert 23 * sq == pytest.approx(23 * 2 * (a * 1e-6) ** 2, rel=1e-5)
     assert 23 * sq == pytest.approx(float(np.sum(anti**2)), rel=1e-12)
     cert = certify_umeb(skewed)
     assert not cert.symmetric_span and not cert.complement_antisymmetric
+    assert_bounds(cert, dense_certificate(members))
 
 
 def test_certify_checks_the_last_member_chunk(monkeypatch):
-    # a budget of five complex bases' value pairs at p=23: the symmetry check reads the 12 bases in
-    # blocks of 5, 5 and 2, and unitarity, whose terms are larger, one base a block
-    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 5 * 2 * 23 * 2 * 16)
-    uf = _residue_unitaries(23)
-    assert [b.stop - b.start for b in matcore._blocks(12, 2 * uf.bases.values[0].nbytes)] == [5, 5, 2]
-    assert certify_umeb(uf).unextendible_verdict
+    # a budget of five real rows of the projections' product c at p=23, each 22 values and 12
+    # products: the certificate's one Gram reads the 12 bases in blocks of 5, 5 and 2
+    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 5 * (22 + 12) * 8)
+    matmul, blocks = np.matmul, []
+    monkeypatch.setattr(np, "matmul", lambda a, b, **k: ("out" in k and blocks.append(len(a))) or matmul(a, b, **k))
+    assert certify_umeb(_residue_unitaries(23)).unextendible_verdict
+    monkeypatch.setattr(np, "matmul", matmul)
+    assert blocks == [5, 5, 2]
 
-    def with_last_base(edit):
-        bases = np.array(uf.bases.dense())
-        bases[-1] = edit(bases[-1])
-        return UnitaryFamily(d=23, z=uf.z, bases=support_stack(bases, 23))
+    scaled = _p23_with_last_base(lambda b: 2 * b)  # U* U - I = 2 |a|^2 P = |a|^2 (2P) on the last orbit
+    cert, oracle = certify_umeb(scaled), dense_certificate(member_stack(scaled))
+    a = abs(1 - scaled.z)
+    assert oracle["max_unitarity_dev"] == pytest.approx(a * a * np.max(scaled.family.bases.values[-1]), rel=1e-12)
+    assert not cert.unextendible_verdict
+    assert_bounds(cert, oracle)
 
-    scaled = with_last_base(lambda u: 2 * u)
-    assert abs(certify_umeb(scaled).max_unitarity_dev - 3.0) < 1e-12
-
-    def skew(u):
-        u[0, 1] += 1e-6
-        return u
-
-    skewed = with_last_base(skew)
-    worst, sq = matcore.asymmetry(skewed.bases)
-    assert worst == pytest.approx(1e-6, rel=1e-6)
-    assert 23 * sq == pytest.approx(23 * 2e-12, rel=1e-5)  # every shift of the last base
+    skewed = _p23_with_last_base(lambda b: _skewed(b[None], 1e-6)[0])
+    worst, sq = asymmetry(skewed.bases)
+    assert worst == pytest.approx(a * 1e-6, rel=1e-6)
+    assert 23 * sq == pytest.approx(23 * 2 * (a * 1e-6) ** 2, rel=1e-5)  # every shift of the last base
     assert not certify_umeb(skewed).symmetric_span
 
 
@@ -666,7 +776,7 @@ def test_a_nan_in_the_last_partial_block_reaches_every_budgeted_report(monkeypat
     report = verify_equiangular(poisoned)
     assert math.isnan(report.max_idempotency_dev) and not report.passed
     uf = build_unitaries(poisoned, compute_phase(23, 11))
-    assert all(math.isnan(value) for value in matcore.asymmetry(uf.bases))
+    assert all(math.isnan(value) for value in asymmetry(uf.bases))
     cert = certify_umeb(uf)
     assert math.isnan(cert.max_unitarity_dev)
     assert not cert.unextendible_verdict and not cert.symmetric_span and not cert.complement_antisymmetric
@@ -674,19 +784,21 @@ def test_a_nan_in_the_last_partial_block_reaches_every_budgeted_report(monkeypat
 
 @pytest.mark.parametrize("off_diagonal", [True, False], ids=["two-members-mixed", "one-member-scaled"])
 def test_cj_orthonormality_dev_is_the_full_max_of_g_over_d_minus_i(off_diagonal):
-    uf = p7_unitaries()
-    bases = np.array(uf.bases.dense())  # an edited base edits every shift of it
-    if off_diagonal:
-        bases[1] += 1e-3 * bases[0]
-    else:
-        bases[0] *= 1 + 1e-3
-    edited = UnitaryFamily(d=7, z=uf.z, bases=support_stack(bases, 7))
-    flat = member_stack(edited).reshape(len(uf), -1)
-    dev = np.abs(flat.conj() @ flat.T / 7 - np.eye(len(uf)))
+    def edit(bases):  # an edited base edits every shift of it
+        if off_diagonal:
+            bases[1] += 1e-3 * bases[0]
+        else:
+            bases[0] *= 1 + 1e-3
+        return bases
+
+    edited = _p7_bases(edit)
+    flat = member_stack(edited).reshape(len(edited), -1)
+    dev = np.abs(flat.conj() @ flat.T / 7 - np.eye(len(edited)))
     off = np.max(dev - np.diag(np.diag(dev)))
     assert (off > np.max(np.diag(dev))) == off_diagonal
     cert = certify_umeb(edited)
-    assert cert.cj_orthonormality_dev == pytest.approx(np.max(dev), rel=1e-15)
+    assert cert.cj_orthonormality_dev >= np.max(dev) > EPS
+    assert_bounds(cert, dense_certificate(member_stack(edited)))
 
 
 def test_cj_states_p7():
