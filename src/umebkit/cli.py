@@ -47,7 +47,7 @@ from .hadamard import HadamardMatrix, construct
 from .matcore import DEFAULT_EPS, DEFAULT_RANK_EPS, Tolerance
 from .numth import UmebPrime, validate_prime
 from .packing import ProjectionFamily, build_residue_family, icosahedron_lines, verify_equiangular
-from .umeb import build_unitaries, certify_umeb, compute_phase, feasibility
+from .umeb import build_unitaries, certificate_from_report, compute_phase, feasibility
 
 
 def canonical_json(obj) -> str:
@@ -157,13 +157,14 @@ def _check(args, family: ProjectionFamily, z: complex | None = None, *, channel=
 
     The claims form a chain, and each one runs on what the one before it
     checked: the family is equiangular; with z, the unitaries
-    I - (1 - z)P_i form a UMEB (certify_umeb); with channel, that UMEB is a
+    I - (1 - z)P_i form a UMEB; with channel, that UMEB is a
     uniform mixed-unitary decomposition of the symmetric transpose channel
     (umeb_decomposition, which checks only the member count, then
     verify_decomposition with --trials and --seed, whose Choi check implies
-    the span again).  The certificate reads its own equiangular report of
-    the projections, so the equiangular pass runs twice, and no Gram of
-    the unitaries is computed.  The text report has
+    the span again).  The certificate is read off the equiangular report
+    that the first block prints (certificate_from_report), so the
+    equiangular pass runs once a command, and no Gram of the unitaries is
+    computed.  The text report has
     one block per claim, in that order.  The JSON report is the flat union
     of {"d", "r", "count"} and the fields of the reports that ran, with the
     tool version, input_sha256 when given and generated_at unless
@@ -182,7 +183,7 @@ def _check(args, family: ProjectionFamily, z: complex | None = None, *, channel=
     passed = report.passed
     if z is not None:
         uf = build_unitaries(family, z)
-        cert = certify_umeb(uf, args.tol)
+        cert = certificate_from_report(uf, report, args.tol)
         lines += [
             f"phase z = {z.real} + {z.imag}i",
             f"unitary family: d={uf.d} count={len(uf)}",

@@ -4,11 +4,11 @@ the builder that knows the support), whole
 cyclic-shift orbits of base matrices (every family is T bases, each moved
 by every cyclic shift, T d members, which OrbitMembers reads one at a time
 from the support), the trace Gram of those orbits held
-by its parts from the bases' cyclic diagonals, what the equiangular check
-reads off it, the budgeted product a* a - c summed over the support and the
-tolerances.  The package computes Grams and such products of the real
-projections only: the UMEB certificate is read off the equiangular report
-they give.
+by its parts from the bases' cyclic diagonals, its largest off-diagonal
+magnitude (the one number the equiangular check reads off it), the
+budgeted product a* a - c summed over the support and the tolerances.
+The package computes Grams and such products of the real projections
+only: the UMEB certificate is read off the equiangular report they give.
 """
 
 from __future__ import annotations
@@ -311,31 +311,16 @@ def cyclic_gram(bases: SupportStack) -> CyclicGram:
     return CyclicGram(c, group, h if np.iscomplexobj(values) else h.real)
 
 
-@dataclass(frozen=True, eq=False)
-class GramStats:
-    """What the checks read off the Gram of a CyclicGram, from gram_stats."""
-
-    diag: np.ndarray  # diag[t]: the own entry G[t*d, t*d] of base t, of the Gram's dtype
-    radii: np.ndarray  # radii[t]: the Gershgorin radius of row t*d, the sum of |G| off its own entry
-    max_off: float  # the largest |G| off the own entries
-
-
-def gram_stats(gram: CyclicGram) -> GramStats:
-    """The own entries, Gershgorin radii and largest off-diagonal magnitude of the Gram.
+def max_off_diagonal(gram: CyclicGram) -> float:
+    """The largest |G_ij|, i != j, of the Gram: a NaN or inf of any entry reaches it.
 
     The row of a member shifted by y is its base's row permuted, so the T
-    rows G[t*d] hold every radius, off-diagonal entry and diagonal entry of
-    the n x n Gram.  The x = 0 entries are the T x T matrix
-    c + h[group, group, 0], and the entries at x != 0 are those of h, one
+    rows G[t*d] hold every off-diagonal entry of the n x n Gram.  The x = 0
+    entries are the T x T matrix c + h[group, group, 0], whose diagonal is
+    the own entries, and the entries at x != 0 are those of h, one
     g x g x (d - 1) pass that stands for every pair of bases in each pair
-    of groups: O(T^2 + g^2 d) in all.  A NaN reaches the radii and max_off.
+    of groups: O(T^2 + g^2 d) in all.
     """
-    own = np.arange(len(gram.c))
-    pair = gram.group[:, None], gram.group
-    near = gram.c + gram.h[:, :, 0][pair]
-    diag = near[own, own]
-    near = np.abs(near)
-    near[own, own] = 0.0
-    far = np.abs(gram.h[:, :, 1:])
-    radii = near.sum(axis=1) + far.sum(axis=2)[pair].sum(axis=1)
-    return GramStats(diag, radii, float(np.maximum(near.max(), far.max(initial=0.0))))
+    near = np.abs(gram.c + gram.h[:, :, 0][gram.group[:, None], gram.group])
+    np.fill_diagonal(near, 0.0)
+    return float(np.maximum(near.max(), np.abs(gram.h[:, :, 1:]).max(initial=0.0)))

@@ -38,7 +38,7 @@ from .matcore import (
     SupportStack,
     Tolerance,
     cyclic_gram,
-    gram_stats,
+    max_off_diagonal,
     support_product,
 )
 from .numth import UmebPrime, validate_prime
@@ -179,7 +179,7 @@ def verify_equiangular(
     The pairwise traces come from the Gram cyclic_gram(bases), held by its
     parts, which fix every entry: G - beta is its products c
     beside its correlations h - beta, and max_angle_dev is the largest
-    off-diagonal magnitude of that (matcore.gram_stats), O(T^2 + g^2 d)
+    off-diagonal magnitude of that (matcore.max_off_diagonal), O(T^2 + g^2 d)
     however many pairs there are.  A shift permutes entries, so
     idempotency and traces are checked on the bases alone.
     max_idempotency_dev is the largest entry of |P^T P - P|, which is 0
@@ -193,7 +193,7 @@ def verify_equiangular(
     n = len(family)
     beta = float(family.beta)
     gram = cyclic_gram(bases)
-    max_angle_dev = gram_stats(replace(gram, h=gram.h - beta)).max_off
+    max_angle_dev = max_off_diagonal(replace(gram, h=gram.h - beta))
     gap = support_product(bases, bases)[1]  # P^T P - P
     max_idem_dev = float(np.max(np.abs(gap)))
     coords = np.arange(family.d)

@@ -15,6 +15,9 @@ projections' equiangular report and z, since U = I - (1 - z)P is unitary,
 symmetric and trace-orthogonal exactly as far as the projections are
 symmetric idempotents of trace r at the angle beta and z is the exact
 unit phase: it computes no Gram, product or asymmetry of its own.
+certify_umeb runs that one equiangular pass, and certificate_from_report
+derives the fields from a report its caller already holds, so a command
+that prints the report and the certificate runs the pass once.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 
 from .errors import Infeasible, RankOutOfRange
 from .matcore import DEFAULT_TOL, OrbitMembers, SupportStack, Tolerance
-from .packing import ProjectionFamily, verify_equiangular
+from .packing import EquiangularReport, ProjectionFamily, verify_equiangular
 
 
 @dataclass(frozen=True)
@@ -137,10 +140,18 @@ def build_unitaries(family: ProjectionFamily, z: complex) -> UnitaryFamily:
 
 
 def certify_umeb(uf: UnitaryFamily, tol: Tolerance = DEFAULT_TOL) -> UmebCertificate:
+    """The certificate of uf: one verify_equiangular pass over uf.family, and the fields read off its report (certificate_from_report)."""
+    return certificate_from_report(uf, verify_equiangular(uf.family, tol), tol)
+
+
+def certificate_from_report(uf: UnitaryFamily, report: EquiangularReport, tol: Tolerance) -> UmebCertificate:
     """Fill every certificate field from the projections' equiangular report and z; failures are verdicts, not errors.
 
-    Every field is an upper bound derived from one verify_equiangular
-    report of uf.family, whose deviations are the angle deviation A =
+    report must be verify_equiangular(uf.family, tol): it is read, not
+    checked against the family.  A caller that already holds it, as the
+    command line does, passes it, so the equiangular pass runs once.
+    Every field is an upper bound derived from that report, whose
+    deviations are the angle deviation A =
     max |tr(P_i^T P_j) - beta| (i != j), the idempotency deviation
     max |Delta|, Delta = P^T P - P, and the trace deviation max |delta_i|,
     delta_i = tr(P_i) - r, and from O(T d) scalars: a = 1 - z, the phase
@@ -184,7 +195,6 @@ def certify_umeb(uf: UnitaryFamily, tol: Tolerance = DEFAULT_TOL) -> UmebCertifi
     """
     family = uf.family
     d, n, r = family.d, len(family), family.r
-    report = verify_equiangular(family, tol)
     z = complex(uf.z)
     a = 1 - z
     size = abs(a)

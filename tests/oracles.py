@@ -14,7 +14,8 @@ coefficient x with x * sum(P_i) = I for a maximal equiangular family, the
 whole Gram of a stack of matrices as one dense product and its rank, the
 equiangular report and the certificate read off every member of a dense
 stack, the certificate computed from the unitary bases' Gram, product and
-asymmetry (with the Gram spectrum, its rank and the asymmetry it reads),
+asymmetry (with the Gram's own entries and Gershgorin radii, its spectrum,
+its rank and the asymmetry it reads),
 as the package computed it before it read the certificate off the
 equiangular report, the residue base vectors as one dense array, the projection onto the
 span of orthogonal vectors as a dense product, the Legendre symbol by
@@ -26,12 +27,13 @@ Gram and support product where a dense stack would not fit (p >= 263).
 
 import math
 from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from umebkit.errors import NotOrthogonal, ShapeMismatch
-from umebkit.matcore import DEFAULT_TOL, SupportStack, Tolerance, _blocks, _dft, cyclic_gram, gram_stats, support_product
+from umebkit.matcore import DEFAULT_TOL, CyclicGram, SupportStack, Tolerance, _blocks, _dft, cyclic_gram, support_product
 from umebkit.packing import ProjectionFamily, residue_base_vectors
 
 Channel = Callable[[np.ndarray], np.ndarray]
@@ -244,6 +246,36 @@ def asymmetry(stack: SupportStack) -> tuple[float, float]:
     return float(np.max(worst)), sq
 
 
+@dataclass(frozen=True, eq=False)
+class GramStats:
+    """The own entries, Gershgorin radii and largest off-diagonal magnitude of a Gram, from gram_stats."""
+
+    diag: np.ndarray  # diag[t]: the own entry G[t*d, t*d] of base t, of the Gram's dtype
+    radii: np.ndarray  # radii[t]: the Gershgorin radius of row t*d, the sum of |G| off its own entry
+    max_off: float  # the largest |G| off the own entries
+
+
+def gram_stats(gram: CyclicGram) -> GramStats:
+    """The own entries, Gershgorin radii and largest off-diagonal magnitude of the Gram of a matcore.CyclicGram.
+
+    The row of a member shifted by y is its base's row permuted, so the T
+    rows G[t*d] hold every radius, off-diagonal entry and diagonal entry of
+    the n x n Gram.  The x = 0 entries are the T x T matrix
+    c + h[group, group, 0], and the entries at x != 0 are those of h, one
+    g x g x (d - 1) pass that stands for every pair of bases in each pair
+    of groups.  A NaN reaches the radii and max_off.
+    """
+    own = np.arange(len(gram.c))
+    pair = gram.group[:, None], gram.group
+    near = gram.c + gram.h[:, :, 0][pair]
+    diag = near[own, own]
+    near = np.abs(near)
+    near[own, own] = 0.0
+    far = np.abs(gram.h[:, :, 1:])
+    radii = near.sum(axis=1) + far.sum(axis=2)[pair].sum(axis=1)
+    return GramStats(diag, radii, float(np.maximum(near.max(), far.max(initial=0.0))))
+
+
 def gram_spectrum(gram) -> np.ndarray:
     """Every eigenvalue of the Hermitian Gram of a matcore.CyclicGram, in ascending order.
 
@@ -271,7 +303,7 @@ def orbit_certificate(uf, tol: Tolerance = DEFAULT_TOL) -> dict:
 
     Unitarity is the largest entry of U* U - I summed over the support
     (matcore.support_product with c = I); the orthogonality and CJ
-    deviations are read off the unitary Gram's stats (cyclic_gram,
+    deviations are read off the unitary Gram's stats (cyclic_gram, then
     gram_stats), and the span rank off its Gershgorin discs, or, when they
     prove no full rank, off its spectrum (gram_spectrum), with lam the
     smallest eigenvalue counted; a Gram with a NaN or inf proves no rank.

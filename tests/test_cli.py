@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from umebkit import cli, hadamard, packing
+from umebkit import cli, hadamard, matcore, packing
 from umebkit.channels import MixedUnitaryDecomposition
 from umebkit.cli import artifact_from_json, artifact_to_json, canonical_json, main
 from umebkit.errors import MalformedArtifact
@@ -18,7 +18,7 @@ from umebkit.hadamard import HadamardMatrix, construct
 from umebkit.matcore import SupportStack, Tolerance
 from umebkit.numth import validate_prime
 from umebkit.packing import build_residue_family, off_support_scale, verify_equiangular
-from umebkit.umeb import build_unitaries, compute_phase
+from umebkit.umeb import build_unitaries, certify_umeb, compute_phase
 
 from oracles import member_stack, support_stack
 
@@ -237,7 +237,7 @@ def test_demo_icosahedron_is_the_wh_check_of_p3(fmt, capsys):
     "check, field, line",
     [
         ("verify_equiangular", "passed", "equiangular"),
-        ("certify_umeb", "unextendible_verdict", "unextendible"),
+        ("certificate_from_report", "unextendible_verdict", "unextendible"),
         ("verify_decomposition", "verdict", "decomposition"),
     ],
     ids=["equiangular", "certificate", "decomposition"],
@@ -252,13 +252,19 @@ def test_wh_check_exits_2_when_any_claim_fails(check, field, line, monkeypatch, 
 
 
 def test_the_certificate_holds_the_equiangular_report(tmp_path):
+    # the command line derives its certificate from the report it prints, and every field is the
+    # one certify_umeb derives from its own pass, so the two paths cannot drift apart
     cert_path = tmp_path / "cert.json"
-    assert run(["umeb", "--p", "7", "--cert", str(cert_path), "--no-timestamp"]) == 0
-    cert = json.loads(cert_path.read_text())
-    report = verify_equiangular(build_residue_family(validate_prime(7), construct(4)), Tolerance())
-    for key in ("max_angle_dev", "max_idempotency_dev", "max_rank_dev", "passed"):
-        assert cert[key] == getattr(report, key), key
-    assert (cert["d"], cert["r"], cert["count"]) == (7, 3, 28)
+    for p in (3, 7, 23):
+        assert run(["umeb", "--p", str(p), "--cert", str(cert_path), "--no-timestamp"]) == 0
+        cert = json.loads(cert_path.read_text())
+        family = build_residue_family(validate_prime(p), construct((p + 1) // 2))
+        report = verify_equiangular(family, Tolerance())
+        for key in ("max_angle_dev", "max_idempotency_dev", "max_rank_dev", "passed"):
+            assert cert[key] == getattr(report, key), key
+        assert (cert["d"], cert["r"], cert["count"]) == (p, (p - 1) // 2, p * (p + 1) // 2)
+        certificate = dataclasses.asdict(certify_umeb(build_unitaries(family, compute_phase(p, family.r))))
+        assert {key: cert[key] for key in certificate} == certificate, p
 
 
 def assert_json_is_stamped_unless_asked_not_to(argv, capsys):
@@ -364,7 +370,7 @@ def test_commands_that_check_nothing_take_no_tolerance(argv, capsys):
 def test_a_tampered_p79_artifact_ends_in_a_verdict_from_the_discs(tmp_path, monkeypatch, capsys):
     # the phase z turned by 0.1 rad, still of modulus 1: the unitaries are no longer trace-orthogonal,
     # so the Gershgorin discs of the derived bounds prove no rank (0) and no spectrum is computed; the
-    # only Grams are the projections', one for the equiangular report and one for the certificate's
+    # one Gram is the projections', whose equiangular report the certificate is read off
     path = tmp_path / "umeb79.json"
     assert run(["umeb", "--p", "79", "--out", str(path), "--no-timestamp"]) == 0
     obj = json.loads(path.read_text())
@@ -376,14 +382,41 @@ def test_a_tampered_p79_artifact_ends_in_a_verdict_from_the_discs(tmp_path, monk
     calls = []
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
     passes = []
-    gram_stats = packing.gram_stats
-    monkeypatch.setattr(packing, "gram_stats", lambda gram: passes.append((gram.c.dtype, gram.h.shape)) or gram_stats(gram))
+    max_off_diagonal = packing.max_off_diagonal
+    monkeypatch.setattr(
+        packing, "max_off_diagonal", lambda gram: passes.append((gram.c.dtype, gram.h.shape)) or max_off_diagonal(gram)
+    )
     assert run(["verify", "--in", str(path), "--no-timestamp", "--format", "json"]) == 2
     report = json.loads(capsys.readouterr().out)
     assert (report["span_rank"], report["unextendible_verdict"], report["passed"]) == (0, False, True)
     assert calls == []
     # every base keeps the shared diagonal, so one correlation stands for every pair
-    assert passes == [(np.dtype(float), (1, 1, 79))] * 2
+    assert passes == [(np.dtype(float), (1, 1, 79))]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--p", "7"],
+        ["umeb", "--p", "7"],
+        ["verify", "--in", "family"],
+        ["verify", "--in", "unitary"],
+        ["wh-check", "--p", "7", "--trials", "2"],
+        ["demo-icosahedron"],
+    ],
+    ids=["generate", "umeb", "verify-family", "verify-unitary", "wh-check", "demo-icosahedron"],
+)
+def test_every_command_runs_the_equiangular_pass_once(argv, p7_artifacts, monkeypatch, capsys):
+    # the certificate is read off the report the command prints, so one family gets one Gram
+    # and one support product, whether or not a phase z follows
+    argv = [str(p7_artifacts[arg]) if arg in p7_artifacts else arg for arg in argv]
+    passes = []
+    for name in ("cyclic_gram", "support_product"):
+        for module in (matcore, packing):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, name=name, original=original: passes.append(name) or original(*args))
+    assert run(argv + ["--no-timestamp"]) == 0
+    assert passes == ["cyclic_gram", "support_product"]
 
 
 @pytest.mark.parametrize("p", [7, 31])

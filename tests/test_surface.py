@@ -51,7 +51,7 @@ DELETED = {
     matcore: [
         "frobenius_inner", "sym_antisym_split", "cj_vectorize", "is_unitary", "numerical_rank",
         "json_int", "json_number", "json_int_matrix", "union_support", "support_columns", "orbit_stack",
-        "asymmetry", "gram_spectrum", "spectral_rank",
+        "asymmetry", "gram_spectrum", "spectral_rank", "gram_stats", "GramStats",
     ],
     umeb: ["cj_states", "line_feasibility_sweep"],
     packing: [
@@ -103,7 +103,11 @@ def test_every_public_function_is_called_by_a_module_other_than_init():
         for node in tree.body
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     }
-    assert sorted(path for path, name in public.items() if name not in used) == []
+    # certify_umeb is the exported one-call certificate, which the benchmark and library callers use;
+    # every command reads the certificate off the report it holds (certificate_from_report), so no
+    # module calls it.  It stays the one exported exception, and only while nothing calls it
+    uncalled = sorted(path for path, name in public.items() if name not in used)
+    assert uncalled == ["umeb.certify_umeb"] and "certify_umeb" in umebkit.__all__
 
 
 def test_no_module_imports_a_name_it_never_uses():

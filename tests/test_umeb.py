@@ -329,7 +329,7 @@ def _shifted_once(base):
 
 
 # name -> (family, whether the Gershgorin discs prove the rank, verdict); the edits are of the
-# projection bases (u0 and u1 in a name are the bases of orbits 0 and 1), so every shift of an
+# projection bases (P0 and P1 in a name are the bases of orbits 0 and 1), so every shift of an
 # edited base changes with it.  Where the discs prove no rank the span rank is 0: every such
 # family is of full rank, or (the duplicate) more members than its rank
 RANK_CASES = {
@@ -339,13 +339,13 @@ RANK_CASES = {
     "p23": (lambda: _residue_unitaries(23), True, True),
     "p31": (lambda: _residue_unitaries(31), True, True),
     # orthogonality bound 0.24 over 27 other members against d = 7: full rank, proved by the discs
-    "p7-u0+0.01u1": (lambda: _p7_bases(lambda bs: np.concatenate(([bs[0] + 0.01 * bs[1]], bs[1:]))), True, False),
+    "p7-P0+0.01P1": (lambda: _p7_bases(lambda bs: np.concatenate(([bs[0] + 0.01 * bs[1]], bs[1:]))), True, False),
     # orthogonality bounds of 12 and 62: full rank, but only the spectrum shows it
-    "p7-u0+0.5u1": (lambda: _p7_bases(lambda bs: np.concatenate(([bs[0] + 0.5 * bs[1]], bs[1:]))), False, False),
-    "p7-u0+2u1": (lambda: _p7_bases(lambda bs: np.concatenate(([bs[0] + 2 * bs[1]], bs[1:]))), False, False),
+    "p7-P0+0.5P1": (lambda: _p7_bases(lambda bs: np.concatenate(([bs[0] + 0.5 * bs[1]], bs[1:]))), False, False),
+    "p7-P0+2P1": (lambda: _p7_bases(lambda bs: np.concatenate(([bs[0] + 2 * bs[1]], bs[1:]))), False, False),
     "p7-duplicate": (lambda: _p7_bases(lambda bs: np.concatenate((bs, bs[:1]))), False, False),
-    # base 0 plus twice its own shift by 1
-    "p7-orbit-u0+2u1": (lambda: _p7_bases(lambda bs: np.concatenate(([bs[0] + 2 * _shifted_once(bs[0])], bs[1:]))), False, False),
+    # base 0 plus twice its own shift by 1 (here P1 names that shift)
+    "p7-orbit-P0+2P1": (lambda: _p7_bases(lambda bs: np.concatenate(([bs[0] + 2 * _shifted_once(bs[0])], bs[1:]))), False, False),
     # one asymmetric entry of 1e-3: the discs prove the rank, and the asymmetry fails the span
     "p7-nonsymmetric": (lambda: _p7_bases(_skewed), True, False),
 }
@@ -644,7 +644,7 @@ def test_the_certificate_reads_one_equiangular_report_and_no_unitary_stack(monke
     reports, passes = [], []
     verify = umeb.verify_equiangular
     monkeypatch.setattr(umeb, "verify_equiangular", lambda *args: reports.append(args[0]) or verify(*args))
-    for name in ("cyclic_gram", "gram_stats", "support_product"):
+    for name in ("cyclic_gram", "max_off_diagonal", "support_product"):
         for module in (matcore, packing):
             original = getattr(module, name)
 
@@ -655,8 +655,8 @@ def test_the_certificate_reads_one_equiangular_report_and_no_unitary_stack(monke
             monkeypatch.setattr(module, name, spy)
     assert certify_umeb(uf).unextendible_verdict
     assert reports == [uf.family]
-    assert passes == [("cyclic_gram", float), ("gram_stats", float), ("support_product", float)]
-    gone = ("cyclic_gram", "gram_stats", "gram_spectrum", "spectral_rank", "support_product", "asymmetry")
+    assert passes == [("cyclic_gram", float), ("max_off_diagonal", float), ("support_product", float)]
+    gone = ("cyclic_gram", "max_off_diagonal", "gram_spectrum", "spectral_rank", "support_product", "asymmetry")
     assert not [name for name in gone if hasattr(umeb, name)]
 
 
