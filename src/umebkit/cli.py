@@ -44,7 +44,7 @@ from . import __version__
 from .channels import _check_probe, umeb_decomposition, verify_decomposition
 from .errors import HadamardOrderMismatch, MalformedArtifact, OutOfRange, UmebkitError
 from .hadamard import HadamardMatrix, construct
-from .matcore import DEFAULT_EPS, DEFAULT_RANK_EPS, Tolerance
+from .matcore import DEFAULT_EPS, Tolerance
 from .numth import UmebPrime, validate_prime
 from .packing import ProjectionFamily, build_residue_family, icosahedron_lines, verify_equiangular
 from .umeb import build_unitaries, certificate_from_report, compute_phase, feasibility
@@ -136,7 +136,7 @@ def _tolerance(args) -> Tolerance:
             eps = DEFAULT_EPS if env is None else float(env)
         except ValueError:
             raise OutOfRange(f"UMEB_TOL={env!r} is not a number") from None
-    return Tolerance(eps=eps, rank_eps=args.rank_eps)
+    return Tolerance(eps=eps)
 
 
 def _emit(args, text_lines: list[str], json_obj: dict) -> None:
@@ -306,9 +306,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_checks(sub) -> None:
-    """The options of a command that checks something: its tolerances and its report's timestamp."""
+    """The options of a command that checks something: its tolerance and its report's timestamp."""
     sub.add_argument("--eps", type=float, default=None, help="entrywise tolerance in (0, 1), default 1e-9 or $UMEB_TOL")
-    sub.add_argument("--rank-eps", type=float, default=DEFAULT_RANK_EPS, help="relative rank threshold in (0, 1)")
     sub.add_argument("--no-timestamp", action="store_true", help="omit generated_at from reports")
     sub.set_defaults(report=None)  # generate and demo-icosahedron write no report file
 

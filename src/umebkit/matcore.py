@@ -6,9 +6,10 @@ by every cyclic shift, T d members, which OrbitMembers reads one at a time
 from the support), the trace Gram of those orbits held
 by its parts from the bases' cyclic diagonals, its largest off-diagonal
 magnitude (the one number the equiangular check reads off it), the
-budgeted product a* a - c summed over the support and the tolerances.
-The package computes Grams and such products of the real projections
-only: the UMEB certificate is read off the equiangular report they give.
+largest entry of P^T P - P summed over the support (the one number it
+reads of idempotency) and the tolerance.  The package computes Grams and
+such products of the real projections only: the UMEB certificate is read
+off the equiangular report they give.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 from .errors import OutOfRange, ShapeMismatch
 
 DEFAULT_EPS = 1e-9
-DEFAULT_RANK_EPS = 1e-7
 # bytes per block of every chunked pass in the package: one budget, so the
 # temporaries of a pass stay near 8 MiB however large the family grows
 _BLOCK_BYTES = 8 << 20
@@ -29,21 +29,17 @@ _BLOCK_BYTES = 8 << 20
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numerical thresholds: eps for entrywise checks, rank_eps for spectra.
+    """The numerical threshold eps of every check, strictly between 0 and 1.
 
-    Both lie strictly between 0 and 1.  An eps of 1 or more passes a deviation
-    as large as a unitary's entries, and a relative rank threshold of 1 or
-    more counts no eigenvalue, so either would make every check vacuous.
+    An eps of 1 or more passes a deviation as large as a unitary's entries,
+    which would make every check vacuous.
     """
 
     eps: float = DEFAULT_EPS
-    rank_eps: float = DEFAULT_RANK_EPS
 
     def __post_init__(self):
-        for name in ("eps", "rank_eps"):
-            value = getattr(self, name)
-            if not 0 < value < 1:
-                raise OutOfRange(f"tolerance {name} must be > 0 and < 1, got {value}")
+        if not 0 < self.eps < 1:
+            raise OutOfRange(f"tolerance eps must be > 0 and < 1, got {self.eps}")
 
 
 DEFAULT_TOL = Tolerance()
@@ -166,14 +162,14 @@ class SupportStack:
         out.flags.writeable = False
         return out
 
-    def at(self, i, j, block: slice = slice(None)) -> np.ndarray:
-        """bases[t][i, j] of every base t of block, for broadcast index arrays i and j: 0 where row i's columns lack j.
+    def at(self, i, j) -> np.ndarray:
+        """bases[t][i, j] of every base t, for broadcast index arrays i and j: 0 where row i's columns lack j.
 
         Each entry finds j among row i's s columns, O(s) an entry and no
         d x d table, and one gather reads its value from every base.
         """
         held = self.cols[i] == np.asarray(j)[..., None]
-        return np.where(held.any(axis=-1), self.values[block][:, i, held.argmax(axis=-1)], 0)
+        return np.where(held.any(axis=-1), self.values[:, i, held.argmax(axis=-1)], 0)
 
     def offsets(self) -> np.ndarray:
         """offs[a, i] = (cols[a, i] - a) mod d: the cyclic diagonal bases[t][a, a + e] that each value lies on."""
@@ -198,51 +194,48 @@ class SupportStack:
         return SupportStack(self.cols, values)
 
 
-def support_product(a: SupportStack, c: SupportStack) -> tuple[np.ndarray, np.ndarray]:
-    """(entries, gap): gap[t, m] is the entry entries[m] = i d + j of a[t]* a[t] - c[t], over every entry a term or c reaches.
+def max_idempotency_dev(bases: SupportStack) -> float:
+    """The largest |P^T P - P| of the real bases P, summed over their support: a NaN or inf of any value reaches it.
 
-    a* is the conjugate transpose of a, and a* a = sum_k conj(row k)^T row k:
-    row k of a, read on its columns, adds conj(a[k, i]) a[k, j] at (i, j)
-    for each pair of its columns, s^2 terms a row.  entries lists, once
-    each and in ascending order, the entries those terms and c's columns
-    reach; every other entry of a* a - c is a sum of terms that each have a
-    factor 0, minus a 0.  With c = a it is P^T P - P, which is 0 exactly
-    when P is a symmetric idempotent, the package's one use of it.  A NaN or
-    inf value of a meets itself in the term at its own (j, j), and one of c
-    is subtracted at its entry, so each reaches gap as a NaN or inf.
+    P^T P = sum_k (row k)^T row k: row k, read on its columns, adds
+    P[k, i] P[k, j] at (i, j) for each pair of its columns, s^2 terms a
+    row.  Only the entries those terms and P's own columns reach are
+    summed; every other entry of P^T P - P is a sum of terms that each have
+    a factor 0, minus a 0.  It is 0 exactly when P is a symmetric
+    idempotent.  A NaN or inf value meets itself in the term at its own
+    (j, j), so it reaches its base's sums.
 
     The bases go in blocks of _BLOCK_BYTES, each holding its terms, their
-    keys and its sums: each block lays out every base's terms and then c's
-    values negated, and one np.bincount (one a part for complex stacks)
-    sums them into their entries, so an entry is its terms' sum minus c.
+    keys and its sums: each block lays out every base's terms and then its
+    values negated, one np.bincount sums them into their entries, and the
+    block's largest magnitude is combined with the others' by np.maximum,
+    which keeps a NaN.  No array of every base's sums is held.
     The paper's bases have s = 2, so a base costs O(d), against the O(d^3)
     of its dense product; bases with full rows (s = d) cost O(d^3) the same
-    way.  Real stacks give a real gap.
+    way.
     """
-    t, d, s = a.values.shape
-    dtype = np.result_type(a.values, c.values)
-    own = np.arange(d)[:, None] * d + c.cols  # c's entries
-    terms = a.cols.T[:, None] * d + a.cols.T  # terms[i, j, k]: the entry of conj(a[k, i]) a[k, j]
+    values, cols = bases.values, bases.cols
+    t, d, s = values.shape
+    own = np.arange(d)[:, None] * d + cols  # P's entries
+    terms = cols.T[:, None] * d + cols.T  # terms[i, j, k]: the entry of P[k, i] P[k, j]
     reached = np.zeros(d * d, dtype=bool)
     reached[terms] = reached[own] = True
-    entries = np.flatnonzero(reached)
-    width = len(entries)
+    width = int(np.count_nonzero(reached))
     place = np.empty(d * d, dtype=np.intp)
-    place[entries] = np.arange(width)  # place[i d + j]: the slot of a reached entry
-    slots = np.concatenate((place[terms].ravel(), place[own].ravel()))  # a base's terms, then c's values
-    gap = np.empty((t, width), dtype=dtype)
-    for block in _blocks(t, len(slots) * (dtype.itemsize + 8) + width * (dtype.itemsize + 8)):  # terms, keys, sums
+    place[reached] = np.arange(width)  # place[i d + j]: the slot of a reached entry
+    slots = np.concatenate((place[terms].ravel(), place[own].ravel()))  # a base's terms, then its values
+    worst = 0.0
+    for block in _blocks(t, len(slots) * (values.itemsize + 8) + width * 8):  # terms, keys, sums
         n = block.stop - block.start
-        keys = (slots + width * np.arange(n)[:, None]).ravel()
-        weights = np.empty((n, len(slots)), dtype=dtype)  # [t, (i, j, k)], then -c[t]
-        read = a.values[block].transpose(0, 2, 1)  # read[t, i, k] = a[t][k, cols[k, i]]
+        weights = np.empty((n, len(slots)), dtype=values.dtype)  # [t, (i, j, k)], then -P[t]
+        read = values[block].transpose(0, 2, 1)  # read[t, i, k] = P[t][k, cols[k, i]]
         with np.errstate(invalid="ignore", over="ignore"):  # an inf times a 0 is a NaN deviation, not a warning
-            np.multiply(np.conj(read)[:, :, None], read[:, None], out=weights[:, : d * s * s].reshape(n, s, s, d))
-            np.negative(c.values[block], out=weights[:, d * s * s :].reshape(n, d, -1))
-            gap[block].real = np.bincount(keys, weights.real.ravel(), n * width).reshape(n, width)
-            if dtype.kind == "c":
-                gap[block].imag = np.bincount(keys, weights.imag.ravel(), n * width).reshape(n, width)
-    return entries, gap
+            np.multiply(read[:, :, None], read[:, None], out=weights[:, : d * s * s].reshape(n, s, s, d))
+            np.negative(values[block], out=weights[:, d * s * s :].reshape(n, d, -1))
+            # the keys are made in the call, so they are freed before the next block's terms are made
+            sums = np.bincount((slots + width * np.arange(n)[:, None]).ravel(), weights.ravel(), n * width)
+        worst = np.maximum(worst, np.abs(sums, out=sums).max())
+    return float(worst)
 
 
 @dataclass(frozen=True, eq=False)

@@ -38,8 +38,8 @@ from .matcore import (
     SupportStack,
     Tolerance,
     cyclic_gram,
+    max_idempotency_dev,
     max_off_diagonal,
-    support_product,
 )
 from .numth import UmebPrime, validate_prime
 
@@ -185,7 +185,7 @@ def verify_equiangular(
     max_idempotency_dev is the largest entry of |P^T P - P|, which is 0
     exactly when P is a symmetric idempotent, an orthogonal projection: an
     oblique idempotent (P P = P, P^T != P) fails it.  It is summed over the
-    bases' support (matcore.support_product, which keeps a NaN): the
+    bases' support (matcore.max_idempotency_dev, which keeps a NaN): the
     paper's projections have two entries a row, so a base costs O(d), not
     O(d^3).  Each trace is summed in order along the diagonal.
     """
@@ -194,8 +194,7 @@ def verify_equiangular(
     beta = float(family.beta)
     gram = cyclic_gram(bases)
     max_angle_dev = max_off_diagonal(replace(gram, h=gram.h - beta))
-    gap = support_product(bases, bases)[1]  # P^T P - P
-    max_idem_dev = float(np.max(np.abs(gap)))
+    max_idem_dev = max_idempotency_dev(bases)
     coords = np.arange(family.d)
     traces = np.cumsum(bases.at(coords, coords), axis=1)[:, -1]
     max_rank_dev = float(np.max(np.abs(traces - family.r)))

@@ -32,6 +32,9 @@ from .errors import Infeasible, RankOutOfRange
 from .matcore import DEFAULT_TOL, OrbitMembers, SupportStack, Tolerance
 from .packing import EquiangularReport, ProjectionFamily, verify_equiangular
 
+# the span rank is proved when the discs' lowest point exceeds this share of their highest
+_RANK_EPS = 1e-7
+
 
 @dataclass(frozen=True)
 class FeasibilityReport:
@@ -181,8 +184,8 @@ def certificate_from_report(uf: UnitaryFamily, report: EquiangularReport, tol: T
     The span rank comes from Gershgorin discs: every eigenvalue of the
     Gram lies in some disc [G_ii - R_i, G_ii + R_i], R_i = sum_{j != i}
     |G_ij| <= (n - 1) times the orthogonality bound.  If the lowest point
-    of the discs exceeds rank_eps times the highest, which bounds the
-    largest eigenvalue, span_rank is n = len(uf) and lam, that lowest
+    of the discs exceeds _RANK_EPS = 1e-7 times the highest, which bounds
+    the largest eigenvalue, span_rank is n = len(uf) and lam, that lowest
     point, bounds the smallest eigenvalue from below; otherwise no rank is
     proved, span_rank is 0 and lam 0.  A NaN or inf value of a base
     reaches the report and m, so every bound, and proves no rank.
@@ -212,7 +215,7 @@ def certificate_from_report(uf: UnitaryFamily, report: EquiangularReport, tol: T
 
     radius = (n - 1) * max_orthogonality_dev
     lower = d - own - radius
-    span_rank, lam = (n, lower) if lower > tol.rank_eps * (d + own + radius) else (0, 0.0)
+    span_rank, lam = (n, lower) if lower > _RANK_EPS * (d + own + radius) else (0, 0.0)
     symmetric_span = span_rank == d * (d + 1) // 2 and asym <= tol.eps
     # n members, each with at most 2 d s entries of U - U^T, so sum_i |anti(U_i)|_F^2 <= n 2 d s asym^2 / 4
     complement_antisymmetric = n * d * s * asym * asym / 2 <= tol.eps * tol.eps * lam

@@ -13,16 +13,17 @@ members' Gram, for symmetric members), the
 coefficient x with x * sum(P_i) = I for a maximal equiangular family, the
 whole Gram of a stack of matrices as one dense product and its rank, the
 equiangular report and the certificate read off every member of a dense
-stack, the certificate computed from the unitary bases' Gram, product and
-asymmetry (with the Gram's own entries and Gershgorin radii, its spectrum,
-its rank and the asymmetry it reads),
+stack, the certificate computed from the unitary bases' Gram, support
+product a* a - c and asymmetry (with the Gram's own entries and Gershgorin
+radii, its spectrum, its rank and the asymmetry it reads),
 as the package computed it before it read the certificate off the
 equiangular report, the residue base vectors as one dense array, the projection onto the
 span of orthogonal vectors as a dense product, the Legendre symbol by
-Euler's criterion and the DFT matrix as one exponential per entry.  None
-calls the package's checks: each reads the members themselves, but for
-the computed certificate, which reads the unitary bases through matcore's
-Gram and support product where a dense stack would not fit (p >= 263).
+Euler's criterion and the DFT matrix as one exponential per entry.  A
+rank counts the eigenvalues above RANK_EPS times the largest.  None calls
+the package's checks: each reads the members themselves, but for the
+computed certificate, which reads the unitary bases through matcore's Gram
+where a dense stack would not fit (p >= 263).
 """
 
 import math
@@ -33,10 +34,12 @@ from fractions import Fraction
 import numpy as np
 
 from umebkit.errors import NotOrthogonal, ShapeMismatch
-from umebkit.matcore import DEFAULT_TOL, CyclicGram, SupportStack, Tolerance, _blocks, _dft, cyclic_gram, support_product
+from umebkit.matcore import DEFAULT_TOL, CyclicGram, SupportStack, Tolerance, _blocks, _dft, cyclic_gram
 from umebkit.packing import ProjectionFamily, residue_base_vectors
 
 Channel = Callable[[np.ndarray], np.ndarray]
+# the relative threshold below which an oracle counts no eigenvalue of a spectrum
+RANK_EPS = 1e-7
 
 
 def support_columns(on: np.ndarray) -> np.ndarray:
@@ -136,13 +139,13 @@ def swap_matrix(d: int) -> np.ndarray:
     return s
 
 
-def choi_rank(apply: Channel, d: int, tol: Tolerance = DEFAULT_TOL) -> int:
+def choi_rank(apply: Channel, d: int) -> int:
     """Numerical rank of the Choi matrix via Hermitian eigenvalues."""
     eigs = np.linalg.eigvalsh(choi_of_channel(apply, d))
     top = float(np.max(np.abs(eigs)))
     if top <= 0:
         return 0
-    return int(np.sum(np.abs(eigs) > tol.rank_eps * top))
+    return int(np.sum(np.abs(eigs) > RANK_EPS * top))
 
 
 def identity_coefficient(d: int, r: int, beta: Fraction) -> Fraction:
@@ -157,19 +160,19 @@ def dense_gram(stack) -> np.ndarray:
     return flat.conj() @ flat.T
 
 
-def _rank(eigs: np.ndarray, tol: Tolerance) -> int:
-    """The count of ascending eigenvalues above rank_eps * largest; 0 if the largest is not positive."""
-    return int(np.sum(eigs > tol.rank_eps * eigs[-1])) if eigs[-1] > 0 else 0
+def _rank(eigs: np.ndarray) -> int:
+    """The count of ascending eigenvalues above RANK_EPS * largest; 0 if the largest is not positive."""
+    return int(np.sum(eigs > RANK_EPS * eigs[-1])) if eigs[-1] > 0 else 0
 
 
-def numerical_rank(mats: list[np.ndarray] | np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Rank of the Gram matrix, counting eigenvalues above rank_eps * largest."""
+def numerical_rank(mats: list[np.ndarray] | np.ndarray) -> int:
+    """Rank of the Gram matrix, counting eigenvalues above RANK_EPS * largest."""
     if len(mats) == 0:
         return 0
     shapes = {np.asarray(m).shape for m in mats}
     if len(shapes) > 1:
         raise ShapeMismatch(f"mixed shapes {sorted(shapes)}")
-    return _rank(np.linalg.eigvalsh(dense_gram(mats)), tol)
+    return _rank(np.linalg.eigvalsh(dense_gram(mats)))
 
 
 def _off_diagonal(gram: np.ndarray) -> np.ndarray:
@@ -204,7 +207,7 @@ def dense_certificate(members, tol: Tolerance = DEFAULT_TOL) -> dict:
     n, d = len(stack), stack.shape[-1]
     gram = dense_gram(stack)
     eigs = np.linalg.eigvalsh(gram)
-    rank = _rank(eigs, tol)
+    rank = _rank(eigs)
     lam = float(eigs[-rank]) if rank else 0.0
     anti = np.abs(stack - stack.transpose(0, 2, 1))
     unitarity = float(np.max(np.abs(stack.conj().transpose(0, 2, 1) @ stack - np.eye(d))))
@@ -236,11 +239,13 @@ def asymmetry(stack: SupportStack) -> tuple[float, float]:
     NaN reaches both.
     """
     d, s = stack.cols.shape
-    rows = np.arange(d)[:, None]
-    weight = np.where((stack.cols[stack.cols] == rows[..., None]).any(axis=-1), 1.0, 2.0)
+    held = stack.cols[stack.cols] == np.arange(d)[:, None, None]  # held[a, i, k]: row cols[a, i] lists a at k
+    mirrored, at = held.any(axis=-1), held.argmax(axis=-1)
+    weight = np.where(mirrored, 1.0, 2.0)
     worst, sq = [], 0.0
     for block in _blocks(len(stack), 2 * d * s * stack.values.itemsize):
-        gap = np.abs(stack.values[block] - stack.at(stack.cols, rows, block))
+        values = stack.values[block]
+        gap = np.abs(values - np.where(mirrored, values[:, stack.cols, at], 0))
         worst.append(np.max(gap, initial=0.0))
         sq += float(np.vdot(weight * gap, gap))
     return float(np.max(worst)), sq
@@ -290,19 +295,68 @@ def gram_spectrum(gram) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(blocks), axis=None)
 
 
-def spectral_rank(eigs: np.ndarray, tol: Tolerance) -> tuple[int, float]:
+def spectral_rank(eigs: np.ndarray, rank_eps: float = RANK_EPS) -> tuple[int, float]:
     """(rank, lam) of ascending eigenvalues: those above rank_eps * largest, and the smallest of them (0.0 if none)."""
     if eigs[-1] <= 0:
         return 0, 0.0
-    rank = int(np.sum(eigs > tol.rank_eps * eigs[-1]))
+    rank = int(np.sum(eigs > rank_eps * eigs[-1]))
     return rank, float(eigs[-rank])
+
+
+def support_product(a: SupportStack, c: SupportStack) -> tuple[np.ndarray, np.ndarray]:
+    """(entries, gap): gap[t, m] is the entry entries[m] = i d + j of a[t]* a[t] - c[t], over every entry a term or c reaches.
+
+    a* is the conjugate transpose of a, and a* a = sum_k conj(row k)^T row k:
+    row k of a, read on its columns, adds conj(a[k, i]) a[k, j] at (i, j)
+    for each pair of its columns, s^2 terms a row.  entries lists, once
+    each and in ascending order, the entries those terms and c's columns
+    reach; every other entry of a* a - c is a sum of terms that each have a
+    factor 0, minus a 0.  With c = a it is P^T P - P, whose largest
+    magnitude matcore.max_idempotency_dev sums the same way, and with c = I
+    it is U* U - I.  A NaN or inf value of a meets itself in the term at
+    its own (j, j), and one of c is subtracted at its entry, so each
+    reaches gap as a NaN or inf.
+
+    The bases go in blocks of matcore's _BLOCK_BYTES, each holding its
+    terms, their keys and its sums: each block lays out every base's terms
+    and then c's values negated, and one np.bincount (one a part for
+    complex stacks) sums them into their entries, so an entry is its terms'
+    sum minus c.
+    The paper's bases have s = 2, so a base costs O(d), against the O(d^3)
+    of its dense product; bases with full rows (s = d) cost O(d^3) the same
+    way.  Real stacks give a real gap.
+    """
+    t, d, s = a.values.shape
+    dtype = np.result_type(a.values, c.values)
+    own = np.arange(d)[:, None] * d + c.cols  # c's entries
+    terms = a.cols.T[:, None] * d + a.cols.T  # terms[i, j, k]: the entry of conj(a[k, i]) a[k, j]
+    reached = np.zeros(d * d, dtype=bool)
+    reached[terms] = reached[own] = True
+    entries = np.flatnonzero(reached)
+    width = len(entries)
+    place = np.empty(d * d, dtype=np.intp)
+    place[entries] = np.arange(width)  # place[i d + j]: the slot of a reached entry
+    slots = np.concatenate((place[terms].ravel(), place[own].ravel()))  # a base's terms, then c's values
+    gap = np.empty((t, width), dtype=dtype)
+    for block in _blocks(t, len(slots) * (dtype.itemsize + 8) + width * (dtype.itemsize + 8)):  # terms, keys, sums
+        n = block.stop - block.start
+        keys = (slots + width * np.arange(n)[:, None]).ravel()
+        weights = np.empty((n, len(slots)), dtype=dtype)  # [t, (i, j, k)], then -c[t]
+        read = a.values[block].transpose(0, 2, 1)  # read[t, i, k] = a[t][k, cols[k, i]]
+        with np.errstate(invalid="ignore", over="ignore"):  # an inf times a 0 is a NaN deviation, not a warning
+            np.multiply(np.conj(read)[:, :, None], read[:, None], out=weights[:, : d * s * s].reshape(n, s, s, d))
+            np.negative(c.values[block], out=weights[:, d * s * s :].reshape(n, d, -1))
+            gap[block].real = np.bincount(keys, weights.real.ravel(), n * width).reshape(n, width)
+            if dtype.kind == "c":
+                gap[block].imag = np.bincount(keys, weights.imag.ravel(), n * width).reshape(n, width)
+    return entries, gap
 
 
 def orbit_certificate(uf, tol: Tolerance = DEFAULT_TOL) -> dict:
     """The fields of certify_umeb's certificate computed from the unitary bases, with no dense stack.
 
     Unitarity is the largest entry of U* U - I summed over the support
-    (matcore.support_product with c = I); the orthogonality and CJ
+    (support_product with c = I); the orthogonality and CJ
     deviations are read off the unitary Gram's stats (cyclic_gram, then
     gram_stats), and the span rank off its Gershgorin discs, or, when they
     prove no full rank, off its spectrum (gram_spectrum), with lam the
@@ -318,12 +372,12 @@ def orbit_certificate(uf, tol: Tolerance = DEFAULT_TOL) -> dict:
     gram = cyclic_gram(bases)
     stats = gram_stats(gram)
     lower = float(np.min(stats.diag.real - stats.radii))
-    if lower > tol.rank_eps * float(np.max(stats.diag.real + stats.radii)):
+    if lower > RANK_EPS * float(np.max(stats.diag.real + stats.radii)):
         rank, lam = n, lower
     elif not math.isfinite(lower):
         rank, lam = 0, 0.0
     else:
-        rank, lam = spectral_rank(gram_spectrum(gram), tol)
+        rank, lam = spectral_rank(gram_spectrum(gram))
     worst, sq = asymmetry(bases)
     symmetric_span = rank == d * (d + 1) // 2 and worst <= tol.eps
     complement = d * sq / 4 <= tol.eps**2 * lam

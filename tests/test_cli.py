@@ -367,6 +367,25 @@ def test_commands_that_check_nothing_take_no_tolerance(argv, capsys):
     assert run(argv + ["--format", "json"]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--p", "7"],
+        ["umeb", "--p", "7"],
+        ["verify", "--in", "family"],
+        ["wh-check", "--p", "7"],
+        ["demo-icosahedron"],
+    ],
+    ids=["generate", "umeb", "verify", "wh-check", "demo-icosahedron"],
+)
+def test_checking_commands_take_no_rank_threshold(argv, p7_artifacts, capsys):
+    # eps is the one tolerance: the certificate proves the span rank against a margin of its own
+    argv = [str(p7_artifacts[arg]) if arg in p7_artifacts else arg for arg in argv]
+    for value in ("1e-7", "0.5"):
+        assert run(argv + ["--rank-eps", value]) == 1
+        assert "unrecognized arguments: --rank-eps" in capsys.readouterr().err
+
+
 def test_a_tampered_p79_artifact_ends_in_a_verdict_from_the_discs(tmp_path, monkeypatch, capsys):
     # the phase z turned by 0.1 rad, still of modulus 1: the unitaries are no longer trace-orthogonal,
     # so the Gershgorin discs of the derived bounds prove no rank (0) and no spectrum is computed; the
@@ -408,15 +427,15 @@ def test_a_tampered_p79_artifact_ends_in_a_verdict_from_the_discs(tmp_path, monk
 )
 def test_every_command_runs_the_equiangular_pass_once(argv, p7_artifacts, monkeypatch, capsys):
     # the certificate is read off the report the command prints, so one family gets one Gram
-    # and one support product, whether or not a phase z follows
+    # and one idempotency pass, whether or not a phase z follows
     argv = [str(p7_artifacts[arg]) if arg in p7_artifacts else arg for arg in argv]
     passes = []
-    for name in ("cyclic_gram", "support_product"):
+    for name in ("cyclic_gram", "max_idempotency_dev"):
         for module in (matcore, packing):
             original = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *args, name=name, original=original: passes.append(name) or original(*args))
     assert run(argv + ["--no-timestamp"]) == 0
-    assert passes == ["cyclic_gram", "support_product"]
+    assert passes == ["cyclic_gram", "max_idempotency_dev"]
 
 
 @pytest.mark.parametrize("p", [7, 31])
@@ -686,7 +705,7 @@ def test_artifact_hadamard_rows_compare_lengths_before_allocating(monkeypatch):
         # the generator {"p", "k", "hadamard": {"order", "rows"}} of the p=7 family, and "z" beside it
         # for the unitaries: rows is 4 lists of 4 entries, each the JSON integer 1 or -1
         pytest.param("family", ("hadamard", "rows", 0, 0), "1", 1, id="family-string-entry"),
-        pytest.param("family", ("hadamard", "rows", 0, 0), [1], 1, id="family-short-pair"),
+        pytest.param("family", ("hadamard", "rows", 0, 0), [1], 1, id="family-hadamard-list-entry"),
         pytest.param("family", ("hadamard", "rows", 0, 0), None, 1, id="family-null-entry"),
         pytest.param("family", ("hadamard", "rows", 0, 0), 2, 1, id="family-entry-two"),
         pytest.param("family", ("hadamard", "rows", 0, 0), 0, 1, id="family-entry-zero"),
@@ -711,7 +730,7 @@ def test_artifact_hadamard_rows_compare_lengths_before_allocating(monkeypatch):
         pytest.param("family", ("hadamard", "rows", 0), [1] * 5, 1, id="family-row-long"),
         pytest.param("family", ("hadamard", "rows", 3, -1), DELETE, 1, id="family-row-short"),
         pytest.param("family", ("hadamard", "rows", -1), DELETE, 1, id="family-rows-short"),
-        pytest.param("unitary", ("hadamard", "rows", 3, -1), DELETE, 1, id="unitary-values-short"),
+        pytest.param("unitary", ("hadamard", "rows", 3, -1), DELETE, 1, id="unitary-hadamard-row-short"),
         pytest.param("family", ("hadamard", "rows"), {"0": [1, 1, 1, 1]}, 1, id="family-rows-not-a-list"),
         pytest.param("family", ("hadamard",), {"order": 0, "rows": []}, 1, id="family-empty"),
         pytest.param("unitary", ("hadamard",), {"order": 0, "rows": []}, 1, id="unitary-empty"),
@@ -733,12 +752,12 @@ def test_artifact_hadamard_rows_compare_lengths_before_allocating(monkeypatch):
         pytest.param("family", (), {"p": 3, "k": 2, "hadamard": H2}, 0, id="family-p-three"),
         # a p too large for any file: its order is checked before p's primality
         pytest.param("family", ("p",), 10**400, 1, id="family-rank-huge"),
-        pytest.param("unitary", ("p",), 10**400, 1, id="unitary-source-rank-huge"),
+        pytest.param("unitary", ("p",), 10**400, 1, id="unitary-p-huge"),
         # k is a JSON integer, a non-residue in 1..p-1: the residues mod 7 are 1, 2 and 4, and
         # -4 and 10 are the non-residue 3 mod 7, which a reduction mod p would accept
         pytest.param("family", ("k",), 2, 1, id="family-k-residue"),
         pytest.param("family", ("k",), -4, 1, id="family-negative-column"),
-        pytest.param("family", ("k",), 7, 1, id="family-column-d"),
+        pytest.param("family", ("k",), 7, 1, id="family-k-equals-p"),
         pytest.param("family", ("k",), 10, 1, id="family-k-past-p"),
         pytest.param("family", ("k",), 0, 1, id="family-k-zero"),
         pytest.param("family", ("k",), 5.0, 1, id="family-k-float"),
@@ -871,13 +890,11 @@ def _one_error_line(capsys):
     "argv, env",
     [
         pytest.param(["umeb", "--p", "7", "--eps", "-1"], None, id="eps-negative"),
-        pytest.param(["umeb", "--p", "7", "--rank-eps", "0"], None, id="rank-eps-zero"),
         pytest.param(["umeb", "--p", "7"], "abc", id="env-not-a-number"),
         pytest.param(["wh-check", "--p", "7", "--eps", "nan"], None, id="eps-nan"),
         # a tolerance of 1 or more would make every check vacuous
         pytest.param(["umeb", "--p", "7", "--eps", "1e300"], None, id="eps-huge"),
         pytest.param(["umeb", "--p", "7", "--eps", "1"], None, id="eps-one"),
-        pytest.param(["wh-check", "--p", "7", "--rank-eps", "1"], None, id="rank-eps-one"),
         pytest.param(["umeb", "--p", "7"], "1e300", id="env-huge"),
     ],
 )

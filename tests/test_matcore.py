@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -12,14 +13,14 @@ from umebkit.matcore import (
     SupportStack,
     Tolerance,
     cyclic_gram,
+    max_idempotency_dev,
     max_off_diagonal,
-    support_product,
 )
 from umebkit.numth import validate_prime
 from umebkit.packing import build_residue_family, icosahedron_lines
 from umebkit.umeb import build_unitaries, compute_phase
 
-from oracles import (  # the computed certificate's Gram stats and spectrum, oracles of the derived one
+from oracles import (  # the computed certificate's Gram stats, spectrum and support product, oracles of the derived one
     dense_gram,
     direct_dft,
     dual_family,
@@ -27,6 +28,7 @@ from oracles import (  # the computed certificate's Gram stats and spectrum, ora
     gram_stats,
     numerical_rank,
     orbit_stack,
+    support_product,
     support_stack,
 )
 from test_cli import read_rows  # the artifact's Hadamard rows, as the cli tests read them
@@ -269,6 +271,12 @@ def assert_is_the_dense_gap(entries, gap, dense):
     assert np.all(flat[:, elsewhere] == 0)
 
 
+def assert_is_the_largest_gap(stack, gap):
+    """For real bases, max_idempotency_dev is max |gap| of the oracle's P^T P - P bit for bit, a NaN as a NaN."""
+    if not np.iscomplexobj(stack.values):
+        assert max_idempotency_dev(stack).hex() == float(np.max(np.abs(gap))).hex()
+
+
 @pytest.mark.parametrize("name", PRODUCT_CASES)
 def test_support_product_is_the_dense_product(name):
     bases = PRODUCT_CASES[name]()
@@ -277,6 +285,7 @@ def test_support_product_is_the_dense_product(name):
     # idempotency of an orthogonal projection: p* p - p
     entries, gap = support_product(stack, stack)
     assert_is_the_dense_gap(entries, gap, bases.conj().transpose(0, 2, 1) @ bases - bases)
+    assert_is_the_largest_gap(stack, gap)
     # unitarity: u* u - I
     entries, gap = support_product(stack, identity(len(bases), d))
     assert_is_the_dense_gap(entries, gap, bases.conj().transpose(0, 2, 1) @ bases - np.eye(d))
@@ -302,6 +311,8 @@ def test_support_product_carries_a_non_finite_entry(kind, at, value):
     for gap in (idempotency, unitarity):
         assert not np.isfinite(np.max(np.abs(gap)))
         assert not np.isfinite(gap[at[0]]).all() and np.isfinite(np.delete(gap, at[0], axis=0)).all()
+    assert_is_the_largest_gap(stack, idempotency)
+    assert kind == "U" or not np.isfinite(max_idempotency_dev(stack))
 
 
 def test_support_product_stays_inside_the_byte_budget(monkeypatch):
@@ -330,6 +341,50 @@ def test_support_product_stays_inside_the_byte_budget(monkeypatch):
     # buffers for the broadcast product of a block, one for each of its three operands
     products = 2 * 12 * 11 * 11
     assert peak - gap.nbytes - cols.nbytes <= matcore._BLOCK_BYTES + 4 * terms * 8 + 2 * terms * 8 + 3 * products * 16
+
+
+def _traced_peak(call):
+    """(call(), the peak bytes tracemalloc traced while it ran)."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_max_idempotency_dev_stays_inside_the_byte_budget(monkeypatch):
+    # real bases, d = 12, whose last column is 0: rows of s = 11 columns.  A base's 12 * 11 * 11
+    # products and 12 * 11 values, with their keys, and its 12 * 11 sums take about 26 KiB, so a
+    # budget of 60 KiB holds two bases and the twelve bases go in six blocks, one np.bincount each
+    bases = np.random.default_rng(66).standard_normal((12, 12, 12))
+    bases[:, :, -1] = 0.0
+    stack = support_stack(bases, 12)
+    assert stack.cols.shape == (12, 11)
+    whole = max_idempotency_dev(stack)
+    dense = float(np.max(np.abs(bases.transpose(0, 2, 1) @ bases - bases)))
+    assert abs(whole - dense) <= 1e-13 * dense
+    monkeypatch.setattr(matcore, "_BLOCK_BYTES", 60 << 10)
+    bincount, calls = np.bincount, []
+    monkeypatch.setattr(np, "bincount", lambda *args: calls.append(len(args[0])) or bincount(*args))
+    blocked, peak = _traced_peak(lambda: max_idempotency_dev(stack))
+    monkeypatch.undo()
+    terms = 12 * 11 * 11 + 12 * 11
+    assert calls == [2 * terms] * 6
+    assert blocked.hex() == whole.hex()  # each base's sums are its own, whatever the blocks
+    # one budget and the last block's sums, which live until the next block's are made; the
+    # integer arrays of a base's terms (their entries and slots); the d x d slot table
+    assert peak <= matcore._BLOCK_BYTES * 5 // 4 + 4 * terms * 8 + 9 * 12 * 12
+
+
+def test_max_idempotency_dev_holds_no_array_of_every_base():
+    # at p=1087 the 544 bases' 2175 sums each take 9.0 MiB, more than a block: the pass holds one
+    # block of them at a time, beside the d x d slot table, an intp and a bool an entry
+    fam = build_residue_family(validate_prime(1087), construct(544))
+    d = fam.d
+    max_idempotency_dev(fam.bases)  # numpy's first calls allocate caches of their own
+    dev, peak = _traced_peak(lambda: max_idempotency_dev(fam.bases))
+    assert dev <= EPS
+    assert peak <= 9 * d * d + matcore._BLOCK_BYTES * 5 // 4 + (1 << 20)
 
 
 def test_union_support_keeps_every_entry_that_is_not_exactly_zero():
@@ -679,15 +734,14 @@ def test_stack_json_rejects_bad_shape_or_value(rows):
 def test_tolerance_validation():
     with pytest.raises(ValueError):
         Tolerance(eps=0.0)
-    with pytest.raises(ValueError):
-        Tolerance(rank_eps=-1.0)
+    # eps is the one threshold: the span rank's margin is the certificate's own
+    assert [field.name for field in dataclasses.fields(Tolerance)] == ["eps"]
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1.0, 0.0, 1.0, 1e300])
 def test_tolerance_must_be_finite_and_positive(value):
-    for field in ("eps", "rank_eps"):
-        with pytest.raises(OutOfRange, match=field):
-            Tolerance(**{field: value})
+    with pytest.raises(OutOfRange, match="eps"):
+        Tolerance(eps=value)
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 
-from umebkit.matcore import Tolerance
-
 from oracles import asymmetry, dense_gram, gram_spectrum, orbit_stack, spectral_rank, support_columns, support_stack
 from test_matcore import _random_bases, _residue_bases, _tampered_p79, _unequal_rows, gram_of  # the bases the matcore tests build
 
@@ -72,7 +70,7 @@ def test_asymmetry_is_the_dense_sum_over_every_entry(name):
 
 
 def test_spectral_rank_counts_above_the_relative_threshold():
-    tol = Tolerance(rank_eps=1e-3)
-    assert spectral_rank(np.array([1e-9, 5e-4, 0.5, 1.0]), tol) == (2, 0.5)
-    assert spectral_rank(np.array([1e-4, 2e-3, 1.0]), tol) == (2, 2e-3)
-    assert spectral_rank(np.array([-1.0, 0.0]), tol) == (0, 0.0)
+    assert spectral_rank(np.array([1e-9, 5e-4, 0.5, 1.0]), 1e-3) == (2, 0.5)
+    assert spectral_rank(np.array([1e-4, 2e-3, 1.0]), 1e-3) == (2, 2e-3)
+    assert spectral_rank(np.array([-1.0, 0.0]), 1e-3) == (0, 0.0)
+    assert spectral_rank(np.array([5e-8, 2e-7, 1.0])) == (2, 2e-7)  # RANK_EPS = 1e-7 by default

@@ -44,14 +44,15 @@ EXPORTS = [
 # (random_hermitian, dual_family, support_columns, and union_support with the dense branch of
 # SupportStack.of as support_stack), and the JSON coders outside cli, which the one artifact writer
 # and reader replace; uniform_weight is the one float 2 / (d(d+1)) in umeb_decomposition.  The
-# certificate is read off the equiangular report, so the unitary Gram's spectrum, its rank and the
-# bases' asymmetry are the computed certificate's, an oracle (orbit_certificate)
+# certificate is read off the equiangular report, so the unitary Gram's spectrum, its rank, the
+# bases' asymmetry and the two-operand support product are the computed certificate's, an oracle
+# (orbit_certificate), and no spectrum is counted, so no rank threshold is a default or an option
 DELETED = {
     channels: ["choi_of_channel", "swap_matrix", "choi_rank", "apply_decomposition", "random_hermitian", "uniform_weight"],
     matcore: [
         "frobenius_inner", "sym_antisym_split", "cj_vectorize", "is_unitary", "numerical_rank",
         "json_int", "json_number", "json_int_matrix", "union_support", "support_columns", "orbit_stack",
-        "asymmetry", "gram_spectrum", "spectral_rank", "gram_stats", "GramStats",
+        "asymmetry", "gram_spectrum", "spectral_rank", "gram_stats", "GramStats", "support_product", "DEFAULT_RANK_EPS",
     ],
     umeb: ["cj_states", "line_feasibility_sweep"],
     packing: [
@@ -62,15 +63,15 @@ DELETED = {
 }
 # the option strings of every command, in order: an option added, renamed or dropped fails here
 OPTIONS = {
-    "generate": ["-h", "--help", "--p", "--k", "--out", "--eps", "--rank-eps", "--no-timestamp", "--format"],
-    "umeb": ["-h", "--help", "--p", "--k", "--out", "--cert", "--eps", "--rank-eps", "--no-timestamp", "--format"],
-    "verify": ["-h", "--help", "--in", "--report", "--eps", "--rank-eps", "--no-timestamp", "--format"],
+    "generate": ["-h", "--help", "--p", "--k", "--out", "--eps", "--no-timestamp", "--format"],
+    "umeb": ["-h", "--help", "--p", "--k", "--out", "--cert", "--eps", "--no-timestamp", "--format"],
+    "verify": ["-h", "--help", "--in", "--report", "--eps", "--no-timestamp", "--format"],
     "feasibility": ["-h", "--help", "--r", "--dmax", "--format"],
     "wh-check": [
-        "-h", "--help", "--p", "--k", "--trials", "--seed", "--report", "--eps", "--rank-eps", "--no-timestamp", "--format",
+        "-h", "--help", "--p", "--k", "--trials", "--seed", "--report", "--eps", "--no-timestamp", "--format",
     ],
     "hadamard": ["-h", "--help", "--order", "--out", "--format"],
-    "demo-icosahedron": ["-h", "--help", "--trials", "--seed", "--eps", "--rank-eps", "--no-timestamp", "--format"],
+    "demo-icosahedron": ["-h", "--help", "--trials", "--seed", "--eps", "--no-timestamp", "--format"],
 }
 
 

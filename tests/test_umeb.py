@@ -638,13 +638,13 @@ def test_the_derived_certificate_bounds_the_computed_one_at_scale(p):
 
 
 def test_the_certificate_reads_one_equiangular_report_and_no_unitary_stack(monkeypatch):
-    # the certificate's one pass is the projections' equiangular check: one Gram and one support
-    # product, both of the real bases, and no asymmetry; nothing runs on the complex unitary bases
+    # the certificate's one pass is the projections' equiangular check: one Gram and one idempotency
+    # pass, both of the real bases, and no asymmetry; nothing runs on the complex unitary bases
     uf = _residue_unitaries(23)
     reports, passes = [], []
     verify = umeb.verify_equiangular
     monkeypatch.setattr(umeb, "verify_equiangular", lambda *args: reports.append(args[0]) or verify(*args))
-    for name in ("cyclic_gram", "max_off_diagonal", "support_product"):
+    for name in ("cyclic_gram", "max_off_diagonal", "max_idempotency_dev"):
         for module in (matcore, packing):
             original = getattr(module, name)
 
@@ -655,8 +655,8 @@ def test_the_certificate_reads_one_equiangular_report_and_no_unitary_stack(monke
             monkeypatch.setattr(module, name, spy)
     assert certify_umeb(uf).unextendible_verdict
     assert reports == [uf.family]
-    assert passes == [("cyclic_gram", float), ("max_off_diagonal", float), ("support_product", float)]
-    gone = ("cyclic_gram", "max_off_diagonal", "gram_spectrum", "spectral_rank", "support_product", "asymmetry")
+    assert passes == [("cyclic_gram", float), ("max_off_diagonal", float), ("max_idempotency_dev", float)]
+    gone = ("cyclic_gram", "max_off_diagonal", "gram_spectrum", "spectral_rank", "max_idempotency_dev", "asymmetry")
     assert not [name for name in gone if hasattr(umeb, name)]
 
 
@@ -679,12 +679,11 @@ SCALES = st.one_of(st.just(0.0), st.floats(-13, -5).map(lambda e: 10.0**e))
     modulus=SCALES,
     real=SCALES,
     eps=st.floats(-14, -2).map(lambda e: 10.0**e),
-    rank_eps=st.floats(-12, -1).map(lambda e: 10.0**e),
     nan=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_the_derived_certificate_bounds_the_dense_one_under_random_faults(p, which, scale, modulus, real, eps, rank_eps, nan, seed):
+def test_the_derived_certificate_bounds_the_dense_one_under_random_faults(p, which, scale, modulus, real, eps, nan, seed):
     # one or all projection bases moved by a relative `scale`, |z| by `modulus` and Re z by `real`:
     # every derived deviation is at least the dense certificate's, and a derived PASS is a dense
     # PASS, under any tolerance; a NaN in any base value fails and proves no rank
@@ -696,7 +695,7 @@ def test_the_derived_certificate_bounds_the_dense_one_under_random_faults(p, whi
     fam = replace(fam, bases=SupportStack(fam.bases.cols, values))
     z = compute_phase(p, fam.r) * (1 + modulus * rng.standard_normal()) + real * rng.standard_normal()
     uf = build_unitaries(fam, z)
-    tol = Tolerance(eps=eps, rank_eps=rank_eps)
+    tol = Tolerance(eps=eps)
     cert = certify_umeb(uf, tol)
     if nan:  # the dense oracle's eigvalsh does not converge on a NaN
         assert cert.span_rank == 0 and not cert.unextendible_verdict and not cert.symmetric_span
